@@ -51,7 +51,8 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        # Fraction(1), not 1: a plain-int pivot would otherwise give a float
+        return Fraction(1) / a
 
     def div(self, a, b):
         return a * self.inv(b)
@@ -592,6 +593,32 @@ def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
         if rank == outer.dim:
             break
     return Subspace(f, inner.ambient, added)
+
+
+def rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of equal-length rows of ints in ``range(p)``.
+
+    Plain-int elimination for hot loops: each row operation clears one
+    column with a single ``% p`` per entry and needs no inverse, because
+    scaling a row by the nonzero pivot keeps the rank.
+    """
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        a = top[c]
+        for i in range(rank + 1, len(rows)):
+            b = rows[i][c]
+            if b:
+                rows[i] = [(a * x - b * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 def vectors_of(field, n: int):

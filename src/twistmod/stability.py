@@ -17,6 +17,7 @@ modules are S-equivalent when their graded modules are isomorphic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -40,7 +41,7 @@ from .linalg import (
     Subspace,
     all_subspaces,
     complement_in,
-    enumerate_subspaces,
+    rank_mod_p,
 )
 from .sigmamod import (
     TOTALLY_ISOTROPIC,
@@ -70,8 +71,8 @@ DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
 class Provenance:
     """How a verdict was reached.
 
-    ``exhaustive`` means every subspace was enumerated (finite fields
-    only).  ``heuristic`` records the primes whose reductions were
+    ``exhaustive`` means every totally isotropic subspace was examined
+    (finite fields only).  ``heuristic`` records the primes whose reductions were
     scanned for liftable witnesses; an empty tuple means a witness was
     found before any reduction was needed.
     """
@@ -142,20 +143,82 @@ class GradedModule:
 def enumerate_totally_isotropic(q: SigmaModule, bound: int = DEFAULT_ENUM_BOUND):
     """All nonzero totally isotropic subspaces, dimension ascending.
 
-    Only meaningful over a prime field; the cost grows like
-    p^(d(n-d)) per dimension, so ``bound`` caps dim H.
+    Only meaningful over a prime field.  The search is pruned: it grows
+    reduced echelon bases row by row and drops a partial basis as soon
+    as one pairing is nonzero, so its cost follows the number of
+    isotropic partial bases rather than the p^(d(n-d)) subspaces of
+    each dimension d.  ``bound`` caps dim H.
     """
+    _check_enumerable(q, bound)
+    return tuple(v for v, _ in _totally_isotropic(q))
+
+
+def _check_enumerable(q: SigmaModule, bound: int):
     if q.field.kind != "fp":
         raise FieldError("exhaustive enumeration needs a finite field")
     if q.dim_h > bound:
         raise BoundExceededError(
             f"dim {q.dim_h} exceeds the enumeration bound {bound}"
         )
-    return tuple(
-        v
-        for v in all_subspaces(q.field, q.dim_h)
-        if isotropy_class(q, v) == TOTALLY_ISOTROPIC
-    )
+
+
+def _totally_isotropic(q: SigmaModule, dims=None):
+    """Yield (V, dim V^perp) for every nonzero totally isotropic V of a
+    module over F_p whose dimension is in ``dims`` (default: all).
+
+    The order is that of filtering ``all_subspaces``, i.e. Subspace.sort_key:
+    dimension, then pivot columns, then free entries.  Reduced echelon
+    bases grow row by row, each row running over its free entries in
+    product order, and a partial basis is dropped as soon as a pairing
+    u_i^T B_k u_j is nonzero.  V is totally isotropic exactly when all
+    of them vanish, so no symmetry of q is assumed.
+    """
+    field = q.field
+    p, n = field.p, q.dim_h
+    forms = [b.rows for b in q.forms]
+
+    def images(u):
+        # the rows B_k u; V^perp is the joint kernel of those of its basis
+        return [
+            tuple(sum(a * x for a, x in zip(row, u)) % p for row in b)
+            for b in forms
+        ]
+
+    def kills(u, imgs):
+        return all(sum(a * x for a, x in zip(u, c)) % p == 0 for c in imgs)
+
+    # isotropic echelon rows by pivot column, free entries in product order
+    lines = []
+    for pc in range(n):
+        found = []
+        for tail in itertools.product(range(p), repeat=n - 1 - pc):
+            u = (0,) * pc + (1,) + tail
+            imgs = images(u)
+            if kills(u, imgs):
+                found.append((u, imgs))
+        lines.append(found)
+
+    def grow(rows, basis):
+        r = len(basis)
+        if r == len(rows):
+            v = Subspace(field, n, [u for u, _ in basis])
+            yield v, n - rank_mod_p([c for _, imgs in basis for c in imgs], p)
+            return
+        for u, imgs in rows[r]:
+            if all(kills(u, bi) and kills(w, imgs) for w, bi in basis):
+                basis.append((u, imgs))
+                yield from grow(rows, basis)
+                basis.pop()
+
+    for d in range(1, n + 1) if dims is None else dims:
+        for pivots in itertools.combinations(range(n), d):
+            # row r must vanish on the later pivot columns
+            rows = [
+                [e for e in lines[pc] if not any(e[0][c] for c in pivots[r + 1 :])]
+                for r, pc in enumerate(pivots)
+            ]
+            if all(rows):
+                yield from grow(rows, [])
 
 
 def semistability_verdict(
@@ -199,8 +262,9 @@ def _exhaustive_verdict(q: SigmaModule, enum_bound: int) -> Verdict:
     n = q.dim_h
     provenance = Provenance("exhaustive")
     equality = None
-    for v in enumerate_totally_isotropic(q, enum_bound):
-        total = v.dim + orthogonal(q, v).dim
+    _check_enumerable(q, enum_bound)
+    for v, perp_dim in _totally_isotropic(q):
+        total = v.dim + perp_dim
         if total > n:
             return _certified(UNSTABLE, provenance, q, v)
         if total == n and equality is None:
@@ -261,24 +325,19 @@ def _lift_subspace(vp: Subspace, field, balanced: bool) -> Subspace:
     return Subspace(field, vp.ambient, rows)
 
 
-def _lifted_candidates(q: SigmaModule, p: int, dims, seen: set):
+def _lifted_candidates(q: SigmaModule, qp: SigmaModule, dims, seen: set):
     """Totally isotropic subspaces of q over QQ obtained by lifting the
-    mod-p witnesses of the given dimensions, in canonical order."""
-    qp = _reduce_mod_p(q, p)
-    if qp is None:
-        return
-    for dim in dims:
-        for vp in enumerate_subspaces(qp.field, qp.dim_h, dim):
-            if isotropy_class(qp, vp) != TOTALLY_ISOTROPIC:
+    witnesses of the given dimensions of its reduction qp, in canonical
+    order."""
+    for vp, _ in _totally_isotropic(qp, dims):
+        for balanced in (False, True):
+            v = _lift_subspace(vp, q.field, balanced)
+            key = v.basis.rows
+            if key in seen:
                 continue
-            for balanced in (False, True):
-                v = _lift_subspace(vp, q.field, balanced)
-                key = v.basis.rows
-                if key in seen:
-                    continue
-                seen.add(key)
-                if isotropy_class(q, v) == TOTALLY_ISOTROPIC:
-                    yield v
+            seen.add(key)
+            if isotropy_class(q, v) == TOTALLY_ISOTROPIC:
+                yield v
 
 
 def _heuristic_verdict(q: SigmaModule, primes: tuple, enum_bound: int) -> Verdict:
@@ -294,10 +353,11 @@ def _heuristic_verdict(q: SigmaModule, primes: tuple, enum_bound: int) -> Verdic
     equality = None
     seen: set = set()
     for p in primes:
-        if _reduce_mod_p(q, p) is None:
+        qp = _reduce_mod_p(q, p)
+        if qp is None:
             continue
         tried.append(p)
-        for v in _lifted_candidates(q, p, range(1, n + 1), seen):
+        for v in _lifted_candidates(q, qp, range(1, n + 1), seen):
             total = v.dim + orthogonal(q, v).dim
             if total > n:
                 return _certified(UNSTABLE, Provenance("heuristic", tuple(tried)), q, v)
@@ -325,8 +385,9 @@ def _minimal_equality_witness(q, enum_bound, primes):
     """
     n = q.dim_h
     if q.field.kind == "fp":
-        for v in enumerate_totally_isotropic(q, enum_bound):
-            total = v.dim + orthogonal(q, v).dim
+        _check_enumerable(q, enum_bound)
+        for v, perp_dim in _totally_isotropic(q):
+            total = v.dim + perp_dim
             if total > n:
                 raise StabilityError(
                     "reduction exposed a destabilizing subspace; the module is unstable"
@@ -335,9 +396,14 @@ def _minimal_equality_witness(q, enum_bound, primes):
                 return v
         return None
     seen: set = set()
+    reductions: dict = {}
     for dim in range(1, n + 1):
         for p in primes:
-            for v in _lifted_candidates(q, p, (dim,), seen):
+            if p not in reductions:
+                reductions[p] = _reduce_mod_p(q, p)
+            if reductions[p] is None:
+                continue
+            for v in _lifted_candidates(q, reductions[p], (dim,), seen):
                 total = v.dim + orthogonal(q, v).dim
                 if total > n:
                     raise StabilityError(
@@ -520,6 +586,7 @@ def hilbert_mumford_sweep(
 
     best = None
     counter = [0]
+    weights_by_dims: dict = {}
 
     def weight_vectors(dims):
         bound = weight_bound
@@ -543,8 +610,10 @@ def hilbert_mumford_sweep(
             raise BoundExceededError(
                 f"sweep exceeded {max_decompositions} decompositions"
             )
-        dims = [subs[i].dim for i in chosen]
-        for weights in weight_vectors(dims):
+        dims = tuple(subs[i].dim for i in chosen)
+        if dims not in weights_by_dims:
+            weights_by_dims[dims] = weight_vectors(dims)
+        for weights in weights_by_dims[dims]:
             value = MINUS_INFINITY
             for a, ia in enumerate(chosen):
                 for b, ib in enumerate(chosen):
@@ -555,19 +624,20 @@ def hilbert_mumford_sweep(
             if best is None or value < best:
                 best = value
 
-    def extend_decomposition(chosen, span):
-        remaining = n - span.dim
+    def extend_decomposition(chosen, rows):
+        # rows: the chosen bases stacked, independent by construction
+        remaining = n - len(rows)
         if remaining == 0:
             score(chosen)
             return
         for idx, s in enumerate(subs):
             if s.dim > remaining:
                 break
-            joined = span.sum(s)
-            if joined.dim == span.dim + s.dim:
+            joined = rows + list(s.basis.rows)
+            if rank_mod_p(joined, field.p) == len(joined):
                 extend_decomposition(chosen + [idx], joined)
 
-    extend_decomposition([], Subspace.zero(field, n))
+    extend_decomposition([], [])
     if best is None:
         raise InternalCheckError("sweep produced no subgroup")
     return best

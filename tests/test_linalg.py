@@ -26,6 +26,7 @@ from twistmod.linalg import (
     enumerate_subspaces,
     field_from_name,
     field_name,
+    rank_mod_p,
     vectors_of,
 )
 
@@ -113,6 +114,8 @@ def test_rref_is_idempotent_and_rank_transpose_invariant():
             echelon, rank, _ = m.rref()
             assert echelon.rref()[0] == echelon
             assert m.transpose().rank() == rank
+            if field.kind == "fp":
+                assert rank_mod_p(m.rows, field.p) == rank
 
 
 def test_kernel_worked_example_f2():
@@ -197,6 +200,13 @@ def test_subspace_canonical_equality():
     assert a == b
     assert a.dim == 1
     assert hash(a) == hash(b)
+
+
+def test_rational_echelon_from_plain_ints_stays_exact():
+    # a plain-int pivot used to be inverted to a float
+    (row,) = Subspace(QQ, 2, [[2, 1]]).basis.rows
+    assert all(isinstance(e, Fraction) for e in row)
+    assert row == (1, Fraction(1, 2))
 
 
 def test_subspace_membership_sum_intersection():

@@ -14,7 +14,7 @@ import pytest
 
 from twistmod.errors import BoundExceededError, FieldError, StabilityError
 from twistmod.hilbert import MINUS_INFINITY, limit_at_zero, mu
-from twistmod.linalg import GF, QQ, Matrix
+from twistmod.linalg import GF, QQ, Matrix, all_subspaces
 from twistmod.sigmamod import (
     TOTALLY_ISOTROPIC,
     InvolutionSpace,
@@ -32,6 +32,7 @@ from twistmod.stability import (
     STRICTLY_SEMISTABLE,
     UNSTABLE,
     Provenance,
+    _totally_isotropic,
     enumerate_totally_isotropic,
     graded,
     hilbert_mumford_sweep,
@@ -133,6 +134,43 @@ def test_enumerate_totally_isotropic_fixtures():
         enumerate_totally_isotropic(module_1form(QQ, [[0, 1], [1, 0]]))
     with pytest.raises(BoundExceededError):
         enumerate_totally_isotropic(module_1form(f3, [[0] * 5 for _ in range(5)]))
+
+
+def test_pruned_search_matches_the_filtered_scan():
+    # the engine against the unpruned scan it replaces: same subspaces,
+    # same order, and each perp dimension equal to orthogonal()'s
+    rng = random.Random(5)
+    for p in (2, 3, 5):
+        field = GF(p)
+        for n in (2, 3, 4):
+            modules = [
+                random_module(rng, field, n, w, sign)
+                for w in (trivial_w(field), swap_w(field))
+                for sign in (1, -1)
+            ]
+            raw = Matrix(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+            modules.append(SigmaModule(field, n, trivial_w(field), -1, [raw]))
+            for q in modules:
+                found = list(_totally_isotropic(q))
+                expected = [
+                    v
+                    for v in all_subspaces(field, n)
+                    if isotropy_class(q, v) == TOTALLY_ISOTROPIC
+                ]
+                assert [v for v, _ in found] == expected
+                for v, perp_dim in found:
+                    assert perp_dim == orthogonal(q, v).dim
+    assert not validate(modules[-1])
+
+
+def test_symplectic_count_matches_closed_form():
+    # totally isotropic subspaces of a symplectic F_q^4: every line, plus
+    # (q+1)(q^2+1) Lagrangian planes
+    q = 3
+    field = GF(q)
+    form = [[0, 0, 1, 0], [0, 0, 0, 1], [q - 1, 0, 0, 0], [0, q - 1, 0, 0]]
+    subs = enumerate_totally_isotropic(module_1form(field, form, sign=-1))
+    assert len(subs) == (q**4 - 1) // (q - 1) + (q + 1) * (q**2 + 1) == 80
 
 
 # -- verdicts ----------------------------------------------------------------
