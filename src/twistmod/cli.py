@@ -183,9 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--field",
         help="field tag (rational or fp:<p>); on file commands this is a cross-check",
     )
-    common.add_argument(
-        "--seed", type=int, help="seed for randomized operations (reserved)"
-    )
 
     search = _Parser(add_help=False)
     search.add_argument(

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import InternalCheckError, IsotropyError, ShapeError
 from .linalg import Matrix, Subspace, complement_in
-from .sigmamod import TOTALLY_ISOTROPIC, SigmaModule, isotropy_class, orthogonal, validate
+from .sigmamod import SigmaModule, orthogonal, validate
 
 
 class MinusInfinityType:
@@ -254,11 +254,11 @@ def destabilizing_1ps(q: SigmaModule, v: Subspace) -> OneParamSubgroup:
     empty pieces are dropped.  m2 = n - d - dim(perp), so mu = 2 m2 turns
     negative exactly on witnesses of instability.
     """
-    if isotropy_class(q, v) != TOTALLY_ISOTROPIC:
+    perp = orthogonal(q, v)
+    if v.is_zero() or not perp.contains(v):
         raise IsotropyError("destabilizing subgroup needs a totally isotropic subspace")
     n = q.dim_h
     d = v.dim
-    perp = orthogonal(q, v)
     middle = complement_in(v, perp)
     outer = complement_in(perp, Subspace.full(q.field, n))
     h1 = middle.dim

@@ -185,9 +185,12 @@ def field_name(field) -> str:
 
 
 def dot(field, u, v):
-    acc = field.zero
+    # zero terms are skipped: forms and candidate vectors are mostly sparse
+    zero = field.zero
+    acc = zero
     for a, b in zip(u, v):
-        acc = field.add(acc, field.mul(a, b))
+        if a != zero and b != zero:
+            acc = field.add(acc, field.mul(a, b))
     return acc
 
 
@@ -660,8 +663,7 @@ def enumerate_subspaces(field, ambient: int, dim: int):
             yield Subspace(field, ambient, rows)
 
 
-def all_subspaces(field, ambient: int, include_zero: bool = False):
-    """All subspaces of every dimension, in canonical order."""
-    start = 0 if include_zero else 1
-    for dim in range(start, ambient + 1):
+def all_subspaces(field, ambient: int):
+    """All nonzero subspaces of every dimension, in canonical order."""
+    for dim in range(1, ambient + 1):
         yield from enumerate_subspaces(field, ambient, dim)

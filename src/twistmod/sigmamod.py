@@ -24,7 +24,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .linalg import Matrix, Subspace, complement_in, vectors_of
+from .linalg import Matrix, Subspace, complement_in, dot, vectors_of
 
 NOT_ISOTROPIC = "not_isotropic"
 SIGMA_ISOTROPIC = "sigma_isotropic"
@@ -253,11 +253,6 @@ def isotropic_reduction(q: SigmaModule, v: Subspace) -> IsotropicReduction:
     return IsotropicReduction(reduced, model, perp)
 
 
-def reduced_form(q: SigmaModule, v: Subspace) -> SigmaModule:
-    """The induced module on (orthogonal of v) / v."""
-    return isotropic_reduction(q, v).module
-
-
 @dataclass(frozen=True)
 class LinearPiece:
     """The pairing data of one hyperbolic summand.
@@ -465,18 +460,11 @@ def _isometry_search(q1: SigmaModule, q2: SigmaModule, node_budget: int):
                 return False
             for j in range(i):
                 # pair (j, i) uses B2 c, pair (i, j) uses c^T B2
-                if dot_cached(chosen[j], bc) != targets[k][j][i]:
+                if dot(field, chosen[j], bc) != targets[k][j][i]:
                     return False
-                if dot_cached(cb, chosen[j]) != targets[k][i][j]:
+                if dot(field, cb, chosen[j]) != targets[k][i][j]:
                     return False
         return True
-
-    def dot_cached(u, v):
-        acc = field.zero
-        for a, b in zip(u, v):
-            if a != field.zero and b != field.zero:
-                acc = field.add(acc, field.mul(a, b))
-        return acc
 
     def independent(c) -> bool:
         m = Matrix(field, chosen + [list(c)])

@@ -8,6 +8,12 @@ rationals we certify instability when a witness is found and otherwise
 report an explicit no_destabilizer_found, never a silent upgrade to
 semistable.
 
+One candidate stream serves both the verdict and each filtration step.
+Over F_p it is the pruned enumeration of every totally isotropic
+subspace.  Over the rationals it lifts those of the reductions mod a
+list of primes, and each lift is rechecked once, exactly: its
+orthogonal is computed over QQ and must contain it.
+
 A strictly semistable module carries a filtration by successive minimal
 equality witnesses.  Peeling them off leaves a stable core, and the
 witnesses together with their dual pairings reassemble into the graded
@@ -44,7 +50,6 @@ from .linalg import (
     rank_mod_p,
 )
 from .sigmamod import (
-    TOTALLY_ISOTROPIC,
     InvolutionSpace,
     LinearPiece,
     SigmaModule,
@@ -52,7 +57,6 @@ from .sigmamod import (
     dotform,
     is_isomorphic,
     isotropic_reduction,
-    isotropy_class,
     orthogonal,
     twisted_transpose,
     validate,
@@ -244,8 +248,25 @@ def semistability_verdict(
     if strategy == "heuristic" and q.field.kind != "rational":
         raise FieldError("heuristic strategy is for the rational field")
     if q.field.kind == "fp":
-        return _exhaustive_verdict(q, enum_bound)
-    return _heuristic_verdict(q, tuple(primes), enum_bound)
+        kind = "exhaustive"
+    else:
+        kind = "heuristic"
+        kernel = joint_kernel(q)
+        if not kernel.is_zero():
+            return _certified(UNSTABLE, Provenance(kind), q, kernel)
+    n = q.dim_h
+    tried: list = []
+    equality = None
+    for v, perp_dim in _candidates(q, enum_bound, primes, tried, by_prime=True):
+        total = v.dim + perp_dim
+        if total > n:
+            return _certified(UNSTABLE, Provenance(kind, tuple(tried)), q, v)
+        if total == n and equality is None:
+            equality = v
+    provenance = Provenance(kind, tuple(tried))
+    if equality is not None:
+        return _certified(STRICTLY_SEMISTABLE, provenance, q, equality)
+    return Verdict(STABLE if kind == "exhaustive" else NO_DESTABILIZER_FOUND, provenance)
 
 
 def _certified(status: str, provenance: Provenance, q: SigmaModule, v: Subspace) -> Verdict:
@@ -256,22 +277,6 @@ def _certified(status: str, provenance: Provenance, q: SigmaModule, v: Subspace)
     if status == STRICTLY_SEMISTABLE and value != 0:
         raise InternalCheckError("equality witness weight is not zero")
     return Verdict(status, provenance, (v, lam), value)
-
-
-def _exhaustive_verdict(q: SigmaModule, enum_bound: int) -> Verdict:
-    n = q.dim_h
-    provenance = Provenance("exhaustive")
-    equality = None
-    _check_enumerable(q, enum_bound)
-    for v, perp_dim in _totally_isotropic(q):
-        total = v.dim + perp_dim
-        if total > n:
-            return _certified(UNSTABLE, provenance, q, v)
-        if total == n and equality is None:
-            equality = v
-    if equality is not None:
-        return _certified(STRICTLY_SEMISTABLE, provenance, q, equality)
-    return Verdict(STABLE, provenance)
 
 
 def joint_kernel(q: SigmaModule) -> Subspace:
@@ -325,48 +330,49 @@ def _lift_subspace(vp: Subspace, field, balanced: bool) -> Subspace:
     return Subspace(field, vp.ambient, rows)
 
 
-def _lifted_candidates(q: SigmaModule, qp: SigmaModule, dims, seen: set):
-    """Totally isotropic subspaces of q over QQ obtained by lifting the
-    witnesses of the given dimensions of its reduction qp, in canonical
-    order."""
-    for vp, _ in _totally_isotropic(qp, dims):
-        for balanced in (False, True):
-            v = _lift_subspace(vp, q.field, balanced)
-            key = v.basis.rows
-            if key in seen:
-                continue
-            seen.add(key)
-            if isotropy_class(q, v) == TOTALLY_ISOTROPIC:
-                yield v
+def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: bool):
+    """Yield (V, dim V^perp) for the totally isotropic V that the subspace
+    criterion is tested on.
 
-
-def _heuristic_verdict(q: SigmaModule, primes: tuple, enum_bound: int) -> Verdict:
+    Over F_p these are all of them, in canonical order.  Over QQ they are
+    the lifts (plain and balanced residues) of the totally isotropic
+    subspaces of the reductions mod ``primes``, each kept once and only
+    after an exact recheck over QQ.  The scan runs prime by prime, all
+    dimensions each, when ``by_prime`` is set, and otherwise dimension by
+    dimension, all primes each; the order fixes which witness comes
+    first.  Each prime is reduced at most once, and appended to ``tried``
+    whenever a scan of its reduction starts.
+    """
+    if q.field.kind == "fp":
+        _check_enumerable(q, enum_bound)
+        yield from _totally_isotropic(q)
+        return
     n = q.dim_h
-    kernel = joint_kernel(q)
-    if not kernel.is_zero():
-        return _certified(UNSTABLE, Provenance("heuristic"), q, kernel)
     if n > enum_bound:
         raise BoundExceededError(
             f"dim {n} exceeds the enumeration bound {enum_bound}"
         )
-    tried = []
-    equality = None
+    if by_prime:
+        steps = [(p, range(1, n + 1)) for p in primes]
+    else:
+        steps = [(p, (d,)) for d in range(1, n + 1) for p in primes]
+    reductions: dict = {}
     seen: set = set()
-    for p in primes:
-        qp = _reduce_mod_p(q, p)
-        if qp is None:
+    for p, dims in steps:
+        if p not in reductions:
+            reductions[p] = _reduce_mod_p(q, p)
+        if reductions[p] is None:
             continue
         tried.append(p)
-        for v in _lifted_candidates(q, qp, range(1, n + 1), seen):
-            total = v.dim + orthogonal(q, v).dim
-            if total > n:
-                return _certified(UNSTABLE, Provenance("heuristic", tuple(tried)), q, v)
-            if total == n and equality is None:
-                equality = v
-    provenance = Provenance("heuristic", tuple(tried))
-    if equality is not None:
-        return _certified(STRICTLY_SEMISTABLE, provenance, q, equality)
-    return Verdict(NO_DESTABILIZER_FOUND, provenance)
+        for vp, _ in _totally_isotropic(reductions[p], dims):
+            for balanced in (False, True):
+                v = _lift_subspace(vp, q.field, balanced)
+                if v.basis.rows in seen:
+                    continue
+                seen.add(v.basis.rows)
+                perp = orthogonal(q, v)
+                if perp.contains(v):
+                    yield v, perp.dim
 
 
 class _Level(NamedTuple):
@@ -384,33 +390,14 @@ def _minimal_equality_witness(q, enum_bound, primes):
     the caller believed the module semistable and was wrong.
     """
     n = q.dim_h
-    if q.field.kind == "fp":
-        _check_enumerable(q, enum_bound)
-        for v, perp_dim in _totally_isotropic(q):
-            total = v.dim + perp_dim
-            if total > n:
-                raise StabilityError(
-                    "reduction exposed a destabilizing subspace; the module is unstable"
-                )
-            if total == n:
-                return v
-        return None
-    seen: set = set()
-    reductions: dict = {}
-    for dim in range(1, n + 1):
-        for p in primes:
-            if p not in reductions:
-                reductions[p] = _reduce_mod_p(q, p)
-            if reductions[p] is None:
-                continue
-            for v in _lifted_candidates(q, reductions[p], (dim,), seen):
-                total = v.dim + orthogonal(q, v).dim
-                if total > n:
-                    raise StabilityError(
-                        "reduction exposed a destabilizing subspace; the module is unstable"
-                    )
-                if total == n:
-                    return v
+    for v, perp_dim in _candidates(q, enum_bound, primes, [], by_prime=False):
+        total = v.dim + perp_dim
+        if total > n:
+            raise StabilityError(
+                "reduction exposed a destabilizing subspace; the module is unstable"
+            )
+        if total == n:
+            return v
     return None
 
 

@@ -106,6 +106,11 @@ def test_check_input_errors(tmp_path, capsys):
     assert code == 1
     assert "invalid choice" in err
 
+    # no --seed flag: nothing in twistmod is randomized
+    code, out, err = run(capsys, "check", put(tmp_path, "hyp.json", HYPERBOLIC), "--seed", "1")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "--seed" in err
+
 
 def test_weight_and_limit(tmp_path, capsys):
     path = put(tmp_path, "fixture.json", FIXTURE)

@@ -216,6 +216,8 @@ def test_destabilizing_worked_examples():
     assert mu(lam3, q3) == 0
     with pytest.raises(IsotropyError):
         destabilizing_1ps(q3, Subspace(QQ, 3, [[0, 1, 0]]))
+    with pytest.raises(IsotropyError):
+        destabilizing_1ps(q3, Subspace.zero(QQ, 3))
 
 
 def test_destabilizing_mu_identity_on_random_isotropic_pairs():

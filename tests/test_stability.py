@@ -14,7 +14,7 @@ import pytest
 
 from twistmod.errors import BoundExceededError, FieldError, StabilityError
 from twistmod.hilbert import MINUS_INFINITY, limit_at_zero, mu
-from twistmod.linalg import GF, QQ, Matrix, all_subspaces
+from twistmod.linalg import GF, QQ, Matrix, Subspace, all_subspaces
 from twistmod.sigmamod import (
     TOTALLY_ISOTROPIC,
     InvolutionSpace,
@@ -32,6 +32,7 @@ from twistmod.stability import (
     STRICTLY_SEMISTABLE,
     UNSTABLE,
     Provenance,
+    _candidates,
     _totally_isotropic,
     enumerate_totally_isotropic,
     graded,
@@ -255,11 +256,89 @@ def test_heuristic_lifted_instability():
     assert joint_kernel(q).is_zero()
     verdict = semistability_verdict(q)
     assert verdict.status == UNSTABLE
-    assert verdict.provenance.kind == "heuristic"
-    assert verdict.provenance.primes
+    assert verdict.provenance == Provenance("heuristic", (2,))
     witness, lam = verdict.certificate
+    assert witness.basis.rows == ((1, 0, 0), (0, 1, 0))
     assert witness.dim + orthogonal(q, witness).dim > 3
     assert mu(lam, q) == verdict.mu_value < 0
+
+
+def test_rational_candidates_match_the_filtered_lifts():
+    # the QQ candidate stream against a restatement built from the public
+    # oracles: reduce each prime by hand, filter all_subspaces with
+    # isotropy_class, lift residues as r and as balanced r or r - p, keep
+    # each lift once and only when it is totally isotropic over QQ
+    rng = random.Random(41)
+    primes = (2, 3, 5, 7)
+
+    def reduce_by_hand(q, p):
+        field = GF(p)
+
+        def entries(m):
+            if any(x.denominator % p == 0 for row in m.rows for x in row):
+                return None
+            return [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in m.rows]
+
+        mats = [entries(m) for m in (q.w.matrix, *q.forms)]
+        if any(m is None for m in mats):
+            return None
+        w = InvolutionSpace(field, Matrix(field, mats[0]))
+        return SigmaModule(field, q.dim_h, w, q.sign, [Matrix(field, m) for m in mats[1:]])
+
+    def lifts(vp, p):
+        for balanced in (False, True):
+            rows = [[r - p if balanced and r > p // 2 else r for r in row] for row in vp.basis.rows]
+            yield Subspace(QQ, vp.ambient, [[Fraction(r) for r in row] for row in rows])
+
+    def reference(q, by_prime):
+        n = q.dim_h
+        isotropic = {}
+        for p in primes:
+            qp = reduce_by_hand(q, p)
+            if qp is not None:
+                isotropic[p] = [
+                    v for v in all_subspaces(GF(p), n)
+                    if isotropy_class(qp, v) == TOTALLY_ISOTROPIC
+                ]
+        if by_prime:
+            steps = [(p, range(1, n + 1)) for p in primes]
+        else:
+            steps = [(p, (d,)) for d in range(1, n + 1) for p in primes]
+        out, seen = [], set()
+        for p, dims in steps:
+            for vp in isotropic.get(p, ()):
+                if vp.dim not in dims:
+                    continue
+                for v in lifts(vp, p):
+                    if v not in seen:
+                        seen.add(v)
+                        if isotropy_class(q, v) == TOTALLY_ISOTROPIC:
+                            out.append(v)
+        return out, [p for p in primes if p in isotropic]
+
+    def sparse_module(n, w, sign):
+        raw = [
+            Matrix(QQ, [[Fraction(rng.choice((0, 0, 0, 1, -1, 2))) for _ in range(n)] for _ in range(n)])
+            for _ in range(w.dim)
+        ]
+        return symmetrize(QQ, n, w, sign, raw)
+
+    total = 0
+    for n in (1, 2, 3):
+        for w in (trivial_w(QQ), swap_w(QQ)):
+            for sign in (1, -1):
+                for q in (random_module(rng, QQ, n, w, sign), sparse_module(n, w, sign)):
+                    for by_prime in (True, False):
+                        tried = []
+                        found = list(_candidates(q, 4, primes, tried, by_prime))
+                        expected, reducible = reference(q, by_prime)
+                        assert [v for v, _ in found] == expected
+                        for v, perp_dim in found:
+                            assert perp_dim == orthogonal(q, v).dim
+                        if by_prime:
+                            assert tried == reducible
+                        total += len(found)
+    assert total > 0
 
 
 def test_no_destabilizer_over_the_rationals():
