@@ -238,10 +238,6 @@ def fiber_report_to_dict(report: FiberReport) -> dict:
 # -- bare matrix files -------------------------------------------------------------
 
 
-def matrix_file_to_dict(m: Matrix) -> dict:
-    return {"field": field_name(m.field), "matrix": matrix_to_lists(m)}
-
-
 def parse_matrix_file(text: str) -> Matrix:
     try:
         obj = json.loads(text)

@@ -10,12 +10,15 @@ semistable.
 
 One candidate stream serves both the verdict and each filtration step.
 Over F_p it is the pruned enumeration of every totally isotropic
-subspace.  Over the rationals it lifts those of the reductions mod a
-list of primes, and each lift is rechecked once, exactly: its
+subspace.  Over the rationals it starts with the joint kernel when that
+is nonzero, then lifts the totally isotropic subspaces of the reductions
+mod a list of primes, and each lift is rechecked once, exactly: its
 orthogonal is computed over QQ and must contain it.
 
 A strictly semistable module carries a filtration by successive minimal
-equality witnesses.  Peeling them off leaves a stable core, and the
+equality witnesses.  Each level is one full scan of the stream, which
+also refuses an unstable module, so no separate verdict runs before the
+filtration.  Peeling the witnesses off leaves a stable core, and the
 witnesses together with their dual pairings reassemble into the graded
 module: the nested hyperbolic wrapping of the core.  Two semistable
 modules are S-equivalent when their graded modules are isomorphic.
@@ -247,13 +250,7 @@ def semistability_verdict(
         raise FieldError("exhaustive strategy needs a finite field")
     if strategy == "heuristic" and q.field.kind != "rational":
         raise FieldError("heuristic strategy is for the rational field")
-    if q.field.kind == "fp":
-        kind = "exhaustive"
-    else:
-        kind = "heuristic"
-        kernel = joint_kernel(q)
-        if not kernel.is_zero():
-            return _certified(UNSTABLE, Provenance(kind), q, kernel)
+    kind = "exhaustive" if q.field.kind == "fp" else "heuristic"
     n = q.dim_h
     tried: list = []
     equality = None
@@ -316,38 +313,37 @@ def _reduce_mod_p(q: SigmaModule, p: int):
     return SigmaModule(fp, q.dim_h, InvolutionSpace(fp, w_matrix), q.sign, forms)
 
 
-def _lift_subspace(vp: Subspace, field, balanced: bool) -> Subspace:
+def _lift_subspace(vp: Subspace, field, balanced: bool) -> tuple:
+    # the lifted rows keep the pivots of vp, so they are reduced echelon
     p = vp.field.p
-    rows = []
-    for row in vp.basis.rows:
-        lifted = []
-        for x in row:
-            r = int(x)
-            if balanced and r > p // 2:
-                r -= p
-            lifted.append(field.from_int(r))
-        rows.append(lifted)
-    return Subspace(field, vp.ambient, rows)
+    return tuple(
+        tuple(field.from_int(x - p if balanced and x > p // 2 else x) for x in row)
+        for row in vp.basis.rows
+    )
 
 
 def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: bool):
     """Yield (V, dim V^perp) for the totally isotropic V that the subspace
     criterion is tested on.
 
-    Over F_p these are all of them, in canonical order.  Over QQ they are
-    the lifts (plain and balanced residues) of the totally isotropic
-    subspaces of the reductions mod ``primes``, each kept once and only
-    after an exact recheck over QQ.  The scan runs prime by prime, all
-    dimensions each, when ``by_prime`` is set, and otherwise dimension by
-    dimension, all primes each; the order fixes which witness comes
-    first.  Each prime is reduced at most once, and appended to ``tried``
-    whenever a scan of its reduction starts.
+    Over F_p these are all of them, in canonical order.  Over QQ the
+    nonzero joint kernel comes first, with the whole of H as its
+    orthogonal; then the lifts (plain and balanced residues) of the
+    totally isotropic subspaces of the reductions mod ``primes``, each
+    kept once and only after an exact recheck over QQ.  The scan runs
+    prime by prime, all dimensions each, when ``by_prime`` is set, and
+    otherwise dimension by dimension, all primes each; the order fixes
+    which witness comes first.  Each prime is reduced at most once, and
+    appended to ``tried`` whenever a scan of its reduction starts.
     """
     if q.field.kind == "fp":
         _check_enumerable(q, enum_bound)
         yield from _totally_isotropic(q)
         return
     n = q.dim_h
+    kernel = joint_kernel(q)
+    if not kernel.is_zero():
+        yield kernel, n
     if n > enum_bound:
         raise BoundExceededError(
             f"dim {n} exceeds the enumeration bound {enum_bound}"
@@ -357,7 +353,7 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
     else:
         steps = [(p, (d,)) for d in range(1, n + 1) for p in primes]
     reductions: dict = {}
-    seen: set = set()
+    seen = {kernel.basis.rows}
     for p, dims in steps:
         if p not in reductions:
             reductions[p] = _reduce_mod_p(q, p)
@@ -366,10 +362,11 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
         tried.append(p)
         for vp, _ in _totally_isotropic(reductions[p], dims):
             for balanced in (False, True):
-                v = _lift_subspace(vp, q.field, balanced)
-                if v.basis.rows in seen:
+                rows = _lift_subspace(vp, q.field, balanced)
+                if rows in seen:
                     continue
-                seen.add(v.basis.rows)
+                seen.add(rows)
+                v = Subspace(q.field, n, rows)
                 perp = orthogonal(q, v)
                 if perp.contains(v):
                     yield v, perp.dim
@@ -386,25 +383,25 @@ class _Level(NamedTuple):
 def _minimal_equality_witness(q, enum_bound, primes):
     """Smallest totally isotropic subspace meeting equality, or None.
 
-    Raises StabilityError when a destabilizing subspace turns up instead:
-    the caller believed the module semistable and was wrong.
+    One full scan of the candidate stream, dimension ascending: it raises
+    StabilityError on any destabilizing subspace, so it doubles as the
+    semistability check of the level, and otherwise returns the first
+    equality it saw.
     """
     n = q.dim_h
+    witness = None
     for v, perp_dim in _candidates(q, enum_bound, primes, [], by_prime=False):
         total = v.dim + perp_dim
         if total > n:
-            raise StabilityError(
-                "reduction exposed a destabilizing subspace; the module is unstable"
-            )
-        if total == n:
-            return v
-    return None
+            raise StabilityError("module is unstable")
+        if total == n and witness is None:
+            witness = v
+    return witness
 
 
 def _build_levels(q, enum_bound, primes):
-    verdict = semistability_verdict(q, "auto", enum_bound, primes)
-    if verdict.status == UNSTABLE:
-        raise StabilityError("module is unstable")
+    if not validate(q):
+        raise StabilityError("module violates its symmetry relation")
     field = q.field
     n = q.dim_h
     levels = []
@@ -481,22 +478,22 @@ def graded(
     forms = list(core.forms)
     size = core.dim_h
     for level in reversed(levels):
+        # the layout of hyperbolic_module, with the inner module in the middle
         d = level.piece.v_dim
+        corner = Matrix.zeros(field, d, d)
+        across, down = Matrix.zeros(field, d, size), Matrix.zeros(field, size, d)
         dmats = twisted_transpose(q.w, q.sign, level.piece.alpha)
-        inner = size
-        size = d + inner + d
-        wrapped = []
-        for k, inner_form in enumerate(forms):
-            grid = [[field.zero] * size for _ in range(size)]
-            for a in range(d):
-                for b in range(d):
-                    grid[a][d + inner + b] = dmats[k][a][b]
-                    grid[d + inner + b][a] = level.piece.alpha[k][b][a]
-            for i in range(inner):
-                for j in range(inner):
-                    grid[d + i][d + j] = inner_form[i][j]
-            wrapped.append(Matrix(field, grid))
-        forms = wrapped
+        forms = [
+            Matrix.from_blocks(
+                [
+                    [corner, across, dmat],
+                    [down, inner, down],
+                    [alpha, across, corner],
+                ]
+            )
+            for alpha, dmat, inner in zip(level.piece.alpha, dmats, forms)
+        ]
+        size += 2 * d
     assembled = SigmaModule(field, size, q.w, q.sign, forms)
     if not validate(assembled):
         raise InternalCheckError("assembled graded module fails validation")

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from twistmod import stability
 from twistmod.errors import BoundExceededError, FieldError, StabilityError
 from twistmod.hilbert import MINUS_INFINITY, limit_at_zero, mu
 from twistmod.linalg import GF, QQ, Matrix, Subspace, all_subspaces
@@ -265,9 +266,10 @@ def test_heuristic_lifted_instability():
 
 def test_rational_candidates_match_the_filtered_lifts():
     # the QQ candidate stream against a restatement built from the public
-    # oracles: reduce each prime by hand, filter all_subspaces with
-    # isotropy_class, lift residues as r and as balanced r or r - p, keep
-    # each lift once and only when it is totally isotropic over QQ
+    # oracles: the nonzero joint kernel first, then reduce each prime by
+    # hand, filter all_subspaces with isotropy_class, lift residues as r
+    # and as balanced r or r - p, keep each lift once and only when it is
+    # totally isotropic over QQ
     rng = random.Random(41)
     primes = (2, 3, 5, 7)
 
@@ -304,7 +306,9 @@ def test_rational_candidates_match_the_filtered_lifts():
             steps = [(p, range(1, n + 1)) for p in primes]
         else:
             steps = [(p, (d,)) for d in range(1, n + 1) for p in primes]
-        out, seen = [], set()
+        kernel = joint_kernel(q)
+        out = [] if kernel.is_zero() else [kernel]
+        seen = {kernel}
         for p, dims in steps:
             for vp in isotropic.get(p, ()):
                 if vp.dim not in dims:
@@ -397,6 +401,68 @@ def test_filtration_of_length_two():
     assert gm.core.dim_h == 0
     assert gm.assembled == q  # already in nested hyperbolic shape
     assert gm.canonical_1ps.weights == (2, 1, -1, -2)
+
+
+def test_filtration_refuses_exactly_the_unstable_modules():
+    # each filtration level is its own semistability check: iso_filtration
+    # must raise exactly when the verdict is unstable, and over F_p its
+    # first step is the first equality witness in canonical order
+    rng = random.Random(23)
+    samples = []
+    for field in (GF(2), GF(3)):
+        for dim in range(1, 5):
+            for w in (trivial_w(field), swap_w(field)):
+                for sign in (1, -1):
+                    samples += [random_module(rng, field, dim, w, sign) for _ in range(3)]
+    b0 = Matrix.from_ints(QQ, [[0, 0, 1], [0, 0, 2], [3, 4, 5]])
+    samples += [
+        module_1form(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 0]]),  # joint kernel e3
+        SigmaModule(QQ, 3, swap_w(QQ), 1, [b0, b0.transpose()]),  # lifted witness
+        module_1form(QQ, [[0, 0, 1], [0, 1, 1], [1, 1, 1]]),
+        module_1form(QQ, [[0, 1], [1, 0]]),
+        module_1form(QQ, [[1, 0], [0, 1]]),
+    ]
+    for dim in (1, 2, 3):
+        samples.append(random_module(rng, QQ, dim, trivial_w(QQ), rng.choice([1, -1])))
+
+    statuses = set()
+    for q in samples:
+        status = semistability_verdict(q).status
+        statuses.add(status)
+        if status == UNSTABLE:
+            with pytest.raises(StabilityError):
+                iso_filtration(q)
+            continue
+        chain = iso_filtration(q).chain
+        if q.field.kind == "fp":
+            equalities = [
+                v for v in enumerate_totally_isotropic(q)
+                if v.dim + orthogonal(q, v).dim == q.dim_h
+            ]
+            assert chain[:1] == tuple(equalities[:1])
+    assert statuses == {UNSTABLE, STRICTLY_SEMISTABLE, STABLE, NO_DESTABILIZER_FOUND}
+
+
+def test_graded_scans_each_level_once(monkeypatch):
+    # one candidate scan per filtration level, plus the one that finds the
+    # core stable, and no separate verdict pass before them
+    scanned, verdicts = [], []
+    scan, verdict = stability._candidates, stability.semistability_verdict
+
+    def counted_scan(q, *args, **kwargs):
+        scanned.append(q.dim_h)
+        return scan(q, *args, **kwargs)
+
+    def counted_verdict(*args, **kwargs):
+        verdicts.append(args)
+        return verdict(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "_candidates", counted_scan)
+    monkeypatch.setattr(stability, "semistability_verdict", counted_verdict)
+    gm = graded(module_1form(QQ, [[0, 0, 1], [0, 1, 1], [1, 1, 1]]))
+    assert gm.length == 1
+    assert scanned == [3, 1]
+    assert verdicts == []
 
 
 # -- graded modules ----------------------------------------------------------
