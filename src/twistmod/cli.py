@@ -4,30 +4,20 @@ Every command reads JSON files, writes one JSON object to stdout and
 returns exit code 0, whatever the mathematical outcome; exit code 1
 means the input was unusable and 2 means an internal consistency check
 failed.  Output bytes are deterministic for identical inputs.
+
+Each command imports only the layers it runs: ``pfaffian`` and
+``fiber`` never load the semistability engine, and ``check`` never
+loads the dual-number code.  Interpreter start-up still dominates the
+wall time of a small command.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from .errors import InternalCheckError, ParseError, ShapeError, UsageError
+from .errors import InternalCheckError, ParseError, UsageError
 from .linalg import Matrix, field_from_name, field_name
-from .hilbert import destabilizing_1ps, limit_at_zero, mu
-from .stability import (
-    DEFAULT_ENUM_BOUND,
-    DEFAULT_PRIMES,
-    enumerate_totally_isotropic,
-    graded,
-    s_equivalent,
-    semistability_verdict,
-)
-from .dualnum import (
-    fiber_structure_check,
-    pfaffian,
-    unramified_fixed_count,
-)
 from .serialize import (
     fiber_report_to_dict,
     graded_to_dict,
@@ -49,7 +39,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from exc
 
 
 def _load_module(args):
@@ -63,26 +57,26 @@ def _load_module(args):
     return mf
 
 
-def _primes(args) -> tuple:
-    if args.prime_list is None:
-        return DEFAULT_PRIMES
-    try:
-        parsed = tuple(int(p) for p in args.prime_list.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad prime list {args.prime_list!r}") from exc
-    if not parsed:
-        raise UsageError("the prime list is empty")
-    return parsed
+def _given(**options) -> dict:
+    # options left unset on the command line take the library's defaults
+    return {key: value for key, value in options.items() if value is not None}
+
+
+def _search(args) -> dict:
+    primes = None
+    if args.prime_list is not None:
+        try:
+            primes = tuple(int(p) for p in args.prime_list.split(","))
+        except ValueError as exc:
+            raise UsageError(f"bad prime list {args.prime_list!r}") from exc
+    return _given(enum_bound=args.enum_bound, primes=primes)
 
 
 def _cmd_check(args) -> dict:
+    from .stability import semistability_verdict
+
     mf = _load_module(args)
-    verdict = semistability_verdict(
-        mf.module,
-        strategy=args.strategy,
-        enum_bound=args.enum_bound,
-        primes=_primes(args),
-    )
+    verdict = semistability_verdict(mf.module, strategy=args.strategy, **_search(args))
     return verdict_to_dict(verdict)
 
 
@@ -93,6 +87,8 @@ def _require_subgroup(mf, command: str):
 
 
 def _cmd_weight(args) -> dict:
+    from .hilbert import destabilizing_1ps, mu
+
     mf = _load_module(args)
     if mf.subgroup is not None:
         lam = mf.subgroup
@@ -105,6 +101,8 @@ def _cmd_weight(args) -> dict:
 
 
 def _cmd_limit(args) -> dict:
+    from .hilbert import limit_at_zero
+
     mf = _load_module(args)
     lam = _require_subgroup(mf, "limit")
     result = limit_at_zero(lam, mf.module)
@@ -114,17 +112,18 @@ def _cmd_limit(args) -> dict:
 
 
 def _cmd_gr(args) -> dict:
+    from .stability import graded
+
     mf = _load_module(args)
-    return graded_to_dict(graded(mf.module, args.enum_bound, _primes(args)))
+    return graded_to_dict(graded(mf.module, **_search(args)))
 
 
 def _cmd_sequiv(args) -> dict:
+    from .stability import s_equivalent
+
     first = parse_module_file(_read(args.file))
     second = parse_module_file(_read(args.other))
-    answer = s_equivalent(
-        first.module, second.module, args.enum_bound, _primes(args)
-    )
-    return {"s_equivalent": answer}
+    return {"s_equivalent": s_equivalent(first.module, second.module, **_search(args))}
 
 
 def _standard_twist(field, r: int) -> Matrix:
@@ -138,9 +137,12 @@ def _standard_twist(field, r: int) -> Matrix:
 
 
 def _cmd_fiber(args) -> dict:
+    from .dualnum import fiber_structure_check, unramified_fixed_count
+
     field = field_from_name(args.field)
+    bound = _given(max_pairs=args.max_pairs)
     if args.case == "unramified":
-        count = unramified_fixed_count(field, args.rank, args.max_pairs)
+        count = unramified_fixed_count(field, args.rank, **bound)
         return {
             "case": "unramified",
             "r": args.rank,
@@ -155,20 +157,22 @@ def _cmd_fiber(args) -> dict:
                 raise UsageError("twist matrix is over the wrong field")
         else:
             twist = _standard_twist(field, args.rank)
-    report = fiber_structure_check(
-        field, args.rank, args.case, m=twist, max_pairs=args.max_pairs
-    )
+    report = fiber_structure_check(field, args.rank, args.case, m=twist, **bound)
     return fiber_report_to_dict(report)
 
 
 def _cmd_pfaffian(args) -> dict:
+    from .dualnum import pfaffian
+
     m = parse_matrix_file(_read(args.file))
     return {"pfaffian": m.field.format(pfaffian(m))}
 
 
 def _cmd_enumerate(args) -> dict:
+    from .stability import enumerate_totally_isotropic
+
     mf = _load_module(args)
-    subs = list(enumerate_totally_isotropic(mf.module, bound=args.enum_bound))
+    subs = list(enumerate_totally_isotropic(mf.module, **_given(bound=args.enum_bound)))
     return {
         "count": len(subs),
         "subspaces": [subspace_to_lists(v) for v in subs],
@@ -192,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--enum-bound",
         type=int,
-        default=DEFAULT_ENUM_BOUND,
         help="largest dim H the subspace enumerations will accept",
     )
 
@@ -236,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True, choices=["plus", "alternating", "unramified"])
     p.add_argument("--rank", "-r", type=int, required=True)
     p.add_argument("--twist", help="matrix file for the alternating twist")
-    p.add_argument("--max-pairs", type=int, default=1_000_000)
+    p.add_argument("--max-pairs", type=int)
     p.set_defaults(handler=_cmd_fiber)
 
     p = sub.add_parser("pfaffian", parents=[common], help="pfaffian of a matrix file")

@@ -14,6 +14,7 @@ enumeration in the package a stable, reproducible order.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 
 from .errors import FieldError, ParseError, ShapeError, SingularMatrixError
@@ -82,13 +83,50 @@ class RationalField:
         return "QQ"
 
 
+# Miller-Rabin with the first 13 prime bases has no strong pseudoprime
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+# a canonical decimal numeral: ASCII digits, no sign, no leading zero, and
+# at most 25 digits, since every accepted p (so every F_p element) is below
+# 10^25; int() never sees a numeral past its digit limit
+_NUMERAL = re.compile("0|[1-9][0-9]{0,24}")
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for every n below ``_MR_BOUND``."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """F_p with canonical representatives 0..p-1 stored as plain ints."""
 
     kind = "fp"
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= _MR_BOUND:
+            raise FieldError(f"F_p needs p < {_MR_BOUND}, where primality is certified")
+        if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.characteristic = p
@@ -131,7 +169,7 @@ class PrimeField:
         return list(range(self.p))
 
     def parse(self, s: str):
-        if not s.isdigit():
+        if not _NUMERAL.fullmatch(s):
             raise ParseError(f"bad F_{self.p} literal {s!r}")
         n = int(s)
         if n >= self.p:
@@ -166,16 +204,13 @@ def field_from_name(name: str):
     """Parse a field tag: ``rational`` or ``fp:<p>``."""
     if name == "rational":
         return QQ
-    if name.startswith("fp:"):
-        try:
-            p = int(name[3:])
-        except ValueError as exc:
-            raise ParseError(f"bad field tag {name!r}") from exc
-        try:
-            return GF(p)
-        except FieldError as exc:
-            raise ParseError(str(exc)) from exc
-    raise ParseError(f"bad field tag {name!r}")
+    digits = name[3:] if name.startswith("fp:") else ""
+    if not _NUMERAL.fullmatch(digits):
+        raise ParseError(f"bad field tag {name!r}")
+    try:
+        return GF(int(digits))
+    except FieldError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def field_name(field) -> str:

@@ -12,14 +12,16 @@ violated requirement.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import FieldError, ParseError, ShapeError, UsageError
 from .linalg import Matrix, Subspace, field_from_name, field_name
-from .sigmamod import InvolutionSpace, SigmaModule, validate
-from .hilbert import MINUS_INFINITY, OneParamSubgroup
-from .stability import Filtration, GradedModule, Provenance, Verdict
-from .dualnum import FiberReport
+
+if TYPE_CHECKING:
+    from .dualnum import FiberReport
+    from .hilbert import OneParamSubgroup
+    from .sigmamod import SigmaModule
+    from .stability import Filtration, GradedModule, Provenance, Verdict
 
 
 def to_json(payload) -> str:
@@ -88,6 +90,8 @@ def module_from_dict(obj) -> SigmaModule:
     before the involution square, which is reported before the symmetry
     relation.
     """
+    from .sigmamod import InvolutionSpace, SigmaModule, validate
+
     obj = _expect_dict(obj, "module")
     for key in ("field", "sign", "dim_h", "w", "forms"):
         if key not in obj:
@@ -152,6 +156,8 @@ def subgroup_to_dict(lam: OneParamSubgroup) -> dict:
 
 
 def subgroup_from_dict(field, ambient: int, obj) -> OneParamSubgroup:
+    from .hilbert import OneParamSubgroup
+
     obj = _expect_dict(obj, "one-parameter subgroup")
     pieces = obj.get("pieces")
     if not isinstance(pieces, list) or not pieces:
@@ -174,6 +180,8 @@ def subgroup_from_dict(field, ambient: int, obj) -> OneParamSubgroup:
 
 
 def mu_to_json(value):
+    from .hilbert import MINUS_INFINITY
+
     if value is None:
         return None
     if value is MINUS_INFINITY:
@@ -238,12 +246,17 @@ def fiber_report_to_dict(report: FiberReport) -> dict:
 # -- bare matrix files -------------------------------------------------------------
 
 
-def parse_matrix_file(text: str) -> Matrix:
+def _load_json(text: str):
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad syntax and integers past int()'s digit
+        # limit; the decoder recurses once per level of nesting
         raise ParseError(f"malformed JSON: {exc}") from exc
-    obj = _expect_dict(obj, "matrix file")
+
+
+def parse_matrix_file(text: str) -> Matrix:
+    obj = _expect_dict(_load_json(text), "matrix file")
     for key in ("field", "matrix"):
         if key not in obj:
             raise ParseError(f"matrix file is missing {key!r}")
@@ -278,10 +291,7 @@ def module_file_to_dict(
 
 
 def parse_module_file(text: str) -> ModuleFile:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
+    obj = _load_json(text)
     q = module_from_dict(obj)
     lam = None
     if "lambda" in obj:

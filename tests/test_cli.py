@@ -228,11 +228,103 @@ def test_internal_check_maps_to_exit_2(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise InternalCheckError("forced")
 
-    monkeypatch.setattr(cli, "semistability_verdict", boom)
+    monkeypatch.setattr("twistmod.stability.semistability_verdict", boom)
     path = put(tmp_path, "hyperbolic.json", HYPERBOLIC)
     code, _, err = run(capsys, "check", path)
     assert code == 2
     assert "internal check failed" in err
+
+
+# inputs that once ended in a traceback or a hang, as (command, file text)
+PROBES = {
+    "non-utf8-file": ("check", b"\xff\xfe{"),
+    "deep-module-file": ("check", "[" * 100_000 + "]" * 100_000),
+    "deep-matrix-file": ("pfaffian", "[" * 100_000 + "]" * 100_000),
+    "long-json-integer": ("check", HYPERBOLIC.replace('"dim_h":2', '"dim_h":1' + "0" * 5000)),
+    "superscript-literal": (
+        "check",
+        HYPERBOLIC.replace("rational", "fp:3").replace('[["1"]]', '[["\u00b2"]]'),
+    ),
+    "tag-underscore": ("check", HYPERBOLIC.replace("rational", "fp:3_1")),
+    "tag-space": ("check", HYPERBOLIC.replace("rational", "fp: 7")),
+    "tag-plus": ("check", HYPERBOLIC.replace("rational", "fp:+7")),
+    "tag-arabic-digit": ("check", HYPERBOLIC.replace("rational", "fp:\u0663")),
+    "tag-401-digits": ("fiber", "fp:" + str(10**400)),
+    # 2^61 - 1 is prime, so the field is built and the fiber bound refuses it
+    "tag-mersenne-61": ("fiber", "fp:2305843009213693951"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_bad_input_ends_in_one_line_exit_1(tmp_path, capsys, probe):
+    command, text = PROBES[probe]
+    if command == "fiber":
+        argv = ["fiber", "--field", text, "--case", "plus", "-r", "2"]
+    else:
+        path = tmp_path / "input.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
+        argv = [command, str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+BASE_LAYERS = {
+    "twistmod",
+    "twistmod.cli",
+    "twistmod.errors",
+    "twistmod.linalg",
+    "twistmod.serialize",
+}
+ENGINE = {"twistmod.sigmamod", "twistmod.hilbert", "twistmod.stability"}
+
+
+def loaded_layers(code, *argv):
+    """The twistmod modules a fresh interpreter holds after running code."""
+    report = (
+        "import json, sys; "
+        "print(json.dumps([m for m in sys.modules if m.startswith('twistmod')]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}", *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_importing_the_cli_loads_no_engine_layer():
+    assert loaded_layers("import twistmod.cli") == BASE_LAYERS
+
+
+@pytest.mark.parametrize(
+    "command, layers",
+    [
+        ("pfaffian", {"twistmod.dualnum"}),
+        ("fiber", {"twistmod.dualnum"}),
+        ("weight", {"twistmod.sigmamod", "twistmod.hilbert"}),
+        ("limit", {"twistmod.sigmamod", "twistmod.hilbert"}),
+        ("check", ENGINE),
+        ("gr", ENGINE),
+        ("sequiv", ENGINE),
+        ("enumerate", ENGINE),
+    ],
+)
+def test_each_command_loads_only_its_layers(tmp_path, command, layers):
+    fixture = put(tmp_path, "fixture.json", FIXTURE)
+    matrix = '{"field":"rational","matrix":[["0","1"],["-1","0"]]}'
+    argv = {
+        "pfaffian": [put(tmp_path, "j2.json", matrix)],
+        "fiber": ["--field", "fp:2", "--case", "plus", "-r", "2"],
+        "sequiv": [fixture, fixture],
+        "enumerate": [put(tmp_path, "hyp2.json", HYPERBOLIC.replace("rational", "fp:2"))],
+    }.get(command, [fixture])
+    code = "import sys, twistmod.cli; assert twistmod.cli.main(sys.argv[1:]) == 0"
+    assert loaded_layers(code, command, *argv) == BASE_LAYERS | layers
 
 
 def test_module_entry_point_matches_library(tmp_path):

@@ -5,6 +5,7 @@ checked against the Gaussian binomial product formula computed from
 scratch, and rank/kernel facts against hand-worked examples.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -28,6 +29,8 @@ from twistmod.linalg import (
     field_name,
     rank_mod_p,
     vectors_of,
+    _MR_BOUND,
+    _is_prime,
 )
 
 
@@ -67,6 +70,10 @@ def test_field_tags_round_trip():
         field_from_name("fp:6")
     with pytest.raises(ParseError):
         field_from_name("real")
+    # only the canonical ASCII numeral names a field, so tags round-trip
+    for tag in ("fp:3_1", "fp: 7", "fp:+7", "fp:07", "fp:\u0663", "fp:", "fp:" + "1" * 5000):
+        with pytest.raises(ParseError):
+            field_from_name(tag)
 
 
 def test_prime_field_arithmetic():
@@ -86,6 +93,26 @@ def test_prime_field_parse_is_strict():
         f.parse("3")
     with pytest.raises(ParseError):
         f.parse("-1")
+    for literal in ("\u00b2", "\u0662", "01", "+1", " 1", "1_0", "", "1" * 5000):
+        with pytest.raises(ParseError):
+            f.parse(literal)
+
+
+def test_primality_is_exact_and_bounded():
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert all(_is_prime(n) == trial_division(n) for n in range(-2, 5000))
+    # strong pseudoprimes to every base below 13, 29 and 41
+    for n in (3_215_031_751, 3_825_123_056_546_413_051, 318_665_857_834_031_151_167_461):
+        assert not _is_prime(n)
+        with pytest.raises(FieldError, match="not prime"):
+            GF(n)
+    assert GF(2**61 - 1).p == 2**61 - 1
+    # past the proven range of the bases, and past what a float can hold
+    for n in (_MR_BOUND, 10**400):
+        with pytest.raises(FieldError, match="certified"):
+            GF(n)
 
 
 def test_rational_parse_and_format():
