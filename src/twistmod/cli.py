@@ -65,10 +65,11 @@ def _given(**options) -> dict:
 def _search(args) -> dict:
     primes = None
     if args.prime_list is not None:
+        # each entry follows the grammar, and passes the primality test, of fp:<p>
         try:
-            primes = tuple(int(p) for p in args.prime_list.split(","))
-        except ValueError as exc:
-            raise UsageError(f"bad prime list {args.prime_list!r}") from exc
+            primes = tuple(field_from_name(f"fp:{p}").p for p in args.prime_list.split(","))
+        except ParseError as exc:
+            raise UsageError(f"bad prime list {args.prime_list!r}: {exc}") from exc
     return _given(enum_bound=args.enum_bound, primes=primes)
 
 

@@ -65,6 +65,8 @@ class RationalField:
         raise FieldError("cannot enumerate an infinite field")
 
     def parse(self, s: str):
+        if not _RATIONAL.fullmatch(s):
+            raise ParseError(f"bad rational literal {s!r}")
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as exc:
@@ -92,6 +94,10 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 # at most 25 digits, since every accepted p (so every F_p element) is below
 # 10^25; int() never sees a numeral past its digit limit
 _NUMERAL = re.compile("0|[1-9][0-9]{0,24}")
+
+# a rational literal "a/b" or "a" in ASCII digits; Fraction() alone would
+# also take exponents, decimals, spaces and underscores
+_RATIONAL = re.compile("-?[0-9]+(/[0-9]+)?")
 
 
 def _is_prime(n: int) -> bool:

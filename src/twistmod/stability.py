@@ -27,6 +27,7 @@ modules are S-equivalent when their graded modules are isomorphic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -169,6 +170,38 @@ def _check_enumerable(q: SigmaModule, bound: int):
         )
 
 
+# a search first scans every line of F_p^n, so it is refused before any
+# work when there are more lines than this; F_13^4 has 2,380
+MAX_LINES = 100_000
+
+
+def _check_lines(p: int, n: int):
+    lines = (p**n - 1) // (p - 1)
+    if lines > MAX_LINES:
+        # int() refuses to print past 4300 digits, so name a huge count by its size
+        count = lines if lines.bit_length() <= 64 else f"at least 2^{lines.bit_length() - 1}"
+        raise BoundExceededError(
+            f"F_{p}^{n} has {count} candidate lines, over the search bound {MAX_LINES}"
+        )
+
+
+def _pairing(forms, p: int):
+    """The pairing of a module over F_p, on plain ints: ``images(u)`` is
+    the rows B_k u, and ``kills(u, images(w))`` tests u^T B_k w == 0 for
+    every k.  V^perp is the joint kernel of the images of its basis."""
+
+    def images(u):
+        return [
+            tuple(sum(a * x for a, x in zip(row, u)) % p for row in b)
+            for b in forms
+        ]
+
+    def kills(u, imgs):
+        return all(sum(a * x for a, x in zip(u, c)) % p == 0 for c in imgs)
+
+    return images, kills
+
+
 def _totally_isotropic(q: SigmaModule, dims=None):
     """Yield (V, dim V^perp) for every nonzero totally isotropic V of a
     module over F_p whose dimension is in ``dims`` (default: all).
@@ -178,21 +211,13 @@ def _totally_isotropic(q: SigmaModule, dims=None):
     bases grow row by row, each row running over its free entries in
     product order, and a partial basis is dropped as soon as a pairing
     u_i^T B_k u_j is nonzero.  V is totally isotropic exactly when all
-    of them vanish, so no symmetry of q is assumed.
+    of them vanish, so no symmetry of q is assumed.  More than MAX_LINES
+    lines in F_p^n raise BoundExceededError before the scan.
     """
     field = q.field
     p, n = field.p, q.dim_h
-    forms = [b.rows for b in q.forms]
-
-    def images(u):
-        # the rows B_k u; V^perp is the joint kernel of those of its basis
-        return [
-            tuple(sum(a * x for a, x in zip(row, u)) % p for row in b)
-            for b in forms
-        ]
-
-    def kills(u, imgs):
-        return all(sum(a * x for a, x in zip(u, c)) % p == 0 for c in imgs)
+    _check_lines(p, n)
+    images, kills = _pairing([b.rows for b in q.forms], p)
 
     # isotropic echelon rows by pivot column, free entries in product order
     lines = []
@@ -543,85 +568,136 @@ def hilbert_mumford_sweep(
 ):
     """Minimum weight over every subgroup with enumerated eigenspaces.
 
-    Sweeps all ordered direct-sum decompositions of H into enumerated
-    subspaces, paired with strictly decreasing integer weights in
-    [-weight_bound, weight_bound] summing (weighted by dimension) to
-    zero.  Returns the minimum of mu over the swept subgroups, which is
-    negative iff the module is unstable for small dims; q = 0 gives
-    minus infinity.
+    Sweeps the direct-sum decompositions of H into enumerated subspaces,
+    visiting each set of pieces once, and gives the pieces every
+    assignment of distinct integer weights in [-weight_bound,
+    weight_bound] summing (weighted by dimension) to zero: the subgroups
+    of all orderings of the pieces with strictly decreasing weights.  A
+    set of k pieces counts k! toward ``max_decompositions``, one per
+    ordering; that total has a closed form, so a sweep past the bound
+    raises BoundExceededError before any work.  The best weight of a set
+    depends only on its dims and on which pairs of pieces pair nonzero,
+    so it is memoised on that key for the call.  Returns the minimum of
+    mu over the swept subgroups, which is negative iff the module is
+    unstable for small dims; q = 0 gives minus infinity.
     """
     if q.field.kind != "fp":
         raise FieldError("the bounded sweep enumerates subspaces over a finite field")
-    field = q.field
-    n = q.dim_h
-    subs = list(all_subspaces(field, n))
-    nonzero_pair = [
-        [
-            any(
-                dotform(field, x, b, y) != field.zero
-                for b in q.forms
-                for x in u.basis.rows
-                for y in v.basis.rows
-            )
-            for v in subs
-        ]
-        for u in subs
-    ]
+    p, n = q.field.p, q.dim_h
+    _check_lines(p, n)
+    if _ordered_decompositions(p, n) > max_decompositions:
+        raise BoundExceededError(f"sweep exceeded {max_decompositions} decompositions")
+    images, kills = _pairing([b.rows for b in q.forms], p)
+    subs = [(s.dim, s.basis.rows) for s in all_subspaces(q.field, n)]
 
-    best = None
-    counter = [0]
+    # number the echelon rows of all bases; meets[i] has bit j when row i
+    # pairs nonzero with row j, so piece a pairs nonzero with piece b iff
+    # left[a] & right[b]
+    index: dict = {}
+    for _, basis in subs:
+        for u in basis:
+            index.setdefault(u, len(index))
+    imgs = [images(u) for u in index]
+    meets = [sum(1 << j for j, c in enumerate(imgs) if not kills(u, c)) for u in index]
+    left, right = [], []
+    for _, basis in subs:
+        rows = [index[u] for u in basis]
+        mask = 0
+        for i in rows:
+            mask |= meets[i]
+        left.append(mask)
+        right.append(sum(1 << i for i in rows))
+
+    span = range(-weight_bound, weight_bound + 1)
     weights_by_dims: dict = {}
+    minima: dict = {}
+    best = None
 
     def weight_vectors(dims):
-        bound = weight_bound
+        # distinct weights summing (weighted by dims) to zero; the last is solved for
+        if not dims:
+            return [()]
         out = []
-
-        def extend(i, prev, acc, total):
-            if i == len(dims):
-                if total == 0:
-                    out.append(tuple(acc))
-                return
-            for wt in range(min(prev - 1, bound), -bound - 1, -1):
-                extend(i + 1, wt, acc + [wt], total + wt * dims[i])
-
-        extend(0, bound + 1, [], 0)
+        for head in itertools.permutations(span, len(dims) - 1):
+            last, rest = divmod(-sum(d * w for d, w in zip(dims, head)), dims[-1])
+            if rest == 0 and last in span and last not in head:
+                out.append(head + (last,))
         return out
 
-    def score(chosen):
-        nonlocal best
-        counter[0] += 1
-        if counter[0] > max_decompositions:
-            raise BoundExceededError(
-                f"sweep exceeded {max_decompositions} decompositions"
-            )
-        dims = tuple(subs[i].dim for i in chosen)
+    def minimum(dims, pairs):
         if dims not in weights_by_dims:
             weights_by_dims[dims] = weight_vectors(dims)
-        for weights in weights_by_dims[dims]:
-            value = MINUS_INFINITY
-            for a, ia in enumerate(chosen):
-                for b, ib in enumerate(chosen):
-                    if nonzero_pair[ia][ib]:
-                        pair_weight = weights[a] + weights[b]
-                        if value is MINUS_INFINITY or pair_weight > value:
-                            value = pair_weight
-            if best is None or value < best:
-                best = value
+        vectors = weights_by_dims[dims]
+        if not vectors:
+            return None
+        if not pairs:
+            return MINUS_INFINITY
+        return min(max(w[a] + w[b] for a, b in pairs) for w in vectors)
 
-    def extend_decomposition(chosen, rows):
-        # rows: the chosen bases stacked, independent by construction
-        remaining = n - len(rows)
+    def score(dims, pairs):
+        nonlocal best
+        key = (dims, pairs)
+        if key not in minima:
+            minima[key] = minimum(dims, pairs)
+        value = minima[key]
+        if value is not None and (best is None or value < best):
+            best = value
+
+    def extend(start, remaining, echelon, chosen, dims, pairs):
+        # pieces in index order, so dims never decrease along a set
         if remaining == 0:
-            score(chosen)
+            score(dims, pairs)
             return
-        for idx, s in enumerate(subs):
-            if s.dim > remaining:
+        r = len(chosen)
+        for j in range(start, len(subs)):
+            d, basis = subs[j]
+            if d > remaining:
                 break
-            joined = rows + list(s.basis.rows)
-            if rank_mod_p(joined, field.p) == len(joined):
-                extend_decomposition(chosen + [idx], joined)
+            if d < remaining < 2 * d:
+                continue
+            grown = _join_independent(echelon, basis, p)
+            if grown is None:
+                continue
+            # w_a + w_b is symmetric, so a pair counts once, whichever way it pairs
+            new = [
+                (a, r) for a, c in enumerate(chosen) if left[c] & right[j] or left[j] & right[c]
+            ]
+            if left[j] & right[j]:
+                new.append((r, r))
+            extend(j + 1, remaining - d, grown, chosen + [j], dims + (d,), pairs + tuple(new))
 
-    extend_decomposition([], [])
+    extend(0, n, {}, [], (), ())
     if best is None:
         raise InternalCheckError("sweep produced no subgroup")
     return best
+
+
+def _ordered_decompositions(p: int, n: int) -> int:
+    """Ordered direct-sum decompositions of F_p^n into nonzero pieces: a
+    first piece of dim d with a complement to decompose can be chosen in
+    |GL_n| / (|GL_d| |GL_(n-d)|) ways."""
+
+    def gl(m):
+        return math.prod(p**m - p**i for i in range(m))
+
+    counts = [1]
+    for m in range(1, n + 1):
+        counts.append(sum(gl(m) // (gl(d) * gl(m - d)) * counts[m - d] for d in range(1, m + 1)))
+    return counts[n]
+
+
+def _join_independent(echelon: dict, rows, p: int):
+    """``echelon`` (pivot -> monic row, each zero before its pivot) grown
+    by ``rows`` over F_p, or None when they are not independent of it."""
+    out = dict(echelon)
+    for v in rows:
+        for c in sorted(out):
+            a = v[c]
+            if a:
+                v = [(x - a * y) % p for x, y in zip(v, out[c])]
+        lead = next((i for i, x in enumerate(v) if x), None)
+        if lead is None:
+            return None
+        inv = pow(v[lead], -1, p)
+        out[lead] = [x * inv % p for x in v]
+    return out

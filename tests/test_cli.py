@@ -81,6 +81,13 @@ def test_check_strategy_and_prime_list(tmp_path, capsys):
 
     code, _, err = run(capsys, "check", qpath, "--prime-list", "3;5")
     assert code == 1 and "prime list" in err
+    # entries follow the canonical grammar of field tags
+    for primes in (" 3,+5", "3_1", "\u0663"):
+        code, out, err = run(capsys, "check", qpath, "--prime-list", primes)
+        assert code == 1 and out == "" and "prime list" in err and err.count("\n") == 1
+    # 2^61 - 1 is prime, but its reduction has too many lines to scan
+    code, out, err = run(capsys, "check", qpath, "--prime-list", "2305843009213693951")
+    assert code == 1 and out == "" and "candidate lines" in err and err.count("\n") == 1
     # a field cross-check that disagrees with the file
     code, _, err = run(capsys, "check", qpath, "--field", "fp:7")
     assert code == 1 and "fp:7" in err
@@ -250,6 +257,12 @@ PROBES = {
     "tag-plus": ("check", HYPERBOLIC.replace("rational", "fp:+7")),
     "tag-arabic-digit": ("check", HYPERBOLIC.replace("rational", "fp:\u0663")),
     "tag-401-digits": ("fiber", "fp:" + str(10**400)),
+    "rational-exponent": (
+        "gr",
+        HYPERBOLIC.replace('[["0","1"],["1","0"]]', '[["0","1e5000"],["1e5000","0"]]'),
+    ),
+    # a prime field with more lines than any search will scan
+    "check-mersenne-61": ("check", HYPERBOLIC.replace("rational", "fp:2305843009213693951")),
     # 2^61 - 1 is prime, so the field is built and the fiber bound refuses it
     "tag-mersenne-61": ("fiber", "fp:2305843009213693951"),
 }

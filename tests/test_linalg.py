@@ -119,6 +119,12 @@ def test_rational_parse_and_format():
     assert QQ.parse("-3/6") == Fraction(-1, 2)
     assert QQ.format(Fraction(-1, 2)) == "-1/2"
     assert QQ.format(Fraction(4)) == "4"
+    # only "a/b" or "a" in ASCII digits; an exponent would parse slowly
+    # and format past the integer digit limit
+    literals = ("1e5000", "1e2000000", "1.5", " 2/4 ", "1_0", "+1", "1/-2", "\u0662", "", "1/0")
+    for literal in literals:
+        with pytest.raises(ParseError):
+            QQ.parse(literal)
 
 
 # -- rref / rank / kernel -------------------------------------------------

@@ -7,20 +7,27 @@ Subspace machinery.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from twistmod import stability
-from twistmod.errors import BoundExceededError, FieldError, StabilityError
+from twistmod.errors import (
+    BoundExceededError,
+    FieldError,
+    InternalCheckError,
+    StabilityError,
+)
 from twistmod.hilbert import MINUS_INFINITY, limit_at_zero, mu
-from twistmod.linalg import GF, QQ, Matrix, Subspace, all_subspaces
+from twistmod.linalg import GF, QQ, Matrix, Subspace, all_subspaces, rank_mod_p
 from twistmod.sigmamod import (
     TOTALLY_ISOTROPIC,
     InvolutionSpace,
     SigmaModule,
     act,
+    dotform,
     is_isomorphic,
     isotropy_class,
     orthogonal,
@@ -570,3 +577,159 @@ def test_sweep_agrees_with_the_verdict_on_samples():
         q = random_module(rng, field, dim, w, rng.choice([1, -1]))
         swept = hilbert_mumford_sweep(q)
         assert (swept < 0) == (semistability_verdict(q).status == UNSTABLE)
+
+
+# The sweep as it stood before it visited each decomposition once: every
+# ordering of every decomposition, each with strictly decreasing weights,
+# and its own rank check and pairing scan.  Kept unchanged as the oracle.
+def ordered_sweep(
+    q: SigmaModule,
+    weight_bound: int = 3,
+    max_decompositions: int = 200_000,
+):
+    """Minimum weight over every subgroup with enumerated eigenspaces.
+
+    Sweeps all ordered direct-sum decompositions of H into enumerated
+    subspaces, paired with strictly decreasing integer weights in
+    [-weight_bound, weight_bound] summing (weighted by dimension) to
+    zero.  Returns the minimum of mu over the swept subgroups, which is
+    negative iff the module is unstable for small dims; q = 0 gives
+    minus infinity.
+    """
+    if q.field.kind != "fp":
+        raise FieldError("the bounded sweep enumerates subspaces over a finite field")
+    field = q.field
+    n = q.dim_h
+    subs = list(all_subspaces(field, n))
+    nonzero_pair = [
+        [
+            any(
+                dotform(field, x, b, y) != field.zero
+                for b in q.forms
+                for x in u.basis.rows
+                for y in v.basis.rows
+            )
+            for v in subs
+        ]
+        for u in subs
+    ]
+
+    best = None
+    counter = [0]
+    weights_by_dims: dict = {}
+
+    def weight_vectors(dims):
+        bound = weight_bound
+        out = []
+
+        def extend(i, prev, acc, total):
+            if i == len(dims):
+                if total == 0:
+                    out.append(tuple(acc))
+                return
+            for wt in range(min(prev - 1, bound), -bound - 1, -1):
+                extend(i + 1, wt, acc + [wt], total + wt * dims[i])
+
+        extend(0, bound + 1, [], 0)
+        return out
+
+    def score(chosen):
+        nonlocal best
+        counter[0] += 1
+        if counter[0] > max_decompositions:
+            raise BoundExceededError(
+                f"sweep exceeded {max_decompositions} decompositions"
+            )
+        dims = tuple(subs[i].dim for i in chosen)
+        if dims not in weights_by_dims:
+            weights_by_dims[dims] = weight_vectors(dims)
+        for weights in weights_by_dims[dims]:
+            value = MINUS_INFINITY
+            for a, ia in enumerate(chosen):
+                for b, ib in enumerate(chosen):
+                    if nonzero_pair[ia][ib]:
+                        pair_weight = weights[a] + weights[b]
+                        if value is MINUS_INFINITY or pair_weight > value:
+                            value = pair_weight
+            if best is None or value < best:
+                best = value
+
+    def extend_decomposition(chosen, rows):
+        # rows: the chosen bases stacked, independent by construction
+        remaining = n - len(rows)
+        if remaining == 0:
+            score(chosen)
+            return
+        for idx, s in enumerate(subs):
+            if s.dim > remaining:
+                break
+            joined = rows + list(s.basis.rows)
+            if rank_mod_p(joined, field.p) == len(joined):
+                extend_decomposition(chosen + [idx], joined)
+
+    extend_decomposition([], [])
+    if best is None:
+        raise InternalCheckError("sweep produced no subgroup")
+    return best
+
+
+def sweep_outcome(sweep, q, **bounds):
+    try:
+        return sweep(q, **bounds)
+    except BoundExceededError as exc:
+        return ("refused", str(exc))
+
+
+def ordered_decompositions(p, n):
+    """The ordered direct-sum decompositions of F_p^n into nonzero pieces:
+    a first piece of dim d (a Gaussian binomial of choices), one of its
+    p^(d(n-d)) complements, and a decomposition of that complement."""
+    if n == 0:
+        return 1
+    total = 0
+    for d in range(1, n + 1):
+        pieces = math.prod(p ** (n - i) - 1 for i in range(d))
+        pieces //= math.prod(p ** (i + 1) - 1 for i in range(d))
+        total += pieces * p ** (d * (n - d)) * ordered_decompositions(p, n - d)
+    return total
+
+
+def test_sweep_matches_the_ordered_sweep():
+    rng = random.Random(2024)
+    cases = []
+    for p in (2, 3, 5):
+        field = GF(p)
+        for dim in (1, 2, 3):
+            for w in (trivial_w(field), swap_w(field)):
+                for sign in (1, -1):
+                    cases.append(random_module(rng, field, dim, w, sign))
+    # zero modules, and one the ordered sweep takes about a second on
+    cases.append(module_1form(GF(3), [[0, 0], [0, 0]]))
+    cases.append(SigmaModule(GF(3), 0, trivial_w(GF(3)), 1, [Matrix(GF(3), [])]))
+    cases.append(random_module(rng, GF(2), 4, trivial_w(GF(2)), 1))
+    for q in cases:
+        total = ordered_decompositions(q.field.p, q.dim_h)
+        # the reference is slow on the big cases, so only the cheap ones
+        # meet it at every bound; the rest hold the closed-form total
+        small = total < 2000
+        for weight_bound in (0, 1, 2, 3) if total < 500 else (3,):
+            expected = ordered_sweep(q, weight_bound=weight_bound)
+            for bound in (1, 10, 100, total - 1, total):
+                bounds = {"max_decompositions": bound, "weight_bound": weight_bound}
+                # every ordering counts, so the sweep refuses exactly past the total
+                want = expected
+                if bound < total:
+                    want = ("refused", f"sweep exceeded {bound} decompositions")
+                assert sweep_outcome(hilbert_mumford_sweep, q, **bounds) == want
+                if small or bound <= 100:
+                    assert sweep_outcome(ordered_sweep, q, **bounds) == want
+
+
+def test_searches_refuse_too_many_lines_before_any_work():
+    big = GF(2**61 - 1)
+    q = module_1form(big, [[0, 1], [1, 0]])
+    for search in (enumerate_totally_isotropic, hilbert_mumford_sweep):
+        with pytest.raises(BoundExceededError, match="2305843009213693952 candidate lines"):
+            search(q)
+    # a line is a line over any field
+    assert enumerate_totally_isotropic(module_1form(big, [[0]]))[0].dim == 1
