@@ -17,7 +17,7 @@ import itertools
 import re
 from fractions import Fraction
 
-from .errors import FieldError, ParseError, ShapeError, SingularMatrixError
+from .errors import BoundExceededError, FieldError, ParseError, ShapeError, SingularMatrixError
 
 
 class RationalField:
@@ -73,7 +73,11 @@ class RationalField:
             raise ParseError(f"bad rational literal {s!r}") from exc
 
     def format(self, a) -> str:
-        return str(a)
+        try:
+            return str(a)
+        except ValueError as exc:
+            # str() refuses integers past the interpreter's digit limit
+            raise BoundExceededError("a rational result has too many digits to print") from exc
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -537,6 +541,16 @@ class Subspace:
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
+
+    @classmethod
+    def _from_echelon(cls, field, ambient: int, rows, pivots):
+        # trusted internal path: rows are a reduced echelon basis with these pivots
+        v = object.__new__(cls)
+        object.__setattr__(v, "field", field)
+        object.__setattr__(v, "ambient", ambient)
+        object.__setattr__(v, "basis", Matrix(field, rows))
+        object.__setattr__(v, "pivots", tuple(pivots))
+        return v
 
     @classmethod
     def zero(cls, field, ambient: int):

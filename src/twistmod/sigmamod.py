@@ -452,17 +452,20 @@ def _isometry_search(q1: SigmaModule, q2: SigmaModule, node_budget: int):
     budget = [node_budget]
 
     def gram_ok(c) -> bool:
+        # the diagonal entries first, for every k: most candidates fail there
         i = len(chosen)
-        for k, b in enumerate(b2):
+        if any(dotform(field, c, b, c) != t[i][i] for b, t in zip(b2, targets)):
+            return False
+        if i == 0:
+            return True
+        for b, t in zip(b2, targets):
             bc = b.mat_vec(c)
             cb = b.vec_mat(c)
-            if dotform(field, c, b, c) != targets[k][i][i]:
-                return False
             for j in range(i):
                 # pair (j, i) uses B2 c, pair (i, j) uses c^T B2
-                if dot(field, chosen[j], bc) != targets[k][j][i]:
+                if dot(field, chosen[j], bc) != t[j][i]:
                     return False
-                if dot(field, cb, chosen[j]) != targets[k][i][j]:
+                if dot(field, cb, chosen[j]) != t[i][j]:
                     return False
         return True
 

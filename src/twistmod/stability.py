@@ -12,8 +12,10 @@ One candidate stream serves both the verdict and each filtration step.
 Over F_p it is the pruned enumeration of every totally isotropic
 subspace.  Over the rationals it starts with the joint kernel when that
 is nonzero, then lifts the totally isotropic subspaces of the reductions
-mod a list of primes, and each lift is rechecked once, exactly: its
-orthogonal is computed over QQ and must contain it.
+mod a list of primes, each reduction building its line table once.  A
+lift is dropped unless its Gram entries vanish against the forms scaled
+to integers, a plain-int test, and each kept lift is rechecked once,
+exactly: its orthogonal is computed over QQ and must contain it.
 
 A strictly semistable module carries a filtration by successive minimal
 equality witnesses.  Each level is one full scan of the stream, which
@@ -202,9 +204,9 @@ def _pairing(forms, p: int):
     return images, kills
 
 
-def _totally_isotropic(q: SigmaModule, dims=None):
+def _totally_isotropic(q: SigmaModule):
     """Yield (V, dim V^perp) for every nonzero totally isotropic V of a
-    module over F_p whose dimension is in ``dims`` (default: all).
+    module over F_p.
 
     The order is that of filtering ``all_subspaces``, i.e. Subspace.sort_key:
     dimension, then pivot columns, then free entries.  Reduced echelon
@@ -214,6 +216,13 @@ def _totally_isotropic(q: SigmaModule, dims=None):
     of them vanish, so no symmetry of q is assumed.  More than MAX_LINES
     lines in F_p^n raise BoundExceededError before the scan.
     """
+    return _isotropic_scanner(q)()
+
+
+def _isotropic_scanner(q: SigmaModule):
+    """``scan(dims)``: _totally_isotropic for the dimensions in ``dims``
+    (default: all).  The isotropic lines are found once, here, for every
+    scan, and survivors skip the public constructor's elimination."""
     field = q.field
     p, n = field.p, q.dim_h
     _check_lines(p, n)
@@ -230,27 +239,30 @@ def _totally_isotropic(q: SigmaModule, dims=None):
                 found.append((u, imgs))
         lines.append(found)
 
-    def grow(rows, basis):
+    def grow(pivots, rows, basis):
         r = len(basis)
         if r == len(rows):
-            v = Subspace(field, n, [u for u, _ in basis])
+            v = Subspace._from_echelon(field, n, [u for u, _ in basis], pivots)
             yield v, n - rank_mod_p([c for _, imgs in basis for c in imgs], p)
             return
         for u, imgs in rows[r]:
             if all(kills(u, bi) and kills(w, imgs) for w, bi in basis):
                 basis.append((u, imgs))
-                yield from grow(rows, basis)
+                yield from grow(pivots, rows, basis)
                 basis.pop()
 
-    for d in range(1, n + 1) if dims is None else dims:
-        for pivots in itertools.combinations(range(n), d):
-            # row r must vanish on the later pivot columns
-            rows = [
-                [e for e in lines[pc] if not any(e[0][c] for c in pivots[r + 1 :])]
-                for r, pc in enumerate(pivots)
-            ]
-            if all(rows):
-                yield from grow(rows, [])
+    def scan(dims=None):
+        for d in range(1, n + 1) if dims is None else dims:
+            for pivots in itertools.combinations(range(n), d):
+                # row r must vanish on the later pivot columns
+                rows = [
+                    [e for e in lines[pc] if not any(e[0][c] for c in pivots[r + 1 :])]
+                    for r, pc in enumerate(pivots)
+                ]
+                if all(rows):
+                    yield from grow(pivots, rows, [])
+
+    return scan
 
 
 def semistability_verdict(
@@ -338,13 +350,26 @@ def _reduce_mod_p(q: SigmaModule, p: int):
     return SigmaModule(fp, q.dim_h, InvolutionSpace(fp, w_matrix), q.sign, forms)
 
 
-def _lift_subspace(vp: Subspace, field, balanced: bool) -> tuple:
-    # the lifted rows keep the pivots of vp, so they are reduced echelon
+def _lift_subspace(vp: Subspace, balanced: bool) -> tuple:
+    # plain-int rows; they keep the pivots of vp, so they are reduced echelon
     p = vp.field.p
-    return tuple(
-        tuple(field.from_int(x - p if balanced and x > p // 2 else x) for x in row)
-        for row in vp.basis.rows
-    )
+    top = p // 2 if balanced else p
+    return tuple(tuple(x - p if x > top else x for x in row) for row in vp.basis.rows)
+
+
+def _integer_form(b: Matrix) -> tuple:
+    """D B on plain ints, D the lcm of B's denominators; both kill the same pairs."""
+    d = math.lcm(*(x.denominator for row in b.rows for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in b.rows)
+
+
+def _grams_vanish(forms, rows) -> bool:
+    """Whether u_i^T B u_j == 0 for every B in ``forms`` and (i, j), i == j too."""
+    for b in forms:
+        images = [[sum(a * x for a, x in zip(row, u)) for row in b] for u in rows]
+        if any(sum(a * x for a, x in zip(u, c)) for u in rows for c in images):
+            return False
+    return True
 
 
 def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: bool):
@@ -355,11 +380,14 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
     nonzero joint kernel comes first, with the whole of H as its
     orthogonal; then the lifts (plain and balanced residues) of the
     totally isotropic subspaces of the reductions mod ``primes``, each
-    kept once and only after an exact recheck over QQ.  The scan runs
-    prime by prime, all dimensions each, when ``by_prime`` is set, and
-    otherwise dimension by dimension, all primes each; the order fixes
-    which witness comes first.  Each prime is reduced at most once, and
-    appended to ``tried`` whenever a scan of its reduction starts.
+    kept once.  A lift whose Gram entries u_i^T B_k u_j do not all vanish,
+    on plain ints against each form scaled once to integers, is dropped;
+    the rest are rechecked exactly over QQ.  The scan runs prime by
+    prime, all dimensions each, when ``by_prime`` is set, and otherwise
+    dimension by dimension, all primes each; the order fixes which
+    witness comes first.  Each prime is reduced, and its line table
+    built, at most once, and appended to ``tried`` whenever a scan of
+    its reduction starts.
     """
     if q.field.kind == "fp":
         _check_enumerable(q, enum_bound)
@@ -377,21 +405,28 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
         steps = [(p, range(1, n + 1)) for p in primes]
     else:
         steps = [(p, (d,)) for d in range(1, n + 1) for p in primes]
-    reductions: dict = {}
+    forms = [_integer_form(b) for b in q.forms]
+    scans: dict = {}
+    # lifts are int rows, and an int equals and hashes as the same Fraction
     seen = {kernel.basis.rows}
     for p, dims in steps:
-        if p not in reductions:
-            reductions[p] = _reduce_mod_p(q, p)
-        if reductions[p] is None:
+        if p not in scans:
+            qp = _reduce_mod_p(q, p)
+            scans[p] = None if qp is None else _isotropic_scanner(qp)
+        if scans[p] is None:
             continue
         tried.append(p)
-        for vp, _ in _totally_isotropic(reductions[p], dims):
+        for vp, _ in scans[p](dims):
             for balanced in (False, True):
-                rows = _lift_subspace(vp, q.field, balanced)
+                rows = _lift_subspace(vp, balanced)
                 if rows in seen:
                     continue
                 seen.add(rows)
-                v = Subspace(q.field, n, rows)
+                if not _grams_vanish(forms, rows):
+                    continue
+                v = Subspace._from_echelon(
+                    q.field, n, [[Fraction(x) for x in row] for row in rows], vp.pivots
+                )
                 perp = orthogonal(q, v)
                 if perp.contains(v):
                     yield v, perp.dim

@@ -265,6 +265,12 @@ PROBES = {
     "check-mersenne-61": ("check", HYPERBOLIC.replace("rational", "fp:2305843009213693951")),
     # 2^61 - 1 is prime, so the field is built and the fiber bound refuses it
     "tag-mersenne-61": ("fiber", "fp:2305843009213693951"),
+    # each entry parses, but the Pfaffian 10^5000 has too many digits to print
+    "pfaffian-5001-digits": (
+        "pfaffian",
+        '{"field":"rational","matrix":[["0","N","0","0"],["-N","0","0","0"],'
+        '["0","0","0","N"],["0","0","-N","0"]]}'.replace("N", "1" + "0" * 2500),
+    ),
 }
 
 

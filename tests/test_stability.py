@@ -172,6 +172,27 @@ def test_pruned_search_matches_the_filtered_scan():
     assert not validate(modules[-1])
 
 
+def test_survivors_are_built_in_canonical_form():
+    # the engine builds each survivor from its echelon rows without an
+    # elimination; the result must be the Subspace the public constructor
+    # makes from the same rows
+    rng = random.Random(11)
+    total = 0
+    for p in (2, 3, 5):
+        field = GF(p)
+        for n in (1, 2, 3, 4):
+            zero = SigmaModule(field, n, trivial_w(field), 1, [Matrix.zeros(field, n, n)])
+            for q in (zero, random_module(rng, field, n, swap_w(field), -1)):
+                for v, _ in _totally_isotropic(q):
+                    public = Subspace(field, n, v.basis.rows)
+                    assert v == public
+                    assert v.basis == public.basis and v.pivots == public.pivots
+                    assert v.sort_key() == public.sort_key()
+                    assert hash(v) == hash(public)
+                    total += 1
+    assert total > 1000
+
+
 def test_symplectic_count_matches_closed_form():
     # totally isotropic subspaces of a symplectic F_q^4: every line, plus
     # (q+1)(q^2+1) Lagrangian planes
@@ -352,6 +373,44 @@ def test_rational_candidates_match_the_filtered_lifts():
     assert total > 0
 
 
+def test_integer_gram_test_matches_the_exact_isotropy_class():
+    # the plain-int Gram test of the candidate stream against the exact
+    # three-way class, on every plain and balanced lift; denominators 2, 3
+    # and 6 in one form catch a wrong lcm scaling, and lines (whose only
+    # Gram entries are diagonal) catch a skipped i == j pair
+    rng = random.Random(43)
+
+    def entry(dens):
+        return Fraction(rng.choice((0, 0, 0, 1, -1, 2)), rng.choice(dens))
+
+    outcomes = []
+    modules = 0
+    for n in (1, 2, 3):
+        for w in (trivial_w(QQ), swap_w(QQ)):
+            for sign in (1, -1):
+                for dens in ((1,), (1, 2), (1, 3), (2, 3, 6)):
+                    raw = [
+                        Matrix(QQ, [[entry(dens) for _ in range(n)] for _ in range(n)])
+                        for _ in range(w.dim)
+                    ]
+                    q = symmetrize(QQ, n, w, sign, raw)
+                    modules += 1
+                    forms = [stability._integer_form(b) for b in q.forms]
+                    for p in (2, 3, 5, 7):
+                        qp = stability._reduce_mod_p(q, p)
+                        if qp is None:
+                            continue
+                        for vp, _ in _totally_isotropic(qp):
+                            for balanced in (False, True):
+                                rows = stability._lift_subspace(vp, balanced)
+                                v = Subspace(QQ, n, [[Fraction(x) for x in row] for row in rows])
+                                exact = isotropy_class(q, v) == TOTALLY_ISOTROPIC
+                                assert stability._grams_vanish(forms, rows) == exact
+                                outcomes.append((vp.dim, exact))
+    assert modules >= 24
+    assert {(1, True), (1, False), (2, True), (2, False)} <= set(outcomes)
+
+
 def test_no_destabilizer_over_the_rationals():
     # x^2 + y^2 = 0 has no rational solution, but no proof of stability is claimed
     verdict = semistability_verdict(module_1form(QQ, [[1, 0], [0, 1]]))
@@ -452,9 +511,15 @@ def test_filtration_refuses_exactly_the_unstable_modules():
 
 def test_graded_scans_each_level_once(monkeypatch):
     # one candidate scan per filtration level, plus the one that finds the
-    # core stable, and no separate verdict pass before them
-    scanned, verdicts = [], []
+    # core stable, and no separate verdict pass before them; each level
+    # builds one line table per prime, whatever the dimensions it scans
+    scanned, verdicts, tables = [], [], []
     scan, verdict = stability._candidates, stability.semistability_verdict
+    scanner = stability._isotropic_scanner
+
+    def counted_scanner(q):
+        tables.append((q.field.p, q.dim_h))
+        return scanner(q)
 
     def counted_scan(q, *args, **kwargs):
         scanned.append(q.dim_h)
@@ -466,10 +531,12 @@ def test_graded_scans_each_level_once(monkeypatch):
 
     monkeypatch.setattr(stability, "_candidates", counted_scan)
     monkeypatch.setattr(stability, "semistability_verdict", counted_verdict)
+    monkeypatch.setattr(stability, "_isotropic_scanner", counted_scanner)
     gm = graded(module_1form(QQ, [[0, 0, 1], [0, 1, 1], [1, 1, 1]]))
     assert gm.length == 1
     assert scanned == [3, 1]
     assert verdicts == []
+    assert sorted(tables) == sorted((p, n) for p in stability.DEFAULT_PRIMES for n in (3, 1))
 
 
 # -- graded modules ----------------------------------------------------------
