@@ -46,14 +46,15 @@ def _read(path: str) -> str:
         raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from exc
 
 
-def _load_module(args):
-    mf = parse_module_file(_read(args.file))
-    if args.field is not None:
-        wanted = field_from_name(args.field)
-        if wanted != mf.module.field:
-            raise UsageError(
-                f"file is over {field_name(mf.module.field)}, not {args.field}"
-            )
+def _check_field(args, field):
+    # on a file command, --field only cross-checks the file's own tag
+    if args.field is not None and field_from_name(args.field) != field:
+        raise UsageError(f"file is over {field_name(field)}, not {args.field}")
+
+
+def _load_module(args, path: str):
+    mf = parse_module_file(_read(path))
+    _check_field(args, mf.module.field)
     return mf
 
 
@@ -76,7 +77,7 @@ def _search(args) -> dict:
 def _cmd_check(args) -> dict:
     from .stability import semistability_verdict
 
-    mf = _load_module(args)
+    mf = _load_module(args, args.file)
     verdict = semistability_verdict(mf.module, strategy=args.strategy, **_search(args))
     return verdict_to_dict(verdict)
 
@@ -90,7 +91,7 @@ def _require_subgroup(mf, command: str):
 def _cmd_weight(args) -> dict:
     from .hilbert import destabilizing_1ps, mu
 
-    mf = _load_module(args)
+    mf = _load_module(args, args.file)
     if mf.subgroup is not None:
         lam = mf.subgroup
     elif mf.subspace is not None:
@@ -104,7 +105,7 @@ def _cmd_weight(args) -> dict:
 def _cmd_limit(args) -> dict:
     from .hilbert import limit_at_zero
 
-    mf = _load_module(args)
+    mf = _load_module(args, args.file)
     lam = _require_subgroup(mf, "limit")
     result = limit_at_zero(lam, mf.module)
     if result is None:
@@ -115,15 +116,15 @@ def _cmd_limit(args) -> dict:
 def _cmd_gr(args) -> dict:
     from .stability import graded
 
-    mf = _load_module(args)
+    mf = _load_module(args, args.file)
     return graded_to_dict(graded(mf.module, **_search(args)))
 
 
 def _cmd_sequiv(args) -> dict:
     from .stability import s_equivalent
 
-    first = parse_module_file(_read(args.file))
-    second = parse_module_file(_read(args.other))
+    first = _load_module(args, args.file)
+    second = _load_module(args, args.other)
     return {"s_equivalent": s_equivalent(first.module, second.module, **_search(args))}
 
 
@@ -140,6 +141,8 @@ def _standard_twist(field, r: int) -> Matrix:
 def _cmd_fiber(args) -> dict:
     from .dualnum import fiber_structure_check, unramified_fixed_count
 
+    if args.twist is not None and args.case != "alternating":
+        raise UsageError("--twist is for the alternating case only")
     field = field_from_name(args.field)
     bound = _given(max_pairs=args.max_pairs)
     if args.case == "unramified":
@@ -151,13 +154,12 @@ def _cmd_fiber(args) -> dict:
             "fixed_count": count,
         }
     twist = None
-    if args.case == "alternating":
-        if args.twist is not None:
-            twist = parse_matrix_file(_read(args.twist))
-            if twist.field != field:
-                raise UsageError("twist matrix is over the wrong field")
-        else:
-            twist = _standard_twist(field, args.rank)
+    if args.twist is not None:
+        twist = parse_matrix_file(_read(args.twist))
+        if twist.field != field:
+            raise UsageError("twist matrix is over the wrong field")
+    elif args.case == "alternating":
+        twist = _standard_twist(field, args.rank)
     report = fiber_structure_check(field, args.rank, args.case, m=twist, **bound)
     return fiber_report_to_dict(report)
 
@@ -166,13 +168,14 @@ def _cmd_pfaffian(args) -> dict:
     from .dualnum import pfaffian
 
     m = parse_matrix_file(_read(args.file))
+    _check_field(args, m.field)
     return {"pfaffian": m.field.format(pfaffian(m))}
 
 
 def _cmd_enumerate(args) -> dict:
     from .stability import enumerate_totally_isotropic
 
-    mf = _load_module(args)
+    mf = _load_module(args, args.file)
     subs = list(enumerate_totally_isotropic(mf.module, **_given(bound=args.enum_bound)))
     return {
         "count": len(subs),
@@ -189,15 +192,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="field tag (rational or fp:<p>); on file commands this is a cross-check",
     )
 
-    search = _Parser(add_help=False)
-    search.add_argument(
-        "--prime-list",
-        help="comma-separated primes for heuristic reductions over the rationals",
-    )
-    search.add_argument(
+    bound = _Parser(add_help=False)
+    bound.add_argument(
         "--enum-bound",
         type=int,
         help="largest dim H the subspace enumerations will accept",
+    )
+    search = _Parser(add_help=False, parents=[bound])
+    search.add_argument(
+        "--prime-list",
+        help="comma-separated primes for heuristic reductions over the rationals",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -249,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "enumerate",
-        parents=[common, search],
+        parents=[common, bound],
         help="list the totally isotropic subspaces",
     )
     p.add_argument("file")

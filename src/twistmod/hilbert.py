@@ -161,10 +161,20 @@ class BlockInfo(NamedTuple):
 
 def adapted_forms(lam: OneParamSubgroup, q: SigmaModule):
     """The coordinate matrices of q written in the adapted basis of lam."""
+    return _adapted_blocks(lam, q)[0]
+
+
+def _adapted_blocks(lam: OneParamSubgroup, q: SigmaModule):
+    """adapted_forms(lam, q), and the index range of each piece in the adapted basis."""
     _check_pairing(lam, q)
     t = lam.transform()
     tt = t.transpose()
-    return tuple(tt.mul(b).mul(t) for b in q.forms)
+    ranges = []
+    pos = 0
+    for sub, _ in lam.pieces:
+        ranges.append(range(pos, pos + sub.dim))
+        pos += sub.dim
+    return tuple(tt.mul(b).mul(t) for b in q.forms), ranges
 
 
 def block_exponents(lam: OneParamSubgroup, q: SigmaModule) -> dict:
@@ -173,25 +183,16 @@ def block_exponents(lam: OneParamSubgroup, q: SigmaModule) -> dict:
     Indices are 0-based positions in ``lam.pieces``; a block counts as
     zero only when it vanishes in every W-coordinate.
     """
-    forms = adapted_forms(lam, q)
-    field = q.field
-    offsets = []
-    pos = 0
-    for sub, _ in lam.pieces:
-        offsets.append((pos, pos + sub.dim))
-        pos += sub.dim
-    out = {}
-    weights = lam.weights
-    for i, (r0, r1) in enumerate(offsets):
-        for j, (c0, c1) in enumerate(offsets):
-            is_zero = all(
-                b[r][c] == field.zero
-                for b in forms
-                for r in range(r0, r1)
-                for c in range(c0, c1)
-            )
-            out[(i, j)] = BlockInfo(-(weights[i] + weights[j]), is_zero)
-    return out
+    forms, ranges = _adapted_blocks(lam, q)
+    zero, weights = q.field.zero, lam.weights
+    return {
+        (i, j): BlockInfo(
+            -(weights[i] + weights[j]),
+            all(b[r][c] == zero for b in forms for r in rows for c in cols),
+        )
+        for i, rows in enumerate(ranges)
+        for j, cols in enumerate(ranges)
+    }
 
 
 def mu(lam: OneParamSubgroup, q: SigmaModule):
@@ -213,32 +214,26 @@ def limit_at_zero(lam: OneParamSubgroup, q: SigmaModule):
     Exists iff every nonzero block has nonnegative exponent (mu <= 0);
     the limit keeps exactly the exponent-zero blocks.
     """
-    _check_pairing(lam, q)
-    value = mu(lam, q)
-    if value is not MINUS_INFINITY and value > 0:
-        return None
-    forms = adapted_forms(lam, q)
+    forms, ranges = _adapted_blocks(lam, q)
     field = q.field
-    offsets = []
-    pos = 0
-    for sub, _ in lam.pieces:
-        offsets.append((pos, pos + sub.dim))
-        pos += sub.dim
     weights = lam.weights
-    kept = []
-    for b in forms:
-        rows = [list(r) for r in b.rows]
-        for i, (r0, r1) in enumerate(offsets):
-            for j, (c0, c1) in enumerate(offsets):
-                if weights[i] + weights[j] != 0:
-                    for r in range(r0, r1):
-                        for c in range(c0, c1):
-                            rows[r][c] = field.zero
-        kept.append(Matrix(field, rows))
+    kept = [[list(r) for r in b.rows] for b in forms]
+    for i, rows in enumerate(ranges):
+        for j, cols in enumerate(ranges):
+            total = weights[i] + weights[j]
+            if total == 0:
+                continue
+            for entries in kept:
+                for r in rows:
+                    for c in cols:
+                        # a nonzero block of negative exponent makes mu positive
+                        if total > 0 and entries[r][c] != field.zero:
+                            return None
+                        entries[r][c] = field.zero
     t = lam.transform()
     ti = t.inverse()
     tit = ti.transpose()
-    back = [tit.mul(b).mul(ti) for b in kept]
+    back = [tit.mul(Matrix(field, entries)).mul(ti) for entries in kept]
     limit = SigmaModule(q.field, q.dim_h, q.w, q.sign, back)
     if not validate(limit):
         raise InternalCheckError("limit broke the symmetry relation")

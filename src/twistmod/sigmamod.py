@@ -377,8 +377,7 @@ def is_isomorphic(
     """
     if strategy not in ("auto", "invariants", "search"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if q1.field != q2.field or q1.sign != q2.sign or q1.w != q2.w:
-        raise FieldError("incompatible ambient data")
+    _check_compatible(q1, q2)
     if q1.dim_h != q2.dim_h:
         return IsoResult("no")
     if q1 == q2:

@@ -12,10 +12,13 @@ One candidate stream serves both the verdict and each filtration step.
 Over F_p it is the pruned enumeration of every totally isotropic
 subspace.  Over the rationals it starts with the joint kernel when that
 is nonzero, then lifts the totally isotropic subspaces of the reductions
-mod a list of primes, each reduction building its line table once.  A
-lift is dropped unless its Gram entries vanish against the forms scaled
-to integers, a plain-int test, and each kept lift is rechecked once,
-exactly: its orthogonal is computed over QQ and must contain it.
+mod a list of primes, each reduction building its line table once.  Each
+form B_k is scaled once to the integers D_kB_k, D_k the lcm of its
+denominators, and the reduction mod p is D_kB_k mod p on plain ints; a
+prime that divides a denominator of the involution or of a form is
+skipped.  A lift is dropped unless its Gram entries vanish against the
+integer forms, and each kept lift is rechecked once, exactly: its
+orthogonal is computed over QQ and must contain it.
 
 A strictly semistable module carries a filtration by successive minimal
 equality witnesses.  Each level is one full scan of the stream, which
@@ -48,7 +51,6 @@ from .hilbert import (
     mu,
 )
 from .linalg import (
-    GF,
     Matrix,
     Subspace,
     all_subspaces,
@@ -56,7 +58,6 @@ from .linalg import (
     rank_mod_p,
 )
 from .sigmamod import (
-    InvolutionSpace,
     LinearPiece,
     SigmaModule,
     act,
@@ -160,7 +161,9 @@ def enumerate_totally_isotropic(q: SigmaModule, bound: int = DEFAULT_ENUM_BOUND)
     each dimension d.  ``bound`` caps dim H.
     """
     _check_enumerable(q, bound)
-    return tuple(v for v, _ in _totally_isotropic(q))
+    n = q.dim_h
+    scan = _isotropic_scanner([b.rows for b in q.forms], q.field.p, n)
+    return tuple(Subspace._from_echelon(q.field, n, rows, pivots) for rows, pivots, _ in scan())
 
 
 def _check_enumerable(q: SigmaModule, bound: int):
@@ -204,29 +207,26 @@ def _pairing(forms, p: int):
     return images, kills
 
 
-def _totally_isotropic(q: SigmaModule):
-    """Yield (V, dim V^perp) for every nonzero totally isotropic V of a
-    module over F_p.
+def _isotropic_scanner(forms, p: int, n: int):
+    """``scan(dims)`` yields (rows, pivots, images) for every nonzero
+    totally isotropic subspace V of F_p^n whose dimension is in ``dims``
+    (default: all), under the forms given as n x n plain ints mod p.
 
-    The order is that of filtering ``all_subspaces``, i.e. Subspace.sort_key:
-    dimension, then pivot columns, then free entries.  Reduced echelon
-    bases grow row by row, each row running over its free entries in
-    product order, and a partial basis is dropped as soon as a pairing
-    u_i^T B_k u_j is nonzero.  V is totally isotropic exactly when all
-    of them vanish, so no symmetry of q is assumed.  More than MAX_LINES
-    lines in F_p^n raise BoundExceededError before the scan.
+    ``rows`` is the reduced echelon basis of V, with pivot columns
+    ``pivots``, and ``images`` the rows B_k u over that basis, so
+    dim V^perp = n - their rank.  Over QQ the forms are D_kB_k mod p,
+    which kill exactly the pairs that B_k mod p kills, since D_k is a
+    unit mod p.  The order is Subspace.sort_key: dimension, then pivot
+    columns, then free entries.  Reduced echelon bases grow row by row,
+    each row running over its free entries in product order, and a
+    partial basis is dropped as soon as a pairing u_i^T B_k u_j is
+    nonzero.  V is totally isotropic exactly when all of them vanish, so
+    no symmetry of the forms is assumed.  The isotropic lines are found
+    once, here, for every scan; more than MAX_LINES lines in F_p^n raise
+    BoundExceededError before that.
     """
-    return _isotropic_scanner(q)()
-
-
-def _isotropic_scanner(q: SigmaModule):
-    """``scan(dims)``: _totally_isotropic for the dimensions in ``dims``
-    (default: all).  The isotropic lines are found once, here, for every
-    scan, and survivors skip the public constructor's elimination."""
-    field = q.field
-    p, n = field.p, q.dim_h
     _check_lines(p, n)
-    images, kills = _pairing([b.rows for b in q.forms], p)
+    images, kills = _pairing(forms, p)
 
     # isotropic echelon rows by pivot column, free entries in product order
     lines = []
@@ -242,8 +242,7 @@ def _isotropic_scanner(q: SigmaModule):
     def grow(pivots, rows, basis):
         r = len(basis)
         if r == len(rows):
-            v = Subspace._from_echelon(field, n, [u for u, _ in basis], pivots)
-            yield v, n - rank_mod_p([c for _, imgs in basis for c in imgs], p)
+            yield tuple(u for u, _ in basis), pivots, [c for _, imgs in basis for c in imgs]
             return
         for u, imgs in rows[r]:
             if all(kills(u, bi) and kills(w, imgs) for w, bi in basis):
@@ -288,19 +287,32 @@ def semistability_verdict(
     if strategy == "heuristic" and q.field.kind != "rational":
         raise FieldError("heuristic strategy is for the rational field")
     kind = "exhaustive" if q.field.kind == "fp" else "heuristic"
-    n = q.dim_h
     tried: list = []
-    equality = None
-    for v, perp_dim in _candidates(q, enum_bound, primes, tried, by_prime=True):
-        total = v.dim + perp_dim
-        if total > n:
-            return _certified(UNSTABLE, Provenance(kind, tuple(tried)), q, v)
-        if total == n and equality is None:
-            equality = v
+    worse, equality = _witnesses(q, _candidates(q, enum_bound, primes, tried, by_prime=True))
     provenance = Provenance(kind, tuple(tried))
+    if worse is not None:
+        return _certified(UNSTABLE, provenance, q, worse)
     if equality is not None:
         return _certified(STRICTLY_SEMISTABLE, provenance, q, equality)
     return Verdict(STABLE if kind == "exhaustive" else NO_DESTABILIZER_FOUND, provenance)
+
+
+def _witnesses(q: SigmaModule, candidates):
+    """(destabilizer, equality) over the (V, dim V^perp) of ``candidates``.
+
+    The scan stops at the first V with dim V + dim V^perp > dim H, the
+    destabilizer; equality is the first V before it meeting equality.
+    Either is None when the scan saw none.
+    """
+    n = q.dim_h
+    equality = None
+    for v, perp_dim in candidates:
+        total = v.dim + perp_dim
+        if total > n:
+            return v, equality
+        if total == n and equality is None:
+            equality = v
+    return None, equality
 
 
 def _certified(status: str, provenance: Provenance, q: SigmaModule, v: Subspace) -> Verdict:
@@ -322,39 +334,10 @@ def joint_kernel(q: SigmaModule) -> Subspace:
     return Subspace(q.field, q.dim_h, stacked.kernel_basis().rows)
 
 
-def _reduce_mod_p(q: SigmaModule, p: int):
-    # Fails (returns None) when p divides a denominator somewhere.
-    fp = GF(p)
-
-    def reduce_matrix(m: Matrix):
-        rows = []
-        for row in m.rows:
-            out = []
-            for x in row:
-                frac = Fraction(x)
-                if frac.denominator % p == 0:
-                    return None
-                out.append(fp.div(fp.from_int(frac.numerator), fp.from_int(frac.denominator)))
-            rows.append(out)
-        return Matrix(fp, rows)
-
-    w_matrix = reduce_matrix(q.w.matrix)
-    if w_matrix is None:
-        return None
-    forms = []
-    for b in q.forms:
-        rb = reduce_matrix(b)
-        if rb is None:
-            return None
-        forms.append(rb)
-    return SigmaModule(fp, q.dim_h, InvolutionSpace(fp, w_matrix), q.sign, forms)
-
-
-def _lift_subspace(vp: Subspace, balanced: bool) -> tuple:
-    # plain-int rows; they keep the pivots of vp, so they are reduced echelon
-    p = vp.field.p
+def _lift_subspace(rows, p: int, balanced: bool) -> tuple:
+    # plain ints of residues in range(p); they keep the pivots, so they are reduced echelon
     top = p // 2 if balanced else p
-    return tuple(tuple(x - p if x > top else x for x in row) for row in vp.basis.rows)
+    return tuple(tuple(x - p if x > top else x for x in row) for row in rows)
 
 
 def _integer_form(b: Matrix) -> tuple:
@@ -380,20 +363,24 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
     nonzero joint kernel comes first, with the whole of H as its
     orthogonal; then the lifts (plain and balanced residues) of the
     totally isotropic subspaces of the reductions mod ``primes``, each
-    kept once.  A lift whose Gram entries u_i^T B_k u_j do not all vanish,
-    on plain ints against each form scaled once to integers, is dropped;
-    the rest are rechecked exactly over QQ.  The scan runs prime by
-    prime, all dimensions each, when ``by_prime`` is set, and otherwise
-    dimension by dimension, all primes each; the order fixes which
-    witness comes first.  Each prime is reduced, and its line table
-    built, at most once, and appended to ``tried`` whenever a scan of
-    its reduction starts.
+    kept once.  Each form B_k is scaled once to the integers D_kB_k, D_k
+    the lcm of its denominators, and the reduction mod p is D_kB_k mod p
+    on plain ints; a prime dividing a denominator of the involution or
+    of a form is skipped.  A lift whose Gram entries u_i^T (D_kB_k) u_j
+    do not all vanish is dropped; the rest are rechecked exactly over
+    QQ.  The scan runs prime by prime, all dimensions each, when
+    ``by_prime`` is set, and otherwise dimension by dimension, all
+    primes each; the order fixes which witness comes first.  Each prime
+    is reduced, and its line table built, at most once, and appended to
+    ``tried`` whenever a scan of its reduction starts.
     """
+    n = q.dim_h
     if q.field.kind == "fp":
         _check_enumerable(q, enum_bound)
-        yield from _totally_isotropic(q)
+        p = q.field.p
+        for rows, pivots, images in _isotropic_scanner([b.rows for b in q.forms], p, n)():
+            yield Subspace._from_echelon(q.field, n, rows, pivots), n - rank_mod_p(images, p)
         return
-    n = q.dim_h
     kernel = joint_kernel(q)
     if not kernel.is_zero():
         yield kernel, n
@@ -406,26 +393,29 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
     else:
         steps = [(p, (d,)) for d in range(1, n + 1) for p in primes]
     forms = [_integer_form(b) for b in q.forms]
+    denominators = math.lcm(
+        *(x.denominator for m in (q.w.matrix, *q.forms) for row in m.rows for x in row)
+    )
     scans: dict = {}
     # lifts are int rows, and an int equals and hashes as the same Fraction
     seen = {kernel.basis.rows}
     for p, dims in steps:
-        if p not in scans:
-            qp = _reduce_mod_p(q, p)
-            scans[p] = None if qp is None else _isotropic_scanner(qp)
-        if scans[p] is None:
+        if denominators % p == 0:
             continue
+        if p not in scans:
+            reduced = [[[x % p for x in row] for row in b] for b in forms]
+            scans[p] = _isotropic_scanner(reduced, p, n)
         tried.append(p)
-        for vp, _ in scans[p](dims):
+        for residues, pivots, _ in scans[p](dims):
             for balanced in (False, True):
-                rows = _lift_subspace(vp, balanced)
+                rows = _lift_subspace(residues, p, balanced)
                 if rows in seen:
                     continue
                 seen.add(rows)
                 if not _grams_vanish(forms, rows):
                     continue
                 v = Subspace._from_echelon(
-                    q.field, n, [[Fraction(x) for x in row] for row in rows], vp.pivots
+                    q.field, n, [[Fraction(x) for x in row] for row in rows], pivots
                 )
                 perp = orthogonal(q, v)
                 if perp.contains(v):
@@ -440,25 +430,6 @@ class _Level(NamedTuple):
     piece: LinearPiece
 
 
-def _minimal_equality_witness(q, enum_bound, primes):
-    """Smallest totally isotropic subspace meeting equality, or None.
-
-    One full scan of the candidate stream, dimension ascending: it raises
-    StabilityError on any destabilizing subspace, so it doubles as the
-    semistability check of the level, and otherwise returns the first
-    equality it saw.
-    """
-    n = q.dim_h
-    witness = None
-    for v, perp_dim in _candidates(q, enum_bound, primes, [], by_prime=False):
-        total = v.dim + perp_dim
-        if total > n:
-            raise StabilityError("module is unstable")
-        if total == n and witness is None:
-            witness = v
-    return witness
-
-
 def _build_levels(q, enum_bound, primes):
     if not validate(q):
         raise StabilityError("module violates its symmetry relation")
@@ -470,7 +441,11 @@ def _build_levels(q, enum_bound, primes):
     model_rows = Matrix.identity(field, n)
     current = q
     while True:
-        v = _minimal_equality_witness(current, enum_bound, primes)
+        # one scan, dimension ascending, per level: it doubles as the
+        # level's semistability check, and v is its smallest equality witness
+        worse, v = _witnesses(current, _candidates(current, enum_bound, primes, [], by_prime=False))
+        if worse is not None:
+            raise StabilityError("module is unstable")
         if v is None:
             break
         reduction = isotropic_reduction(current, v)

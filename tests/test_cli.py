@@ -210,6 +210,34 @@ def test_fiber_errors(capsys):
     assert code == 1 and "even" in err
 
 
+# options that a command once accepted and then ignored, as (argv, stderr part);
+# "{fixture}", "{fp7}" and "{matrix}" name a rational module, a module over
+# F_7 and a rational matrix file
+IGNORED_OPTIONS = {
+    "sequiv-first-field": (["sequiv", "{fixture}", "{fp7}", "--field", "fp:7"], "rational"),
+    "sequiv-second-field": (["sequiv", "{fp7}", "{fixture}", "--field", "fp:7"], "rational"),
+    "pfaffian-field": (["pfaffian", "{matrix}", "--field", "fp:7"], "rational"),
+    "enumerate-prime-list": (["enumerate", "{fp7}", "--prime-list", "4"], "--prime-list"),
+    "fiber-plus-twist": (
+        ["fiber", "--field", "rational", "--case", "plus", "-r", "2", "--twist", "{matrix}"],
+        "--twist",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_OPTIONS))
+def test_options_a_command_would_ignore_are_refused(tmp_path, capsys, case):
+    files = {
+        "fixture": put(tmp_path, "fixture.json", FIXTURE),
+        "fp7": put(tmp_path, "hyp7.json", HYPERBOLIC.replace("rational", "fp:7")),
+        "matrix": put(tmp_path, "j2.json", '{"field":"rational","matrix":[["0","1"],["-1","0"]]}'),
+    }
+    argv, part = IGNORED_OPTIONS[case]
+    code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and part in err
+
+
 def test_pfaffian_golden(tmp_path, capsys):
     path = put(tmp_path, "j2.json", '{"field":"rational","matrix":[["0","1"],["-1","0"]]}')
     code, out, _ = run(capsys, "pfaffian", path)

@@ -41,7 +41,6 @@ from twistmod.stability import (
     UNSTABLE,
     Provenance,
     _candidates,
-    _totally_isotropic,
     enumerate_totally_isotropic,
     graded,
     hilbert_mumford_sweep,
@@ -160,7 +159,7 @@ def test_pruned_search_matches_the_filtered_scan():
             raw = Matrix(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
             modules.append(SigmaModule(field, n, trivial_w(field), -1, [raw]))
             for q in modules:
-                found = list(_totally_isotropic(q))
+                found = list(_candidates(q, 4, (), [], by_prime=True))
                 expected = [
                     v
                     for v in all_subspaces(field, n)
@@ -174,8 +173,9 @@ def test_pruned_search_matches_the_filtered_scan():
 
 def test_survivors_are_built_in_canonical_form():
     # the engine builds each survivor from its echelon rows without an
-    # elimination; the result must be the Subspace the public constructor
-    # makes from the same rows
+    # elimination, in the verdict's stream and in the enumeration; the
+    # result must be the Subspace the public constructor makes from the
+    # same rows
     rng = random.Random(11)
     total = 0
     for p in (2, 3, 5):
@@ -183,7 +183,9 @@ def test_survivors_are_built_in_canonical_form():
         for n in (1, 2, 3, 4):
             zero = SigmaModule(field, n, trivial_w(field), 1, [Matrix.zeros(field, n, n)])
             for q in (zero, random_module(rng, field, n, swap_w(field), -1)):
-                for v, _ in _totally_isotropic(q):
+                stream = [v for v, _ in _candidates(q, 4, (), [], by_prime=True)]
+                assert stream == list(enumerate_totally_isotropic(q))
+                for v in stream + list(enumerate_totally_isotropic(q)):
                     public = Subspace(field, n, v.basis.rows)
                     assert v == public
                     assert v.basis == public.basis and v.pivots == public.pivots
@@ -397,16 +399,19 @@ def test_integer_gram_test_matches_the_exact_isotropy_class():
                     modules += 1
                     forms = [stability._integer_form(b) for b in q.forms]
                     for p in (2, 3, 5, 7):
-                        qp = stability._reduce_mod_p(q, p)
-                        if qp is None:
+                        if any(x.denominator % p == 0 for b in q.forms for r in b.rows for x in r):
                             continue
-                        for vp, _ in _totally_isotropic(qp):
+                        reduced = [
+                            [[x.numerator * pow(x.denominator, -1, p) % p for x in r] for r in b.rows]
+                            for b in q.forms
+                        ]
+                        for residues, _, _ in stability._isotropic_scanner(reduced, p, n)():
                             for balanced in (False, True):
-                                rows = stability._lift_subspace(vp, balanced)
+                                rows = stability._lift_subspace(residues, p, balanced)
                                 v = Subspace(QQ, n, [[Fraction(x) for x in row] for row in rows])
                                 exact = isotropy_class(q, v) == TOTALLY_ISOTROPIC
                                 assert stability._grams_vanish(forms, rows) == exact
-                                outcomes.append((vp.dim, exact))
+                                outcomes.append((len(rows), exact))
     assert modules >= 24
     assert {(1, True), (1, False), (2, True), (2, False)} <= set(outcomes)
 
@@ -418,6 +423,18 @@ def test_no_destabilizer_over_the_rationals():
     assert verdict.certificate is None
     assert verdict.provenance.kind == "heuristic"
     assert verdict.provenance.primes == (2, 3, 5, 7, 11, 13)
+
+
+def test_a_prime_dividing_only_an_involution_denominator_is_skipped():
+    # the forms are integral, but W = [[0, 2], [1/2, 0]] does not reduce
+    # mod 2, so 2 is not among the primes tried
+    w = InvolutionSpace(QQ, Matrix(QQ, [[0, 2], [Fraction(1, 2), 0]]))
+    raw = [Matrix.from_ints(QQ, [[2, 0], [0, 0]]), Matrix.from_ints(QQ, [[0, 1], [0, 0]])]
+    q = symmetrize(QQ, 2, w, 1, raw)
+    assert all(x.denominator == 1 for b in q.forms for row in b.rows for x in row)
+    verdict = semistability_verdict(q)
+    assert verdict.status == STRICTLY_SEMISTABLE
+    assert verdict.provenance.primes == (3, 5, 7, 11, 13)
 
 
 def test_strategy_selection():
@@ -517,9 +534,9 @@ def test_graded_scans_each_level_once(monkeypatch):
     scan, verdict = stability._candidates, stability.semistability_verdict
     scanner = stability._isotropic_scanner
 
-    def counted_scanner(q):
-        tables.append((q.field.p, q.dim_h))
-        return scanner(q)
+    def counted_scanner(forms, p, n):
+        tables.append((p, n))
+        return scanner(forms, p, n)
 
     def counted_scan(q, *args, **kwargs):
         scanned.append(q.dim_h)
