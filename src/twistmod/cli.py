@@ -63,9 +63,12 @@ def _given(**options) -> dict:
     return {key: value for key, value in options.items() if value is not None}
 
 
-def _search(args) -> dict:
+def _search(args, *modules) -> dict:
     primes = None
     if args.prime_list is not None:
+        # the reductions mod a prime list run only over the rationals
+        if any(q.field.kind == "fp" for q in modules):
+            raise UsageError("--prime-list is for modules over the rationals")
         # each entry follows the grammar, and passes the primality test, of fp:<p>
         try:
             primes = tuple(field_from_name(f"fp:{p}").p for p in args.prime_list.split(","))
@@ -78,7 +81,7 @@ def _cmd_check(args) -> dict:
     from .stability import semistability_verdict
 
     mf = _load_module(args, args.file)
-    verdict = semistability_verdict(mf.module, strategy=args.strategy, **_search(args))
+    verdict = semistability_verdict(mf.module, strategy=args.strategy, **_search(args, mf.module))
     return verdict_to_dict(verdict)
 
 
@@ -117,7 +120,7 @@ def _cmd_gr(args) -> dict:
     from .stability import graded
 
     mf = _load_module(args, args.file)
-    return graded_to_dict(graded(mf.module, **_search(args)))
+    return graded_to_dict(graded(mf.module, **_search(args, mf.module)))
 
 
 def _cmd_sequiv(args) -> dict:
@@ -125,7 +128,8 @@ def _cmd_sequiv(args) -> dict:
 
     first = _load_module(args, args.file)
     second = _load_module(args, args.other)
-    return {"s_equivalent": s_equivalent(first.module, second.module, **_search(args))}
+    search = _search(args, first.module, second.module)
+    return {"s_equivalent": s_equivalent(first.module, second.module, **search)}
 
 
 def _standard_twist(field, r: int) -> Matrix:

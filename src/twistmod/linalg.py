@@ -654,14 +654,18 @@ def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
 
 
 def rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p of equal-length rows of ints in ``range(p)``.
+    """Rank over F_p of equal-length rows of ints in ``range(p)``, or
+    over QQ of rows of any ints when ``p`` is 0.
 
     Plain-int elimination for hot loops: each row operation clears one
     column with a single ``% p`` per entry and needs no inverse, because
-    scaling a row by the nonzero pivot keeps the rank.
+    scaling a row by the nonzero pivot keeps the rank.  Over QQ it is
+    fraction-free Bareiss elimination (Math. Comp. 22, 1968): each
+    entry is divided exactly by the previous pivot, so entries stay
+    minors of the input instead of growing with every step.
     """
     rows = [list(r) for r in rows]
-    rank = 0
+    rank, previous = 0, 1
     for c in range(len(rows[0]) if rows else 0):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if pivot is None:
@@ -671,8 +675,12 @@ def rank_mod_p(rows, p: int) -> int:
         a = top[c]
         for i in range(rank + 1, len(rows)):
             b = rows[i][c]
-            if b:
-                rows[i] = [(a * x - b * y) % p for x, y in zip(rows[i], top)]
+            if p:
+                if b:
+                    rows[i] = [(a * x - b * y) % p for x, y in zip(rows[i], top)]
+            else:
+                rows[i] = [(a * x - b * y) // previous for x, y in zip(rows[i], top)]
+        previous = a
         rank += 1
         if rank == len(rows):
             break

@@ -14,7 +14,9 @@ Sign +1 gives the quadratic flavour, -1 the alternating one.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
@@ -24,7 +26,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .linalg import Matrix, Subspace, complement_in, dot, vectors_of
+from .linalg import Matrix, Subspace, complement_in, rank_mod_p
 
 NOT_ISOTROPIC = "not_isotropic"
 SIGMA_ISOTROPIC = "sigma_isotropic"
@@ -235,7 +237,11 @@ def isotropic_reduction(q: SigmaModule, v: Subspace) -> IsotropicReduction:
     _check_subspace(q, v)
     if v.is_zero():
         raise IsotropyError("cannot reduce by the zero subspace")
-    perp = orthogonal(q, v)
+    return _reduce_by(q, v, orthogonal(q, v))
+
+
+def _reduce_by(q: SigmaModule, v: Subspace, perp: Subspace) -> IsotropicReduction:
+    # isotropic_reduction for a caller that has computed perp, the orthogonal of v
     if not perp.contains(v):
         raise IsotropyError("subspace is not totally isotropic")
     comp = complement_in(v, perp)
@@ -367,13 +373,15 @@ def is_isomorphic(
     A witness f satisfies  B1_k = f^T B2_k f  for all k.  Over a prime
     field the column-by-column Gram backtracking below is an exhaustive
     search, hence a full decision for the small dimensions this package
-    targets; over the rationals the search runs over bounded integer
-    vectors and can only answer yes or unknown.  ``strategy`` is one of
-    ``auto`` (invariants, then search), ``invariants`` or ``search``.
+    targets; over the rationals the search runs over a bounded box of
+    small rationals and can only answer yes or unknown.  ``strategy``
+    is one of ``auto`` (invariants, then search), ``invariants`` or
+    ``search``.
 
     Cheap invariants (ranks of the coordinate matrices, of their stacked
     matrix, and of small linear combinations) are congruence invariants
-    and refute quickly.
+    and refute quickly.  Invariants and search run on plain ints, and
+    every witness is rechecked exactly.
     """
     if strategy not in ("auto", "invariants", "search"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -399,44 +407,76 @@ def is_isomorphic(
 
 
 def _congruence_invariants_match(q1: SigmaModule, q2: SigmaModule) -> bool:
-    for a, b in zip(q1.forms, q2.forms):
-        if a.rank() != b.rank():
-            return False
-    stacked1 = Matrix(q1.field, [r for b in q1.forms for r in b.rows])
-    stacked2 = Matrix(q2.field, [r for b in q2.forms for r in b.rows])
-    if stacked1.rank() != stacked2.rank():
-        return False
+    """Whether the ranks of each form, of the stacked forms and of every
+    combination sum c_k B_k agree, c_k over F_p or in -2..2 over QQ.
+
+    The ranks are taken on plain ints: over F_p of the entries mod p,
+    over QQ of each module's forms scaled by the lcm of all their
+    denominators, which keeps every rank.
+    """
     field = q1.field
-    coeff_range = field.elements() if field.kind == "fp" else [field.from_int(c) for c in range(-2, 3)]
-    for coeffs in itertools.product(coeff_range, repeat=q1.dim_w):
-        if all(c == field.zero for c in coeffs):
+    p = field.p if field.kind == "fp" else 0
+    forms1, forms2 = _integer_forms(q1, p), _integer_forms(q2, p)
+    for a, b in zip(forms1, forms2):
+        if rank_mod_p(a, p) != rank_mod_p(b, p):
+            return False
+    if rank_mod_p([r for a in forms1 for r in a], p) != rank_mod_p([r for b in forms2 for r in b], p):
+        return False
+    for coeffs in itertools.product(range(p) if p else range(-2, 3), repeat=q1.dim_w):
+        if not any(coeffs):
             continue
-        combo1 = combo2 = None
-        for c, a, b in zip(coeffs, q1.forms, q2.forms):
-            ta, tb = a.scale(c), b.scale(c)
-            combo1 = ta if combo1 is None else combo1 + ta
-            combo2 = tb if combo2 is None else combo2 + tb
-        if combo1.rank() != combo2.rank():
+        if rank_mod_p(_combination(forms1, coeffs, p), p) != rank_mod_p(
+            _combination(forms2, coeffs, p), p
+        ):
             return False
     return True
 
 
-def _candidate_vectors(field, n: int):
-    if field.kind == "fp":
-        return [v for v in vectors_of(field, n) if any(e != field.zero for e in v)]
-    # a bounded box of small rationals; enough to witness small isomorphisms
-    from fractions import Fraction
+def _integer_forms(q: SigmaModule, p: int) -> list:
+    """The forms of q on plain ints: mod p over F_p (p > 0), and over QQ
+    (p == 0) all scaled by the lcm of all their denominators."""
+    if p:
+        return [[[x % p for x in row] for row in b.rows] for b in q.forms]
+    d = _denominator_lcm(*q.forms)
+    return [_integer_rows(b, d) for b in q.forms]
 
-    box = [Fraction(c) for c in (0, 1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
-    out = []
-    for v in itertools.product(box, repeat=n):
-        if any(e != field.zero for e in v):
-            out.append(v)
-    return out
+
+def _denominator_lcm(*mats) -> int:
+    """The lcm of the denominators of every entry of rational matrices."""
+    return math.lcm(*(x.denominator for m in mats for row in m.rows for x in row))
+
+
+def _integer_rows(b: Matrix, d: int) -> list:
+    """d * b on plain ints, for d a multiple of every denominator of b."""
+    return [[x.numerator * (d // x.denominator) for x in row] for row in b.rows]
+
+
+def _combination(forms, coeffs, p: int) -> list:
+    """sum c_k B_k on plain ints, each entry reduced mod p when p > 0: an
+    entry that vanishes only mod p must not count toward the rank."""
+    n = len(forms[0])
+    combo = [
+        [sum(c * b[i][j] for c, b in zip(coeffs, forms) if c) for j in range(n)]
+        for i in range(n)
+    ]
+    return [[x % p for x in row] for row in combo] if p else combo
+
+
+# over QQ the search box {0, ±1, ±2, ±1/2} times 2, in search order
+_DOUBLED_BOX = (0, 2, -2, 4, -4, 1, -1)
 
 
 def _isometry_search(q1: SigmaModule, q2: SigmaModule, node_budget: int):
     """Backtracking search for columns c_i with c_i^T B2_k c_j = B1_k[i][j].
+
+    Candidate columns are int tuples: over F_p the nonzero vectors of
+    range(p)^n, over QQ the nonzero vectors of the box times 2, where a
+    column c stands for c/2.  With D_k the lcm of the denominators of
+    B1_k and B2_k the test is c_i^T (D_k B2_k) c_j == 4 D_k B1_k[i][j]
+    on ints; over F_p it is c_i^T B2_k c_j == B1_k[i][j] mod p.  The
+    diagonal values c^T M_k c of every candidate are computed once per
+    call; M_k c and c^T M_k only for a candidate whose diagonal matches.
+    Each visited candidate costs one unit of ``node_budget``.
 
     Returns (witness or None, whether the search space was exhausted).
     """
@@ -444,47 +484,67 @@ def _isometry_search(q1: SigmaModule, q2: SigmaModule, node_budget: int):
     n = q1.dim_h
     if n == 0:
         return Matrix(field, []), True
-    candidates = _candidate_vectors(field, n)
-    targets = q1.forms
-    b2 = q2.forms
+    if field.kind == "fp":
+        p, values = field.p, range(field.p)
+        mats = [b.rows for b in q2.forms]
+        targets = [b.rows for b in q1.forms]
+    else:
+        p, values = 0, _DOUBLED_BOX
+        mats, targets = [], []
+        for b1, b2 in zip(q1.forms, q2.forms):
+            d = _denominator_lcm(b1, b2)
+            mats.append(_integer_rows(b2, d))
+            targets.append(_integer_rows(b1, 4 * d))
+    columns = [list(zip(*m)) for m in mats]
+    wanted = [tuple(t[i][i] for t in targets) for i in range(n)]
+
+    def pair(u, v) -> int:
+        s = sum(a * b for a, b in zip(u, v))
+        return s % p if p else s
+
+    candidates = []
+    for c in itertools.product(values, repeat=n):
+        if any(c):
+            diagonal = tuple(pair(c, [sum(a * x for a, x in zip(row, c)) for row in m]) for m in mats)
+            candidates.append((c, diagonal))
     chosen: list[tuple] = []
     budget = [node_budget]
 
-    def gram_ok(c) -> bool:
+    def gram_ok(c, diagonal) -> bool:
         # the diagonal entries first, for every k: most candidates fail there
         i = len(chosen)
-        if any(dotform(field, c, b, c) != t[i][i] for b, t in zip(b2, targets)):
+        if diagonal != wanted[i]:
             return False
         if i == 0:
             return True
-        for b, t in zip(b2, targets):
-            bc = b.mat_vec(c)
-            cb = b.vec_mat(c)
+        for m, cols, t in zip(mats, columns, targets):
+            mc = [sum(a * x for a, x in zip(row, c)) for row in m]
+            cm = [sum(a * x for a, x in zip(col, c)) for col in cols]
             for j in range(i):
-                # pair (j, i) uses B2 c, pair (i, j) uses c^T B2
-                if dot(field, chosen[j], bc) != t[j][i]:
+                # pair (j, i) uses M c, pair (i, j) uses c^T M
+                if pair(chosen[j], mc) != t[j][i]:
                     return False
-                if dot(field, cb, chosen[j]) != t[i][j]:
+                if pair(cm, chosen[j]) != t[i][j]:
                     return False
         return True
 
     def independent(c) -> bool:
-        m = Matrix(field, chosen + [list(c)])
-        return m.rank() == len(chosen) + 1
+        return rank_mod_p(chosen + [c], p) == len(chosen) + 1
 
     def extend() -> tuple:
         if len(chosen) == n:
-            return Matrix(field, chosen).transpose(), True
+            cols = chosen if p else [[Fraction(x, 2) for x in c] for c in chosen]
+            return Matrix(field, cols).transpose(), True
         complete = True
-        for c in candidates:
+        for c, diagonal in candidates:
             if budget[0] <= 0:
                 return None, False
             budget[0] -= 1
-            if not gram_ok(c):
+            if not gram_ok(c, diagonal):
                 continue
             if not independent(c):
                 continue
-            chosen.append(tuple(c))
+            chosen.append(c)
             found, sub_complete = extend()
             chosen.pop()
             if found is not None:

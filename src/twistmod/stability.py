@@ -60,6 +60,9 @@ from .linalg import (
 from .sigmamod import (
     LinearPiece,
     SigmaModule,
+    _denominator_lcm,
+    _integer_rows,
+    _reduce_by,
     act,
     dotform,
     is_isomorphic,
@@ -207,6 +210,44 @@ def _pairing(forms, p: int):
     return images, kills
 
 
+def _line_table(forms, p: int, n: int) -> list:
+    """The isotropic lines of F_p^n under the forms (n x n plain ints):
+    for each pivot column, the (u, images(u)) of the isotropic echelon
+    rows u with that pivot, free entries in product order.
+
+    The images are built incrementally.  The next u in product order
+    adds one to an entry j and wraps the entries after it to 0; each of
+    those changes is one step of +1 mod p, which adds column j of each
+    form, mod p.  So a line costs the changed columns, not a full
+    product, and nothing is tabulated over range(p).
+    """
+    _, kills = _pairing(forms, p)
+    columns = [[tuple(row[j] % p for row in b) for b in forms] for j in range(n)]
+    lines = []
+    for pc in range(n):
+        found = []
+        u = [0] * n
+        u[pc] = 1
+        imgs = columns[pc]
+        while True:
+            if kills(u, imgs):
+                found.append((tuple(u), imgs))
+            j = n - 1
+            while j > pc:
+                u[j] = (u[j] + 1) % p
+                imgs = [
+                    tuple((a + b) % p for a, b in zip(img, col))
+                    for img, col in zip(imgs, columns[j])
+                ]
+                if u[j]:
+                    break
+                j -= 1
+            if j == pc:
+                break
+        lines.append(found)
+    return lines
+
+
 def _isotropic_scanner(forms, p: int, n: int):
     """``scan(dims)`` yields (rows, pivots, images) for every nonzero
     totally isotropic subspace V of F_p^n whose dimension is in ``dims``
@@ -222,22 +263,12 @@ def _isotropic_scanner(forms, p: int, n: int):
     partial basis is dropped as soon as a pairing u_i^T B_k u_j is
     nonzero.  V is totally isotropic exactly when all of them vanish, so
     no symmetry of the forms is assumed.  The isotropic lines are found
-    once, here, for every scan; more than MAX_LINES lines in F_p^n raise
-    BoundExceededError before that.
+    once, by _line_table, for every scan; more than MAX_LINES lines in
+    F_p^n raise BoundExceededError before that.
     """
     _check_lines(p, n)
-    images, kills = _pairing(forms, p)
-
-    # isotropic echelon rows by pivot column, free entries in product order
-    lines = []
-    for pc in range(n):
-        found = []
-        for tail in itertools.product(range(p), repeat=n - 1 - pc):
-            u = (0,) * pc + (1,) + tail
-            imgs = images(u)
-            if kills(u, imgs):
-                found.append((u, imgs))
-        lines.append(found)
+    _, kills = _pairing(forms, p)
+    lines = _line_table(forms, p, n)
 
     def grow(pivots, rows, basis):
         r = len(basis)
@@ -291,14 +322,15 @@ def semistability_verdict(
     worse, equality = _witnesses(q, _candidates(q, enum_bound, primes, tried, by_prime=True))
     provenance = Provenance(kind, tuple(tried))
     if worse is not None:
-        return _certified(UNSTABLE, provenance, q, worse)
+        return _certified(UNSTABLE, provenance, q, worse[0])
     if equality is not None:
-        return _certified(STRICTLY_SEMISTABLE, provenance, q, equality)
+        return _certified(STRICTLY_SEMISTABLE, provenance, q, equality[0])
     return Verdict(STABLE if kind == "exhaustive" else NO_DESTABILIZER_FOUND, provenance)
 
 
 def _witnesses(q: SigmaModule, candidates):
-    """(destabilizer, equality) over the (V, dim V^perp) of ``candidates``.
+    """(destabilizer, equality) over the (V, dim V^perp, V^perp or None)
+    of ``candidates``, each one of those triples or None.
 
     The scan stops at the first V with dim V + dim V^perp > dim H, the
     destabilizer; equality is the first V before it meeting equality.
@@ -306,12 +338,13 @@ def _witnesses(q: SigmaModule, candidates):
     """
     n = q.dim_h
     equality = None
-    for v, perp_dim in candidates:
+    for found in candidates:
+        v, perp_dim, _ = found
         total = v.dim + perp_dim
         if total > n:
-            return v, equality
+            return found, equality
         if total == n and equality is None:
-            equality = v
+            equality = found
     return None, equality
 
 
@@ -340,10 +373,9 @@ def _lift_subspace(rows, p: int, balanced: bool) -> tuple:
     return tuple(tuple(x - p if x > top else x for x in row) for row in rows)
 
 
-def _integer_form(b: Matrix) -> tuple:
+def _integer_form(b: Matrix) -> list:
     """D B on plain ints, D the lcm of B's denominators; both kill the same pairs."""
-    d = math.lcm(*(x.denominator for row in b.rows for x in row))
-    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in b.rows)
+    return _integer_rows(b, _denominator_lcm(b))
 
 
 def _grams_vanish(forms, rows) -> bool:
@@ -356,8 +388,9 @@ def _grams_vanish(forms, rows) -> bool:
 
 
 def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: bool):
-    """Yield (V, dim V^perp) for the totally isotropic V that the subspace
-    criterion is tested on.
+    """Yield (V, dim V^perp, V^perp or None) for the totally isotropic V
+    that the subspace criterion is tested on; V^perp is given when the
+    stream computed it, that is for the QQ lifts.
 
     Over F_p these are all of them, in canonical order.  Over QQ the
     nonzero joint kernel comes first, with the whole of H as its
@@ -379,11 +412,11 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
         _check_enumerable(q, enum_bound)
         p = q.field.p
         for rows, pivots, images in _isotropic_scanner([b.rows for b in q.forms], p, n)():
-            yield Subspace._from_echelon(q.field, n, rows, pivots), n - rank_mod_p(images, p)
+            yield Subspace._from_echelon(q.field, n, rows, pivots), n - rank_mod_p(images, p), None
         return
     kernel = joint_kernel(q)
     if not kernel.is_zero():
-        yield kernel, n
+        yield kernel, n, None
     if n > enum_bound:
         raise BoundExceededError(
             f"dim {n} exceeds the enumeration bound {enum_bound}"
@@ -393,9 +426,7 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
     else:
         steps = [(p, (d,)) for d in range(1, n + 1) for p in primes]
     forms = [_integer_form(b) for b in q.forms]
-    denominators = math.lcm(
-        *(x.denominator for m in (q.w.matrix, *q.forms) for row in m.rows for x in row)
-    )
+    denominators = _denominator_lcm(q.w.matrix, *q.forms)
     scans: dict = {}
     # lifts are int rows, and an int equals and hashes as the same Fraction
     seen = {kernel.basis.rows}
@@ -419,7 +450,7 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
                 )
                 perp = orthogonal(q, v)
                 if perp.contains(v):
-                    yield v, perp.dim
+                    yield v, perp.dim, perp
 
 
 class _Level(NamedTuple):
@@ -443,12 +474,16 @@ def _build_levels(q, enum_bound, primes):
     while True:
         # one scan, dimension ascending, per level: it doubles as the
         # level's semistability check, and v is its smallest equality witness
-        worse, v = _witnesses(current, _candidates(current, enum_bound, primes, [], by_prime=False))
+        worse, equality = _witnesses(
+            current, _candidates(current, enum_bound, primes, [], by_prime=False)
+        )
         if worse is not None:
             raise StabilityError("module is unstable")
-        if v is None:
+        if equality is None:
             break
-        reduction = isotropic_reduction(current, v)
+        v, _, perp = equality
+        # a QQ lift comes with the orthogonal its recheck computed
+        reduction = isotropic_reduction(current, v) if perp is None else _reduce_by(current, v, perp)
         dual = complement_in(reduction.perp, Subspace.full(field, current.dim_h))
         alpha = tuple(
             Matrix(

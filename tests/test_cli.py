@@ -218,6 +218,9 @@ IGNORED_OPTIONS = {
     "sequiv-second-field": (["sequiv", "{fp7}", "{fixture}", "--field", "fp:7"], "rational"),
     "pfaffian-field": (["pfaffian", "{matrix}", "--field", "fp:7"], "rational"),
     "enumerate-prime-list": (["enumerate", "{fp7}", "--prime-list", "4"], "--prime-list"),
+    "check-fp-prime-list": (["check", "{fp7}", "--prime-list", "5,11"], "--prime-list"),
+    "gr-fp-prime-list": (["gr", "{fp7}", "--prime-list", "5"], "--prime-list"),
+    "sequiv-fp-prime-list": (["sequiv", "{fp7}", "{fp7}", "--prime-list", "5"], "--prime-list"),
     "fiber-plus-twist": (
         ["fiber", "--field", "rational", "--case", "plus", "-r", "2", "--twist", "{matrix}"],
         "--twist",

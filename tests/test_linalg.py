@@ -149,6 +149,14 @@ def test_rref_is_idempotent_and_rank_transpose_invariant():
             assert m.transpose().rank() == rank
             if field.kind == "fp":
                 assert rank_mod_p(m.rows, field.p) == rank
+            else:
+                # Bareiss over QQ, on the rows scaled to ints, and with one
+                # dependent row more, so rank-deficient inputs are covered
+                d = math.lcm(*(x.denominator for r in m.rows for x in r))
+                ints = [[x.numerator * (d // x.denominator) for x in r] for r in m.rows]
+                assert rank_mod_p(ints, 0) == rank
+                dependent = ints + [[2 * a - b for a, b in zip(ints[0], ints[-1])]]
+                assert rank_mod_p(dependent, 0) == rank
 
 
 def test_kernel_worked_example_f2():

@@ -6,11 +6,13 @@ enumeration written from scratch here.
 
 import itertools
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
 from twistmod.errors import FieldError, IsotropyError, SingularMatrixError
-from twistmod.linalg import GF, QQ, Matrix, Subspace, vectors_of
+from twistmod.linalg import GF, QQ, Matrix, Subspace, dot, rank_mod_p, vectors_of
 from twistmod.sigmamod import (
     NOT_ISOTROPIC,
     SIGMA_ISOTROPIC,
@@ -18,8 +20,11 @@ from twistmod.sigmamod import (
     InvolutionSpace,
     LinearPiece,
     SigmaModule,
+    _congruence_invariants_match,
+    _isometry_search,
     act,
     direct_sum,
+    dotform,
     hyperbolic_module,
     is_isomorphic,
     isotropic_reduction,
@@ -47,8 +52,6 @@ def random_module(rng, field, dim_h, w, sign):
     def rand_entry():
         if field.kind == "fp":
             return rng.randrange(field.p)
-        from fractions import Fraction
-
         return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
 
     raw = [
@@ -369,6 +372,193 @@ def test_isomorphism_over_q_is_a_semi_decision():
     assert is_isomorphic(q1, q4).status in ("yes", "unknown")
     with pytest.raises(FieldError):
         is_isomorphic(q1, module_1form(QQ, [[0, -1], [1, 0]], sign=-1))
+
+
+# The search and the invariants as they ran on field elements, before
+# both moved to plain ints: generic Field ops, Fractions and Matrix.rank.
+# They are the reference the int path must match answer for answer.
+
+
+def reference_invariants_match(q1, q2):
+    for a, b in zip(q1.forms, q2.forms):
+        if a.rank() != b.rank():
+            return False
+    stacked1 = Matrix(q1.field, [r for b in q1.forms for r in b.rows])
+    stacked2 = Matrix(q2.field, [r for b in q2.forms for r in b.rows])
+    if stacked1.rank() != stacked2.rank():
+        return False
+    field = q1.field
+    coeff_range = field.elements() if field.kind == "fp" else [field.from_int(c) for c in range(-2, 3)]
+    for coeffs in itertools.product(coeff_range, repeat=q1.dim_w):
+        if all(c == field.zero for c in coeffs):
+            continue
+        combo1 = combo2 = None
+        for c, a, b in zip(coeffs, q1.forms, q2.forms):
+            ta, tb = a.scale(c), b.scale(c)
+            combo1 = ta if combo1 is None else combo1 + ta
+            combo2 = tb if combo2 is None else combo2 + tb
+        if combo1.rank() != combo2.rank():
+            return False
+    return True
+
+
+def reference_isometry_search(q1, q2, node_budget):
+    field = q1.field
+    n = q1.dim_h
+    if n == 0:
+        return Matrix(field, []), True
+    if field.kind == "fp":
+        box = field.elements()
+    else:
+        box = [Fraction(c) for c in (0, 1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
+    candidates = [v for v in itertools.product(box, repeat=n) if any(e != field.zero for e in v)]
+    targets, b2 = q1.forms, q2.forms
+    chosen = []
+    budget = [node_budget]
+    visits = []
+
+    def gram_ok(c):
+        visits.append(c)
+        i = len(chosen)
+        if any(dotform(field, c, b, c) != t[i][i] for b, t in zip(b2, targets)):
+            return False
+        for b, t in zip(b2, targets):
+            bc, cb = b.mat_vec(c), b.vec_mat(c)
+            for j in range(i):
+                if dot(field, chosen[j], bc) != t[j][i] or dot(field, cb, chosen[j]) != t[i][j]:
+                    return False
+        return True
+
+    def extend():
+        if len(chosen) == n:
+            return Matrix(field, chosen).transpose(), True
+        complete = True
+        for c in candidates:
+            if budget[0] <= 0:
+                return None, False
+            budget[0] -= 1
+            if not gram_ok(c):
+                continue
+            if Matrix(field, chosen + [list(c)]).rank() != len(chosen) + 1:
+                continue
+            chosen.append(tuple(c))
+            found, sub_complete = extend()
+            chosen.pop()
+            if found is not None:
+                return found, True
+            complete = complete and sub_complete
+        return None, complete
+
+    return extend(), len(visits)
+
+
+def int_search(q1, q2, node_budget):
+    """_isometry_search with its visits, counted as the benchmark's
+    sigmamod.isometry_nodes counts them: calls of its nested gram_ok."""
+    visits = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is gram_ok_code:
+            visits[0] += 1
+
+    gram_ok_code = next(
+        c for c in _isometry_search.__code__.co_consts if getattr(c, "co_name", None) == "gram_ok"
+    )
+    sys.setprofile(profile)
+    try:
+        result = _isometry_search(q1, q2, node_budget)
+    finally:
+        sys.setprofile(None)
+    return result, visits[0]
+
+
+def random_invertible(rng, field, n, entries):
+    while True:
+        g = Matrix(field, [[rng.choice(entries) for _ in range(n)] for _ in range(n)])
+        if g.det() != field.zero:
+            return g
+
+
+def oracle_pairs(rng, field, n, w, sign, count):
+    """Pairs (q, act(g, q)), isomorphic, and (q, q'), mostly not."""
+    entries = field.elements() if field.kind == "fp" else [Fraction(c) for c in (0, 1, -1, 2)]
+    for _ in range(count):
+        q = random_module(rng, field, n, w, sign)
+        yield q, act(random_invertible(rng, field, n, entries), q)
+        yield q, random_module(rng, field, n, w, sign)
+
+
+def assert_search_matches(q1, q2, node_budget):
+    # same witness, same exhausted flag, and the same candidates visited
+    expected = reference_isometry_search(q1, q2, node_budget)
+    assert int_search(q1, q2, node_budget) == expected
+    return expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_int_search_and_invariants_match_the_field_reference_over_fp(p):
+    rng = random.Random(1000 + p)
+    field = GF(p)
+    outcomes = set()
+    for n in (2, 3):
+        for w in (trivial_w(field), swap_w(field)):
+            for sign in (1, -1):
+                for q1, q2 in oracle_pairs(rng, field, n, w, sign, 2):
+                    assert _congruence_invariants_match(q1, q2) == reference_invariants_match(q1, q2)
+                    for budget in (1, 7, 50, 500_000 if p ** n < 64 else 2_000):
+                        (witness, exhausted), _ = assert_search_matches(q1, q2, budget)
+                        outcomes.add((witness is not None, exhausted))
+    # found, refuted after a full search, and cut by the budget all occur
+    assert {(True, True), (False, True), (False, False)} <= outcomes
+
+
+def test_int_search_and_invariants_match_the_field_reference_over_qq():
+    rng = random.Random(2024)
+    outcomes = set()
+    for dens in ((1, 2), (1, 3)):
+
+        def entry():
+            return Fraction(rng.choice((0, 0, 1, -1, 2)), rng.choice(dens))
+
+        for n in (2, 3):
+            for w in (trivial_w(QQ), swap_w(QQ)):
+                for sign in (1, -1):
+                    q = symmetrize(QQ, n, w, sign, [
+                        Matrix(QQ, [[entry() for _ in range(n)] for _ in range(n)]) for _ in range(w.dim)
+                    ])
+                    small = [Fraction(c) for c in (0, 1, -1)]
+                    others = [act(random_invertible(rng, QQ, n, small), q)]
+                    others.append(act(Matrix(QQ, [[Fraction(1, 2) if i == j else 0 for j in range(n)] for i in range(n)]), q))
+                    for q2 in others:
+                        assert _congruence_invariants_match(q, q2) == reference_invariants_match(q, q2)
+                        for budget in (1, 7, 50, 500_000 if n == 2 else 3_000):
+                            (witness, exhausted), _ = assert_search_matches(q, q2, budget)
+                            outcomes.add((witness is not None, exhausted))
+    assert {(True, True), (False, False)} <= outcomes
+
+
+def test_invariants_reduce_a_combination_that_vanishes_only_mod_p():
+    # over F_3 with the swap involution, c_1 B_1 + c_2 B_2 can have entries
+    # such as 3 or 6 as raw ints: zero mod 3, and a rank that took them for
+    # pivots would differ between isomorphic modules, a false "no"
+    rng = random.Random(7)
+    field = GF(3)
+    w = swap_w(field)
+    misled = 0
+    for _ in range(40):
+        q = random_module(rng, field, 2, w, 1)
+        q2 = act(random_invertible(rng, field, 2, field.elements()), q)
+        for coeffs in itertools.product(range(3), repeat=2):
+            raw = [
+                [[sum(c * b.rows[i][j] for c, b in zip(coeffs, m.forms)) for j in range(2)] for i in range(2)]
+                for m in (q, q2)
+            ]
+            if rank_mod_p(raw[0], 3) != rank_mod_p(raw[1], 3):
+                misled += 1
+        assert reference_invariants_match(q, q2)
+        assert _congruence_invariants_match(q, q2)
+        assert is_isomorphic(q, q2).status == "yes"
+    assert misled > 0
 
 
 def test_direct_sum_validates_and_distributes_isotropy():

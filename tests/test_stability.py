@@ -9,6 +9,9 @@ Subspace machinery.
 import itertools
 import math
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -165,9 +168,10 @@ def test_pruned_search_matches_the_filtered_scan():
                     for v in all_subspaces(field, n)
                     if isotropy_class(q, v) == TOTALLY_ISOTROPIC
                 ]
-                assert [v for v, _ in found] == expected
-                for v, perp_dim in found:
+                assert [v for v, _, _ in found] == expected
+                for v, perp_dim, perp in found:
                     assert perp_dim == orthogonal(q, v).dim
+                    assert perp is None
     assert not validate(modules[-1])
 
 
@@ -183,7 +187,7 @@ def test_survivors_are_built_in_canonical_form():
         for n in (1, 2, 3, 4):
             zero = SigmaModule(field, n, trivial_w(field), 1, [Matrix.zeros(field, n, n)])
             for q in (zero, random_module(rng, field, n, swap_w(field), -1)):
-                stream = [v for v, _ in _candidates(q, 4, (), [], by_prime=True)]
+                stream = [v for v, _, _ in _candidates(q, 4, (), [], by_prime=True)]
                 assert stream == list(enumerate_totally_isotropic(q))
                 for v in stream + list(enumerate_totally_isotropic(q)):
                     public = Subspace(field, n, v.basis.rows)
@@ -193,6 +197,61 @@ def test_survivors_are_built_in_canonical_form():
                     assert hash(v) == hash(public)
                     total += 1
     assert total > 1000
+
+
+def test_line_table_matches_the_direct_product_order_table():
+    # the incremental table against images(u) computed in full for every
+    # u in product order; alternating forms keep every line, so every
+    # line's images are compared, and random forms keep some of them
+    rng = random.Random(17)
+    compared = 0
+    for p in (2, 3, 5, 7):
+        for n in (1, 2, 3, 4):
+            for k in (1, 2):
+                square = [[[rng.randrange(p) for _ in range(n)] for _ in range(n)] for _ in range(k)]
+                alternating = [
+                    [[(b[i][j] - b[j][i]) % p for j in range(n)] for i in range(n)] for b in square
+                ]
+                for forms in (square, alternating):
+                    images, kills = stability._pairing(forms, p)
+                    expected = []
+                    for pc in range(n):
+                        found = []
+                        for tail in itertools.product(range(p), repeat=n - 1 - pc):
+                            u = (0,) * pc + (1,) + tail
+                            if kills(u, images(u)):
+                                found.append((u, images(u)))
+                        expected.append(found)
+                    assert stability._line_table(forms, p, n) == expected
+                    compared += sum(map(len, expected))
+                    if forms is alternating:
+                        assert sum(map(len, expected)) == (p**n - 1) // (p - 1)
+    assert compared > 1000
+
+
+def test_a_line_over_a_huge_field_builds_nothing_sized_by_p():
+    # F_p^1 has one line whatever p, so it passes the line bound, and the
+    # scan must then build nothing sized by p.  The scan runs in a child
+    # process with its address space capped, so a table over range(p)
+    # fails there at once instead of filling the machine's memory.
+    code = (
+        "from twistmod.linalg import GF, Matrix\n"
+        "from twistmod.sigmamod import InvolutionSpace, SigmaModule\n"
+        "from twistmod.stability import enumerate_totally_isotropic, semistability_verdict\n"
+        "f = GF(2305843009213693951)\n"
+        "for entry in (0, 3):\n"
+        "    q = SigmaModule(f, 1, InvolutionSpace.trivial(f), 1, [Matrix(f, [[entry]])])\n"
+        "    print(len(enumerate_totally_isotropic(q)), semistability_verdict(q).status)\n"
+    )
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, preexec_fn=cap
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == f"1 {UNSTABLE}\n0 {STABLE}\n"
 
 
 def test_symplectic_count_matches_closed_form():
@@ -366,9 +425,11 @@ def test_rational_candidates_match_the_filtered_lifts():
                         tried = []
                         found = list(_candidates(q, 4, primes, tried, by_prime))
                         expected, reducible = reference(q, by_prime)
-                        assert [v for v, _ in found] == expected
-                        for v, perp_dim in found:
+                        assert [v for v, _, _ in found] == expected
+                        for v, perp_dim, perp in found:
                             assert perp_dim == orthogonal(q, v).dim
+                            # a lift carries the orthogonal its recheck computed
+                            assert perp is None or perp == orthogonal(q, v)
                         if by_prime:
                             assert tried == reducible
                         total += len(found)
