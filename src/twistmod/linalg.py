@@ -633,23 +633,32 @@ def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
     Extends the inner basis greedily with the vectors of the canonical
     outer basis in index order (for the full ambient space those are the
     standard basis vectors), keeping the ones that grow the span.  The
-    kept vectors span the complement.
+    kept vectors span the complement.  Each vector is reduced against
+    one growing echelon basis: a row per kept vector, monic at its pivot
+    and zero at the pivots of the rows before it, so a vector grows the
+    span exactly when it does not reduce to zero.
     """
     if not outer.contains(inner):
         raise ValueError("inner is not contained in outer")
     f = inner.field
-    current = [list(r) for r in inner.basis.rows]
+    zero = f.zero
+    # inner's basis is reduced echelon, so it starts the echelon basis as it is
+    echelon = list(zip(inner.pivots, inner.basis.rows))
     added = []
-    rank = inner.dim
     for candidate in outer.basis.rows:
-        trial = Matrix(f, current + [list(candidate)])
-        new_rank = trial.rank()
-        if new_rank > rank:
-            current.append(list(candidate))
-            added.append(candidate)
-            rank = new_rank
-        if rank == outer.dim:
+        if len(echelon) == outer.dim:
             break
+        v = list(candidate)
+        # in the order the rows were added, which keeps each cleared pivot at zero
+        for c, row in echelon:
+            a = v[c]
+            if a != zero:
+                v = [f.sub(x, f.mul(a, y)) for x, y in zip(v, row)]
+        lead = next((i for i, x in enumerate(v) if x != zero), None)
+        if lead is not None:
+            inv = f.inv(v[lead])
+            echelon.append((lead, [f.mul(x, inv) for x in v]))
+            added.append(candidate)
     return Subspace(f, inner.ambient, added)
 
 

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
+    BoundExceededError,
     FieldError,
     InternalCheckError,
     IsotropyError,
@@ -381,7 +382,9 @@ def is_isomorphic(
     Cheap invariants (ranks of the coordinate matrices, of their stacked
     matrix, and of small linear combinations) are congruence invariants
     and refute quickly.  Invariants and search run on plain ints, and
-    every witness is rechecked exactly.
+    every witness is rechecked exactly.  Over F_p both list their
+    vectors, p^dim_w combinations and p^dim_h - 1 columns, so more than
+    MAX_LINES of either raise BoundExceededError before any work.
     """
     if strategy not in ("auto", "invariants", "search"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -390,6 +393,12 @@ def is_isomorphic(
         return IsoResult("no")
     if q1 == q2:
         return IsoResult("yes", Matrix.identity(q1.field, q1.dim_h))
+    if q1.field.kind == "fp":
+        # both lists are materialised: the combinations of the forms and
+        # the nonzero candidate columns
+        p = q1.field.p
+        _check_search_size(p**q1.dim_w, f"F_{p}^{q1.dim_w}", "form combinations")
+        _check_search_size(p**q1.dim_h - 1, f"F_{p}^{q1.dim_h}", "candidate columns")
 
     if strategy in ("auto", "invariants"):
         if not _congruence_invariants_match(q1, q2):
@@ -404,6 +413,18 @@ def is_isomorphic(
     if exhausted and q1.field.kind == "fp":
         return IsoResult("no")
     return IsoResult("unknown")
+
+
+# a search that lists or scans more vectors of F_p^n than this is
+# refused before any work
+MAX_LINES = 100_000
+
+
+def _check_search_size(count: int, space: str, what: str):
+    if count > MAX_LINES:
+        # int() refuses to print past 4300 digits, so name a huge count by its size
+        shown = count if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
+        raise BoundExceededError(f"{space} has {shown} {what}, over the search bound {MAX_LINES}")
 
 
 def _congruence_invariants_match(q1: SigmaModule, q2: SigmaModule) -> bool:

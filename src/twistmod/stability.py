@@ -12,7 +12,7 @@ One candidate stream serves both the verdict and each filtration step.
 Over F_p it is the pruned enumeration of every totally isotropic
 subspace.  Over the rationals it starts with the joint kernel when that
 is nonzero, then lifts the totally isotropic subspaces of the reductions
-mod a list of primes, each reduction building its line table once.  Each
+mod a list of primes, each reduction finding its lines once.  Each
 form B_k is scaled once to the integers D_kB_k, D_k the lcm of its
 denominators, and the reduction mod p is D_kB_k mod p on plain ints; a
 prime that divides a denominator of the involution or of a form is
@@ -20,9 +20,18 @@ skipped.  A lift is dropped unless its Gram entries vanish against the
 integer forms, and each kept lift is rechecked once, exactly: its
 orthogonal is computed over QQ and must contain it.
 
+A scan stops at its first equality witness when some form B_k is
+nonsingular: the rows B_k u over a basis of V are then independent
+constraints on V^perp, so dim V + dim V^perp <= dim H for every V and
+nothing later in the stream can destabilize.  The isotropic lines of a
+reduction are found on demand, so a scan that stops early pays only for
+the lines it reached.  The F_p verdict and every filtration level stop
+this way; the rational verdict scans in full, since its provenance
+lists every prime it scanned.
+
 A strictly semistable module carries a filtration by successive minimal
-equality witnesses.  Each level is one full scan of the stream, which
-also refuses an unstable module, so no separate verdict runs before the
+equality witnesses.  Each level is one scan of the stream, which also
+refuses an unstable module, so no separate verdict runs before the
 filtration.  Peeling the witnesses off leaves a stable core, and the
 witnesses together with their dual pairings reassemble into the graded
 module: the nested hyperbolic wrapping of the core.  Two semistable
@@ -60,6 +69,7 @@ from .linalg import (
 from .sigmamod import (
     LinearPiece,
     SigmaModule,
+    _check_search_size,
     _denominator_lcm,
     _integer_rows,
     _reduce_by,
@@ -178,19 +188,9 @@ def _check_enumerable(q: SigmaModule, bound: int):
         )
 
 
-# a search first scans every line of F_p^n, so it is refused before any
-# work when there are more lines than this; F_13^4 has 2,380
-MAX_LINES = 100_000
-
-
 def _check_lines(p: int, n: int):
-    lines = (p**n - 1) // (p - 1)
-    if lines > MAX_LINES:
-        # int() refuses to print past 4300 digits, so name a huge count by its size
-        count = lines if lines.bit_length() <= 64 else f"at least 2^{lines.bit_length() - 1}"
-        raise BoundExceededError(
-            f"F_{p}^{n} has {count} candidate lines, over the search bound {MAX_LINES}"
-        )
+    # a search may scan every line of F_p^n; F_13^4 has 2,380
+    _check_search_size((p**n - 1) // (p - 1), f"F_{p}^{n}", "candidate lines")
 
 
 def _pairing(forms, p: int):
@@ -210,10 +210,10 @@ def _pairing(forms, p: int):
     return images, kills
 
 
-def _line_table(forms, p: int, n: int) -> list:
-    """The isotropic lines of F_p^n under the forms (n x n plain ints):
-    for each pivot column, the (u, images(u)) of the isotropic echelon
-    rows u with that pivot, free entries in product order.
+def _column_lines(forms, p: int, n: int, pc: int):
+    """Yield the isotropic lines of F_p^n with pivot column ``pc`` under
+    the forms (n x n plain ints): the (u, images(u)) of the isotropic
+    echelon rows u with that pivot, free entries in product order.
 
     The images are built incrementally.  The next u in product order
     adds one to an entry j and wraps the entries after it to 0; each of
@@ -223,29 +223,24 @@ def _line_table(forms, p: int, n: int) -> list:
     """
     _, kills = _pairing(forms, p)
     columns = [[tuple(row[j] % p for row in b) for b in forms] for j in range(n)]
-    lines = []
-    for pc in range(n):
-        found = []
-        u = [0] * n
-        u[pc] = 1
-        imgs = columns[pc]
-        while True:
-            if kills(u, imgs):
-                found.append((tuple(u), imgs))
-            j = n - 1
-            while j > pc:
-                u[j] = (u[j] + 1) % p
-                imgs = [
-                    tuple((a + b) % p for a, b in zip(img, col))
-                    for img, col in zip(imgs, columns[j])
-                ]
-                if u[j]:
-                    break
-                j -= 1
-            if j == pc:
+    u = [0] * n
+    u[pc] = 1
+    imgs = columns[pc]
+    while True:
+        if kills(u, imgs):
+            yield tuple(u), imgs
+        j = n - 1
+        while j > pc:
+            u[j] = (u[j] + 1) % p
+            imgs = [
+                tuple((a + b) % p for a, b in zip(img, col))
+                for img, col in zip(imgs, columns[j])
+            ]
+            if u[j]:
                 break
-        lines.append(found)
-    return lines
+            j -= 1
+        if j == pc:
+            return
 
 
 def _isotropic_scanner(forms, p: int, n: int):
@@ -262,13 +257,38 @@ def _isotropic_scanner(forms, p: int, n: int):
     each row running over its free entries in product order, and a
     partial basis is dropped as soon as a pairing u_i^T B_k u_j is
     nonzero.  V is totally isotropic exactly when all of them vanish, so
-    no symmetry of the forms is assumed.  The isotropic lines are found
-    once, by _line_table, for every scan; more than MAX_LINES lines in
-    F_p^n raise BoundExceededError before that.
+    no symmetry of the forms is assumed.
+
+    Each pivot column's isotropic lines are found by _column_lines on
+    first demand and kept for every later scan.  The first row of a
+    pivot pattern reads its column only as far as the scan goes, so a
+    scan that stops early pays only for the lines it reached; the later
+    rows, and a column some scan has read to its end, are plain lists.
+    More than MAX_LINES lines in F_p^n raise BoundExceededError before
+    any work.
     """
     _check_lines(p, n)
     _, kills = _pairing(forms, p)
-    lines = _line_table(forms, p, n)
+    found = [[] for _ in range(n)]
+    # the line generator of each column no scan has read to its end
+    sources = [_column_lines(forms, p, n, pc) for pc in range(n)]
+
+    def reading(pc):
+        # one reader per column at a time: a scan reads a column lazily
+        # only as the first row of a pivot pattern, and a scan left
+        # unfinished is never resumed
+        lines = found[pc]
+        yield from lines
+        for line in sources[pc]:
+            lines.append(line)
+            yield line
+        sources[pc] = None
+
+    def finished(pc):
+        if sources[pc] is not None:
+            for _ in reading(pc):
+                pass
+        return found[pc]
 
     def grow(pivots, rows, basis):
         r = len(basis)
@@ -285,12 +305,15 @@ def _isotropic_scanner(forms, p: int, n: int):
         for d in range(1, n + 1) if dims is None else dims:
             for pivots in itertools.combinations(range(n), d):
                 # row r must vanish on the later pivot columns
-                rows = [
-                    [e for e in lines[pc] if not any(e[0][c] for c in pivots[r + 1 :])]
-                    for r, pc in enumerate(pivots)
+                later = [
+                    [e for e in finished(pc) if not any(e[0][c] for c in pivots[r + 1 :])]
+                    for r, pc in enumerate(pivots[1:], 1)
                 ]
-                if all(rows):
-                    yield from grow(pivots, rows, [])
+                if all(later):
+                    first = found[pivots[0]] if sources[pivots[0]] is None else reading(pivots[0])
+                    if d > 1:
+                        first = (e for e in first if not any(e[0][c] for c in pivots[1:]))
+                    yield from grow(pivots, [first] + later, [])
 
     return scan
 
@@ -319,7 +342,10 @@ def semistability_verdict(
         raise FieldError("heuristic strategy is for the rational field")
     kind = "exhaustive" if q.field.kind == "fp" else "heuristic"
     tried: list = []
-    worse, equality = _witnesses(q, _candidates(q, enum_bound, primes, tried, by_prime=True))
+    # the heuristic's provenance lists every prime it scanned, so it scans in full
+    worse, equality = _witnesses(
+        q, _candidates(q, enum_bound, primes, tried, by_prime=True), may_stop=kind == "exhaustive"
+    )
     provenance = Provenance(kind, tuple(tried))
     if worse is not None:
         return _certified(UNSTABLE, provenance, q, worse[0])
@@ -328,13 +354,16 @@ def semistability_verdict(
     return Verdict(STABLE if kind == "exhaustive" else NO_DESTABILIZER_FOUND, provenance)
 
 
-def _witnesses(q: SigmaModule, candidates):
+def _witnesses(q: SigmaModule, candidates, may_stop: bool):
     """(destabilizer, equality) over the (V, dim V^perp, V^perp or None)
     of ``candidates``, each one of those triples or None.
 
     The scan stops at the first V with dim V + dim V^perp > dim H, the
     destabilizer; equality is the first V before it meeting equality.
-    Either is None when the scan saw none.
+    Either is None when the scan saw none.  When ``may_stop`` is set and
+    _no_destabilizer(q) holds, the scan also stops at the first
+    equality: a full scan would return that same equality and no
+    destabilizer.
     """
     n = q.dim_h
     equality = None
@@ -345,7 +374,25 @@ def _witnesses(q: SigmaModule, candidates):
             return found, equality
         if total == n and equality is None:
             equality = found
+            if may_stop and _no_destabilizer(q):
+                break
     return None, equality
+
+
+def _no_destabilizer(q: SigmaModule) -> bool:
+    """Whether some form B_k has rank dim H.
+
+    Then the rows B_k u over a basis of any V are independent
+    constraints on V^perp, so dim V + dim V^perp <= dim H and no V
+    destabilizes.  A zero joint kernel is not enough: the forms can all
+    be singular with nothing killed by every one of them, and such a
+    module can be unstable.
+    """
+    n = q.dim_h
+    if q.field.kind == "fp":
+        p = q.field.p
+        return any(rank_mod_p([[x % p for x in row] for row in b.rows], p) == n for b in q.forms)
+    return any(rank_mod_p(_integer_form(b), 0) == n for b in q.forms)
 
 
 def _certified(status: str, provenance: Provenance, q: SigmaModule, v: Subspace) -> Verdict:
@@ -404,8 +451,10 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
     QQ.  The scan runs prime by prime, all dimensions each, when
     ``by_prime`` is set, and otherwise dimension by dimension, all
     primes each; the order fixes which witness comes first.  Each prime
-    is reduced, and its line table built, at most once, and appended to
-    ``tried`` whenever a scan of its reduction starts.
+    is reduced, and its scanner built, at most once, and appended to
+    ``tried`` whenever a scan of its reduction starts.  A prime whose
+    reduction has more than MAX_LINES lines is refused before any
+    reduction is scanned.
     """
     n = q.dim_h
     if q.field.kind == "fp":
@@ -421,18 +470,21 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
         raise BoundExceededError(
             f"dim {n} exceeds the enumeration bound {enum_bound}"
         )
+    denominators = _denominator_lcm(q.w.matrix, *q.forms)
+    primes = [p for p in primes if denominators % p]
+    # refuse a prime with too many lines before any reduction is scanned,
+    # however early a scan may stop
+    for p in primes:
+        _check_lines(p, n)
     if by_prime:
         steps = [(p, range(1, n + 1)) for p in primes]
     else:
         steps = [(p, (d,)) for d in range(1, n + 1) for p in primes]
     forms = [_integer_form(b) for b in q.forms]
-    denominators = _denominator_lcm(q.w.matrix, *q.forms)
     scans: dict = {}
     # lifts are int rows, and an int equals and hashes as the same Fraction
     seen = {kernel.basis.rows}
     for p, dims in steps:
-        if denominators % p == 0:
-            continue
         if p not in scans:
             reduced = [[[x % p for x in row] for row in b] for b in forms]
             scans[p] = _isotropic_scanner(reduced, p, n)
@@ -475,7 +527,7 @@ def _build_levels(q, enum_bound, primes):
         # one scan, dimension ascending, per level: it doubles as the
         # level's semistability check, and v is its smallest equality witness
         worse, equality = _witnesses(
-            current, _candidates(current, enum_bound, primes, [], by_prime=False)
+            current, _candidates(current, enum_bound, primes, [], by_prime=False), may_stop=True
         )
         if worse is not None:
             raise StabilityError("module is unstable")

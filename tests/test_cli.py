@@ -1,6 +1,7 @@
 """Exit codes and golden byte-for-byte command outputs."""
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -91,6 +92,43 @@ def test_check_strategy_and_prime_list(tmp_path, capsys):
     # a field cross-check that disagrees with the file
     code, _, err = run(capsys, "check", qpath, "--field", "fp:7")
     assert code == 1 and "fp:7" in err
+
+
+@pytest.mark.parametrize("command", ["gr", "sequiv"])
+def test_a_prime_with_too_many_lines_is_refused_before_any_scan(tmp_path, capsys, command):
+    # the fixture's filtration finds its witness mod 2 and could stop
+    # there, but the list is refused whole, before any reduction is scanned
+    path = put(tmp_path, "fixture.json", FIXTURE)
+    files = [path, path] if command == "sequiv" else [path]
+    code, out, err = run(capsys, command, *files, "--prime-list", "2,2305843009213693951")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "candidate lines" in err and err.count("\n") == 1
+
+
+def test_sequiv_over_a_huge_field_is_refused_before_any_work(tmp_path):
+    # <1> and <3> over F_p, p = 2^61 - 1: each graded module is the module
+    # itself, and comparing them would list range(p).  The command runs in
+    # a child process with its address space capped, so a list sized by p
+    # fails there at once instead of filling the machine's memory.
+    one_dim = (
+        '{"field":"fp:2305843009213693951","sign":"+1","dim_h":1,'
+        '"w":{"dim":1,"involution":[["1"]]},"forms":[[["X"]]]}'
+    )
+    files = [put(tmp_path, f"q{x}.json", one_dim.replace("X", x)) for x in ("1", "3")]
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    child = subprocess.run(
+        [sys.executable, "-m", "twistmod.cli", "sequiv", *files],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=cap,
+    )
+    assert child.returncode == 1 and child.stdout == "", child.stderr
+    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+    assert "over the search bound 100000" in child.stderr
 
 
 def test_check_input_errors(tmp_path, capsys):

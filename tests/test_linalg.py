@@ -278,7 +278,30 @@ def test_complement_worked_example():
     assert comp == Subspace(QQ, 2, [[0, 1]])
 
 
+def reference_complement_in(inner, outer):
+    # one rank computation per outer vector, the greedy rule spelled out
+    if not outer.contains(inner):
+        raise ValueError("inner is not contained in outer")
+    f = inner.field
+    current = [list(r) for r in inner.basis.rows]
+    added = []
+    rank = inner.dim
+    for candidate in outer.basis.rows:
+        trial = Matrix(f, current + [list(candidate)])
+        new_rank = trial.rank()
+        if new_rank > rank:
+            current.append(list(candidate))
+            added.append(candidate)
+            rank = new_rank
+        if rank == outer.dim:
+            break
+    return Subspace(f, inner.ambient, added)
+
+
 def test_complement_properties():
+    # the echelon-basis complement keeps the vectors the rank-per-vector
+    # reference keeps; inner is any subspace of outer, not only a span of
+    # outer's basis rows, so its pivots need not be outer's
     rng = random.Random(23)
     for field in (QQ, GF(2), GF(5)):
         for _ in range(50):
@@ -287,12 +310,17 @@ def test_complement_properties():
                 random_matrix(rng, field, 1, n).rows[0] for _ in range(rng.randint(0, n))
             ]
             outer = Subspace(field, n, outer_vecs)
-            inner_vecs = [r for r in outer.basis.rows if rng.random() < 0.5]
+            if outer.dim and rng.random() < 0.5:
+                coeffs = random_matrix(rng, field, rng.randint(1, outer.dim), outer.dim)
+                inner_vecs = coeffs.mul(outer.basis).rows
+            else:
+                inner_vecs = [r for r in outer.basis.rows if rng.random() < 0.5]
             inner = Subspace(field, n, inner_vecs)
             comp = complement_in(inner, outer)
             assert comp.dim == outer.dim - inner.dim
             assert inner.intersect(comp).is_zero()
             assert inner.sum(comp) == outer
+            assert comp == reference_complement_in(inner, outer)
     with pytest.raises(ValueError):
         complement_in(Subspace(QQ, 2, [[0, 1]]), Subspace(QQ, 2, [[1, 0]]))
 

@@ -6,6 +6,7 @@ under spanning, dimensions read off cardinalities) and never touches the
 Subspace machinery.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -200,9 +201,11 @@ def test_survivors_are_built_in_canonical_form():
 
 
 def test_line_table_matches_the_direct_product_order_table():
-    # the incremental table against images(u) computed in full for every
-    # u in product order; alternating forms keep every line, so every
-    # line's images are compared, and random forms keep some of them
+    # the incremental on-demand columns against images(u) computed in
+    # full for every u in product order; alternating forms keep every
+    # line, so every line's images are compared, and random forms keep
+    # some of them.  The scanner's dim-1 scan serves the same lines, the
+    # same after a scan that stopped partway as from finished columns.
     rng = random.Random(17)
     compared = 0
     for p in (2, 3, 5, 7):
@@ -222,7 +225,15 @@ def test_line_table_matches_the_direct_product_order_table():
                             if kills(u, images(u)):
                                 found.append((u, images(u)))
                         expected.append(found)
-                    assert stability._line_table(forms, p, n) == expected
+                    columns = [list(stability._column_lines(forms, p, n, pc)) for pc in range(n)]
+                    assert columns == expected
+                    lines = [((u,), (pc,), imgs) for pc in range(n) for u, imgs in expected[pc]]
+                    scan = stability._isotropic_scanner(forms, p, n)
+                    partial = scan((1,))
+                    assert list(itertools.islice(partial, len(lines) // 2)) == lines[: len(lines) // 2]
+                    del partial
+                    assert list(scan((1,))) == lines
+                    assert list(scan((1,))) == lines
                     compared += sum(map(len, expected))
                     if forms is alternating:
                         assert sum(map(len, expected)) == (p**n - 1) // (p - 1)
@@ -590,7 +601,10 @@ def test_filtration_refuses_exactly_the_unstable_modules():
 def test_graded_scans_each_level_once(monkeypatch):
     # one candidate scan per filtration level, plus the one that finds the
     # core stable, and no separate verdict pass before them; each level
-    # builds one line table per prime, whatever the dimensions it scans
+    # builds at most one scanner per prime, whatever the dimensions it
+    # scans.  The nonsingular dim-3 level stops at its first equality, a
+    # line mod 2, so it builds no scanner for a later prime; the stable
+    # core finds no equality and scans every prime.
     scanned, verdicts, tables = [], [], []
     scan, verdict = stability._candidates, stability.semistability_verdict
     scanner = stability._isotropic_scanner
@@ -614,7 +628,79 @@ def test_graded_scans_each_level_once(monkeypatch):
     assert gm.length == 1
     assert scanned == [3, 1]
     assert verdicts == []
-    assert sorted(tables) == sorted((p, n) for p in stability.DEFAULT_PRIMES for n in (3, 1))
+    assert tables == [(2, 3)] + [(p, 1) for p in stability.DEFAULT_PRIMES]
+
+
+def test_a_scan_stops_at_its_first_equality_only_when_no_v_can_destabilize():
+    # when some form is nonsingular the full scan finds no destabilizer,
+    # and the scan that stops at its first equality returns the same
+    # (destabilizer, equality).  A zero joint kernel is not enough: with
+    # every form singular a swap module with a zero joint kernel can be
+    # unstable, and the samples must hold such modules
+    rng = random.Random(29)
+
+    def sparse_module(field, n, w, sign):
+        raw = [
+            Matrix.from_ints(field, [[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)])
+            for _ in range(w.dim)
+        ]
+        return symmetrize(field, n, w, sign, raw)
+
+    samples = []
+    for field, trials, dims in (
+        (GF(2), 20, (1, 2, 3, 4)),
+        (GF(3), 12, (1, 2, 3, 4)),
+        (GF(5), 6, (1, 2, 3, 4)),
+        (GF(7), 4, (1, 2, 3, 4)),
+        (QQ, 2, (1, 2, 3)),
+    ):
+        for n in dims:
+            for w in (trivial_w(field), swap_w(field)):
+                for sign in (1, -1):
+                    for i in range(trials):
+                        make = sparse_module if i % 2 else functools.partial(random_module, rng)
+                        samples.append(make(field, n, w, sign))
+    b0 = Matrix.from_ints(QQ, [[0, 0, 1], [0, 0, 2], [3, 4, 5]])
+    samples.append(SigmaModule(QQ, 3, swap_w(QQ), 1, [b0, b0.transpose()]))
+
+    stopped = singular_unstable = 0
+    for q in samples:
+        for by_prime in (True, False) if q.field.kind == "rational" else (True,):
+
+            def scan(may_stop):
+                stream = _candidates(q, 4, (2, 3, 5, 7), [], by_prime)
+                return stability._witnesses(q, stream, may_stop)
+
+            full = scan(False)
+            if stability._no_destabilizer(q):
+                assert full[0] is None
+                assert scan(True) == full
+                stopped += full[1] is not None
+            elif full[0] is not None and joint_kernel(q).is_zero():
+                singular_unstable += 1
+    assert stopped > 100
+    assert singular_unstable > 5
+
+
+def test_the_fp_verdict_stops_inside_the_first_column(monkeypatch):
+    # a nonsingular dim-4 module over F_5 whose first line (1, 0, 0, 0) is
+    # isotropic: the verdict stops at that equality, so pivot column 0,
+    # 125 candidate rows, is started and never read to its end
+    finished, started = [], []
+    column_lines = stability._column_lines
+
+    def recorded(forms, p, n, pc):
+        started.append(pc)
+        yield from column_lines(forms, p, n, pc)
+        finished.append(pc)
+
+    monkeypatch.setattr(stability, "_column_lines", recorded)
+    hyperbolic = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    q = module_1form(GF(5), hyperbolic)
+    verdict = semistability_verdict(q)
+    assert verdict.status == STRICTLY_SEMISTABLE
+    assert verdict.certificate[0].basis.rows == ((1, 0, 0, 0),)
+    assert started == [0] and finished == []
 
 
 # -- graded modules ----------------------------------------------------------
