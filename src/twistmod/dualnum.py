@@ -19,35 +19,52 @@ the traceless h with M h = h^T M, matching the additive kernels of the
 projections onto SO_r and Sp_r.  Away from the branch locus the fiber
 has two reduced points swapped by the involution, and being fixed means
 the second component is the transpose-inverse of the first.
+
+The fiber engine runs on plain ints mod p.  It builds the image, SO_r or
+the symplectic group of M, column by column as orthonormal or symplectic
+bases.  For a fixed g the conditions on h are linear, so each image
+element gets one linear solve, and the fixed set is the union of the
+solution spaces; every pair found is rechecked with the predicate.
+Group closure is checked on a generating set rather than on all pairs.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BoundExceededError,
     FieldError,
+    InternalCheckError,
     ShapeError,
     SingularMatrixError,
     UsageError,
 )
-from .linalg import Matrix
+from .linalg import Matrix, rank_mod_p
 
 
-@dataclass(frozen=True)
-class DualNumberMatrix:
-    """g + eps*h with eps^2 = 0; invertible exactly when g is."""
-
+class _DualNumberFields(NamedTuple):
     g: Matrix
     h: Matrix
 
-    def __post_init__(self):
-        if self.g.field != self.h.field:
+
+class DualNumberMatrix(_DualNumberFields):
+    """g + eps*h with eps^2 = 0; invertible exactly when g is."""
+
+    __slots__ = ()
+
+    def __new__(cls, g: Matrix, h: Matrix):
+        if g.field != h.field:
             raise ShapeError("components live over different fields")
-        if self.g.nrows != self.g.ncols or self.g.shape != self.h.shape:
+        if g.nrows != g.ncols or g.shape != h.shape:
             raise ShapeError("components must be square of equal size")
+        return super().__new__(cls, g, h)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     @classmethod
     def identity(cls, field, r: int) -> "DualNumberMatrix":
@@ -117,6 +134,13 @@ def is_fixed_unramified(g1: Matrix, g2: Matrix) -> bool:
     return g2 == g1.inverse().transpose()
 
 
+def _check_entries(m: Matrix):
+    # the public boundary: one pass over the entries, before any arithmetic
+    field = m.field
+    if not all(field.is_element(e) for row in m.rows for e in row):
+        raise FieldError(f"matrix entries must be canonical elements of {field!r}")
+
+
 def _check_alternating(m: Matrix):
     if m.nrows != m.ncols:
         raise ShapeError("alternating matrices are square")
@@ -128,6 +152,7 @@ def _check_alternating(m: Matrix):
 
 def is_fixed_alternating(m: Matrix, a: DualNumberMatrix) -> bool:
     """Fixed under transpose-inversion twisted by the alternating m."""
+    _check_entries(m)
     _check_alternating(m)
     if m.nrows % 2 != 0:
         raise ShapeError("alternating fixed sets need even size")
@@ -144,9 +169,8 @@ def is_fixed_alternating(m: Matrix, a: DualNumberMatrix) -> bool:
     return (a.g.inverse() @ a.h).trace() == field.zero
 
 
-@dataclass(frozen=True)
-class FiberReport:
-    """Exhaustive structure report for one fiber over a finite field."""
+class FiberReport(NamedTuple):
+    """Structure report for one fiber over a finite field."""
 
     case: str
     r: int
@@ -172,9 +196,132 @@ class FiberReport:
         )
 
 
-def _all_matrices(field, r: int):
-    for entries in itertools.product(field.elements(), repeat=r * r):
-        yield Matrix(field, [entries[i * r : (i + 1) * r] for i in range(r)])
+# -- plain-int matrices mod p: tuples of rows ------------------------------------
+
+
+def _dot(u, v, p: int) -> int:
+    return sum(x * y for x, y in zip(u, v)) % p
+
+
+def _mul(a, b, p: int):
+    cols = tuple(zip(*b))
+    return tuple(tuple(_dot(row, c, p) for c in cols) for row in a)
+
+
+def _add(a, b, p: int):
+    return tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _transpose(a):
+    return tuple(zip(*a))
+
+
+def _trace(a):
+    return sum(a[i][i] for i in range(len(a)))
+
+
+def _differences(a, b):
+    return [x - y for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
+
+
+def _identity(r: int):
+    return tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+
+
+def _isometries(form, p: int, r: int):
+    """Every g over F_p with g^T form g == form, for a symmetric or
+    alternating form, as tuples of rows.
+
+    The columns grow one at a time: column j must pair with each earlier
+    column c_i to form[i][j], and with itself to form[j][j].  Symmetry or
+    alternation gives the entries below the diagonal from those above, so
+    each partial basis that fails one pairing is dropped at once.
+    """
+    vectors = list(itertools.product(range(p), repeat=r))
+    # each vector v with its image form v, so c^T form v is c . (form v)
+    images = [(v, tuple(_dot(row, v, p) for row in form)) for v in vectors]
+    bases = [()]
+    for j in range(r):
+        candidates = [(v, fv) for v, fv in images if _dot(v, fv, p) == form[j][j]]
+        bases = [
+            cols + (v,)
+            for cols in bases
+            for v, fv in candidates
+            if all(_dot(c, fv, p) == form[i][j] for i, c in enumerate(cols))
+        ]
+    return [_transpose(cols) for cols in bases]
+
+
+def _solutions(field, r: int, conditions):
+    """Every r x r matrix h over F_p, as tuples of rows, with
+    ``conditions(h)`` all zero.  The conditions are linear in h, so their
+    matrix is read off the r^2 unit matrices and its kernel is spanned in
+    full."""
+    p = field.p
+    n = r * r
+    units = [tuple(tuple(int(i * r + j == k) for j in range(r)) for i in range(r)) for k in range(n)]
+    columns = [[c % p for c in conditions(e)] for e in units]
+    basis = Matrix(field, list(zip(*columns))).kernel_basis().rows
+    found = []
+    for coeffs in itertools.product(range(p), repeat=len(basis)):
+        flat = [sum(c * b[k] for c, b in zip(coeffs, basis)) % p for k in range(n)]
+        found.append(tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(r)))
+    return found
+
+
+def _pair_product(p: int):
+    """(g, h)(k, l) = (gk, gl + hk) on plain-int pairs mod p."""
+
+    def mul(a, b):
+        (g, h), (k, l) = a, b
+        return _mul(g, k, p), _add(_mul(g, l, p), _mul(h, k, p), p)
+
+    return mul
+
+
+def _closed(elements, mul) -> bool:
+    """Whether a finite set is closed under ``mul``, checked on generators.
+
+    The walk multiplies every reached element by every generator once.
+    Whenever it stops short of the whole set, the first unreached element
+    becomes a new generator.  So the set is the semigroup of its
+    generators T, and S*T inside S gives S*S inside S by induction on word
+    length.  That costs |S| |T| products, |T| about log |S| for a group,
+    instead of |S|^2.
+    """
+    members = set(elements)
+    done = {}  # reached element -> how many generators it has been multiplied by
+    reached, gens = [], []
+    for s in elements:
+        if s in done:
+            continue
+        gens.append(s)
+        done[s] = 0
+        reached.append(s)
+        for x in reached:  # grows as the walk reaches new elements
+            while done[x] < len(gens):
+                y = mul(x, gens[done[x]])
+                if y not in members:
+                    return False
+                if y not in done:
+                    done[y] = 0
+                    reached.append(y)
+                done[x] += 1
+    return True
+
+
+def _check_fiber(field, r: int, max_pairs: int) -> int:
+    # the field order q; the bound counts the q^(2 r^2) pairs (g, h), not the work done
+    if field.kind != "fp":
+        raise FieldError("fiber enumeration needs a finite field")
+    if r < 0:
+        raise UsageError("the rank must be nonnegative")
+    q = field.p
+    if q ** (2 * r * r) > max_pairs:
+        raise BoundExceededError(
+            f"fiber enumeration over F_{q} at size {r} exceeds {max_pairs} pairs"
+        )
+    return q
 
 
 def fiber_structure_check(
@@ -184,93 +331,106 @@ def fiber_structure_check(
     m: Matrix | None = None,
     max_pairs: int = 1_000_000,
 ) -> FiberReport:
-    """Enumerate a branch-point fiber over F_q and verify its structure.
+    """Find a branch-point fiber over F_q and verify its structure.
 
-    Checks that the fixed set is a group under dn_mul, that projection
-    to the eps^0 part maps onto SO_r (plus case) or the symplectic group
-    of m (alternating case), that the kernel over the identity is the
-    expected additive space of matrices, and that the counts match
-    |image| * q^(dim kernel).  Cost is dominated by q^(r^2) times the
-    image size, guarded by ``max_pairs``.
+    The image, SO_r (plus case) or the symplectic group of m (alternating
+    case), is built column by column; for each image element g the
+    linear conditions on h are solved once, and every pair found is
+    rechecked with ``is_fixed_plus`` or ``is_fixed_alternating``.  The
+    report checks that the fixed set is a group under dual-number
+    multiplication (closure on generators, and inverses), that it
+    projects onto the image, that the kernel over the identity is the
+    expected additive space of matrices (solved from its own
+    description), and that the counts match |image| * q^(dim kernel).
+    ``max_pairs`` refuses any size with more than that many pairs (g, h),
+    q^(2 r^2), whatever the work.
     """
     if case not in ("plus", "alternating"):
         raise ValueError(f"unknown fiber case {case!r}")
-    if field.kind != "fp":
-        raise FieldError("fiber enumeration needs a finite field")
-    q = field.p
-    if q ** (2 * r * r) > max_pairs:
-        raise BoundExceededError(
-            f"fiber enumeration over F_{q} at size {r} exceeds {max_pairs} pairs"
-        )
-    identity = Matrix.identity(field, r)
+    p = _check_fiber(field, r, max_pairs)
+    identity = _identity(r)
 
     if case == "plus":
-        def in_image(g):
-            return g.transpose() @ g == identity and g.det() == field.one
+        form = identity
 
-        def in_kernel(h):
-            return h == h.transpose() and h.trace() == field.zero
+        def fixed_at(g):
+            gt = _transpose(g)
 
-        def fixed(g, h):
-            return is_fixed_plus(DualNumberMatrix(g, h))
+            def conditions(h):
+                s = _mul(gt, h, p)
+                off = [s[i][j] - s[j][i] for i in range(r) for j in range(i + 1, r)]
+                return off + [_trace(s)]
 
+            return conditions
+
+        def kernel_conditions(h):
+            return _differences(h, _transpose(h)) + [_trace(h)]
+
+        fixed = is_fixed_plus
         expected_kernel_dim = r * (r + 1) // 2 - 1
     else:
         if m is None:
             raise UsageError("the alternating case needs its twist matrix")
+        _check_entries(m)
         _check_alternating(m)
         if m.det() == field.zero:
             raise SingularMatrixError("twist matrix must be invertible")
         if r % 2 != 0:
             raise ShapeError("alternating fixed sets need even size")
+        if m.field != field:
+            raise FieldError("twist matrix lives over another field")
+        if m.shape != (r, r):
+            raise ShapeError("twist matrix size mismatch")
+        form, minv = m.rows, m.inverse().rows
 
-        def in_image(g):
-            return g.transpose() @ m @ g == m and g.det() == field.one
+        def fixed_at(g):
+            left, right = _mul(g, minv, p), _mul(form, g, p)
+            # g^-1 = m^-1 g^T m inside the symplectic group
+            ginv = _mul(_mul(minv, _transpose(g), p), form, p)
 
-        def in_kernel(h):
-            return m @ h == h.transpose() @ m and h.trace() == field.zero
+            def conditions(h):
+                twisted = _mul(_mul(left, _transpose(h), p), right, p)
+                return _differences(h, twisted) + [_trace(_mul(ginv, h, p))]
 
-        def fixed(g, h):
-            return is_fixed_alternating(m, DualNumberMatrix(g, h))
+            return conditions
+
+        def kernel_conditions(h):
+            return _differences(_mul(form, h, p), _mul(_transpose(h), form, p)) + [_trace(h)]
+
+        def fixed(a):
+            return is_fixed_alternating(m, a)
 
         expected_kernel_dim = None
 
-    image = [g for g in _all_matrices(field, r) if in_image(g)]
-    kernel_space = [h for h in _all_matrices(field, r) if in_kernel(h)]
-    fixed_set = [
-        DualNumberMatrix(g, h)
-        for g in image
-        for h in _all_matrices(field, r)
-        if fixed(g, h)
-    ]
-    keys = {(a.g.rows, a.h.rows) for a in fixed_set}
+    image = [g for g in _isometries(form, p, r) if Matrix(field, g).det() == field.one]
+    kernel_space = _solutions(field, r, kernel_conditions)
+    fixed_set = [(g, h) for g in image for h in _solutions(field, r, fixed_at(g))]
+    pairs = [DualNumberMatrix(Matrix(field, g), Matrix(field, h)) for g, h in fixed_set]
+    if not all(fixed(a) for a in pairs):
+        raise InternalCheckError("a solved pair fails the fixed-point predicate")
+    keys = set(fixed_set)
 
-    closure_ok = all(
-        (p.g.rows, p.h.rows) in keys
-        for a in fixed_set
-        for p in (dn_mul(a, b) for b in fixed_set)
-    )
+    closure_ok = _closed(fixed_set, _pair_product(p))
     inverses_ok = all(
-        (inv.g.rows, inv.h.rows) in keys
-        for inv in (dn_inverse(a) for a in fixed_set)
+        (inv.g.rows, inv.h.rows) in keys for inv in (dn_inverse(a) for a in pairs)
     )
-    projection_ok = {a.g.rows for a in fixed_set} == {g.rows for g in image}
-    kernel_found = [a.h for a in fixed_set if a.g == identity]
-    kernel_ok = {h.rows for h in kernel_found} == {h.rows for h in kernel_space}
+    projection_ok = {g for g, _ in fixed_set} == set(image)
+    kernel_found = [h for g, h in fixed_set if g == identity]
+    kernel_ok = set(kernel_found) == set(kernel_space)
     if kernel_ok:
         # additive closure: (I, h1)(I, h2) = (I, h1 + h2) stays fixed
         kernel_ok = all(
-            (identity.rows, (h1 + h2).rows) in keys
+            (identity, _add(h1, h2, p)) in keys
             for h1 in kernel_found
             for h2 in kernel_found
         )
 
     kernel_dim = 0
-    while q**kernel_dim < len(kernel_found):
+    while p**kernel_dim < len(kernel_found):
         kernel_dim += 1
     count_ok = (
-        q**kernel_dim == len(kernel_found)
-        and len(fixed_set) == len(image) * q**kernel_dim
+        p**kernel_dim == len(kernel_found)
+        and len(fixed_set) == len(image) * p**kernel_dim
     )
     if expected_kernel_dim is not None:
         count_ok = count_ok and kernel_dim == expected_kernel_dim
@@ -278,7 +438,7 @@ def fiber_structure_check(
     return FiberReport(
         case=case,
         r=r,
-        field_order=q,
+        field_order=p,
         fixed_count=len(fixed_set),
         image_count=len(image),
         kernel_count=len(kernel_found),
@@ -292,55 +452,75 @@ def fiber_structure_check(
 
 
 def unramified_fixed_count(field, r: int, max_pairs: int = 1_000_000) -> int:
-    """Count fixed pairs away from the branch locus by enumeration.
+    """Count fixed pairs away from the branch locus.
 
-    The answer is |SL_r(F_q)| (each g has the unique partner t(g)^-1),
-    but the count here walks all invertible pairs and applies the
-    predicate, so it can serve as an oracle for that fact.
+    The answer is |SL_r(F_q)|.  A pair (g1, g2) can be fixed only when
+    g2 = t(g1)^-1, so the predicate is applied to that one partner of
+    each invertible g1, which keeps the count an oracle for the fact.
+    ``max_pairs`` refuses the same sizes as ``fiber_structure_check``.
     """
-    if field.kind != "fp":
-        raise FieldError("fiber enumeration needs a finite field")
-    q = field.p
-    if q ** (2 * r * r) > max_pairs:
-        raise BoundExceededError(
-            f"fiber enumeration over F_{q} at size {r} exceeds {max_pairs} pairs"
-        )
-    invertible = [g for g in _all_matrices(field, r) if g.det() != field.zero]
-    return sum(
-        1
-        for g1 in invertible
-        for g2 in invertible
-        if is_fixed_unramified(g1, g2)
-    )
+    q = _check_fiber(field, r, max_pairs)
+    count = 0
+    for entries in itertools.product(range(q), repeat=r * r):
+        rows = [entries[i * r : (i + 1) * r] for i in range(r)]
+        if rank_mod_p(rows, q) == r:
+            g1 = Matrix(field, rows)
+            count += is_fixed_unramified(g1, g1.inverse().transpose())
+    return count
 
 
 def pfaffian(a: Matrix):
-    """Pfaffian of an alternating matrix by first-row expansion.
+    """Pfaffian of an alternating matrix, by skew elimination.
 
     Alternating means a^T = -a with zero diagonal (the diagonal clause
-    matters in characteristic 2).  pf(a)^2 = det(a).
+    matters in characteristic 2).  pf(a)^2 = det(a).  The entries must be
+    canonical field elements; anything else raises FieldError.
     """
+    _check_entries(a)
+    return _pfaffian(a)
+
+
+def _pfaffian(a: Matrix):
     _check_alternating(a)
     if a.nrows % 2 != 0:
         raise ShapeError("the pfaffian needs an even size")
-    return _pf(a.field, [list(row) for row in a.rows])
+    return _pf(a.field, a.rows)
 
 
 def _pf(field, rows):
-    n = len(rows)
-    if n == 0:
-        return field.one
-    total = field.zero
-    for j in range(1, n):
-        if rows[0][j] == field.zero:
-            continue
-        keep = [i for i in range(n) if i not in (0, j)]
-        minor = [[rows[x][y] for y in keep] for x in keep]
-        term = field.mul(rows[0][j], _pf(field, minor))
-        if j % 2 == 0:
-            term = field.neg(term)
-        total = field.add(total, term)
-    return total
+    """O(n^3) skew elimination, from pf(P^T A P) = det(P) pf(A).
+
+    Step k moves a nonzero entry of row k to column k+1 by swapping an
+    index pair in rows and columns (det P = -1), takes that entry as a
+    factor, and clears rows k and k+1 beyond it by a congruence of
+    determinant one.  What is left below is the Schur complement of the
+    2x2 block [[0, a], [-a, 0]]: entry (i, j) gains (v_i u_j - u_i v_j)/a
+    for the rows u and v of indices k and k+1.  A zero row k gives 0.
+    """
+    a = [list(row) for row in rows]
+    n = len(a)
+    zero = field.zero
+    result = field.one
+    for k in range(0, n, 2):
+        j = next((j for j in range(k + 1, n) if a[k][j] != zero), None)
+        if j is None:
+            return zero
+        if j != k + 1:
+            a[j], a[k + 1] = a[k + 1], a[j]
+            for row in a:
+                row[j], row[k + 1] = row[k + 1], row[j]
+            result = field.neg(result)
+        u, v = a[k], a[k + 1]
+        result = field.mul(result, u[k + 1])
+        inv = field.inv(u[k + 1])
+        for i in range(k + 2, n):
+            ui, vi = field.mul(u[i], inv), field.mul(v[i], inv)
+            if ui == zero and vi == zero:
+                continue
+            row = a[i]
+            for c in range(k + 2, n):
+                row[c] = field.add(row[c], field.sub(field.mul(vi, u[c]), field.mul(ui, v[c])))
+    return result
 
 
 class TypeVector:
@@ -376,14 +556,16 @@ def type_vector(psis) -> TypeVector:
     """Pfaffian type of a family of alternating isomorphisms.
 
     Each matrix must have determinant one, so its Pfaffian is +-1; the
-    resulting vector is read modulo a global sign flip.
+    resulting vector is read modulo a global sign flip.  Entries must be
+    canonical field elements.
     """
     taus = []
     for psi in psis:
         field = psi.field
+        _check_entries(psi)
         if psi.det() != field.one:
             raise UsageError("type entries need determinant one")
-        value = pfaffian(psi)
+        value = _pfaffian(psi)
         if value == field.one:
             taus.append(1)
         elif value == field.neg(field.one):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -260,8 +259,11 @@ def _reduce_by(q: SigmaModule, v: Subspace, perp: Subspace) -> IsotropicReductio
     return IsotropicReduction(reduced, model, perp)
 
 
-@dataclass(frozen=True)
-class LinearPiece:
+class _LinearPieceFields(NamedTuple):
+    alpha: tuple
+
+
+class LinearPiece(_LinearPieceFields):
     """The pairing data of one hyperbolic summand.
 
     ``alpha[k][i][j]`` pairs the i-th dual-model basis vector against the
@@ -269,14 +271,20 @@ class LinearPiece:
     has shape (vee_dim, v_dim); nondegenerate pieces are square.
     """
 
-    alpha: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.alpha:
+    def __new__(cls, alpha: tuple):
+        if not alpha:
             raise ShapeError("piece needs at least one coordinate matrix")
-        shape = self.alpha[0].shape
-        if any(a.shape != shape for a in self.alpha):
+        shape = alpha[0].shape
+        if any(a.shape != shape for a in alpha):
             raise ShapeError("piece coordinate matrices disagree in shape")
+        return super().__new__(cls, alpha)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
     @property
     def field(self):
@@ -355,8 +363,7 @@ def act(g: Matrix, q: SigmaModule) -> SigmaModule:
     return SigmaModule(q.field, q.dim_h, q.w, q.sign, forms)
 
 
-@dataclass(frozen=True)
-class IsoResult:
+class IsoResult(NamedTuple):
     """Outcome of an isomorphism test: yes (with witness), no, or unknown."""
 
     status: str

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -91,8 +90,12 @@ DEFAULT_ENUM_BOUND = 4
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-@dataclass(frozen=True)
-class Provenance:
+class _ProvenanceFields(NamedTuple):
+    kind: str
+    primes: tuple = ()
+
+
+class Provenance(_ProvenanceFields):
     """How a verdict was reached.
 
     ``exhaustive`` means every totally isotropic subspace was examined
@@ -101,18 +104,22 @@ class Provenance:
     found before any reduction was needed.
     """
 
-    kind: str
-    primes: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("exhaustive", "heuristic"):
-            raise ValueError(f"unknown provenance kind {self.kind!r}")
-        if self.kind == "exhaustive" and self.primes:
+    def __new__(cls, kind: str, primes: tuple = ()):
+        if kind not in ("exhaustive", "heuristic"):
+            raise ValueError(f"unknown provenance kind {kind!r}")
+        if kind == "exhaustive" and primes:
             raise ValueError("exhaustive provenance carries no prime list")
+        return super().__new__(cls, kind, primes)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: validate there too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of the subspace criterion, with a checkable certificate.
 
     For unstable and strictly semistable verdicts the certificate is a
@@ -127,8 +134,7 @@ class Verdict:
     mu_value: object = None
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(NamedTuple):
     """Increasing chain of subspaces of H from successive minimal equality
     witnesses; empty for a stable module."""
 
@@ -139,8 +145,7 @@ class Filtration:
         return len(self.chain)
 
 
-@dataclass(frozen=True)
-class GradedModule:
+class GradedModule(NamedTuple):
     """The graded module of a semistable (H, q).
 
     ``pieces`` holds one pairing per filtration step, outermost first;

@@ -370,11 +370,18 @@ BASE_LAYERS = {
 ENGINE = {"twistmod.sigmamod", "twistmod.hilbert", "twistmod.stability"}
 
 
+# standard modules that no command should load: dataclasses pulls in
+# inspect, ast, dis and tokenize, milliseconds of start-up per process
+START_UP_EXCLUDED = ("dataclasses", "inspect")
+
+
 def loaded_layers(code, *argv):
-    """The twistmod modules a fresh interpreter holds after running code."""
+    """The twistmod modules a fresh interpreter holds after running code,
+    together with any of START_UP_EXCLUDED that it loaded."""
     report = (
         "import json, sys; "
-        "print(json.dumps([m for m in sys.modules if m.startswith('twistmod')]))"
+        "print(json.dumps([m for m in sys.modules "
+        f"if m.startswith('twistmod') or m in {START_UP_EXCLUDED!r}]))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", f"{code}\n{report}", *argv],

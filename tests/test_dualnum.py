@@ -4,7 +4,9 @@ The fixed-point predicates are gated behind an independent oracle that
 conjugates by the actual involution in dual-number arithmetic (with
 eps -> -eps, since the covering involution acts on the double point) and
 compares against the closed-form conditions, over every matrix pair of
-M_2(F_3)^2.
+M_2(F_3)^2.  The fiber engine is checked against the exhaustive scan it
+replaced, kept here as ``reference_fiber_structure_check``, and against
+closed-form group orders; the Pfaffian against first-row expansion.
 """
 
 import itertools
@@ -16,6 +18,7 @@ import pytest
 from twistmod.errors import (
     BoundExceededError,
     FieldError,
+    InternalCheckError,
     ShapeError,
     SingularMatrixError,
     UsageError,
@@ -25,6 +28,8 @@ from twistmod.dualnum import (
     DualNumberMatrix,
     FiberReport,
     TypeVector,
+    _closed,
+    _pair_product,
     dn_det,
     dn_inverse,
     dn_mul,
@@ -34,6 +39,7 @@ from twistmod.dualnum import (
     is_fixed_unramified,
     pfaffian,
     type_vector,
+    unramified_fixed_count,
 )
 
 
@@ -310,6 +316,235 @@ def test_fiber_structure_errors():
         fiber_structure_check(f3, 3, "plus")
 
 
+def test_fiber_refuses_a_negative_rank():
+    with pytest.raises(UsageError, match="nonnegative"):
+        fiber_structure_check(GF(3), -1, "plus")
+    with pytest.raises(UsageError, match="nonnegative"):
+        unramified_fixed_count(GF(3), -1)
+
+
+def test_twist_entries_are_checked_at_the_boundary():
+    f3 = GF(3)
+    # 5 and -5 are not canonical F_3 representatives: a field error, not
+    # a verdict on alternation
+    loose = Matrix(f3, [[0, 5], [-5, 0]])
+    with pytest.raises(FieldError):
+        fiber_structure_check(f3, 2, "alternating", m=loose)
+    with pytest.raises(FieldError):
+        is_fixed_alternating(loose, DualNumberMatrix.identity(f3, 2))
+    with pytest.raises(FieldError):
+        fiber_structure_check(f3, 2, "alternating", m=standard_j(QQ))
+    with pytest.raises(ShapeError):
+        fiber_structure_check(f3, 2, "alternating", m=Matrix.from_ints(f3, [
+            [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0],
+        ]))
+
+
+# -- the exhaustive references the fiber engine replaced --------------------------
+
+
+def reference_fiber_structure_check(field, r, case, m=None):
+    """Scan all q^(r^2) matrices for the image and the kernel, and every
+    image element against all q^(r^2) candidates h; closure over all
+    |fixed|^2 products."""
+    q = field.p
+    identity = Matrix.identity(field, r)
+    if case == "plus":
+        def in_image(g):
+            return g.transpose() @ g == identity and g.det() == field.one
+
+        def in_kernel(h):
+            return h == h.transpose() and h.trace() == field.zero
+
+        def fixed(g, h):
+            return is_fixed_plus(DualNumberMatrix(g, h))
+
+        expected_kernel_dim = r * (r + 1) // 2 - 1
+    else:
+        def in_image(g):
+            return g.transpose() @ m @ g == m and g.det() == field.one
+
+        def in_kernel(h):
+            return m @ h == h.transpose() @ m and h.trace() == field.zero
+
+        def fixed(g, h):
+            return is_fixed_alternating(m, DualNumberMatrix(g, h))
+
+        expected_kernel_dim = None
+
+    everything = list(all_matrices(field, r))
+    image = [g for g in everything if in_image(g)]
+    kernel_space = [h for h in everything if in_kernel(h)]
+    fixed_set = [DualNumberMatrix(g, h) for g in image for h in everything if fixed(g, h)]
+    keys = {(a.g.rows, a.h.rows) for a in fixed_set}
+    closure_ok = all(
+        (p.g.rows, p.h.rows) in keys
+        for a in fixed_set
+        for p in (dn_mul(a, b) for b in fixed_set)
+    )
+    inverses_ok = all(
+        (inv.g.rows, inv.h.rows) in keys for inv in (dn_inverse(a) for a in fixed_set)
+    )
+    projection_ok = {a.g.rows for a in fixed_set} == {g.rows for g in image}
+    kernel_found = [a.h for a in fixed_set if a.g == identity]
+    kernel_ok = {h.rows for h in kernel_found} == {h.rows for h in kernel_space}
+    if kernel_ok:
+        kernel_ok = all(
+            (identity.rows, (h1 + h2).rows) in keys
+            for h1 in kernel_found
+            for h2 in kernel_found
+        )
+    kernel_dim = 0
+    while q**kernel_dim < len(kernel_found):
+        kernel_dim += 1
+    count_ok = (
+        q**kernel_dim == len(kernel_found)
+        and len(fixed_set) == len(image) * q**kernel_dim
+    )
+    if expected_kernel_dim is not None:
+        count_ok = count_ok and kernel_dim == expected_kernel_dim
+    return FiberReport(
+        case, r, q, len(fixed_set), len(image), len(kernel_found), kernel_dim,
+        closure_ok, inverses_ok, projection_ok, kernel_ok, count_ok,
+    )
+
+
+def reference_unramified_fixed_count(field, r):
+    """The predicate over all |GL_r|^2 invertible pairs."""
+    invertible = [g for g in all_matrices(field, r) if g.det() != field.zero]
+    return sum(
+        1 for g1 in invertible for g2 in invertible if is_fixed_unramified(g1, g2)
+    )
+
+
+def random_twist(field, seed):
+    """A seeded random invertible alternating 2x2 matrix: c J for a
+    random unit c, which at size 2 is every such matrix."""
+    c = random.Random(seed).randrange(1, field.p)
+    return Matrix(field, [[0, c], [field.neg(c), 0]])
+
+
+FIBER_CASES = {
+    "plus-f2": (2, "plus", None),
+    "plus-f3": (3, "plus", None),
+    "alternating-f2": (2, "alternating", "j"),
+    "alternating-f3": (3, "alternating", "j"),
+    "alternating-f3-minus-j": (3, "alternating", "-j"),
+    "alternating-f3-random-1": (3, "alternating", 1),
+    "alternating-f3-random-2": (3, "alternating", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIBER_CASES))
+def test_fiber_engine_matches_the_exhaustive_reference(case):
+    p, kind, twist = FIBER_CASES[case]
+    field = GF(p)
+    m = None
+    if twist == "j":
+        m = standard_j(field)
+    elif twist == "-j":
+        m = -standard_j(field)
+    elif twist is not None:
+        m = random_twist(field, twist)
+    report = fiber_structure_check(field, 2, kind, m=m)
+    assert report == reference_fiber_structure_check(field, 2, kind, m)
+    assert report.ok
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_unramified_count_matches_the_exhaustive_reference(p):
+    field = GF(p)
+    assert unramified_fixed_count(field, 2) == reference_unramified_fixed_count(field, 2)
+
+
+def test_fiber_over_f5_matches_closed_forms():
+    f5 = GF(5)
+    plus = fiber_structure_check(f5, 2, "plus")
+    # |SO_2(F_q)| = q - 1 when -1 is a square mod q, as it is mod 5
+    assert plus.image_count == 4
+    assert plus.kernel_dim == 2 and plus.kernel_count == 25
+    assert plus.fixed_count == 4 * 25
+    assert plus.ok
+    alt = fiber_structure_check(f5, 2, "alternating", m=standard_j(f5))
+    # |Sp_2(F_q)| = |SL_2(F_q)| = q (q^2 - 1)
+    assert alt.image_count == 5 * 24 == 120
+    assert alt.kernel_dim == 0 and alt.fixed_count == 120
+    assert alt.ok
+    assert unramified_fixed_count(f5, 2) == 120
+
+
+def fixed_keys(field, r, case, m=None):
+    """The fixed set as plain-int (g rows, h rows) keys, by exhaustive scan."""
+    test = is_fixed_plus if case == "plus" else (lambda a: is_fixed_alternating(m, a))
+    mats = list(all_matrices(field, r))
+    return [
+        (g.rows, h.rows)
+        for g in mats
+        if g.det() != 0
+        for h in mats
+        if test(DualNumberMatrix(g, h))
+    ]
+
+
+def test_a_solved_pair_that_fails_the_predicate_is_an_internal_error(monkeypatch):
+    from twistmod import dualnum
+
+    solve = dualnum._solutions
+
+    def with_a_stray(field, r, conditions):
+        # the identity as an eps-part has trace r, so no pair (g, I) is fixed
+        return solve(field, r, conditions) + [Matrix.identity(field, r).rows]
+
+    monkeypatch.setattr(dualnum, "_solutions", with_a_stray)
+    for case, m in (("plus", None), ("alternating", standard_j(GF(3)))):
+        with pytest.raises(InternalCheckError):
+            fiber_structure_check(GF(3), 2, case, m=m)
+
+
+def test_closure_on_generators_catches_a_missing_or_foreign_element():
+    f3 = GF(3)
+    mul = _pair_product(3)
+    for keys in (fixed_keys(f3, 2, "plus"), fixed_keys(f3, 2, "alternating", standard_j(f3))):
+        assert _closed(keys, mul)
+        for k in range(len(keys)):
+            assert not _closed(keys[:k] + keys[k + 1 :], mul)
+        identity, zero = ((1, 0), (0, 1)), ((0, 0), (0, 0))
+        foreign = [
+            (identity, identity),  # a traceful eps-part over the identity
+            (((1, 0), (0, 2)), zero),  # determinant 2
+            (((1, 1), (0, 1)), zero),  # symplectic, not orthogonal
+        ]
+        foreign = [x for x in foreign if x not in keys]
+        assert len(foreign) >= 2
+        for x in foreign:
+            assert not _closed(keys + [x], mul)
+
+
+def test_closure_on_generators_agrees_with_all_pairs_on_subsets():
+    # every subset of the 8-element plus fiber over F_2, and 200 seeded
+    # random subsets of the 24-element alternating fiber over F_3: the
+    # generator walk and the |S|^2 check answer alike
+    mul = _pair_product(2)
+    group = fixed_keys(GF(2), 2, "plus")
+    assert len(group) == 8
+    closed = 0
+    for mask in range(1 << len(group)):
+        subset = [x for i, x in enumerate(group) if mask >> i & 1]
+        members = set(subset)
+        full = all(mul(a, b) in members for a in subset for b in subset)
+        assert _closed(subset, mul) == full
+        closed += full
+    assert closed > 2  # the empty set, the identity, the whole group and more
+    rng = random.Random(59)
+    mul3 = _pair_product(3)
+    group3 = fixed_keys(GF(3), 2, "alternating", standard_j(GF(3)))
+    for _ in range(200):
+        subset = rng.sample(group3, rng.randrange(1, len(group3)))
+        members = set(subset)
+        full = all(mul3(a, b) in members for a in subset for b in subset)
+        assert _closed(subset, mul3) == full
+
+
 # -- pfaffians and types --------------------------------------------------------
 
 
@@ -360,6 +595,88 @@ def test_pfaffian_transforms_by_determinant():
         a = random_alternating(rng, 4)
         p = Matrix(QQ, [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)])
         assert pfaffian(p.transpose() @ a @ p) == p.det() * pfaffian(a)
+
+
+def reference_pfaffian(a):
+    """First-row expansion, n!! terms: the oracle for elimination."""
+    field = a.field
+
+    def pf(rows):
+        n = len(rows)
+        if n == 0:
+            return field.one
+        total = field.zero
+        for j in range(1, n):
+            if rows[0][j] == field.zero:
+                continue
+            keep = [i for i in range(n) if i not in (0, j)]
+            term = field.mul(rows[0][j], pf([[rows[x][y] for y in keep] for x in keep]))
+            total = field.add(total, field.neg(term) if j % 2 == 0 else term)
+        return total
+
+    return pf(a.rows)
+
+
+def random_skew(rng, field, n):
+    """A random alternating n x n matrix over ``field``; every third one is
+    X B X^T with X of width n - 2, so it has rank below n and pf 0."""
+    def entry():
+        if field.kind == "fp":
+            return rng.randrange(field.p)
+        return Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3)))
+
+    def skew(k):
+        rows = [[field.zero] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                rows[i][j] = entry()
+                rows[j][i] = field.neg(rows[i][j])
+        return Matrix(field, rows)
+
+    if n >= 2 and rng.randrange(3) == 0:
+        x = Matrix(field, [[entry() for _ in range(n - 2)] for _ in range(n)])
+        return x @ skew(n - 2) @ x.transpose() if n > 2 else Matrix.zeros(field, 2, 2)
+    return skew(n)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=repr)
+def test_pfaffian_elimination_matches_first_row_expansion(field):
+    rng = random.Random(f"pf/{field!r}")
+    singular = 0
+    for n in (0, 2, 4, 6, 8, 10):
+        for _ in range(5 if n < 10 else 2):
+            a = random_skew(rng, field, n)
+            value = pfaffian(a)
+            assert value == reference_pfaffian(a)
+            assert field.is_element(value)
+            singular += value == field.zero
+    assert singular >= 3
+
+
+def test_pfaffian_of_a_40_by_40_rational_matrix_squares_to_its_determinant():
+    rng = random.Random(40)
+    a = random_skew(rng, QQ, 40)
+    while a.det() == 0:
+        a = random_skew(rng, QQ, 40)
+    value = pfaffian(a)
+    assert value != 0 and value * value == a.det()
+
+
+def test_pfaffian_entries_are_checked_at_the_boundary():
+    with pytest.raises(FieldError):
+        pfaffian(Matrix(QQ, [[0, 0.5], [-0.5, 0]]))
+    # plain ints are not rationals either
+    with pytest.raises(FieldError):
+        pfaffian(Matrix(QQ, [[0, 1], [-1, 0]]))
+    # 5 and -5 are not canonical F_3 representatives, which is a field
+    # error, not "not alternating"
+    with pytest.raises(FieldError):
+        pfaffian(Matrix(GF(3), [[0, 5], [-5, 0]]))
+    with pytest.raises(FieldError):
+        type_vector([Matrix(GF(3), [[0, 5], [-5, 0]])])
+    with pytest.raises(FieldError):
+        type_vector([Matrix(QQ, [[0, 1.0], [-1.0, 0]])])
+    assert pfaffian(Matrix(GF(3), [[0, 2], [1, 0]])) == 2
 
 
 def test_type_vectors():

@@ -34,3 +34,66 @@ def test_unknown_attribute_raises_attribute_error():
         twistmod.dot
     with pytest.raises(ImportError):
         exec("from twistmod import no_such_name", {})
+
+
+def record_examples():
+    from twistmod import (
+        GF,
+        QQ,
+        DualNumberMatrix,
+        Filtration,
+        GradedModule,
+        IsoResult,
+        LinearPiece,
+        Matrix,
+        Provenance,
+        Verdict,
+    )
+    from twistmod.dualnum import fiber_structure_check
+
+    one = Matrix.identity(QQ, 1)
+    return [
+        lambda: Provenance("heuristic", (2, 3)),
+        lambda: Verdict("stable", Provenance("exhaustive")),
+        lambda: Filtration(()),
+        lambda: GradedModule((), None, None, Filtration(()), None, one),
+        lambda: LinearPiece((one, one)),
+        lambda: IsoResult("yes", one),
+        lambda: DualNumberMatrix.identity(GF(3), 2),
+        lambda: fiber_structure_check(GF(2), 2, "plus"),
+    ]
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_records_are_immutable_values(k):
+    build = record_examples()[k]
+    first, second = build(), build()
+    assert first == second and first is not second
+    assert hash(first) == hash(second)
+    assert repr(first).startswith(type(first).__name__ + "(")
+    with pytest.raises(AttributeError):
+        setattr(first, first._fields[0], None)
+
+
+def test_records_check_their_values_at_construction():
+    from twistmod import GF, QQ, DualNumberMatrix, LinearPiece, Matrix, Provenance, ShapeError
+
+    with pytest.raises(ValueError):
+        Provenance("guessed")
+    with pytest.raises(ValueError):
+        Provenance("exhaustive", (2,))
+    with pytest.raises(ValueError):
+        Provenance("heuristic", (2,))._replace(kind="exhaustive")
+    one, two = Matrix.identity(QQ, 1), Matrix.identity(QQ, 2)
+    with pytest.raises(ShapeError):
+        LinearPiece(())
+    with pytest.raises(ShapeError):
+        LinearPiece((one, two))
+    with pytest.raises(ShapeError):
+        LinearPiece((one,))._replace(alpha=(one, two))
+    with pytest.raises(ShapeError):
+        DualNumberMatrix(two, one)
+    with pytest.raises(ShapeError):
+        DualNumberMatrix(two, Matrix.identity(GF(3), 2))
+    with pytest.raises(ShapeError):
+        DualNumberMatrix(two, two)._replace(h=one)
