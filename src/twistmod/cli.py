@@ -81,7 +81,7 @@ def _cmd_check(args) -> dict:
     from .stability import semistability_verdict
 
     mf = _load_module(args, args.file)
-    verdict = semistability_verdict(mf.module, strategy=args.strategy, **_search(args, mf.module))
+    verdict = semistability_verdict(mf.module, **_search(args, mf.module))
     return verdict_to_dict(verdict)
 
 
@@ -212,11 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common, search], help="semistability verdict")
     p.add_argument("file")
-    p.add_argument(
-        "--strategy",
-        choices=["auto", "exhaustive", "heuristic"],
-        default="auto",
-    )
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser(

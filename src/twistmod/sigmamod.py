@@ -373,7 +373,7 @@ class IsoResult(NamedTuple):
 def is_isomorphic(
     q1: SigmaModule,
     q2: SigmaModule,
-    strategy: str = "auto",
+    *,
     node_budget: int = 500_000,
 ) -> IsoResult:
     """Decide whether two modules are isomorphic.
@@ -382,9 +382,7 @@ def is_isomorphic(
     field the column-by-column Gram backtracking below is an exhaustive
     search, hence a full decision for the small dimensions this package
     targets; over the rationals the search runs over a bounded box of
-    small rationals and can only answer yes or unknown.  ``strategy``
-    is one of ``auto`` (invariants, then search), ``invariants`` or
-    ``search``.
+    small rationals and can only answer yes or unknown.
 
     Cheap invariants (ranks of the coordinate matrices, of their stacked
     matrix, and of small linear combinations) are congruence invariants
@@ -393,8 +391,6 @@ def is_isomorphic(
     vectors, p^dim_w combinations and p^dim_h - 1 columns, so more than
     MAX_LINES of either raise BoundExceededError before any work.
     """
-    if strategy not in ("auto", "invariants", "search"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     _check_compatible(q1, q2)
     if q1.dim_h != q2.dim_h:
         return IsoResult("no")
@@ -407,11 +403,8 @@ def is_isomorphic(
         _check_search_size(p**q1.dim_w, f"F_{p}^{q1.dim_w}", "form combinations")
         _check_search_size(p**q1.dim_h - 1, f"F_{p}^{q1.dim_h}", "candidate columns")
 
-    if strategy in ("auto", "invariants"):
-        if not _congruence_invariants_match(q1, q2):
-            return IsoResult("no")
-        if strategy == "invariants":
-            return IsoResult("unknown")
+    if not _congruence_invariants_match(q1, q2):
+        return IsoResult("no")
 
     witness, exhausted = _isometry_search(q1, q2, node_budget)
     if witness is not None:

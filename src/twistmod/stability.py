@@ -12,9 +12,9 @@ One candidate stream serves both the verdict and each filtration step.
 Over F_p it is the pruned enumeration of every totally isotropic
 subspace.  Over the rationals it starts with the joint kernel when that
 is nonzero, then lifts the totally isotropic subspaces of the reductions
-mod a list of primes, each reduction finding its lines once.  Each
-form B_k is scaled once to the integers D_kB_k, D_k the lcm of its
-denominators, and the reduction mod p is D_kB_k mod p on plain ints; a
+mod a list of primes, each reduction finding its lines once.  The
+forms B_k are scaled once to the integers DB_k, D the lcm of all their
+denominators, and the reduction mod p is DB_k mod p on plain ints; a
 prime that divides a denominator of the involution or of a form is
 skipped.  A lift is dropped unless its Gram entries vanish against the
 integer forms, and each kept lift is rechecked once, exactly: its
@@ -61,7 +61,6 @@ from .hilbert import (
 from .linalg import (
     Matrix,
     Subspace,
-    all_subspaces,
     complement_in,
     rank_mod_p,
 )
@@ -70,7 +69,7 @@ from .sigmamod import (
     SigmaModule,
     _check_search_size,
     _denominator_lcm,
-    _integer_rows,
+    _integer_forms,
     _reduce_by,
     act,
     dotform,
@@ -255,14 +254,16 @@ def _isotropic_scanner(forms, p: int, n: int):
 
     ``rows`` is the reduced echelon basis of V, with pivot columns
     ``pivots``, and ``images`` the rows B_k u over that basis, so
-    dim V^perp = n - their rank.  Over QQ the forms are D_kB_k mod p,
-    which kill exactly the pairs that B_k mod p kills, since D_k is a
-    unit mod p.  The order is Subspace.sort_key: dimension, then pivot
-    columns, then free entries.  Reduced echelon bases grow row by row,
-    each row running over its free entries in product order, and a
-    partial basis is dropped as soon as a pairing u_i^T B_k u_j is
-    nonzero.  V is totally isotropic exactly when all of them vanish, so
-    no symmetry of the forms is assumed.
+    dim V^perp = n - their rank.  Over QQ the forms are DB_k mod p,
+    which kill exactly the pairs that B_k mod p kills, since D is a
+    unit mod p.  With no forms every pairing vanishes, so the scan
+    yields every nonzero subspace of F_p^n.  The order is
+    Subspace.sort_key: dimension, then pivot columns, then free entries.
+    Reduced echelon bases grow row by row, each row running over its
+    free entries in product order, and a partial basis is dropped as
+    soon as a pairing u_i^T B_k u_j is nonzero.  V is totally isotropic
+    exactly when all of them vanish, so no symmetry of the forms is
+    assumed.
 
     Each pivot column's isotropic lines are found by _column_lines on
     first demand and kept for every later scan.  The first row of a
@@ -325,26 +326,20 @@ def _isotropic_scanner(forms, p: int, n: int):
 
 def semistability_verdict(
     q: SigmaModule,
-    strategy: str = "auto",
+    *,
     enum_bound: int = DEFAULT_ENUM_BOUND,
     primes: tuple = DEFAULT_PRIMES,
 ) -> Verdict:
     """Decide the subspace criterion for q.
 
-    ``strategy`` is ``auto``, ``exhaustive`` (finite fields), or
-    ``heuristic`` (rationals).  Exhaustive verdicts are complete within
-    the enumeration bound.  The heuristic certifies instability via the
-    joint kernel and via witnesses lifted from reductions mod ``primes``;
-    when nothing lifts it returns no_destabilizer_found.
+    The field decides how: over F_p the verdict is exhaustive, complete
+    within the enumeration bound; over QQ it is heuristic, certifying
+    instability via the joint kernel and via witnesses lifted from
+    reductions mod ``primes``, and returning no_destabilizer_found when
+    nothing lifts.
     """
-    if strategy not in ("auto", "exhaustive", "heuristic"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     if not validate(q):
         raise StabilityError("module violates its symmetry relation")
-    if strategy == "exhaustive" and q.field.kind != "fp":
-        raise FieldError("exhaustive strategy needs a finite field")
-    if strategy == "heuristic" and q.field.kind != "rational":
-        raise FieldError("heuristic strategy is for the rational field")
     kind = "exhaustive" if q.field.kind == "fp" else "heuristic"
     tried: list = []
     # the heuristic's provenance lists every prime it scanned, so it scans in full
@@ -393,11 +388,8 @@ def _no_destabilizer(q: SigmaModule) -> bool:
     be singular with nothing killed by every one of them, and such a
     module can be unstable.
     """
-    n = q.dim_h
-    if q.field.kind == "fp":
-        p = q.field.p
-        return any(rank_mod_p([[x % p for x in row] for row in b.rows], p) == n for b in q.forms)
-    return any(rank_mod_p(_integer_form(b), 0) == n for b in q.forms)
+    p = q.field.p if q.field.kind == "fp" else 0
+    return any(rank_mod_p(b, p) == q.dim_h for b in _integer_forms(q, p))
 
 
 def _certified(status: str, provenance: Provenance, q: SigmaModule, v: Subspace) -> Verdict:
@@ -425,11 +417,6 @@ def _lift_subspace(rows, p: int, balanced: bool) -> tuple:
     return tuple(tuple(x - p if x > top else x for x in row) for row in rows)
 
 
-def _integer_form(b: Matrix) -> list:
-    """D B on plain ints, D the lcm of B's denominators; both kill the same pairs."""
-    return _integer_rows(b, _denominator_lcm(b))
-
-
 def _grams_vanish(forms, rows) -> bool:
     """Whether u_i^T B u_j == 0 for every B in ``forms`` and (i, j), i == j too."""
     for b in forms:
@@ -448,10 +435,10 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
     nonzero joint kernel comes first, with the whole of H as its
     orthogonal; then the lifts (plain and balanced residues) of the
     totally isotropic subspaces of the reductions mod ``primes``, each
-    kept once.  Each form B_k is scaled once to the integers D_kB_k, D_k
-    the lcm of its denominators, and the reduction mod p is D_kB_k mod p
-    on plain ints; a prime dividing a denominator of the involution or
-    of a form is skipped.  A lift whose Gram entries u_i^T (D_kB_k) u_j
+    kept once.  The forms B_k are scaled once to the integers DB_k, D
+    the lcm of all their denominators, and the reduction mod p is DB_k
+    mod p on plain ints; a prime dividing a denominator of the involution
+    or of a form is skipped.  A lift whose Gram entries u_i^T (DB_k) u_j
     do not all vanish is dropped; the rest are rechecked exactly over
     QQ.  The scan runs prime by prime, all dimensions each, when
     ``by_prime`` is set, and otherwise dimension by dimension, all
@@ -485,7 +472,7 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
         steps = [(p, range(1, n + 1)) for p in primes]
     else:
         steps = [(p, (d,)) for d in range(1, n + 1) for p in primes]
-    forms = [_integer_form(b) for b in q.forms]
+    forms = _integer_forms(q, 0)
     scans: dict = {}
     # lifts are int rows, and an int equals and hashes as the same Fraction
     seen = {kernel.basis.rows}
@@ -670,27 +657,32 @@ def hilbert_mumford_sweep(
 ):
     """Minimum weight over every subgroup with enumerated eigenspaces.
 
-    Sweeps the direct-sum decompositions of H into enumerated subspaces,
-    visiting each set of pieces once, and gives the pieces every
-    assignment of distinct integer weights in [-weight_bound,
-    weight_bound] summing (weighted by dimension) to zero: the subgroups
-    of all orderings of the pieces with strictly decreasing weights.  A
-    set of k pieces counts k! toward ``max_decompositions``, one per
-    ordering; that total has a closed form, so a sweep past the bound
-    raises BoundExceededError before any work.  The best weight of a set
+    Sweeps the direct-sum decompositions of H into subspaces, listed by
+    _isotropic_scanner with no forms, visiting each set of pieces once,
+    and gives the pieces every assignment of distinct integer weights in
+    [-weight_bound, weight_bound] summing (weighted by dimension) to
+    zero: the subgroups of all orderings of the pieces with strictly
+    decreasing weights.  A set of k pieces counts k! toward
+    ``max_decompositions``, one per ordering; that total has a closed
+    form, so a sweep past the bound raises BoundExceededError before any
+    work.  The best weight of a set
     depends only on its dims and on which pairs of pieces pair nonzero,
     so it is memoised on that key for the call.  Returns the minimum of
     mu over the swept subgroups, which is negative iff the module is
-    unstable for small dims; q = 0 gives minus infinity.
+    unstable for small dims; q = 0 gives minus infinity.  A negative
+    ``weight_bound`` raises ValueError.
     """
+    if weight_bound < 0:
+        raise ValueError(f"weight_bound must be nonnegative, not {weight_bound}")
     if q.field.kind != "fp":
         raise FieldError("the bounded sweep enumerates subspaces over a finite field")
     p, n = q.field.p, q.dim_h
-    _check_lines(p, n)
+    # refuses F_p^n with more than MAX_LINES lines before any work
+    scan = _isotropic_scanner([], p, n)
     if _ordered_decompositions(p, n) > max_decompositions:
         raise BoundExceededError(f"sweep exceeded {max_decompositions} decompositions")
     images, kills = _pairing([b.rows for b in q.forms], p)
-    subs = [(s.dim, s.basis.rows) for s in all_subspaces(q.field, n)]
+    subs = [(len(rows), rows) for rows, _, _ in scan()]
 
     # number the echelon rows of all bases; meets[i] has bit j when row i
     # pairs nonzero with row j, so piece a pairs nonzero with piece b iff

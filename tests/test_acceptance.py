@@ -138,7 +138,8 @@ def test_verdicts_match_bounded_weight_sweep():
         sign = rng.choice([1, -1])
         n = rng.randint(1, 3)
         q = random_module(rng, field, n, w, sign)
-        verdict = semistability_verdict(q, strategy="exhaustive")
+        verdict = semistability_verdict(q)
+        assert verdict.provenance.kind == "exhaustive"
         swept = hilbert_mumford_sweep(q)
         assert (verdict.status == UNSTABLE) == (swept < 0), (
             q.forms,
@@ -242,7 +243,9 @@ def test_graded_limit_identity_on_strictly_semistable_modules():
             hyp = hyperbolic_module(alpha, w, sign)
             core = random_module(rng, f3, rng.randint(1, 2), w, sign)
             q = act(rand_invertible(rng, f3, 2 + core.dim_h), direct_sum(hyp, core))
-        if semistability_verdict(q, strategy="exhaustive").status != STRICTLY_SEMISTABLE:
+        verdict = semistability_verdict(q)
+        assert verdict.provenance.kind == "exhaustive"
+        if verdict.status != STRICTLY_SEMISTABLE:
             continue
         g = graded(q)
         limit = limit_at_zero(g.canonical_1ps, q)

@@ -1,9 +1,12 @@
 """Exit codes and golden byte-for-byte command outputs."""
 
+import argparse
 import json
+import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,9 +74,12 @@ def test_check_golden(tmp_path, capsys):
 
 def test_check_strategy_and_prime_list(tmp_path, capsys):
     path = put(tmp_path, "hyp2.json", HYPERBOLIC.replace("rational", "fp:2"))
-    code, out, _ = run(capsys, "check", path, "--strategy", "exhaustive")
+    code, out, _ = run(capsys, "check", path)
     assert code == 0
     assert json.loads(out)["provenance"] == {"kind": "exhaustive", "primes": []}
+    # the field decides the mode, so there is no --strategy to set
+    code, out, err = run(capsys, "check", path, "--strategy", "exhaustive")
+    assert code == 1 and out == "" and "--strategy" in err and err.count("\n") == 1
 
     qpath = put(tmp_path, "hyp.json", HYPERBOLIC)
     code, out, _ = run(capsys, "check", qpath, "--prime-list", "3,5")
@@ -431,3 +437,22 @@ def test_module_entry_point_matches_library(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "strictly_semistable"
+
+
+def test_readme_synopsis_names_only_real_options():
+    # every --flag in the README's command synopsis is an option of that
+    # command's subparser, so a removed option cannot linger in the docs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags: dict = {}
+    command = None
+    for line in block.splitlines():
+        if line.startswith("twistmod "):
+            command = line.split()[1]
+        if command is not None:
+            flags.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    assert set(flags) == set(sub.choices)
+    for command, named in flags.items():
+        options = sub.choices[command]._option_string_actions
+        assert named <= set(options), (command, named - set(options))

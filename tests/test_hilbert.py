@@ -13,7 +13,7 @@ from twistmod.hilbert import (
     limit_at_zero,
     mu,
 )
-from twistmod.linalg import GF, QQ, Matrix, Subspace, vectors_of
+from twistmod.linalg import GF, QQ, Matrix, Subspace
 from twistmod.sigmamod import (
     InvolutionSpace,
     SigmaModule,
@@ -24,6 +24,8 @@ from twistmod.sigmamod import (
     validate,
     TOTALLY_ISOTROPIC,
 )
+
+from oracles import vectors_of
 
 WORKED_ROWS = [[0, 0, 1], [0, 1, 1], [1, 1, 1]]
 

@@ -22,16 +22,16 @@ from twistmod.linalg import (
     QQ,
     Matrix,
     Subspace,
-    all_subspaces,
     complement_in,
-    enumerate_subspaces,
     field_from_name,
     field_name,
     rank_mod_p,
-    vectors_of,
     _MR_BOUND,
     _is_prime,
 )
+from twistmod.stability import _isotropic_scanner
+
+from oracles import all_subspaces, enumerate_subspaces, vectors_of
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -334,10 +334,18 @@ def test_subspace_apply():
 # -- enumeration ----------------------------------------------------------
 
 
+def scanned(q: int, n: int, k: int) -> list:
+    """The k-dim subspaces of F_q^n from the package's one enumerator,
+    the isotropic scanner given no forms, as (rows, pivots)."""
+    return [(rows, pivots) for rows, pivots, _ in _isotropic_scanner([], q, n)(dims=(k,))]
+
+
 def test_enumerate_subspaces_worked_counts():
     # 3 lines in F_2^2, 4 lines in F_3^2
     assert len(list(enumerate_subspaces(GF(2), 2, 1))) == 3
     assert len(list(enumerate_subspaces(GF(3), 2, 1))) == 4
+    assert len(scanned(2, 2, 1)) == 3
+    assert len(scanned(3, 2, 1)) == 4
 
 
 def test_enumerate_subspaces_counts_match_gaussian_binomial():
@@ -348,6 +356,10 @@ def test_enumerate_subspaces_counts_match_gaussian_binomial():
                 got = list(enumerate_subspaces(field, n, k))
                 assert len(got) == gaussian_binomial(n, k, q)
                 assert len(set(got)) == len(got)
+                if k:
+                    rows = [r for r, _ in scanned(q, n, k)]
+                    assert len(rows) == gaussian_binomial(n, k, q)
+                    assert len({Subspace(field, n, r) for r in rows}) == len(rows)
 
 
 def test_enumeration_is_in_canonical_order():
@@ -355,10 +367,24 @@ def test_enumeration_is_in_canonical_order():
         subs = list(enumerate_subspaces(GF(q), n, k))
         keys = [s.sort_key() for s in subs]
         assert keys == sorted(keys)
+        keys = [Subspace(GF(q), n, rows).sort_key() for rows, _ in scanned(q, n, k)]
+        assert keys == sorted(keys)
     # span{e1} always comes first among lines
     assert next(iter(enumerate_subspaces(GF(3), 3, 1))) == Subspace(
         GF(3), 3, [[1, 0, 0]]
     )
+    assert scanned(3, 3, 1)[0] == (((1, 0, 0),), (0,))
+
+
+def test_the_scanner_with_no_forms_lists_every_subspace_like_the_oracle():
+    # with no forms every pairing vanishes, so the isotropic scanner lists
+    # all nonzero subspaces: the same reduced echelon rows and pivots, in
+    # the same order, as the oracle that builds each one as a Subspace
+    for q in (2, 3, 5):
+        for n in range(1, 5):
+            expected = [(s.basis.rows, tuple(s.pivots)) for s in all_subspaces(GF(q), n)]
+            got = [(rows, tuple(pivots)) for rows, pivots, _ in _isotropic_scanner([], q, n)()]
+            assert got == expected
 
 
 def test_all_subspaces_membership_partition():

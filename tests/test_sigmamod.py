@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from twistmod.errors import FieldError, IsotropyError, SingularMatrixError
-from twistmod.linalg import GF, QQ, Matrix, Subspace, dot, rank_mod_p, vectors_of
+from twistmod.linalg import GF, QQ, Matrix, Subspace, dot, rank_mod_p
 from twistmod.sigmamod import (
     NOT_ISOTROPIC,
     SIGMA_ISOTROPIC,
@@ -33,6 +33,8 @@ from twistmod.sigmamod import (
     symmetrize,
     validate,
 )
+
+from oracles import vectors_of
 
 
 def trivial_w(field):
@@ -324,6 +326,11 @@ def test_isomorphism_worked_example_f3():
     q3 = module_1form(GF(3), [[1, 0], [0, 1]])
     assert is_isomorphic(q1, q3).status == "no"
     assert brute_force_iso_gl2(q1, q3) is None
+    # one path, invariants then search; a stale positional mode does
+    # not bind to the node budget
+    with pytest.raises(TypeError):
+        is_isomorphic(q1, q2, "auto")
+    assert is_isomorphic(q1, q2, node_budget=1_000).status == "yes"
 
 
 def test_isomorphism_matches_brute_force_on_random_pairs():

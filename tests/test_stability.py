@@ -25,11 +25,12 @@ from twistmod.errors import (
     StabilityError,
 )
 from twistmod.hilbert import MINUS_INFINITY, limit_at_zero, mu
-from twistmod.linalg import GF, QQ, Matrix, Subspace, all_subspaces, rank_mod_p
+from twistmod.linalg import GF, QQ, Matrix, Subspace, rank_mod_p
 from twistmod.sigmamod import (
     TOTALLY_ISOTROPIC,
     InvolutionSpace,
     SigmaModule,
+    _integer_forms,
     act,
     dotform,
     is_isomorphic,
@@ -53,6 +54,8 @@ from twistmod.stability import (
     s_equivalent,
     semistability_verdict,
 )
+
+from oracles import all_subspaces
 
 
 def trivial_w(field):
@@ -469,7 +472,7 @@ def test_integer_gram_test_matches_the_exact_isotropy_class():
                     ]
                     q = symmetrize(QQ, n, w, sign, raw)
                     modules += 1
-                    forms = [stability._integer_form(b) for b in q.forms]
+                    forms = _integer_forms(q, 0)
                     for p in (2, 3, 5, 7):
                         if any(x.denominator % p == 0 for b in q.forms for r in b.rows for x in r):
                             continue
@@ -513,13 +516,14 @@ def test_strategy_selection():
     f3 = GF(3)
     q3 = module_1form(f3, [[1, 0], [0, 1]])
     qq = module_1form(QQ, [[1, 0], [0, 1]])
-    assert semistability_verdict(q3, "exhaustive").status == STABLE
-    with pytest.raises(FieldError):
-        semistability_verdict(qq, "exhaustive")
-    with pytest.raises(FieldError):
-        semistability_verdict(q3, "heuristic")
-    with pytest.raises(ValueError):
-        semistability_verdict(q3, "guess")
+    # the field decides the mode
+    exhaustive = semistability_verdict(q3)
+    assert exhaustive.status == STABLE
+    assert exhaustive.provenance == Provenance("exhaustive")
+    assert semistability_verdict(qq).provenance.kind == "heuristic"
+    # a stale positional mode does not bind to enum_bound
+    with pytest.raises(TypeError):
+        semistability_verdict(q3, "exhaustive")
     with pytest.raises(StabilityError):
         semistability_verdict(module_1form(QQ, [[0, 1], [2, 0]]))
 
@@ -797,6 +801,15 @@ def test_hilbert_mumford_sweep_fixtures():
             module_1form(f3, [[0, 0, 1], [0, 1, 1], [1, 1, 1]]),
             max_decompositions=100,
         )
+
+
+def test_a_negative_weight_bound_is_a_value_error_not_an_internal_one():
+    # no weight lies in [-w, w] for w < 0, so no subgroup could be swept;
+    # that is the caller's error, not a broken invariant
+    q = module_1form(GF(3), [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="weight_bound"):
+        hilbert_mumford_sweep(q, weight_bound=-1)
+    assert hilbert_mumford_sweep(q, weight_bound=0) == 0
 
 
 def test_sweep_agrees_with_the_verdict_on_samples():
