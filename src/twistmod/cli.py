@@ -135,10 +135,10 @@ def _cmd_sequiv(args) -> dict:
 def _standard_twist(field, r: int) -> Matrix:
     if r % 2 != 0:
         raise UsageError("the alternating case needs an even rank")
-    grid = [[field.zero] * r for _ in range(r)]
+    grid = [[0] * r for _ in range(r)]
     for i in range(0, r, 2):
-        grid[i][i + 1] = field.one
-        grid[i + 1][i] = field.neg(field.one)
+        grid[i][i + 1] = 1
+        grid[i + 1][i] = -1
     return Matrix(field, grid)
 
 

@@ -82,8 +82,8 @@ class OneParamSubgroup:
             (merged[wt], wt) for wt in sorted(merged, reverse=True)
         )
         total = sum(s.dim for s, _ in ordered)
-        stacked = Matrix(field, [r for s, _ in ordered for r in s.basis.rows])
-        if total != ambient or stacked.rank() != ambient:
+        stacked = sum((s.basis.rows for s, _ in ordered), ())
+        if total != ambient or Matrix._from_rows(field, stacked, ambient).rank() != ambient:
             raise ShapeError("pieces are not a direct sum decomposition")
         if sum(wt * s.dim for s, wt in ordered) != 0:
             raise ShapeError("weighted dimensions must sum to zero")
@@ -124,7 +124,8 @@ class OneParamSubgroup:
 
     def adapted_rows(self) -> Matrix:
         """The adapted basis, one piece after another, as matrix rows."""
-        return Matrix(self.field, [r for s, _ in self.pieces for r in s.basis.rows])
+        rows = sum((s.basis.rows for s, _ in self.pieces), ())
+        return Matrix._from_rows(self.field, rows, self.ambient)
 
     def transform(self) -> Matrix:
         """Change-of-basis matrix T whose columns are the adapted basis."""
@@ -143,12 +144,10 @@ class OneParamSubgroup:
                 value = f.mul(value, base)
             diag_entries.extend([value] * sub.dim)
         n = self.ambient
-        diag = Matrix(
+        diag = Matrix._from_rows(
             f,
-            [
-                [diag_entries[i] if i == j else f.zero for j in range(n)]
-                for i in range(n)
-            ],
+            tuple(tuple(diag_entries[i] if i == j else f.zero for j in range(n)) for i in range(n)),
+            n,
         )
         t_mat = self.transform()
         return t_mat.mul(diag).mul(t_mat.inverse())
@@ -233,7 +232,10 @@ def limit_at_zero(lam: OneParamSubgroup, q: SigmaModule):
     t = lam.transform()
     ti = t.inverse()
     tit = ti.transpose()
-    back = [tit.mul(Matrix(field, entries)).mul(ti) for entries in kept]
+    back = [
+        tit.mul(Matrix._from_rows(field, tuple(map(tuple, entries)), q.dim_h)).mul(ti)
+        for entries in kept
+    ]
     limit = SigmaModule(q.field, q.dim_h, q.w, q.sign, back)
     if not validate(limit):
         raise InternalCheckError("limit broke the symmetry relation")

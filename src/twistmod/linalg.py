@@ -2,9 +2,20 @@
 
 All arithmetic in this package is exact.  Rational scalars are
 ``fractions.Fraction`` instances (arbitrary-precision), elements of F_p are
-canonical integer representatives in ``range(p)``.  A field object bundles
-the primitive operations so matrix and subspace code stays generic over
-both kinds of scalar.
+canonical integer representatives in ``range(p)``.
+
+Matrices and subspaces compute on plain ints.  Over F_p each entry of a
+row operation takes one ``% p`` and pivots are inverted by
+``pow(a, -1, p)``.  Over QQ each row is scaled to ints by the lcm of its
+denominators, eliminated fraction-free (Bareiss, Math. Comp. 22, 1968,
+where every update divides exactly by the previous pivot), and one
+``Fraction`` is built per output entry.
+
+The public ``Matrix`` and ``Subspace`` constructors are the boundary: an
+int entry is taken through ``field.from_int``, a ``Fraction`` is accepted
+over QQ only, and anything else raises ``FieldError``.  Internal results
+are canonical already and are built by the trusted ``Matrix._from_rows``
+and ``Subspace._from_echelon``.
 
 Subspaces are kept in a canonical form (reduced row echelon basis), which
 makes equality of subspaces plain object equality and gives every
@@ -13,8 +24,10 @@ enumeration in the package a stable, reproducible order.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from operator import add as _plus, mul as _times, sub as _minus
 
 from .errors import BoundExceededError, FieldError, ParseError, ShapeError, SingularMatrixError
 
@@ -53,12 +66,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         # Fraction(1), not 1: a plain-int pivot would otherwise give a float
         return Fraction(1) / a
-
-    def div(self, a, b):
-        return a * self.inv(b)
-
-    def is_element(self, a) -> bool:
-        return isinstance(a, Fraction)
 
     def elements(self):
         raise FieldError("cannot enumerate an infinite field")
@@ -168,12 +175,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
-    def is_element(self, a) -> bool:
-        return isinstance(a, int) and 0 <= a < self.p
-
     def elements(self):
         return list(range(self.p))
 
@@ -228,75 +229,83 @@ def field_name(field) -> str:
     return f"fp:{field.p}"
 
 
-def dot(field, u, v):
-    # zero terms are skipped: forms and candidate vectors are mostly sparse
-    zero = field.zero
-    acc = zero
-    for a, b in zip(u, v):
-        if a != zero and b != zero:
-            acc = field.add(acc, field.mul(a, b))
-    return acc
+def _element(field, a):
+    # the public boundary rule: ints through from_int, a Fraction over QQ only
+    if isinstance(a, int):
+        return field.from_int(a)
+    if isinstance(a, Fraction) and field.characteristic == 0:
+        return a
+    raise FieldError(f"{a!r} is not an int or an element of {field!r}")
+
+
+def _fill_matrix(m, field, rows, ncols):
+    # Matrix and Subspace are immutable: their slots are set once, here and below
+    setattr_ = object.__setattr__
+    setattr_(m, "field", field)
+    setattr_(m, "rows", rows)
+    setattr_(m, "nrows", len(rows))
+    setattr_(m, "ncols", ncols)
+
+
+def _fill_subspace(v, field, ambient, basis, pivots):
+    setattr_ = object.__setattr__
+    setattr_(v, "field", field)
+    setattr_(v, "ambient", ambient)
+    setattr_(v, "basis", basis)
+    setattr_(v, "pivots", pivots)
 
 
 class Matrix:
     """Immutable dense matrix over an exact field.
 
     Rows are tuples, so matrices hash and compare by value.  ``m[i]``
-    returns the i-th row, ``m[i][j]`` an entry.
+    returns the i-th row, ``m[i][j]`` an entry.  The width is kept
+    explicitly, so a matrix without rows still has its ``ncols``.
     """
 
     __slots__ = ("field", "rows", "nrows", "ncols")
 
     def __init__(self, field, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ShapeError("ragged rows")
-        else:
-            width = 0
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", width)
+        rows = tuple(tuple(_element(field, e) for e in r) for r in rows)
+        width = len(rows[0]) if rows else 0
+        if any(len(r) != width for r in rows):
+            raise ShapeError("ragged rows")
+        _fill_matrix(self, field, rows, width)
+
+    @classmethod
+    def _from_rows(cls, field, rows, ncols: int):
+        # trusted internal path: rows is a tuple of ncols-tuples of canonical entries
+        m = object.__new__(cls)
+        _fill_matrix(m, field, rows, ncols)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def from_ints(cls, field, rows):
-        return cls(field, [[field.from_int(e) for e in r] for r in rows])
-
-    @classmethod
     def identity(cls, field, n: int):
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        rows = tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+        return cls._from_rows(field, rows, n)
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int):
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)])
+        return cls._from_rows(field, ((field.zero,) * ncols,) * nrows, ncols)
 
     @classmethod
     def from_blocks(cls, grid):
         """Assemble a matrix from a 2D grid of blocks with matching dims."""
         if not grid or not grid[0]:
             raise ShapeError("empty block grid")
-        field = grid[0][0].field
-        out_rows = []
+        width = sum(b.ncols for b in grid[0])
+        rows = []
         for block_row in grid:
-            height = block_row[0].nrows
-            if any(b.nrows != height for b in block_row):
+            if any(b.nrows != block_row[0].nrows for b in block_row):
                 raise ShapeError("block heights disagree")
-            for i in range(height):
-                row = []
-                for b in block_row:
-                    row.extend(b.rows[i])
-                out_rows.append(row)
-        widths = {len(r) for r in out_rows}
-        if len(widths) > 1:
-            raise ShapeError("block widths disagree")
-        return cls(field, out_rows)
+            if sum(b.ncols for b in block_row) != width:
+                raise ShapeError("block widths disagree")
+            rows.extend(sum(parts, ()) for parts in zip(*(b.rows for b in block_row)))
+        return cls._from_rows(grid[0][0].field, tuple(rows), width)
 
     # -- basics ---------------------------------------------------------
 
@@ -307,6 +316,7 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.field == other.field
+            and self.ncols == other.ncols
             and self.rows == other.rows
         )
 
@@ -325,94 +335,77 @@ class Matrix:
         return self.nrows == self.ncols
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(e == z for r in self.rows for e in r)
-
-    def to_lists(self):
-        return [list(r) for r in self.rows]
+        return not any(any(r) for r in self.rows)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.rows)) if self.rows else [])
+        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
+        return Matrix._from_rows(self.field, rows, self.nrows)
 
     def _check_same_field(self, other):
         if self.field != other.field:
             raise FieldError("mixed fields")
 
-    def __add__(self, other):
+    def _entrywise(self, other, op, what: str) -> "Matrix":
         self._check_same_field(other)
         if self.shape != other.shape:
-            raise ShapeError("shape mismatch in add")
-        f = self.field
-        return Matrix(
-            f,
-            [
-                [f.add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
+            raise ShapeError(f"shape mismatch in {what}")
+        p = self.field.characteristic
+        rows = tuple(
+            tuple(op(a, b) % p for a, b in zip(ra, rb)) if p else tuple(map(op, ra, rb))
+            for ra, rb in zip(self.rows, other.rows)
         )
+        return Matrix._from_rows(self.field, rows, self.ncols)
+
+    def __add__(self, other):
+        return self._entrywise(other, _plus, "add")
 
     def __sub__(self, other):
-        self._check_same_field(other)
-        if self.shape != other.shape:
-            raise ShapeError("shape mismatch in sub")
-        f = self.field
-        return Matrix(
-            f,
-            [
-                [f.sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        return self._entrywise(other, _minus, "sub")
 
     def __neg__(self):
-        f = self.field
-        return Matrix(f, [[f.neg(a) for a in r] for r in self.rows])
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.rows])
-
-    def __matmul__(self, other):
-        return self.mul(other)
+        p = self.field.characteristic
+        rows = tuple(tuple(c * a % p if p else c * a for a in r) for r in self.rows)
+        return Matrix._from_rows(self.field, rows, self.ncols)
 
     def mul(self, other: "Matrix") -> "Matrix":
+        """The product, one ``% p`` per entry over F_p; over QQ the rows of
+        self and the columns of other are scaled to ints, and each entry
+        is one Fraction over the product of the two scales."""
         self._check_same_field(other)
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        cols = other.transpose().rows
-        out = []
-        for r in self.rows:
-            out_row = []
-            for c in cols:
-                acc = zero
-                for a, b in zip(r, c):
-                    if a != zero and b != zero:
-                        acc = add(acc, mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(f, out)
+        field = self.field
+        p = field.characteristic
+        cols = tuple(zip(*other.rows)) if other.rows else ((),) * other.ncols
+        if p:
+            rows = tuple(tuple(sum(map(_times, r, c)) % p for c in cols) for r in self.rows)
+        else:
+            left, left_scales = _int_rows(field, self.rows)
+            right, right_scales = _int_rows(field, cols)
+            rows = tuple(
+                tuple(Fraction(sum(map(_times, r, c)), s * t) for c, t in zip(right, right_scales))
+                for r, s in zip(left, left_scales)
+            )
+        return Matrix._from_rows(field, rows, other.ncols)
+
+    __matmul__ = mul
 
     def mat_vec(self, v):
         if len(v) != self.ncols:
             raise ShapeError("vector length mismatch")
-        return tuple(dot(self.field, r, v) for r in self.rows)
-
-    def vec_mat(self, v):
-        if len(v) != self.nrows:
-            raise ShapeError("vector length mismatch")
-        cols = self.transpose().rows
-        return tuple(dot(self.field, v, c) for c in cols)
+        p = self.field.characteristic
+        out = tuple(sum(map(_times, r, v), self.field.zero) for r in self.rows)
+        return tuple(x % p for x in out) if p else out
 
     def trace(self):
         if not self.is_square():
             raise ShapeError("trace of non-square matrix")
-        f = self.field
-        acc = f.zero
-        for i in range(self.nrows):
-            acc = f.add(acc, self.rows[i][i])
-        return acc
+        p = self.field.characteristic
+        total = sum((r[i] for i, r in enumerate(self.rows)), self.field.zero)
+        return total % p if p else total
 
     # -- elimination ----------------------------------------------------
 
@@ -423,94 +416,149 @@ class Matrix:
         of pivot column indices.  Zero rows are kept (at the bottom) so the
         result has the same shape as the input.
         """
-        f = self.field
-        m = [list(r) for r in self.rows]
-        nrows, ncols = self.nrows, self.ncols
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pivot_row = None
-            for i in range(r, nrows):
-                if m[i][c] != f.zero:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            scale = f.inv(m[r][c])
-            m[r] = [f.mul(scale, e) for e in m[r]]
-            for i in range(nrows):
-                if i != r and m[i][c] != f.zero:
-                    factor = m[i][c]
-                    m[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return Matrix(f, m), r, tuple(pivots)
+        rows, _ = _int_rows(self.field, self.rows)
+        pivots, d = _gauss_jordan(rows, self.ncols, self.field.characteristic)
+        echelon = Matrix._from_rows(self.field, _entries(self.field, rows, d), self.ncols)
+        return echelon, len(pivots), tuple(pivots)
 
     def rank(self) -> int:
-        return self.rref()[1]
+        return rank_mod_p(_int_rows(self.field, self.rows)[0], self.field.characteristic)
 
     def kernel_basis(self) -> "Matrix":
         """Canonical basis of the right kernel {v : M v = 0}, as rows."""
-        f = self.field
-        echelon, rank, pivots = self.rref()
-        free = [c for c in range(self.ncols) if c not in pivots]
-        vectors = []
-        for fc in free:
-            v = [f.zero] * self.ncols
-            v[fc] = f.one
-            for r, pc in enumerate(pivots):
-                v[pc] = f.neg(echelon.rows[r][fc])
-            vectors.append(v)
-        if not vectors:
-            return Matrix(f, [])
-        reduced, k, _ = Matrix(f, vectors).rref()
-        return Matrix(f, reduced.rows[:k])
+        rows, _ = _null_space(self.field, _int_rows(self.field, self.rows)[0], self.ncols)
+        return Matrix._from_rows(self.field, rows, self.ncols)
 
     def det(self):
+        """Bareiss elimination: each update divides exactly by the
+        previous pivot (over F_p: multiplies by its inverse), so the last
+        pivot is the determinant of the rows as scaled to ints."""
         if not self.is_square():
             raise ShapeError("determinant of non-square matrix")
-        f = self.field
-        n = self.nrows
-        m = [list(r) for r in self.rows]
-        result = f.one
+        field, n = self.field, self.nrows
+        p = field.characteristic
+        rows, scales = _int_rows(field, self.rows)
+        sign, previous = 1, 1
         for c in range(n):
-            pivot_row = None
-            for i in range(c, n):
-                if m[i][c] != f.zero:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return f.zero
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                result = f.neg(result)
-            result = f.mul(result, m[c][c])
-            inv_pivot = f.inv(m[c][c])
-            for i in range(c + 1, n):
-                if m[i][c] != f.zero:
-                    factor = f.mul(m[i][c], inv_pivot)
-                    m[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(m[i], m[c])]
-        return result
+            i = next((i for i in range(c, n) if rows[i][c]), None)
+            if i is None:
+                return field.zero
+            if i != c:
+                rows[c], rows[i] = rows[i], rows[c]
+                sign = -sign
+            top = rows[c]
+            a = top[c]
+            w = pow(previous, -1, p) if p else 0
+            for k in range(c + 1, n):
+                b = rows[k][c]
+                if p:
+                    rows[k] = [(a * x - b * y) * w % p for x, y in zip(rows[k], top)]
+                else:
+                    rows[k] = [(a * x - b * y) // previous for x, y in zip(rows[k], top)]
+            previous = a
+        return sign * previous % p if p else Fraction(sign * previous, math.prod(scales))
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise ShapeError("inverse of non-square matrix")
-        f = self.field
-        n = self.nrows
-        augmented = Matrix(
-            f,
-            [
-                list(self.rows[i]) + [f.one if j == i else f.zero for j in range(n)]
-                for i in range(n)
-            ],
-        )
-        echelon, _, pivots = augmented.rref()
-        if pivots[:n] != tuple(range(n)):
+        field, n = self.field, self.nrows
+        rows, scales = _int_rows(field, self.rows)
+        # row i of [M | I] scaled by the scale of row i of M
+        augmented = [
+            [*r, *(s if j == i else 0 for j in range(n))]
+            for i, (r, s) in enumerate(zip(rows, scales))
+        ]
+        pivots, d = _gauss_jordan(augmented, 2 * n, field.characteristic)
+        if pivots[:n] != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        return Matrix(f, [r[n:] for r in echelon.rows])
+        return Matrix._from_rows(field, _entries(field, [r[n:] for r in augmented], d), n)
+
+
+def _int_rows(field, rows):
+    """Rows of field entries on plain ints, and the scale of each: over
+    F_p the rows themselves (scale 1), over QQ each row times the lcm of
+    its denominators, which keeps its span.  The eliminations below
+    replace rows and never write into one, so a row may be a tuple."""
+    if field.characteristic:
+        return list(rows), [1] * len(rows)
+    out, scales = [], []
+    for r in rows:
+        d = math.lcm(*[x.denominator for x in r])
+        out.append([x.numerator * (d // x.denominator) for x in r])
+        scales.append(d)
+    return out, scales
+
+
+def _entries(field, rows, d):
+    # plain-int rows back to field entries: as they are over F_p, over d over QQ
+    if field.characteristic:
+        return tuple(map(tuple, rows))
+    return tuple(tuple(Fraction(x, d) for x in r) for r in rows)
+
+
+def _gauss_jordan(rows, ncols: int, p: int):
+    """Bring plain-int rows to reduced echelon form in place; returns the
+    pivot columns and a divisor d.
+
+    Over F_p (p > 0) the pivot row is scaled by pow(a, -1, p) and every
+    other row cleared with one ``% p`` per entry, so d = 1.  Over QQ
+    (p == 0) it is fraction-free Gauss-Jordan: a pivot a clears its
+    column in every other row by (a x - b y) // d, d the previous pivot,
+    an exact division since every entry stays a minor of the input.  All
+    pivot entries end equal to the last pivot d, and the reduced echelon
+    form is rows / d.
+    """
+    pivots = []
+    d = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        a = top[c]
+        if p:
+            inv = pow(a, -1, p)
+            top = rows[r] = [x * inv % p for x in top]
+            for k, row in enumerate(rows):
+                b = row[c]
+                if b and k != r:
+                    rows[k] = [(x - b * y) % p for x, y in zip(row, top)]
+        else:
+            for k, row in enumerate(rows):
+                b = row[c]
+                if k != r and (b or a != d):
+                    rows[k] = [(a * x - b * y) // d for x, y in zip(row, top)]
+            d = a
+        pivots.append(c)
+    return pivots, d
+
+
+def _echelon(field, rows, ncols: int):
+    # the reduced echelon basis of the span of rows of field entries, and its pivots
+    ints, _ = _int_rows(field, rows)
+    pivots, d = _gauss_jordan(ints, ncols, field.characteristic)
+    return _entries(field, ints[: len(pivots)], d), tuple(pivots)
+
+
+def _null_space(field, rows, ncols: int):
+    """The canonical basis rows of {v : M v = 0} and their pivots, for M
+    given as plain-int rows (in range(p) over F_p, any ints over QQ)."""
+    p = field.characteristic
+    pivots, d = _gauss_jordan(rows, ncols, p)
+    vectors = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [0] * ncols
+            v[f] = d
+            for row, c in zip(rows, pivots):
+                v[c] = -row[f] % p if p else -row[f]
+            vectors.append(v)
+    kernel_pivots, kd = _gauss_jordan(vectors, ncols, p)
+    return _entries(field, vectors, kd), tuple(kernel_pivots)
 
 
 class Subspace:
@@ -525,39 +573,36 @@ class Subspace:
     __slots__ = ("field", "ambient", "basis", "pivots")
 
     def __init__(self, field, ambient: int, vectors):
-        m = Matrix(field, [list(v) for v in vectors])
+        m = Matrix(field, vectors)
         if m.nrows and m.ncols != ambient:
             raise ShapeError("vector length != ambient dimension")
-        if m.nrows:
-            echelon, rank, pivots = m.rref()
-            basis = Matrix(field, echelon.rows[:rank])
-        else:
-            basis, pivots = Matrix(field, []), ()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", pivots)
+        echelon, pivots = _echelon(field, m.rows, ambient)
+        _fill_subspace(self, field, ambient, Matrix._from_rows(field, echelon, ambient), pivots)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def _from_echelon(cls, field, ambient: int, rows, pivots):
-        # trusted internal path: rows are a reduced echelon basis with these pivots
+        # trusted internal path: rows is a tuple of reduced echelon basis
+        # rows of canonical entries, with the tuple of pivot columns pivots
         v = object.__new__(cls)
-        object.__setattr__(v, "field", field)
-        object.__setattr__(v, "ambient", ambient)
-        object.__setattr__(v, "basis", Matrix(field, rows))
-        object.__setattr__(v, "pivots", tuple(pivots))
+        _fill_subspace(v, field, ambient, Matrix._from_rows(field, rows, ambient), pivots)
         return v
 
     @classmethod
+    def _span(cls, field, ambient: int, rows):
+        # trusted internal path: the span of rows of canonical entries
+        return cls._from_echelon(field, ambient, *_echelon(field, rows, ambient))
+
+    @classmethod
     def zero(cls, field, ambient: int):
-        return cls(field, ambient, [])
+        return cls._from_echelon(field, ambient, (), ())
 
     @classmethod
     def full(cls, field, ambient: int):
-        return cls(field, ambient, Matrix.identity(field, ambient).rows)
+        identity = Matrix.identity(field, ambient).rows
+        return cls._from_echelon(field, ambient, identity, tuple(range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -584,24 +629,25 @@ class Subspace:
         return (self.dim, self.pivots, self.basis.rows)
 
     def contains_vector(self, v) -> bool:
+        """Whether v is the combination of the basis rows with its entries
+        at the pivots as coefficients; only the other entries can differ."""
         if len(v) != self.ambient:
             raise ShapeError("vector length != ambient dimension")
-        f = self.field
-        v = list(v)
-        for row, pc in zip(self.basis.rows, self.pivots):
-            coeff = v[pc]
-            if coeff != f.zero:
-                v = [f.sub(a, f.mul(coeff, b)) for a, b in zip(v, row)]
-        return all(e == f.zero for e in v)
+        p = self.field.characteristic
+        coeffs = [v[c] for c in self.pivots]
+        columns = zip(*self.basis.rows) if self.pivots else ((),) * self.ambient
+        for x, column in zip(v, columns):
+            rest = x - sum(map(_times, coeffs, column))
+            if rest % p if p else rest:
+                return False
+        return True
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(r) for r in other.basis.rows)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace(
-            self.field, self.ambient, list(self.basis.rows) + list(other.basis.rows)
-        )
+        return Subspace._span(self.field, self.ambient, self.basis.rows + other.basis.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -609,17 +655,16 @@ class Subspace:
 
     def perp(self) -> "Subspace":
         """Orthogonal complement under the standard dot product."""
-        if self.dim == 0:
-            return Subspace.full(self.field, self.ambient)
-        ker = self.basis.kernel_basis()
-        return Subspace(self.field, self.ambient, ker.rows)
+        rows, _ = _int_rows(self.field, self.basis.rows)
+        kernel = _null_space(self.field, rows, self.ambient)
+        return Subspace._from_echelon(self.field, self.ambient, *kernel)
 
     def apply(self, g: Matrix) -> "Subspace":
         """Image of this subspace under the invertible map ``v -> g v``."""
         if g.shape != (self.ambient, self.ambient):
             raise ShapeError("map shape != ambient dimension")
         image = self.basis.mul(g.transpose())
-        return Subspace(self.field, self.ambient, image.rows)
+        return Subspace._span(self.field, self.ambient, image.rows)
 
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field or self.ambient != other.ambient:
@@ -631,34 +676,22 @@ def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
 
     Extends the inner basis greedily with the vectors of the canonical
     outer basis in index order (for the full ambient space those are the
-    standard basis vectors), keeping the ones that grow the span.  The
-    kept vectors span the complement.  Each vector is reduced against
-    one growing echelon basis: a row per kept vector, monic at its pivot
-    and zero at the pivots of the rows before it, so a vector grows the
-    span exactly when it does not reduce to zero.
+    standard basis vectors), keeping each one that grows the rank of the
+    rows kept so far; the kept vectors span the complement.
     """
     if not outer.contains(inner):
         raise ValueError("inner is not contained in outer")
-    f = inner.field
-    zero = f.zero
-    # inner's basis is reduced echelon, so it starts the echelon basis as it is
-    echelon = list(zip(inner.pivots, inner.basis.rows))
+    field = inner.field
+    p = field.characteristic
+    kept, _ = _int_rows(field, inner.basis.rows)
     added = []
-    for candidate in outer.basis.rows:
-        if len(echelon) == outer.dim:
+    for candidate, row in zip(outer.basis.rows, _int_rows(field, outer.basis.rows)[0]):
+        if len(kept) == outer.dim:
             break
-        v = list(candidate)
-        # in the order the rows were added, which keeps each cleared pivot at zero
-        for c, row in echelon:
-            a = v[c]
-            if a != zero:
-                v = [f.sub(x, f.mul(a, y)) for x, y in zip(v, row)]
-        lead = next((i for i, x in enumerate(v) if x != zero), None)
-        if lead is not None:
-            inv = f.inv(v[lead])
-            echelon.append((lead, [f.mul(x, inv) for x in v]))
+        if rank_mod_p(kept + [row], p) > len(kept):
+            kept.append(row)
             added.append(candidate)
-    return Subspace(f, inner.ambient, added)
+    return Subspace._span(field, inner.ambient, tuple(added))
 
 
 def rank_mod_p(rows, p: int) -> int:

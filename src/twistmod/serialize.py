@@ -47,11 +47,12 @@ def matrix_from_lists(field, data, what: str = "matrix") -> Matrix:
             if not isinstance(cell, str):
                 raise ParseError(f"{what} entries must be strings")
             parsed.append(field.parse(cell))
-        rows.append(parsed)
-    try:
-        return Matrix(field, rows)
-    except ShapeError as exc:
-        raise ParseError(f"{what}: {exc}") from exc
+        rows.append(tuple(parsed))
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise ParseError(f"{what}: ragged rows")
+    # field.parse has checked every cell, so the trusted constructor takes them
+    return Matrix._from_rows(field, tuple(rows), width)
 
 
 def _expect_int(obj, key: str):
@@ -140,7 +141,7 @@ def subspace_from_lists(field, ambient: int, data, what: str = "subspace") -> Su
     basis = matrix_from_lists(field, data, what=what)
     if basis.nrows == 0 or basis.ncols != ambient:
         raise ParseError(f"{what} basis must be nonempty rows of width {ambient}")
-    v = Subspace(field, ambient, basis.rows)
+    v = Subspace._span(field, ambient, basis.rows)
     if v.dim != basis.nrows:
         raise ParseError(f"{what} basis rows are linearly dependent")
     return v

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -26,7 +27,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .linalg import Matrix, Subspace, complement_in, rank_mod_p
+from .linalg import Matrix, Subspace, _int_rows, _null_space, complement_in, rank_mod_p
 
 NOT_ISOTROPIC = "not_isotropic"
 SIGMA_ISOTROPIC = "sigma_isotropic"
@@ -75,18 +76,17 @@ class InvolutionSpace:
 
 def twisted_transpose(w: InvolutionSpace, sign: int, mats):
     """Apply the sigma-twisted transpose to a tuple of coordinate matrices."""
-    s = w.matrix
+    p = w.field.characteristic
+    transposed = [m.transpose() for m in mats]
     out = []
-    for l in range(w.dim):
+    for row in w.matrix.rows:
         acc = None
-        for k in range(w.dim):
-            if s[l][k] == w.field.zero:
-                continue
-            term = mats[k].transpose().scale(s[l][k])
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = Matrix.zeros(w.field, mats[0].ncols, mats[0].nrows)
-        out.append(acc if sign == 1 else -acc)
+        for c, t in zip(row, transposed):
+            c = sign * c % p if p else sign * c
+            if c:
+                term = t if c == 1 else t.scale(c)
+                acc = term if acc is None else acc + term
+        out.append(Matrix.zeros(w.field, mats[0].ncols, mats[0].nrows) if acc is None else acc)
     return tuple(out)
 
 
@@ -156,16 +156,10 @@ class SigmaModule:
 
 def dotform(field, x, b: Matrix, y):
     """x^T b y for row tuples x, y."""
-    acc = field.zero
-    for i, xi in enumerate(x):
-        if xi == field.zero:
-            continue
-        row = b.rows[i]
-        for j, yj in enumerate(y):
-            if yj == field.zero or row[j] == field.zero:
-                continue
-            acc = field.add(acc, field.mul(xi, field.mul(row[j], yj)))
-    return acc
+    p = field.characteristic
+    terms = (xi * sum(map(operator.mul, row, y)) for xi, row in zip(x, b.rows) if xi)
+    total = sum(terms, field.zero)
+    return total % p if p else total
 
 
 def validate(q: SigmaModule) -> bool:
@@ -194,17 +188,17 @@ def orthogonal(q: SigmaModule, v: Subspace) -> Subspace:
     """The twisted orthogonal {x : q(x) vanishes on v}.
 
     Each basis vector u of v and each coordinate matrix B_k contribute
-    one linear condition x . (B_k u) = 0.
+    one linear condition x . (B_k u) = 0, on plain ints: over QQ the
+    forms all scaled by one common denominator and u by its own.
     """
     _check_subspace(q, v)
-    rows = []
-    for u in v.basis.rows:
-        for b in q.forms:
-            rows.append(b.mat_vec(u))
-    if not rows:
-        return Subspace.full(q.field, q.dim_h)
-    constraints = Matrix(q.field, rows)
-    return Subspace(q.field, q.dim_h, constraints.kernel_basis().rows)
+    p = q.field.characteristic
+    basis, _ = _int_rows(q.field, v.basis.rows)
+    forms = _integer_forms(q, p)
+    rows = [[sum(map(operator.mul, row, u)) for row in b] for b in forms for u in basis]
+    if p:
+        rows = [[x % p for x in row] for row in rows]
+    return Subspace._from_echelon(q.field, q.dim_h, *_null_space(q.field, rows, q.dim_h))
 
 
 def isotropy_class(q: SigmaModule, v: Subspace) -> str:
@@ -244,15 +238,9 @@ def _reduce_by(q: SigmaModule, v: Subspace, perp: Subspace) -> IsotropicReductio
     # isotropic_reduction for a caller that has computed perp, the orthogonal of v
     if not perp.contains(v):
         raise IsotropyError("subspace is not totally isotropic")
-    comp = complement_in(v, perp)
-    model = comp.basis
-    forms = []
-    for b in q.forms:
-        rows = [
-            [dotform(q.field, x, b, y) for y in model.rows]
-            for x in model.rows
-        ]
-        forms.append(Matrix(q.field, rows))
+    model = complement_in(v, perp).basis
+    model_t = model.transpose()
+    forms = [model @ b @ model_t for b in q.forms]
     reduced = SigmaModule(q.field, model.nrows, q.w, q.sign, forms)
     if not validate(reduced):
         raise InternalCheckError("reduction broke the symmetry relation")
@@ -454,10 +442,10 @@ def _congruence_invariants_match(q1: SigmaModule, q2: SigmaModule) -> bool:
 
 
 def _integer_forms(q: SigmaModule, p: int) -> list:
-    """The forms of q on plain ints: mod p over F_p (p > 0), and over QQ
-    (p == 0) all scaled by the lcm of all their denominators."""
+    """The forms of q on plain ints: their residues over F_p (p > 0), and
+    over QQ (p == 0) all scaled by the lcm of all their denominators."""
     if p:
-        return [[[x % p for x in row] for row in b.rows] for b in q.forms]
+        return [b.rows for b in q.forms]
     d = _denominator_lcm(*q.forms)
     return [_integer_rows(b, d) for b in q.forms]
 
@@ -504,7 +492,7 @@ def _isometry_search(q1: SigmaModule, q2: SigmaModule, node_budget: int):
     field = q1.field
     n = q1.dim_h
     if n == 0:
-        return Matrix(field, []), True
+        return Matrix.zeros(field, 0, 0), True
     if field.kind == "fp":
         p, values = field.p, range(field.p)
         mats = [b.rows for b in q2.forms]
@@ -554,8 +542,8 @@ def _isometry_search(q1: SigmaModule, q2: SigmaModule, node_budget: int):
 
     def extend() -> tuple:
         if len(chosen) == n:
-            cols = chosen if p else [[Fraction(x, 2) for x in c] for c in chosen]
-            return Matrix(field, cols).transpose(), True
+            cols = chosen if p else [tuple(Fraction(x, 2) for x in c) for c in chosen]
+            return Matrix._from_rows(field, tuple(cols), n).transpose(), True
         complete = True
         for c, diagonal in candidates:
             if budget[0] <= 0:

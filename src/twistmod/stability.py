@@ -61,6 +61,7 @@ from .hilbert import (
 from .linalg import (
     Matrix,
     Subspace,
+    _null_space,
     complement_in,
     rank_mod_p,
 )
@@ -72,7 +73,6 @@ from .sigmamod import (
     _integer_forms,
     _reduce_by,
     act,
-    dotform,
     is_isomorphic,
     isotropic_reduction,
     orthogonal,
@@ -405,10 +405,9 @@ def _certified(status: str, provenance: Provenance, q: SigmaModule, v: Subspace)
 def joint_kernel(q: SigmaModule) -> Subspace:
     """Vectors x with q(x) = 0; by the symmetry relation this also kills
     every q(y)(x), so the kernel is totally isotropic with full orthogonal."""
-    stacked = Matrix(
-        q.field, [row for b in q.forms for row in b.transpose().rows]
-    )
-    return Subspace(q.field, q.dim_h, stacked.kernel_basis().rows)
+    forms = _integer_forms(q, q.field.characteristic)
+    stacked = [column for b in forms for column in zip(*b)]
+    return Subspace._from_echelon(q.field, q.dim_h, *_null_space(q.field, stacked, q.dim_h))
 
 
 def _lift_subspace(rows, p: int, balanced: bool) -> tuple:
@@ -490,7 +489,7 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
                 if not _grams_vanish(forms, rows):
                     continue
                 v = Subspace._from_echelon(
-                    q.field, n, [[Fraction(x) for x in row] for row in rows], pivots
+                    q.field, n, tuple(tuple(map(Fraction, row)) for row in rows), pivots
                 )
                 perp = orthogonal(q, v)
                 if perp.contains(v):
@@ -529,23 +528,14 @@ def _build_levels(q, enum_bound, primes):
         # a QQ lift comes with the orthogonal its recheck computed
         reduction = isotropic_reduction(current, v) if perp is None else _reduce_by(current, v, perp)
         dual = complement_in(reduction.perp, Subspace.full(field, current.dim_h))
-        alpha = tuple(
-            Matrix(
-                field,
-                [[dotform(field, c, b, x) for x in v.basis.rows] for c in dual.basis.rows],
-            )
-            for b in current.forms
-        )
+        v_t = v.basis.transpose()
+        alpha = tuple(dual.basis @ b @ v_t for b in current.forms)
         witness_rows = v.basis @ model_rows
         dual_rows = dual.basis @ model_rows
         levels.append(_Level(witness_rows, dual_rows, LinearPiece(alpha)))
-        reached = reached.sum(Subspace(field, n, witness_rows.rows))
+        reached = Subspace._span(field, n, reached.basis.rows + witness_rows.rows)
         chain.append(reached)
-        # a 0-row model forgets its width, so skip the product
-        if reduction.model.nrows == 0:
-            model_rows = Matrix(field, [])
-        else:
-            model_rows = reduction.model @ model_rows
+        model_rows = reduction.model @ model_rows
         current = reduction.module
     return levels, tuple(chain), current, model_rows
 
@@ -587,7 +577,7 @@ def graded(
     adapted.extend(core_rows.rows)
     for level in reversed(levels):
         adapted.extend(level.dual_rows.rows)
-    transform = Matrix(field, adapted).transpose()
+    transform = Matrix._from_rows(field, tuple(adapted), n).transpose()
 
     forms = list(core.forms)
     size = core.dim_h
@@ -616,10 +606,10 @@ def graded(
     pieces = []
     for i, level in enumerate(levels):
         weight = k - i
-        pieces.append((Subspace(field, n, level.witness_rows.rows), weight))
-        pieces.append((Subspace(field, n, level.dual_rows.rows), -weight))
+        pieces.append((Subspace._span(field, n, level.witness_rows.rows), weight))
+        pieces.append((Subspace._span(field, n, level.dual_rows.rows), -weight))
     if core.dim_h > 0:
-        pieces.append((Subspace(field, n, core_rows.rows), 0))
+        pieces.append((Subspace._span(field, n, core_rows.rows), 0))
     canonical = OneParamSubgroup(pieces)
 
     limit = limit_at_zero(canonical, q)

@@ -1,14 +1,118 @@
-"""Subspace enumerators over F_p that share no code with the package engine.
+"""Oracles that share no code with the package engine.
 
-They build every subspace through the public ``Subspace`` constructor,
-so the tests use them as oracles for ``stability._isotropic_scanner``,
-the package's one subspace enumerator.
+The subspace enumerators over F_p build every subspace through the
+public ``Subspace`` constructor, so the tests use them as oracles for
+``stability._isotropic_scanner``, the package's one subspace enumerator.
+
+The generic elimination below runs on the scalar operations of the
+field objects, one method call per entry operation, as the package's
+matrices once did.  The tests check the plain-int kernel of ``Matrix``
+against it: reduced echelon forms, kernels, inverses and determinants
+are unique, so both must agree entry by entry.
 """
 
 import itertools
+from fractions import Fraction
 
-from twistmod.errors import FieldError
-from twistmod.linalg import Subspace
+from twistmod.errors import FieldError, ShapeError, SingularMatrixError
+from twistmod.linalg import Matrix, Subspace
+
+
+def is_element(field, a) -> bool:
+    """Whether a is a canonical element: a Fraction, or an int in range(p)."""
+    if field.kind == "rational":
+        return isinstance(a, Fraction)
+    return isinstance(a, int) and 0 <= a < field.p
+
+
+def dot(field, u, v):
+    acc = field.zero
+    for a, b in zip(u, v):
+        acc = field.add(acc, field.mul(a, b))
+    return acc
+
+
+def vec_mat(m, v):
+    """v^T m for a row tuple v."""
+    return tuple(dot(m.field, v, [r[j] for r in m.rows]) for j in range(m.ncols))
+
+
+def generic_mul(a, b):
+    if a.ncols != b.nrows:
+        raise ShapeError("shape mismatch")
+    f = a.field
+    rows = [[dot(f, r, [s[j] for s in b.rows]) for j in range(b.ncols)] for r in a.rows]
+    return rows
+
+
+def generic_rref(m):
+    """(echelon rows, rank, pivots) by Gauss-Jordan on field operations."""
+    f = m.field
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    for c in range(m.ncols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != f.zero), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        scale = f.inv(rows[r][c])
+        rows[r] = [f.mul(scale, e) for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != f.zero:
+                factor = rows[i][c]
+                rows[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, len(pivots), tuple(pivots)
+
+
+def generic_kernel(m):
+    """Canonical (reduced echelon) basis rows of {v : M v = 0}."""
+    f = m.field
+    echelon, _, pivots = generic_rref(m)
+    vectors = []
+    for fc in range(m.ncols):
+        if fc in pivots:
+            continue
+        v = [f.zero] * m.ncols
+        v[fc] = f.one
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(echelon[r][fc])
+        vectors.append(v)
+    reduced, k, _ = generic_rref(Matrix(f, vectors))
+    return reduced[:k]
+
+
+def generic_det(m):
+    f = m.field
+    n = m.nrows
+    rows = [list(r) for r in m.rows]
+    result = f.one
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if rows[i][c] != f.zero), None)
+        if pivot_row is None:
+            return f.zero
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            result = f.neg(result)
+        result = f.mul(result, rows[c][c])
+        inv_pivot = f.inv(rows[c][c])
+        for i in range(c + 1, n):
+            if rows[i][c] != f.zero:
+                factor = f.mul(rows[i][c], inv_pivot)
+                rows[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(rows[i], rows[c])]
+    return result
+
+
+def generic_inverse(m):
+    f = m.field
+    n = m.nrows
+    identity = [[f.one if j == i else f.zero for j in range(n)] for i in range(n)]
+    augmented = Matrix(f, [list(row) + unit for row, unit in zip(m.rows, identity)])
+    echelon, _, pivots = generic_rref(augmented)
+    if pivots[:n] != tuple(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return [r[n:] for r in echelon]
 
 
 def vectors_of(field, n: int):

@@ -85,8 +85,8 @@ def involution_choices(field):
     return [
         InvolutionSpace.trivial(field),
         InvolutionSpace(field, Matrix.identity(field, 2)),
-        InvolutionSpace(field, Matrix.from_ints(field, [[0, 1], [1, 0]])),
-        InvolutionSpace(field, Matrix.from_ints(field, [[1, 0], [1, -1]])),
+        InvolutionSpace(field, Matrix(field, [[0, 1], [1, 0]])),
+        InvolutionSpace(field, Matrix(field, [[1, 0], [1, -1]])),
     ]
 
 
@@ -132,7 +132,7 @@ def test_verdicts_match_bounded_weight_sweep():
         field = GF(rng.choice([2, 3]))
         ws = [
             InvolutionSpace.trivial(field),
-            InvolutionSpace(field, Matrix.from_ints(field, [[0, 1], [1, 0]])),
+            InvolutionSpace(field, Matrix(field, [[0, 1], [1, 0]])),
         ]
         w = rng.choice(ws)
         sign = rng.choice([1, -1])
@@ -186,7 +186,7 @@ def test_destabilizing_subgroup_weight_bound():
     rng = random.Random(107)
     f3 = GF(3)
     triv3 = InvolutionSpace.trivial(f3)
-    swap3 = InvolutionSpace(f3, Matrix.from_ints(f3, [[0, 1], [1, 0]]))
+    swap3 = InvolutionSpace(f3, Matrix(f3, [[0, 1], [1, 0]]))
     pairs_fp = 0
     while pairs_fp < 300:
         w = rng.choice([triv3, swap3])
@@ -226,7 +226,7 @@ def test_graded_limit_identity_on_strictly_semistable_modules():
     rng = random.Random(109)
     f3 = GF(3)
     triv = InvolutionSpace.trivial(f3)
-    swap = InvolutionSpace(f3, Matrix.from_ints(f3, [[0, 1], [1, 0]]))
+    swap = InvolutionSpace(f3, Matrix(f3, [[0, 1], [1, 0]]))
     found = 0
     while found < 100:
         w = rng.choice([triv, swap])
@@ -262,7 +262,7 @@ def test_worked_fixture_end_to_end():
         3,
         InvolutionSpace.trivial(QQ),
         1,
-        [Matrix.from_ints(QQ, [[0, 0, 1], [0, 1, 1], [1, 1, 1]])],
+        [Matrix(QQ, [[0, 0, 1], [0, 1, 1], [1, 1, 1]])],
     )
     verdict = semistability_verdict(q)
     assert verdict.status == STRICTLY_SEMISTABLE
@@ -271,7 +271,7 @@ def test_worked_fixture_end_to_end():
     assert filtration.chain == (Subspace(QQ, 3, [[QQ.one, QQ.zero, QQ.zero]]),)
 
     g = graded(q)
-    expected = Matrix.from_ints(QQ, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    expected = Matrix(QQ, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
     assert g.assembled.forms == (expected,)
 
     lam = OneParamSubgroup.from_diagonal_weights(QQ, (1, 0, -1))
@@ -291,7 +291,7 @@ def test_fiber_structure_counts():
 
         assert unramified_fixed_count(field, 2) == {2: 6, 3: 24}[p]
 
-        j = Matrix.from_ints(field, [[0, 1], [-1, 0]])
+        j = Matrix(field, [[0, 1], [-1, 0]])
         alt = fiber_structure_check(field, 2, "alternating", m=j)
         assert alt.ok
         assert alt.projection_ok
@@ -300,7 +300,7 @@ def test_fiber_structure_counts():
 
 
 def test_pfaffian_and_type_suite():
-    j2 = Matrix.from_ints(QQ, [[0, 1], [-1, 0]])
+    j2 = Matrix(QQ, [[0, 1], [-1, 0]])
     assert pfaffian(j2) == 1
 
     rng = random.Random(113)

@@ -24,6 +24,8 @@ from twistmod.errors import (
     UsageError,
 )
 from twistmod.linalg import GF, QQ, Matrix
+
+from oracles import is_element
 from twistmod.dualnum import (
     DualNumberMatrix,
     FiberReport,
@@ -44,7 +46,7 @@ from twistmod.dualnum import (
 
 
 def mat(field, rows):
-    return Matrix.from_ints(field, rows)
+    return Matrix(field, rows)
 
 
 def dn(field, g_rows, h_rows):
@@ -325,17 +327,22 @@ def test_fiber_refuses_a_negative_rank():
 
 def test_twist_entries_are_checked_at_the_boundary():
     f3 = GF(3)
-    # 5 and -5 are not canonical F_3 representatives: a field error, not
-    # a verdict on alternation
+    # the constructor takes ints mod 3, so 5 and -5 are the alternating
+    # 2 and 1, and the twist is checked like its canonical form
     loose = Matrix(f3, [[0, 5], [-5, 0]])
+    canonical = Matrix(f3, [[0, 2], [1, 0]])
+    assert loose == canonical
+    assert fiber_structure_check(f3, 2, "alternating", m=loose) == fiber_structure_check(
+        f3, 2, "alternating", m=canonical
+    )
+    assert is_fixed_alternating(loose, DualNumberMatrix.identity(f3, 2))
+    # a rational is no F_3 entry: a field error at the boundary
     with pytest.raises(FieldError):
-        fiber_structure_check(f3, 2, "alternating", m=loose)
-    with pytest.raises(FieldError):
-        is_fixed_alternating(loose, DualNumberMatrix.identity(f3, 2))
+        Matrix(f3, [[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
     with pytest.raises(FieldError):
         fiber_structure_check(f3, 2, "alternating", m=standard_j(QQ))
     with pytest.raises(ShapeError):
-        fiber_structure_check(f3, 2, "alternating", m=Matrix.from_ints(f3, [
+        fiber_structure_check(f3, 2, "alternating", m=Matrix(f3, [
             [0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0],
         ]))
 
@@ -648,7 +655,7 @@ def test_pfaffian_elimination_matches_first_row_expansion(field):
             a = random_skew(rng, field, n)
             value = pfaffian(a)
             assert value == reference_pfaffian(a)
-            assert field.is_element(value)
+            assert is_element(field, value)
             singular += value == field.zero
     assert singular >= 3
 
@@ -663,19 +670,23 @@ def test_pfaffian_of_a_40_by_40_rational_matrix_squares_to_its_determinant():
 
 
 def test_pfaffian_entries_are_checked_at_the_boundary():
+    # the Matrix constructor is the boundary: a float is refused there,
+    # before any arithmetic
     with pytest.raises(FieldError):
         pfaffian(Matrix(QQ, [[0, 0.5], [-0.5, 0]]))
-    # plain ints are not rationals either
-    with pytest.raises(FieldError):
-        pfaffian(Matrix(QQ, [[0, 1], [-1, 0]]))
-    # 5 and -5 are not canonical F_3 representatives, which is a field
-    # error, not "not alternating"
-    with pytest.raises(FieldError):
-        pfaffian(Matrix(GF(3), [[0, 5], [-5, 0]]))
-    with pytest.raises(FieldError):
-        type_vector([Matrix(GF(3), [[0, 5], [-5, 0]])])
     with pytest.raises(FieldError):
         type_vector([Matrix(QQ, [[0, 1.0], [-1.0, 0]])])
+    # and so is a rational over F_3
+    with pytest.raises(FieldError):
+        pfaffian(Matrix(GF(3), [[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]))
+    # plain ints are taken through from_int: Fractions over QQ, and
+    # residues mod 3, where 5 and -5 are the alternating 2 and 1
+    value = pfaffian(Matrix(QQ, [[0, 1], [-1, 0]]))
+    assert value == 1 and isinstance(value, Fraction)
+    assert Matrix(GF(3), [[0, 5], [-5, 0]]) == Matrix(GF(3), [[0, 2], [1, 0]])
+    assert pfaffian(Matrix(GF(3), [[0, 5], [-5, 0]])) == 2
+    loose = Matrix(GF(3), [[0, 5], [-5, 0]])
+    assert type_vector([loose, loose]) == TypeVector((1, 1))
     assert pfaffian(Matrix(GF(3), [[0, 2], [1, 0]])) == 2
 
 

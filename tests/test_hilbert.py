@@ -31,7 +31,7 @@ WORKED_ROWS = [[0, 0, 1], [0, 1, 1], [1, 1, 1]]
 
 
 def module_1form(field, rows, sign=1):
-    b = Matrix.from_ints(field, rows)
+    b = Matrix(field, rows)
     return SigmaModule(field, b.nrows, InvolutionSpace.trivial(field), sign, [b])
 
 
@@ -159,7 +159,7 @@ def test_limit_worked_example():
     lam = diag_lambda(QQ, [1, 0, -1])
     limit = limit_at_zero(lam, q)
     assert limit is not None
-    assert limit.forms[0] == Matrix.from_ints(QQ, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    assert limit.forms[0] == Matrix(QQ, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
 
 def test_limit_exists_iff_mu_nonpositive_and_is_fixed():

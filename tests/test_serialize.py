@@ -42,11 +42,11 @@ def trivial_w(field):
 
 
 def swap_w(field):
-    return InvolutionSpace(field, Matrix.from_ints(field, [[0, 1], [1, 0]]))
+    return InvolutionSpace(field, Matrix(field, [[0, 1], [1, 0]]))
 
 
 def hyperbolic_module(field=QQ):
-    b = Matrix.from_ints(field, [[0, 1], [1, 0]])
+    b = Matrix(field, [[0, 1], [1, 0]])
     return SigmaModule(field, 2, trivial_w(field), 1, [b])
 
 
@@ -70,7 +70,7 @@ def test_matrix_encoding_round_trip():
     assert matrix_from_lists(QQ, data) == m
 
     f3 = GF(3)
-    m3 = Matrix.from_ints(f3, [[0, 1], [2, 1]])
+    m3 = Matrix(f3, [[0, 1], [2, 1]])
     assert matrix_to_lists(m3) == [["0", "1"], ["2", "1"]]
     assert matrix_from_lists(f3, [["0", "1"], ["2", "1"]]) == m3
 
@@ -160,7 +160,7 @@ def test_subgroup_attachment_round_trip():
     assert subgroup_from_dict(QQ, 3, obj) == lam
 
     q = SigmaModule(
-        QQ, 3, trivial_w(QQ), 1, [Matrix.from_ints(QQ, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])]
+        QQ, 3, trivial_w(QQ), 1, [Matrix(QQ, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])]
     )
     v = Subspace(QQ, 3, [[QQ.one, QQ.zero, QQ.zero]])
     text = to_json(module_file_to_dict(q, lam=lam, subspace=v))
@@ -214,7 +214,7 @@ def test_verdict_golden_bytes():
 
 def test_graded_golden_bytes():
     q = SigmaModule(
-        QQ, 3, trivial_w(QQ), 1, [Matrix.from_ints(QQ, [[0, 0, 1], [0, 1, 1], [1, 1, 1]])]
+        QQ, 3, trivial_w(QQ), 1, [Matrix(QQ, [[0, 0, 1], [0, 1, 1], [1, 1, 1]])]
     )
     assert to_json(graded_to_dict(graded(q))) == (
         '{"filtration":[[["1","0","0"]]],'

@@ -63,11 +63,11 @@ def trivial_w(field):
 
 
 def swap_w(field):
-    return InvolutionSpace(field, Matrix.from_ints(field, [[0, 1], [1, 0]]))
+    return InvolutionSpace(field, Matrix(field, [[0, 1], [1, 0]]))
 
 
 def module_1form(field, rows, sign=1):
-    b = Matrix.from_ints(field, rows)
+    b = Matrix(field, rows)
     return SigmaModule(field, b.nrows, trivial_w(field), sign, [b])
 
 
@@ -354,7 +354,7 @@ def test_heuristic_kernel_instability():
 
 def test_heuristic_lifted_instability():
     # kernel-free but destabilized by span{e1,e2}, found through mod-2 lifting
-    b0 = Matrix.from_ints(QQ, [[0, 0, 1], [0, 0, 2], [3, 4, 5]])
+    b0 = Matrix(QQ, [[0, 0, 1], [0, 0, 2], [3, 4, 5]])
     q = SigmaModule(QQ, 3, swap_w(QQ), 1, [b0, b0.transpose()])
     assert validate(q)
     assert joint_kernel(q).is_zero()
@@ -504,7 +504,7 @@ def test_a_prime_dividing_only_an_involution_denominator_is_skipped():
     # the forms are integral, but W = [[0, 2], [1/2, 0]] does not reduce
     # mod 2, so 2 is not among the primes tried
     w = InvolutionSpace(QQ, Matrix(QQ, [[0, 2], [Fraction(1, 2), 0]]))
-    raw = [Matrix.from_ints(QQ, [[2, 0], [0, 0]]), Matrix.from_ints(QQ, [[0, 1], [0, 0]])]
+    raw = [Matrix(QQ, [[2, 0], [0, 0]]), Matrix(QQ, [[0, 1], [0, 0]])]
     q = symmetrize(QQ, 2, w, 1, raw)
     assert all(x.denominator == 1 for b in q.forms for row in b.rows for x in row)
     verdict = semistability_verdict(q)
@@ -573,7 +573,7 @@ def test_filtration_refuses_exactly_the_unstable_modules():
             for w in (trivial_w(field), swap_w(field)):
                 for sign in (1, -1):
                     samples += [random_module(rng, field, dim, w, sign) for _ in range(3)]
-    b0 = Matrix.from_ints(QQ, [[0, 0, 1], [0, 0, 2], [3, 4, 5]])
+    b0 = Matrix(QQ, [[0, 0, 1], [0, 0, 2], [3, 4, 5]])
     samples += [
         module_1form(QQ, [[0, 1, 0], [1, 0, 0], [0, 0, 0]]),  # joint kernel e3
         SigmaModule(QQ, 3, swap_w(QQ), 1, [b0, b0.transpose()]),  # lifted witness
@@ -645,7 +645,7 @@ def test_a_scan_stops_at_its_first_equality_only_when_no_v_can_destabilize():
 
     def sparse_module(field, n, w, sign):
         raw = [
-            Matrix.from_ints(field, [[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)])
+            Matrix(field, [[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)])
             for _ in range(w.dim)
         ]
         return symmetrize(field, n, w, sign, raw)
@@ -664,7 +664,7 @@ def test_a_scan_stops_at_its_first_equality_only_when_no_v_can_destabilize():
                     for i in range(trials):
                         make = sparse_module if i % 2 else functools.partial(random_module, rng)
                         samples.append(make(field, n, w, sign))
-    b0 = Matrix.from_ints(QQ, [[0, 0, 1], [0, 0, 2], [3, 4, 5]])
+    b0 = Matrix(QQ, [[0, 0, 1], [0, 0, 2], [3, 4, 5]])
     samples.append(SigmaModule(QQ, 3, swap_w(QQ), 1, [b0, b0.transpose()]))
 
     stopped = singular_unstable = 0
@@ -780,7 +780,7 @@ def test_s_equivalence_worked_examples():
 def test_s_equivalence_is_orbit_invariant():
     f3 = GF(3)
     q = module_1form(f3, [[0, 0, 1], [0, 1, 1], [1, 1, 1]])
-    g = Matrix.from_ints(f3, [[1, 2, 0], [0, 1, 1], [2, 0, 1]])
+    g = Matrix(f3, [[1, 2, 0], [0, 1, 1], [2, 0, 1]])
     assert g.rank() == 3
     assert s_equivalent(q, act(g, q)) == "yes"
 
