@@ -40,9 +40,8 @@ def vec_mat(m, v):
 def generic_mul(a, b):
     if a.ncols != b.nrows:
         raise ShapeError("shape mismatch")
-    f = a.field
-    rows = [[dot(f, r, [s[j] for s in b.rows]) for j in range(b.ncols)] for r in a.rows]
-    return rows
+    columns = [[s[j] for s in b.rows] for j in range(b.ncols)]
+    return [[dot(a.field, r, c) for c in columns] for r in a.rows]
 
 
 def generic_rref(m):

@@ -24,8 +24,6 @@ from twistmod.errors import (
     UsageError,
 )
 from twistmod.linalg import GF, QQ, Matrix
-
-from oracles import is_element
 from twistmod.dualnum import (
     DualNumberMatrix,
     FiberReport,
@@ -43,6 +41,8 @@ from twistmod.dualnum import (
     type_vector,
     unramified_fixed_count,
 )
+
+from oracles import is_element
 
 
 def mat(field, rows):
@@ -683,9 +683,9 @@ def test_pfaffian_entries_are_checked_at_the_boundary():
     # residues mod 3, where 5 and -5 are the alternating 2 and 1
     value = pfaffian(Matrix(QQ, [[0, 1], [-1, 0]]))
     assert value == 1 and isinstance(value, Fraction)
-    assert Matrix(GF(3), [[0, 5], [-5, 0]]) == Matrix(GF(3), [[0, 2], [1, 0]])
-    assert pfaffian(Matrix(GF(3), [[0, 5], [-5, 0]])) == 2
     loose = Matrix(GF(3), [[0, 5], [-5, 0]])
+    assert loose == Matrix(GF(3), [[0, 2], [1, 0]])
+    assert pfaffian(loose) == 2
     assert type_vector([loose, loose]) == TypeVector((1, 1))
     assert pfaffian(Matrix(GF(3), [[0, 2], [1, 0]])) == 2
 
