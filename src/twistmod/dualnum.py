@@ -100,15 +100,19 @@ def dn_det(a: DualNumberMatrix):
     one row of g replaced by the matching row of h.
     """
     field = a.field
+    p = field.characteristic
     d0 = a.g.det()
-    if d0 != field.zero:
-        d1 = field.mul(d0, (a.g.inverse() @ a.h).trace())
-        return (d0, d1)
-    d1 = field.zero
-    for i in range(a.size):
-        rows = [a.h.rows[i] if j == i else a.g.rows[j] for j in range(a.size)]
-        d1 = field.add(d1, Matrix._from_rows(field, tuple(rows), a.size).det())
-    return (d0, d1)
+    if d0:
+        d1 = d0 * (a.g.inverse() @ a.h).trace()
+    else:
+        # size >= 1 here (the empty determinant is one), so over QQ the sum is a Fraction
+        d1 = sum(
+            Matrix._from_rows(
+                field, tuple(a.h.rows[i] if j == i else a.g.rows[j] for j in range(a.size)), a.size
+            ).det()
+            for i in range(a.size)
+        )
+    return (d0, d1 % p if p else d1)
 
 
 def is_fixed_plus(a: DualNumberMatrix) -> bool:
@@ -391,7 +395,10 @@ def fiber_structure_check(
         def fixed(a):
             return is_fixed_alternating(m, a)
 
-        expected_kernel_dim = None
+        # the kernel is {h : m h skew, tr h = 0}; for q odd the skew m h
+        # span r(r-1)/2 dimensions and the trace cuts one, while in
+        # characteristic 2 skew means symmetric and no dimension is expected
+        expected_kernel_dim = r * (r - 1) // 2 - 1 if p % 2 else None
 
     image = [g for g in _isometries(form, p, r) if Matrix._from_rows(field, g, r).det() == 1]
     kernel_space = _solutions(field, r, kernel_conditions)
@@ -427,7 +434,8 @@ def fiber_structure_check(
         and len(fixed_set) == len(image) * p**kernel_dim
     )
     if expected_kernel_dim is not None:
-        count_ok = count_ok and kernel_dim == expected_kernel_dim
+        # at r = 0 the trace condition is empty and cuts nothing
+        count_ok = count_ok and kernel_dim == max(expected_kernel_dim, 0)
 
     return FiberReport(
         case=case,
@@ -484,31 +492,37 @@ def _pf(field, rows):
     determinant one.  What is left below is the Schur complement of the
     2x2 block [[0, a], [-a, 0]]: entry (i, j) gains (v_i u_j - u_i v_j)/a
     for the rows u and v of indices k and k+1.  A zero row k gives 0.
+    The entries are plain ints with one ``% p`` per update over F_p, and
+    Fractions under their own operators over QQ.
     """
+    p = field.characteristic
     a = [list(row) for row in rows]
     n = len(a)
-    zero = field.zero
     result = field.one
     for k in range(0, n, 2):
-        j = next((j for j in range(k + 1, n) if a[k][j] != zero), None)
+        j = next((j for j in range(k + 1, n) if a[k][j]), None)
         if j is None:
-            return zero
+            return field.zero
         if j != k + 1:
             a[j], a[k + 1] = a[k + 1], a[j]
             for row in a:
                 row[j], row[k + 1] = row[k + 1], row[j]
-            result = field.neg(result)
+            result = -result
         u, v = a[k], a[k + 1]
-        result = field.mul(result, u[k + 1])
-        inv = field.inv(u[k + 1])
+        pivot = u[k + 1]
+        result *= pivot
+        inv = pow(pivot, -1, p) if p else 1 / pivot
         for i in range(k + 2, n):
-            ui, vi = field.mul(u[i], inv), field.mul(v[i], inv)
-            if ui == zero and vi == zero:
+            ui, vi = u[i] * inv, v[i] * inv
+            if p:
+                ui, vi = ui % p, vi % p
+            if not (ui or vi):
                 continue
             row = a[i]
             for c in range(k + 2, n):
-                row[c] = field.add(row[c], field.sub(field.mul(vi, u[c]), field.mul(ui, v[c])))
-    return result
+                x = row[c] + vi * u[c] - ui * v[c]
+                row[c] = x % p if p else x
+    return result % p if p else result
 
 
 class TypeVector:
@@ -548,13 +562,13 @@ def type_vector(psis) -> TypeVector:
     """
     taus = []
     for psi in psis:
-        field = psi.field
-        if psi.det() != field.one:
+        if psi.det() != 1:
             raise UsageError("type entries need determinant one")
+        p = psi.field.characteristic
         value = pfaffian(psi)
-        if value == field.one:
+        if value == 1:
             taus.append(1)
-        elif value == field.neg(field.one):
+        elif value == (p - 1 if p else -1):
             taus.append(-1)
         else:
             raise UsageError("pfaffian is not a unit sign")

@@ -14,6 +14,7 @@ limit keeps the exponent-zero blocks and kills the rest.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InternalCheckError, IsotropyError, ShapeError
@@ -134,14 +135,13 @@ class OneParamSubgroup:
     def matrix_at(self, t) -> Matrix:
         """The group element lambda(t) for an invertible field element t."""
         f = self.field
-        if t == f.zero:
+        p = f.characteristic
+        if (t % p if p else t) == 0:
             raise ShapeError("lambda(t) needs invertible t")
         diag_entries = []
         for sub, wt in self.pieces:
-            base = t if wt >= 0 else f.inv(t)
-            value = f.one
-            for _ in range(abs(wt)):
-                value = f.mul(value, base)
+            # over QQ an int t becomes a Fraction, so a negative power stays exact
+            value = pow(t, wt, p) if p else Fraction(t) ** wt
             diag_entries.extend([value] * sub.dim)
         n = self.ambient
         diag = Matrix._from_rows(

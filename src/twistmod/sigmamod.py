@@ -508,13 +508,13 @@ def _isometry_search(q1: SigmaModule, q2: SigmaModule, node_budget: int):
     wanted = [tuple(t[i][i] for t in targets) for i in range(n)]
 
     def pair(u, v) -> int:
-        s = sum(a * b for a, b in zip(u, v))
+        s = sum(map(operator.mul, u, v))
         return s % p if p else s
 
     candidates = []
     for c in itertools.product(values, repeat=n):
         if any(c):
-            diagonal = tuple(pair(c, [sum(a * x for a, x in zip(row, c)) for row in m]) for m in mats)
+            diagonal = tuple(pair(c, [sum(map(operator.mul, row, c)) for row in m]) for m in mats)
             candidates.append((c, diagonal))
     chosen: list[tuple] = []
     budget = [node_budget]
@@ -527,8 +527,8 @@ def _isometry_search(q1: SigmaModule, q2: SigmaModule, node_budget: int):
         if i == 0:
             return True
         for m, cols, t in zip(mats, columns, targets):
-            mc = [sum(a * x for a, x in zip(row, c)) for row in m]
-            cm = [sum(a * x for a, x in zip(col, c)) for col in cols]
+            mc = [sum(map(operator.mul, row, c)) for row in m]
+            cm = [sum(map(operator.mul, col, c)) for col in cols]
             for j in range(i):
                 # pair (j, i) uses M c, pair (i, j) uses c^T M
                 if pair(chosen[j], mc) != t[j][i]:

@@ -43,6 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -203,13 +204,13 @@ def _pairing(forms, p: int):
     every k.  V^perp is the joint kernel of the images of its basis."""
 
     def images(u):
-        return [
-            tuple(sum(a * x for a, x in zip(row, u)) % p for row in b)
-            for b in forms
-        ]
+        return [tuple(sum(map(mul, row, u)) % p for row in b) for b in forms]
 
     def kills(u, imgs):
-        return all(sum(a * x for a, x in zip(u, c)) % p == 0 for c in imgs)
+        for c in imgs:
+            if sum(map(mul, u, c)) % p:
+                return False
+        return True
 
     return images, kills
 
@@ -219,21 +220,49 @@ def _column_lines(forms, p: int, n: int, pc: int):
     the forms (n x n plain ints): the (u, images(u)) of the isotropic
     echelon rows u with that pivot, free entries in product order.
 
-    The images are built incrementally.  The next u in product order
-    adds one to an entry j and wraps the entries after it to 0; each of
-    those changes is one step of +1 mod p, which adds column j of each
-    form, mod p.  So a line costs the changed columns, not a full
-    product, and nothing is tabulated over range(p).
+    The rows run as prefixes u, last entry 0, each followed by its run
+    u + t e_last over t in range(p).  Along a run every Q_k(x) = x^T B_k x
+    is a polynomial in t,
+
+        Q_k(u + t e_last) = u^T B_k u + t ((B_k u)_last + u^T B_k e_last)
+                            + t^2 B_k[last][last],
+
+    so a run costs two dot products per form and then scalar arithmetic
+    per t; no division is taken, so characteristic 2 is no exception.
+    The images B_k (u + t e_last) = B_k u + t B_k e_last are built only
+    for the t where every Q_k vanishes.  The images of the prefixes are
+    built incrementally: the next prefix in product order adds one to an
+    entry j and wraps the entries after it to 0, and each of those steps
+    of +1 mod p adds column j of each form, mod p.  Nothing is tabulated
+    over range(p).
     """
-    _, kills = _pairing(forms, p)
     columns = [[tuple(row[j] % p for row in b) for b in forms] for j in range(n)]
+    last = n - 1
     u = [0] * n
     u[pc] = 1
+    if pc == last:
+        # no free entry: the one row e_last is isotropic iff every corner vanishes
+        if not any(col[last] for col in columns[last]):
+            yield tuple(u), columns[last]
+        return
+    tail = columns[last]
+    corners = [col[last] for col in tail]
     imgs = columns[pc]
     while True:
-        if kills(u, imgs):
-            yield tuple(u), imgs
-        j = n - 1
+        prefix = tuple(u[:last])
+        runs = [
+            (sum(map(mul, u, img)), img[last] + sum(map(mul, u, col)), c)
+            for img, col, c in zip(imgs, tail, corners)
+        ]
+        for t in range(p):
+            for a, b, c in runs:
+                if (a + t * (b + t * c)) % p:
+                    break
+            else:
+                yield prefix + (t,), [
+                    tuple((x + t * y) % p for x, y in zip(img, col)) for img, col in zip(imgs, tail)
+                ]
+        j = last - 1
         while j > pc:
             u[j] = (u[j] + 1) % p
             imgs = [
@@ -302,7 +331,10 @@ def _isotropic_scanner(forms, p: int, n: int):
             yield tuple(u for u, _ in basis), pivots, [c for _, imgs in basis for c in imgs]
             return
         for u, imgs in rows[r]:
-            if all(kills(u, bi) and kills(w, imgs) for w, bi in basis):
+            for w, bi in basis:
+                if not (kills(u, bi) and kills(w, imgs)):
+                    break
+            else:
                 basis.append((u, imgs))
                 yield from grow(pivots, rows, basis)
                 basis.pop()
@@ -312,13 +344,14 @@ def _isotropic_scanner(forms, p: int, n: int):
             for pivots in itertools.combinations(range(n), d):
                 # row r must vanish on the later pivot columns
                 later = [
-                    [e for e in finished(pc) if not any(e[0][c] for c in pivots[r + 1 :])]
+                    [e for e in finished(pc) if not any(map(e[0].__getitem__, pivots[r + 1 :]))]
                     for r, pc in enumerate(pivots[1:], 1)
                 ]
                 if all(later):
                     first = found[pivots[0]] if sources[pivots[0]] is None else reading(pivots[0])
                     if d > 1:
-                        first = (e for e in first if not any(e[0][c] for c in pivots[1:]))
+                        rest = pivots[1:]
+                        first = (e for e in first if not any(map(e[0].__getitem__, rest)))
                     yield from grow(pivots, [first] + later, [])
 
     return scan
@@ -419,9 +452,11 @@ def _lift_subspace(rows, p: int, balanced: bool) -> tuple:
 def _grams_vanish(forms, rows) -> bool:
     """Whether u_i^T B u_j == 0 for every B in ``forms`` and (i, j), i == j too."""
     for b in forms:
-        images = [[sum(a * x for a, x in zip(row, u)) for row in b] for u in rows]
-        if any(sum(a * x for a, x in zip(u, c)) for u in rows for c in images):
-            return False
+        images = [[sum(map(mul, row, u)) for row in b] for u in rows]
+        for u in rows:
+            for c in images:
+                if sum(map(mul, u, c)):
+                    return False
     return True
 
 

@@ -304,6 +304,36 @@ def test_fiber_structure_alternating_f2():
     assert report.ok
 
 
+def test_a_wrong_alternating_kernel_dimension_fails_the_count(monkeypatch):
+    # without its trace condition the alternating fiber over F_3 is still
+    # a group, with consistent counts, but its kernel {h : m h skew} has
+    # dim 1, not the r(r-1)/2 - 1 = 0 that q odd requires
+    from twistmod import dualnum
+
+    f3 = GF(3)
+    solve = dualnum._solutions
+
+    def without_the_trace(field, r, conditions):
+        return solve(field, r, lambda h: conditions(h)[:-1])
+
+    monkeypatch.setattr(dualnum, "_solutions", without_the_trace)
+    monkeypatch.setattr(dualnum, "is_fixed_alternating", lambda m, a: True)
+    report = fiber_structure_check(f3, 2, "alternating", m=standard_j(f3))
+    assert report.kernel_dim == 1 and report.fixed_count == 24 * 3
+    assert report.closure_ok and report.inverses_ok and report.projection_ok and report.kernel_ok
+    assert not report.count_ok and not report.ok
+
+
+@pytest.mark.parametrize("case", ["plus", "alternating"])
+def test_a_rank_zero_fiber_passes_its_checks(case):
+    # at r = 0 the trace condition is empty, so the kernel has dim 0
+    f3 = GF(3)
+    m = Matrix(f3, []) if case == "alternating" else None
+    report = fiber_structure_check(f3, 0, case, m=m)
+    assert (report.fixed_count, report.kernel_dim) == (1, 0)
+    assert report.ok
+
+
 def test_fiber_structure_errors():
     f3 = GF(3)
     with pytest.raises(FieldError):
@@ -377,7 +407,7 @@ def reference_fiber_structure_check(field, r, case, m=None):
         def fixed(g, h):
             return is_fixed_alternating(m, DualNumberMatrix(g, h))
 
-        expected_kernel_dim = None
+        expected_kernel_dim = r * (r - 1) // 2 - 1 if q % 2 else None
 
     everything = list(all_matrices(field, r))
     image = [g for g in everything if in_image(g)]
@@ -667,6 +697,33 @@ def test_pfaffian_of_a_40_by_40_rational_matrix_squares_to_its_determinant():
         a = random_skew(rng, QQ, 40)
     value = pfaffian(a)
     assert value != 0 and value * value == a.det()
+
+
+def refuse_field_methods(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a field method was called")
+
+    for field_type in (type(QQ), type(GF(2))):
+        for name in ("add", "sub", "mul", "neg", "inv"):
+            monkeypatch.setattr(field_type, name, refused)
+
+
+def test_pfaffians_types_and_dual_determinants_call_no_field_method(monkeypatch):
+    # plain ints with one % p per entry over F_p, Fraction operators over QQ
+    rng = random.Random(5)
+    skews = [random_skew(rng, field, 6) for field in (QQ, GF(2), GF(5)) for _ in range(3)]
+    pfaffians = [reference_pfaffian(a) for a in skews]
+    duals = [
+        dn(QQ, [[1, 0], [0, 0]], [[0, 0], [0, 1]]),
+        dn(QQ, [[2, 0], [0, 3]], [[1, 0], [0, 1]]),
+        dn(GF(5), [[2, 1], [1, 1]], [[1, 2], [3, 4]]),
+        dn(GF(5), [[1, 2], [2, 4]], [[1, 0], [0, 1]]),
+    ]
+    types = [[standard_j(f), -standard_j(f)] for f in (QQ, GF(5))]
+    refuse_field_methods(monkeypatch)
+    assert [pfaffian(a) for a in skews] == pfaffians
+    assert [dn_det(a) for a in duals] == [(0, 1), (6, 5), (1, 4), (0, 0)]
+    assert [type_vector(psis) for psis in types] == [TypeVector((1, -1))] * 2
 
 
 def test_pfaffian_entries_are_checked_at_the_boundary():

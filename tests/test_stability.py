@@ -204,43 +204,54 @@ def test_survivors_are_built_in_canonical_form():
 
 
 def test_line_table_matches_the_direct_product_order_table():
-    # the incremental on-demand columns against images(u) computed in
-    # full for every u in product order; alternating forms keep every
-    # line, so every line's images are compared, and random forms keep
-    # some of them.  The scanner's dim-1 scan serves the same lines, the
-    # same after a scan that stopped partway as from finished columns.
+    # the on-demand columns, which solve each run's last coordinate,
+    # against images(u) computed in full for every u in product order.
+    # Alternating forms and no forms at all keep every line, so every
+    # line's images are compared; random forms keep some of them, and a
+    # form whose only nonzero entry is the last diagonal corner keeps
+    # exactly the lines with last entry 0.  The scanner's dim-1 scan
+    # serves the same lines, the same after a scan that stopped partway
+    # (inside the first run of column 0, and half way) as from finished
+    # columns.
     rng = random.Random(17)
     compared = 0
-    for p in (2, 3, 5, 7):
-        for n in (1, 2, 3, 4):
-            for k in (1, 2):
-                square = [[[rng.randrange(p) for _ in range(n)] for _ in range(n)] for _ in range(k)]
-                alternating = [
-                    [[(b[i][j] - b[j][i]) % p for j in range(n)] for i in range(n)] for b in square
-                ]
-                for forms in (square, alternating):
-                    images, kills = stability._pairing(forms, p)
-                    expected = []
-                    for pc in range(n):
-                        found = []
-                        for tail in itertools.product(range(p), repeat=n - 1 - pc):
-                            u = (0,) * pc + (1,) + tail
-                            if kills(u, images(u)):
-                                found.append((u, images(u)))
-                        expected.append(found)
-                    columns = [list(stability._column_lines(forms, p, n, pc)) for pc in range(n)]
-                    assert columns == expected
-                    lines = [((u,), (pc,), imgs) for pc in range(n) for u, imgs in expected[pc]]
-                    scan = stability._isotropic_scanner(forms, p, n)
-                    partial = scan((1,))
-                    assert list(itertools.islice(partial, len(lines) // 2)) == lines[: len(lines) // 2]
-                    del partial
-                    assert list(scan((1,))) == lines
-                    assert list(scan((1,))) == lines
-                    compared += sum(map(len, expected))
-                    if forms is alternating:
-                        assert sum(map(len, expected)) == (p**n - 1) // (p - 1)
-    assert compared > 1000
+    sizes = [(p, n) for p in (2, 3, 5, 7) for n in (1, 2, 3, 4)]
+    sizes += [(p, n) for p in (11, 13) for n in (1, 2, 3)]
+    for p, n in sizes:
+        corner = [[rng.randrange(1, p) if i == j == n - 1 else 0 for j in range(n)] for i in range(n)]
+        cases = [([], True), ([corner], False)]
+        for k in (1, 2, 3):
+            square = [[[rng.randrange(p) for _ in range(n)] for _ in range(n)] for _ in range(k)]
+            alternating = [
+                [[(b[i][j] - b[j][i]) % p for j in range(n)] for i in range(n)] for b in square
+            ]
+            cases += [(square, False), (alternating, True)]
+        for forms, keeps_every_line in cases:
+            images, kills = stability._pairing(forms, p)
+            expected = []
+            for pc in range(n):
+                found = []
+                for tail in itertools.product(range(p), repeat=n - 1 - pc):
+                    u = (0,) * pc + (1,) + tail
+                    if kills(u, images(u)):
+                        found.append((u, images(u)))
+                expected.append(found)
+            columns = [list(stability._column_lines(forms, p, n, pc)) for pc in range(n)]
+            assert columns == expected
+            lines = [((u,), (pc,), imgs) for pc in range(n) for u, imgs in expected[pc]]
+            for stop in (1, len(lines) // 2):
+                scan = stability._isotropic_scanner(forms, p, n)
+                partial = scan((1,))
+                assert list(itertools.islice(partial, stop)) == lines[:stop]
+                del partial
+                assert list(scan((1,))) == lines
+                assert list(scan((1,))) == lines
+            compared += len(lines)
+            if keeps_every_line:
+                assert len(lines) == (p**n - 1) // (p - 1)
+            elif forms == [corner]:
+                assert len(lines) == (p ** (n - 1) - 1) // (p - 1)
+    assert compared > 4000
 
 
 def test_a_line_over_a_huge_field_builds_nothing_sized_by_p():
