@@ -40,8 +40,10 @@ modules are S-equivalent when their graded modules are isomorphic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from array import array
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
@@ -62,6 +64,7 @@ from .hilbert import (
 from .linalg import (
     Matrix,
     Subspace,
+    _gauss_jordan,
     _null_space,
     complement_in,
     rank_mod_p,
@@ -682,44 +685,59 @@ def hilbert_mumford_sweep(
 ):
     """Minimum weight over every subgroup with enumerated eigenspaces.
 
-    Sweeps the direct-sum decompositions of H into subspaces, listed by
-    _isotropic_scanner with no forms, visiting each set of pieces once,
-    and gives the pieces every assignment of distinct integer weights in
-    [-weight_bound, weight_bound] summing (weighted by dimension) to
-    zero: the subgroups of all orderings of the pieces with strictly
-    decreasing weights.  A set of k pieces counts k! toward
-    ``max_decompositions``, one per ordering; that total has a closed
-    form, so a sweep past the bound raises BoundExceededError before any
-    work.  The best weight of a set
-    depends only on its dims and on which pairs of pieces pair nonzero,
-    so it is memoised on that key for the call.  Returns the minimum of
-    mu over the swept subgroups, which is negative iff the module is
-    unstable for small dims; q = 0 gives minus infinity.  A negative
-    ``weight_bound`` raises ValueError.
+    Sweeps the direct-sum decompositions of H into nonzero subspaces,
+    each set of pieces once, and gives the pieces every assignment of
+    distinct integer weights in [-weight_bound, weight_bound] summing
+    (weighted by dimension) to zero: the subgroups of all orderings of
+    the pieces with strictly decreasing weights.  The sets depend only
+    on F_p^n, so _direct_sums builds their lattice once per F_p^n per
+    process and keeps the last _LATTICES of them: under the default
+    bound the largest, F_7^3 with 28,862 sets, keeps 0.7 MB, and
+    F_443^2, with the most sets (98,347), 0.6 MB.  The module only
+    decides which pairs of pieces pair nonzero.  The best weight of a
+    set depends only on its dims, on those pairs and on
+    ``weight_bound``, so it is memoised on that key across calls.
+
+    Work is refused before it starts, with BoundExceededError: a set of
+    k pieces counts k! toward ``max_decompositions``, one per ordering,
+    and that total has a closed form; F_p^n may have at most MAX_LINES
+    lines; and at most MAX_LINES weight tuples P(2 weight_bound + 1,
+    n - 1) may be tried for one set.  A negative ``weight_bound`` raises
+    ValueError.  Returns the minimum of mu over the swept subgroups,
+    which is negative iff the module is unstable for small dims; q = 0
+    gives minus infinity.
     """
     if weight_bound < 0:
         raise ValueError(f"weight_bound must be nonnegative, not {weight_bound}")
     if q.field.kind != "fp":
         raise FieldError("the bounded sweep enumerates subspaces over a finite field")
     p, n = q.field.p, q.dim_h
-    # refuses F_p^n with more than MAX_LINES lines before any work
-    scan = _isotropic_scanner([], p, n)
+    _check_lines(p, n)
     if _ordered_decompositions(p, n) > max_decompositions:
         raise BoundExceededError(f"sweep exceeded {max_decompositions} decompositions")
+    # a set of n lines tries every tuple of n - 1 distinct weights, the last solved for
+    _check_search_size(
+        math.perm(2 * weight_bound + 1, max(n - 1, 0)),
+        f"the sweep of F_{p}^{n} at weight bound {weight_bound}",
+        "weight tuples",
+    )
+    if n == 0:
+        # the one subgroup of the zero space pairs nothing
+        return MINUS_INFINITY
+    subs, sets = _direct_sums(p, n)
     images, kills = _pairing([b.rows for b in q.forms], p)
-    subs = [(len(rows), rows) for rows, _, _ in scan()]
 
     # number the echelon rows of all bases; meets[i] has bit j when row i
     # pairs nonzero with row j, so piece a pairs nonzero with piece b iff
     # left[a] & right[b]
     index: dict = {}
-    for _, basis in subs:
+    for basis in subs:
         for u in basis:
             index.setdefault(u, len(index))
     imgs = [images(u) for u in index]
     meets = [sum(1 << j for j, c in enumerate(imgs) if not kills(u, c)) for u in index]
     left, right = [], []
-    for _, basis in subs:
+    for basis in subs:
         rows = [index[u] for u in basis]
         mask = 0
         for i in rows:
@@ -729,13 +747,13 @@ def hilbert_mumford_sweep(
 
     span = range(-weight_bound, weight_bound + 1)
     weights_by_dims: dict = {}
-    minima: dict = {}
     best = None
 
     def weight_vectors(dims):
-        # distinct weights summing (weighted by dims) to zero; the last is solved for
-        if not dims:
-            return [()]
+        # distinct weights summing (weighted by dims) to zero; the last is
+        # solved for, so a single piece has weight 0 and lists no span
+        if len(dims) == 1:
+            return [(0,)]
         out = []
         for head in itertools.permutations(span, len(dims) - 1):
             last, rest = divmod(-sum(d * w for d, w in zip(dims, head)), dims[-1])
@@ -755,40 +773,111 @@ def hilbert_mumford_sweep(
 
     def score(dims, pairs):
         nonlocal best
-        key = (dims, pairs)
-        if key not in minima:
-            minima[key] = minimum(dims, pairs)
-        value = minima[key]
+        key = (dims, pairs, weight_bound)
+        if key not in _best_weights:
+            if len(_best_weights) >= _MAX_PATTERNS:
+                _best_weights.clear()
+            _best_weights[key] = minimum(dims, pairs)
+        value = _best_weights[key]
         if value is not None and (best is None or value < best):
             best = value
 
-    def extend(start, remaining, echelon, chosen, dims, pairs):
-        # pieces in index order, so dims never decrease along a set
-        if remaining == 0:
-            score(dims, pairs)
-            return
+    def paired(chosen, j):
+        # the pairs (a, r) that piece j, taken after the r pieces chosen,
+        # makes with piece a; w_a + w_b is symmetric, so a pair counts
+        # once, whichever way it pairs
         r = len(chosen)
-        for j in range(start, len(subs)):
-            d, basis = subs[j]
-            if d > remaining:
-                break
-            if d < remaining < 2 * d:
-                continue
-            grown = _join_independent(echelon, basis, p)
-            if grown is None:
-                continue
-            # w_a + w_b is symmetric, so a pair counts once, whichever way it pairs
-            new = [
-                (a, r) for a, c in enumerate(chosen) if left[c] & right[j] or left[j] & right[c]
-            ]
-            if left[j] & right[j]:
-                new.append((r, r))
-            extend(j + 1, remaining - d, grown, chosen + [j], dims + (d,), pairs + tuple(new))
+        lj, rj = left[j], right[j]
+        out = [(a, r) for a, c in enumerate(chosen) if left[c] & rj or lj & right[c]]
+        if lj & rj:
+            out.append((r, r))
+        return tuple(out)
 
-    extend(0, n, {}, [], (), ())
+    for dims, chosen, lasts in sets:
+        pairs = sum((paired(chosen[:r], j) for r, j in enumerate(chosen)), ())
+        for j in lasts:
+            score(dims, pairs + paired(chosen, j))
     if best is None:
         raise InternalCheckError("sweep produced no subgroup")
     return best
+
+
+# the lattices of the last _LATTICES fields swept, and the best weight of
+# each (dims, pairs, weight_bound) seen, for every module: at most
+# _MAX_PATTERNS of them, where dims n <= 4 allow 1,192 per weight bound
+_LATTICES = 4
+_MAX_PATTERNS = 4096
+_best_weights: dict = {}
+
+
+@functools.lru_cache(maxsize=_LATTICES)
+def _direct_sums(p: int, n: int):
+    """(subs, sets): the nonzero subspaces of F_p^n, as the reduced
+    echelon bases _isotropic_scanner lists given no forms, and every
+    nonempty set of them whose direct sum is F_p^n.
+
+    A set takes its pieces in index order, so its dims never decrease
+    and each set is listed once, whatever the order of its pieces.  The
+    sets come grouped as (dims, chosen, lasts): chosen + (j,) for each j
+    in lasts, an array of 4 bytes a set, all of dims ``dims``, in the
+    order a depth-first walk meets them.  Two subspaces meet only in 0 iff they share no line,
+    and the lines are the first subspaces listed, so each subspace is
+    held as the bitmask of its lines and a piece is tested against the
+    span of the pieces before it by one &.  That span is itself listed:
+    it is found by its reduced echelon rows, once per (span, piece), and
+    only when more pieces follow.
+    """
+    subs = [rows for rows, _, _ in _isotropic_scanner([], p, n)()]
+    dims = [len(rows) for rows in subs]
+    line = {rows[0]: i for i, rows in enumerate(subs) if len(rows) == 1}
+    # the lines of a subspace: its vectors with leading entry 1, each
+    # some row plus a combination of the rows after it
+    masks = []
+    for rows in subs:
+        mask = 0
+        for i, head in enumerate(rows):
+            vectors = [head]
+            for row in rows[i + 1 :]:
+                vectors = [
+                    tuple((x + t * y) % p for x, y in zip(v, row))
+                    for v in vectors
+                    for t in range(p)
+                ]
+            for v in vectors:
+                mask |= 1 << line[v]
+        masks.append(mask)
+    position = {rows: i for i, rows in enumerate(subs)}
+    joins: dict = {}
+    sets = []
+
+    def join(a, b):
+        if (a, b) not in joins:
+            rows = [list(u) for u in subs[a] + subs[b]]
+            pivots, _ = _gauss_jordan(rows, n, p)
+            joins[a, b] = position[tuple(map(tuple, rows[: len(pivots)]))]
+        return joins[a, b]
+
+    def extend(start, remaining, spanned, chosen, shape):
+        # the pieces of dim d < remaining come first, so the sets
+        # completed here follow every set below this one
+        taken = masks[spanned] if chosen else 0
+        lasts = []
+        for j in range(start, len(subs)):
+            d = dims[j]
+            if d > remaining:
+                break
+            if d < remaining < 2 * d or taken & masks[j]:
+                continue
+            if d == remaining:
+                lasts.append(j)
+            else:
+                grown = join(spanned, j) if chosen else j
+                extend(j + 1, remaining - d, grown, chosen + (j,), shape + (d,))
+        if lasts:
+            sets.append((shape + (remaining,), chosen, array("I", lasts)))
+
+    extend(0, n, None, (), ())
+    return tuple(subs), tuple(sets)
 
 
 def _ordered_decompositions(p: int, n: int) -> int:
@@ -803,20 +892,3 @@ def _ordered_decompositions(p: int, n: int) -> int:
     for m in range(1, n + 1):
         counts.append(sum(gl(m) // (gl(d) * gl(m - d)) * counts[m - d] for d in range(1, m + 1)))
     return counts[n]
-
-
-def _join_independent(echelon: dict, rows, p: int):
-    """``echelon`` (pivot -> monic row, each zero before its pivot) grown
-    by ``rows`` over F_p, or None when they are not independent of it."""
-    out = dict(echelon)
-    for v in rows:
-        for c in sorted(out):
-            a = v[c]
-            if a:
-                v = [(x - a * y) % p for x, y in zip(v, out[c])]
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            return None
-        inv = pow(v[lead], -1, p)
-        out[lead] = [x * inv % p for x in v]
-    return out

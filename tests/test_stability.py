@@ -46,6 +46,7 @@ from twistmod.stability import (
     UNSTABLE,
     Provenance,
     _candidates,
+    _direct_sums,
     enumerate_totally_isotropic,
     graded,
     hilbert_mumford_sweep,
@@ -55,7 +56,7 @@ from twistmod.stability import (
     semistability_verdict,
 )
 
-from oracles import all_subspaces
+from oracles import all_subspaces, generic_rref
 
 
 def trivial_w(field):
@@ -988,3 +989,73 @@ def test_searches_refuse_too_many_lines_before_any_work():
             search(q)
     # a line is a line over any field
     assert enumerate_totally_isotropic(module_1form(big, [[0]]))[0].dim == 1
+
+
+def test_direct_sums_match_the_closed_form():
+    # each set of k pieces stands for its k! orderings, and its stacked
+    # bases span F_p^n by an elimination that shares no code with it
+    for p, top in ((2, 4), (3, 3), (5, 3), (7, 3)):
+        field = GF(p)
+        for n in range(1, top + 1):
+            subs, sets = _direct_sums(p, n)
+            seen = set()
+            total = 0
+            for dims, chosen, lasts in sets:
+                for j in lasts:
+                    pieces = chosen + (j,)
+                    assert list(pieces) == sorted(set(pieces))
+                    assert dims == tuple(len(subs[i]) for i in pieces)
+                    rows = [u for i in pieces for u in subs[i]]
+                    assert generic_rref(Matrix(field, rows))[1] == n == len(rows)
+                    seen.add(pieces)
+                    total += math.factorial(len(pieces))
+            assert total == ordered_decompositions(p, n)
+            assert len(seen) == sum(len(lasts) for _, _, lasts in sets)
+
+
+def test_the_cache_state_changes_no_sweep():
+    rng = random.Random(15)
+    jobs = []
+    for p, dim in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (2, 4)):
+        field = GF(p)
+        for w in (trivial_w(field), swap_w(field)):
+            q = random_module(rng, field, dim, w, rng.choice([1, -1]))
+            jobs.append((q, rng.randint(0, 3)))
+
+    def sweep(jobs):
+        return [hilbert_mumford_sweep(q, weight_bound=b) for q, b in jobs]
+
+    forward = sweep(jobs)
+    backward = sweep(jobs[::-1])[::-1]
+    _direct_sums.cache_clear()
+    stability._best_weights.clear()
+    assert forward == backward == sweep(jobs)
+
+    # a refused sweep builds no lattice
+    _direct_sums.cache_clear()
+    refused = [
+        (module_1form(GF(3), [[0, 0, 1], [0, 1, 1], [1, 1, 1]]), {"max_decompositions": 100}),
+        (module_1form(GF(2**61 - 1), [[0, 1], [1, 0]]), {}),
+        (module_1form(GF(2), [[0, 0], [0, 0]]), {"weight_bound": 50_000}),
+    ]
+    for q, bounds in refused:
+        with pytest.raises(BoundExceededError):
+            hilbert_mumford_sweep(q, **bounds)
+    assert _direct_sums.cache_info().currsize == 0
+
+
+def test_a_huge_weight_bound_is_refused_before_any_work():
+    q = random_module(random.Random(7), GF(2), 4, trivial_w(GF(2)), 1)
+    _direct_sums.cache_clear()
+    # a set of four lines would try P(2001, 3) tuples of three weights
+    with pytest.raises(BoundExceededError, match="has 7999998000 weight tuples"):
+        hilbert_mumford_sweep(q, weight_bound=1000)
+    assert _direct_sums.cache_info().currsize == 0
+    # at dim 2 a set tries 2w + 1 tuples, so the bound falls between
+    # w = 49,999 and w = 50,000
+    plane = module_1form(GF(3), [[0, 1], [1, 0]])
+    assert hilbert_mumford_sweep(plane, weight_bound=49_999) == 0
+    with pytest.raises(BoundExceededError, match="has 100001 weight tuples"):
+        hilbert_mumford_sweep(plane, weight_bound=50_000)
+    # a line tries one tuple at any bound
+    assert hilbert_mumford_sweep(module_1form(GF(3), [[1]]), weight_bound=10**30) == 0
