@@ -43,7 +43,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from array import array
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
@@ -52,6 +51,7 @@ from .errors import (
     BoundExceededError,
     FieldError,
     InternalCheckError,
+    ShapeError,
     StabilityError,
 )
 from .hilbert import (
@@ -64,7 +64,6 @@ from .hilbert import (
 from .linalg import (
     Matrix,
     Subspace,
-    _gauss_jordan,
     _null_space,
     complement_in,
     rank_mod_p,
@@ -604,8 +603,11 @@ def graded(
     The assembled module is written in the adapted basis (witnesses
     outside in, core, dual models inside out) and coincides there with
     the limit of the canonical one-parameter subgroup; this is checked
-    on every call.
+    on every call.  A module with dim H = 0 is refused with ShapeError:
+    its canonical subgroup would have no piece.
     """
+    if q.dim_h == 0:
+        raise ShapeError("a graded module needs dim H >= 1, not 0")
     primes = tuple(primes)
     levels, chain, core, core_rows = _build_levels(q, enum_bound, primes)
     field = q.field
@@ -685,27 +687,32 @@ def hilbert_mumford_sweep(
 ):
     """Minimum weight over every subgroup with enumerated eigenspaces.
 
-    Sweeps the direct-sum decompositions of H into nonzero subspaces,
-    each set of pieces once, and gives the pieces every assignment of
-    distinct integer weights in [-weight_bound, weight_bound] summing
-    (weighted by dimension) to zero: the subgroups of all orderings of
-    the pieces with strictly decreasing weights.  The sets depend only
-    on F_p^n, so _direct_sums builds their lattice once per F_p^n per
-    process and keeps the last _LATTICES of them: under the default
-    bound the largest, F_7^3 with 28,862 sets, keeps 0.7 MB, and
-    F_443^2, with the most sets (98,347), 0.6 MB.  The module only
-    decides which pairs of pieces pair nonzero.  The best weight of a
-    set depends only on its dims, on those pairs and on
-    ``weight_bound``, so it is memoised on that key across calls.
+    A subgroup with eigenspaces H_1, ..., H_k of strictly decreasing
+    integer weights a_1 > ... > a_k in [-weight_bound, weight_bound],
+    summing (weighted by dimension) to zero, has weight
+    mu = max(a_i + a_j) over the pairs of pieces that pair nonzero.
+    That weight depends only on the flag F_i = H_1 + ... + H_i and the
+    weights, not on the complements chosen (Mumford, Fogarty and
+    Kirwan, *Geometric Invariant Theory*, Prop. 2.7): whenever F_i and
+    F_j (i <= j) pair nonzero, some pieces H_i' and H_j' with i' <= i
+    and j' <= j pair nonzero, and a_i' + a_j' >= a_i + a_j.  So
+    mu = max(a_i + a_j) over the i <= j where F_i and F_j pair nonzero,
+    where each j needs only the first such i, and the sweep scores every
+    flag of F_p^n instead of every direct-sum decomposition.  The flags
+    depend only on F_p^n, so _flags lists them once per F_p^n per
+    process; the module only decides which steps pair nonzero.  The best
+    weight of a flag depends only on its step dims and on those pairs, so
+    it is computed once per such pattern per call.
 
-    Work is refused before it starts, with BoundExceededError: a set of
-    k pieces counts k! toward ``max_decompositions``, one per ordering,
-    and that total has a closed form; F_p^n may have at most MAX_LINES
-    lines; and at most MAX_LINES weight tuples P(2 weight_bound + 1,
-    n - 1) may be tried for one set.  A negative ``weight_bound`` raises
-    ValueError.  Returns the minimum of mu over the swept subgroups,
-    which is negative iff the module is unstable for small dims; q = 0
-    gives minus infinity.
+    Work is refused before it starts, with BoundExceededError: the
+    ordered direct-sum decompositions of F_p^n, each flag once per choice
+    of complements, count toward ``max_decompositions``, and that total
+    has a closed form; F_p^n may have at most MAX_LINES lines; and at
+    most MAX_LINES weight tuples P(2 weight_bound + 1, n - 1) may be
+    tried for one flag.  A negative ``weight_bound`` raises ValueError.
+    Returns the minimum of mu over the swept subgroups, which is negative
+    iff the module is unstable for small dims; q = 0 gives minus
+    infinity.
     """
     if weight_bound < 0:
         raise ValueError(f"weight_bound must be nonnegative, not {weight_bound}")
@@ -715,7 +722,7 @@ def hilbert_mumford_sweep(
     _check_lines(p, n)
     if _ordered_decompositions(p, n) > max_decompositions:
         raise BoundExceededError(f"sweep exceeded {max_decompositions} decompositions")
-    # a set of n lines tries every tuple of n - 1 distinct weights, the last solved for
+    # a flag of n lines tries every tuple of n - 1 distinct weights, the last solved for
     _check_search_size(
         math.perm(2 * weight_bound + 1, max(n - 1, 0)),
         f"the sweep of F_{p}^{n} at weight bound {weight_bound}",
@@ -724,12 +731,12 @@ def hilbert_mumford_sweep(
     if n == 0:
         # the one subgroup of the zero space pairs nothing
         return MINUS_INFINITY
-    subs, sets = _direct_sums(p, n)
+    subs, flags = _flags(p, n)
     images, kills = _pairing([b.rows for b in q.forms], p)
 
     # number the echelon rows of all bases; meets[i] has bit j when row i
-    # pairs nonzero with row j, so piece a pairs nonzero with piece b iff
-    # left[a] & right[b]
+    # pairs nonzero with row j, so subspace a pairs nonzero with subspace
+    # b iff left[a] & right[b]
     index: dict = {}
     for basis in subs:
         for u in basis:
@@ -745,90 +752,65 @@ def hilbert_mumford_sweep(
         left.append(mask)
         right.append(sum(1 << i for i in rows))
 
-    span = range(-weight_bound, weight_bound + 1)
-    weights_by_dims: dict = {}
-    best = None
+    descending = range(weight_bound, -weight_bound - 1, -1)
+    vectors: dict = {}
+    scores: dict = {}
 
     def weight_vectors(dims):
-        # distinct weights summing (weighted by dims) to zero; the last is
-        # solved for, so a single piece has weight 0 and lists no span
+        # strictly decreasing weights summing (weighted by dims) to zero;
+        # the last is solved for, so a single step has weight 0 and lists
+        # no span
         if len(dims) == 1:
             return [(0,)]
         out = []
-        for head in itertools.permutations(span, len(dims) - 1):
-            last, rest = divmod(-sum(d * w for d, w in zip(dims, head)), dims[-1])
-            if rest == 0 and last in span and last not in head:
+        for head in itertools.combinations(descending, len(dims) - 1):
+            last, rest = divmod(-sum(map(mul, dims, head)), dims[-1])
+            if rest == 0 and -weight_bound <= last < head[-1]:
                 out.append(head + (last,))
         return out
 
-    def minimum(dims, pairs):
-        if dims not in weights_by_dims:
-            weights_by_dims[dims] = weight_vectors(dims)
-        vectors = weights_by_dims[dims]
-        if not vectors:
+    def score(dims, pairs):
+        if dims not in vectors:
+            vectors[dims] = weight_vectors(dims)
+        if not vectors[dims]:
             return None
         if not pairs:
             return MINUS_INFINITY
-        return min(max(w[a] + w[b] for a, b in pairs) for w in vectors)
+        return min(max(w[i] + w[j] for i, j in pairs) for w in vectors[dims])
 
-    def score(dims, pairs):
-        nonlocal best
-        key = (dims, pairs, weight_bound)
-        if key not in _best_weights:
-            if len(_best_weights) >= _MAX_PATTERNS:
-                _best_weights.clear()
-            _best_weights[key] = minimum(dims, pairs)
-        value = _best_weights[key]
-        if value is not None and (best is None or value < best):
-            best = value
-
-    def paired(chosen, j):
-        # the pairs (a, r) that piece j, taken after the r pieces chosen,
-        # makes with piece a; w_a + w_b is symmetric, so a pair counts
-        # once, whichever way it pairs
-        r = len(chosen)
-        lj, rj = left[j], right[j]
-        out = [(a, r) for a, c in enumerate(chosen) if left[c] & rj or lj & right[c]]
-        if lj & rj:
-            out.append((r, r))
-        return tuple(out)
-
-    for dims, chosen, lasts in sets:
-        pairs = sum((paired(chosen[:r], j) for r, j in enumerate(chosen)), ())
-        for j in lasts:
-            score(dims, pairs + paired(chosen, j))
-    if best is None:
+    for dims, flag in flags:
+        # a_i + a_j is symmetric, so a pair counts once, whichever way it
+        # pairs; the weights decrease, so step j needs only the first step
+        # that pairs nonzero with it
+        pairs = []
+        for j, b in enumerate(flag):
+            for i, a in enumerate(flag[: j + 1]):
+                if left[a] & right[b] or left[b] & right[a]:
+                    pairs.append((i, j))
+                    break
+        pairs = tuple(pairs)
+        if (dims, pairs) not in scores:
+            scores[dims, pairs] = score(dims, pairs)
+    values = [value for value in scores.values() if value is not None]
+    if not values:
         raise InternalCheckError("sweep produced no subgroup")
-    return best
+    return min(values)
 
 
-# the lattices of the last _LATTICES fields swept, and the best weight of
-# each (dims, pairs, weight_bound) seen, for every module: at most
-# _MAX_PATTERNS of them, where dims n <= 4 allow 1,192 per weight bound
-_LATTICES = 4
-_MAX_PATTERNS = 4096
-_best_weights: dict = {}
+# the flags of the last four fields swept; F_2^4, the longest list under
+# the default bound, has 696
+@functools.lru_cache(maxsize=4)
+def _flags(p: int, n: int):
+    """(subs, flags): the nonzero subspaces of F_p^n, as the reduced
+    echelon bases _isotropic_scanner lists given no forms, and every flag
+    0 < F_1 < ... < F_k = F_p^n, as (step dims, indices of F_1 ... F_k).
 
-
-@functools.lru_cache(maxsize=_LATTICES)
-def _direct_sums(p: int, n: int):
-    """(subs, sets): the nonzero subspaces of F_p^n, as the reduced
-    echelon bases _isotropic_scanner lists given no forms, and every
-    nonempty set of them whose direct sum is F_p^n.
-
-    A set takes its pieces in index order, so its dims never decrease
-    and each set is listed once, whatever the order of its pieces.  The
-    sets come grouped as (dims, chosen, lasts): chosen + (j,) for each j
-    in lasts, an array of 4 bytes a set, all of dims ``dims``, in the
-    order a depth-first walk meets them.  Two subspaces meet only in 0 iff they share no line,
-    and the lines are the first subspaces listed, so each subspace is
-    held as the bitmask of its lines and a piece is tested against the
-    span of the pieces before it by one &.  That span is itself listed:
-    it is found by its reduced echelon rows, once per (span, piece), and
-    only when more pieces follow.
+    The lines are the first subspaces listed, and each subspace is held
+    as the bitmask of its lines, so F_a lies in F_b iff masks[a] has no
+    bit outside masks[b].  The subspaces are listed dimension ascending,
+    so a subspace that holds another comes after it.
     """
     subs = [rows for rows, _, _ in _isotropic_scanner([], p, n)()]
-    dims = [len(rows) for rows in subs]
     line = {rows[0]: i for i, rows in enumerate(subs) if len(rows) == 1}
     # the lines of a subspace: its vectors with leading entry 1, each
     # some row plus a combination of the rows after it
@@ -846,38 +828,22 @@ def _direct_sums(p: int, n: int):
             for v in vectors:
                 mask |= 1 << line[v]
         masks.append(mask)
-    position = {rows: i for i, rows in enumerate(subs)}
-    joins: dict = {}
-    sets = []
+    above = [
+        [b for b in range(a + 1, len(subs)) if not masks[a] & ~masks[b]]
+        for a in range(len(subs))
+    ]
+    flags = []
 
-    def join(a, b):
-        if (a, b) not in joins:
-            rows = [list(u) for u in subs[a] + subs[b]]
-            pivots, _ = _gauss_jordan(rows, n, p)
-            joins[a, b] = position[tuple(map(tuple, rows[: len(pivots)]))]
-        return joins[a, b]
+    def extend(dims, flag):
+        a = flag[-1]
+        if len(subs[a]) == n:
+            flags.append((dims, flag))
+        for b in above[a]:
+            extend(dims + (len(subs[b]) - len(subs[a]),), flag + (b,))
 
-    def extend(start, remaining, spanned, chosen, shape):
-        # the pieces of dim d < remaining come first, so the sets
-        # completed here follow every set below this one
-        taken = masks[spanned] if chosen else 0
-        lasts = []
-        for j in range(start, len(subs)):
-            d = dims[j]
-            if d > remaining:
-                break
-            if d < remaining < 2 * d or taken & masks[j]:
-                continue
-            if d == remaining:
-                lasts.append(j)
-            else:
-                grown = join(spanned, j) if chosen else j
-                extend(j + 1, remaining - d, grown, chosen + (j,), shape + (d,))
-        if lasts:
-            sets.append((shape + (remaining,), chosen, array("I", lasts)))
-
-    extend(0, n, None, (), ())
-    return tuple(subs), tuple(sets)
+    for a, rows in enumerate(subs):
+        extend((len(rows),), (a,))
+    return tuple(subs), tuple(flags)
 
 
 def _ordered_decompositions(p: int, n: int) -> int:

@@ -215,6 +215,22 @@ def test_sequiv(tmp_path, capsys):
     assert code == 0 and out == '{"s_equivalent":"no"}\n'
 
 
+def test_gr_and_sequiv_refuse_a_zero_module(tmp_path, capsys):
+    # check calls the zero module stable, but it has no graded module
+    path = put(
+        tmp_path,
+        "zero.json",
+        '{"field":"fp:3","sign":"+1","dim_h":0,'
+        '"w":{"dim":1,"involution":[["1"]]},"forms":[[]]}',
+    )
+    code, out, _ = run(capsys, "check", path)
+    assert code == 0 and out.startswith('{"status":"stable"')
+    for argv in (["gr", path], ["sequiv", path, path]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: a graded module needs dim H >= 1, not 0\n"
+
+
 def test_fiber_golden(capsys):
     code, out, _ = run(capsys, "fiber", "--field", "fp:3", "--case", "plus", "-r", "2")
     assert code == 0

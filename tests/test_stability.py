@@ -22,6 +22,7 @@ from twistmod.errors import (
     BoundExceededError,
     FieldError,
     InternalCheckError,
+    ShapeError,
     StabilityError,
 )
 from twistmod.hilbert import MINUS_INFINITY, limit_at_zero, mu
@@ -46,7 +47,7 @@ from twistmod.stability import (
     UNSTABLE,
     Provenance,
     _candidates,
-    _direct_sums,
+    _flags,
     enumerate_totally_isotropic,
     graded,
     hilbert_mumford_sweep,
@@ -991,26 +992,43 @@ def test_searches_refuse_too_many_lines_before_any_work():
     assert enumerate_totally_isotropic(module_1form(big, [[0]]))[0].dim == 1
 
 
-def test_direct_sums_match_the_closed_form():
-    # each set of k pieces stands for its k! orderings, and its stacked
-    # bases span F_p^n by an elimination that shares no code with it
+def gaussian_multinomial(p, dims):
+    """[n; d_1, ..., d_k]_p: the flags of F_p^n with those step dims."""
+
+    def factorial(m):
+        return math.prod((p ** (i + 1) - 1) // (p - 1) for i in range(m))
+
+    return factorial(sum(dims)) // math.prod(factorial(d) for d in dims)
+
+
+def compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for d in range(1, n + 1):
+        for rest in compositions(n - d):
+            yield (d,) + rest
+
+
+def test_flags_match_the_closed_form():
+    # each step of a flag holds the one before it and is larger, by an
+    # elimination that shares no code with it
     for p, top in ((2, 4), (3, 3), (5, 3), (7, 3)):
         field = GF(p)
         for n in range(1, top + 1):
-            subs, sets = _direct_sums(p, n)
-            seen = set()
-            total = 0
-            for dims, chosen, lasts in sets:
-                for j in lasts:
-                    pieces = chosen + (j,)
-                    assert list(pieces) == sorted(set(pieces))
-                    assert dims == tuple(len(subs[i]) for i in pieces)
-                    rows = [u for i in pieces for u in subs[i]]
-                    assert generic_rref(Matrix(field, rows))[1] == n == len(rows)
-                    seen.add(pieces)
-                    total += math.factorial(len(pieces))
-            assert total == ordered_decompositions(p, n)
-            assert len(seen) == sum(len(lasts) for _, _, lasts in sets)
+            subs, flags = _flags(p, n)
+            counts: dict = {}
+            for dims, flag in flags:
+                assert len(dims) == len(flag)
+                below = []
+                for d, i in zip(dims, flag):
+                    rows = below + list(subs[i])
+                    assert generic_rref(Matrix(field, rows))[1] == len(subs[i]) == len(below) + d
+                    below = list(subs[i])
+                assert len(below) == n
+                counts[dims] = counts.get(dims, 0) + 1
+            assert len(set(flag for _, flag in flags)) == len(flags)
+            assert counts == {dims: gaussian_multinomial(p, dims) for dims in compositions(n)}
 
 
 def test_the_cache_state_changes_no_sweep():
@@ -1027,12 +1045,11 @@ def test_the_cache_state_changes_no_sweep():
 
     forward = sweep(jobs)
     backward = sweep(jobs[::-1])[::-1]
-    _direct_sums.cache_clear()
-    stability._best_weights.clear()
+    _flags.cache_clear()
     assert forward == backward == sweep(jobs)
 
-    # a refused sweep builds no lattice
-    _direct_sums.cache_clear()
+    # a refused sweep lists no flags
+    _flags.cache_clear()
     refused = [
         (module_1form(GF(3), [[0, 0, 1], [0, 1, 1], [1, 1, 1]]), {"max_decompositions": 100}),
         (module_1form(GF(2**61 - 1), [[0, 1], [1, 0]]), {}),
@@ -1041,17 +1058,17 @@ def test_the_cache_state_changes_no_sweep():
     for q, bounds in refused:
         with pytest.raises(BoundExceededError):
             hilbert_mumford_sweep(q, **bounds)
-    assert _direct_sums.cache_info().currsize == 0
+    assert _flags.cache_info().currsize == 0
 
 
 def test_a_huge_weight_bound_is_refused_before_any_work():
     q = random_module(random.Random(7), GF(2), 4, trivial_w(GF(2)), 1)
-    _direct_sums.cache_clear()
-    # a set of four lines would try P(2001, 3) tuples of three weights
+    _flags.cache_clear()
+    # a flag of four lines would try P(2001, 3) tuples of three weights
     with pytest.raises(BoundExceededError, match="has 7999998000 weight tuples"):
         hilbert_mumford_sweep(q, weight_bound=1000)
-    assert _direct_sums.cache_info().currsize == 0
-    # at dim 2 a set tries 2w + 1 tuples, so the bound falls between
+    assert _flags.cache_info().currsize == 0
+    # at dim 2 a flag tries 2w + 1 tuples, so the bound falls between
     # w = 49,999 and w = 50,000
     plane = module_1form(GF(3), [[0, 1], [1, 0]])
     assert hilbert_mumford_sweep(plane, weight_bound=49_999) == 0
@@ -1059,3 +1076,48 @@ def test_a_huge_weight_bound_is_refused_before_any_work():
         hilbert_mumford_sweep(plane, weight_bound=50_000)
     # a line tries one tuple at any bound
     assert hilbert_mumford_sweep(module_1form(GF(3), [[1]]), weight_bound=10**30) == 0
+
+
+def test_the_sweep_is_constant_on_orbits():
+    # mu(g.lambda, g.q) = mu(lambda, q), and g moves every flag to a flag,
+    # coordinate-aligned or not, so a missing flag would show here
+    rng = random.Random(16)
+    for p, n in ((2, 3), (3, 3), (2, 4), (5, 2)):
+        field = GF(p)
+        for w in (trivial_w(field), swap_w(field)):
+            for sign in (1, -1):
+                q = random_module(rng, field, n, w, sign)
+                g = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+                while rank_mod_p(g, p) < n:
+                    g = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+                moved = act(Matrix(field, g), q)
+                for bound in range(4):
+                    swept = hilbert_mumford_sweep(q, weight_bound=bound)
+                    assert hilbert_mumford_sweep(moved, weight_bound=bound) == swept
+
+
+def test_a_larger_weight_bound_never_raises_the_sweep():
+    # every subgroup swept at bound w is swept again at w + 1; 23 is the
+    # largest bound F_2^4 accepts, P(47, 3) = 97,290 weight tuples
+    q = module_1form(GF(2), [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    swept = [hilbert_mumford_sweep(q, weight_bound=bound) for bound in range(24)]
+    assert swept == sorted(swept, reverse=True)
+    with pytest.raises(BoundExceededError, match="weight tuples"):
+        hilbert_mumford_sweep(q, weight_bound=24)
+
+
+def test_graded_refuses_dim_zero_before_any_work(monkeypatch):
+    # the zero module over F_p is stable, but its canonical subgroup would
+    # have no piece; no filtration level is scanned
+    zero = SigmaModule(GF(3), 0, trivial_w(GF(3)), 1, [Matrix(GF(3), [])])
+    assert semistability_verdict(zero).status == STABLE
+
+    def scan(*args):
+        raise AssertionError("a filtration level was scanned")
+
+    monkeypatch.setattr(stability, "_build_levels", scan)
+    for field in (GF(3), QQ):
+        zero = SigmaModule(field, 0, trivial_w(field), 1, [Matrix(field, [])])
+        for call in (lambda: graded(zero), lambda: s_equivalent(zero, zero)):
+            with pytest.raises(ShapeError, match=r"^a graded module needs dim H >= 1, not 0$"):
+                call()
