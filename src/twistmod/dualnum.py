@@ -131,9 +131,10 @@ def is_fixed_unramified(g1: Matrix, g2: Matrix) -> bool:
     """Away from the branch locus: the two points swap, so (g1, g2) is
     fixed exactly when g2 is the transpose-inverse of g1 (inside SL_r)."""
     field = g1.field
-    if g1.det() == field.zero or g2.det() == field.zero:
+    d1, d2 = g1.det(), g2.det()
+    if d1 == field.zero or d2 == field.zero:
         raise SingularMatrixError("unramified fibers live in the invertible locus")
-    if g1.det() != field.one or g2.det() != field.one:
+    if d1 != field.one or d2 != field.one:
         return False
     return g2 == g1.inverse().transpose()
 

@@ -2,14 +2,17 @@
 
 All arithmetic in this package is exact.  Rational scalars are
 ``fractions.Fraction`` instances (arbitrary-precision), elements of F_p are
-canonical integer representatives in ``range(p)``.
+canonical integer representatives in ``range(p)``.  The field objects
+name, parse and format elements and carry no arithmetic.
 
 Matrices and subspaces compute on plain ints.  Over F_p each entry of a
-row operation takes one ``% p`` and pivots are inverted by
-``pow(a, -1, p)``.  Over QQ each row is scaled to ints by the lcm of its
-denominators, eliminated fraction-free (Bareiss, Math. Comp. 22, 1968,
-where every update divides exactly by the previous pivot), and one
-``Fraction`` is built per output entry.
+row operation takes one ``% p`` and the reduced echelon form inverts
+its pivots by ``pow(a, -1, p)``.  Over QQ each row is scaled to ints by
+the lcm of its denominators, eliminated fraction-free (Bareiss, Math.
+Comp. 22, 1968, where every update divides exactly by the previous
+pivot), and one ``Fraction`` is built per output entry.  Rank and
+determinant come from one forward pass, ``_forward``, which takes no
+inverse per entry.
 
 The public ``Matrix`` and ``Subspace`` constructors are the boundary: an
 int entry is taken through ``field.from_int``, a ``Fraction`` is accepted
@@ -48,27 +51,6 @@ class RationalField:
 
     def from_int(self, n: int):
         return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        # Fraction(1), not 1: a plain-int pivot would otherwise give a float
-        return Fraction(1) / a
-
-    def elements(self):
-        raise FieldError("cannot enumerate an infinite field")
 
     def parse(self, s: str):
         if not _RATIONAL.fullmatch(s):
@@ -157,26 +139,6 @@ class PrimeField:
 
     def from_int(self, n: int):
         return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    def elements(self):
-        return list(range(self.p))
 
     def parse(self, s: str):
         if not _NUMERAL.fullmatch(s):
@@ -430,33 +392,16 @@ class Matrix:
         return Matrix._from_rows(self.field, rows, self.ncols)
 
     def det(self):
-        """Bareiss elimination: each update divides exactly by the
-        previous pivot (over F_p: multiplies by its inverse), so the last
-        pivot is the determinant of the rows as scaled to ints."""
+        """The determinant from the forward pass that gives the rank."""
         if not self.is_square():
             raise ShapeError("determinant of non-square matrix")
-        field, n = self.field, self.nrows
+        field = self.field
         p = field.characteristic
         rows, scales = _int_rows(field, self.rows)
-        sign, previous = 1, 1
-        for c in range(n):
-            i = next((i for i in range(c, n) if rows[i][c]), None)
-            if i is None:
-                return field.zero
-            if i != c:
-                rows[c], rows[i] = rows[i], rows[c]
-                sign = -sign
-            top = rows[c]
-            a = top[c]
-            w = pow(previous, -1, p) if p else 0
-            for k in range(c + 1, n):
-                b = rows[k][c]
-                if p:
-                    rows[k] = [(a * x - b * y) * w % p for x, y in zip(rows[k], top)]
-                else:
-                    rows[k] = [(a * x - b * y) // previous for x, y in zip(rows[k], top)]
-            previous = a
-        return sign * previous % p if p else Fraction(sign * previous, math.prod(scales))
+        rank, d, scale = _forward(rows, p)
+        if rank < self.nrows:
+            return field.zero
+        return d * pow(scale, -1, p) % p if p else Fraction(d, math.prod(scales))
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -677,53 +622,63 @@ def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
     Extends the inner basis greedily with the vectors of the canonical
     outer basis in index order (for the full ambient space those are the
     standard basis vectors), keeping each one that grows the rank of the
-    rows kept so far; the kept vectors span the complement.
+    vectors kept so far; the kept vectors span the complement.  They are
+    the pivot columns past the inner ones when all the vectors, taken as
+    columns, are brought to echelon form.
     """
     if not outer.contains(inner):
         raise ValueError("inner is not contained in outer")
     field = inner.field
-    p = field.characteristic
-    kept, _ = _int_rows(field, inner.basis.rows)
-    added = []
-    for candidate, row in zip(outer.basis.rows, _int_rows(field, outer.basis.rows)[0]):
-        if len(kept) == outer.dim:
-            break
-        if rank_mod_p(kept + [row], p) > len(kept):
-            kept.append(row)
-            added.append(candidate)
-    return Subspace._span(field, inner.ambient, tuple(added))
+    stacked = inner.basis.rows + outer.basis.rows
+    columns = list(zip(*_int_rows(field, stacked)[0]))
+    pivots, _ = _gauss_jordan(columns, len(stacked), field.characteristic)
+    added = tuple(stacked[c] for c in pivots[inner.dim :])
+    return Subspace._span(field, inner.ambient, added)
 
 
 def rank_mod_p(rows, p: int) -> int:
     """Rank over F_p of equal-length rows of ints in ``range(p)``, or
-    over QQ of rows of any ints when ``p`` is 0.
+    over QQ of rows of any ints when ``p`` is 0."""
+    return _forward(rows, p)[0]
 
-    Plain-int elimination for hot loops: each row operation clears one
-    column with a single ``% p`` per entry and needs no inverse, because
-    scaling a row by the nonzero pivot keeps the rank.  Over QQ it is
-    fraction-free Bareiss elimination (Math. Comp. 22, 1968): each
-    entry is divided exactly by the previous pivot, so entries stay
-    minors of the input instead of growing with every step.
+
+def _forward(rows, p: int):
+    """Forward elimination of the rows that ``rank_mod_p`` takes:
+    returns (rank, d, scale), where d / scale is the determinant of
+    square rows of full rank.
+
+    Over F_p each row operation clears one column with a single ``% p``
+    per entry and needs no inverse, because scaling a row by the
+    nonzero pivot keeps the rank; rows with a zero in the column are
+    left alone.  d is the signed product of the pivots and scale the
+    product of the row scalings.  Over QQ it is fraction-free Bareiss
+    elimination (Math. Comp. 22, 1968): each entry is divided exactly
+    by the previous pivot, so entries stay minors of the input, d is
+    the signed last pivot and scale is 1.
     """
-    rows = [list(r) for r in rows]
-    rank, previous = 0, 1
+    rows = list(rows)
+    n = len(rows)
+    rank, d, sign, scale = 0, 1, 1, 1
     for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        pivot = next((i for i in range(rank, n) if rows[i][c]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            sign = -sign
         top = rows[rank]
         a = top[c]
-        for i in range(rank + 1, len(rows)):
+        for i in range(rank + 1, n):
             b = rows[i][c]
             if p:
                 if b:
                     rows[i] = [(a * x - b * y) % p for x, y in zip(rows[i], top)]
+                    scale = scale * a % p
             else:
-                rows[i] = [(a * x - b * y) // previous for x, y in zip(rows[i], top)]
-        previous = a
+                rows[i] = [(a * x - b * y) // d for x, y in zip(rows[i], top)]
+        # over QQ d is the previous pivot that the next step divides by
+        d = d * a % p if p else a
         rank += 1
-        if rank == len(rows):
+        if rank == n:
             break
-    return rank
-
+    return rank, sign * d, scale

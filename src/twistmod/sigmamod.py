@@ -299,22 +299,29 @@ def hyperbolic_module(piece: LinearPiece, w: InvolutionSpace, sign: int) -> Sigm
     if len(piece.alpha) != w.dim:
         raise ShapeError("piece has the wrong number of coordinate matrices")
     field = w.field
-    m, mm = piece.v_dim, piece.vee_dim
-    upper = twisted_transpose(w, sign, piece.alpha)
-    forms = []
-    for a, d in zip(piece.alpha, upper):
-        forms.append(
-            Matrix.from_blocks(
-                [
-                    [Matrix.zeros(field, m, m), d],
-                    [a, Matrix.zeros(field, mm, mm)],
-                ]
-            )
-        )
-    q = SigmaModule(field, m + mm, w, sign, forms)
+    forms = _wrap(w, sign, piece.alpha, [Matrix.zeros(field, 0, 0)] * w.dim)
+    q = SigmaModule(field, piece.v_dim + piece.vee_dim, w, sign, forms)
     if not validate(q):
         raise InternalCheckError("hyperbolic construction broke the symmetry relation")
     return q
+
+
+def _wrap(w: InvolutionSpace, sign: int, alpha, inner) -> list:
+    """The forms on V + H' + V-dual with each inner form of H' in the
+    middle, alpha_k in the lower-left (dual x isotropic) block, its
+    sigma-twisted transpose in the upper-right and zeros elsewhere; for
+    H' = 0 they are the forms of ``hyperbolic_module``."""
+    m, mm, s = alpha[0].ncols, alpha[0].nrows, inner[0].nrows
+    zero = w.field.zero
+    forms = []
+    for a, d, b in zip(alpha, twisted_transpose(w, sign, alpha), inner):
+        rows = (
+            tuple((zero,) * (m + s) + r for r in d.rows)
+            + tuple((zero,) * m + r + (zero,) * mm for r in b.rows)
+            + tuple(r + (zero,) * (s + mm) for r in a.rows)
+        )
+        forms.append(Matrix._from_rows(w.field, rows, m + s + mm))
+    return forms
 
 
 def direct_sum(q1: SigmaModule, q2: SigmaModule) -> SigmaModule:

@@ -75,11 +75,11 @@ from .sigmamod import (
     _denominator_lcm,
     _integer_forms,
     _reduce_by,
+    _wrap,
     act,
     is_isomorphic,
     isotropic_reduction,
     orthogonal,
-    twisted_transpose,
     validate,
 )
 
@@ -180,19 +180,17 @@ def enumerate_totally_isotropic(q: SigmaModule, bound: int = DEFAULT_ENUM_BOUND)
     isotropic partial bases rather than the p^(d(n-d)) subspaces of
     each dimension d.  ``bound`` caps dim H.
     """
-    _check_enumerable(q, bound)
+    if q.field.kind != "fp":
+        raise FieldError("exhaustive enumeration needs a finite field")
     n = q.dim_h
+    _check_dim(n, bound)
     scan = _isotropic_scanner([b.rows for b in q.forms], q.field.p, n)
     return tuple(Subspace._from_echelon(q.field, n, rows, pivots) for rows, pivots, _ in scan())
 
 
-def _check_enumerable(q: SigmaModule, bound: int):
-    if q.field.kind != "fp":
-        raise FieldError("exhaustive enumeration needs a finite field")
-    if q.dim_h > bound:
-        raise BoundExceededError(
-            f"dim {q.dim_h} exceeds the enumeration bound {bound}"
-        )
+def _check_dim(n: int, bound: int):
+    if n > bound:
+        raise BoundExceededError(f"dim {n} exceeds the enumeration bound {bound}")
 
 
 def _check_lines(p: int, n: int):
@@ -486,7 +484,7 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
     """
     n = q.dim_h
     if q.field.kind == "fp":
-        _check_enumerable(q, enum_bound)
+        _check_dim(n, enum_bound)
         p = q.field.p
         for rows, pivots, images in _isotropic_scanner([b.rows for b in q.forms], p, n)():
             yield Subspace._from_echelon(q.field, n, rows, pivots), n - rank_mod_p(images, p), None
@@ -494,10 +492,7 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
     kernel = joint_kernel(q)
     if not kernel.is_zero():
         yield kernel, n, None
-    if n > enum_bound:
-        raise BoundExceededError(
-            f"dim {n} exceeds the enumeration bound {enum_bound}"
-        )
+    _check_dim(n, enum_bound)
     denominators = _denominator_lcm(q.w.matrix, *q.forms)
     primes = [p for p in primes if denominators % p]
     # refuse a prime with too many lines before any reduction is scanned,
@@ -620,25 +615,9 @@ def graded(
     transform = Matrix._from_rows(field, tuple(adapted), n).transpose()
 
     forms = list(core.forms)
-    size = core.dim_h
     for level in reversed(levels):
-        # the layout of hyperbolic_module, with the inner module in the middle
-        d = level.piece.v_dim
-        corner = Matrix.zeros(field, d, d)
-        across, down = Matrix.zeros(field, d, size), Matrix.zeros(field, size, d)
-        dmats = twisted_transpose(q.w, q.sign, level.piece.alpha)
-        forms = [
-            Matrix.from_blocks(
-                [
-                    [corner, across, dmat],
-                    [down, inner, down],
-                    [alpha, across, corner],
-                ]
-            )
-            for alpha, dmat, inner in zip(level.piece.alpha, dmats, forms)
-        ]
-        size += 2 * d
-    assembled = SigmaModule(field, size, q.w, q.sign, forms)
+        forms = _wrap(q.w, q.sign, level.piece.alpha, forms)
+    assembled = SigmaModule(field, n, q.w, q.sign, forms)
     if not validate(assembled):
         raise InternalCheckError("assembled graded module fails validation")
 

@@ -4,11 +4,14 @@ The subspace enumerators over F_p build every subspace through the
 public ``Subspace`` constructor, so the tests use them as oracles for
 ``stability._isotropic_scanner``, the package's one subspace enumerator.
 
-The generic elimination below runs on the scalar operations of the
-field objects, one method call per entry operation, as the package's
-matrices once did.  The tests check the plain-int kernel of ``Matrix``
-against it: reduced echelon forms, kernels, inverses and determinants
-are unique, so both must agree entry by entry.
+The field objects of the package carry no arithmetic, so the scalar
+operations of every oracle and test are kept here, in one place: one
+function call per entry operation, with the inverse over F_p taken by
+Fermat's little theorem.  The generic elimination below runs on them,
+as the package's matrices once did on field methods.  The tests check
+the plain-int kernel of ``Matrix`` against it: reduced echelon forms,
+kernels, inverses and determinants are unique, so both must agree entry
+by entry.
 """
 
 import itertools
@@ -25,10 +28,46 @@ def is_element(field, a) -> bool:
     return isinstance(a, int) and 0 <= a < field.p
 
 
+def _canonical(field, a):
+    return a % field.p if field.characteristic else a
+
+
+def add(field, a, b):
+    return _canonical(field, a + b)
+
+
+def sub(field, a, b):
+    return _canonical(field, a - b)
+
+
+def mul(field, a, b):
+    return _canonical(field, a * b)
+
+
+def neg(field, a):
+    return _canonical(field, -a)
+
+
+def inv(field, a):
+    if a == field.zero:
+        raise ZeroDivisionError("inverse of zero")
+    if field.characteristic:
+        return pow(a, field.p - 2, field.p)
+    # Fraction(1), not 1: a plain-int a would otherwise give a float
+    return Fraction(1) / a
+
+
+def elements(field):
+    """The elements of F_p in order (finite fields only)."""
+    if field.kind != "fp":
+        raise FieldError("cannot enumerate an infinite field")
+    return list(range(field.p))
+
+
 def dot(field, u, v):
     acc = field.zero
     for a, b in zip(u, v):
-        acc = field.add(acc, field.mul(a, b))
+        acc = add(field, acc, mul(field, a, b))
     return acc
 
 
@@ -55,12 +94,12 @@ def generic_rref(m):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        scale = f.inv(rows[r][c])
-        rows[r] = [f.mul(scale, e) for e in rows[r]]
+        scale = inv(f, rows[r][c])
+        rows[r] = [mul(f, scale, e) for e in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != f.zero:
                 factor = rows[i][c]
-                rows[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(rows[i], rows[r])]
+                rows[i] = [sub(f, a, mul(f, factor, b)) for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows, len(pivots), tuple(pivots)
 
@@ -76,7 +115,7 @@ def generic_kernel(m):
         v = [f.zero] * m.ncols
         v[fc] = f.one
         for r, pc in enumerate(pivots):
-            v[pc] = f.neg(echelon[r][fc])
+            v[pc] = neg(f, echelon[r][fc])
         vectors.append(v)
     reduced, k, _ = generic_rref(Matrix(f, vectors))
     return reduced[:k]
@@ -93,13 +132,13 @@ def generic_det(m):
             return f.zero
         if pivot_row != c:
             rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            result = f.neg(result)
-        result = f.mul(result, rows[c][c])
-        inv_pivot = f.inv(rows[c][c])
+            result = neg(f, result)
+        result = mul(f, result, rows[c][c])
+        inv_pivot = inv(f, rows[c][c])
         for i in range(c + 1, n):
             if rows[i][c] != f.zero:
-                factor = f.mul(rows[i][c], inv_pivot)
-                rows[i] = [f.sub(a, f.mul(factor, b)) for a, b in zip(rows[i], rows[c])]
+                factor = mul(f, rows[i][c], inv_pivot)
+                rows[i] = [sub(f, a, mul(f, factor, b)) for a, b in zip(rows[i], rows[c])]
     return result
 
 
@@ -116,7 +155,7 @@ def generic_inverse(m):
 
 def vectors_of(field, n: int):
     """All vectors of F_p^n in lexicographic order (finite fields only)."""
-    elems = field.elements()
+    elems = elements(field)
     return [tuple(v) for v in itertools.product(elems, repeat=n)]
 
 
@@ -135,7 +174,7 @@ def enumerate_subspaces(field, ambient: int, dim: int):
     if dim == 0:
         yield Subspace.zero(field, ambient)
         return
-    elems = field.elements()
+    elems = elements(field)
     for pivots in itertools.combinations(range(ambient), dim):
         pivot_set = set(pivots)
         free_positions = [

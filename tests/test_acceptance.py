@@ -115,7 +115,7 @@ def test_validation_catches_every_single_entry_perturbation():
                 delta = rand_nonzero(rng, field)
                 bumped = list(q.forms)
                 rows = [list(r) for r in bumped[k].rows]
-                rows[i][j] = field.add(rows[i][j], delta)
+                rows[i][j] += delta
                 bumped[k] = Matrix(field, rows)
                 corrupted = SigmaModule(field, n, w, sign, bumped)
                 assert not validate(corrupted)

@@ -42,7 +42,7 @@ from twistmod.dualnum import (
     unramified_fixed_count,
 )
 
-from oracles import is_element
+from oracles import add, is_element, mul, neg
 
 
 def mat(field, rows):
@@ -54,7 +54,7 @@ def dn(field, g_rows, h_rows):
 
 
 def all_matrices(field, r):
-    for entries in itertools.product(field.elements(), repeat=r * r):
+    for entries in itertools.product(range(field.p), repeat=r * r):
         yield Matrix(field, [entries[i * r : (i + 1) * r] for i in range(r)])
 
 
@@ -154,7 +154,7 @@ def test_dn_det_is_multiplicative():
         b = DualNumberMatrix(mats[2], mats[3])
         a0, a1 = dn_det(a)
         b0, b1 = dn_det(b)
-        expected = (f5.mul(a0, b0), f5.add(f5.mul(a0, b1), f5.mul(a1, b0)))
+        expected = (a0 * b0 % 5, (a0 * b1 + a1 * b0) % 5)
         assert dn_det(dn_mul(a, b)) == expected
 
 
@@ -458,7 +458,7 @@ def random_twist(field, seed):
     """A seeded random invertible alternating 2x2 matrix: c J for a
     random unit c, which at size 2 is every such matrix."""
     c = random.Random(seed).randrange(1, field.p)
-    return Matrix(field, [[0, c], [field.neg(c), 0]])
+    return Matrix(field, [[0, c], [-c, 0]])
 
 
 FIBER_CASES = {
@@ -647,8 +647,8 @@ def reference_pfaffian(a):
             if rows[0][j] == field.zero:
                 continue
             keep = [i for i in range(n) if i not in (0, j)]
-            term = field.mul(rows[0][j], pf([[rows[x][y] for y in keep] for x in keep]))
-            total = field.add(total, field.neg(term) if j % 2 == 0 else term)
+            term = mul(field, rows[0][j], pf([[rows[x][y] for y in keep] for x in keep]))
+            total = add(field, total, neg(field, term) if j % 2 == 0 else term)
         return total
 
     return pf(a.rows)
@@ -667,7 +667,7 @@ def random_skew(rng, field, n):
         for i in range(k):
             for j in range(i + 1, k):
                 rows[i][j] = entry()
-                rows[j][i] = field.neg(rows[i][j])
+                rows[j][i] = -rows[i][j]
         return Matrix(field, rows)
 
     if n >= 2 and rng.randrange(3) == 0:
@@ -699,17 +699,12 @@ def test_pfaffian_of_a_40_by_40_rational_matrix_squares_to_its_determinant():
     assert value != 0 and value * value == a.det()
 
 
-def refuse_field_methods(monkeypatch):
-    def refused(*args):
-        raise AssertionError("a field method was called")
-
+def test_pfaffians_types_and_dual_determinants_call_no_field_method():
+    # plain ints with one % p per entry over F_p, Fraction operators over QQ:
+    # the field classes carry no arithmetic to call
     for field_type in (type(QQ), type(GF(2))):
-        for name in ("add", "sub", "mul", "neg", "inv"):
-            monkeypatch.setattr(field_type, name, refused)
-
-
-def test_pfaffians_types_and_dual_determinants_call_no_field_method(monkeypatch):
-    # plain ints with one % p per entry over F_p, Fraction operators over QQ
+        for name in ("add", "sub", "mul", "neg", "inv", "elements"):
+            assert not hasattr(field_type, name)
     rng = random.Random(5)
     skews = [random_skew(rng, field, 6) for field in (QQ, GF(2), GF(5)) for _ in range(3)]
     pfaffians = [reference_pfaffian(a) for a in skews]
@@ -720,7 +715,6 @@ def test_pfaffians_types_and_dual_determinants_call_no_field_method(monkeypatch)
         dn(GF(5), [[1, 2], [2, 4]], [[1, 0], [0, 1]]),
     ]
     types = [[standard_j(f), -standard_j(f)] for f in (QQ, GF(5))]
-    refuse_field_methods(monkeypatch)
     assert [pfaffian(a) for a in skews] == pfaffians
     assert [dn_det(a) for a in duals] == [(0, 1), (6, 5), (1, 4), (0, 0)]
     assert [type_vector(psis) for psis in types] == [TypeVector((1, -1))] * 2

@@ -80,19 +80,16 @@ def test_matrix_at_acts_with_the_right_powers():
         )
 
 
-def test_matrix_at_takes_powers_on_plain_operators(monkeypatch):
-    # pow(t, wt, p) over F_p and Fraction powers over QQ, no field method
-    # called; a plain-int t over QQ still gives exact negative powers
+def test_matrix_at_takes_powers_on_plain_operators():
+    # pow(t, wt, p) over F_p and Fraction powers over QQ, as the field
+    # classes carry no arithmetic; a plain-int t over QQ still gives
+    # exact negative powers
     f5 = GF(5)
     lam5 = diag_lambda(f5, [3, 0, -3])
     lam = diag_lambda(QQ, [3, 0, -3])
-
-    def refused(*args):
-        raise AssertionError("a field method was called")
-
     for field_type in (type(QQ), type(f5)):
-        for name in ("add", "sub", "mul", "neg", "inv"):
-            monkeypatch.setattr(field_type, name, refused)
+        for name in ("add", "sub", "mul", "neg", "inv", "elements"):
+            assert not hasattr(field_type, name)
     # 2^3 = 8 = 3 and 2^-3 = 3^-1 = 2 mod 5
     assert lam5.matrix_at(2) == Matrix(f5, [[3, 0, 0], [0, 1, 0], [0, 0, 2]])
     assert lam.matrix_at(2) == Matrix(QQ, [[8, 0, 0], [0, 1, 0], [0, 0, Fraction(1, 8)]])

@@ -31,7 +31,16 @@ from twistmod.linalg import (
 )
 from twistmod.stability import _isotropic_scanner
 
-from oracles import all_subspaces, enumerate_subspaces, generic_rref, vectors_of
+from oracles import (
+    add,
+    all_subspaces,
+    enumerate_subspaces,
+    generic_rref,
+    inv,
+    mul,
+    neg,
+    vectors_of,
+)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -77,11 +86,15 @@ def test_field_tags_round_trip():
 
 
 def test_prime_field_arithmetic():
+    # the field carries no arithmetic: entries are canonical ints, and the
+    # scalar operations of the oracles agree with hand-worked F_5 facts
     f = GF(5)
-    assert f.add(3, 4) == 2
-    assert f.neg(2) == 3
-    assert f.inv(3) == 2
-    assert f.mul(f.inv(4), 4) == 1
+    assert (f.zero, f.one, f.characteristic) == (0, 1, 5)
+    assert f.from_int(7) == 2 and f.from_int(-1) == 4
+    assert add(f, 3, 4) == 2
+    assert neg(f, 2) == 3
+    assert inv(f, 3) == 2
+    assert mul(f, inv(f, 4), 4) == 1
     with pytest.raises(FieldError):
         GF(9)
 
@@ -192,11 +205,13 @@ def test_det_and_inverse():
             assert m.mul(m.inverse()) == Matrix.identity(field, n)
             # multiplicativity against a second random invertible factor
             g = random_matrix(rng, field, n, n)
-            assert m.mul(g).det() == field.mul(m.det(), g.det())
+            assert m.mul(g).det() == mul(field, m.det(), g.det())
 
 
 def test_det_via_permutation_expansion_oracle():
-    # independent Leibniz-formula oracle on small random matrices
+    # independent Leibniz-formula oracle on plain operators, on random
+    # matrices and on permutation and triangular ones, whose elimination
+    # leaves rows untouched
     import itertools
 
     def perm_sign(perm):
@@ -207,18 +222,32 @@ def test_det_via_permutation_expansion_oracle():
                     sign = -sign
         return sign
 
+    def leibniz(m):
+        p = m.field.characteristic
+        total = sum(
+            perm_sign(perm) * math.prod(m[i][perm[i]] for i in range(m.nrows))
+            for perm in itertools.permutations(range(m.nrows))
+        )
+        return total % p if p else total
+
     rng = random.Random(17)
-    for field in (QQ, GF(3)):
+    for field in (QQ, GF(2), GF(3), GF(7)):
         for _ in range(25):
             n = rng.randint(1, 3)
             m = random_matrix(rng, field, n, n)
-            acc = field.zero
+            assert m.det() == leibniz(m)
+        for n in range(5):
             for perm in itertools.permutations(range(n)):
-                term = field.one if perm_sign(perm) > 0 else field.neg(field.one)
-                for i in range(n):
-                    term = field.mul(term, m[i][perm[i]])
-                acc = field.add(acc, term)
-            assert m.det() == acc
+                m = Matrix(field, [[int(j == perm[i]) for j in range(n)] for i in range(n)])
+                assert m.det() == leibniz(m) == field.from_int(perm_sign(perm))
+            for _ in range(4):
+                t = random_matrix(rng, field, n, n)
+                diagonal = math.prod(t[i][i] for i in range(n))
+                if field.characteristic:
+                    diagonal %= field.p
+                upper = Matrix(field, [[t[i][j] if j >= i else 0 for j in range(n)] for i in range(n)])
+                for m in (upper, upper.transpose()):
+                    assert m.det() == leibniz(m) == diagonal
 
 
 def test_the_constructor_is_the_public_boundary():

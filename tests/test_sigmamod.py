@@ -34,7 +34,7 @@ from twistmod.sigmamod import (
     validate,
 )
 
-from oracles import dot, vec_mat, vectors_of
+from oracles import dot, elements, vec_mat, vectors_of
 
 
 def trivial_w(field):
@@ -105,7 +105,7 @@ def test_symmetrize_produces_valid_modules_and_single_perturbations_break():
                 while j == i:
                     j = rng.randrange(dim_h)
                 rows = [list(r) for r in q.forms[k].rows]
-                rows[i][j] = field.add(rows[i][j], field.one)
+                rows[i][j] += field.one
                 forms = list(q.forms)
                 forms[k] = Matrix(field, rows)
                 assert not validate(SigmaModule(field, dim_h, w, sign, forms))
@@ -231,6 +231,16 @@ def test_hyperbolic_worked_examples():
         QQ, [[0, 0, 1, 0], [0, 0, 0, 2], [1, 0, 0, 0], [0, 2, 0, 0]]
     )
     assert q.forms[0].det() == 4
+    # a non-square piece: V of dim 2, its dual part of dim 1, so the
+    # corner blocks are 2 x 2 and 1 x 1
+    wide = LinearPiece((Matrix(QQ, [[1, 2]]),))
+    assert (wide.vee_dim, wide.v_dim) == (1, 2)
+    assert hyperbolic_module(wide, w, 1).forms[0] == Matrix(
+        QQ, [[0, 0, 1], [0, 0, 2], [1, 2, 0]]
+    )
+    assert hyperbolic_module(wide, w, -1).forms[0] == Matrix(
+        QQ, [[0, 0, -1], [0, 0, -2], [1, 2, 0]]
+    )
 
 
 def test_hyperbolic_is_valid_for_arbitrary_alpha():
@@ -395,7 +405,7 @@ def reference_invariants_match(q1, q2):
     if stacked1.rank() != stacked2.rank():
         return False
     field = q1.field
-    coeff_range = field.elements() if field.kind == "fp" else [field.from_int(c) for c in range(-2, 3)]
+    coeff_range = elements(field) if field.kind == "fp" else [field.from_int(c) for c in range(-2, 3)]
     for coeffs in itertools.product(coeff_range, repeat=q1.dim_w):
         if all(c == field.zero for c in coeffs):
             continue
@@ -415,7 +425,7 @@ def reference_isometry_search(q1, q2, node_budget):
     if n == 0:
         return Matrix(field, []), True
     if field.kind == "fp":
-        box = field.elements()
+        box = elements(field)
     else:
         box = [Fraction(c) for c in (0, 1, -1, 2, -2)] + [Fraction(1, 2), Fraction(-1, 2)]
     candidates = [v for v in itertools.product(box, repeat=n) if any(e != field.zero for e in v)]
@@ -488,7 +498,7 @@ def random_invertible(rng, field, n, entries):
 
 def oracle_pairs(rng, field, n, w, sign, count):
     """Pairs (q, act(g, q)), isomorphic, and (q, q'), mostly not."""
-    entries = field.elements() if field.kind == "fp" else [Fraction(c) for c in (0, 1, -1, 2)]
+    entries = elements(field) if field.kind == "fp" else [Fraction(c) for c in (0, 1, -1, 2)]
     for _ in range(count):
         q = random_module(rng, field, n, w, sign)
         yield q, act(random_invertible(rng, field, n, entries), q)
@@ -554,7 +564,7 @@ def test_invariants_reduce_a_combination_that_vanishes_only_mod_p():
     misled = 0
     for _ in range(40):
         q = random_module(rng, field, 2, w, 1)
-        q2 = act(random_invertible(rng, field, 2, field.elements()), q)
+        q2 = act(random_invertible(rng, field, 2, elements(field)), q)
         for coeffs in itertools.product(range(3), repeat=2):
             raw = [
                 [[sum(c * b.rows[i][j] for c, b in zip(coeffs, m.forms)) for j in range(2)] for i in range(2)]
