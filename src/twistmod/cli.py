@@ -132,9 +132,13 @@ def _cmd_sequiv(args) -> dict:
     return {"s_equivalent": s_equivalent(first.module, second.module, **search)}
 
 
-def _standard_twist(field, r: int) -> Matrix:
+def _standard_twist(field, r: int, bound: dict) -> Matrix:
+    from .dualnum import _check_fiber
+
     if r % 2 != 0:
         raise UsageError("the alternating case needs an even rank")
+    # refuse a huge rank before its r x r grid is built
+    _check_fiber(field, r, **bound)
     grid = [[0] * r for _ in range(r)]
     for i in range(0, r, 2):
         grid[i][i + 1] = 1
@@ -163,7 +167,7 @@ def _cmd_fiber(args) -> dict:
         if twist.field != field:
             raise UsageError("twist matrix is over the wrong field")
     elif args.case == "alternating":
-        twist = _standard_twist(field, args.rank)
+        twist = _standard_twist(field, args.rank, bound)
     report = fiber_structure_check(field, args.rank, args.case, m=twist, **bound)
     return fiber_report_to_dict(report)
 

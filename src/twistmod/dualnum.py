@@ -7,25 +7,26 @@ closed forms, so no polynomial quotient ring is needed.
 The fixed-subgroup predicates describe the fibers of the relevant group
 schemes at a point of the base.  At a branch point the covering
 involution acts on the double point itself, sending eps to -eps, and the
-fixed elements of transpose-inversion (possibly twisted by an
-alternating matrix M) satisfy:
+fixed elements of transpose-inversion twisted by a form M (M = I in the
+plus case, an alternating M in the symplectic one) satisfy:
 
-  plus case:         g^T g = I,  g^T h symmetric,  det g = 1,  tr(g^T h) = 0
-  alternating case:  g^T M g = M,  h = g M^-1 h^T M g,  det g = 1,
-                     tr(g^-1 h) = 0
+  g^T M g = M,  h = g M^-1 h^T M g,  det g = 1,  tr(g^-1 h) = 0
 
-At g = I these cut out the traceless symmetric matrices, respectively
-the traceless h with M h = h^T M, matching the additive kernels of the
-projections onto SO_r and Sp_r.  Away from the branch locus the fiber
-has two reduced points swapped by the involution, and being fixed means
-the second component is the transpose-inverse of the first.
+At M = I, where g^-1 = g^T, the second condition says g^T h is symmetric.
+At g = I these cut out the traceless h with M h = h^T M: the traceless
+symmetric matrices in the plus case, matching the additive kernels of
+the projections onto SO_r and Sp_r.  Away from the branch locus the
+fiber has two reduced points swapped by the involution, and being fixed
+means the second component is the transpose-inverse of the first.
 
-The fiber engine runs on plain ints mod p.  It builds the image, SO_r or
-the symplectic group of M, column by column as orthonormal or symplectic
-bases.  For a fixed g the conditions on h are linear, so each image
-element gets one linear solve, and the fixed set is the union of the
-solution spaces; every pair found is rechecked with the predicate.
-Group closure is checked on a generating set rather than on all pairs.
+The fiber engine runs on plain ints mod p, one construction for both
+cases.  It builds the image, the determinant-one isometries of M,
+column by column as orthonormal or symplectic bases.  For a fixed g the
+conditions on h are linear, so each image element gets one linear
+solve, and the fixed set is the union of the solution spaces.  Every
+pair found is rechecked with the predicate of its case, written
+independently of the solver.  Group closure is checked on a generating
+set rather than on all pairs.
 """
 
 from __future__ import annotations
@@ -95,24 +96,15 @@ def dn_inverse(a: DualNumberMatrix) -> DualNumberMatrix:
 def dn_det(a: DualNumberMatrix):
     """det(g + eps*h) as a pair (d0, d1) with value d0 + eps*d1.
 
-    d0 = det g and d1 = det(g) tr(g^-1 h) when g is invertible; in
-    general d1 expands by multilinearity into a sum of determinants with
-    one row of g replaced by the matching row of h.
+    d0 = det g, and d1, the derivative of det at g in the direction h,
+    expands by multilinearity into a sum of determinants with one row of
+    g replaced by the matching row of h.
     """
-    field = a.field
+    field, g, n = a.field, a.g.rows, a.size
     p = field.characteristic
-    d0 = a.g.det()
-    if d0:
-        d1 = d0 * (a.g.inverse() @ a.h).trace()
-    else:
-        # size >= 1 here (the empty determinant is one), so over QQ the sum is a Fraction
-        d1 = sum(
-            Matrix._from_rows(
-                field, tuple(a.h.rows[i] if j == i else a.g.rows[j] for j in range(a.size)), a.size
-            ).det()
-            for i in range(a.size)
-        )
-    return (d0, d1 % p if p else d1)
+    swapped = (g[:i] + (a.h.rows[i],) + g[i + 1 :] for i in range(n))
+    d1 = sum((Matrix._from_rows(field, rows, n).det() for rows in swapped), field.zero)
+    return (a.g.det(), d1 % p if p else d1)
 
 
 def is_fixed_plus(a: DualNumberMatrix) -> bool:
@@ -136,7 +128,10 @@ def is_fixed_unramified(g1: Matrix, g2: Matrix) -> bool:
         raise SingularMatrixError("unramified fibers live in the invertible locus")
     if d1 != field.one or d2 != field.one:
         return False
-    return g2 == g1.inverse().transpose()
+    if g1.field != g2.field or g1.shape != g2.shape:
+        return False
+    # g2 = g1^-T exactly when g1^T g2 = I, which takes no inverse
+    return g1.transpose() @ g2 == Matrix.identity(field, g1.nrows)
 
 
 def _check_alternating(m: Matrix):
@@ -307,14 +302,19 @@ def _closed(elements, mul) -> bool:
     return True
 
 
-def _check_fiber(field, r: int, max_pairs: int) -> int:
+_MAX_PAIRS = 1_000_000
+
+
+def _check_fiber(field, r: int, max_pairs: int = _MAX_PAIRS) -> int:
     # the field order q; the bound counts the q^(2 r^2) pairs (g, h), not the work done
     if field.kind != "fp":
         raise FieldError("fiber enumeration needs a finite field")
     if r < 0:
         raise UsageError("the rank must be nonnegative")
     q = field.p
-    if q ** (2 * r * r) > max_pairs:
+    n = 2 * r * r
+    # q >= 2, so past the bound's bit length q^n exceeds it without being computed
+    if n > max_pairs.bit_length() or q**n > max_pairs:
         raise BoundExceededError(
             f"fiber enumeration over F_{q} at size {r} exceeds {max_pairs} pairs"
         )
@@ -326,14 +326,15 @@ def fiber_structure_check(
     r: int,
     case: str,
     m: Matrix | None = None,
-    max_pairs: int = 1_000_000,
+    max_pairs: int = _MAX_PAIRS,
 ) -> FiberReport:
     """Find a branch-point fiber over F_q and verify its structure.
 
     The image, SO_r (plus case) or the symplectic group of m (alternating
     case), is built column by column; for each image element g the
     linear conditions on h are solved once, and every pair found is
-    rechecked with ``is_fixed_plus`` or ``is_fixed_alternating``.  The
+    rechecked with ``is_fixed_plus`` or ``is_fixed_alternating``.  Both
+    cases solve the twisted conditions, the plus case with m = I.  The
     report checks that the fixed set is a group under dual-number
     multiplication (closure on generators, and inverses), that it
     projects onto the image, that the kernel over the identity is the
@@ -348,21 +349,8 @@ def fiber_structure_check(
     identity = _identity(r)
 
     if case == "plus":
-        form = identity
-
-        def fixed_at(g):
-            gt = _transpose(g)
-
-            def conditions(h):
-                s = _mul(gt, h, p)
-                off = [s[i][j] - s[j][i] for i in range(r) for j in range(i + 1, r)]
-                return off + [_trace(s)]
-
-            return conditions
-
-        def kernel_conditions(h):
-            return _differences(h, _transpose(h)) + [_trace(h)]
-
+        # for orthogonal g, g^T h is symmetric exactly when h = g h^T g
+        form = minv = identity
         fixed = is_fixed_plus
         expected_kernel_dim = r * (r + 1) // 2 - 1
     else:
@@ -379,20 +367,6 @@ def fiber_structure_check(
             raise ShapeError("twist matrix size mismatch")
         form, minv = m.rows, m.inverse().rows
 
-        def fixed_at(g):
-            left, right = _mul(g, minv, p), _mul(form, g, p)
-            # g^-1 = m^-1 g^T m inside the symplectic group
-            ginv = _mul(_mul(minv, _transpose(g), p), form, p)
-
-            def conditions(h):
-                twisted = _mul(_mul(left, _transpose(h), p), right, p)
-                return _differences(h, twisted) + [_trace(_mul(ginv, h, p))]
-
-            return conditions
-
-        def kernel_conditions(h):
-            return _differences(_mul(form, h, p), _mul(_transpose(h), form, p)) + [_trace(h)]
-
         def fixed(a):
             return is_fixed_alternating(m, a)
 
@@ -400,6 +374,20 @@ def fiber_structure_check(
         # span r(r-1)/2 dimensions and the trace cuts one, while in
         # characteristic 2 skew means symmetric and no dimension is expected
         expected_kernel_dim = r * (r - 1) // 2 - 1 if p % 2 else None
+
+    def fixed_at(g):
+        left, right = _mul(g, minv, p), _mul(form, g, p)
+        # g^-1 = m^-1 g^T m inside the isometry group of m
+        ginv = _mul(_mul(minv, _transpose(g), p), form, p)
+
+        def conditions(h):
+            twisted = _mul(_mul(left, _transpose(h), p), right, p)
+            return _differences(h, twisted) + [_trace(_mul(ginv, h, p))]
+
+        return conditions
+
+    def kernel_conditions(h):
+        return _differences(_mul(form, h, p), _mul(_transpose(h), form, p)) + [_trace(h)]
 
     image = [g for g in _isometries(form, p, r) if Matrix._from_rows(field, g, r).det() == 1]
     kernel_space = _solutions(field, r, kernel_conditions)
@@ -454,7 +442,7 @@ def fiber_structure_check(
     )
 
 
-def unramified_fixed_count(field, r: int, max_pairs: int = 1_000_000) -> int:
+def unramified_fixed_count(field, r: int, max_pairs: int = _MAX_PAIRS) -> int:
     """Count fixed pairs away from the branch locus.
 
     The answer is |SL_r(F_q)|.  A pair (g1, g2) can be fixed only when

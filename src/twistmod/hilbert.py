@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import InternalCheckError, IsotropyError, ShapeError
 from .linalg import Matrix, Subspace, complement_in
-from .sigmamod import SigmaModule, orthogonal, validate
+from .sigmamod import SigmaModule, act, orthogonal, validate
 
 
 class MinusInfinityType:
@@ -229,14 +229,9 @@ def limit_at_zero(lam: OneParamSubgroup, q: SigmaModule):
                         if total > 0 and entries[r][c] != field.zero:
                             return None
                         entries[r][c] = field.zero
-    t = lam.transform()
-    ti = t.inverse()
-    tit = ti.transpose()
-    back = [
-        tit.mul(Matrix._from_rows(field, tuple(map(tuple, entries)), q.dim_h)).mul(ti)
-        for entries in kept
-    ]
-    limit = SigmaModule(q.field, q.dim_h, q.w, q.sign, back)
+    adapted = [Matrix._from_rows(field, tuple(map(tuple, entries)), q.dim_h) for entries in kept]
+    # back from the adapted basis: B -> T^-T B T^-1
+    limit = act(lam.transform(), SigmaModule(field, q.dim_h, q.w, q.sign, adapted))
     if not validate(limit):
         raise InternalCheckError("limit broke the symmetry relation")
     return limit

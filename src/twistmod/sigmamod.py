@@ -423,8 +423,9 @@ def _check_search_size(count: int, space: str, what: str):
 
 
 def _congruence_invariants_match(q1: SigmaModule, q2: SigmaModule) -> bool:
-    """Whether the ranks of each form, of the stacked forms and of every
-    combination sum c_k B_k agree, c_k over F_p or in -2..2 over QQ.
+    """Whether the ranks of the stacked forms and of every combination
+    sum c_k B_k agree, c_k over F_p or in -2..2 over QQ; the unit
+    coefficient vectors give the rank of each form.
 
     The ranks are taken on plain ints: over F_p of the entries mod p,
     over QQ of each module's forms scaled by the lcm of all their
@@ -433,9 +434,6 @@ def _congruence_invariants_match(q1: SigmaModule, q2: SigmaModule) -> bool:
     field = q1.field
     p = field.p if field.kind == "fp" else 0
     forms1, forms2 = _integer_forms(q1, p), _integer_forms(q2, p)
-    for a, b in zip(forms1, forms2):
-        if rank_mod_p(a, p) != rank_mod_p(b, p):
-            return False
     if rank_mod_p([r for a in forms1 for r in a], p) != rank_mod_p([r for b in forms2 for r in b], p):
         return False
     for coeffs in itertools.product(range(p) if p else range(-2, 3), repeat=q1.dim_w):

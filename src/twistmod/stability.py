@@ -64,7 +64,6 @@ from .hilbert import (
 from .linalg import (
     Matrix,
     Subspace,
-    _null_space,
     complement_in,
     rank_mod_p,
 )
@@ -438,9 +437,7 @@ def _certified(status: str, provenance: Provenance, q: SigmaModule, v: Subspace)
 def joint_kernel(q: SigmaModule) -> Subspace:
     """Vectors x with q(x) = 0; by the symmetry relation this also kills
     every q(y)(x), so the kernel is totally isotropic with full orthogonal."""
-    forms = _integer_forms(q, q.field.characteristic)
-    stacked = [column for b in forms for column in zip(*b)]
-    return Subspace._from_echelon(q.field, q.dim_h, *_null_space(q.field, stacked, q.dim_h))
+    return orthogonal(q, Subspace.full(q.field, q.dim_h))
 
 
 def _lift_subspace(rows, p: int, balanced: bool) -> tuple:

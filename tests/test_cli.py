@@ -270,6 +270,14 @@ def test_fiber_errors(capsys):
     assert code == 1 and "even" in err
 
 
+@pytest.mark.parametrize("case", ["plus", "unramified", "alternating"])
+def test_fiber_refuses_a_huge_rank_on_one_line(capsys, case):
+    # refused from the exponent 2 r^2 alone, before the alternating twist is built
+    code, out, err = run(capsys, "fiber", "--field", "fp:3", "--case", case, "-r", "100000")
+    assert code == 1 and out == ""
+    assert err == "error: fiber enumeration over F_3 at size 100000 exceeds 1000000 pairs\n"
+
+
 # options that a command once accepted and then ignored, as (argv, stderr part);
 # "{fixture}", "{fp7}" and "{matrix}" name a rational module, a module over
 # F_7 and a rational matrix file

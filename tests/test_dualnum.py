@@ -126,20 +126,25 @@ def test_dn_det_worked_examples():
 def test_dn_det_fallback_on_singular_part():
     # det(diag(1, eps)) = eps
     assert dn_det(dn(QQ, [[1, 0], [0, 0]], [[0, 0], [0, 1]])) == (0, 1)
-    # the row-replacement expansion must agree with the trace formula
+    # the empty determinant is one, and its eps-part a Fraction zero
+    empty = dn_det(DualNumberMatrix(Matrix(QQ, []), Matrix(QQ, [])))
+    assert empty == (1, 0) and all(type(x) is Fraction for x in empty)
+    # on invertible g the row-replacement expansion must agree with
+    # Jacobi's formula d1 = det(g) tr(g^-1 h), computed here by hand
     rng = random.Random(5)
     field = QQ
+    checked = 0
     for _ in range(10):
         g = Matrix(field, [[Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)])
         h = Matrix(field, [[Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)])
-        if g.det() == 0:
+        d0 = g.det()
+        if d0 == 0:
             continue
-        d0, d1 = dn_det(DualNumberMatrix(g, h))
-        alt = sum(
-            Matrix(field, [h.rows[i] if j == i else g.rows[j] for j in range(3)]).det()
-            for i in range(3)
-        )
-        assert (d0, d1) == (g.det(), alt)
+        ginv = g.inverse().rows
+        jacobi = d0 * sum(ginv[i][k] * h.rows[k][i] for i in range(3) for k in range(3))
+        assert dn_det(DualNumberMatrix(g, h)) == (d0, jacobi)
+        checked += 1
+    assert checked
 
 
 def test_dn_det_is_multiplicative():
@@ -252,6 +257,8 @@ def test_is_fixed_unramified():
     assert not is_fixed_unramified(d, d.inverse().transpose())
     with pytest.raises(SingularMatrixError):
         is_fixed_unramified(mat(QQ, [[1, 1], [1, 1]]), Matrix.identity(QQ, 2))
+    # components of different sizes are never a fixed pair
+    assert not is_fixed_unramified(Matrix.identity(QQ, 2), Matrix.identity(QQ, 3))
     # the predicate picks out one pair per element of SL_2(F_2)
     invertible = [g for g in all_matrices(f2, 2) if g.det() != 0]
     count = sum(
@@ -346,6 +353,18 @@ def test_fiber_structure_errors():
         fiber_structure_check(f3, 2, "alternating", m=mat(f3, [[0, 1], [1, 0]]))
     with pytest.raises(BoundExceededError):
         fiber_structure_check(f3, 3, "plus")
+
+
+def test_fiber_refuses_a_huge_rank_before_any_work():
+    # q^(2 r^2) at r = 100000 is never computed: the exponent alone is past the bound
+    f3 = GF(3)
+    for run in (
+        lambda: fiber_structure_check(f3, 100_000, "plus"),
+        lambda: fiber_structure_check(f3, 100_000, "alternating", m=standard_j(f3)),
+        lambda: unramified_fixed_count(f3, 100_000),
+    ):
+        with pytest.raises(BoundExceededError, match="exceeds 1000000 pairs"):
+            run()
 
 
 def test_fiber_refuses_a_negative_rank():
@@ -494,14 +513,33 @@ def test_unramified_count_matches_the_exhaustive_reference(p):
     assert unramified_fixed_count(field, 2) == reference_unramified_fixed_count(field, 2)
 
 
+def test_unramified_count_takes_one_inverse_per_invertible_matrix(monkeypatch):
+    inverse = Matrix.inverse
+    calls = []
+
+    def counted(self):
+        calls.append(1)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    # |GL_2(F_3)| = 48 matrices, |SL_2(F_3)| = 24 fixed pairs
+    assert unramified_fixed_count(GF(3), 2) == 24
+    assert len(calls) == 48
+
+
 def test_fiber_over_f5_matches_closed_forms():
+    # the plus fiber also over F_3, F_7 and F_11; F_7 and F_11 have more
+    # pairs (g, h) than the default bound, and than the exhaustive
+    # reference can scan
+    for q in (5, 3, 7, 11):
+        plus = fiber_structure_check(GF(q), 2, "plus", max_pairs=q**8)
+        # |SO_2(F_q)| = q - 1 when -1 is a square mod q, q + 1 otherwise
+        so2 = q - 1 if q % 4 == 1 else q + 1
+        assert plus.image_count == so2
+        assert plus.kernel_dim == 2 and plus.kernel_count == q**2
+        assert plus.fixed_count == so2 * q**2
+        assert plus.ok
     f5 = GF(5)
-    plus = fiber_structure_check(f5, 2, "plus")
-    # |SO_2(F_q)| = q - 1 when -1 is a square mod q, as it is mod 5
-    assert plus.image_count == 4
-    assert plus.kernel_dim == 2 and plus.kernel_count == 25
-    assert plus.fixed_count == 4 * 25
-    assert plus.ok
     alt = fiber_structure_check(f5, 2, "alternating", m=standard_j(f5))
     # |Sp_2(F_q)| = |SL_2(F_q)| = q (q^2 - 1)
     assert alt.image_count == 5 * 24 == 120

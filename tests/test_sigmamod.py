@@ -18,6 +18,7 @@ from twistmod.sigmamod import (
     SIGMA_ISOTROPIC,
     TOTALLY_ISOTROPIC,
     InvolutionSpace,
+    IsoResult,
     LinearPiece,
     SigmaModule,
     _congruence_invariants_match,
@@ -389,6 +390,18 @@ def test_isomorphism_over_q_is_a_semi_decision():
     assert is_isomorphic(q1, q4).status in ("yes", "unknown")
     with pytest.raises(FieldError):
         is_isomorphic(q1, module_1form(QQ, [[0, -1], [1, 0]], sign=-1))
+
+
+def test_isomorphism_over_q_answers_unknown_when_the_search_runs_out():
+    one, four, three = (module_1form(QQ, [[a]]) for a in (1, 4, 3))
+    # the witness f = 1/2 (1 = f 4 f) is the fifth box candidate, after 1, -1, 2 and -2
+    assert is_isomorphic(one, four, node_budget=4) == IsoResult("unknown")
+    found = is_isomorphic(one, four, node_budget=5)
+    assert found.status == "yes" and found.witness == Matrix(QQ, [[Fraction(1, 2)]])
+    # <1> and <3> are not isomorphic (3 is no rational square), but the
+    # box search over QQ cannot refute; ROADMAP item 1, the quadratic-form
+    # layer for dim W = 1, will turn this answer into "no"
+    assert is_isomorphic(one, three) == IsoResult("unknown")
 
 
 # The search and the invariants as they ran on field elements, before
