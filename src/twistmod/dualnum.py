@@ -19,14 +19,15 @@ the projections onto SO_r and Sp_r.  Away from the branch locus the
 fiber has two reduced points swapped by the involution, and being fixed
 means the second component is the transpose-inverse of the first.
 
-The fiber engine runs on plain ints mod p, one construction for both
+The fiber engine runs on ``linalg.Matrix``, one construction for both
 cases.  It builds the image, the determinant-one isometries of M,
-column by column as orthonormal or symplectic bases.  For a fixed g the
-conditions on h are linear, so each image element gets one linear
-solve, and the fixed set is the union of the solution spaces.  Every
+column by column as orthonormal or symplectic bases, a walk kept on
+plain ints mod p.  For a fixed g the conditions on h are linear, so each
+image element gets one linear solve, and the fixed set, held once as
+``DualNumberMatrix`` pairs, is the union of the solution spaces.  Every
 pair found is rechecked with the predicate of its case, written
-independently of the solver.  Group closure is checked on a generating
-set rather than on all pairs.
+independently of the solver.  Group closure is checked through
+``dn_mul`` on a generating set rather than on all pairs.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class DualNumberMatrix(_DualNumberFields):
             raise ShapeError("components live over different fields")
         if g.nrows != g.ncols or g.shape != h.shape:
             raise ShapeError("components must be square of equal size")
-        return super().__new__(cls, g, h)
+        return tuple.__new__(cls, (g, h))
 
     @classmethod
     def _make(cls, iterable):
@@ -188,87 +189,53 @@ class FiberReport(NamedTuple):
         )
 
 
-# -- plain-int matrices mod p: tuples of rows ------------------------------------
-
-
 def _dot(u, v, p: int) -> int:
     return sum(x * y for x, y in zip(u, v)) % p
 
 
-def _mul(a, b, p: int):
-    cols = tuple(zip(*b))
-    return tuple(tuple(_dot(row, c, p) for c in cols) for row in a)
-
-
-def _add(a, b, p: int):
-    return tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _transpose(a):
-    return tuple(zip(*a))
-
-
-def _trace(a):
-    return sum(a[i][i] for i in range(len(a)))
-
-
-def _differences(a, b):
-    return [x - y for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
-
-
-def _identity(r: int):
-    return tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-
-
-def _isometries(form, p: int, r: int):
+def _isometries(form: Matrix):
     """Every g over F_p with g^T form g == form, for a symmetric or
-    alternating form, as tuples of rows.
+    alternating form.
 
-    The columns grow one at a time: column j must pair with each earlier
-    column c_i to form[i][j], and with itself to form[j][j].  Symmetry or
-    alternation gives the entries below the diagonal from those above, so
-    each partial basis that fails one pairing is dropped at once.
+    The columns grow one at a time on plain ints: column j must pair with
+    each earlier column c_i to form[i][j], and with itself to form[j][j].
+    Symmetry or alternation gives the entries below the diagonal from
+    those above, so each partial basis that fails one pairing is dropped
+    at once.
     """
-    vectors = list(itertools.product(range(p), repeat=r))
+    field, r, rows = form.field, form.nrows, form.rows
+    p = field.p
+    vectors = itertools.product(range(p), repeat=r)
     # each vector v with its image form v, so c^T form v is c . (form v)
-    images = [(v, tuple(_dot(row, v, p) for row in form)) for v in vectors]
+    images = [(v, tuple(_dot(row, v, p) for row in rows)) for v in vectors]
     bases = [()]
     for j in range(r):
-        candidates = [(v, fv) for v, fv in images if _dot(v, fv, p) == form[j][j]]
+        candidates = [(v, fv) for v, fv in images if _dot(v, fv, p) == rows[j][j]]
         bases = [
             cols + (v,)
             for cols in bases
             for v, fv in candidates
-            if all(_dot(c, fv, p) == form[i][j] for i, c in enumerate(cols))
+            if all(_dot(c, fv, p) == rows[i][j] for i, c in enumerate(cols))
         ]
-    return [_transpose(cols) for cols in bases]
+    return [Matrix._from_rows(field, tuple(zip(*cols)), r) for cols in bases]
 
 
 def _solutions(field, r: int, conditions):
-    """Every r x r matrix h over F_p, as tuples of rows, with
-    ``conditions(h)`` all zero.  The conditions are linear in h, so their
-    matrix is read off the r^2 unit matrices and its kernel is spanned in
-    full."""
+    """Every r x r matrix h over F_p with ``conditions(h)`` all zero.  The
+    conditions are linear in h, so their matrix is read off the r^2 unit
+    matrices and its kernel is spanned in full."""
     p = field.p
     n = r * r
-    units = [tuple(tuple(int(i * r + j == k) for j in range(r)) for i in range(r)) for k in range(n)]
-    columns = [[c % p for c in conditions(e)] for e in units]
+
+    def matrix(flat):
+        return Matrix._from_rows(field, tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(r)), r)
+
+    columns = [conditions(matrix([int(j == k) for j in range(n)])) for k in range(n)]
     basis, _ = _null_space(field, list(zip(*columns)), n)
-    found = []
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        flat = [sum(c * b[k] for c, b in zip(coeffs, basis)) % p for k in range(n)]
-        found.append(tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(r)))
-    return found
-
-
-def _pair_product(p: int):
-    """(g, h)(k, l) = (gk, gl + hk) on plain-int pairs mod p."""
-
-    def mul(a, b):
-        (g, h), (k, l) = a, b
-        return _mul(g, k, p), _add(_mul(g, l, p), _mul(h, k, p), p)
-
-    return mul
+    return [
+        matrix([sum(c * b[k] for c, b in zip(coeffs, basis)) % p for k in range(n)])
+        for coeffs in itertools.product(range(p), repeat=len(basis))
+    ]
 
 
 def _closed(elements, mul) -> bool:
@@ -291,14 +258,14 @@ def _closed(elements, mul) -> bool:
         done[s] = 0
         reached.append(s)
         for x in reached:  # grows as the walk reaches new elements
-            while done[x] < len(gens):
-                y = mul(x, gens[done[x]])
+            for g in gens[done[x] :]:
+                y = mul(x, g)
                 if y not in members:
                     return False
                 if y not in done:
                     done[y] = 0
                     reached.append(y)
-                done[x] += 1
+            done[x] = len(gens)
     return True
 
 
@@ -346,7 +313,7 @@ def fiber_structure_check(
     if case not in ("plus", "alternating"):
         raise ValueError(f"unknown fiber case {case!r}")
     p = _check_fiber(field, r, max_pairs)
-    identity = _identity(r)
+    identity = Matrix.identity(field, r)
 
     if case == "plus":
         # for orthogonal g, g^T h is symmetric exactly when h = g h^T g
@@ -365,7 +332,7 @@ def fiber_structure_check(
             raise FieldError("twist matrix lives over another field")
         if m.shape != (r, r):
             raise ShapeError("twist matrix size mismatch")
-        form, minv = m.rows, m.inverse().rows
+        form, minv = m, m.inverse()
 
         def fixed(a):
             return is_fixed_alternating(m, a)
@@ -376,44 +343,36 @@ def fiber_structure_check(
         expected_kernel_dim = r * (r - 1) // 2 - 1 if p % 2 else None
 
     def fixed_at(g):
-        left, right = _mul(g, minv, p), _mul(form, g, p)
+        left, right = g @ minv, form @ g
         # g^-1 = m^-1 g^T m inside the isometry group of m
-        ginv = _mul(_mul(minv, _transpose(g), p), form, p)
+        ginv = minv @ g.transpose() @ form
 
         def conditions(h):
-            twisted = _mul(_mul(left, _transpose(h), p), right, p)
-            return _differences(h, twisted) + [_trace(_mul(ginv, h, p))]
+            twisted = left @ h.transpose() @ right
+            return [*itertools.chain(*(h - twisted).rows), (ginv @ h).trace()]
 
         return conditions
 
     def kernel_conditions(h):
-        return _differences(_mul(form, h, p), _mul(_transpose(h), form, p)) + [_trace(h)]
+        return [*itertools.chain(*(form @ h - h.transpose() @ form).rows), h.trace()]
 
-    image = [g for g in _isometries(form, p, r) if Matrix._from_rows(field, g, r).det() == 1]
+    image = [g for g in _isometries(form) if g.det() == 1]
     kernel_space = _solutions(field, r, kernel_conditions)
-    fixed_set = [(g, h) for g in image for h in _solutions(field, r, fixed_at(g))]
-    pairs = [
-        DualNumberMatrix(Matrix._from_rows(field, g, r), Matrix._from_rows(field, h, r))
-        for g, h in fixed_set
-    ]
-    if not all(fixed(a) for a in pairs):
+    fixed_set = [DualNumberMatrix(g, h) for g in image for h in _solutions(field, r, fixed_at(g))]
+    if not all(fixed(a) for a in fixed_set):
         raise InternalCheckError("a solved pair fails the fixed-point predicate")
     keys = set(fixed_set)
 
-    closure_ok = _closed(fixed_set, _pair_product(p))
-    inverses_ok = all(
-        (inv.g.rows, inv.h.rows) in keys for inv in (dn_inverse(a) for a in pairs)
+    closure_ok = _closed(fixed_set, dn_mul)
+    inverses_ok = all(dn_inverse(a) in keys for a in fixed_set)
+    projection_ok = {a.g for a in fixed_set} == set(image)
+    kernel_found = [a.h for a in fixed_set if a.g == identity]
+    kernel = set(kernel_found)
+    # additive closure: (I, h1)(I, h2) = (I, h1 + h2) stays fixed, so h1 + h2
+    # is again an eps-part over the identity
+    kernel_ok = kernel == set(kernel_space) and all(
+        h1 + h2 in kernel for h1 in kernel_found for h2 in kernel_found
     )
-    projection_ok = {g for g, _ in fixed_set} == set(image)
-    kernel_found = [h for g, h in fixed_set if g == identity]
-    kernel_ok = set(kernel_found) == set(kernel_space)
-    if kernel_ok:
-        # additive closure: (I, h1)(I, h2) = (I, h1 + h2) stays fixed
-        kernel_ok = all(
-            (identity, _add(h1, h2, p)) in keys
-            for h1 in kernel_found
-            for h2 in kernel_found
-        )
 
     kernel_dim = 0
     while p**kernel_dim < len(kernel_found):

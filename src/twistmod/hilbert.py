@@ -14,11 +14,10 @@ limit keeps the exponent-zero blocks and kills the rest.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InternalCheckError, IsotropyError, ShapeError
-from .linalg import Matrix, Subspace, complement_in
+from .linalg import Matrix, Subspace, _element, complement_in
 from .sigmamod import SigmaModule, act, orthogonal, validate
 
 
@@ -136,12 +135,13 @@ class OneParamSubgroup:
         """The group element lambda(t) for an invertible field element t."""
         f = self.field
         p = f.characteristic
-        if (t % p if p else t) == 0:
+        # over QQ an int t becomes a Fraction, so a negative power stays exact
+        t = _element(f, t)
+        if t == 0:
             raise ShapeError("lambda(t) needs invertible t")
         diag_entries = []
         for sub, wt in self.pieces:
-            # over QQ an int t becomes a Fraction, so a negative power stays exact
-            value = pow(t, wt, p) if p else Fraction(t) ** wt
+            value = pow(t, wt, p) if p else t**wt
             diag_entries.extend([value] * sub.dim)
         n = self.ambient
         diag = Matrix._from_rows(

@@ -16,9 +16,11 @@ inverse per entry.
 
 The public ``Matrix`` and ``Subspace`` constructors are the boundary: an
 int entry is taken through ``field.from_int``, a ``Fraction`` is accepted
-over QQ only, and anything else raises ``FieldError``.  Internal results
-are canonical already and are built by the trusted ``Matrix._from_rows``
-and ``Subspace._from_echelon``.
+over QQ only, and anything else raises ``FieldError``.  The scalar and
+vector arguments of public methods (``Matrix.scale``, ``mat_vec``,
+``Subspace.contains_vector``) cross the same rule, ``_element``.
+Internal results are canonical already and are built by the trusted
+``Matrix._from_rows`` and ``Subspace._from_echelon``.
 
 Subspaces are kept in a canonical form (reduced row echelon basis), which
 makes equality of subspaces plain object equality and gives every
@@ -201,12 +203,13 @@ def _element(field, a):
 
 
 def _fill_matrix(m, field, rows, ncols):
-    # Matrix and Subspace are immutable: their slots are set once, here and below
-    setattr_ = object.__setattr__
-    setattr_(m, "field", field)
-    setattr_(m, "rows", rows)
-    setattr_(m, "nrows", len(rows))
-    setattr_(m, "ncols", ncols)
+    # Matrix and Subspace are immutable: their slots are set once, here and
+    # below; a Matrix's through its slot descriptors, which costs less than
+    # object.__setattr__ on the path every internal result takes
+    _set_field(m, field)
+    _set_rows(m, rows)
+    _set_nrows(m, len(rows))
+    _set_ncols(m, ncols)
 
 
 def _fill_subspace(v, field, ambient, basis, pivots):
@@ -283,7 +286,8 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        # equal matrices have equal rows; __eq__ tells the fields apart
+        return hash(self.rows)
 
     def __repr__(self):
         body = "; ".join(" ".join(self.field.format(e) for e in r) for r in self.rows)
@@ -303,19 +307,17 @@ class Matrix:
         rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
         return Matrix._from_rows(self.field, rows, self.nrows)
 
-    def _check_same_field(self, other):
+    def _entrywise(self, other, op, what: str) -> "Matrix":
         if self.field != other.field:
             raise FieldError("mixed fields")
-
-    def _entrywise(self, other, op, what: str) -> "Matrix":
-        self._check_same_field(other)
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch in {what}")
         p = self.field.characteristic
-        rows = tuple(
-            tuple(op(a, b) % p for a, b in zip(ra, rb)) if p else tuple(map(op, ra, rb))
-            for ra, rb in zip(self.rows, other.rows)
-        )
+        pairs = zip(self.rows, other.rows)
+        if p:
+            rows = tuple([tuple([x % p for x in map(op, ra, rb)]) for ra, rb in pairs])
+        else:
+            rows = tuple([tuple(map(op, ra, rb)) for ra, rb in pairs])
         return Matrix._from_rows(self.field, rows, self.ncols)
 
     def __add__(self, other):
@@ -328,6 +330,7 @@ class Matrix:
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
+        c = _element(self.field, c)
         p = self.field.characteristic
         rows = tuple(tuple(c * a % p if p else c * a for a in r) for r in self.rows)
         return Matrix._from_rows(self.field, rows, self.ncols)
@@ -336,14 +339,15 @@ class Matrix:
         """The product, one ``% p`` per entry over F_p; over QQ the rows of
         self and the columns of other are scaled to ints, and each entry
         is one Fraction over the product of the two scales."""
-        self._check_same_field(other)
+        if self.field != other.field:
+            raise FieldError("mixed fields")
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
         field = self.field
         p = field.characteristic
         cols = tuple(zip(*other.rows)) if other.rows else ((),) * other.ncols
         if p:
-            rows = tuple(tuple(sum(map(_times, r, c)) % p for c in cols) for r in self.rows)
+            rows = tuple([tuple([sum(map(_times, r, c)) % p for c in cols]) for r in self.rows])
         else:
             left, left_scales = _int_rows(field, self.rows)
             right, right_scales = _int_rows(field, cols)
@@ -358,6 +362,7 @@ class Matrix:
     def mat_vec(self, v):
         if len(v) != self.ncols:
             raise ShapeError("vector length mismatch")
+        v = [_element(self.field, x) for x in v]
         p = self.field.characteristic
         out = tuple(sum(map(_times, r, v), self.field.zero) for r in self.rows)
         return tuple(x % p for x in out) if p else out
@@ -417,6 +422,11 @@ class Matrix:
         if pivots[:n] != list(range(n)):
             raise SingularMatrixError("matrix is singular")
         return Matrix._from_rows(field, _entries(field, [r[n:] for r in augmented], d), n)
+
+
+_set_field, _set_rows, _set_nrows, _set_ncols = (
+    getattr(Matrix, name).__set__ for name in ("field", "rows", "nrows", "ncols")
+)
 
 
 def _int_rows(field, rows):
@@ -578,6 +588,7 @@ class Subspace:
         at the pivots as coefficients; only the other entries can differ."""
         if len(v) != self.ambient:
             raise ShapeError("vector length != ambient dimension")
+        v = [_element(self.field, x) for x in v]
         p = self.field.characteristic
         coeffs = [v[c] for c in self.pivots]
         columns = zip(*self.basis.rows) if self.pivots else ((),) * self.ambient

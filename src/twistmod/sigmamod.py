@@ -27,7 +27,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .linalg import Matrix, Subspace, _int_rows, _null_space, complement_in, rank_mod_p
+from .linalg import Matrix, Subspace, _element, _int_rows, _null_space, complement_in, rank_mod_p
 
 NOT_ISOTROPIC = "not_isotropic"
 SIGMA_ISOTROPIC = "sigma_isotropic"
@@ -144,6 +144,8 @@ class SigmaModule:
 
     def gram(self, x, y):
         """The tuple of W-coordinates of q(x)(y)."""
+        x = [_element(self.field, e) for e in x]
+        y = [_element(self.field, e) for e in y]
         return tuple(dotform(self.field, x, b, y) for b in self.forms)
 
     def pairs_to_zero(self, x, y) -> bool:

@@ -474,7 +474,8 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
     QQ.  The scan runs prime by prime, all dimensions each, when
     ``by_prime`` is set, and otherwise dimension by dimension, all
     primes each; the order fixes which witness comes first.  Each prime
-    is reduced, and its scanner built, at most once, and appended to
+    is reduced, and its scanner built, at most once (a repeated prime
+    counts in its first place only), and appended to
     ``tried`` whenever a scan of its reduction starts.  A prime whose
     reduction has more than MAX_LINES lines is refused before any
     reduction is scanned.
@@ -491,7 +492,7 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
         yield kernel, n, None
     _check_dim(n, enum_bound)
     denominators = _denominator_lcm(q.w.matrix, *q.forms)
-    primes = [p for p in primes if denominators % p]
+    primes = [p for p in dict.fromkeys(primes) if denominators % p]
     # refuse a prime with too many lines before any reduction is scanned,
     # however early a scan may stop
     for p in primes:

@@ -85,6 +85,10 @@ def test_check_strategy_and_prime_list(tmp_path, capsys):
     code, out, _ = run(capsys, "check", qpath, "--prime-list", "3,5")
     assert code == 0
     assert json.loads(out)["provenance"] == {"kind": "heuristic", "primes": [3, 5]}
+    # a repeated prime is scanned and listed once
+    code, out, _ = run(capsys, "check", qpath, "--prime-list", "3,3,5,3")
+    assert code == 0
+    assert json.loads(out)["provenance"] == {"kind": "heuristic", "primes": [3, 5]}
 
     code, _, err = run(capsys, "check", qpath, "--prime-list", "3;5")
     assert code == 1 and "prime list" in err

@@ -29,7 +29,6 @@ from twistmod.dualnum import (
     FiberReport,
     TypeVector,
     _closed,
-    _pair_product,
     dn_det,
     dn_inverse,
     dn_mul,
@@ -507,6 +506,60 @@ def test_fiber_engine_matches_the_exhaustive_reference(case):
     assert report.ok
 
 
+# every report of the plus fiber at r <= 3 over F_2 and r <= 2 over F_3, F_5
+# and F_7, and of the alternating fiber at r = 0 and 2 twisted by J and -J,
+# keyed (case, q, r, twist); the values are the FiberReport fields after the
+# case, as the plain-int engine that the Matrix engine replaced reported them
+PINNED_REPORTS = {
+    ("plus", 2, 0, None): (0, 2, 1, 1, 1, 0, True, True, True, True, True),
+    ("plus", 2, 1, None): (1, 2, 1, 1, 1, 0, True, True, True, True, True),
+    ("plus", 2, 2, None): (2, 2, 8, 2, 4, 2, True, True, True, True, True),
+    ("plus", 2, 3, None): (3, 2, 192, 6, 32, 5, True, True, True, True, True),
+    ("plus", 3, 0, None): (0, 3, 1, 1, 1, 0, True, True, True, True, True),
+    ("plus", 3, 1, None): (1, 3, 1, 1, 1, 0, True, True, True, True, True),
+    ("plus", 3, 2, None): (2, 3, 36, 4, 9, 2, True, True, True, True, True),
+    ("plus", 5, 0, None): (0, 5, 1, 1, 1, 0, True, True, True, True, True),
+    ("plus", 5, 1, None): (1, 5, 1, 1, 1, 0, True, True, True, True, True),
+    ("plus", 5, 2, None): (2, 5, 100, 4, 25, 2, True, True, True, True, True),
+    ("plus", 7, 0, None): (0, 7, 1, 1, 1, 0, True, True, True, True, True),
+    ("plus", 7, 1, None): (1, 7, 1, 1, 1, 0, True, True, True, True, True),
+    ("plus", 7, 2, None): (2, 7, 392, 8, 49, 2, True, True, True, True, True),
+    ("alternating", 2, 0, "j"): (0, 2, 1, 1, 1, 0, True, True, True, True, True),
+    ("alternating", 2, 0, "-j"): (0, 2, 1, 1, 1, 0, True, True, True, True, True),
+    ("alternating", 2, 2, "j"): (2, 2, 48, 6, 8, 3, True, True, True, True, True),
+    ("alternating", 2, 2, "-j"): (2, 2, 48, 6, 8, 3, True, True, True, True, True),
+    ("alternating", 3, 0, "j"): (0, 3, 1, 1, 1, 0, True, True, True, True, True),
+    ("alternating", 3, 0, "-j"): (0, 3, 1, 1, 1, 0, True, True, True, True, True),
+    ("alternating", 3, 2, "j"): (2, 3, 24, 24, 1, 0, True, True, True, True, True),
+    ("alternating", 3, 2, "-j"): (2, 3, 24, 24, 1, 0, True, True, True, True, True),
+    ("alternating", 5, 0, "j"): (0, 5, 1, 1, 1, 0, True, True, True, True, True),
+    ("alternating", 5, 0, "-j"): (0, 5, 1, 1, 1, 0, True, True, True, True, True),
+    ("alternating", 5, 2, "j"): (2, 5, 120, 120, 1, 0, True, True, True, True, True),
+    ("alternating", 5, 2, "-j"): (2, 5, 120, 120, 1, 0, True, True, True, True, True),
+    ("alternating", 7, 0, "j"): (0, 7, 1, 1, 1, 0, True, True, True, True, True),
+    ("alternating", 7, 0, "-j"): (0, 7, 1, 1, 1, 0, True, True, True, True, True),
+    ("alternating", 7, 2, "j"): (2, 7, 336, 336, 1, 0, True, True, True, True, True),
+    ("alternating", 7, 2, "-j"): (2, 7, 336, 336, 1, 0, True, True, True, True, True),
+}
+
+
+def report_id(key):
+    case, q, r, twist = key
+    return f"{case}-f{q}-r{r}" + (f"-{twist}" if twist else "")
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_REPORTS, key=repr), ids=report_id)
+def test_fiber_reports_are_pinned(key):
+    case, q, r, twist = key
+    field = GF(q)
+    m = None
+    if twist is not None:
+        m = standard_j(field) if r else Matrix(field, [])
+        m = -m if twist == "-j" else m
+    report = fiber_structure_check(field, r, case, m=m, max_pairs=q ** (2 * r * r))
+    assert report == FiberReport(case, *PINNED_REPORTS[key])
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_unramified_count_matches_the_exhaustive_reference(p):
     field = GF(p)
@@ -548,17 +601,12 @@ def test_fiber_over_f5_matches_closed_forms():
     assert unramified_fixed_count(f5, 2) == 120
 
 
-def fixed_keys(field, r, case, m=None):
-    """The fixed set as plain-int (g rows, h rows) keys, by exhaustive scan."""
+def fixed_pairs(field, r, case, m=None):
+    """The fixed set as dual-number matrices, by exhaustive scan."""
     test = is_fixed_plus if case == "plus" else (lambda a: is_fixed_alternating(m, a))
     mats = list(all_matrices(field, r))
-    return [
-        (g.rows, h.rows)
-        for g in mats
-        if g.det() != 0
-        for h in mats
-        if test(DualNumberMatrix(g, h))
-    ]
+    pairs = (DualNumberMatrix(g, h) for g in mats if g.det() != 0 for h in mats)
+    return [a for a in pairs if test(a)]
 
 
 def test_a_solved_pair_that_fails_the_predicate_is_an_internal_error(monkeypatch):
@@ -568,7 +616,7 @@ def test_a_solved_pair_that_fails_the_predicate_is_an_internal_error(monkeypatch
 
     def with_a_stray(field, r, conditions):
         # the identity as an eps-part has trace r, so no pair (g, I) is fixed
-        return solve(field, r, conditions) + [Matrix.identity(field, r).rows]
+        return solve(field, r, conditions) + [Matrix.identity(field, r)]
 
     monkeypatch.setattr(dualnum, "_solutions", with_a_stray)
     for case, m in (("plus", None), ("alternating", standard_j(GF(3)))):
@@ -578,46 +626,43 @@ def test_a_solved_pair_that_fails_the_predicate_is_an_internal_error(monkeypatch
 
 def test_closure_on_generators_catches_a_missing_or_foreign_element():
     f3 = GF(3)
-    mul = _pair_product(3)
-    for keys in (fixed_keys(f3, 2, "plus"), fixed_keys(f3, 2, "alternating", standard_j(f3))):
-        assert _closed(keys, mul)
+    for keys in (fixed_pairs(f3, 2, "plus"), fixed_pairs(f3, 2, "alternating", standard_j(f3))):
+        assert _closed(keys, dn_mul)
         for k in range(len(keys)):
-            assert not _closed(keys[:k] + keys[k + 1 :], mul)
-        identity, zero = ((1, 0), (0, 1)), ((0, 0), (0, 0))
+            assert not _closed(keys[:k] + keys[k + 1 :], dn_mul)
+        identity, zero = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
         foreign = [
-            (identity, identity),  # a traceful eps-part over the identity
-            (((1, 0), (0, 2)), zero),  # determinant 2
-            (((1, 1), (0, 1)), zero),  # symplectic, not orthogonal
+            dn(f3, identity, identity),  # a traceful eps-part over the identity
+            dn(f3, [[1, 0], [0, 2]], zero),  # determinant 2
+            dn(f3, [[1, 1], [0, 1]], zero),  # symplectic, not orthogonal
         ]
         foreign = [x for x in foreign if x not in keys]
         assert len(foreign) >= 2
         for x in foreign:
-            assert not _closed(keys + [x], mul)
+            assert not _closed(keys + [x], dn_mul)
 
 
 def test_closure_on_generators_agrees_with_all_pairs_on_subsets():
     # every subset of the 8-element plus fiber over F_2, and 200 seeded
     # random subsets of the 24-element alternating fiber over F_3: the
     # generator walk and the |S|^2 check answer alike
-    mul = _pair_product(2)
-    group = fixed_keys(GF(2), 2, "plus")
+    group = fixed_pairs(GF(2), 2, "plus")
     assert len(group) == 8
     closed = 0
     for mask in range(1 << len(group)):
         subset = [x for i, x in enumerate(group) if mask >> i & 1]
         members = set(subset)
-        full = all(mul(a, b) in members for a in subset for b in subset)
-        assert _closed(subset, mul) == full
+        full = all(dn_mul(a, b) in members for a in subset for b in subset)
+        assert _closed(subset, dn_mul) == full
         closed += full
     assert closed > 2  # the empty set, the identity, the whole group and more
     rng = random.Random(59)
-    mul3 = _pair_product(3)
-    group3 = fixed_keys(GF(3), 2, "alternating", standard_j(GF(3)))
+    group3 = fixed_pairs(GF(3), 2, "alternating", standard_j(GF(3)))
     for _ in range(200):
         subset = rng.sample(group3, rng.randrange(1, len(group3)))
         members = set(subset)
-        full = all(mul3(a, b) in members for a in subset for b in subset)
-        assert _closed(subset, mul3) == full
+        full = all(dn_mul(a, b) in members for a in subset for b in subset)
+        assert _closed(subset, dn_mul) == full
 
 
 # -- pfaffians and types --------------------------------------------------------

@@ -29,6 +29,8 @@ from twistmod.linalg import (
     _MR_BOUND,
     _is_prime,
 )
+from twistmod.hilbert import OneParamSubgroup
+from twistmod.sigmamod import InvolutionSpace, SigmaModule
 from twistmod.stability import _isotropic_scanner
 
 from oracles import (
@@ -271,6 +273,48 @@ def test_the_constructor_is_the_public_boundary():
         Subspace(QQ, 1, [[0.5]])
     with pytest.raises(ShapeError):
         Matrix(QQ, [[1, 2], [3]])
+
+
+def one_form_module():
+    return SigmaModule(QQ, 1, InvolutionSpace.trivial(QQ), 1, [Matrix(QQ, [[1]])])
+
+
+def weights_3_0_minus_3(field):
+    return OneParamSubgroup.from_diagonal_weights(field, [3, 0, -3])
+
+
+# public methods that take a scalar or a vector, each given one that is no
+# element of the field: a float over QQ, a Fraction over F_5
+SCALAR_AND_VECTOR_ARGUMENTS = {
+    "scale-float": lambda: Matrix.identity(QQ, 2).scale(0.5),
+    "scale-fraction-mod-5": lambda: Matrix.identity(GF(5), 2).scale(Fraction(1, 2)),
+    "mat_vec-float": lambda: Matrix.identity(QQ, 2).mat_vec((0.5, 1)),
+    "gram-float": lambda: one_form_module().gram((0.5,), (1,)),
+    "pairs_to_zero-float": lambda: one_form_module().pairs_to_zero((1,), (0.5,)),
+    "matrix_at-float": lambda: weights_3_0_minus_3(QQ).matrix_at(0.1),
+    "matrix_at-fraction-mod-5": lambda: weights_3_0_minus_3(GF(5)).matrix_at(Fraction(1, 2)),
+    "contains_vector-float": lambda: Subspace(QQ, 2, [[1, 2]]).contains_vector((0.5, 1.0)),
+    "contains_vector-fraction-mod-5": lambda: Subspace(GF(5), 2, [[1, 2]]).contains_vector(
+        (Fraction(1, 2), 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("call", sorted(SCALAR_AND_VECTOR_ARGUMENTS))
+def test_scalar_and_vector_arguments_cross_the_public_boundary(call):
+    with pytest.raises(FieldError):
+        SCALAR_AND_VECTOR_ARGUMENTS[call]()
+
+
+def test_scalar_and_vector_arguments_take_ints_and_rationals():
+    assert Matrix.identity(GF(5), 1).scale(7) == Matrix(GF(5), [[2]])
+    assert Matrix.identity(QQ, 1).scale(Fraction(1, 2)).rows == ((Fraction(1, 2),),)
+    assert Matrix(GF(5), [[1, 2]]).mat_vec((6, -1)) == (4,)
+    assert one_form_module().gram((Fraction(1, 2),), (2,)) == (1,)
+    lam = weights_3_0_minus_3(QQ)
+    assert lam.matrix_at(Fraction(1, 2)) == lam.matrix_at(2).inverse()
+    assert Subspace(GF(5), 2, [[1, 2]]).contains_vector((6, 7))
+    assert Subspace(QQ, 2, [[1, 2]]).contains_vector((Fraction(1, 2), 1))
 
 
 def test_empty_shapes_keep_their_width():

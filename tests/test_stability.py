@@ -513,6 +513,13 @@ def test_no_destabilizer_over_the_rationals():
     assert verdict.provenance.primes == (2, 3, 5, 7, 11, 13)
 
 
+def test_a_repeated_prime_is_scanned_once():
+    q = module_1form(QQ, [[1, 0], [0, 1]])
+    verdict = semistability_verdict(q, primes=(2, 2, 3))
+    assert verdict.status == NO_DESTABILIZER_FOUND
+    assert verdict.provenance.primes == (2, 3)
+
+
 def test_a_prime_dividing_only_an_involution_denominator_is_skipped():
     # the forms are integral, but W = [[0, 2], [1/2, 0]] does not reduce
     # mod 2, so 2 is not among the primes tried
