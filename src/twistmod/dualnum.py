@@ -149,10 +149,14 @@ def is_fixed_alternating(m: Matrix, a: DualNumberMatrix) -> bool:
     _check_alternating(m)
     if m.nrows % 2 != 0:
         raise ShapeError("alternating fixed sets need even size")
-    field = a.field
     if m.shape != a.g.shape:
         raise ShapeError("twist matrix size mismatch")
-    minv = m.inverse()
+    return _fixed_alternating(m, m.inverse(), a)
+
+
+def _fixed_alternating(m: Matrix, minv: Matrix, a: DualNumberMatrix) -> bool:
+    # is_fixed_alternating for a checked twist m with its inverse minv
+    field = a.field
     if a.g.transpose() @ m @ a.g != m:
         return False
     if a.g.det() != field.one:
@@ -335,7 +339,7 @@ def fiber_structure_check(
         form, minv = m, m.inverse()
 
         def fixed(a):
-            return is_fixed_alternating(m, a)
+            return _fixed_alternating(m, minv, a)
 
         # the kernel is {h : m h skew, tr h = 0}; for q odd the skew m h
         # span r(r-1)/2 dimensions and the trace cuts one, while in

@@ -9,7 +9,12 @@ rescales by t^(e_ij) with exponent e_ij = -(a_i + a_j).
 The weight of the pairing (lambda, q) is mu = -min e_ij over nonzero
 blocks = max(a_i + a_j), and the limit of lambda(t).q at t -> 0 exists
 exactly when mu <= 0 (all exponents of nonzero blocks nonnegative); the
-limit keeps the exponent-zero blocks and kills the rest.
+limit keeps the exponent-zero blocks and kills the rest.  Any basis
+adapted to the pieces sees the same blocks, so the limit can be taken
+in any of them: ``limit_at_zero`` takes it in the adapted basis of
+lambda and writes it back in the standard basis of H, and
+``stability.graded`` checks its assembled module in its own adapted
+basis.  Both truncate through ``_limit_in_basis``.
 """
 
 from __future__ import annotations
@@ -211,29 +216,45 @@ def limit_at_zero(lam: OneParamSubgroup, q: SigmaModule):
     """The limit of lambda(t).q at t -> 0, or None when it diverges.
 
     Exists iff every nonzero block has nonnegative exponent (mu <= 0);
-    the limit keeps exactly the exponent-zero blocks.
+    the limit keeps exactly the exponent-zero blocks.  It is taken in
+    the adapted basis of lam (``adapted_forms``) and written back in the
+    standard basis of H.
     """
-    forms, ranges = _adapted_blocks(lam, q)
-    field = q.field
-    weights = lam.weights
-    kept = [[list(r) for r in b.rows] for b in forms]
-    for i, rows in enumerate(ranges):
-        for j, cols in enumerate(ranges):
-            total = weights[i] + weights[j]
-            if total == 0:
-                continue
-            for entries in kept:
-                for r in rows:
-                    for c in cols:
-                        # a nonzero block of negative exponent makes mu positive
-                        if total > 0 and entries[r][c] != field.zero:
-                            return None
-                        entries[r][c] = field.zero
-    adapted = [Matrix._from_rows(field, tuple(map(tuple, entries)), q.dim_h) for entries in kept]
+    forms = adapted_forms(lam, q)
+    weights = [wt for sub, wt in lam.pieces for _ in range(sub.dim)]
+    adapted = _limit_in_basis(q.field, forms, weights)
+    if adapted is None:
+        return None
     # back from the adapted basis: B -> T^-T B T^-1
-    limit = act(lam.transform(), SigmaModule(field, q.dim_h, q.w, q.sign, adapted))
+    limit = act(lam.transform(), SigmaModule(q.field, q.dim_h, q.w, q.sign, adapted))
     if not validate(limit):
         raise InternalCheckError("limit broke the symmetry relation")
+    return limit
+
+
+def _limit_in_basis(field, forms, weights):
+    """The limit at t -> 0 of forms written in a basis adapted to a
+    one-parameter subgroup, where basis vector i has weight weights[i];
+    None when it diverges.
+
+    Entry (r, c) scales by t^-(weights[r] + weights[c]): it is kept when
+    the sum is 0 and vanishes in the limit when the sum is negative; a
+    nonzero entry with a positive sum makes mu positive and the limit
+    diverge.
+    """
+    zero, n = field.zero, len(weights)
+    limit = []
+    for b in forms:
+        rows = []
+        for wr, row in zip(weights, b.rows):
+            kept = []
+            for wc, x in zip(weights, row):
+                total = wr + wc
+                if total > 0 and x:
+                    return None
+                kept.append(zero if total else x)
+            rows.append(tuple(kept))
+        limit.append(Matrix._from_rows(field, tuple(rows), n))
     return limit
 
 

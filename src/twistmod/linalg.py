@@ -636,15 +636,28 @@ def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
     vectors kept so far; the kept vectors span the complement.  They are
     the pivot columns past the inner ones when all the vectors, taken as
     columns, are brought to echelon form.
+
+    The outer basis is in reduced echelon form, so a vector of outer has
+    its entries at the outer pivots as coordinates.  Outer basis vector
+    b_j is kept exactly when no vector of inner has its last nonzero
+    coordinate at j, so the complement is read off the pivots of inner's
+    coordinate rows reversed, in one elimination; the kept rows of a
+    reduced echelon basis are one themselves.
     """
     if not outer.contains(inner):
         raise ValueError("inner is not contained in outer")
     field = inner.field
-    stacked = inner.basis.rows + outer.basis.rows
-    columns = list(zip(*_int_rows(field, stacked)[0]))
-    pivots, _ = _gauss_jordan(columns, len(stacked), field.characteristic)
-    added = tuple(stacked[c] for c in pivots[inner.dim :])
-    return Subspace._span(field, inner.ambient, added)
+    m = outer.dim
+    coords = [tuple(r[c] for c in outer.pivots)[::-1] for r in inner.basis.rows]
+    reversed_rows, _ = _int_rows(field, coords)
+    trailing, _ = _gauss_jordan(reversed_rows, m, field.characteristic)
+    kept = sorted(set(range(m)).difference(m - 1 - c for c in trailing))
+    return Subspace._from_echelon(
+        field,
+        inner.ambient,
+        tuple(outer.basis.rows[j] for j in kept),
+        tuple(outer.pivots[j] for j in kept),
+    )
 
 
 def rank_mod_p(rows, p: int) -> int:

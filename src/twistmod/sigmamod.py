@@ -312,7 +312,10 @@ def _wrap(w: InvolutionSpace, sign: int, alpha, inner) -> list:
     """The forms on V + H' + V-dual with each inner form of H' in the
     middle, alpha_k in the lower-left (dual x isotropic) block, its
     sigma-twisted transpose in the upper-right and zeros elsewhere; for
-    H' = 0 they are the forms of ``hyperbolic_module``."""
+    H' = 0 they are the forms of ``hyperbolic_module``.  In ``graded``
+    the result is the assembled module in its adapted basis, and the
+    limit of the canonical subgroup is checked against it in that same
+    basis."""
     m, mm, s = alpha[0].ncols, alpha[0].nrows, inner[0].nrows
     zero = w.field.zero
     forms = []
@@ -375,18 +378,27 @@ def is_isomorphic(
 ) -> IsoResult:
     """Decide whether two modules are isomorphic.
 
-    A witness f satisfies  B1_k = f^T B2_k f  for all k.  Over a prime
-    field the column-by-column Gram backtracking below is an exhaustive
-    search, hence a full decision for the small dimensions this package
-    targets; over the rationals the search runs over a bounded box of
-    small rationals and can only answer yes or unknown.
+    A witness f satisfies  B1_k = f^T B2_k f  for all k, and every
+    witness is rechecked exactly.  Over F_p the search lists p^dim_w
+    combinations of the forms and p^dim_h - 1 candidate columns, and
+    more than MAX_LINES of either raise BoundExceededError before any
+    work, on every path.
 
-    Cheap invariants (ranks of the coordinate matrices, of their stacked
-    matrix, and of small linear combinations) are congruence invariants
-    and refute quickly.  Invariants and search run on plain ints, and
-    every witness is rechecked exactly.  Over F_p both list their
-    vectors, p^dim_w combinations and p^dim_h - 1 columns, so more than
-    MAX_LINES of either raise BoundExceededError before any work.
+    One form (dim W = 1) over F_p with p odd is decided by
+    ``quadform.normal_form``: B = eps B^T with eps = sign * S, and two
+    such forms are isometric iff they have the same rank and, when
+    symmetric, the same discriminant square class.  A "yes" carries the
+    witness P2 P1^-1 built from the two congruence normal forms.
+
+    Otherwise cheap congruence invariants (the rank of the stacked forms
+    and of one combination sum c_k B_k per projective point) refute
+    quickly, and then a column-by-column Gram backtracking search on
+    plain ints looks for a witness.  Each visited candidate costs one
+    unit of ``node_budget``.  Over F_p (p = 2, or dim W >= 2) the search
+    is exhaustive when it finishes, so it answers yes or no, but it
+    answers unknown when the budget runs out first.  Over the rationals
+    it runs over a bounded box of small rationals and can only answer
+    yes or unknown.
     """
     _check_compatible(q1, q2)
     if q1.dim_h != q2.dim_h:
@@ -399,6 +411,10 @@ def is_isomorphic(
         p = q1.field.p
         _check_search_size(p**q1.dim_w, f"F_{p}^{q1.dim_w}", "form combinations")
         _check_search_size(p**q1.dim_h - 1, f"F_{p}^{q1.dim_h}", "candidate columns")
+        if q1.dim_w == 1 and p % 2:
+            decided = _one_form_isometry(q1, q2)
+            if decided is not None:
+                return decided
 
     if not _congruence_invariants_match(q1, q2):
         return IsoResult("no")
@@ -410,6 +426,27 @@ def is_isomorphic(
     if exhausted and q1.field.kind == "fp":
         return IsoResult("no")
     return IsoResult("unknown")
+
+
+def _one_form_isometry(q1: SigmaModule, q2: SigmaModule):
+    """is_isomorphic for one form over F_p, p odd, by congruence normal
+    forms; None when a form is not eps-symmetric (an invalid module), so
+    that the search answers for it."""
+    from . import quadform
+
+    field, n = q1.field, q1.dim_h
+    eps = q1.sign if q1.w.matrix.rows[0][0] == 1 else -q1.sign
+    forms = [quadform.normal_form(q.forms[0].rows, eps, field.p) for q in (q1, q2)]
+    if None in forms:
+        return None
+    (invariants1, basis1), (invariants2, basis2) = forms
+    if invariants1 != invariants2:
+        return IsoResult("no")
+    # the basis vectors are the columns of P_i, and f = P_2 P_1^-1
+    c1, c2 = (Matrix._from_rows(field, tuple(map(tuple, b)), n) for b in (basis1, basis2))
+    f = (c1.inverse() @ c2).transpose()
+    _check_witness(q1, q2, f)
+    return IsoResult("yes", f)
 
 
 # a search that lists or scans more vectors of F_p^n than this is
@@ -429,9 +466,12 @@ def _congruence_invariants_match(q1: SigmaModule, q2: SigmaModule) -> bool:
     sum c_k B_k agree, c_k over F_p or in -2..2 over QQ; the unit
     coefficient vectors give the rank of each form.
 
-    The ranks are taken on plain ints: over F_p of the entries mod p,
-    over QQ of each module's forms scaled by the lcm of all their
-    denominators, which keeps every rank.
+    rank(c M) = rank(M) for c != 0, so one coefficient vector per
+    projective point is enough: over F_p the vectors whose first nonzero
+    entry is 1, over QQ the primitive ones whose first nonzero entry is
+    positive.  The ranks are taken on plain ints: over F_p of the
+    entries mod p, over QQ of each module's forms scaled by the lcm of
+    all their denominators, which keeps every rank.
     """
     field = q1.field
     p = field.p if field.kind == "fp" else 0
@@ -439,7 +479,8 @@ def _congruence_invariants_match(q1: SigmaModule, q2: SigmaModule) -> bool:
     if rank_mod_p([r for a in forms1 for r in a], p) != rank_mod_p([r for b in forms2 for r in b], p):
         return False
     for coeffs in itertools.product(range(p) if p else range(-2, 3), repeat=q1.dim_w):
-        if not any(coeffs):
+        lead = next((c for c in coeffs if c), 0)
+        if (lead != 1) if p else (lead <= 0 or math.gcd(*coeffs) != 1):
             continue
         if rank_mod_p(_combination(forms1, coeffs, p), p) != rank_mod_p(
             _combination(forms2, coeffs, p), p

@@ -57,8 +57,8 @@ from .errors import (
 from .hilbert import (
     MINUS_INFINITY,
     OneParamSubgroup,
+    _limit_in_basis,
     destabilizing_1ps,
-    limit_at_zero,
     mu,
 )
 from .linalg import (
@@ -75,7 +75,6 @@ from .sigmamod import (
     _integer_forms,
     _reduce_by,
     _wrap,
-    act,
     is_isomorphic,
     isotropic_reduction,
     orthogonal,
@@ -594,10 +593,13 @@ def graded(
     """Graded module of a semistable q: hyperbolic pieces round a stable core.
 
     The assembled module is written in the adapted basis (witnesses
-    outside in, core, dual models inside out) and coincides there with
-    the limit of the canonical one-parameter subgroup; this is checked
-    on every call.  A module with dim H = 0 is refused with ShapeError:
-    its canonical subgroup would have no piece.
+    outside in, core, dual models inside out), the columns of
+    ``transform``, and coincides there with the limit of the canonical
+    one-parameter subgroup.  Every call checks this in that basis: the
+    forms T^T B T of q, truncated by the weight sums of the basis
+    vectors, must equal the assembled forms entry by entry.  A module
+    with dim H = 0 is refused with ShapeError: its canonical subgroup
+    would have no piece.
     """
     if q.dim_h == 0:
         raise ShapeError("a graded module needs dim H >= 1, not 0")
@@ -606,11 +608,18 @@ def graded(
     field = q.field
     n = q.dim_h
 
-    adapted = [row for level in levels for row in level.witness_rows.rows]
-    adapted.extend(core_rows.rows)
-    for level in reversed(levels):
-        adapted.extend(level.dual_rows.rows)
-    transform = Matrix._from_rows(field, tuple(adapted), n).transpose()
+    k = len(levels)
+    # the adapted basis in blocks, each with its weight under the
+    # canonical subgroup: k - i on the witness of level i, 0 on the core,
+    # -(k - i) on the dual model of level i
+    blocks = [(level.witness_rows, k - i) for i, level in enumerate(levels)]
+    if core.dim_h > 0:
+        blocks.append((core_rows, 0))
+    blocks.extend((levels[i].dual_rows, i - k) for i in reversed(range(k)))
+    adapted = tuple(row for rows, _ in blocks for row in rows.rows)
+    weights = [weight for rows, weight in blocks for _ in range(rows.nrows)]
+    adapted_rows = Matrix._from_rows(field, adapted, n)
+    transform = adapted_rows.transpose()
 
     forms = list(core.forms)
     for level in reversed(levels):
@@ -619,20 +628,16 @@ def graded(
     if not validate(assembled):
         raise InternalCheckError("assembled graded module fails validation")
 
-    k = len(levels)
-    pieces = []
-    for i, level in enumerate(levels):
-        weight = k - i
-        pieces.append((Subspace._span(field, n, level.witness_rows.rows), weight))
-        pieces.append((Subspace._span(field, n, level.dual_rows.rows), -weight))
-    if core.dim_h > 0:
-        pieces.append((Subspace._span(field, n, core_rows.rows), 0))
-    canonical = OneParamSubgroup(pieces)
+    canonical = OneParamSubgroup(
+        (Subspace._span(field, n, rows.rows), weight) for rows, weight in blocks
+    )
 
-    limit = limit_at_zero(canonical, q)
+    # the limit of the canonical subgroup in the adapted basis: T^T B T,
+    # truncated by the weight sums
+    limit = _limit_in_basis(field, [adapted_rows @ b @ transform for b in q.forms], weights)
     if limit is None:
         raise InternalCheckError("canonical subgroup has no limit")
-    if act(transform.inverse(), limit) != assembled:
+    if tuple(limit) != assembled.forms:
         raise InternalCheckError("graded limit disagrees with the assembled module")
 
     return GradedModule(

@@ -196,3 +196,44 @@ def all_subspaces(field, ambient: int):
     """All nonzero subspaces of every dimension, in canonical order."""
     for dim in range(1, ambient + 1):
         yield from enumerate_subspaces(field, ambient, dim)
+
+
+def all_combinations_invariants_match(q1, q2) -> bool:
+    """The congruence invariants of two modules with every coefficient
+    vector: the ranks of each form, of the stacked forms and of every
+    nonzero combination sum c_k B_k, with c_k over all of F_p or in
+    -2..2 over QQ, each rank by generic elimination."""
+    field = q1.field
+
+    def rank(rows):
+        return generic_rref(Matrix(field, rows))[1]
+
+    def combination(q, coeffs):
+        n = q.dim_h
+        out = [[field.zero] * n for _ in range(n)]
+        for c, b in zip(coeffs, q.forms):
+            for i in range(n):
+                for j in range(n):
+                    out[i][j] = add(field, out[i][j], mul(field, c, b.rows[i][j]))
+        return out
+
+    if rank([r for b in q1.forms for r in b.rows]) != rank([r for b in q2.forms for r in b.rows]):
+        return False
+    box = elements(field) if field.kind == "fp" else [field.from_int(c) for c in range(-2, 3)]
+    for coeffs in itertools.product(box, repeat=q1.dim_w):
+        if all(c == field.zero for c in coeffs):
+            continue
+        if rank(combination(q1, coeffs)) != rank(combination(q2, coeffs)):
+            return False
+    return True
+
+
+def stacked_complement(inner, outer):
+    """The complement of inner in outer by its definition: the outer
+    basis vectors at the pivot columns past the inner ones, when the
+    inner and then the outer basis vectors, taken as the columns of one
+    matrix, are brought to echelon form by generic elimination."""
+    field = inner.field
+    stacked = inner.basis.rows + outer.basis.rows
+    _, _, pivots = generic_rref(Matrix(field, [list(c) for c in zip(*stacked)]))
+    return Subspace(field, inner.ambient, [stacked[c] for c in pivots[inner.dim :]])

@@ -323,7 +323,8 @@ def test_a_wrong_alternating_kernel_dimension_fails_the_count(monkeypatch):
         return solve(field, r, lambda h: conditions(h)[:-1])
 
     monkeypatch.setattr(dualnum, "_solutions", without_the_trace)
-    monkeypatch.setattr(dualnum, "is_fixed_alternating", lambda m, a: True)
+    # the engine rechecks through the predicate's body, with m inverted once
+    monkeypatch.setattr(dualnum, "_fixed_alternating", lambda m, minv, a: True)
     report = fiber_structure_check(f3, 2, "alternating", m=standard_j(f3))
     assert report.kernel_dim == 1 and report.fixed_count == 24 * 3
     assert report.closure_ok and report.inverses_ok and report.projection_ok and report.kernel_ok
@@ -578,6 +579,26 @@ def test_unramified_count_takes_one_inverse_per_invertible_matrix(monkeypatch):
     # |GL_2(F_3)| = 48 matrices, |SL_2(F_3)| = 24 fixed pairs
     assert unramified_fixed_count(GF(3), 2) == 24
     assert len(calls) == 48
+
+
+def test_alternating_fiber_inverts_its_twist_once(monkeypatch):
+    inverse = Matrix.inverse
+    inverted = []
+
+    def counted(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counted)
+    f3 = GF(3)
+    j = standard_j(f3)
+    report = fiber_structure_check(f3, 2, "alternating", m=j)
+    assert report.fixed_count == 24 and report.ok
+    # m^-1 once per fiber; per pair, one g^-1 in the recheck's trace
+    # condition and one in the inverses check.  J lies in Sp_2(F_3), so
+    # as a pair's g it is inverted twice more.
+    assert len(inverted) == 1 + 2 * report.fixed_count
+    assert sum(m == j for m in inverted) == 3
 
 
 def test_fiber_over_f5_matches_closed_forms():

@@ -7,7 +7,10 @@ so the plain-int kernel (one ``% p`` per entry over F_p, fraction-free
 Gauss-Jordan and Bareiss over QQ) must agree with it exactly, on every
 shape: rank-deficient, without rows, without columns, and empty.
 Rational entries reach 10^30 over denominators up to 10^12, so the
-exact divisions of the fraction-free updates see large minors.
+exact divisions of the fraction-free updates see large minors.  The
+complement of a subspace in an outer space, read off the trailing
+pivots of its coordinates in the outer basis, is checked against the
+stacked elimination of ``oracles.py``.
 """
 
 import math
@@ -16,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from twistmod.errors import SingularMatrixError
-from twistmod.linalg import GF, QQ, Matrix, Subspace, rank_mod_p
+from twistmod.linalg import GF, QQ, Matrix, Subspace, complement_in, rank_mod_p
 
 from oracles import (
     generic_det,
@@ -25,6 +28,7 @@ from oracles import (
     generic_mul,
     generic_rref,
     is_element,
+    stacked_complement,
 )
 
 pytest.importorskip("hypothesis")
@@ -136,3 +140,30 @@ def test_rank_mod_p_agrees_with_generic_rank(m):
         # Bareiss on the rows scaled to ints by a common denominator
         d = math.lcm(*(x.denominator for row in m.rows for x in row))
         assert rank_mod_p([[int(x * d) for x in row] for row in m.rows], 0) == rank
+
+
+@st.composite
+def nested_subspaces(draw):
+    """(inner, outer) with inner inside outer in F^n, n <= 6, over QQ,
+    F_2, F_3 or F_5; outer is the whole space about half the time."""
+    field = draw(st.sampled_from((QQ, GF(2), GF(3), GF(5))))
+    n = draw(st.integers(1, 6))
+    inner = draw(matrices(field, draw(st.integers(0, n)), n))
+    extra = draw(matrices(field, draw(st.integers(0, n)), n))
+    inner_space = Subspace(field, n, inner.rows)
+    if draw(st.booleans()):
+        return inner_space, Subspace.full(field, n)
+    return inner_space, Subspace(field, n, inner.rows + extra.rows)
+
+
+@given(nested_subspaces())
+def test_complement_matches_the_stacked_elimination(pair):
+    # the complement is read off the trailing pivots of inner's coordinates
+    # in the outer basis; it must be the stacked elimination's subspace,
+    # pivots included
+    inner, outer = pair
+    got = complement_in(inner, outer)
+    expected = stacked_complement(inner, outer)
+    assert got == expected and got.pivots == expected.pivots
+    assert got.dim == outer.dim - inner.dim
+    assert canonical(got.basis)

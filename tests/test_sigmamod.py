@@ -35,7 +35,7 @@ from twistmod.sigmamod import (
     validate,
 )
 
-from oracles import dot, elements, vec_mat, vectors_of
+from oracles import all_combinations_invariants_match, dot, elements, vec_mat, vectors_of
 
 
 def trivial_w(field):
@@ -404,32 +404,11 @@ def test_isomorphism_over_q_answers_unknown_when_the_search_runs_out():
     assert is_isomorphic(one, three) == IsoResult("unknown")
 
 
-# The search and the invariants as they ran on field elements, before
-# both moved to plain ints: generic Field ops, Fractions and Matrix.rank.
-# They are the reference the int path must match answer for answer.
-
-
-def reference_invariants_match(q1, q2):
-    for a, b in zip(q1.forms, q2.forms):
-        if a.rank() != b.rank():
-            return False
-    stacked1 = Matrix(q1.field, [r for b in q1.forms for r in b.rows])
-    stacked2 = Matrix(q2.field, [r for b in q2.forms for r in b.rows])
-    if stacked1.rank() != stacked2.rank():
-        return False
-    field = q1.field
-    coeff_range = elements(field) if field.kind == "fp" else [field.from_int(c) for c in range(-2, 3)]
-    for coeffs in itertools.product(coeff_range, repeat=q1.dim_w):
-        if all(c == field.zero for c in coeffs):
-            continue
-        combo1 = combo2 = None
-        for c, a, b in zip(coeffs, q1.forms, q2.forms):
-            ta, tb = a.scale(c), b.scale(c)
-            combo1 = ta if combo1 is None else combo1 + ta
-            combo2 = tb if combo2 is None else combo2 + tb
-        if combo1.rank() != combo2.rank():
-            return False
-    return True
+# The search as it ran on field elements, before it moved to plain ints:
+# generic Field ops, Fractions and Matrix.rank.  It is the reference the
+# int path must match answer for answer; the invariants are checked
+# against oracles.all_combinations_invariants_match, which tests every
+# coefficient vector.
 
 
 def reference_isometry_search(q1, q2, node_budget):
@@ -534,7 +513,7 @@ def test_int_search_and_invariants_match_the_field_reference_over_fp(p):
         for w in (trivial_w(field), swap_w(field)):
             for sign in (1, -1):
                 for q1, q2 in oracle_pairs(rng, field, n, w, sign, 2):
-                    assert _congruence_invariants_match(q1, q2) == reference_invariants_match(q1, q2)
+                    assert _congruence_invariants_match(q1, q2) == all_combinations_invariants_match(q1, q2)
                     for budget in (1, 7, 50, 500_000 if p ** n < 64 else 2_000):
                         (witness, exhausted), _ = assert_search_matches(q1, q2, budget)
                         outcomes.add((witness is not None, exhausted))
@@ -560,7 +539,7 @@ def test_int_search_and_invariants_match_the_field_reference_over_qq():
                     others = [act(random_invertible(rng, QQ, n, small), q)]
                     others.append(act(Matrix(QQ, [[Fraction(1, 2) if i == j else 0 for j in range(n)] for i in range(n)]), q))
                     for q2 in others:
-                        assert _congruence_invariants_match(q, q2) == reference_invariants_match(q, q2)
+                        assert _congruence_invariants_match(q, q2) == all_combinations_invariants_match(q, q2)
                         for budget in (1, 7, 50, 500_000 if n == 2 else 3_000):
                             (witness, exhausted), _ = assert_search_matches(q, q2, budget)
                             outcomes.add((witness is not None, exhausted))
@@ -585,10 +564,49 @@ def test_invariants_reduce_a_combination_that_vanishes_only_mod_p():
             ]
             if rank_mod_p(raw[0], 3) != rank_mod_p(raw[1], 3):
                 misled += 1
-        assert reference_invariants_match(q, q2)
+        assert all_combinations_invariants_match(q, q2)
         assert _congruence_invariants_match(q, q2)
         assert is_isomorphic(q, q2).status == "yes"
     assert misled > 0
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(5), QQ], ids=["F3", "F5", "QQ"])
+def test_one_rank_per_projective_point_matches_every_coefficient_vector(field):
+    # rank(c M) = rank(M) for c != 0: the package tests one coefficient
+    # vector per projective point, the oracle every nonzero vector
+    rng = random.Random(31 + (field.p if field.kind == "fp" else 0))
+    entries = elements(field) if field.kind == "fp" else [Fraction(c) for c in (0, 1, -1, 2)]
+    answers = set()
+    for w in (trivial_w(field), swap_w(field)):
+        for sign in (1, -1):
+            for n in (2, 3):
+                for _ in range(3):
+                    q1 = random_module(rng, field, n, w, sign)
+                    # g^T B g with a singular g keeps the symmetry relation, not the rank
+                    g = Matrix(field, [[int(i == j < n - 1) for j in range(n)] for i in range(n)])
+                    squeezed = SigmaModule(field, n, w, sign, [g.transpose() @ b @ g for b in q1.forms])
+                    moved = act(random_invertible(rng, field, n, entries), q1)
+                    for q2 in (moved, squeezed, random_module(rng, field, n, w, sign)):
+                        answer = _congruence_invariants_match(q1, q2)
+                        assert answer == all_combinations_invariants_match(q1, q2)
+                        answers.add(answer)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("field", [GF(3), QQ], ids=["F3", "QQ"])
+def test_invariants_refute_by_a_combination_alone(field):
+    # with the swap involution the forms are A and A^T.  A and C below
+    # agree in rank (2) and stacked rank (3), but A + A^T has rank 3 and
+    # C + C^T rank 2: only the combination (1, 1) tells them apart
+    w = swap_w(field)
+    a = Matrix(field, [[0, 1, 0], [0, 0, 0], [0, 0, 1]])
+    c = Matrix(field, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    qa = SigmaModule(field, 3, w, 1, [a, a.transpose()])
+    qc = SigmaModule(field, 3, w, 1, [c, c.transpose()])
+    assert validate(qa) and validate(qc)
+    assert not _congruence_invariants_match(qa, qc)
+    assert not all_combinations_invariants_match(qa, qc)
+    assert is_isomorphic(qa, qc).status == "no"
 
 
 def test_direct_sum_validates_and_distributes_isotropy():

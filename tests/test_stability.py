@@ -759,6 +759,44 @@ def test_graded_fixtures():
         graded(module_1form(QQ, [[0, 0], [0, 0]]))
 
 
+def test_graded_limit_check_catches_a_corrupted_assembly(monkeypatch):
+    # graded checks its assembled module against the limit of the
+    # canonical subgroup in its own adapted basis, where both are
+    # compared entry by entry
+    fixture = module_1form(QQ, [[0, 0, 1], [0, 1, 1], [1, 1, 1]])
+    wrap = stability._wrap
+
+    def corrupt(r, c):
+        def wrapped(*args):
+            forms = wrap(*args)
+            rows = [list(row) for row in forms[0].rows]
+            rows[r][c] += 1
+            return [Matrix(QQ, rows), *forms[1:]]
+
+        return wrapped
+
+    # a diagonal entry keeps the symmetry relation: only the limit sees it
+    monkeypatch.setattr(stability, "_wrap", corrupt(1, 1))
+    with pytest.raises(InternalCheckError, match="^graded limit disagrees with the assembled module$"):
+        graded(fixture)
+    monkeypatch.setattr(stability, "_wrap", corrupt(0, 2))
+    with pytest.raises(InternalCheckError, match="^assembled graded module fails validation$"):
+        graded(fixture)
+    monkeypatch.setattr(stability, "_wrap", wrap)
+    # with witness and dual model swapped, the weights no longer fit the
+    # module: its nonzero (2, 2) entry gets weight sum 2 > 0
+    build = stability._build_levels
+
+    def swapped(*args):
+        levels, chain, core, core_rows = build(*args)
+        levels = [lv._replace(witness_rows=lv.dual_rows, dual_rows=lv.witness_rows) for lv in levels]
+        return levels, chain, core, core_rows
+
+    monkeypatch.setattr(stability, "_build_levels", swapped)
+    with pytest.raises(InternalCheckError, match="^canonical subgroup has no limit$"):
+        graded(fixture)
+
+
 def test_graded_limit_identity_on_random_strictly_semistable():
     rng = random.Random(11)
     f3 = GF(3)
