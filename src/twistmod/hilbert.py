@@ -7,9 +7,16 @@ adapted basis splits its coordinate matrices into blocks; block (i, j)
 rescales by t^(e_ij) with exponent e_ij = -(a_i + a_j).
 
 The weight of the pairing (lambda, q) is mu = -min e_ij over nonzero
-blocks = max(a_i + a_j), and the limit of lambda(t).q at t -> 0 exists
-exactly when mu <= 0 (all exponents of nonzero blocks nonnegative); the
-limit keeps the exponent-zero blocks and kills the rest.  Any basis
+blocks = max(a_i + a_j).  ``mu`` reads it without forming T^T B_k T:
+it walks the pairs of pieces in descending order of a_i + a_j and
+returns at the first pair where some u^T B_k w != 0, u and w basis
+vectors of the two pieces, on plain ints (``_block_test``, which
+``block_exponents`` shares).  Every verdict certificate is rechecked
+through it, in exact arithmetic, before the verdict is returned.
+
+The limit of lambda(t).q at t -> 0 exists exactly when mu <= 0 (all
+exponents of nonzero blocks nonnegative); the limit keeps the
+exponent-zero blocks and kills the rest.  Any basis
 adapted to the pieces sees the same blocks, so the limit can be taken
 in any of them: ``limit_at_zero`` takes it in the adapted basis of
 lambda and writes it back in the standard basis of H, and
@@ -19,11 +26,12 @@ basis.  Both truncate through ``_limit_in_basis``.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from .errors import InternalCheckError, IsotropyError, ShapeError
-from .linalg import Matrix, Subspace, _element, complement_in
-from .sigmamod import SigmaModule, act, orthogonal, validate
+from .linalg import Matrix, Subspace, _complement, _element, _int_rows
+from .sigmamod import SigmaModule, _integer_forms, act, orthogonal, validate
 
 
 class MinusInfinityType:
@@ -61,9 +69,14 @@ MINUS_INFINITY = MinusInfinityType()
 class OneParamSubgroup:
     """Eigenspace pieces with strictly decreasing weights, det-one.
 
-    The constructor canonicalizes: pieces are sorted by weight
-    (descending) and pieces of equal weight are merged, so two subgroups
-    are equal iff they define the same weighted decomposition.
+    The public constructor trusts nothing: it checks that the pieces are
+    nonzero subspaces of one space with integer weights, sorts them by
+    weight (descending) and merges pieces of equal weight, so two
+    subgroups are equal iff they define the same weighted decomposition.
+    ``_from_pieces`` trusts all of that and is what internal callers
+    with canonical pieces use.  Both end in ``_fill``, the one place
+    that checks that the pieces form a direct sum of the whole space
+    (by the rank of their stacked bases) and that sum(a_i dim H_i) = 0.
     """
 
     __slots__ = ("field", "ambient", "pieces")
@@ -86,15 +99,26 @@ class OneParamSubgroup:
         ordered = tuple(
             (merged[wt], wt) for wt in sorted(merged, reverse=True)
         )
-        total = sum(s.dim for s, _ in ordered)
-        stacked = sum((s.basis.rows for s, _ in ordered), ())
+        self._fill(field, ambient, ordered)
+
+    @classmethod
+    def _from_pieces(cls, field, ambient: int, pieces):
+        # trusted internal path: pieces is a tuple of (nonzero Subspace of
+        # F^ambient, int weight) with strictly decreasing weights
+        lam = object.__new__(cls)
+        lam._fill(field, ambient, pieces)
+        return lam
+
+    def _fill(self, field, ambient: int, pieces):
+        total = sum(s.dim for s, _ in pieces)
+        stacked = sum((s.basis.rows for s, _ in pieces), ())
         if total != ambient or Matrix._from_rows(field, stacked, ambient).rank() != ambient:
             raise ShapeError("pieces are not a direct sum decomposition")
-        if sum(wt * s.dim for s, wt in ordered) != 0:
+        if sum(wt * s.dim for s, wt in pieces) != 0:
             raise ShapeError("weighted dimensions must sum to zero")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "pieces", ordered)
+        object.__setattr__(self, "pieces", pieces)
 
     def __setattr__(self, name, value):
         raise AttributeError("OneParamSubgroup is immutable")
@@ -165,20 +189,41 @@ class BlockInfo(NamedTuple):
 
 def adapted_forms(lam: OneParamSubgroup, q: SigmaModule):
     """The coordinate matrices of q written in the adapted basis of lam."""
-    return _adapted_blocks(lam, q)[0]
-
-
-def _adapted_blocks(lam: OneParamSubgroup, q: SigmaModule):
-    """adapted_forms(lam, q), and the index range of each piece in the adapted basis."""
     _check_pairing(lam, q)
     t = lam.transform()
     tt = t.transpose()
-    ranges = []
-    pos = 0
-    for sub, _ in lam.pieces:
-        ranges.append(range(pos, pos + sub.dim))
-        pos += sub.dim
-    return tuple(tt.mul(b).mul(t) for b in q.forms), ranges
+    return tuple(tt.mul(b).mul(t) for b in q.forms)
+
+
+def _block_test(lam: OneParamSubgroup, q: SigmaModule):
+    """The zero test of the adapted blocks, shared by ``mu`` and
+    ``block_exponents``: nonzero(i, j) tells whether u^T B_k w != 0 for
+    some basis vector u of piece i, w of piece j and form B_k, that is
+    whether block (i, j) of some T^T B_k T is nonzero.
+
+    It runs on plain ints: the forms as ``_integer_forms`` gives them
+    (over QQ all scaled by one common denominator) and each piece basis
+    row scaled to ints by its own, which keeps every zero a zero.  The
+    images B_k w of a piece are formed when a pair first needs them.
+    """
+    _check_pairing(lam, q)
+    field = q.field
+    p = field.characteristic
+    forms = _integer_forms(q, p)
+    bases = [_int_rows(field, s.basis.rows)[0] for s, _ in lam.pieces]
+    images: dict = {}
+
+    def nonzero(i: int, j: int) -> bool:
+        if j not in images:
+            images[j] = [[sum(map(mul, row, w)) for row in b] for b in forms for w in bases[j]]
+        for u in bases[i]:
+            for image in images[j]:
+                x = sum(map(mul, u, image))
+                if x % p if p else x:
+                    return True
+        return False
+
+    return nonzero
 
 
 def block_exponents(lam: OneParamSubgroup, q: SigmaModule) -> dict:
@@ -187,15 +232,11 @@ def block_exponents(lam: OneParamSubgroup, q: SigmaModule) -> dict:
     Indices are 0-based positions in ``lam.pieces``; a block counts as
     zero only when it vanishes in every W-coordinate.
     """
-    forms, ranges = _adapted_blocks(lam, q)
-    zero, weights = q.field.zero, lam.weights
+    nonzero = _block_test(lam, q)
+    weights = lam.weights
+    k = range(len(weights))
     return {
-        (i, j): BlockInfo(
-            -(weights[i] + weights[j]),
-            all(b[r][c] == zero for b in forms for r in rows for c in cols),
-        )
-        for i, rows in enumerate(ranges)
-        for j, cols in enumerate(ranges)
+        (i, j): BlockInfo(-(weights[i] + weights[j]), not nonzero(i, j)) for i in k for j in k
     }
 
 
@@ -203,13 +244,18 @@ def mu(lam: OneParamSubgroup, q: SigmaModule):
     """The pairing weight: max(a_i + a_j) over nonzero blocks.
 
     Equals -min of the nonzero-block exponents; MINUS_INFINITY for the
-    zero module, which every subgroup destabilizes.
+    zero module, which every subgroup destabilizes.  The pairs of pieces
+    are tried in descending order of a_i + a_j, and the first nonzero
+    block gives the weight.
     """
-    blocks = block_exponents(lam, q)
-    finite = [-info.exponent for info in blocks.values() if not info.is_zero]
-    if not finite:
-        return MINUS_INFINITY
-    return max(finite)
+    nonzero = _block_test(lam, q)
+    weights = lam.weights
+    k = range(len(weights))
+    pairs = sorted(((weights[i] + weights[j], i, j) for i in k for j in k), reverse=True)
+    for total, i, j in pairs:
+        if nonzero(i, j):
+            return total
+    return MINUS_INFINITY
 
 
 def limit_at_zero(lam: OneParamSubgroup, q: SigmaModule):
@@ -272,8 +318,9 @@ def destabilizing_1ps(q: SigmaModule, v: Subspace) -> OneParamSubgroup:
         raise IsotropyError("destabilizing subgroup needs a totally isotropic subspace")
     n = q.dim_h
     d = v.dim
-    middle = complement_in(v, perp)
-    outer = complement_in(perp, Subspace.full(q.field, n))
+    # v lies in perp, and perp in H: neither containment is tested again
+    middle = _complement(v, perp)
+    outer = _complement(perp)
     h1 = middle.dim
     m1 = 2 * n - 2 * d - h1
     m2 = n - 2 * d - h1
@@ -283,7 +330,8 @@ def destabilizing_1ps(q: SigmaModule, v: Subspace) -> OneParamSubgroup:
         pieces.append((middle, m2))
     if outer.dim:
         pieces.append((outer, m3))
-    return OneParamSubgroup(pieces)
+    # m1 - m2 = m2 - m3 = n: the weights strictly decrease
+    return OneParamSubgroup._from_pieces(q.field, n, tuple(pieces))
 
 
 def _check_pairing(lam: OneParamSubgroup, q: SigmaModule):

@@ -20,7 +20,8 @@ over QQ only, and anything else raises ``FieldError``.  The scalar and
 vector arguments of public methods (``Matrix.scale``, ``mat_vec``,
 ``Subspace.contains_vector``) cross the same rule, ``_element``.
 Internal results are canonical already and are built by the trusted
-``Matrix._from_rows`` and ``Subspace._from_echelon``.
+``Matrix._from_rows`` and ``Subspace._from_echelon``; ``Subspace.contains``
+checks field and ambient once and compares canonical rows as they are.
 
 Subspaces are kept in a canonical form (reduced row echelon basis), which
 makes equality of subspaces plain object equality and gives every
@@ -469,8 +470,10 @@ def _gauss_jordan(rows, ncols: int, p: int):
         r = len(pivots)
         if r == len(rows):
             break
-        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if i is None:
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                break
+        else:
             continue
         rows[r], rows[i] = rows[i], rows[r]
         top = rows[r]
@@ -584,22 +587,35 @@ class Subspace:
         return (self.dim, self.pivots, self.basis.rows)
 
     def contains_vector(self, v) -> bool:
-        """Whether v is the combination of the basis rows with its entries
-        at the pivots as coefficients; only the other entries can differ."""
         if len(v) != self.ambient:
             raise ShapeError("vector length != ambient dimension")
-        v = [_element(self.field, x) for x in v]
-        p = self.field.characteristic
-        coeffs = [v[c] for c in self.pivots]
-        columns = zip(*self.basis.rows) if self.pivots else ((),) * self.ambient
-        for x, column in zip(v, columns):
-            rest = x - sum(map(_times, coeffs, column))
-            if rest % p if p else rest:
-                return False
-        return True
+        return self._contains_rows(([_element(self.field, x) for x in v],))
 
     def contains(self, other: "Subspace") -> bool:
-        return all(self.contains_vector(r) for r in other.basis.rows)
+        """Whether other lies in this subspace; FieldError, as for sum and
+        intersect, when the two live in different spaces."""
+        self._check_compatible(other)
+        return other.dim <= self.dim and self._contains_rows(other.basis.rows)
+
+    def _contains_rows(self, rows) -> bool:
+        """Whether every row of canonical entries is the combination of
+        the basis rows with its entries at the pivots as coefficients;
+        only the entries off the pivots can differ, so only they are
+        compared."""
+        p = self.field.characteristic
+        pivots = self.pivots
+        free = [
+            (c, column)
+            for c, column in enumerate(zip(*self.basis.rows) if pivots else ((),) * self.ambient)
+            if c not in pivots
+        ]
+        for v in rows:
+            coeffs = [v[c] for c in pivots]
+            for c, column in free:
+                rest = v[c] - sum(map(_times, coeffs, column))
+                if rest % p if p else rest:
+                    return False
+        return True
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -637,6 +653,21 @@ def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
     the pivot columns past the inner ones when all the vectors, taken as
     columns, are brought to echelon form.
 
+    This public entry trusts neither argument: it raises FieldError
+    when they live in different spaces and ValueError when outer does
+    not contain inner.  ``_complement`` computes the complement and
+    trusts that containment.
+    """
+    if not outer.contains(inner):
+        raise ValueError("inner is not contained in outer")
+    return _complement(inner, outer)
+
+
+def _complement(inner: Subspace, outer: Subspace | None = None) -> Subspace:
+    """complement_in(inner, outer) for an inner known to lie in outer;
+    outer None is the whole ambient space, whose canonical basis is the
+    standard one and is not built.
+
     The outer basis is in reduced echelon form, so a vector of outer has
     its entries at the outer pivots as coordinates.  Outer basis vector
     b_j is kept exactly when no vector of inner has its last nonzero
@@ -644,20 +675,19 @@ def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
     coordinate rows reversed, in one elimination; the kept rows of a
     reduced echelon basis are one themselves.
     """
-    if not outer.contains(inner):
-        raise ValueError("inner is not contained in outer")
-    field = inner.field
-    m = outer.dim
-    coords = [tuple(r[c] for c in outer.pivots)[::-1] for r in inner.basis.rows]
+    field, n = inner.field, inner.ambient
+    pivots = range(n) if outer is None else outer.pivots
+    m = len(pivots)
+    coords = [tuple(r[c] for c in pivots)[::-1] for r in inner.basis.rows]
     reversed_rows, _ = _int_rows(field, coords)
     trailing, _ = _gauss_jordan(reversed_rows, m, field.characteristic)
     kept = sorted(set(range(m)).difference(m - 1 - c for c in trailing))
-    return Subspace._from_echelon(
-        field,
-        inner.ambient,
-        tuple(outer.basis.rows[j] for j in kept),
-        tuple(outer.pivots[j] for j in kept),
-    )
+    if outer is None:
+        z, o = field.zero, field.one
+        rows = tuple(tuple(o if i == j else z for i in range(n)) for j in kept)
+    else:
+        rows = tuple(outer.basis.rows[j] for j in kept)
+    return Subspace._from_echelon(field, n, rows, tuple(pivots[j] for j in kept))
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -684,8 +714,10 @@ def _forward(rows, p: int):
     n = len(rows)
     rank, d, sign, scale = 0, 1, 1, 1
     for c in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, n) if rows[i][c]), None)
-        if pivot is None:
+        for pivot in range(rank, n):
+            if rows[pivot][c]:
+                break
+        else:
             continue
         if pivot != rank:
             rows[rank], rows[pivot] = rows[pivot], rows[rank]

@@ -27,7 +27,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .linalg import Matrix, Subspace, _element, _int_rows, _null_space, complement_in, rank_mod_p
+from .linalg import Matrix, Subspace, _complement, _element, _int_rows, _null_space, rank_mod_p
 
 NOT_ISOTROPIC = "not_isotropic"
 SIGMA_ISOTROPIC = "sigma_isotropic"
@@ -240,7 +240,7 @@ def _reduce_by(q: SigmaModule, v: Subspace, perp: Subspace) -> IsotropicReductio
     # isotropic_reduction for a caller that has computed perp, the orthogonal of v
     if not perp.contains(v):
         raise IsotropyError("subspace is not totally isotropic")
-    model = complement_in(v, perp).basis
+    model = _complement(v, perp).basis
     model_t = model.transpose()
     forms = [model @ b @ model_t for b in q.forms]
     reduced = SigmaModule(q.field, model.nrows, q.w, q.sign, forms)
@@ -379,26 +379,27 @@ def is_isomorphic(
     """Decide whether two modules are isomorphic.
 
     A witness f satisfies  B1_k = f^T B2_k f  for all k, and every
-    witness is rechecked exactly.  Over F_p the search lists p^dim_w
-    combinations of the forms and p^dim_h - 1 candidate columns, and
-    more than MAX_LINES of either raise BoundExceededError before any
-    work, on every path.
+    witness is rechecked exactly.
 
-    One form (dim W = 1) over F_p with p odd is decided by
+    One form (dim W = 1) over F_p with p odd is decided first, by
     ``quadform.normal_form``: B = eps B^T with eps = sign * S, and two
     such forms are isometric iff they have the same rank and, when
     symmetric, the same discriminant square class.  A "yes" carries the
-    witness P2 P1^-1 built from the two congruence normal forms.
+    witness P2 P1^-1 built from the two congruence normal forms.  This
+    decision lists nothing, so no size bound applies to it.
 
     Otherwise cheap congruence invariants (the rank of the stacked forms
     and of one combination sum c_k B_k per projective point) refute
     quickly, and then a column-by-column Gram backtracking search on
-    plain ints looks for a witness.  Each visited candidate costs one
-    unit of ``node_budget``.  Over F_p (p = 2, or dim W >= 2) the search
-    is exhaustive when it finishes, so it answers yes or no, but it
-    answers unknown when the budget runs out first.  Over the rationals
-    it runs over a bounded box of small rationals and can only answer
-    yes or unknown.
+    plain ints looks for a witness.  Over F_p these list p^dim_w
+    combinations of the forms and p^dim_h - 1 candidate columns, and
+    more than MAX_LINES of either raise BoundExceededError before that
+    work starts.  Each visited candidate costs one unit of
+    ``node_budget``.  Over F_p (p = 2, or dim W >= 2) the search is
+    exhaustive when it finishes, so it answers yes or no, but it answers
+    unknown when the budget runs out first.  Over the rationals it runs
+    over a bounded box of small rationals and can only answer yes or
+    unknown.
     """
     _check_compatible(q1, q2)
     if q1.dim_h != q2.dim_h:
@@ -406,15 +407,16 @@ def is_isomorphic(
     if q1 == q2:
         return IsoResult("yes", Matrix.identity(q1.field, q1.dim_h))
     if q1.field.kind == "fp":
-        # both lists are materialised: the combinations of the forms and
-        # the nonzero candidate columns
         p = q1.field.p
-        _check_search_size(p**q1.dim_w, f"F_{p}^{q1.dim_w}", "form combinations")
-        _check_search_size(p**q1.dim_h - 1, f"F_{p}^{q1.dim_h}", "candidate columns")
+        # the one-form decision lists nothing, so it runs before the guards
         if q1.dim_w == 1 and p % 2:
             decided = _one_form_isometry(q1, q2)
             if decided is not None:
                 return decided
+        # the invariants and the search materialise both lists: the
+        # combinations of the forms and the nonzero candidate columns
+        _check_search_size(p**q1.dim_w, f"F_{p}^{q1.dim_w}", "form combinations")
+        _check_search_size(p**q1.dim_h - 1, f"F_{p}^{q1.dim_h}", "candidate columns")
 
     if not _congruence_invariants_match(q1, q2):
         return IsoResult("no")

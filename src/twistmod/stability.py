@@ -64,7 +64,7 @@ from .hilbert import (
 from .linalg import (
     Matrix,
     Subspace,
-    complement_in,
+    _complement,
     rank_mod_p,
 )
 from .sigmamod import (
@@ -556,7 +556,7 @@ def _build_levels(q, enum_bound, primes):
         v, _, perp = equality
         # a QQ lift comes with the orthogonal its recheck computed
         reduction = isotropic_reduction(current, v) if perp is None else _reduce_by(current, v, perp)
-        dual = complement_in(reduction.perp, Subspace.full(field, current.dim_h))
+        dual = _complement(reduction.perp)
         v_t = v.basis.transpose()
         alpha = tuple(dual.basis @ b @ v_t for b in current.forms)
         witness_rows = v.basis @ model_rows
@@ -628,8 +628,9 @@ def graded(
     if not validate(assembled):
         raise InternalCheckError("assembled graded module fails validation")
 
-    canonical = OneParamSubgroup(
-        (Subspace._span(field, n, rows.rows), weight) for rows, weight in blocks
+    # the block weights strictly decrease, and every block is nonzero
+    canonical = OneParamSubgroup._from_pieces(
+        field, n, tuple((Subspace._span(field, n, rows.rows), weight) for rows, weight in blocks)
     )
 
     # the limit of the canonical subgroup in the adapted basis: T^T B T,

@@ -237,3 +237,32 @@ def stacked_complement(inner, outer):
     stacked = inner.basis.rows + outer.basis.rows
     _, _, pivots = generic_rref(Matrix(field, [list(c) for c in zip(*stacked)]))
     return Subspace(field, inner.ambient, [stacked[c] for c in pivots[inner.dim :]])
+
+
+def adapted_block_table(lam, q):
+    """(i, j) -> whether block (i, j) of T^T B_k T vanishes for every k,
+    T the matrix whose columns are the adapted basis of lam, piece after
+    piece; each T^T B_k T is formed in full by ``generic_mul``."""
+    field = q.field
+    adapted = [row for sub, _ in lam.pieces for row in sub.basis.rows]
+    tt = Matrix(field, adapted)
+    t = Matrix(field, [list(c) for c in zip(*adapted)])
+    tables = [generic_mul(Matrix(field, generic_mul(tt, b)), t) for b in q.forms]
+    ranges, pos = [], 0
+    for sub, _ in lam.pieces:
+        ranges.append(range(pos, pos + sub.dim))
+        pos += sub.dim
+    return {
+        (i, j): all(table[r][c] == field.zero for table in tables for r in rows for c in cols)
+        for i, rows in enumerate(ranges)
+        for j, cols in enumerate(ranges)
+    }
+
+
+def mu_by_full_table(lam, q):
+    """max(a_i + a_j) over the nonzero blocks of ``adapted_block_table``,
+    or None when every block vanishes."""
+    weights = [wt for _, wt in lam.pieces]
+    table = adapted_block_table(lam, q)
+    sums = [weights[i] + weights[j] for (i, j), zero in table.items() if not zero]
+    return max(sums) if sums else None

@@ -116,15 +116,18 @@ def test_a_prime_with_too_many_lines_is_refused_before_any_scan(tmp_path, capsys
 
 
 def test_sequiv_over_a_huge_field_is_refused_before_any_work(tmp_path):
-    # <1> and <3> over F_p, p = 2^61 - 1: each graded module is the module
-    # itself, and comparing them would list range(p).  The command runs in
-    # a child process with its address space capped, so a list sized by p
-    # fails there at once instead of filling the machine's memory.
-    one_dim = (
+    # <1> and <3> under the swap involution over F_p, p = 2^61 - 1: each
+    # graded module is the module itself, and with two forms the pair
+    # goes to the search, which would list the p^2 combinations of the
+    # forms.  (One form over such a field is decided by its normal form,
+    # with no list.)  The command runs in a child process with its
+    # address space capped, so a list sized by p fails there at once
+    # instead of filling the machine's memory.
+    swapped = (
         '{"field":"fp:2305843009213693951","sign":"+1","dim_h":1,'
-        '"w":{"dim":1,"involution":[["1"]]},"forms":[[["X"]]]}'
+        '"w":{"dim":2,"involution":[["0","1"],["1","0"]]},"forms":[[["X"]],[["X"]]]}'
     )
-    files = [put(tmp_path, f"q{x}.json", one_dim.replace("X", x)) for x in ("1", "3")]
+    files = [put(tmp_path, f"q{x}.json", swapped.replace("X", x)) for x in ("1", "3")]
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

@@ -61,6 +61,22 @@ def test_constructor_canonicalizes_and_validates():
         OneParamSubgroup([(e1, 2), (e2, -2), (Subspace(field, 2, [[1, 1]]), 0)])
 
 
+def test_the_internal_constructor_keeps_the_direct_sum_and_weight_checks():
+    # _from_pieces trusts its pieces to be canonical, nonzero and sorted,
+    # but still refuses a non-direct sum and a nonzero weighted sum
+    for field in (QQ, GF(3)):
+        e1 = Subspace(field, 2, [[1, 0]])
+        e2 = Subspace(field, 2, [[0, 1]])
+        lam = OneParamSubgroup._from_pieces(field, 2, ((e1, 1), (e2, -1)))
+        assert lam == OneParamSubgroup([(e2, -1), (e1, 1)])
+        with pytest.raises(ShapeError, match="direct sum"):
+            OneParamSubgroup._from_pieces(field, 2, ((e1, 1), (e1, -1)))
+        with pytest.raises(ShapeError, match="direct sum"):
+            OneParamSubgroup._from_pieces(field, 2, ((e1, 0),))
+        with pytest.raises(ShapeError, match="sum to zero"):
+            OneParamSubgroup._from_pieces(field, 2, ((e1, 2), (e2, -1)))
+
+
 def test_matrix_at_acts_with_the_right_powers():
     lam = diag_lambda(QQ, [1, 0, -1])
     g = lam.matrix_at(QQ.from_int(2))

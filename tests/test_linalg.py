@@ -386,6 +386,36 @@ def test_perp_dimensions_and_involution():
             assert s.perp().perp() == s
 
 
+def test_contains_refuses_subspaces_of_another_space():
+    # the check sum and intersect make: another field, or another ambient
+    # dimension, whether the other subspace is zero or not
+    pairs = [
+        (Subspace(QQ, 2, [[1, 0]]), Subspace(GF(5), 2, [[1, 0]])),
+        (Subspace(GF(5), 2, [[1, 0]]), Subspace(GF(7), 2, [[1, 0]])),
+        (Subspace(QQ, 2, [[1, 0]]), Subspace.zero(QQ, 3)),
+        (Subspace(QQ, 2, [[1, 0]]), Subspace(QQ, 3, [[1, 0, 0]])),
+        (Subspace.full(GF(3), 2), Subspace.zero(GF(3), 1)),
+    ]
+    for outer, inner in pairs:
+        for call in (outer.contains, outer.sum, outer.intersect):
+            with pytest.raises(FieldError, match="different ambient spaces"):
+                call(inner)
+        with pytest.raises(FieldError):
+            complement_in(inner, outer)
+
+
+def test_contains_compares_the_entries_off_the_pivots():
+    v = Subspace(GF(5), 3, [[1, 2, 0], [0, 0, 1]])
+    assert v.contains(Subspace(GF(5), 3, [[2, 4, 3]]))
+    assert not v.contains(Subspace(GF(5), 3, [[1, 3, 0]]))
+    assert v.contains(Subspace.zero(GF(5), 3))
+    assert not v.contains(Subspace.full(GF(5), 3))
+    w = Subspace(QQ, 3, [[1, Fraction(1, 2), 0]])
+    assert w.contains(Subspace(QQ, 3, [[2, 1, 0]]))
+    assert not w.contains(Subspace(QQ, 3, [[2, 1, 1]]))
+    assert Subspace.zero(QQ, 3).contains(Subspace.zero(QQ, 3))
+
+
 def test_complement_worked_example():
     # complement of span{e1} in Q^2 is span{e2}
     inner = Subspace(QQ, 2, [[1, 0]])

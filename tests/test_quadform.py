@@ -11,6 +11,7 @@ rechecked as f^T B2 f = B1 with det f != 0.
 import pytest
 
 from twistmod import sigmamod
+from twistmod.errors import BoundExceededError
 from twistmod.linalg import GF, Matrix
 from twistmod.quadform import normal_form
 from twistmod.sigmamod import (
@@ -180,3 +181,22 @@ def test_an_invalid_one_form_module_falls_back_to_the_search():
     assert_witness(q, moved, found.witness)
     # a congruence keeps the symmetric form symmetric: no witness exists
     assert is_isomorphic(q, one_form(f5, [[1, 0], [0, 0]])).status == "no"
+
+
+def test_one_form_is_decided_before_the_search_size_guards():
+    # F_11^5 has 161,050 candidate columns, past the search bound, but
+    # one form lists none: 2 is a nonsquare mod 11 and 4 a square
+    f11 = GF(11)
+    identity = [[int(i == j) for j in range(5)] for i in range(5)]
+    scaled = [[c * x for x in row] for c, row in zip((2, 1, 1, 1, 1), identity)]
+    squared = [[c * x for x in row] for c, row in zip((4, 1, 1, 1, 1), identity)]
+    q = one_form(f11, identity)
+    assert is_isomorphic(q, one_form(f11, scaled)) == IsoResult("no")
+    found = is_isomorphic(q, one_form(f11, squared))
+    assert found.status == "yes"
+    assert_witness(q, one_form(f11, squared), found.witness)
+    # a form that breaks the symmetry relation goes to the search, which
+    # is still refused before it starts
+    shift = one_form(f11, [[int(j == i + 1) for j in range(5)] for i in range(5)])
+    with pytest.raises(BoundExceededError, match="161050 candidate columns"):
+        is_isomorphic(q, shift)
