@@ -20,13 +20,13 @@ fiber has two reduced points swapped by the involution, and being fixed
 means the second component is the transpose-inverse of the first.
 
 The fiber engine runs on ``linalg.Matrix``, one construction for both
-cases.  It builds the image, the determinant-one isometries of M,
-column by column as orthonormal or symplectic bases, a walk kept on
-plain ints mod p.  For a fixed g the conditions on h are linear, so each
-image element gets one linear solve, and the fixed set, held once as
-``DualNumberMatrix`` pairs, is the union of the solution spaces.  Every
-pair found is rechecked with the predicate of its case, written
-independently of the solver.  Group closure is checked through
+cases.  Its image keeps the determinant-one yields of
+``linalg.isometries``, the Gram walk that ``sigmamod.is_isomorphic``
+also runs, here with no budget.  For a fixed g the conditions on h are
+linear, so each image element gets one linear solve, and the fixed set,
+held once as ``DualNumberMatrix`` pairs, is the union of the solution
+spaces.  Every pair found is rechecked with the predicate of its case,
+written independently of the solver.  Group closure is checked through
 ``dn_mul`` on a generating set rather than on all pairs.
 """
 
@@ -43,7 +43,7 @@ from .errors import (
     SingularMatrixError,
     UsageError,
 )
-from .linalg import Matrix, _null_space, rank_mod_p
+from .linalg import Matrix, _null_space, isometries, rank_mod_p
 
 
 class _DualNumberFields(NamedTuple):
@@ -193,37 +193,6 @@ class FiberReport(NamedTuple):
         )
 
 
-def _dot(u, v, p: int) -> int:
-    return sum(x * y for x, y in zip(u, v)) % p
-
-
-def _isometries(form: Matrix):
-    """Every g over F_p with g^T form g == form, for a symmetric or
-    alternating form.
-
-    The columns grow one at a time on plain ints: column j must pair with
-    each earlier column c_i to form[i][j], and with itself to form[j][j].
-    Symmetry or alternation gives the entries below the diagonal from
-    those above, so each partial basis that fails one pairing is dropped
-    at once.
-    """
-    field, r, rows = form.field, form.nrows, form.rows
-    p = field.p
-    vectors = itertools.product(range(p), repeat=r)
-    # each vector v with its image form v, so c^T form v is c . (form v)
-    images = [(v, tuple(_dot(row, v, p) for row in rows)) for v in vectors]
-    bases = [()]
-    for j in range(r):
-        candidates = [(v, fv) for v, fv in images if _dot(v, fv, p) == rows[j][j]]
-        bases = [
-            cols + (v,)
-            for cols in bases
-            for v, fv in candidates
-            if all(_dot(c, fv, p) == rows[i][j] for i, c in enumerate(cols))
-        ]
-    return [Matrix._from_rows(field, tuple(zip(*cols)), r) for cols in bases]
-
-
 def _solutions(field, r: int, conditions):
     """Every r x r matrix h over F_p with ``conditions(h)`` all zero.  The
     conditions are linear in h, so their matrix is read off the r^2 unit
@@ -302,8 +271,9 @@ def fiber_structure_check(
     """Find a branch-point fiber over F_q and verify its structure.
 
     The image, SO_r (plus case) or the symplectic group of m (alternating
-    case), is built column by column; for each image element g the
-    linear conditions on h are solved once, and every pair found is
+    case), keeps the determinant-one yields of ``linalg.isometries`` for
+    B1 = B2 = the form, I or m, with no budget.  For each image element g
+    the linear conditions on h are solved once, and every pair found is
     rechecked with ``is_fixed_plus`` or ``is_fixed_alternating``.  Both
     cases solve the twisted conditions, the plus case with m = I.  The
     report checks that the fixed set is a group under dual-number
@@ -360,7 +330,9 @@ def fiber_structure_check(
     def kernel_conditions(h):
         return [*itertools.chain(*(form @ h - h.transpose() @ form).rows), h.trace()]
 
-    image = [g for g in _isometries(form) if g.det() == 1]
+    bases = isometries([form.rows], [form.rows], range(p), p)
+    group = (Matrix._from_rows(field, tuple(zip(*cols)), r) for cols in bases)
+    image = [g for g in group if g.det() == 1]
     kernel_space = _solutions(field, r, kernel_conditions)
     fixed_set = [DualNumberMatrix(g, h) for g in image for h in _solutions(field, r, fixed_at(g))]
     if not all(fixed(a) for a in fixed_set):

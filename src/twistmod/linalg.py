@@ -30,6 +30,7 @@ enumeration in the package a stable, reproducible order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -738,3 +739,76 @@ def _forward(rows, p: int):
         if rank == n:
             break
     return rank, sign * d, scale
+
+
+def isometries(mats, targets, values, p: int, budget=None):
+    """The columns of every invertible f with f^T M_k f = T_k for all k.
+
+    ``mats`` and ``targets`` are n x n int matrices, compared mod p when
+    p > 0 and over the ints when p is 0.  One backtrack (Plesken and
+    Souvignier, J. Symbolic Comput. 24, 1997) grows f column by column,
+    each over the nonzero vectors of ``values``^n in lexicographic order
+    (``values`` in its own order): a candidate c is kept when
+    c^T M_k c = T_k[i][i], then its pairings with the earlier columns
+    match T_k, and it is independent of them.  So the yields, tuples of
+    n column tuples, come in lexicographic order too.
+
+    The diagonal values are computed once per candidate per call, M_k c
+    and c^T M_k the first time a diagonal matches past column 0.  Each
+    visited candidate costs one unit of ``budget`` (None: no bound), and
+    a walk cut by the budget yields None last.
+    """
+    n = len(mats[0])
+    columns = [list(zip(*m)) for m in mats]
+    wanted = [tuple(t[i][i] for t in targets) for i in range(n)]
+
+    def pair(u, v) -> int:
+        s = sum(map(_times, u, v))
+        return s % p if p else s
+
+    candidates = []
+    for c in itertools.product(values, repeat=n):
+        if any(c):
+            diagonal = tuple(pair(c, [sum(map(_times, row, c)) for row in m]) for m in mats)
+            candidates.append((c, diagonal))
+    cache = {}
+    chosen: list[tuple] = []
+    left = math.inf if budget is None else budget
+
+    def gram_ok(c, diagonal) -> bool:
+        # the diagonal entries first, for every k: most candidates fail there
+        i = len(chosen)
+        if diagonal != wanted[i]:
+            return False
+        if i == 0:
+            return True
+        if c not in cache:
+            cache[c] = [
+                ([sum(map(_times, row, c)) for row in m], [sum(map(_times, col, c)) for col in cols])
+                for m, cols in zip(mats, columns)
+            ]
+        for (mc, cm), t in zip(cache[c], targets):
+            for j in range(i):
+                # pair (j, i) uses M c, pair (i, j) uses c^T M
+                if pair(chosen[j], mc) != t[j][i] or pair(cm, chosen[j]) != t[i][j]:
+                    return False
+        return True
+
+    def extend():
+        # yields the completions of ``chosen``; left < 0 once the budget cut the walk
+        nonlocal left
+        if len(chosen) == n:
+            yield tuple(chosen)
+            return
+        for c, diagonal in candidates:
+            left -= 1
+            if left < 0:
+                return
+            if gram_ok(c, diagonal) and rank_mod_p(chosen + [c], p) == len(chosen) + 1:
+                chosen.append(c)
+                yield from extend()
+                chosen.pop()
+
+    yield from extend()
+    if left < 0:
+        yield None

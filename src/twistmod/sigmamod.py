@@ -27,7 +27,16 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .linalg import Matrix, Subspace, _complement, _element, _int_rows, _null_space, rank_mod_p
+from .linalg import (
+    Matrix,
+    Subspace,
+    _complement,
+    _element,
+    _int_rows,
+    _null_space,
+    isometries,
+    rank_mod_p,
+)
 
 NOT_ISOTROPIC = "not_isotropic"
 SIGMA_ISOTROPIC = "sigma_isotropic"
@@ -390,8 +399,9 @@ def is_isomorphic(
 
     Otherwise cheap congruence invariants (the rank of the stacked forms
     and of one combination sum c_k B_k per projective point) refute
-    quickly, and then a column-by-column Gram backtracking search on
-    plain ints looks for a witness.  Over F_p these list p^dim_w
+    quickly, and then the witness is the first yield of
+    ``linalg.isometries``, the Gram walk that also lists the fiber images
+    of ``dualnum``.  Over F_p these list p^dim_w
     combinations of the forms and p^dim_h - 1 candidate columns, and
     more than MAX_LINES of either raise BoundExceededError before that
     work starts.  Each visited candidate costs one unit of
@@ -526,92 +536,26 @@ _DOUBLED_BOX = (0, 2, -2, 4, -4, 1, -1)
 
 
 def _isometry_search(q1: SigmaModule, q2: SigmaModule, node_budget: int):
-    """Backtracking search for columns c_i with c_i^T B2_k c_j = B1_k[i][j].
+    """The first yield of ``linalg.isometries`` for f^T B2_k f = B1_k, as
+    (witness or None, whether the search space was exhausted).
 
-    Candidate columns are int tuples: over F_p the nonzero vectors of
-    range(p)^n, over QQ the nonzero vectors of the box times 2, where a
-    column c stands for c/2.  With D_k the lcm of the denominators of
-    B1_k and B2_k the test is c_i^T (D_k B2_k) c_j == 4 D_k B1_k[i][j]
-    on ints; over F_p it is c_i^T B2_k c_j == B1_k[i][j] mod p.  The
-    diagonal values c^T M_k c of every candidate are computed once per
-    call; M_k c and c^T M_k only for a candidate whose diagonal matches.
-    Each visited candidate costs one unit of ``node_budget``.
-
-    Returns (witness or None, whether the search space was exhausted).
+    The forms go to ints scaled by D, the lcm of all their denominators
+    (1 over F_p).  Over F_p the columns run over range(p)^n.  Over QQ
+    they run over the box times 2, where a column c stands for c/2, so
+    c_i^T (D B2_k) c_j is compared with 4 D B1_k[i][j].
     """
     field = q1.field
-    n = q1.dim_h
-    if n == 0:
-        return Matrix.zeros(field, 0, 0), True
-    if field.kind == "fp":
-        p, values = field.p, range(field.p)
-        mats = [b.rows for b in q2.forms]
-        targets = [b.rows for b in q1.forms]
-    else:
-        p, values = 0, _DOUBLED_BOX
-        mats, targets = [], []
-        for b1, b2 in zip(q1.forms, q2.forms):
-            d = _denominator_lcm(b1, b2)
-            mats.append(_integer_rows(b2, d))
-            targets.append(_integer_rows(b1, 4 * d))
-    columns = [list(zip(*m)) for m in mats]
-    wanted = [tuple(t[i][i] for t in targets) for i in range(n)]
-
-    def pair(u, v) -> int:
-        s = sum(map(operator.mul, u, v))
-        return s % p if p else s
-
-    candidates = []
-    for c in itertools.product(values, repeat=n):
-        if any(c):
-            diagonal = tuple(pair(c, [sum(map(operator.mul, row, c)) for row in m]) for m in mats)
-            candidates.append((c, diagonal))
-    chosen: list[tuple] = []
-    budget = [node_budget]
-
-    def gram_ok(c, diagonal) -> bool:
-        # the diagonal entries first, for every k: most candidates fail there
-        i = len(chosen)
-        if diagonal != wanted[i]:
-            return False
-        if i == 0:
-            return True
-        for m, cols, t in zip(mats, columns, targets):
-            mc = [sum(map(operator.mul, row, c)) for row in m]
-            cm = [sum(map(operator.mul, col, c)) for col in cols]
-            for j in range(i):
-                # pair (j, i) uses M c, pair (i, j) uses c^T M
-                if pair(chosen[j], mc) != t[j][i]:
-                    return False
-                if pair(cm, chosen[j]) != t[i][j]:
-                    return False
-        return True
-
-    def independent(c) -> bool:
-        return rank_mod_p(chosen + [c], p) == len(chosen) + 1
-
-    def extend() -> tuple:
-        if len(chosen) == n:
-            cols = chosen if p else [tuple(Fraction(x, 2) for x in c) for c in chosen]
-            return Matrix._from_rows(field, tuple(cols), n).transpose(), True
-        complete = True
-        for c, diagonal in candidates:
-            if budget[0] <= 0:
-                return None, False
-            budget[0] -= 1
-            if not gram_ok(c, diagonal):
-                continue
-            if not independent(c):
-                continue
-            chosen.append(c)
-            found, sub_complete = extend()
-            chosen.pop()
-            if found is not None:
-                return found, True
-            complete = complete and sub_complete
-        return None, complete
-
-    return extend()
+    p = field.p if field.kind == "fp" else 0
+    d = _denominator_lcm(*q1.forms, *q2.forms)
+    mats = [_integer_rows(b, d) for b in q2.forms]
+    targets = [_integer_rows(b, d if p else 4 * d) for b in q1.forms]
+    for cols in isometries(mats, targets, range(p) if p else _DOUBLED_BOX, p, node_budget):
+        if cols is None:
+            return None, False
+        if not p:
+            cols = [tuple(Fraction(x, 2) for x in c) for c in cols]
+        return Matrix._from_rows(field, tuple(cols), q1.dim_h).transpose(), True
+    return None, True
 
 
 def _check_witness(q1: SigmaModule, q2: SigmaModule, f: Matrix):

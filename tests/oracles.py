@@ -12,9 +12,13 @@ as the package's matrices once did on field methods.  The tests check
 the plain-int kernel of ``Matrix`` against it: reduced echelon forms,
 kernels, inverses and determinants are unique, so both must agree entry
 by entry.
+
+The orders of the orthogonal and symplectic groups over F_q come from
+their closed forms alone; they count the yields of ``linalg.isometries``.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from twistmod.errors import FieldError, ShapeError, SingularMatrixError
@@ -266,3 +270,23 @@ def mu_by_full_table(lam, q):
     table = adapted_block_table(lam, q)
     sums = [weights[i] + weights[j] for (i, j), zero in table.items() if not zero]
     return max(sums) if sums else None
+
+
+def orthogonal_group_order(n: int, q: int) -> int:
+    """|O_n(q)| for the form I_n over F_q, q odd, from the closed forms
+    (Taylor, The Geometry of the Classical Groups, 1992): with n = 2m + 1
+    it is 2 q^(m^2) prod_{i=1..m} (q^(2i) - 1); with n = 2m it is
+    2 q^(m(m-1)) (q^m - eps) prod_{i<m} (q^(2i) - 1), where eps = +1
+    exactly when the discriminant (-1)^m of I_n is a square mod q."""
+    m = n // 2
+    if n % 2:
+        return 2 * q ** (m * m) * math.prod(q ** (2 * i) - 1 for i in range(1, m + 1))
+    eps = 1 if any(x * x % q == (-1) ** m % q for x in range(q)) else -1
+    return 2 * q ** (m * (m - 1)) * (q**m - eps) * math.prod(q ** (2 * i) - 1 for i in range(1, m))
+
+
+def symplectic_group_order(n: int, q: int) -> int:
+    """|Sp_n(q)| = q^(m^2) prod_{i=1..m} (q^(2i) - 1) for n = 2m (Taylor,
+    1992), for any nondegenerate alternating form over F_q."""
+    m = n // 2
+    return q ** (m * m) * math.prod(q ** (2 * i) - 1 for i in range(1, m + 1))

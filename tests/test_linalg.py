@@ -5,6 +5,7 @@ checked against the Gaussian binomial product formula computed from
 scratch, and rank/kernel facts against hand-worked examples.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -25,6 +26,7 @@ from twistmod.linalg import (
     complement_in,
     field_from_name,
     field_name,
+    isometries,
     rank_mod_p,
     _MR_BOUND,
     _is_prime,
@@ -41,6 +43,8 @@ from oracles import (
     inv,
     mul,
     neg,
+    orthogonal_group_order,
+    symplectic_group_order,
     vectors_of,
 )
 
@@ -547,3 +551,81 @@ def test_all_subspaces_membership_partition():
 def test_enumerate_requires_finite_field():
     with pytest.raises(FieldError):
         list(enumerate_subspaces(QQ, 2, 1))
+
+
+def walk(form, p: int, budget=None) -> list:
+    return list(isometries([form], [form], range(p), p, budget))
+
+
+def assert_isometries(bases, form, p: int):
+    # distinct, in lexicographic order of the columns, and each f^T form f = form
+    assert bases == sorted(set(bases))
+    field, b = GF(p), Matrix(GF(p), form)
+    for cols in bases:
+        f = Matrix(field, [list(row) for row in zip(*cols)])
+        assert f.transpose() @ b @ f == b
+
+
+@pytest.mark.parametrize("n, p", [(1, 3), (2, 3), (2, 5), (2, 7), (3, 3), (3, 5), (4, 3)])
+def test_the_isometry_walk_lists_the_orthogonal_group(n, p):
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    bases = walk(identity, p)
+    assert len(bases) == orthogonal_group_order(n, p)
+    assert_isometries(bases, identity, p)
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (2, 3), (2, 5), (2, 7), (4, 2)])
+def test_the_isometry_walk_lists_the_symplectic_group(n, p):
+    m = n // 2
+    # J = [[0, I], [-I, 0]]
+    j = [[1 if c == r + m else p - 1 if r == c + m else 0 for c in range(n)] for r in range(n)]
+    bases = walk(j, p)
+    assert len(bases) == symplectic_group_order(n, p)
+    assert_isometries(bases, j, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_isometry_walk_over_the_integers_lists_signed_permutations(n):
+    # O_n(Z) is the signed permutation matrices, 2^n n! of them
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    bases = list(isometries([identity], [identity], (0, 1, -1), 0))
+    assert len(bases) == 2**n * math.factorial(n)
+    assert all(sorted(map(abs, sum(cols, ()))) == [0] * (n * n - n) + [1] * n for cols in bases)
+
+
+def test_the_isometry_walk_matches_brute_force_on_unsymmetric_forms():
+    # forms neither symmetric nor alternating need both pairings of each
+    # pair of columns; every matrix is tried, against moved and random targets
+    rng = random.Random(5)
+    for p, n, k in ((3, 2, 1), (2, 3, 1), (3, 2, 2), (2, 2, 2)):
+        field = GF(p)
+
+        def square():
+            return Matrix(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+
+        for trial in range(4):
+            mats, g = [square() for _ in range(k)], square()
+            if trial % 2 and g.det():
+                targets = [g.transpose() @ m @ g for m in mats]
+            else:
+                targets = [square() for _ in range(k)]
+            expected = []
+            for entries in itertools.product(range(p), repeat=n * n):
+                f = Matrix(field, [entries[i * n : (i + 1) * n] for i in range(n)])
+                if f.det() and all(f.transpose() @ m @ f == t for m, t in zip(mats, targets)):
+                    expected.append(tuple(zip(*f.rows)))
+            got = list(isometries([m.rows for m in mats], [t.rows for t in targets], range(p), p))
+            assert got == sorted(expected)
+
+
+def test_the_isometry_walk_edge_cases():
+    # n = 0 has exactly one basis, the empty one
+    assert walk([], 3) == [()]
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    full = walk(identity, 3)
+    # a cut yields None once, last, after a prefix of the full walk
+    cut = walk(identity, 3, budget=200)
+    assert len(cut) > 1 and cut[-1] is None and None not in cut[:-1]
+    assert cut[:-1] == full[: len(cut) - 1]
+    assert walk(identity, 3, budget=0) == [None]
+    assert walk(identity, 3, budget=10**6) == full

@@ -168,6 +168,11 @@ def test_the_f7_pair_is_decided_without_the_search(monkeypatch):
     assert found.status == "yes"
     assert_witness(q1, moved, found.witness)
     assert s_equivalent(q1, moved) == "yes"
+    # the patch is what is_isomorphic calls: over F_2 the same rank
+    # invariants for I and the hyperbolic plane leave the pair to the walk
+    f2 = GF(2)
+    with pytest.raises(AssertionError, match="must not search"):
+        is_isomorphic(one_form(f2, [[1, 0], [0, 1]]), one_form(f2, [[0, 1], [1, 0]]))
 
 
 def test_an_invalid_one_form_module_falls_back_to_the_search():

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from twistmod.errors import FieldError, IsotropyError, SingularMatrixError
-from twistmod.linalg import GF, QQ, Matrix, Subspace, rank_mod_p
+from twistmod.linalg import GF, QQ, Matrix, Subspace, isometries, rank_mod_p
 from twistmod.sigmamod import (
     NOT_ISOTROPIC,
     SIGMA_ISOTROPIC,
@@ -462,8 +462,8 @@ def reference_isometry_search(q1, q2, node_budget):
 
 
 def int_search(q1, q2, node_budget):
-    """_isometry_search with its visits, counted as the benchmark's
-    sigmamod.isometry_nodes counts them: calls of its nested gram_ok."""
+    """_isometry_search with its visits: calls of the gram_ok nested in
+    linalg.isometries, the walk it runs."""
     visits = [0]
 
     def profile(frame, event, arg):
@@ -471,7 +471,7 @@ def int_search(q1, q2, node_budget):
             visits[0] += 1
 
     gram_ok_code = next(
-        c for c in _isometry_search.__code__.co_consts if getattr(c, "co_name", None) == "gram_ok"
+        c for c in isometries.__code__.co_consts if getattr(c, "co_name", None) == "gram_ok"
     )
     sys.setprofile(profile)
     try:
