@@ -313,7 +313,11 @@ def destabilizing_1ps(q: SigmaModule, v: Subspace) -> OneParamSubgroup:
     empty pieces are dropped.  m2 = n - d - dim(perp), so mu = 2 m2 turns
     negative exactly on witnesses of instability.
     """
-    perp = orthogonal(q, v)
+    return _destabilizing_by(q, v, orthogonal(q, v))
+
+
+def _destabilizing_by(q: SigmaModule, v: Subspace, perp: Subspace) -> OneParamSubgroup:
+    # destabilizing_1ps for a caller that has computed perp, the orthogonal of v
     if v.is_zero() or not perp.contains(v):
         raise IsotropyError("destabilizing subgroup needs a totally isotropic subspace")
     n = q.dim_h

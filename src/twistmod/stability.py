@@ -11,21 +11,23 @@ semistable.
 One candidate stream serves both the verdict and each filtration step.
 Over F_p it is the pruned enumeration of every totally isotropic
 subspace.  Over the rationals it starts with the joint kernel when that
-is nonzero, then lifts the totally isotropic subspaces of the reductions
-mod a list of primes, each reduction finding its lines once.  The
-forms B_k are scaled once to the integers DB_k, D the lcm of all their
-denominators, and the reduction mod p is DB_k mod p on plain ints; a
-prime that divides a denominator of the involution or of a form is
-skipped.  A lift is dropped unless its Gram entries vanish against the
-integer forms, and each kept lift is rechecked once, exactly: its
-orthogonal is computed over QQ and must contain it.
+is nonzero, then yields the lifts of the totally isotropic subspaces of
+the reductions mod a list of primes: the integral reduced echelon bases,
+totally isotropic over ZZ under the forms scaled to DB_k (D the lcm of
+all their denominators), whose entries a prime's plain box 0 .. p - 1
+or balanced box p//2 + 1 - p .. p//2 holds.  They are searched for over
+ZZ, with no reduction mod p: the last entry of a line is an integer root
+of a quadratic in it.  A prime that divides a denominator of the
+involution or of a form is skipped.  Each candidate is rechecked once,
+exactly: its orthogonal is computed over QQ and must contain it.
 
 A scan stops at its first equality witness when some form B_k is
 nonsingular: the rows B_k u over a basis of V are then independent
 constraints on V^perp, so dim V + dim V^perp <= dim H for every V and
-nothing later in the stream can destabilize.  The isotropic lines of a
-reduction are found on demand, so a scan that stops early pays only for
-the lines it reached.  The F_p verdict and every filtration level stop
+nothing later in the stream can destabilize.  The isotropic lines are
+found on demand, per pivot column over F_p and per prime and pivot
+column over QQ, so a scan that stops early pays only for what it
+reached.  The F_p verdict and every filtration level stop
 this way; the rational verdict scans in full, since its provenance
 lists every prime it scanned.
 
@@ -57,6 +59,7 @@ from .errors import (
 from .hilbert import (
     MINUS_INFINITY,
     OneParamSubgroup,
+    _destabilizing_by,
     _limit_in_basis,
     destabilizing_1ps,
     mu,
@@ -197,20 +200,44 @@ def _check_lines(p: int, n: int):
 
 
 def _pairing(forms, p: int):
-    """The pairing of a module over F_p, on plain ints: ``images(u)`` is
-    the rows B_k u, and ``kills(u, images(w))`` tests u^T B_k w == 0 for
-    every k.  V^perp is the joint kernel of the images of its basis."""
+    """The pairing of a module over F_p, on plain ints, or over the
+    integers when p is 0: ``images(u)`` is the rows B_k u, and
+    ``kills(u, images(w))`` tests u^T B_k w == 0 for every k.  V^perp is
+    the joint kernel of the images of its basis."""
 
     def images(u):
-        return [tuple(sum(map(mul, row, u)) % p for row in b) for b in forms]
+        if p:
+            return [tuple(sum(map(mul, row, u)) % p for row in b) for b in forms]
+        return [tuple(sum(map(mul, row, u)) for row in b) for b in forms]
 
     def kills(u, imgs):
         for c in imgs:
-            if sum(map(mul, u, c)) % p:
+            s = sum(map(mul, u, c))
+            if s % p if p else s:
                 return False
         return True
 
     return images, kills
+
+
+def _grow(kills, rows, basis):
+    """Yield ``basis``, a list of (u, images(u)) extended in place, once
+    for every way to take its r-th row from rows[r] with u_i^T B_k u_j
+    zero for every i != j: a partial basis is dropped as soon as one
+    pairing is nonzero.  The rows listed are isotropic lines, which
+    settles i == j."""
+    r = len(basis)
+    if r == len(rows):
+        yield basis
+        return
+    for u, imgs in rows[r]:
+        for w, bi in basis:
+            if not (kills(u, bi) and kills(w, imgs)):
+                break
+        else:
+            basis.append((u, imgs))
+            yield from _grow(kills, rows, basis)
+            basis.pop()
 
 
 def _column_lines(forms, p: int, n: int, pc: int):
@@ -281,16 +308,14 @@ def _isotropic_scanner(forms, p: int, n: int):
 
     ``rows`` is the reduced echelon basis of V, with pivot columns
     ``pivots``, and ``images`` the rows B_k u over that basis, so
-    dim V^perp = n - their rank.  Over QQ the forms are DB_k mod p,
-    which kill exactly the pairs that B_k mod p kills, since D is a
-    unit mod p.  With no forms every pairing vanishes, so the scan
-    yields every nonzero subspace of F_p^n.  The order is
+    dim V^perp = n - their rank.  With no forms every pairing vanishes,
+    so the scan yields every nonzero subspace of F_p^n.  The order is
     Subspace.sort_key: dimension, then pivot columns, then free entries.
-    Reduced echelon bases grow row by row, each row running over its
-    free entries in product order, and a partial basis is dropped as
-    soon as a pairing u_i^T B_k u_j is nonzero.  V is totally isotropic
-    exactly when all of them vanish, so no symmetry of the forms is
-    assumed.
+    Reduced echelon bases grow row by row in _grow, each row running
+    over its free entries in product order, and a partial basis is
+    dropped as soon as a pairing u_i^T B_k u_j is nonzero.  V is totally
+    isotropic exactly when all of them vanish, so no symmetry of the
+    forms is assumed.
 
     Each pivot column's isotropic lines are found by _column_lines on
     first demand and kept for every later scan.  The first row of a
@@ -323,20 +348,6 @@ def _isotropic_scanner(forms, p: int, n: int):
                 pass
         return found[pc]
 
-    def grow(pivots, rows, basis):
-        r = len(basis)
-        if r == len(rows):
-            yield tuple(u for u, _ in basis), pivots, [c for _, imgs in basis for c in imgs]
-            return
-        for u, imgs in rows[r]:
-            for w, bi in basis:
-                if not (kills(u, bi) and kills(w, imgs)):
-                    break
-            else:
-                basis.append((u, imgs))
-                yield from grow(pivots, rows, basis)
-                basis.pop()
-
     def scan(dims=None):
         for d in range(1, n + 1) if dims is None else dims:
             for pivots in itertools.combinations(range(n), d):
@@ -350,7 +361,12 @@ def _isotropic_scanner(forms, p: int, n: int):
                     if d > 1:
                         rest = pivots[1:]
                         first = (e for e in first if not any(map(e[0].__getitem__, rest)))
-                    yield from grow(pivots, [first] + later, [])
+                    for basis in _grow(kills, [first] + later, []):
+                        yield (
+                            tuple(u for u, _ in basis),
+                            pivots,
+                            [c for _, imgs in basis for c in imgs],
+                        )
 
     return scan
 
@@ -379,9 +395,9 @@ def semistability_verdict(
     )
     provenance = Provenance(kind, tuple(tried))
     if worse is not None:
-        return _certified(UNSTABLE, provenance, q, worse[0])
+        return _certified(UNSTABLE, provenance, q, worse)
     if equality is not None:
-        return _certified(STRICTLY_SEMISTABLE, provenance, q, equality[0])
+        return _certified(STRICTLY_SEMISTABLE, provenance, q, equality)
     return Verdict(STABLE if kind == "exhaustive" else NO_DESTABILIZER_FOUND, provenance)
 
 
@@ -423,8 +439,10 @@ def _no_destabilizer(q: SigmaModule) -> bool:
     return any(rank_mod_p(b, p) == q.dim_h for b in _integer_forms(q, p))
 
 
-def _certified(status: str, provenance: Provenance, q: SigmaModule, v: Subspace) -> Verdict:
-    lam = destabilizing_1ps(q, v)
+def _certified(status: str, provenance: Provenance, q: SigmaModule, found) -> Verdict:
+    # found is a (V, dim V^perp, V^perp or None) triple of the candidate stream
+    v, _, perp = found
+    lam = destabilizing_1ps(q, v) if perp is None else _destabilizing_by(q, v, perp)
     value = mu(lam, q)
     if status == UNSTABLE and not value < 0:
         raise InternalCheckError("destabilizing weight is not negative")
@@ -439,23 +457,6 @@ def joint_kernel(q: SigmaModule) -> Subspace:
     return orthogonal(q, Subspace.full(q.field, q.dim_h))
 
 
-def _lift_subspace(rows, p: int, balanced: bool) -> tuple:
-    # plain ints of residues in range(p); they keep the pivots, so they are reduced echelon
-    top = p // 2 if balanced else p
-    return tuple(tuple(x - p if x > top else x for x in row) for row in rows)
-
-
-def _grams_vanish(forms, rows) -> bool:
-    """Whether u_i^T B u_j == 0 for every B in ``forms`` and (i, j), i == j too."""
-    for b in forms:
-        images = [[sum(map(mul, row, u)) for row in b] for u in rows]
-        for u in rows:
-            for c in images:
-                if sum(map(mul, u, c)):
-                    return False
-    return True
-
-
 def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: bool):
     """Yield (V, dim V^perp, V^perp or None) for the totally isotropic V
     that the subspace criterion is tested on; V^perp is given when the
@@ -464,20 +465,18 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
     Over F_p these are all of them, in canonical order.  Over QQ the
     nonzero joint kernel comes first, with the whole of H as its
     orthogonal; then the lifts (plain and balanced residues) of the
-    totally isotropic subspaces of the reductions mod ``primes``, each
-    kept once.  The forms B_k are scaled once to the integers DB_k, D
-    the lcm of all their denominators, and the reduction mod p is DB_k
-    mod p on plain ints; a prime dividing a denominator of the involution
-    or of a form is skipped.  A lift whose Gram entries u_i^T (DB_k) u_j
-    do not all vanish is dropped; the rest are rechecked exactly over
-    QQ.  The scan runs prime by prime, all dimensions each, when
+    totally isotropic subspaces of the reductions mod ``primes`` that
+    are totally isotropic over QQ, each once, as _integer_search finds
+    them over ZZ under the forms DB_k, D the lcm of all their
+    denominators.  A prime dividing a denominator of the involution or
+    of a form is skipped, and a repeated prime counts in its first place
+    only.  The stream runs prime by prime, all dimensions each, when
     ``by_prime`` is set, and otherwise dimension by dimension, all
-    primes each; the order fixes which witness comes first.  Each prime
-    is reduced, and its scanner built, at most once (a repeated prime
-    counts in its first place only), and appended to
-    ``tried`` whenever a scan of its reduction starts.  A prime whose
-    reduction has more than MAX_LINES lines is refused before any
-    reduction is scanned.
+    primes each; each lift comes at the first step whose prime lifts it,
+    and the order fixes which witness comes first.  A prime is appended
+    to ``tried`` whenever a step of it starts.  Each lift is rechecked
+    exactly over QQ: its orthogonal must contain it.  A prime with more
+    than MAX_LINES lines in F_p^n is refused before any work.
     """
     n = q.dim_h
     if q.field.kind == "fp":
@@ -492,37 +491,154 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
     _check_dim(n, enum_bound)
     denominators = _denominator_lcm(q.w.matrix, *q.forms)
     primes = [p for p in dict.fromkeys(primes) if denominators % p]
-    # refuse a prime with too many lines before any reduction is scanned,
-    # however early a scan may stop
+    # refuse a prime with too many lines before any search, however early
+    # a scan may stop
     for p in primes:
         _check_lines(p, n)
     if by_prime:
         steps = [(p, range(1, n + 1)) for p in primes]
     else:
         steps = [(p, (d,)) for d in range(1, n + 1) for p in primes]
-    forms = _integer_forms(q, 0)
-    scans: dict = {}
-    # lifts are int rows, and an int equals and hashes as the same Fraction
-    seen = {kernel.basis.rows}
+    search = _integer_search(_integer_forms(q, 0), n, primes)
     for p, dims in steps:
-        if p not in scans:
-            reduced = [[[x % p for x in row] for row in b] for b in forms]
-            scans[p] = _isotropic_scanner(reduced, p, n)
         tried.append(p)
-        for residues, pivots, _ in scans[p](dims):
-            for balanced in (False, True):
-                rows = _lift_subspace(residues, p, balanced)
-                if rows in seen:
-                    continue
-                seen.add(rows)
-                if not _grams_vanish(forms, rows):
-                    continue
-                v = Subspace._from_echelon(
-                    q.field, n, tuple(tuple(map(Fraction, row)) for row in rows), pivots
-                )
-                perp = orthogonal(q, v)
-                if perp.contains(v):
-                    yield v, perp.dim, perp
+        for rows, pivots in search(p, dims):
+            if rows == kernel.basis.rows:
+                # the joint kernel came first
+                continue
+            v = Subspace._from_echelon(
+                q.field, n, tuple(tuple(map(Fraction, row)) for row in rows), pivots
+            )
+            perp = orthogonal(q, v)
+            if perp.contains(v):
+                yield v, perp.dim, perp
+
+
+def _run_roots(runs, u):
+    """The integers t, ascending, with Q_k(u + t e_last) = 0 for every
+    form, or None when every t is one.  ``u`` ends in 0 and ``runs``
+    holds one (B_k, s_k, c_k) per form, s_k the row B_k[last] plus the
+    column B_k[.][last] and c_k the corner B_k[last][last], so that
+
+        Q_k(u + t e_last) = u^T B_k u + t (s_k . u) + t^2 c_k
+
+    over ZZ.  The first of these polynomials that is not zero gives at
+    most two roots, by an integer square root of its discriminant or by
+    one exact division; the others only filter them."""
+    roots = None
+    for form, s, c in runs:
+        a = sum(x * sum(map(mul, row, u)) for x, row in zip(u, form) if x)
+        b = sum(map(mul, s, u))
+        if roots is not None:
+            roots = [t for t in roots if not a + t * (b + t * c)]
+        elif c:
+            disc = b * b - 4 * a * c
+            root = math.isqrt(disc) if disc >= 0 else -1
+            if root * root != disc:
+                return []
+            pairs = (divmod(-b - root, 2 * c), divmod(-b + root, 2 * c))
+            roots = sorted({t for t, rest in pairs if not rest})
+        elif b:
+            t, rest = divmod(-a, b)
+            roots = [] if rest else [t]
+        elif a:
+            return []
+        if roots == []:
+            return roots
+    return roots
+
+
+def _integer_search(forms, n: int, primes):
+    """``search(p, dims)`` yields (rows, pivots) for the totally isotropic
+    subspaces of QQ^n, dimension in ``dims``, that a scan of the reduction
+    mod p lifts first, under the integer forms DB_k and the list ``primes``.
+
+    A lift of a totally isotropic subspace mod p writes its reduced
+    echelon residues as plain ints in range(p), the plain box, or in
+    p//2 + 1 - p .. p//2, the balanced box; it survives only when it is
+    totally isotropic over ZZ.  So the survivors are the integral reduced
+    echelon bases, totally isotropic over ZZ, that some box holds, and
+    the search finds them over ZZ.  ``search(p, dims)`` yields those that
+    p's boxes hold and no box of an earlier prime of ``primes`` does, in
+    the order of a scan of the reduction: dimension, pivot columns, the
+    residues mod p, and the plain lift before the balanced one.
+
+    The isotropic lines of each pivot column run over the prefixes u of
+    a box, last entry 0, and _run_roots solves Q_k(u + t e_last) = 0 for
+    the last entry over ZZ, with no pass over range(p).  Each prefix is
+    solved once, at the first prime whose box holds it, and the lines of
+    each (prime, column) are found on first demand.  Bases of dim >= 2
+    grow from those lines under the pairing over ZZ, as in
+    _isotropic_scanner.
+    """
+    last = n - 1
+    # a form on QQ^0 has no run
+    runs = [(b, [x + row[last] for x, row in zip(b[last], b)], b[last][last]) for b in forms if b]
+    images, kills = _pairing(forms, 0)
+    solved: dict = {}
+    lines: dict = {}
+
+    def boxes(p):
+        # the plain box and the balanced box, which are one box at p = 2
+        plain, balanced = range(p), range(p // 2 + 1 - p, p // 2 + 1)
+        return (plain,) if plain == balanced else (plain, balanced)
+
+    def held(p, lo, hi):
+        # whether one of p's boxes holds the entries lo .. hi
+        return any(lo in box and hi in box for box in boxes(p))
+
+    def column(p, pc):
+        if (p, pc) in lines:
+            return lines[p, pc]
+        found = []
+        if pc == last:
+            # no free entry: the one row e_last is isotropic iff every corner vanishes
+            if not any(c for _, _, c in runs):
+                found.append((0,) * last + (1,))
+        else:
+            head = (0,) * pc + (1,)
+            for box in boxes(p):
+                for middle in itertools.product(box, repeat=last - pc - 1):
+                    u = head + middle + (0,)
+                    if u not in solved:
+                        solved[u] = _run_roots(runs, u)
+                    roots = solved[u]
+                    if roots is None:
+                        found.extend(u[:last] + (t,) for t in box)
+                    elif roots:
+                        found.extend(u[:last] + (t,) for t in roots if t in box)
+        # a line in both boxes is listed twice
+        lines[p, pc] = [(u, images(u)) for u in dict.fromkeys(found)]
+        return lines[p, pc]
+
+    def search(p, dims):
+        earlier = primes[: primes.index(p)]
+        for d in dims:
+            for pivots in itertools.combinations(range(n), d):
+                rows = []
+                for r, pc in enumerate(pivots):
+                    row = column(p, pc)
+                    later = pivots[r + 1 :]
+                    if later:
+                        # row r must vanish on the later pivot columns
+                        row = [e for e in row if not any(map(e[0].__getitem__, later))]
+                    if not row:
+                        break
+                    rows.append(row)
+                else:
+                    found = []
+                    for basis in _grow(kills, rows, []):
+                        basis = tuple(u for u, _ in basis)
+                        lo, hi = min(map(min, basis)), max(map(max, basis))
+                        if held(p, lo, hi) and not any(held(e, lo, hi) for e in earlier):
+                            residues = tuple(tuple(x % p for x in u) for u in basis)
+                            # a plain lift has no negative entry, and comes first
+                            found.append((residues, lo < 0, basis))
+                    found.sort()
+                    for _, _, basis in found:
+                        yield basis, pivots
+
+    return search
 
 
 class _Level(NamedTuple):

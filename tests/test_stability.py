@@ -380,44 +380,55 @@ def test_heuristic_lifted_instability():
     assert mu(lam, q) == verdict.mu_value < 0
 
 
+def reduce_by_hand(q, p):
+    """q mod p, entry by entry, or None when p divides a denominator of
+    the involution or of a form."""
+    field = GF(p)
+
+    def entries(m):
+        if any(x.denominator % p == 0 for row in m.rows for x in row):
+            return None
+        return [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in m.rows]
+
+    mats = [entries(m) for m in (q.w.matrix, *q.forms)]
+    if any(m is None for m in mats):
+        return None
+    w = InvolutionSpace(field, Matrix(field, mats[0]))
+    return SigmaModule(field, q.dim_h, w, q.sign, [Matrix(field, m) for m in mats[1:]])
+
+
 def test_rational_candidates_match_the_filtered_lifts():
     # the QQ candidate stream against a restatement built from the public
     # oracles: the nonzero joint kernel first, then reduce each prime by
-    # hand, filter all_subspaces with isotropy_class, lift residues as r
-    # and as balanced r or r - p, keep each lift once and only when it is
-    # totally isotropic over QQ
+    # hand (a repeated prime counts in its first place only), filter
+    # all_subspaces with isotropy_class, lift residues as r and as
+    # balanced r or r - p, keep each lift once and only when it is
+    # totally isotropic over QQ.  The default primes run at dims 1-3 and
+    # (2, 3) at dim 4; unsorted and repeated lists run at dims 1-3, and
+    # modules with denominators 2, 3, 5 and 7 skip those primes
     rng = random.Random(41)
-    primes = (2, 3, 5, 7)
-
-    def reduce_by_hand(q, p):
-        field = GF(p)
-
-        def entries(m):
-            if any(x.denominator % p == 0 for row in m.rows for x in row):
-                return None
-            return [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in m.rows]
-
-        mats = [entries(m) for m in (q.w.matrix, *q.forms)]
-        if any(m is None for m in mats):
-            return None
-        w = InvolutionSpace(field, Matrix(field, mats[0]))
-        return SigmaModule(field, q.dim_h, w, q.sign, [Matrix(field, m) for m in mats[1:]])
 
     def lifts(vp, p):
         for balanced in (False, True):
             rows = [[r - p if balanced and r > p // 2 else r for r in row] for row in vp.basis.rows]
             yield Subspace(QQ, vp.ambient, [[Fraction(r) for r in row] for row in rows])
 
-    def reference(q, by_prime):
-        n = q.dim_h
-        isotropic = {}
-        for p in primes:
+    isotropic_mod: dict = {}
+
+    def isotropic(q, p):
+        # the totally isotropic subspaces mod p, None when p divides a denominator
+        key = (id(q), p)
+        if key not in isotropic_mod:
             qp = reduce_by_hand(q, p)
-            if qp is not None:
-                isotropic[p] = [
-                    v for v in all_subspaces(GF(p), n)
-                    if isotropy_class(qp, v) == TOTALLY_ISOTROPIC
-                ]
+            isotropic_mod[key] = None if qp is None else [
+                v for v in all_subspaces(GF(p), q.dim_h)
+                if isotropy_class(qp, v) == TOTALLY_ISOTROPIC
+            ]
+        return isotropic_mod[key]
+
+    def reference(q, primes, by_prime):
+        n = q.dim_h
+        primes = [p for p in dict.fromkeys(primes) if isotropic(q, p) is not None]
         if by_prime:
             steps = [(p, range(1, n + 1)) for p in primes]
         else:
@@ -426,7 +437,7 @@ def test_rational_candidates_match_the_filtered_lifts():
         out = [] if kernel.is_zero() else [kernel]
         seen = {kernel}
         for p, dims in steps:
-            for vp in isotropic.get(p, ()):
+            for vp in isotropic(q, p):
                 if vp.dim not in dims:
                     continue
                 for v in lifts(vp, p):
@@ -434,40 +445,61 @@ def test_rational_candidates_match_the_filtered_lifts():
                         seen.add(v)
                         if isotropy_class(q, v) == TOTALLY_ISOTROPIC:
                             out.append(v)
-        return out, [p for p in primes if p in isotropic]
+        return out, primes
 
-    def sparse_module(n, w, sign):
+    def entry(dens):
+        return Fraction(rng.choice((0, 0, 0, 1, -1, 2)), rng.choice(dens))
+
+    def sparse_module(n, w, sign, dens=(1,)):
         raw = [
-            Matrix(QQ, [[Fraction(rng.choice((0, 0, 0, 1, -1, 2))) for _ in range(n)] for _ in range(n)])
-            for _ in range(w.dim)
+            Matrix(QQ, [[entry(dens) for _ in range(n)] for _ in range(n)]) for _ in range(w.dim)
         ]
         return symmetrize(QQ, n, w, sign, raw)
 
-    total = 0
+    cases = []
     for n in (1, 2, 3):
         for w in (trivial_w(QQ), swap_w(QQ)):
             for sign in (1, -1):
                 for q in (random_module(rng, QQ, n, w, sign), sparse_module(n, w, sign)):
-                    for by_prime in (True, False):
-                        tried = []
-                        found = list(_candidates(q, 4, primes, tried, by_prime))
-                        expected, reducible = reference(q, by_prime)
-                        assert [v for v, _, _ in found] == expected
-                        for v, perp_dim, perp in found:
-                            assert perp_dim == orthogonal(q, v).dim
-                            # a lift carries the orthogonal its recheck computed
-                            assert perp is None or perp == orthogonal(q, v)
-                        if by_prime:
-                            assert tried == reducible
-                        total += len(found)
-    assert total > 0
+                    cases.append((q, (2, 3, 5, 7, 11, 13)))
+                q = sparse_module(n, w, sign)
+                cases += [(q, (7, 2, 5)), (q, (3, 3, 2))]
+                cases.append((sparse_module(n, w, sign, (1, 5, 7)), (2, 3, 5, 7, 11)))
+    for w in (trivial_w(QQ), swap_w(QQ)):
+        for sign in (1, -1):
+            cases.append((sparse_module(4, w, sign), (2, 3)))
+
+    total = skipped = dim4 = 0
+    for q, primes in cases:
+        for by_prime in (True, False):
+            tried = []
+            found = list(_candidates(q, 4, primes, tried, by_prime))
+            expected, reducible = reference(q, primes, by_prime)
+            assert [v for v, _, _ in found] == expected
+            for v, perp_dim, perp in found:
+                assert perp_dim == orthogonal(q, v).dim
+                # a lift carries the orthogonal its recheck computed
+                assert perp is None or perp == orthogonal(q, v)
+            if by_prime:
+                assert tried == reducible
+                skipped += len(reducible) < len(set(primes))
+            total += len(found)
+            dim4 += len(found) if q.dim_h == 4 else 0
+    assert total > 100 and dim4 > 10
+    assert skipped > 10
 
 
 def test_integer_gram_test_matches_the_exact_isotropy_class():
-    # the plain-int Gram test of the candidate stream against the exact
-    # three-way class, on every plain and balanced lift; denominators 2, 3
-    # and 6 in one form catch a wrong lcm scaling, and lines (whose only
-    # Gram entries are diagonal) catch a skipped i == j pair
+    # the search over ZZ against the exact three-way class: with one prime
+    # p in the list, every subspace it yields is totally isotropic over QQ,
+    # and every plain or balanced lift of a totally isotropic subspace mod
+    # p (from all_subspaces) that is totally isotropic over QQ is yielded.
+    # Denominators 2, 3 and 6 in one form catch a wrong lcm scaling, and
+    # lines (whose only Gram entries are diagonal) catch a skipped i == j
+    # pair.  The identity involution on a 2-dim W gives two unrelated
+    # forms, so a root of the first form that the second does not share
+    # shows here; under the swap involution the second form is the
+    # transpose of the first up to sign, with the same diagonal
     rng = random.Random(43)
 
     def entry(dens):
@@ -476,7 +508,7 @@ def test_integer_gram_test_matches_the_exact_isotropy_class():
     outcomes = []
     modules = 0
     for n in (1, 2, 3):
-        for w in (trivial_w(QQ), swap_w(QQ)):
+        for w in (trivial_w(QQ), swap_w(QQ), InvolutionSpace(QQ, Matrix.identity(QQ, 2))):
             for sign in (1, -1):
                 for dens in ((1,), (1, 2), (1, 3), (2, 3, 6)):
                     raw = [
@@ -487,18 +519,27 @@ def test_integer_gram_test_matches_the_exact_isotropy_class():
                     modules += 1
                     forms = _integer_forms(q, 0)
                     for p in (2, 3, 5, 7):
-                        if any(x.denominator % p == 0 for b in q.forms for r in b.rows for x in r):
+                        qp = reduce_by_hand(q, p)
+                        if qp is None:
                             continue
-                        reduced = [
-                            [[x.numerator * pow(x.denominator, -1, p) % p for x in r] for r in b.rows]
-                            for b in q.forms
-                        ]
-                        for residues, _, _ in stability._isotropic_scanner(reduced, p, n)():
+                        search = stability._integer_search(forms, n, [p])
+                        yielded = set()
+                        for rows, pivots in search(p, range(1, n + 1)):
+                            v = Subspace(QQ, n, [[Fraction(x) for x in row] for row in rows])
+                            assert v.pivots == pivots
+                            assert isotropy_class(q, v) == TOTALLY_ISOTROPIC
+                            yielded.add(rows)
+                        for vp in all_subspaces(GF(p), n):
+                            if isotropy_class(qp, vp) != TOTALLY_ISOTROPIC:
+                                continue
                             for balanced in (False, True):
-                                rows = stability._lift_subspace(residues, p, balanced)
+                                rows = tuple(
+                                    tuple(r - p if balanced and r > p // 2 else r for r in row)
+                                    for row in vp.basis.rows
+                                )
                                 v = Subspace(QQ, n, [[Fraction(x) for x in row] for row in rows])
                                 exact = isotropy_class(q, v) == TOTALLY_ISOTROPIC
-                                assert stability._grams_vanish(forms, rows) == exact
+                                assert (rows in yielded) == exact
                                 outcomes.append((len(rows), exact))
     assert modules >= 24
     assert {(1, True), (1, False), (2, True), (2, False)} <= set(outcomes)
@@ -625,17 +666,23 @@ def test_filtration_refuses_exactly_the_unstable_modules():
 def test_graded_scans_each_level_once(monkeypatch):
     # one candidate scan per filtration level, plus the one that finds the
     # core stable, and no separate verdict pass before them; each level
-    # builds at most one scanner per prime, whatever the dimensions it
-    # scans.  The nonsingular dim-3 level stops at its first equality, a
-    # line mod 2, so it builds no scanner for a later prime; the stable
-    # core finds no equality and scans every prime.
-    scanned, verdicts, tables = [], [], []
+    # builds one search over the integers and asks it for each (prime,
+    # dims) step it reaches.  The nonsingular dim-3 level stops at its
+    # first equality, a line mod 2, so it reaches no later prime; the
+    # stable core finds no equality and reaches every prime.
+    scanned, verdicts, searches, steps = [], [], [], []
     scan, verdict = stability._candidates, stability.semistability_verdict
-    scanner = stability._isotropic_scanner
+    integer_search = stability._integer_search
 
-    def counted_scanner(forms, p, n):
-        tables.append((p, n))
-        return scanner(forms, p, n)
+    def counted_search(forms, n, primes):
+        searches.append(n)
+        search = integer_search(forms, n, primes)
+
+        def counted(p, dims):
+            steps.append((n, p, tuple(dims)))
+            return search(p, dims)
+
+        return counted
 
     def counted_scan(q, *args, **kwargs):
         scanned.append(q.dim_h)
@@ -647,12 +694,12 @@ def test_graded_scans_each_level_once(monkeypatch):
 
     monkeypatch.setattr(stability, "_candidates", counted_scan)
     monkeypatch.setattr(stability, "semistability_verdict", counted_verdict)
-    monkeypatch.setattr(stability, "_isotropic_scanner", counted_scanner)
+    monkeypatch.setattr(stability, "_integer_search", counted_search)
     gm = graded(module_1form(QQ, [[0, 0, 1], [0, 1, 1], [1, 1, 1]]))
     assert gm.length == 1
-    assert scanned == [3, 1]
+    assert scanned == searches == [3, 1]
     assert verdicts == []
-    assert tables == [(2, 3)] + [(p, 1) for p in stability.DEFAULT_PRIMES]
+    assert steps == [(3, 2, (1,))] + [(1, p, (1,)) for p in stability.DEFAULT_PRIMES]
 
 
 def test_a_scan_stops_at_its_first_equality_only_when_no_v_can_destabilize():
@@ -725,6 +772,59 @@ def test_the_fp_verdict_stops_inside_the_first_column(monkeypatch):
     assert verdict.status == STRICTLY_SEMISTABLE
     assert verdict.certificate[0].basis.rows == ((1, 0, 0, 0),)
     assert started == [0] and finished == []
+
+
+def record_solved_prefixes(monkeypatch):
+    """The list of prefixes u that stability._run_roots is called with."""
+    solved = []
+    run_roots = stability._run_roots
+
+    def recorded(runs, u):
+        solved.append(u)
+        return run_roots(runs, u)
+
+    monkeypatch.setattr(stability, "_run_roots", recorded)
+    return solved
+
+
+def test_a_rational_level_that_stops_at_2_solves_only_the_2_boxes(monkeypatch):
+    # the QQ analogue: the nonsingular fixture's first level stops at its
+    # first equality, the line (1, 0, 0), found mod 2; the search solves
+    # the last entry of the lines of pivot column 0 for the prefixes of the
+    # p = 2 box {0, 1}, and no prefix of a later prime's box
+    solved = record_solved_prefixes(monkeypatch)
+    q = module_1form(QQ, [[0, 0, 1], [0, 1, 1], [1, 1, 1]])
+    tried = []
+    stream = _candidates(q, 4, stability.DEFAULT_PRIMES, tried, by_prime=False)
+    worse, equality = stability._witnesses(q, stream, may_stop=True)
+    assert worse is None and equality[0].basis.rows == ((1, 0, 0),)
+    assert tried == [2]
+    assert solved == [(1, 0, 0), (1, 1, 0)]
+
+
+def test_a_rational_line_at_a_huge_prime_solves_one_run(monkeypatch):
+    # the last entry of a run is solved over ZZ, so a prime far beyond the
+    # entries costs no pass over range(p): <3> at 2^61 - 1 has one line,
+    # e1, and no run at all; <1, 1> at 99,991 (99,992 lines, inside the
+    # line bound) solves its one run, 1 + t^2, once, with no root
+    solved = record_solved_prefixes(monkeypatch)
+    big = 2**61 - 1
+    verdict = semistability_verdict(module_1form(QQ, [[3]]), primes=(big,))
+    assert verdict.status == NO_DESTABILIZER_FOUND
+    assert verdict.provenance == Provenance("heuristic", (big,))
+    assert solved == []
+    verdict = semistability_verdict(module_1form(QQ, [[1, 0], [0, 1]]), primes=(99_991,))
+    assert verdict.status == NO_DESTABILIZER_FOUND
+    assert verdict.provenance == Provenance("heuristic", (99_991,))
+    assert solved == [(1, 0)]
+    # dim 2 at 2^61 - 1 is still refused before any work, with its message
+    with pytest.raises(BoundExceededError) as refused:
+        semistability_verdict(module_1form(QQ, [[1, 0], [0, 1]]), primes=(big,))
+    assert str(refused.value) == (
+        "F_2305843009213693951^2 has 2305843009213693952 candidate lines,"
+        " over the search bound 100000"
+    )
+    assert solved == [(1, 0)]
 
 
 # -- graded modules ----------------------------------------------------------
