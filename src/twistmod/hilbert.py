@@ -26,12 +26,11 @@ basis.  Both truncate through ``_limit_in_basis``.
 
 from __future__ import annotations
 
-from operator import mul
 from typing import NamedTuple
 
 from .errors import InternalCheckError, IsotropyError, ShapeError
 from .linalg import Matrix, Subspace, _complement, _element, _int_rows
-from .sigmamod import SigmaModule, _integer_forms, act, orthogonal, validate
+from .sigmamod import SigmaModule, _integer_forms, _pairing, act, orthogonal, validate
 
 
 class MinusInfinityType:
@@ -203,25 +202,21 @@ def _block_test(lam: OneParamSubgroup, q: SigmaModule):
 
     It runs on plain ints: the forms as ``_integer_forms`` gives them
     (over QQ all scaled by one common denominator) and each piece basis
-    row scaled to ints by its own, which keeps every zero a zero.  The
-    images B_k w of a piece are formed when a pair first needs them.
+    row scaled to ints by its own, which keeps every zero a zero; the
+    zero test is sigmamod's ``_pairing``.  The images B_k w of a piece
+    are formed when a pair first needs them.
     """
     _check_pairing(lam, q)
     field = q.field
     p = field.characteristic
-    forms = _integer_forms(q, p)
+    images, kills = _pairing(_integer_forms(q, p), p)
     bases = [_int_rows(field, s.basis.rows)[0] for s, _ in lam.pieces]
-    images: dict = {}
+    piece_images: dict = {}
 
     def nonzero(i: int, j: int) -> bool:
-        if j not in images:
-            images[j] = [[sum(map(mul, row, w)) for row in b] for b in forms for w in bases[j]]
-        for u in bases[i]:
-            for image in images[j]:
-                x = sum(map(mul, u, image))
-                if x % p if p else x:
-                    return True
-        return False
+        if j not in piece_images:
+            piece_images[j] = [c for w in bases[j] for c in images(w)]
+        return not all(kills(u, piece_images[j]) for u in bases[i])
 
     return nonzero
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -168,7 +168,7 @@ class SigmaModule:
 def dotform(field, x, b: Matrix, y):
     """x^T b y for row tuples x, y."""
     p = field.characteristic
-    terms = (xi * sum(map(operator.mul, row, y)) for xi, row in zip(x, b.rows) if xi)
+    terms = (xi * sum(map(mul, row, y)) for xi, row in zip(x, b.rows) if xi)
     total = sum(terms, field.zero)
     return total % p if p else total
 
@@ -203,13 +203,36 @@ def orthogonal(q: SigmaModule, v: Subspace) -> Subspace:
     forms all scaled by one common denominator and u by its own.
     """
     _check_subspace(q, v)
-    p = q.field.characteristic
+    return _orthogonal_by(q, v, _integer_forms(q, q.field.characteristic))
+
+
+def _orthogonal_by(q: SigmaModule, v: Subspace, forms) -> Subspace:
+    # orthogonal for a caller that holds forms, _integer_forms of q
+    images, _ = _pairing(forms, q.field.characteristic)
     basis, _ = _int_rows(q.field, v.basis.rows)
-    forms = _integer_forms(q, p)
-    rows = [[sum(map(operator.mul, row, u)) for row in b] for b in forms for u in basis]
-    if p:
-        rows = [[x % p for x in row] for row in rows]
+    rows = [c for u in basis for c in images(u)]
     return Subspace._from_echelon(q.field, q.dim_h, *_null_space(q.field, rows, q.dim_h))
+
+
+def _pairing(forms, p: int):
+    """The pairing of a module over F_p, on plain ints, or over the
+    integers when p is 0: ``images(u)`` is the rows B_k u, and
+    ``kills(u, images(w))`` tests u^T B_k w == 0 for every k.  V^perp is
+    the joint kernel of the images of its basis."""
+
+    def images(u):
+        if p:
+            return [[sum(map(mul, row, u)) % p for row in b] for b in forms]
+        return [[sum(map(mul, row, u)) for row in b] for b in forms]
+
+    def kills(u, imgs):
+        for c in imgs:
+            s = sum(map(mul, u, c))
+            if s % p if p else s:
+                return False
+        return True
+
+    return images, kills
 
 
 def isotropy_class(q: SigmaModule, v: Subspace) -> str:

@@ -8,28 +8,32 @@ rationals we certify instability when a witness is found and otherwise
 report an explicit no_destabilizer_found, never a silent upgrade to
 semistable.
 
-One candidate stream serves both the verdict and each filtration step.
-Over F_p it is the pruned enumeration of every totally isotropic
-subspace.  Over the rationals it starts with the joint kernel when that
-is nonzero, then yields the lifts of the totally isotropic subspaces of
-the reductions mod a list of primes: the integral reduced echelon bases,
-totally isotropic over ZZ under the forms scaled to DB_k (D the lcm of
-all their denominators), whose entries a prime's plain box 0 .. p - 1
-or balanced box p//2 + 1 - p .. p//2 holds.  They are searched for over
-ZZ, with no reduction mod p: the last entry of a line is an integer root
-of a quadratic in it.  A prime that divides a denominator of the
-involution or of a form is skipped.  Each candidate is rechecked once,
-exactly: its orthogonal is computed over QQ and must contain it.
+One candidate stream serves both the verdict and each filtration step,
+and one search feeds it over both fields, _isotropic_scanner: it grows
+reduced echelon bases row by row from the isotropic lines of each pivot
+column and drops a partial basis at its first nonzero pairing.  Along
+the last entry of a line each form is a quadratic, so the lines are
+solved for rather than listed.  Over F_p the search runs mod p on the
+one box 0 .. p - 1 and yields every totally isotropic subspace.  Over
+the rationals the stream starts with the joint kernel when that is
+nonzero, then yields the lifts of the totally isotropic subspaces of
+the reductions mod a list of primes.  These are the integral reduced
+echelon bases, totally isotropic over ZZ under the forms scaled to DB_k
+(D the lcm of all their denominators), whose entries a prime's plain
+box 0 .. p - 1 or balanced box p//2 + 1 - p .. p//2 holds, so the same
+search runs over ZZ on those two boxes, with no reduction mod p.  A
+prime that divides a denominator of the involution or of a form is
+skipped.  Each candidate is rechecked once, exactly: its orthogonal is
+computed over QQ and must contain it.
 
 A scan stops at its first equality witness when some form B_k is
 nonsingular: the rows B_k u over a basis of V are then independent
 constraints on V^perp, so dim V + dim V^perp <= dim H for every V and
 nothing later in the stream can destabilize.  The isotropic lines are
-found on demand, per pivot column over F_p and per prime and pivot
-column over QQ, so a scan that stops early pays only for what it
-reached.  The F_p verdict and every filtration level stop
-this way; the rational verdict scans in full, since its provenance
-lists every prime it scanned.
+found on demand, per prime and pivot column, so a scan that stops early
+pays only for what it reached.  The F_p verdict and every filtration
+level stop this way; the rational verdict scans in full, since its
+provenance lists every prime it scanned.
 
 A strictly semistable module carries a filtration by successive minimal
 equality witnesses.  Each level is one scan of the stream, which also
@@ -76,6 +80,8 @@ from .sigmamod import (
     _check_search_size,
     _denominator_lcm,
     _integer_forms,
+    _orthogonal_by,
+    _pairing,
     _reduce_by,
     _wrap,
     is_isomorphic,
@@ -199,27 +205,6 @@ def _check_lines(p: int, n: int):
     _check_search_size((p**n - 1) // (p - 1), f"F_{p}^{n}", "candidate lines")
 
 
-def _pairing(forms, p: int):
-    """The pairing of a module over F_p, on plain ints, or over the
-    integers when p is 0: ``images(u)`` is the rows B_k u, and
-    ``kills(u, images(w))`` tests u^T B_k w == 0 for every k.  V^perp is
-    the joint kernel of the images of its basis."""
-
-    def images(u):
-        if p:
-            return [tuple(sum(map(mul, row, u)) % p for row in b) for b in forms]
-        return [tuple(sum(map(mul, row, u)) for row in b) for b in forms]
-
-    def kills(u, imgs):
-        for c in imgs:
-            s = sum(map(mul, u, c))
-            if s % p if p else s:
-                return False
-        return True
-
-    return images, kills
-
-
 def _grow(kills, rows, basis):
     """Yield ``basis``, a list of (u, images(u)) extended in place, once
     for every way to take its r-th row from rows[r] with u_i^T B_k u_j
@@ -240,133 +225,195 @@ def _grow(kills, rows, basis):
             basis.pop()
 
 
-def _column_lines(forms, p: int, n: int, pc: int):
-    """Yield the isotropic lines of F_p^n with pivot column ``pc`` under
-    the forms (n x n plain ints): the (u, images(u)) of the isotropic
-    echelon rows u with that pivot, free entries in product order.
+def _run_roots(runs, u, p: int):
+    """The t with Q_k(u + t e_last) = 0 for every form, mod p when p is
+    a prime and over ZZ when p is 0, or None when every t is one.  ``u``
+    ends in 0 and ``runs`` holds one (B_k, s_k, c_k) per form, s_k the
+    row B_k[last] plus the column B_k[.][last] and c_k the corner
+    B_k[last][last], so that
 
-    The rows run as prefixes u, last entry 0, each followed by its run
-    u + t e_last over t in range(p).  Along a run every Q_k(x) = x^T B_k x
-    is a polynomial in t,
+        Q_k(u + t e_last) = u^T B_k u + t (s_k . u) + t^2 c_k.
 
-        Q_k(u + t e_last) = u^T B_k u + t ((B_k u)_last + u^T B_k e_last)
-                            + t^2 B_k[last][last],
+    The first of these polynomials that is not zero gives the roots:
+    mod p by trying each t in range(p), which takes no division, so
+    characteristic 2 is no exception; over ZZ at most two, by an integer
+    square root of its discriminant or by one exact division.  The
+    others only filter them."""
+    roots = None
+    for form, s, c in runs:
+        a = sum(x * sum(map(mul, row, u)) for x, row in zip(u, form) if x)
+        b = sum(map(mul, s, u))
+        if p:
+            a, b, c = a % p, b % p, c % p
+        if roots is not None:
+            values = ((t, a + t * (b + t * c)) for t in roots)
+            roots = [t for t, x in values if not (x % p if p else x)]
+        elif not (a or b or c):
+            continue
+        elif p:
+            roots = [t for t in range(p) if not (a + t * (b + t * c)) % p]
+        elif c:
+            disc = b * b - 4 * a * c
+            root = math.isqrt(disc) if disc >= 0 else -1
+            if root * root != disc:
+                return []
+            pairs = (divmod(-b - root, 2 * c), divmod(-b + root, 2 * c))
+            roots = sorted({t for t, rest in pairs if not rest})
+        elif b:
+            t, rest = divmod(-a, b)
+            roots = [] if rest else [t]
+        else:
+            return []
+        if not roots:
+            return []
+    return roots
 
-    so a run costs two dot products per form and then scalar arithmetic
-    per t; no division is taken, so characteristic 2 is no exception.
-    The images B_k (u + t e_last) = B_k u + t B_k e_last are built only
-    for the t where every Q_k vanishes.  The images of the prefixes are
-    built incrementally: the next prefix in product order adds one to an
-    entry j and wraps the entries after it to 0, and each of those steps
-    of +1 mod p adds column j of each form, mod p.  Nothing is tabulated
-    over range(p).
+
+def _lines(runs, p: int, n: int, pc: int, box, solved: dict):
+    """Yield the isotropic lines of pivot column ``pc`` whose free
+    entries the range ``box`` holds, in product order: the echelon rows
+    u with u^T B_k u = 0 for every one of the n x n plain-int forms, mod
+    p when p is a prime (box is then range(p)) and over ZZ when p is 0.
+
+    ``runs`` holds one (B_k, s_k, c_k) per form, as _run_roots takes
+    them.  The rows run as prefixes u, last entry 0, each followed by its
+    run u + t e_last over t in box, and _run_roots solves the run for its
+    last entry; nothing is built over the box.  ``solved`` keeps the
+    roots of each prefix, for every later box under the same forms and p.
     """
-    columns = [[tuple(row[j] % p for row in b) for b in forms] for j in range(n)]
     last = n - 1
-    u = [0] * n
-    u[pc] = 1
+    head = (0,) * pc + (1,)
     if pc == last:
         # no free entry: the one row e_last is isotropic iff every corner vanishes
-        if not any(col[last] for col in columns[last]):
-            yield tuple(u), columns[last]
+        if not any(c for _, _, c in runs):
+            yield head
         return
-    tail = columns[last]
-    corners = [col[last] for col in tail]
-    imgs = columns[pc]
-    while True:
-        prefix = tuple(u[:last])
-        runs = [
-            (sum(map(mul, u, img)), img[last] + sum(map(mul, u, col)), c)
-            for img, col, c in zip(imgs, tail, corners)
-        ]
-        for t in range(p):
-            for a, b, c in runs:
-                if (a + t * (b + t * c)) % p:
-                    break
-            else:
-                yield prefix + (t,), [
-                    tuple((x + t * y) % p for x, y in zip(img, col)) for img, col in zip(imgs, tail)
-                ]
-        j = last - 1
-        while j > pc:
-            u[j] = (u[j] + 1) % p
-            imgs = [
-                tuple((a + b) % p for a, b in zip(img, col))
-                for img, col in zip(imgs, columns[j])
-            ]
-            if u[j]:
-                break
-            j -= 1
-        if j == pc:
-            return
+    # product() of no box builds nothing, however long the box; a longer
+    # product is of boxes that the line bound has kept short
+    for middle in itertools.product(*[box] * (last - pc - 1)):
+        u = head + middle + (0,)
+        if u not in solved:
+            solved[u] = _run_roots(runs, u, p)
+        roots = solved[u]
+        for t in box if roots is None else roots:
+            if t in box:
+                yield u[:last] + (t,)
 
 
-def _isotropic_scanner(forms, p: int, n: int):
-    """``scan(dims)`` yields (rows, pivots, images) for every nonzero
-    totally isotropic subspace V of F_p^n whose dimension is in ``dims``
-    (default: all), under the forms given as n x n plain ints mod p.
+def _isotropic_scanner(forms, p: int, n: int, primes=()):
+    """``scan(dims=None, prime=p)`` yields (rows, pivots, images) for the
+    nonzero totally isotropic subspaces V with dim V in ``dims`` (default:
+    all), under the n x n plain-int forms: the one candidate search.
+
+    With p a prime it works mod p, in F_p^n; given no forms it yields
+    every nonzero subspace.  With p = 0 it works over ZZ, and
+    ``scan(dims, prime)`` yields the lifts, totally isotropic over ZZ, of
+    the totally isotropic subspaces mod ``prime``, one of ``primes``: the
+    integral reduced echelon bases whose entries the plain box
+    range(prime) or the balanced box prime//2 + 1 - prime .. prime//2
+    holds (one box at 2), each at the first prime whose box holds it.
 
     ``rows`` is the reduced echelon basis of V, with pivot columns
-    ``pivots``, and ``images`` the rows B_k u over that basis, so
-    dim V^perp = n - their rank.  With no forms every pairing vanishes,
-    so the scan yields every nonzero subspace of F_p^n.  The order is
-    Subspace.sort_key: dimension, then pivot columns, then free entries.
-    Reduced echelon bases grow row by row in _grow, each row running
-    over its free entries in product order, and a partial basis is
-    dropped as soon as a pairing u_i^T B_k u_j is nonzero.  V is totally
-    isotropic exactly when all of them vanish, so no symmetry of the
-    forms is assumed.
+    ``pivots``, and ``images`` the rows B_k u over it, so dim V^perp is
+    n minus their rank mod p.  Bases grow row by row in _grow from the
+    lines of _lines, and a partial basis is dropped at its first nonzero
+    pairing u_i^T B_k u_j; V is totally isotropic exactly when all of
+    them vanish, so no symmetry of the forms is assumed.  The order is
+    that of a scan mod p: dimension, pivot columns, residues, and the
+    plain lift before the balanced one.  The bases of one box grow in
+    that order.  Two boxes give two integer lifts of one residue, which
+    pair differently over ZZ, so each pivot pattern's lifts are sorted.
 
-    Each pivot column's isotropic lines are found by _column_lines on
-    first demand and kept for every later scan.  The first row of a
-    pivot pattern reads its column only as far as the scan goes, so a
-    scan that stops early pays only for the lines it reached; the later
-    rows, and a column some scan has read to its end, are plain lists.
-    More than MAX_LINES lines in F_p^n raise BoundExceededError before
-    any work.
+    The lines of each (prime, pivot column) are found on first demand
+    and kept, and the roots of each prefix are kept for every prime.
+    The first row of a pivot pattern reads its column only as far as the
+    scan goes, so a scan that stops early pays only for the lines it
+    reached.  A prime with more than MAX_LINES lines in F_prime^n raises
+    BoundExceededError before any work.
     """
-    _check_lines(p, n)
-    _, kills = _pairing(forms, p)
-    found = [[] for _ in range(n)]
-    # the line generator of each column no scan has read to its end
-    sources = [_column_lines(forms, p, n, pc) for pc in range(n)]
+    primes = (p,) if p else tuple(primes)
+    boxes = {}
+    for prime in primes:
+        _check_lines(prime, n)
+        plain, balanced = range(prime), range(prime // 2 + 1 - prime, prime // 2 + 1)
+        boxes[prime] = (plain,) if p or plain == balanced else (plain, balanced)
+    images, kills = _pairing(forms, p)
+    last = n - 1
+    # a form on QQ^0 has no run
+    runs = [(b, [x + row[last] for x, row in zip(b[last], b)], b[last][last]) for b in forms if b]
+    solved: dict = {}
+    found: dict = {}
+    # the line generator of each (prime, column) that no scan has read to its end
+    sources: dict = {}
 
-    def reading(pc):
+    def column(prime, pc):
+        for i, box in enumerate(boxes[prime]):
+            for u in _lines(runs, p, n, pc, box, solved):
+                # a balanced line with no negative entry is a plain one, listed already
+                if not i or min(u) < 0:
+                    yield u, images(u)
+
+    def reading(key):
         # one reader per column at a time: a scan reads a column lazily
         # only as the first row of a pivot pattern, and a scan left
         # unfinished is never resumed
-        lines = found[pc]
+        lines = found[key]
         yield from lines
-        for line in sources[pc]:
+        for line in sources[key]:
             lines.append(line)
             yield line
-        sources[pc] = None
+        sources[key] = None
 
-    def finished(pc):
-        if sources[pc] is not None:
-            for _ in reading(pc):
-                pass
-        return found[pc]
+    def lines(prime, pc):
+        # a list once some scan has read the column to its end, else a reader
+        key = prime, pc
+        if key not in found:
+            found[key], sources[key] = [], column(prime, pc)
+        return found[key] if sources[key] is None else reading(key)
 
-    def scan(dims=None):
+    def first_lifts(bases, prime):
+        # the bases whose entries a box of prime holds, and no box of an
+        # earlier prime; with two boxes they are sorted by their
+        # residues, the plain lift first
+        kept = []
+        for basis in bases:
+            rows = [u for u, _ in basis]
+            lo, hi = min(map(min, rows)), max(map(max, rows))
+            holders = (e for e in primes if any(lo in box and hi in box for box in boxes[e]))
+            if next(holders, None) != prime:
+                continue
+            if len(boxes[prime]) == 1:
+                yield basis
+            else:
+                kept.append(((tuple(tuple(x % prime for x in u) for u in rows), lo < 0), basis[:]))
+        # the keys are distinct, so no two bases are compared
+        kept.sort()
+        for _, basis in kept:
+            yield basis
+
+    def scan(dims=None, prime=p):
         for d in range(1, n + 1) if dims is None else dims:
             for pivots in itertools.combinations(range(n), d):
-                # row r must vanish on the later pivot columns
+                # row r must vanish on the later pivot columns; the first
+                # row is filtered as _grow reads it, and a reader counts as
+                # nonempty
+                first = lines(prime, pivots[0])
                 later = [
-                    [e for e in finished(pc) if not any(map(e[0].__getitem__, pivots[r + 1 :]))]
+                    [e for e in lines(prime, pc) if not any(map(e[0].__getitem__, pivots[r + 1 :]))]
                     for r, pc in enumerate(pivots[1:], 1)
                 ]
-                if all(later):
-                    first = found[pivots[0]] if sources[pivots[0]] is None else reading(pivots[0])
-                    if d > 1:
-                        rest = pivots[1:]
-                        first = (e for e in first if not any(map(e[0].__getitem__, rest)))
-                    for basis in _grow(kills, [first] + later, []):
-                        yield (
-                            tuple(u for u, _ in basis),
-                            pivots,
-                            [c for _, imgs in basis for c in imgs],
-                        )
+                if not (first and all(later)):
+                    continue
+                if d > 1:
+                    rest = pivots[1:]
+                    first = (e for e in first if not any(map(e[0].__getitem__, rest)))
+                bases = _grow(kills, [first] + later, [])
+                for basis in bases if p else first_lifts(bases, prime):
+                    yield (
+                        tuple(u for u, _ in basis),
+                        pivots,
+                        [c for _, imgs in basis for c in imgs],
+                    )
 
     return scan
 
@@ -389,10 +436,10 @@ def semistability_verdict(
         raise StabilityError("module violates its symmetry relation")
     kind = "exhaustive" if q.field.kind == "fp" else "heuristic"
     tried: list = []
+    forms = _integer_forms(q, q.field.characteristic)
+    stream = _candidates(q, forms, enum_bound, primes, tried, by_prime=True)
     # the heuristic's provenance lists every prime it scanned, so it scans in full
-    worse, equality = _witnesses(
-        q, _candidates(q, enum_bound, primes, tried, by_prime=True), may_stop=kind == "exhaustive"
-    )
+    worse, equality = _witnesses(q, forms, stream, may_stop=kind == "exhaustive")
     provenance = Provenance(kind, tuple(tried))
     if worse is not None:
         return _certified(UNSTABLE, provenance, q, worse)
@@ -401,14 +448,14 @@ def semistability_verdict(
     return Verdict(STABLE if kind == "exhaustive" else NO_DESTABILIZER_FOUND, provenance)
 
 
-def _witnesses(q: SigmaModule, candidates, may_stop: bool):
+def _witnesses(q: SigmaModule, forms, candidates, may_stop: bool):
     """(destabilizer, equality) over the (V, dim V^perp, V^perp or None)
     of ``candidates``, each one of those triples or None.
 
     The scan stops at the first V with dim V + dim V^perp > dim H, the
     destabilizer; equality is the first V before it meeting equality.
     Either is None when the scan saw none.  When ``may_stop`` is set and
-    _no_destabilizer(q) holds, the scan also stops at the first
+    _no_destabilizer(q, forms) holds, the scan also stops at the first
     equality: a full scan would return that same equality and no
     destabilizer.
     """
@@ -421,13 +468,14 @@ def _witnesses(q: SigmaModule, candidates, may_stop: bool):
             return found, equality
         if total == n and equality is None:
             equality = found
-            if may_stop and _no_destabilizer(q):
+            if may_stop and _no_destabilizer(q, forms):
                 break
     return None, equality
 
 
-def _no_destabilizer(q: SigmaModule) -> bool:
-    """Whether some form B_k has rank dim H.
+def _no_destabilizer(q: SigmaModule, forms) -> bool:
+    """Whether some form B_k has rank dim H, read on ``forms``, the
+    integer forms of q (_integer_forms).
 
     Then the rows B_k u over a basis of any V are independent
     constraints on V^perp, so dim V + dim V^perp <= dim H and no V
@@ -435,8 +483,7 @@ def _no_destabilizer(q: SigmaModule) -> bool:
     be singular with nothing killed by every one of them, and such a
     module can be unstable.
     """
-    p = q.field.p if q.field.kind == "fp" else 0
-    return any(rank_mod_p(b, p) == q.dim_h for b in _integer_forms(q, p))
+    return any(rank_mod_p(b, q.field.characteristic) == q.dim_h for b in forms)
 
 
 def _certified(status: str, provenance: Provenance, q: SigmaModule, found) -> Verdict:
@@ -457,17 +504,17 @@ def joint_kernel(q: SigmaModule) -> Subspace:
     return orthogonal(q, Subspace.full(q.field, q.dim_h))
 
 
-def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: bool):
+def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, by_prime: bool):
     """Yield (V, dim V^perp, V^perp or None) for the totally isotropic V
-    that the subspace criterion is tested on; V^perp is given when the
-    stream computed it, that is for the QQ lifts.
+    that the subspace criterion is tested on, where ``forms`` are the
+    integer forms of q (_integer_forms); V^perp is given when the stream
+    computed it, that is for the QQ lifts.
 
-    Over F_p these are all of them, in canonical order.  Over QQ the
-    nonzero joint kernel comes first, with the whole of H as its
-    orthogonal; then the lifts (plain and balanced residues) of the
-    totally isotropic subspaces of the reductions mod ``primes`` that
-    are totally isotropic over QQ, each once, as _integer_search finds
-    them over ZZ under the forms DB_k, D the lcm of all their
+    Both fields run the one search, _isotropic_scanner.  Over F_p the
+    stream is every totally isotropic subspace, in canonical order.
+    Over QQ the nonzero joint kernel comes first, with the whole of H as
+    its orthogonal; then the lifts that the search over ZZ finds at the
+    primes of ``primes``, under the forms DB_k, D the lcm of all their
     denominators.  A prime dividing a denominator of the involution or
     of a form is skipped, and a repeated prime counts in its first place
     only.  The stream runs prime by prime, all dimensions each, when
@@ -482,163 +529,36 @@ def _candidates(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: 
     if q.field.kind == "fp":
         _check_dim(n, enum_bound)
         p = q.field.p
-        for rows, pivots, images in _isotropic_scanner([b.rows for b in q.forms], p, n)():
+        for rows, pivots, images in _isotropic_scanner(forms, p, n)():
             yield Subspace._from_echelon(q.field, n, rows, pivots), n - rank_mod_p(images, p), None
         return
-    kernel = joint_kernel(q)
+    # the joint kernel, from the forms the whole stream shares
+    kernel = _orthogonal_by(q, Subspace.full(q.field, n), forms)
     if not kernel.is_zero():
         yield kernel, n, None
     _check_dim(n, enum_bound)
     denominators = _denominator_lcm(q.w.matrix, *q.forms)
     primes = [p for p in dict.fromkeys(primes) if denominators % p]
-    # refuse a prime with too many lines before any search, however early
-    # a scan may stop
-    for p in primes:
-        _check_lines(p, n)
+    # the scanner refuses a prime with too many lines before any search,
+    # however early a scan may stop
+    scan = _isotropic_scanner(forms, 0, n, primes)
     if by_prime:
         steps = [(p, range(1, n + 1)) for p in primes]
     else:
         steps = [(p, (d,)) for d in range(1, n + 1) for p in primes]
-    search = _integer_search(_integer_forms(q, 0), n, primes)
     for p, dims in steps:
         tried.append(p)
-        for rows, pivots in search(p, dims):
+        for rows, pivots, _ in scan(dims, p):
             if rows == kernel.basis.rows:
                 # the joint kernel came first
                 continue
             v = Subspace._from_echelon(
                 q.field, n, tuple(tuple(map(Fraction, row)) for row in rows), pivots
             )
-            perp = orthogonal(q, v)
+            perp = _orthogonal_by(q, v, forms)
             if perp.contains(v):
                 yield v, perp.dim, perp
 
-
-def _run_roots(runs, u):
-    """The integers t, ascending, with Q_k(u + t e_last) = 0 for every
-    form, or None when every t is one.  ``u`` ends in 0 and ``runs``
-    holds one (B_k, s_k, c_k) per form, s_k the row B_k[last] plus the
-    column B_k[.][last] and c_k the corner B_k[last][last], so that
-
-        Q_k(u + t e_last) = u^T B_k u + t (s_k . u) + t^2 c_k
-
-    over ZZ.  The first of these polynomials that is not zero gives at
-    most two roots, by an integer square root of its discriminant or by
-    one exact division; the others only filter them."""
-    roots = None
-    for form, s, c in runs:
-        a = sum(x * sum(map(mul, row, u)) for x, row in zip(u, form) if x)
-        b = sum(map(mul, s, u))
-        if roots is not None:
-            roots = [t for t in roots if not a + t * (b + t * c)]
-        elif c:
-            disc = b * b - 4 * a * c
-            root = math.isqrt(disc) if disc >= 0 else -1
-            if root * root != disc:
-                return []
-            pairs = (divmod(-b - root, 2 * c), divmod(-b + root, 2 * c))
-            roots = sorted({t for t, rest in pairs if not rest})
-        elif b:
-            t, rest = divmod(-a, b)
-            roots = [] if rest else [t]
-        elif a:
-            return []
-        if roots == []:
-            return roots
-    return roots
-
-
-def _integer_search(forms, n: int, primes):
-    """``search(p, dims)`` yields (rows, pivots) for the totally isotropic
-    subspaces of QQ^n, dimension in ``dims``, that a scan of the reduction
-    mod p lifts first, under the integer forms DB_k and the list ``primes``.
-
-    A lift of a totally isotropic subspace mod p writes its reduced
-    echelon residues as plain ints in range(p), the plain box, or in
-    p//2 + 1 - p .. p//2, the balanced box; it survives only when it is
-    totally isotropic over ZZ.  So the survivors are the integral reduced
-    echelon bases, totally isotropic over ZZ, that some box holds, and
-    the search finds them over ZZ.  ``search(p, dims)`` yields those that
-    p's boxes hold and no box of an earlier prime of ``primes`` does, in
-    the order of a scan of the reduction: dimension, pivot columns, the
-    residues mod p, and the plain lift before the balanced one.
-
-    The isotropic lines of each pivot column run over the prefixes u of
-    a box, last entry 0, and _run_roots solves Q_k(u + t e_last) = 0 for
-    the last entry over ZZ, with no pass over range(p).  Each prefix is
-    solved once, at the first prime whose box holds it, and the lines of
-    each (prime, column) are found on first demand.  Bases of dim >= 2
-    grow from those lines under the pairing over ZZ, as in
-    _isotropic_scanner.
-    """
-    last = n - 1
-    # a form on QQ^0 has no run
-    runs = [(b, [x + row[last] for x, row in zip(b[last], b)], b[last][last]) for b in forms if b]
-    images, kills = _pairing(forms, 0)
-    solved: dict = {}
-    lines: dict = {}
-
-    def boxes(p):
-        # the plain box and the balanced box, which are one box at p = 2
-        plain, balanced = range(p), range(p // 2 + 1 - p, p // 2 + 1)
-        return (plain,) if plain == balanced else (plain, balanced)
-
-    def held(p, lo, hi):
-        # whether one of p's boxes holds the entries lo .. hi
-        return any(lo in box and hi in box for box in boxes(p))
-
-    def column(p, pc):
-        if (p, pc) in lines:
-            return lines[p, pc]
-        found = []
-        if pc == last:
-            # no free entry: the one row e_last is isotropic iff every corner vanishes
-            if not any(c for _, _, c in runs):
-                found.append((0,) * last + (1,))
-        else:
-            head = (0,) * pc + (1,)
-            for box in boxes(p):
-                for middle in itertools.product(box, repeat=last - pc - 1):
-                    u = head + middle + (0,)
-                    if u not in solved:
-                        solved[u] = _run_roots(runs, u)
-                    roots = solved[u]
-                    if roots is None:
-                        found.extend(u[:last] + (t,) for t in box)
-                    elif roots:
-                        found.extend(u[:last] + (t,) for t in roots if t in box)
-        # a line in both boxes is listed twice
-        lines[p, pc] = [(u, images(u)) for u in dict.fromkeys(found)]
-        return lines[p, pc]
-
-    def search(p, dims):
-        earlier = primes[: primes.index(p)]
-        for d in dims:
-            for pivots in itertools.combinations(range(n), d):
-                rows = []
-                for r, pc in enumerate(pivots):
-                    row = column(p, pc)
-                    later = pivots[r + 1 :]
-                    if later:
-                        # row r must vanish on the later pivot columns
-                        row = [e for e in row if not any(map(e[0].__getitem__, later))]
-                    if not row:
-                        break
-                    rows.append(row)
-                else:
-                    found = []
-                    for basis in _grow(kills, rows, []):
-                        basis = tuple(u for u, _ in basis)
-                        lo, hi = min(map(min, basis)), max(map(max, basis))
-                        if held(p, lo, hi) and not any(held(e, lo, hi) for e in earlier):
-                            residues = tuple(tuple(x % p for x in u) for u in basis)
-                            # a plain lift has no negative entry, and comes first
-                            found.append((residues, lo < 0, basis))
-                    found.sort()
-                    for _, _, basis in found:
-                        yield basis, pivots
-
-    return search
 
 
 class _Level(NamedTuple):
@@ -662,9 +582,9 @@ def _build_levels(q, enum_bound, primes):
     while True:
         # one scan, dimension ascending, per level: it doubles as the
         # level's semistability check, and v is its smallest equality witness
-        worse, equality = _witnesses(
-            current, _candidates(current, enum_bound, primes, [], by_prime=False), may_stop=True
-        )
+        forms = _integer_forms(current, field.characteristic)
+        stream = _candidates(current, forms, enum_bound, primes, [], by_prime=False)
+        worse, equality = _witnesses(current, forms, stream, may_stop=True)
         if worse is not None:
             raise StabilityError("module is unstable")
         if equality is None:

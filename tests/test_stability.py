@@ -32,6 +32,7 @@ from twistmod.sigmamod import (
     InvolutionSpace,
     SigmaModule,
     _integer_forms,
+    _pairing,
     act,
     dotform,
     is_isomorphic,
@@ -71,6 +72,11 @@ def swap_w(field):
 def module_1form(field, rows, sign=1):
     b = Matrix(field, rows)
     return SigmaModule(field, b.nrows, trivial_w(field), sign, [b])
+
+
+def integer_forms(q):
+    # the forms the candidate stream and the witness scan of q run on
+    return _integer_forms(q, q.field.characteristic)
 
 
 def random_module(rng, field, dim_h, w, sign):
@@ -168,7 +174,7 @@ def test_pruned_search_matches_the_filtered_scan():
             raw = Matrix(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
             modules.append(SigmaModule(field, n, trivial_w(field), -1, [raw]))
             for q in modules:
-                found = list(_candidates(q, 4, (), [], by_prime=True))
+                found = list(_candidates(q, integer_forms(q), 4, (), [], by_prime=True))
                 expected = [
                     v
                     for v in all_subspaces(field, n)
@@ -193,7 +199,7 @@ def test_survivors_are_built_in_canonical_form():
         for n in (1, 2, 3, 4):
             zero = SigmaModule(field, n, trivial_w(field), 1, [Matrix.zeros(field, n, n)])
             for q in (zero, random_module(rng, field, n, swap_w(field), -1)):
-                stream = [v for v, _, _ in _candidates(q, 4, (), [], by_prime=True)]
+                stream = [v for v, _, _ in _candidates(q, integer_forms(q), 4, (), [], by_prime=True)]
                 assert stream == list(enumerate_totally_isotropic(q))
                 for v in stream + list(enumerate_totally_isotropic(q)):
                     public = Subspace(field, n, v.basis.rows)
@@ -205,18 +211,27 @@ def test_survivors_are_built_in_canonical_form():
     assert total > 1000
 
 
+def runs_of(forms, n):
+    # one (B_k, row plus column of the last index, corner) per form, as
+    # stability._run_roots documents them
+    last = n - 1
+    return [(b, [b[last][j] + b[j][last] for j in range(n)], b[last][last]) for b in forms]
+
+
 def test_line_table_matches_the_direct_product_order_table():
-    # the on-demand columns, which solve each run's last coordinate,
-    # against images(u) computed in full for every u in product order.
+    # the one line source, which solves each run's last coordinate,
+    # against a brute-force isotropy test of every row u in product order:
+    # over F_p on the box range(p), and over ZZ on a plain and a balanced
+    # box sharing one solved map, as the rational search runs them.
     # Alternating forms and no forms at all keep every line, so every
-    # line's images are compared; random forms keep some of them, and a
-    # form whose only nonzero entry is the last diagonal corner keeps
-    # exactly the lines with last entry 0.  The scanner's dim-1 scan
-    # serves the same lines, the same after a scan that stopped partway
-    # (inside the first run of column 0, and half way) as from finished
-    # columns.
+    # line is compared; random forms keep some of them, and a form whose
+    # only nonzero entry is the last diagonal corner keeps exactly the
+    # lines with last entry 0.  Over F_p the scanner's dim-1 scan serves
+    # the same lines with their images, the same after a scan that
+    # stopped partway (inside the first run of column 0, and half way)
+    # as from finished columns.
     rng = random.Random(17)
-    compared = 0
+    compared = zz_lines = 0
     sizes = [(p, n) for p in (2, 3, 5, 7) for n in (1, 2, 3, 4)]
     sizes += [(p, n) for p in (11, 13) for n in (1, 2, 3)]
     for p, n in sizes:
@@ -229,18 +244,35 @@ def test_line_table_matches_the_direct_product_order_table():
             ]
             cases += [(square, False), (alternating, True)]
         for forms, keeps_every_line in cases:
-            images, kills = stability._pairing(forms, p)
-            expected = []
-            for pc in range(n):
-                found = []
-                for tail in itertools.product(range(p), repeat=n - 1 - pc):
-                    u = (0,) * pc + (1,) + tail
-                    if kills(u, images(u)):
-                        found.append((u, images(u)))
-                expected.append(found)
-            columns = [list(stability._column_lines(forms, p, n, pc)) for pc in range(n)]
-            assert columns == expected
-            lines = [((u,), (pc,), imgs) for pc in range(n) for u, imgs in expected[pc]]
+            # the same forms on signed integers, with roots over ZZ for some runs
+            signed = [
+                [[x - p if x > p // 2 and rng.random() < 0.5 else x for x in row] for row in b]
+                for b in forms
+            ]
+            searches = [(forms, p, [range(p)])]
+            if n <= 3 and p <= 7:
+                searches.append((signed, 0, [range(p), range(p // 2 + 1 - p, p // 2 + 1)]))
+            for forms_here, modulus, boxes in searches:
+                images, kills = _pairing(forms_here, modulus)
+                runs, solved = runs_of(forms_here, n), {}
+                for box in boxes:
+                    for pc in range(n):
+                        expected = [
+                            u
+                            for tail in itertools.product(box, repeat=n - 1 - pc)
+                            for u in [(0,) * pc + (1,) + tail]
+                            if kills(u, images(u))
+                        ]
+                        got = list(stability._lines(runs, modulus, n, pc, box, solved))
+                        assert got == expected
+                        compared += len(got)
+                        zz_lines += len(got) if modulus == 0 and forms_here else 0
+            images, kills = _pairing(forms, p)
+            lines = [
+                ((u,), (pc,), images(u))
+                for pc in range(n)
+                for u in stability._lines(runs_of(forms, n), p, n, pc, range(p), {})
+            ]
             for stop in (1, len(lines) // 2):
                 scan = stability._isotropic_scanner(forms, p, n)
                 partial = scan((1,))
@@ -248,27 +280,31 @@ def test_line_table_matches_the_direct_product_order_table():
                 del partial
                 assert list(scan((1,))) == lines
                 assert list(scan((1,))) == lines
-            compared += len(lines)
             if keeps_every_line:
                 assert len(lines) == (p**n - 1) // (p - 1)
             elif forms == [corner]:
                 assert len(lines) == (p ** (n - 1) - 1) // (p - 1)
-    assert compared > 4000
+    assert compared > 5000 and zz_lines > 300
 
 
 def test_a_line_over_a_huge_field_builds_nothing_sized_by_p():
     # F_p^1 has one line whatever p, so it passes the line bound, and the
-    # scan must then build nothing sized by p.  The scan runs in a child
-    # process with its address space capped, so a table over range(p)
-    # fails there at once instead of filling the machine's memory.
+    # scan must then build nothing sized by p: over F_p, and over QQ,
+    # where <3> at that prime has the plain and the balanced box, each as
+    # long as p.  The scans run in a child process with its address space
+    # capped, so a table or a box listed over range(p) fails there at once
+    # instead of filling the machine's memory.
     code = (
-        "from twistmod.linalg import GF, Matrix\n"
+        "from twistmod.linalg import GF, QQ, Matrix\n"
         "from twistmod.sigmamod import InvolutionSpace, SigmaModule\n"
         "from twistmod.stability import enumerate_totally_isotropic, semistability_verdict\n"
-        "f = GF(2305843009213693951)\n"
+        "big = 2305843009213693951\n"
+        "f = GF(big)\n"
         "for entry in (0, 3):\n"
         "    q = SigmaModule(f, 1, InvolutionSpace.trivial(f), 1, [Matrix(f, [[entry]])])\n"
         "    print(len(enumerate_totally_isotropic(q)), semistability_verdict(q).status)\n"
+        "q = SigmaModule(QQ, 1, InvolutionSpace.trivial(QQ), 1, [Matrix(QQ, [[3]])])\n"
+        "print(semistability_verdict(q, primes=(big,)).status)\n"
     )
 
     def cap():
@@ -278,7 +314,7 @@ def test_a_line_over_a_huge_field_builds_nothing_sized_by_p():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, preexec_fn=cap
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout == f"1 {UNSTABLE}\n0 {STABLE}\n"
+    assert child.stdout == f"1 {UNSTABLE}\n0 {STABLE}\n{NO_DESTABILIZER_FOUND}\n"
 
 
 def test_symplectic_count_matches_closed_form():
@@ -473,7 +509,7 @@ def test_rational_candidates_match_the_filtered_lifts():
     for q, primes in cases:
         for by_prime in (True, False):
             tried = []
-            found = list(_candidates(q, 4, primes, tried, by_prime))
+            found = list(_candidates(q, integer_forms(q), 4, primes, tried, by_prime))
             expected, reducible = reference(q, primes, by_prime)
             assert [v for v, _, _ in found] == expected
             for v, perp_dim, perp in found:
@@ -522,9 +558,9 @@ def test_integer_gram_test_matches_the_exact_isotropy_class():
                         qp = reduce_by_hand(q, p)
                         if qp is None:
                             continue
-                        search = stability._integer_search(forms, n, [p])
+                        scan = stability._isotropic_scanner(forms, 0, n, [p])
                         yielded = set()
-                        for rows, pivots in search(p, range(1, n + 1)):
+                        for rows, pivots, _ in scan(range(1, n + 1), p):
                             v = Subspace(QQ, n, [[Fraction(x) for x in row] for row in rows])
                             assert v.pivots == pivots
                             assert isotropy_class(q, v) == TOTALLY_ISOTROPIC
@@ -666,21 +702,21 @@ def test_filtration_refuses_exactly_the_unstable_modules():
 def test_graded_scans_each_level_once(monkeypatch):
     # one candidate scan per filtration level, plus the one that finds the
     # core stable, and no separate verdict pass before them; each level
-    # builds one search over the integers and asks it for each (prime,
-    # dims) step it reaches.  The nonsingular dim-3 level stops at its
-    # first equality, a line mod 2, so it reaches no later prime; the
+    # builds one search over the integers (p = 0) and asks it for each
+    # (prime, dims) step it reaches.  The nonsingular dim-3 level stops at
+    # its first equality, a line mod 2, so it reaches no later prime; the
     # stable core finds no equality and reaches every prime.
     scanned, verdicts, searches, steps = [], [], [], []
     scan, verdict = stability._candidates, stability.semistability_verdict
-    integer_search = stability._integer_search
+    isotropic_scanner = stability._isotropic_scanner
 
-    def counted_search(forms, n, primes):
-        searches.append(n)
-        search = integer_search(forms, n, primes)
+    def counted_search(forms, p, n, primes=()):
+        searches.append((n, p))
+        search = isotropic_scanner(forms, p, n, primes)
 
-        def counted(p, dims):
-            steps.append((n, p, tuple(dims)))
-            return search(p, dims)
+        def counted(dims=None, prime=p):
+            steps.append((n, prime, tuple(dims)))
+            return search(dims, prime)
 
         return counted
 
@@ -694,10 +730,11 @@ def test_graded_scans_each_level_once(monkeypatch):
 
     monkeypatch.setattr(stability, "_candidates", counted_scan)
     monkeypatch.setattr(stability, "semistability_verdict", counted_verdict)
-    monkeypatch.setattr(stability, "_integer_search", counted_search)
+    monkeypatch.setattr(stability, "_isotropic_scanner", counted_search)
     gm = graded(module_1form(QQ, [[0, 0, 1], [0, 1, 1], [1, 1, 1]]))
     assert gm.length == 1
-    assert scanned == searches == [3, 1]
+    assert scanned == [3, 1]
+    assert searches == [(3, 0), (1, 0)]
     assert verdicts == []
     assert steps == [(3, 2, (1,))] + [(1, p, (1,)) for p in stability.DEFAULT_PRIMES]
 
@@ -739,11 +776,12 @@ def test_a_scan_stops_at_its_first_equality_only_when_no_v_can_destabilize():
         for by_prime in (True, False) if q.field.kind == "rational" else (True,):
 
             def scan(may_stop):
-                stream = _candidates(q, 4, (2, 3, 5, 7), [], by_prime)
-                return stability._witnesses(q, stream, may_stop)
+                forms = integer_forms(q)
+                stream = _candidates(q, forms, 4, (2, 3, 5, 7), [], by_prime)
+                return stability._witnesses(q, forms, stream, may_stop)
 
             full = scan(False)
-            if stability._no_destabilizer(q):
+            if stability._no_destabilizer(q, integer_forms(q)):
                 assert full[0] is None
                 assert scan(True) == full
                 stopped += full[1] is not None
@@ -753,53 +791,58 @@ def test_a_scan_stops_at_its_first_equality_only_when_no_v_can_destabilize():
     assert singular_unstable > 5
 
 
+def record_solved_prefixes(monkeypatch):
+    """The list of prefixes u that stability._run_roots is called with."""
+    solved = []
+    run_roots = stability._run_roots
+
+    def recorded(runs, u, p):
+        solved.append(u)
+        return run_roots(runs, u, p)
+
+    monkeypatch.setattr(stability, "_run_roots", recorded)
+    return solved
+
+
 def test_the_fp_verdict_stops_inside_the_first_column(monkeypatch):
     # a nonsingular dim-4 module over F_5 whose first line (1, 0, 0, 0) is
     # isotropic: the verdict stops at that equality, so pivot column 0,
-    # 125 candidate rows, is started and never read to its end
+    # 125 candidate rows in 25 runs, is started and never read to its
+    # end, and only its first run is solved
     finished, started = [], []
-    column_lines = stability._column_lines
+    lines = stability._lines
 
-    def recorded(forms, p, n, pc):
+    def recorded(runs, p, n, pc, box, solved):
         started.append(pc)
-        yield from column_lines(forms, p, n, pc)
+        yield from lines(runs, p, n, pc, box, solved)
         finished.append(pc)
 
-    monkeypatch.setattr(stability, "_column_lines", recorded)
+    monkeypatch.setattr(stability, "_lines", recorded)
+    solved = record_solved_prefixes(monkeypatch)
     hyperbolic = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
     q = module_1form(GF(5), hyperbolic)
     verdict = semistability_verdict(q)
     assert verdict.status == STRICTLY_SEMISTABLE
     assert verdict.certificate[0].basis.rows == ((1, 0, 0, 0),)
     assert started == [0] and finished == []
-
-
-def record_solved_prefixes(monkeypatch):
-    """The list of prefixes u that stability._run_roots is called with."""
-    solved = []
-    run_roots = stability._run_roots
-
-    def recorded(runs, u):
-        solved.append(u)
-        return run_roots(runs, u)
-
-    monkeypatch.setattr(stability, "_run_roots", recorded)
-    return solved
+    assert solved == [(1, 0, 0, 0)]
 
 
 def test_a_rational_level_that_stops_at_2_solves_only_the_2_boxes(monkeypatch):
     # the QQ analogue: the nonsingular fixture's first level stops at its
-    # first equality, the line (1, 0, 0), found mod 2; the search solves
-    # the last entry of the lines of pivot column 0 for the prefixes of the
-    # p = 2 box {0, 1}, and no prefix of a later prime's box
+    # first equality, the line (1, 0, 0), found mod 2 in the first run of
+    # pivot column 0; the search reads that column lazily, so it solves
+    # that run alone: no later prefix of the p = 2 box {0, 1}, and no
+    # prefix of a later prime's box
     solved = record_solved_prefixes(monkeypatch)
     q = module_1form(QQ, [[0, 0, 1], [0, 1, 1], [1, 1, 1]])
     tried = []
-    stream = _candidates(q, 4, stability.DEFAULT_PRIMES, tried, by_prime=False)
-    worse, equality = stability._witnesses(q, stream, may_stop=True)
+    forms = integer_forms(q)
+    stream = _candidates(q, forms, 4, stability.DEFAULT_PRIMES, tried, by_prime=False)
+    worse, equality = stability._witnesses(q, forms, stream, may_stop=True)
     assert worse is None and equality[0].basis.rows == ((1, 0, 0),)
     assert tried == [2]
-    assert solved == [(1, 0, 0), (1, 1, 0)]
+    assert solved == [(1, 0, 0)]
 
 
 def test_a_rational_line_at_a_huge_prime_solves_one_run(monkeypatch):
