@@ -222,8 +222,8 @@ def _pairing(forms, p: int):
 
     def images(u):
         if p:
-            return [[sum(map(mul, row, u)) % p for row in b] for b in forms]
-        return [[sum(map(mul, row, u)) for row in b] for b in forms]
+            return [tuple(sum(map(mul, row, u)) % p for row in b) for b in forms]
+        return [tuple(sum(map(mul, row, u)) for row in b) for b in forms]
 
     def kills(u, imgs):
         for c in imgs:
