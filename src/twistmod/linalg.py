@@ -171,6 +171,9 @@ _gf_cache: dict[int, PrimeField] = {}
 
 
 def GF(p: int) -> PrimeField:
+    # before the cache lookup: 5.0 and True are equal keys to 5 and 1
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise FieldError(f"F_p needs an int p, not {p!r}")
     if p not in _gf_cache:
         _gf_cache[p] = PrimeField(p)
     return _gf_cache[p]

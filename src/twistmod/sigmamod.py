@@ -203,15 +203,17 @@ def orthogonal(q: SigmaModule, v: Subspace) -> Subspace:
     forms all scaled by one common denominator and u by its own.
     """
     _check_subspace(q, v)
-    return _orthogonal_by(q, v, _integer_forms(q, q.field.characteristic))
-
-
-def _orthogonal_by(q: SigmaModule, v: Subspace, forms) -> Subspace:
-    # orthogonal for a caller that holds forms, _integer_forms of q
-    images, _ = _pairing(forms, q.field.characteristic)
+    p = q.field.characteristic
+    images, _ = _pairing(_integer_forms(q, p), p)
     basis, _ = _int_rows(q.field, v.basis.rows)
-    rows = [c for u in basis for c in images(u)]
-    return Subspace._from_echelon(q.field, q.dim_h, *_null_space(q.field, rows, q.dim_h))
+    return _perp(q, [c for u in basis for c in images(u)])
+
+
+def _perp(q: SigmaModule, images) -> Subspace:
+    """V^perp from ``images``, the rows B_k u over a basis of V on plain
+    ints, as _pairing builds them from _integer_forms of q: their null
+    space.  The one solver of a twisted orthogonal; no rows give H."""
+    return Subspace._from_echelon(q.field, q.dim_h, *_null_space(q.field, list(images), q.dim_h))
 
 
 def _pairing(forms, p: int):

@@ -24,7 +24,9 @@ box 0 .. p - 1 or balanced box p//2 + 1 - p .. p//2 holds, so the same
 search runs over ZZ on those two boxes, with no reduction mod p.  A
 prime that divides a denominator of the involution or of a form is
 skipped.  Each candidate is rechecked once, exactly: its orthogonal is
-computed over QQ and must contain it.
+solved over QQ and must contain it.  Every orthogonal here, a witness's
+too, is solved by sigmamod._perp from the rows B_k u that the search
+built over the basis.
 
 A scan stops at its first equality witness when some form B_k is
 nonsingular: the rows B_k u over a basis of V are then independent
@@ -65,10 +67,10 @@ from .hilbert import (
     OneParamSubgroup,
     _destabilizing_by,
     _limit_in_basis,
-    destabilizing_1ps,
     mu,
 )
 from .linalg import (
+    GF,
     Matrix,
     Subspace,
     _complement,
@@ -80,12 +82,11 @@ from .sigmamod import (
     _check_search_size,
     _denominator_lcm,
     _integer_forms,
-    _orthogonal_by,
     _pairing,
+    _perp,
     _reduce_by,
     _wrap,
     is_isomorphic,
-    isotropic_reduction,
     orthogonal,
     validate,
 )
@@ -314,18 +315,20 @@ def _isotropic_scanner(forms, p: int, n: int, primes=()):
     holds (one box at 2), each at the first prime whose box holds it.
 
     ``rows`` is the reduced echelon basis of V, with pivot columns
-    ``pivots``, and ``images`` the rows B_k u over it, so dim V^perp is
-    n minus their rank mod p.  Bases grow row by row in _grow from the
-    lines of _lines, and a partial basis is dropped at its first nonzero
-    pairing u_i^T B_k u_j; V is totally isotropic exactly when all of
-    them vanish, so no symmetry of the forms is assumed.  The order is
-    that of a scan mod p: dimension, pivot columns, residues, and the
-    plain lift before the balanced one.  The bases of one box grow in
-    that order.  Two boxes give two integer lifts of one residue, which
-    pair differently over ZZ, so each pivot pattern's lifts are sorted.
+    ``pivots``, and ``images`` the rows B_k u over it, built once per
+    line: V^perp is their null space (sigmamod._perp), of dim n minus
+    their rank.  Bases grow row by row in _grow from the lines of
+    _lines, and a partial basis is dropped at its first nonzero pairing
+    u_i^T B_k u_j; V is totally isotropic exactly when all of them
+    vanish, so no symmetry of the forms is assumed.  The order is that
+    of a scan mod p: dimension, pivot columns, residues, and the plain
+    lift before the balanced one.  The bases of one box grow in that
+    order.  Two boxes give two integer lifts of one residue, which pair
+    differently over ZZ, so each pivot pattern's lifts are sorted.
 
-    The lines of each (prime, pivot column) are found on first demand
-    and kept, and the roots of each prefix are kept for every prime.
+    A reader finds the lines of a (prime, pivot column) on demand and
+    keeps the list once it has read them all, for every later scan; the
+    roots of each prefix are kept for every prime.
     The first row of a pivot pattern reads its column only as far as the
     scan goes, so a scan that stops early pays only for the lines it
     reached.  A prime with more than MAX_LINES lines in F_prime^n raises
@@ -342,34 +345,23 @@ def _isotropic_scanner(forms, p: int, n: int, primes=()):
     # a form on QQ^0 has no run
     runs = [(b, [x + row[last] for x, row in zip(b[last], b)], b[last][last]) for b in forms if b]
     solved: dict = {}
+    # the lines of each (prime, column) that some reader has read to its end
     found: dict = {}
-    # the line generator of each (prime, column) that no scan has read to its end
-    sources: dict = {}
 
-    def column(prime, pc):
+    def reader(prime, pc):
+        read = []
         for i, box in enumerate(boxes[prime]):
             for u in _lines(runs, p, n, pc, box, solved):
                 # a balanced line with no negative entry is a plain one, listed already
                 if not i or min(u) < 0:
-                    yield u, images(u)
-
-    def reading(key):
-        # one reader per column at a time: a scan reads a column lazily
-        # only as the first row of a pivot pattern, and a scan left
-        # unfinished is never resumed
-        lines = found[key]
-        yield from lines
-        for line in sources[key]:
-            lines.append(line)
-            yield line
-        sources[key] = None
+                    line = u, images(u)
+                    read.append(line)
+                    yield line
+        found[prime, pc] = read
 
     def lines(prime, pc):
-        # a list once some scan has read the column to its end, else a reader
-        key = prime, pc
-        if key not in found:
-            found[key], sources[key] = [], column(prime, pc)
-        return found[key] if sources[key] is None else reading(key)
+        read = found.get((prime, pc))
+        return reader(prime, pc) if read is None else read
 
     def first_lifts(bases, prime):
         # the bases whose entries a box of prime holds, and no box of an
@@ -432,14 +424,13 @@ def semistability_verdict(
     reductions mod ``primes``, and returning no_destabilizer_found when
     nothing lifts.
     """
+    primes = _checked(primes)
     if not validate(q):
         raise StabilityError("module violates its symmetry relation")
     kind = "exhaustive" if q.field.kind == "fp" else "heuristic"
     tried: list = []
-    forms = _integer_forms(q, q.field.characteristic)
-    stream = _candidates(q, forms, enum_bound, primes, tried, by_prime=True)
     # the heuristic's provenance lists every prime it scanned, so it scans in full
-    worse, equality = _witnesses(q, forms, stream, may_stop=kind == "exhaustive")
+    worse, equality = _scan(q, enum_bound, primes, tried, True, may_stop=kind == "exhaustive")
     provenance = Provenance(kind, tuple(tried))
     if worse is not None:
         return _certified(UNSTABLE, provenance, q, worse)
@@ -448,20 +439,25 @@ def semistability_verdict(
     return Verdict(STABLE if kind == "exhaustive" else NO_DESTABILIZER_FOUND, provenance)
 
 
-def _witnesses(q: SigmaModule, forms, candidates, may_stop: bool):
-    """(destabilizer, equality) over the (V, dim V^perp, V^perp or None)
-    of ``candidates``, each one of those triples or None.
+def _checked(primes) -> tuple:
+    # FieldError before any work for an entry that GF refuses, as --prime-list has it
+    return tuple(GF(p).p for p in primes)
+
+
+def _scan(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: bool, may_stop: bool):
+    """(destabilizer, equality) over the candidate stream of q, each a
+    (V, dim V^perp, images) record of _candidates or None.
 
     The scan stops at the first V with dim V + dim V^perp > dim H, the
     destabilizer; equality is the first V before it meeting equality.
     Either is None when the scan saw none.  When ``may_stop`` is set and
-    _no_destabilizer(q, forms) holds, the scan also stops at the first
-    equality: a full scan would return that same equality and no
-    destabilizer.
+    _no_destabilizer holds, the scan also stops at the first equality: a
+    full scan would return that same equality and no destabilizer.
     """
     n = q.dim_h
+    forms = _integer_forms(q, q.field.characteristic)
     equality = None
-    for found in candidates:
+    for found in _candidates(q, forms, enum_bound, primes, tried, by_prime):
         v, perp_dim, _ = found
         total = v.dim + perp_dim
         if total > n:
@@ -487,9 +483,8 @@ def _no_destabilizer(q: SigmaModule, forms) -> bool:
 
 
 def _certified(status: str, provenance: Provenance, q: SigmaModule, found) -> Verdict:
-    # found is a (V, dim V^perp, V^perp or None) triple of the candidate stream
-    v, _, perp = found
-    lam = destabilizing_1ps(q, v) if perp is None else _destabilizing_by(q, v, perp)
+    v, _, images = found
+    lam = _destabilizing_by(q, v, _perp(q, images))
     value = mu(lam, q)
     if status == UNSTABLE and not value < 0:
         raise InternalCheckError("destabilizing weight is not negative")
@@ -505,15 +500,15 @@ def joint_kernel(q: SigmaModule) -> Subspace:
 
 
 def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, by_prime: bool):
-    """Yield (V, dim V^perp, V^perp or None) for the totally isotropic V
-    that the subspace criterion is tested on, where ``forms`` are the
-    integer forms of q (_integer_forms); V^perp is given when the stream
-    computed it, that is for the QQ lifts.
+    """Yield (V, dim V^perp, images) for the totally isotropic V that the
+    subspace criterion is tested on, where ``forms`` are the integer
+    forms of q (_integer_forms) and ``images`` the rows B_k u that the
+    search built over the basis of V: V^perp is sigmamod._perp(q, images).
 
     Both fields run the one search, _isotropic_scanner.  Over F_p the
     stream is every totally isotropic subspace, in canonical order.
-    Over QQ the nonzero joint kernel comes first, with the whole of H as
-    its orthogonal; then the lifts that the search over ZZ finds at the
+    Over QQ the nonzero joint kernel comes first, with images () for its
+    orthogonal H; then the lifts that the search over ZZ finds at the
     primes of ``primes``, under the forms DB_k, D the lcm of all their
     denominators.  A prime dividing a denominator of the involution or
     of a form is skipped, and a repeated prime counts in its first place
@@ -530,12 +525,13 @@ def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, by_
         _check_dim(n, enum_bound)
         p = q.field.p
         for rows, pivots, images in _isotropic_scanner(forms, p, n)():
-            yield Subspace._from_echelon(q.field, n, rows, pivots), n - rank_mod_p(images, p), None
+            v = Subspace._from_echelon(q.field, n, rows, pivots)
+            yield v, n - rank_mod_p(images, p), images
         return
-    # the joint kernel, from the forms the whole stream shares
-    kernel = _orthogonal_by(q, Subspace.full(q.field, n), forms)
+    # the joint kernel: x . B_k e_i = 0 for every column B_k e_i
+    kernel = _perp(q, [c for b in forms for c in zip(*b)])
     if not kernel.is_zero():
-        yield kernel, n, None
+        yield kernel, n, ()
     _check_dim(n, enum_bound)
     denominators = _denominator_lcm(q.w.matrix, *q.forms)
     primes = [p for p in dict.fromkeys(primes) if denominators % p]
@@ -548,16 +544,17 @@ def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, by_
         steps = [(p, (d,)) for d in range(1, n + 1) for p in primes]
     for p, dims in steps:
         tried.append(p)
-        for rows, pivots, _ in scan(dims, p):
+        for rows, pivots, images in scan(dims, p):
             if rows == kernel.basis.rows:
                 # the joint kernel came first
                 continue
             v = Subspace._from_echelon(
                 q.field, n, tuple(tuple(map(Fraction, row)) for row in rows), pivots
             )
-            perp = _orthogonal_by(q, v, forms)
+            # the exact recheck over QQ
+            perp = _perp(q, images)
             if perp.contains(v):
-                yield v, perp.dim, perp
+                yield v, perp.dim, images
 
 
 
@@ -570,6 +567,7 @@ class _Level(NamedTuple):
 
 
 def _build_levels(q, enum_bound, primes):
+    primes = _checked(primes)
     if not validate(q):
         raise StabilityError("module violates its symmetry relation")
     field = q.field
@@ -582,16 +580,13 @@ def _build_levels(q, enum_bound, primes):
     while True:
         # one scan, dimension ascending, per level: it doubles as the
         # level's semistability check, and v is its smallest equality witness
-        forms = _integer_forms(current, field.characteristic)
-        stream = _candidates(current, forms, enum_bound, primes, [], by_prime=False)
-        worse, equality = _witnesses(current, forms, stream, may_stop=True)
+        worse, equality = _scan(current, enum_bound, primes, [], by_prime=False, may_stop=True)
         if worse is not None:
             raise StabilityError("module is unstable")
         if equality is None:
             break
-        v, _, perp = equality
-        # a QQ lift comes with the orthogonal its recheck computed
-        reduction = isotropic_reduction(current, v) if perp is None else _reduce_by(current, v, perp)
+        v, _, images = equality
+        reduction = _reduce_by(current, v, _perp(current, images))
         dual = _complement(reduction.perp)
         v_t = v.basis.transpose()
         alpha = tuple(dual.basis @ b @ v_t for b in current.forms)
@@ -617,7 +612,7 @@ def iso_filtration(
     chain is empty.  Deterministic: witnesses are searched dimension
     ascending, then in canonical basis order.
     """
-    _, chain, _, _ = _build_levels(q, enum_bound, tuple(primes))
+    _, chain, _, _ = _build_levels(q, enum_bound, primes)
     return Filtration(chain)
 
 
@@ -639,7 +634,6 @@ def graded(
     """
     if q.dim_h == 0:
         raise ShapeError("a graded module needs dim H >= 1, not 0")
-    primes = tuple(primes)
     levels, chain, core, core_rows = _build_levels(q, enum_bound, primes)
     field = q.field
     n = q.dim_h

@@ -105,6 +105,21 @@ def test_prime_field_arithmetic():
         GF(9)
 
 
+def test_gf_refuses_a_p_that_is_not_an_int(monkeypatch):
+    # 5.0 and True hash as 5 and 1, so the check comes before the cache
+    # lookup: a float or str p is refused whether GF(5) is cached or not
+    from twistmod import linalg
+
+    monkeypatch.setattr(linalg, "_gf_cache", {})
+    for cached in (False, True):
+        assert (5 in linalg._gf_cache) == cached
+        for p in (5.0, "5", True, False, Fraction(5), None):
+            with pytest.raises(FieldError, match="needs an int p"):
+                GF(p)
+        assert GF(5).p == 5 and type(GF(5).p) is int
+    assert Matrix(GF(5), [[1, 2], [3, 4]]).det() == 3
+
+
 def test_prime_field_parse_is_strict():
     f = GF(3)
     assert f.parse("2") == 2

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistmod import stability
+from twistmod import sigmamod, stability
 from twistmod.errors import (
     BoundExceededError,
     FieldError,
@@ -161,7 +161,8 @@ def test_enumerate_totally_isotropic_fixtures():
 
 def test_pruned_search_matches_the_filtered_scan():
     # the engine against the unpruned scan it replaces: same subspaces,
-    # same order, and each perp dimension equal to orthogonal()'s
+    # same order, each perp dimension equal to orthogonal()'s, and the
+    # images each candidate carries solve to that orthogonal
     rng = random.Random(5)
     for p in (2, 3, 5):
         field = GF(p)
@@ -181,9 +182,9 @@ def test_pruned_search_matches_the_filtered_scan():
                     if isotropy_class(q, v) == TOTALLY_ISOTROPIC
                 ]
                 assert [v for v, _, _ in found] == expected
-                for v, perp_dim, perp in found:
+                for v, perp_dim, images in found:
                     assert perp_dim == orthogonal(q, v).dim
-                    assert perp is None
+                    assert sigmamod._perp(q, images) == orthogonal(q, v)
     assert not validate(modules[-1])
 
 
@@ -512,10 +513,11 @@ def test_rational_candidates_match_the_filtered_lifts():
             found = list(_candidates(q, integer_forms(q), 4, primes, tried, by_prime))
             expected, reducible = reference(q, primes, by_prime)
             assert [v for v, _, _ in found] == expected
-            for v, perp_dim, perp in found:
+            for v, perp_dim, images in found:
                 assert perp_dim == orthogonal(q, v).dim
-                # a lift carries the orthogonal its recheck computed
-                assert perp is None or perp == orthogonal(q, v)
+                # every candidate, the joint kernel's () included, carries
+                # the images its orthogonal is solved from
+                assert sigmamod._perp(q, images) == orthogonal(q, v)
             if by_prime:
                 assert tried == reducible
                 skipped += len(reducible) < len(set(primes))
@@ -595,6 +597,41 @@ def test_a_repeated_prime_is_scanned_once():
     verdict = semistability_verdict(q, primes=(2, 2, 3))
     assert verdict.status == NO_DESTABILIZER_FOUND
     assert verdict.provenance.primes == (2, 3)
+
+
+def test_a_prime_list_is_checked_before_any_work(monkeypatch):
+    # every entry that GF refuses is refused with FieldError, as
+    # --prime-list refuses it, before any scan starts: also when the
+    # joint kernel alone decides (x^2 kills e2), and over F_p, where the
+    # list is not read; 2^127 - 1 is prime, past the certified range
+    scans = []
+    candidates = stability._candidates
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return candidates(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "_candidates", counted)
+    modules = [
+        module_1form(QQ, [[1, 0], [0, -1]]),
+        module_1form(QQ, [[1, 0], [0, 0]]),
+        module_1form(GF(3), [[1, 0], [0, 2]]),
+    ]
+    for q in modules:
+        for bad in (0, 4, -3, 1, True, 2.0, "3", 2**127 - 1):
+            for run in (
+                lambda primes: semistability_verdict(q, primes=primes),
+                lambda primes: graded(q, primes=primes),
+                lambda primes: iso_filtration(q, primes=primes),
+                lambda primes: s_equivalent(q, q, primes=primes),
+            ):
+                with pytest.raises(FieldError):
+                    run((2, bad))
+    assert scans == []
+    verdict = semistability_verdict(modules[0], primes=iter([5, 3]))
+    assert verdict.status == STRICTLY_SEMISTABLE
+    assert verdict.provenance.primes == (5, 3)
+    assert semistability_verdict(modules[1], primes=[2]).status == UNSTABLE
 
 
 def test_a_prime_dividing_only_an_involution_denominator_is_skipped():
@@ -776,9 +813,7 @@ def test_a_scan_stops_at_its_first_equality_only_when_no_v_can_destabilize():
         for by_prime in (True, False) if q.field.kind == "rational" else (True,):
 
             def scan(may_stop):
-                forms = integer_forms(q)
-                stream = _candidates(q, forms, 4, (2, 3, 5, 7), [], by_prime)
-                return stability._witnesses(q, forms, stream, may_stop)
+                return stability._scan(q, 4, (2, 3, 5, 7), [], by_prime, may_stop)
 
             full = scan(False)
             if stability._no_destabilizer(q, integer_forms(q)):
@@ -789,6 +824,44 @@ def test_a_scan_stops_at_its_first_equality_only_when_no_v_can_destabilize():
                 singular_unstable += 1
     assert stopped > 100
     assert singular_unstable > 5
+
+
+def test_witnesses_solve_their_orthogonal_from_the_scan_images(monkeypatch):
+    # a certificate's subgroup and a level's reduction are built from the
+    # images the scan yielded with the witness, through sigmamod._perp:
+    # no public orthogonal, isotropic_reduction or destabilizing_1ps runs,
+    # in the F_p verdict nor in graded over F_p and over QQ
+    from twistmod import hilbert
+
+    calls = []
+    for module in (sigmamod, hilbert, stability):
+        for name in ("orthogonal", "isotropic_reduction", "destabilizing_1ps"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    solved = []
+    perp = sigmamod._perp
+
+    def recorded(q, images):
+        solved.append(q.field.kind)
+        return perp(q, images)
+
+    monkeypatch.setattr(stability, "_perp", recorded)
+    unstable = semistability_verdict(module_1form(GF(3), [[1, 0], [0, 0]]))
+    assert unstable.status == UNSTABLE and unstable.mu_value == -2
+    hyperbolic = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    equality = semistability_verdict(module_1form(GF(5), hyperbolic))
+    assert equality.status == STRICTLY_SEMISTABLE and equality.mu_value == 0
+    assert solved == ["fp", "fp"]
+    fixture = [[0, 0, 1], [0, 1, 1], [1, 1, 1]]
+    for field in (GF(3), GF(5), QQ):
+        gm = graded(module_1form(field, fixture))
+        assert gm.length == 1 and gm.core.dim_h == 1
+    gm = graded(module_1form(GF(5), hyperbolic))
+    assert gm.length == 2 and gm.core.dim_h == 0
+    assert calls == []
+    # a QQ level solves its witness's orthogonal in the recheck and in
+    # the reduction, and a stable scan solves only its lifts
+    assert solved.count("fp") == 6 and "rational" in solved
 
 
 def record_solved_prefixes(monkeypatch):
@@ -837,9 +910,7 @@ def test_a_rational_level_that_stops_at_2_solves_only_the_2_boxes(monkeypatch):
     solved = record_solved_prefixes(monkeypatch)
     q = module_1form(QQ, [[0, 0, 1], [0, 1, 1], [1, 1, 1]])
     tried = []
-    forms = integer_forms(q)
-    stream = _candidates(q, forms, 4, stability.DEFAULT_PRIMES, tried, by_prime=False)
-    worse, equality = stability._witnesses(q, forms, stream, may_stop=True)
+    worse, equality = stability._scan(q, 4, stability.DEFAULT_PRIMES, tried, False, True)
     assert worse is None and equality[0].basis.rows == ((1, 0, 0),)
     assert tried == [2]
     assert solved == [(1, 0, 0)]
