@@ -551,7 +551,6 @@ def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, by_
             v = Subspace._from_echelon(
                 q.field, n, tuple(tuple(map(Fraction, row)) for row in rows), pivots
             )
-            # the exact recheck over QQ
             perp = _perp(q, images)
             if perp.contains(v):
                 yield v, perp.dim, images
@@ -688,8 +687,9 @@ def s_equivalent(
     primes: tuple = DEFAULT_PRIMES,
 ) -> str:
     """yes / no / unknown: are the graded modules isomorphic?"""
-    g1 = graded(q1, enum_bound, primes)
-    g2 = graded(q2, enum_bound, primes)
+    # both modules scan the same list, also when primes is an iterator
+    primes = _checked(primes)
+    g1, g2 = (graded(q, enum_bound, primes) for q in (q1, q2))
     return is_isomorphic(g1.assembled, g2.assembled).status
 
 

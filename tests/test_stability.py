@@ -631,6 +631,13 @@ def test_a_prime_list_is_checked_before_any_work(monkeypatch):
     verdict = semistability_verdict(modules[0], primes=iter([5, 3]))
     assert verdict.status == STRICTLY_SEMISTABLE
     assert verdict.provenance.primes == (5, 3)
+    # a list read once serves both graded modules of s_equivalent: with
+    # no prime the moved copy keeps an empty filtration, and the bounded
+    # QQ search cannot match it to the graded module of the fixture
+    fixture = module_1form(QQ, [[0, 0, 1], [0, 1, 1], [1, 1, 1]])
+    moved = act(Matrix(QQ, [[1, 3, 0], [0, 1, 5], [0, 0, 1]]), fixture)
+    assert s_equivalent(fixture, moved, primes=(2, 3)) == "yes"
+    assert s_equivalent(fixture, moved, primes=iter([2, 3])) == "yes"
     assert semistability_verdict(modules[1], primes=[2]).status == UNSTABLE
 
 
