@@ -43,7 +43,7 @@ from .errors import (
     SingularMatrixError,
     UsageError,
 )
-from .linalg import Matrix, _null_space, isometries, rank_mod_p
+from .linalg import Matrix, _det, _null_space, isometries, rank_mod_p
 
 
 class _DualNumberFields(NamedTuple):
@@ -99,13 +99,12 @@ def dn_det(a: DualNumberMatrix):
 
     d0 = det g, and d1, the derivative of det at g in the direction h,
     expands by multilinearity into a sum of determinants with one row of
-    g replaced by the matching row of h.
+    g replaced by the matching row of h, each over den(g)^(n-1) den(h).
     """
-    field, g, n = a.field, a.g.rows, a.size
+    field, g, h, n = a.field, a.g.num, a.h.num, a.size
     p = field.characteristic
-    swapped = (g[:i] + (a.h.rows[i],) + g[i + 1 :] for i in range(n))
-    d1 = sum((Matrix._from_rows(field, rows, n).det() for rows in swapped), field.zero)
-    return (a.g.det(), d1 % p if p else d1)
+    d1 = sum(_det(g[:i] + (h[i],) + g[i + 1 :], p) for i in range(n))
+    return (a.g.det(), field._value(d1, a.g.den ** max(n - 1, 0) * a.h.den))
 
 
 def is_fixed_plus(a: DualNumberMatrix) -> bool:
@@ -117,7 +116,7 @@ def is_fixed_plus(a: DualNumberMatrix) -> bool:
     gth = a.g.transpose() @ a.h
     if gth != gth.transpose():
         return False
-    return a.g.det() == field.one and gth.trace() == field.zero
+    return a.g.det() == 1 and gth.trace() == 0
 
 
 def is_fixed_unramified(g1: Matrix, g2: Matrix) -> bool:
@@ -125,9 +124,9 @@ def is_fixed_unramified(g1: Matrix, g2: Matrix) -> bool:
     fixed exactly when g2 is the transpose-inverse of g1 (inside SL_r)."""
     field = g1.field
     d1, d2 = g1.det(), g2.det()
-    if d1 == field.zero or d2 == field.zero:
+    if d1 == 0 or d2 == 0:
         raise SingularMatrixError("unramified fibers live in the invertible locus")
-    if d1 != field.one or d2 != field.one:
+    if d1 != 1 or d2 != 1:
         return False
     if g1.field != g2.field or g1.shape != g2.shape:
         return False
@@ -138,9 +137,7 @@ def is_fixed_unramified(g1: Matrix, g2: Matrix) -> bool:
 def _check_alternating(m: Matrix):
     if m.nrows != m.ncols:
         raise ShapeError("alternating matrices are square")
-    if m.transpose() != -m or any(
-        m[i][i] != m.field.zero for i in range(m.nrows)
-    ):
+    if m.transpose() != -m or any(m.num[i][i] for i in range(m.nrows)):
         raise ShapeError("matrix is not alternating")
 
 
@@ -156,14 +153,13 @@ def is_fixed_alternating(m: Matrix, a: DualNumberMatrix) -> bool:
 
 def _fixed_alternating(m: Matrix, minv: Matrix, a: DualNumberMatrix) -> bool:
     # is_fixed_alternating for a checked twist m with its inverse minv
-    field = a.field
     if a.g.transpose() @ m @ a.g != m:
         return False
-    if a.g.det() != field.one:
+    if a.g.det() != 1:
         return False
     if a.h != a.g @ minv @ a.h.transpose() @ m @ a.g:
         return False
-    return (a.g.inverse() @ a.h).trace() == field.zero
+    return (a.g.inverse() @ a.h).trace() == 0
 
 
 class FiberReport(NamedTuple):
@@ -204,7 +200,7 @@ def _solutions(field, r: int, conditions):
         return Matrix._from_rows(field, tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(r)), r)
 
     columns = [conditions(matrix([int(j == k) for j in range(n)])) for k in range(n)]
-    basis, _ = _null_space(field, list(zip(*columns)), n)
+    basis, _, _ = _null_space(field, list(zip(*columns)), n)
     return [
         matrix([sum(c * b[k] for c, b in zip(coeffs, basis)) % p for k in range(n)])
         for coeffs in itertools.product(range(p), repeat=len(basis))
@@ -298,7 +294,7 @@ def fiber_structure_check(
         if m is None:
             raise UsageError("the alternating case needs its twist matrix")
         _check_alternating(m)
-        if m.det() == field.zero:
+        if m.det() == 0:
             raise SingularMatrixError("twist matrix must be invertible")
         if r % 2 != 0:
             raise ShapeError("alternating fixed sets need even size")
@@ -323,14 +319,14 @@ def fiber_structure_check(
 
         def conditions(h):
             twisted = left @ h.transpose() @ right
-            return [*itertools.chain(*(h - twisted).rows), (ginv @ h).trace()]
+            return [*itertools.chain(*(h - twisted).num), (ginv @ h).trace()]
 
         return conditions
 
     def kernel_conditions(h):
-        return [*itertools.chain(*(form @ h - h.transpose() @ form).rows), h.trace()]
+        return [*itertools.chain(*(form @ h - h.transpose() @ form).num), h.trace()]
 
-    bases = isometries([form.rows], [form.rows], range(p), p)
+    bases = isometries([form.num], [form.num], range(p), p)
     group = (Matrix._from_rows(field, tuple(zip(*cols)), r) for cols in bases)
     image = [g for g in group if g.det() == 1]
     kernel_space = _solutions(field, r, kernel_conditions)
@@ -399,54 +395,52 @@ def pfaffian(a: Matrix):
     """Pfaffian of an alternating matrix, by skew elimination.
 
     Alternating means a^T = -a with zero diagonal (the diagonal clause
-    matters in characteristic 2).  pf(a)^2 = det(a).
+    matters in characteristic 2).  pf(a)^2 = det(a).  Over QQ it is the
+    pfaffian of the int rows over the denominator to the n / 2.
     """
     _check_alternating(a)
     if a.nrows % 2 != 0:
         raise ShapeError("the pfaffian needs an even size")
-    return _pf(a.field, a.rows)
+    return a.field._value(_pf(a.field, a.num), a.den ** (a.nrows // 2))
 
 
-def _pf(field, rows):
-    """O(n^3) skew elimination, from pf(P^T A P) = det(P) pf(A).
+def _pf(field, rows) -> int:
+    """O(n^3) skew elimination of int rows, from pf(P^T A P) = det(P) pf(A).
 
     Step k moves a nonzero entry of row k to column k+1 by swapping an
-    index pair in rows and columns (det P = -1), takes that entry as a
-    factor, and clears rows k and k+1 beyond it by a congruence of
-    determinant one.  What is left below is the Schur complement of the
-    2x2 block [[0, a], [-a, 0]]: entry (i, j) gains (v_i u_j - u_i v_j)/a
-    for the rows u and v of indices k and k+1.  A zero row k gives 0.
-    The entries are plain ints with one ``% p`` per update over F_p, and
-    Fractions under their own operators over QQ.
+    index pair in rows and columns (det P = -1), and clears rows k and
+    k+1 beyond it by a congruence.  What is left below is a times the
+    Schur complement of the 2x2 block [[0, a], [-a, 0]], a that entry:
+    entry (i, j) becomes a x_ij + v_i u_j - u_i v_j for the rows u and v
+    of indices k and k+1, divided by the previous pivot as in Bareiss
+    elimination, exactly, since it is then the pfaffian of the leading
+    indices with i and j (Knuth, Electron. J. Combin. 3(2), 1996).  The
+    last pivot is the pfaffian, and a zero row k gives 0.  Over F_p each
+    update takes one inverse-multiply and one ``% p``.
     """
     p = field.characteristic
     a = [list(row) for row in rows]
     n = len(a)
-    result = field.one
+    sign = previous = 1
     for k in range(0, n, 2):
         j = next((j for j in range(k + 1, n) if a[k][j]), None)
         if j is None:
-            return field.zero
+            return 0
         if j != k + 1:
             a[j], a[k + 1] = a[k + 1], a[j]
             for row in a:
                 row[j], row[k + 1] = row[k + 1], row[j]
-            result = -result
+            sign = -sign
         u, v = a[k], a[k + 1]
         pivot = u[k + 1]
-        result *= pivot
-        inv = pow(pivot, -1, p) if p else 1 / pivot
+        inv = pow(previous, -1, p) if p else None
         for i in range(k + 2, n):
-            ui, vi = u[i] * inv, v[i] * inv
-            if p:
-                ui, vi = ui % p, vi % p
-            if not (ui or vi):
-                continue
-            row = a[i]
+            row, ui, vi = a[i], u[i], v[i]
             for c in range(k + 2, n):
-                x = row[c] + vi * u[c] - ui * v[c]
-                row[c] = x % p if p else x
-    return result % p if p else result
+                x = pivot * row[c] + vi * u[c] - ui * v[c]
+                row[c] = x * inv % p if p else x // previous
+        previous = pivot
+    return sign * previous % p if p else sign * previous
 
 
 class TypeVector:

@@ -29,8 +29,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InternalCheckError, IsotropyError, ShapeError
-from .linalg import Matrix, Subspace, _complement, _element, _int_rows
-from .sigmamod import SigmaModule, _integer_forms, _pairing, act, orthogonal, validate
+from .linalg import Matrix, Subspace, _complement, _ratio, rank_mod_p
+from .sigmamod import SigmaModule, _pairing, act, orthogonal, validate
 
 
 class MinusInfinityType:
@@ -110,8 +110,8 @@ class OneParamSubgroup:
 
     def _fill(self, field, ambient: int, pieces):
         total = sum(s.dim for s, _ in pieces)
-        stacked = sum((s.basis.rows for s, _ in pieces), ())
-        if total != ambient or Matrix._from_rows(field, stacked, ambient).rank() != ambient:
+        stacked = sum((s.basis.num for s, _ in pieces), ())
+        if total != ambient or rank_mod_p(stacked, field.characteristic) != ambient:
             raise ShapeError("pieces are not a direct sum decomposition")
         if sum(wt * s.dim for s, wt in pieces) != 0:
             raise ShapeError("weighted dimensions must sum to zero")
@@ -132,7 +132,7 @@ class OneParamSubgroup:
         n = len(weights)
         groups: dict[int, list] = {}
         for i, wt in enumerate(weights):
-            row = [field.one if j == i else field.zero for j in range(n)]
+            row = [int(j == i) for j in range(n)]
             groups.setdefault(wt, []).append(row)
         return cls([(Subspace(field, n, rows), wt) for wt, rows in groups.items()])
 
@@ -152,8 +152,7 @@ class OneParamSubgroup:
 
     def adapted_rows(self) -> Matrix:
         """The adapted basis, one piece after another, as matrix rows."""
-        rows = sum((s.basis.rows for s, _ in self.pieces), ())
-        return Matrix._from_rows(self.field, rows, self.ambient)
+        return Matrix.from_blocks([[s.basis] for s, _ in self.pieces])
 
     def transform(self) -> Matrix:
         """Change-of-basis matrix T whose columns are the adapted basis."""
@@ -163,20 +162,17 @@ class OneParamSubgroup:
         """The group element lambda(t) for an invertible field element t."""
         f = self.field
         p = f.characteristic
-        # over QQ an int t becomes a Fraction, so a negative power stays exact
-        t = _element(f, t)
-        if t == 0:
+        a, b = _ratio(f, t)
+        if a == 0:
             raise ShapeError("lambda(t) needs invertible t")
-        diag_entries = []
-        for sub, wt in self.pieces:
-            value = pow(t, wt, p) if p else t**wt
-            diag_entries.extend([value] * sub.dim)
+        # over QQ (a / b)^wt = a^(wt - lo) b^(hi - wt) / (a^-lo b^hi), with
+        # lo <= 0 <= hi the least and the largest weight
+        lo, hi = self.weights[-1], self.weights[0]
+        values = [pow(a, wt, p) if p else a ** (wt - lo) * b ** (hi - wt) for _, wt in self.pieces]
+        diag_entries = [x for x, (sub, _) in zip(values, self.pieces) for _ in range(sub.dim)]
         n = self.ambient
-        diag = Matrix._from_rows(
-            f,
-            tuple(tuple(diag_entries[i] if i == j else f.zero for j in range(n)) for i in range(n)),
-            n,
-        )
+        rows = tuple(tuple(diag_entries[i] if i == j else 0 for j in range(n)) for i in range(n))
+        diag = Matrix._from_rows(f, rows, n, 1 if p else a**-lo * b**hi)
         t_mat = self.transform()
         return t_mat.mul(diag).mul(t_mat.inverse())
 
@@ -200,17 +196,14 @@ def _block_test(lam: OneParamSubgroup, q: SigmaModule):
     some basis vector u of piece i, w of piece j and form B_k, that is
     whether block (i, j) of some T^T B_k T is nonzero.
 
-    It runs on plain ints: the forms as ``_integer_forms`` gives them
-    (over QQ all scaled by one common denominator) and each piece basis
-    row scaled to ints by its own, which keeps every zero a zero; the
-    zero test is sigmamod's ``_pairing``.  The images B_k w of a piece
-    are formed when a pair first needs them.
+    It runs on the int rows of the forms and of the piece bases, whose
+    scales keep every zero; the zero test is sigmamod's ``_pairing``.
+    The images B_k w of a piece are formed when a pair first needs them.
     """
     _check_pairing(lam, q)
-    field = q.field
-    p = field.characteristic
-    images, kills = _pairing(_integer_forms(q, p), p)
-    bases = [_int_rows(field, s.basis.rows)[0] for s, _ in lam.pieces]
+    p = q.field.characteristic
+    images, kills = _pairing([b.num for b in q.forms], p)
+    bases = [s.basis.num for s, _ in lam.pieces]
     piece_images: dict = {}
 
     def nonzero(i: int, j: int) -> bool:
@@ -283,19 +276,19 @@ def _limit_in_basis(field, forms, weights):
     nonzero entry with a positive sum makes mu positive and the limit
     diverge.
     """
-    zero, n = field.zero, len(weights)
+    n = len(weights)
     limit = []
     for b in forms:
         rows = []
-        for wr, row in zip(weights, b.rows):
+        for wr, row in zip(weights, b.num):
             kept = []
             for wc, x in zip(weights, row):
                 total = wr + wc
                 if total > 0 and x:
                     return None
-                kept.append(zero if total else x)
+                kept.append(0 if total else x)
             rows.append(tuple(kept))
-        limit.append(Matrix._from_rows(field, tuple(rows), n))
+        limit.append(Matrix._from_rows(field, tuple(rows), n, b.den))
     return limit
 
 

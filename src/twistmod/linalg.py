@@ -1,27 +1,25 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-All arithmetic in this package is exact.  Rational scalars are
-``fractions.Fraction`` instances (arbitrary-precision), elements of F_p are
-canonical integer representatives in ``range(p)``.  The field objects
-name, parse and format elements and carry no arithmetic.
+All arithmetic in this package is exact.  A ``Matrix`` holds plain-int
+rows ``num`` over one denominator ``den``, in canonical form: over F_p
+residues in ``range(p)`` over 1, over QQ a positive ``den`` with gcd 1
+with the entries, so equal matrices have equal ``num`` and ``den``.
+Every kernel runs on ``num``.  Over F_p each entry of a row operation
+takes one ``% p`` and the reduced echelon form inverts its pivots by
+``pow(a, -1, p)``.  Over QQ a product is the int product over the
+product of the denominators, elimination is fraction-free (Bareiss,
+Math. Comp. 22, 1968, where every update divides exactly by the previous
+pivot), and each result costs one gcd.  A span, a null space or a rank
+does not depend on the scale of a row, so it is read off ``num`` alone.
 
-Matrices and subspaces compute on plain ints.  Over F_p each entry of a
-row operation takes one ``% p`` and the reduced echelon form inverts
-its pivots by ``pow(a, -1, p)``.  Over QQ each row is scaled to ints by
-the lcm of its denominators, eliminated fraction-free (Bareiss, Math.
-Comp. 22, 1968, where every update divides exactly by the previous
-pivot), and one ``Fraction`` is built per output entry.  Rank and
-determinant come from one forward pass, ``_forward``, which takes no
-inverse per entry.
-
-The public ``Matrix`` and ``Subspace`` constructors are the boundary: an
-int entry is taken through ``field.from_int``, a ``Fraction`` is accepted
-over QQ only, and anything else raises ``FieldError``.  The scalar and
-vector arguments of public methods (``Matrix.scale``, ``mat_vec``,
-``Subspace.contains_vector``) cross the same rule, ``_element``.
-Internal results are canonical already and are built by the trusted
-``Matrix._from_rows`` and ``Subspace._from_echelon``; ``Subspace.contains``
-checks field and ambient once and compares canonical rows as they are.
+A rational crosses the public API as a ``Fraction``, built on demand by
+``Matrix.rows``, ``det``, ``trace`` and ``QQ.parse``; ``fractions``, which
+imports ``decimal``, is loaded only then.  The public ``Matrix`` and
+``Subspace`` constructors are the boundary: an int entry is taken
+through ``field.from_int``, a ``Fraction`` is accepted over QQ only, and
+anything else raises ``FieldError``; the scalar and vector arguments of
+public methods cross the same rule, ``_ratio``.  Internal results are
+built by the trusted ``Matrix._from_rows`` and ``Subspace._from_echelon``.
 
 Subspaces are kept in a canonical form (reduced row echelon basis), which
 makes equality of subspaces plain object equality and gives every
@@ -33,43 +31,64 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from fractions import Fraction
+import sys
 from operator import add as _plus, mul as _times, sub as _minus
 
 from .errors import BoundExceededError, FieldError, ParseError, ShapeError, SingularMatrixError
 
 
+def _fraction(n: int, d: int = 1):
+    # the one way to a Fraction: fractions is imported here, on first need
+    from fractions import Fraction
+
+    return Fraction(n, d)
+
+
 class RationalField:
-    """The field of rational numbers, elements are ``Fraction``."""
+    """The field of rational numbers; its elements cross the API as ``Fraction``."""
 
     kind = "rational"
     characteristic = 0
 
     @property
     def zero(self):
-        return Fraction(0)
+        return _fraction(0)
 
     @property
     def one(self):
-        return Fraction(1)
+        return _fraction(1)
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return _fraction(n)
 
     def parse(self, s: str):
-        if not _RATIONAL.fullmatch(s):
-            raise ParseError(f"bad rational literal {s!r}")
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {s!r}") from exc
+        return _fraction(*self._parse(s))
 
     def format(self, a) -> str:
+        return self._format(a.numerator, a.denominator)
+
+    def _parse(self, s: str):
+        # (n, d), d > 0, for "a/b" or "a"; int() refuses a numeral past its digit limit
+        n, _, d = s.partition("/")
         try:
-            return str(a)
+            if _RATIONAL.fullmatch(s) and int(d or 1):
+                return int(n), int(d or 1)
+        except ValueError:
+            pass
+        raise ParseError(f"bad rational literal {s!r}")
+
+    def _format(self, n: int, d: int) -> str:
+        # n / d, d > 0, written as str(Fraction(n, d)) writes it
+        g = math.gcd(n, d)
+        try:
+            return str(n // g) if d == g else f"{n // g}/{d // g}"
         except ValueError as exc:
             # str() refuses integers past the interpreter's digit limit
             raise BoundExceededError("a rational result has too many digits to print") from exc
+
+    def _value(self, n: int, d: int):
+        # the element n / d, d > 0
+        return _fraction(n, d)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -91,8 +110,8 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 # 10^25; int() never sees a numeral past its digit limit
 _NUMERAL = re.compile("0|[1-9][0-9]{0,24}")
 
-# a rational literal "a/b" or "a" in ASCII digits; Fraction() alone would
-# also take exponents, decimals, spaces and underscores
+# a rational literal "a/b" or "a" in ASCII digits; int() alone would also
+# take a plus sign, spaces, underscores and non-ASCII digits
 _RATIONAL = re.compile("-?[0-9]+(/[0-9]+)?")
 
 
@@ -155,6 +174,16 @@ class PrimeField:
     def format(self, a) -> str:
         return str(a)
 
+    # the pair forms of parse, format and element n / d that QQ has
+    def _parse(self, s: str):
+        return self.parse(s), 1
+
+    def _format(self, n: int, d: int) -> str:
+        return str(n)
+
+    def _value(self, n: int, d: int):
+        return n % self.p  # every denominator over F_p is 1
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -198,22 +227,44 @@ def field_name(field) -> str:
     return f"fp:{field.p}"
 
 
-def _element(field, a):
-    # the public boundary rule: ints through from_int, a Fraction over QQ only
+def _ratio(field, a):
+    """(n, d), d > 0, for a scalar crossing the public boundary: an int
+    through from_int, a Fraction over QQ only, tested without importing
+    fractions, since none exists before it is; FieldError else."""
     if isinstance(a, int):
-        return field.from_int(a)
-    if isinstance(a, Fraction) and field.characteristic == 0:
-        return a
+        return (a % field.characteristic if field.characteristic else int(a)), 1
+    fractions = sys.modules.get("fractions")
+    if not field.characteristic and fractions and isinstance(a, fractions.Fraction):
+        return a.numerator, a.denominator
     raise FieldError(f"{a!r} is not an int or an element of {field!r}")
 
 
-def _fill_matrix(m, field, rows, ncols):
+def _over_lcm(rows):
+    # (num, den): rows of pairs (n, d), d > 0, over the lcm of the d
+    den = math.lcm(*(d for r in rows for _, d in r))
+    return tuple(tuple(n * (den // d) for n, d in r) for r in rows), den
+
+
+def _num_at(m, den: int):
+    # the int rows of m over den, a multiple of m.den
+    k = den // m.den
+    return m.num if k == 1 else tuple(tuple(x * k for x in r) for r in m.num)
+
+
+def _common(mats):
+    # (den, rows): the int rows of each matrix over den, the lcm of theirs
+    den = math.lcm(*(m.den for m in mats))
+    return den, [_num_at(m, den) for m in mats]
+
+
+def _fill_matrix(m, field, num, den, ncols):
     # Matrix and Subspace are immutable: their slots are set once, here and
     # below; a Matrix's through its slot descriptors, which costs less than
     # object.__setattr__ on the path every internal result takes
     _set_field(m, field)
-    _set_rows(m, rows)
-    _set_nrows(m, len(rows))
+    _set_num(m, num)
+    _set_den(m, den)
+    _set_nrows(m, len(num))
     _set_ncols(m, ncols)
 
 
@@ -226,41 +277,52 @@ def _fill_subspace(v, field, ambient, basis, pivots):
 
 
 class Matrix:
-    """Immutable dense matrix over an exact field.
+    """Immutable dense matrix over an exact field, the int rows ``num``
+    over ``den`` (see the module docstring).
 
-    Rows are tuples, so matrices hash and compare by value.  ``m[i]``
-    returns the i-th row, ``m[i][j]`` an entry.  The width is kept
-    explicitly, so a matrix without rows still has its ``ncols``.
+    ``rows`` are the rows as tuples of field elements, ``m[i]`` the i-th
+    of them, ``m[i][j]`` an entry.  Matrices hash and compare by value.
+    A matrix without rows still has its ``ncols``.
     """
 
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    __slots__ = ("field", "num", "den", "nrows", "ncols")
 
     def __init__(self, field, rows):
-        rows = tuple(tuple(_element(field, e) for e in r) for r in rows)
+        rows = [[_ratio(field, e) for e in r] for r in rows]
         width = len(rows[0]) if rows else 0
         if any(len(r) != width for r in rows):
             raise ShapeError("ragged rows")
-        _fill_matrix(self, field, rows, width)
+        # a Fraction is in lowest terms, so no gcd is needed
+        _fill_matrix(self, field, *_over_lcm(rows), width)
 
     @classmethod
-    def _from_rows(cls, field, rows, ncols: int):
-        # trusted internal path: rows is a tuple of ncols-tuples of canonical entries
+    def _from_rows(cls, field, num, ncols: int, den: int = 1):
+        # trusted internal path: num is a tuple of ncols-tuples of ints,
+        # residues over F_p with den 1; over QQ num / den for any den != 0,
+        # brought to canonical form by one gcd
         m = object.__new__(cls)
-        _fill_matrix(m, field, rows, ncols)
+        if den != 1:
+            g = math.gcd(den, *itertools.chain.from_iterable(num)) * (-1 if den < 0 else 1)
+            if g != 1:
+                num, den = tuple(tuple(x // g for x in r) for r in num), den // g
+        _fill_matrix(m, field, num, den, ncols)
         return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    @property
+    def rows(self):
+        return self[:]
+
     @classmethod
     def identity(cls, field, n: int):
-        z, o = field.zero, field.one
-        rows = tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+        rows = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         return cls._from_rows(field, rows, n)
 
     @classmethod
     def zeros(cls, field, nrows: int, ncols: int):
-        return cls._from_rows(field, ((field.zero,) * ncols,) * nrows, ncols)
+        return cls._from_rows(field, ((0,) * ncols,) * nrows, ncols)
 
     @classmethod
     def from_blocks(cls, grid):
@@ -268,34 +330,44 @@ class Matrix:
         if not grid or not grid[0]:
             raise ShapeError("empty block grid")
         width = sum(b.ncols for b in grid[0])
+        den = math.lcm(*(b.den for block_row in grid for b in block_row))
         rows = []
         for block_row in grid:
             if any(b.nrows != block_row[0].nrows for b in block_row):
                 raise ShapeError("block heights disagree")
             if sum(b.ncols for b in block_row) != width:
                 raise ShapeError("block widths disagree")
-            rows.extend(sum(parts, ()) for parts in zip(*(b.rows for b in block_row)))
-        return cls._from_rows(grid[0][0].field, tuple(rows), width)
+            parts = [_num_at(b, den) for b in block_row]
+            rows.extend(parts[0] if len(parts) == 1 else (sum(r, ()) for r in zip(*parts)))
+        return cls._from_rows(grid[0][0].field, tuple(rows), width, den)
 
     # -- basics ---------------------------------------------------------
 
     def __getitem__(self, i):
-        return self.rows[i]
+        # over QQ the Fractions of the rows asked for only
+        num, d = self.num[i], self.den
+        if self.field.characteristic:
+            return num
+        if isinstance(i, slice):
+            return tuple(tuple(_fraction(x, d) for x in r) for r in num)
+        return tuple(_fraction(x, d) for x in num)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.field == other.field
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        # equal matrices have equal rows; __eq__ tells the fields apart
-        return hash(self.rows)
+        # equal matrices have equal int rows; __eq__ tells the fields apart
+        return hash(self.num)
 
     def __repr__(self):
-        body = "; ".join(" ".join(self.field.format(e) for e in r) for r in self.rows)
+        fmt, d = self.field._format, self.den
+        body = "; ".join(" ".join(fmt(x, d) for x in r) for r in self.num)
         return f"Matrix[{body}]"
 
     @property
@@ -306,11 +378,11 @@ class Matrix:
         return self.nrows == self.ncols
 
     def is_zero(self) -> bool:
-        return not any(any(r) for r in self.rows)
+        return not any(any(r) for r in self.num)
 
     def transpose(self) -> "Matrix":
-        rows = tuple(zip(*self.rows)) if self.rows else ((),) * self.ncols
-        return Matrix._from_rows(self.field, rows, self.nrows)
+        rows = tuple(zip(*self.num)) if self.num else ((),) * self.ncols
+        return Matrix._from_rows(self.field, rows, self.nrows, self.den)
 
     def _entrywise(self, other, op, what: str) -> "Matrix":
         if self.field != other.field:
@@ -318,12 +390,13 @@ class Matrix:
         if self.shape != other.shape:
             raise ShapeError(f"shape mismatch in {what}")
         p = self.field.characteristic
-        pairs = zip(self.rows, other.rows)
         if p:
+            pairs = zip(self.num, other.num)
             rows = tuple([tuple([x % p for x in map(op, ra, rb)]) for ra, rb in pairs])
-        else:
-            rows = tuple([tuple(map(op, ra, rb)) for ra, rb in pairs])
-        return Matrix._from_rows(self.field, rows, self.ncols)
+            return Matrix._from_rows(self.field, rows, self.ncols)
+        den, (left, right) = _common((self, other))
+        rows = tuple([tuple(map(op, ra, rb)) for ra, rb in zip(left, right)])
+        return Matrix._from_rows(self.field, rows, self.ncols, den)
 
     def __add__(self, other):
         return self._entrywise(other, _plus, "add")
@@ -335,49 +408,38 @@ class Matrix:
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        c = _element(self.field, c)
+        c, d = _ratio(self.field, c)
         p = self.field.characteristic
-        rows = tuple(tuple(c * a % p if p else c * a for a in r) for r in self.rows)
-        return Matrix._from_rows(self.field, rows, self.ncols)
+        rows = tuple(tuple(c * a % p if p else c * a for a in r) for r in self.num)
+        return Matrix._from_rows(self.field, rows, self.ncols, d * self.den)
 
     def mul(self, other: "Matrix") -> "Matrix":
-        """The product, one ``% p`` per entry over F_p; over QQ the rows of
-        self and the columns of other are scaled to ints, and each entry
-        is one Fraction over the product of the two scales."""
+        """The product of the int rows, one ``% p`` per entry over F_p;
+        over QQ over the product of the two denominators."""
         if self.field != other.field:
             raise FieldError("mixed fields")
         if self.ncols != other.nrows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
-        field = self.field
-        p = field.characteristic
-        cols = tuple(zip(*other.rows)) if other.rows else ((),) * other.ncols
+        p = self.field.characteristic
+        cols = tuple(zip(*other.num)) if other.num else ((),) * other.ncols
         if p:
-            rows = tuple([tuple([sum(map(_times, r, c)) % p for c in cols]) for r in self.rows])
+            rows = tuple([tuple([sum(map(_times, r, c)) % p for c in cols]) for r in self.num])
         else:
-            left, left_scales = _int_rows(field, self.rows)
-            right, right_scales = _int_rows(field, cols)
-            rows = tuple(
-                tuple(Fraction(sum(map(_times, r, c)), s * t) for c, t in zip(right, right_scales))
-                for r, s in zip(left, left_scales)
-            )
-        return Matrix._from_rows(field, rows, other.ncols)
+            rows = tuple([tuple([sum(map(_times, r, c)) for c in cols]) for r in self.num])
+        return Matrix._from_rows(self.field, rows, other.ncols, self.den * other.den)
 
     __matmul__ = mul
 
     def mat_vec(self, v):
         if len(v) != self.ncols:
             raise ShapeError("vector length mismatch")
-        v = [_element(self.field, x) for x in v]
-        p = self.field.characteristic
-        out = tuple(sum(map(_times, r, v), self.field.zero) for r in self.rows)
-        return tuple(x % p for x in out) if p else out
+        v, value = Matrix(self.field, [v]), self.field._value
+        return tuple(value(sum(map(_times, r, v.num[0])), v.den * self.den) for r in self.num)
 
     def trace(self):
         if not self.is_square():
             raise ShapeError("trace of non-square matrix")
-        p = self.field.characteristic
-        total = sum((r[i] for i, r in enumerate(self.rows)), self.field.zero)
-        return total % p if p else total
+        return self.field._value(sum(r[i] for i, r in enumerate(self.num)), self.den)
 
     # -- elimination ----------------------------------------------------
 
@@ -388,72 +450,48 @@ class Matrix:
         of pivot column indices.  Zero rows are kept (at the bottom) so the
         result has the same shape as the input.
         """
-        rows, _ = _int_rows(self.field, self.rows)
+        rows = list(self.num)
         pivots, d = _gauss_jordan(rows, self.ncols, self.field.characteristic)
-        echelon = Matrix._from_rows(self.field, _entries(self.field, rows, d), self.ncols)
+        echelon = Matrix._from_rows(self.field, tuple(map(tuple, rows)), self.ncols, d)
         return echelon, len(pivots), tuple(pivots)
 
     def rank(self) -> int:
-        return rank_mod_p(_int_rows(self.field, self.rows)[0], self.field.characteristic)
+        return rank_mod_p(self.num, self.field.characteristic)
 
     def kernel_basis(self) -> "Matrix":
         """Canonical basis of the right kernel {v : M v = 0}, as rows."""
-        rows, _ = _null_space(self.field, _int_rows(self.field, self.rows)[0], self.ncols)
-        return Matrix._from_rows(self.field, rows, self.ncols)
+        rows, _, den = _null_space(self.field, list(self.num), self.ncols)
+        return Matrix._from_rows(self.field, rows, self.ncols, den)
 
     def det(self):
-        """The determinant from the forward pass that gives the rank."""
+        """det(num) / den^n, from the forward pass that gives the rank."""
         if not self.is_square():
             raise ShapeError("determinant of non-square matrix")
-        field = self.field
-        p = field.characteristic
-        rows, scales = _int_rows(field, self.rows)
-        rank, d, scale = _forward(rows, p)
-        if rank < self.nrows:
-            return field.zero
-        return d * pow(scale, -1, p) % p if p else Fraction(d, math.prod(scales))
+        return self.field._value(_det(self.num, self.field.characteristic), self.den**self.nrows)
 
     def inverse(self) -> "Matrix":
+        # (num / den)^-1 is the right half of the reduced echelon form of [num | den I]
         if not self.is_square():
             raise ShapeError("inverse of non-square matrix")
-        field, n = self.field, self.nrows
-        rows, scales = _int_rows(field, self.rows)
-        # row i of [M | I] scaled by the scale of row i of M
-        augmented = [
-            [*r, *(s if j == i else 0 for j in range(n))]
-            for i, (r, s) in enumerate(zip(rows, scales))
-        ]
+        field, n, den = self.field, self.nrows, self.den
+        augmented = [[*r, *(den * (j == i) for j in range(n))] for i, r in enumerate(self.num)]
         pivots, d = _gauss_jordan(augmented, 2 * n, field.characteristic)
         if pivots[:n] != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        return Matrix._from_rows(field, _entries(field, [r[n:] for r in augmented], d), n)
+        return Matrix._from_rows(field, tuple(tuple(r[n:]) for r in augmented), n, d)
 
 
-_set_field, _set_rows, _set_nrows, _set_ncols = (
-    getattr(Matrix, name).__set__ for name in ("field", "rows", "nrows", "ncols")
+_set_field, _set_num, _set_den, _set_nrows, _set_ncols = (
+    getattr(Matrix, name).__set__ for name in ("field", "num", "den", "nrows", "ncols")
 )
 
 
-def _int_rows(field, rows):
-    """Rows of field entries on plain ints, and the scale of each: over
-    F_p the rows themselves (scale 1), over QQ each row times the lcm of
-    its denominators, which keeps its span.  The eliminations below
-    replace rows and never write into one, so a row may be a tuple."""
-    if field.characteristic:
-        return list(rows), [1] * len(rows)
-    out, scales = [], []
-    for r in rows:
-        d = math.lcm(*[x.denominator for x in r])
-        out.append([x.numerator * (d // x.denominator) for x in r])
-        scales.append(d)
-    return out, scales
-
-
-def _entries(field, rows, d):
-    # plain-int rows back to field entries: as they are over F_p, over d over QQ
-    if field.characteristic:
-        return tuple(map(tuple, rows))
-    return tuple(tuple(Fraction(x, d) for x in r) for r in rows)
+def _det(rows, p: int) -> int:
+    """The determinant of square int rows: mod p, or over ZZ when p is 0."""
+    rank, d, scale = _forward(rows, p)
+    if rank < len(rows):
+        return 0
+    return d * pow(scale, -1, p) % p if p else d
 
 
 def _gauss_jordan(rows, ncols: int, p: int):
@@ -499,16 +537,9 @@ def _gauss_jordan(rows, ncols: int, p: int):
     return pivots, d
 
 
-def _echelon(field, rows, ncols: int):
-    # the reduced echelon basis of the span of rows of field entries, and its pivots
-    ints, _ = _int_rows(field, rows)
-    pivots, d = _gauss_jordan(ints, ncols, field.characteristic)
-    return _entries(field, ints[: len(pivots)], d), tuple(pivots)
-
-
 def _null_space(field, rows, ncols: int):
-    """The canonical basis rows of {v : M v = 0} and their pivots, for M
-    given as plain-int rows (in range(p) over F_p, any ints over QQ)."""
+    """(rows, pivots, den): the canonical basis of {v : M v = 0}, rows
+    over den, for M given as plain-int rows, each on any scale."""
     p = field.characteristic
     pivots, d = _gauss_jordan(rows, ncols, p)
     vectors = []
@@ -520,7 +551,7 @@ def _null_space(field, rows, ncols: int):
                 v[c] = -row[f] % p if p else -row[f]
             vectors.append(v)
     kernel_pivots, kd = _gauss_jordan(vectors, ncols, p)
-    return _entries(field, vectors, kd), tuple(kernel_pivots)
+    return tuple(map(tuple, vectors)), tuple(kernel_pivots), kd
 
 
 class Subspace:
@@ -538,24 +569,27 @@ class Subspace:
         m = Matrix(field, vectors)
         if m.nrows and m.ncols != ambient:
             raise ShapeError("vector length != ambient dimension")
-        echelon, pivots = _echelon(field, m.rows, ambient)
-        _fill_subspace(self, field, ambient, Matrix._from_rows(field, echelon, ambient), pivots)
+        v = Subspace._span(field, ambient, m.num)
+        _fill_subspace(self, field, ambient, v.basis, v.pivots)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def _from_echelon(cls, field, ambient: int, rows, pivots):
-        # trusted internal path: rows is a tuple of reduced echelon basis
-        # rows of canonical entries, with the tuple of pivot columns pivots
+    def _from_echelon(cls, field, ambient: int, rows, pivots, den: int = 1):
+        # trusted internal path: rows / den, int rows as Matrix._from_rows
+        # takes them, is a reduced echelon basis with pivot columns pivots
         v = object.__new__(cls)
-        _fill_subspace(v, field, ambient, Matrix._from_rows(field, rows, ambient), pivots)
+        _fill_subspace(v, field, ambient, Matrix._from_rows(field, rows, ambient, den), pivots)
         return v
 
     @classmethod
     def _span(cls, field, ambient: int, rows):
-        # trusted internal path: the span of rows of canonical entries
-        return cls._from_echelon(field, ambient, *_echelon(field, rows, ambient))
+        # trusted internal path: the span of int rows, each on any scale
+        rows = list(rows)
+        pivots, d = _gauss_jordan(rows, ambient, field.characteristic)
+        basis = tuple(map(tuple, rows[: len(pivots)]))
+        return cls._from_echelon(field, ambient, basis, tuple(pivots), d)
 
     @classmethod
     def zero(cls, field, ambient: int):
@@ -563,7 +597,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient: int):
-        identity = Matrix.identity(field, ambient).rows
+        identity = Matrix.identity(field, ambient).num
         return cls._from_echelon(field, ambient, identity, tuple(range(ambient)))
 
     @property
@@ -593,37 +627,37 @@ class Subspace:
     def contains_vector(self, v) -> bool:
         if len(v) != self.ambient:
             raise ShapeError("vector length != ambient dimension")
-        return self._contains_rows(([_element(self.field, x) for x in v],))
+        return self._contains_rows(Matrix(self.field, [v]).num)
 
     def contains(self, other: "Subspace") -> bool:
         """Whether other lies in this subspace; FieldError, as for sum and
         intersect, when the two live in different spaces."""
         self._check_compatible(other)
-        return other.dim <= self.dim and self._contains_rows(other.basis.rows)
+        return other.dim <= self.dim and self._contains_rows(other.basis.num)
 
     def _contains_rows(self, rows) -> bool:
-        """Whether every row of canonical entries is the combination of
-        the basis rows with its entries at the pivots as coefficients;
-        only the entries off the pivots can differ, so only they are
-        compared."""
+        """Whether every int row v, on any scale, is the combination of
+        the basis rows num / den with its entries at the pivots as
+        coefficients, den v = v|pivots num; only the entries off the
+        pivots can differ, so only they are compared."""
         p = self.field.characteristic
-        pivots = self.pivots
+        pivots, den = self.pivots, self.basis.den
         free = [
             (c, column)
-            for c, column in enumerate(zip(*self.basis.rows) if pivots else ((),) * self.ambient)
+            for c, column in enumerate(zip(*self.basis.num) if pivots else ((),) * self.ambient)
             if c not in pivots
         ]
         for v in rows:
             coeffs = [v[c] for c in pivots]
             for c, column in free:
-                rest = v[c] - sum(map(_times, coeffs, column))
+                rest = den * v[c] - sum(map(_times, coeffs, column))
                 if rest % p if p else rest:
                     return False
         return True
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
-        return Subspace._span(self.field, self.ambient, self.basis.rows + other.basis.rows)
+        return Subspace._span(self.field, self.ambient, self.basis.num + other.basis.num)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_compatible(other)
@@ -631,8 +665,7 @@ class Subspace:
 
     def perp(self) -> "Subspace":
         """Orthogonal complement under the standard dot product."""
-        rows, _ = _int_rows(self.field, self.basis.rows)
-        kernel = _null_space(self.field, rows, self.ambient)
+        kernel = _null_space(self.field, list(self.basis.num), self.ambient)
         return Subspace._from_echelon(self.field, self.ambient, *kernel)
 
     def apply(self, g: Matrix) -> "Subspace":
@@ -640,7 +673,7 @@ class Subspace:
         if g.shape != (self.ambient, self.ambient):
             raise ShapeError("map shape != ambient dimension")
         image = self.basis.mul(g.transpose())
-        return Subspace._span(self.field, self.ambient, image.rows)
+        return Subspace._span(self.field, self.ambient, image.num)
 
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field or self.ambient != other.ambient:
@@ -682,16 +715,14 @@ def _complement(inner: Subspace, outer: Subspace | None = None) -> Subspace:
     field, n = inner.field, inner.ambient
     pivots = range(n) if outer is None else outer.pivots
     m = len(pivots)
-    coords = [tuple(r[c] for c in pivots)[::-1] for r in inner.basis.rows]
-    reversed_rows, _ = _int_rows(field, coords)
-    trailing, _ = _gauss_jordan(reversed_rows, m, field.characteristic)
+    coords = [tuple(r[c] for c in pivots)[::-1] for r in inner.basis.num]
+    trailing, _ = _gauss_jordan(coords, m, field.characteristic)
     kept = sorted(set(range(m)).difference(m - 1 - c for c in trailing))
     if outer is None:
-        z, o = field.zero, field.one
-        rows = tuple(tuple(o if i == j else z for i in range(n)) for j in kept)
+        rows, den = tuple(tuple(int(i == j) for i in range(n)) for j in kept), 1
     else:
-        rows = tuple(outer.basis.rows[j] for j in kept)
-    return Subspace._from_echelon(field, n, rows, tuple(pivots[j] for j in kept))
+        rows, den = tuple(outer.basis.num[j] for j in kept), outer.basis.den
+    return Subspace._from_echelon(field, n, rows, tuple(pivots[j] for j in kept), den)
 
 
 def rank_mod_p(rows, p: int) -> int:

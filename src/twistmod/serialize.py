@@ -15,7 +15,7 @@ import json
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import FieldError, ParseError, ShapeError, UsageError
-from .linalg import Matrix, Subspace, field_from_name, field_name
+from .linalg import Matrix, Subspace, _over_lcm, field_from_name, field_name
 
 if TYPE_CHECKING:
     from .dualnum import FiberReport
@@ -33,26 +33,23 @@ def to_json(payload) -> str:
 
 
 def matrix_to_lists(m: Matrix) -> list:
-    fmt = m.field.format
-    return [[fmt(x) for x in row] for row in m.rows]
+    fmt, den = m.field._format, m.den
+    return [[fmt(x, den) for x in row] for row in m.num]
 
 
 def matrix_from_lists(field, data, what: str = "matrix") -> Matrix:
     if not isinstance(data, list) or any(not isinstance(row, list) for row in data):
         raise ParseError(f"{what} must be an array of arrays")
-    rows = []
-    for row in data:
-        parsed = []
-        for cell in row:
-            if not isinstance(cell, str):
-                raise ParseError(f"{what} entries must be strings")
-            parsed.append(field.parse(cell))
-        rows.append(tuple(parsed))
+    if any(not isinstance(cell, str) for row in data for cell in row):
+        raise ParseError(f"{what} entries must be strings")
+    # each cell is read as a pair (n, d); the trusted constructor takes them
+    # and reduces a literal such as "2/4"
+    rows = [[field._parse(cell) for cell in row] for row in data]
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
         raise ParseError(f"{what}: ragged rows")
-    # field.parse has checked every cell, so the trusted constructor takes them
-    return Matrix._from_rows(field, tuple(rows), width)
+    num, den = _over_lcm(rows)
+    return Matrix._from_rows(field, num, width, den)
 
 
 def _expect_int(obj, key: str):
@@ -141,7 +138,7 @@ def subspace_from_lists(field, ambient: int, data, what: str = "subspace") -> Su
     basis = matrix_from_lists(field, data, what=what)
     if basis.nrows == 0 or basis.ncols != ambient:
         raise ParseError(f"{what} basis must be nonempty rows of width {ambient}")
-    v = Subspace._span(field, ambient, basis.rows)
+    v = Subspace._span(field, ambient, basis.num)
     if v.dim != basis.nrows:
         raise ParseError(f"{what} basis rows are linearly dependent")
     return v

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
@@ -30,10 +29,10 @@ from .errors import (
 from .linalg import (
     Matrix,
     Subspace,
+    _common,
     _complement,
-    _element,
-    _int_rows,
     _null_space,
+    _num_at,
     isometries,
     rank_mod_p,
 )
@@ -84,18 +83,20 @@ class InvolutionSpace:
 
 
 def twisted_transpose(w: InvolutionSpace, sign: int, mats):
-    """Apply the sigma-twisted transpose to a tuple of coordinate matrices."""
-    p = w.field.characteristic
+    """Apply the sigma-twisted transpose to a tuple of coordinate matrices:
+    sign * sum_k S[l][k] B_k^T over the int rows of S, over its den."""
+    p, d = w.field.characteristic, w.matrix.den
     transposed = [m.transpose() for m in mats]
     out = []
-    for row in w.matrix.rows:
+    for row in w.matrix.num:
         acc = None
         for c, t in zip(row, transposed):
             c = sign * c % p if p else sign * c
             if c:
                 term = t if c == 1 else t.scale(c)
                 acc = term if acc is None else acc + term
-        out.append(Matrix.zeros(w.field, mats[0].ncols, mats[0].nrows) if acc is None else acc)
+        acc = acc or Matrix.zeros(w.field, mats[0].ncols, mats[0].nrows)
+        out.append(acc if d == 1 else Matrix._from_rows(w.field, acc.num, acc.ncols, acc.den * d))
     return tuple(out)
 
 
@@ -153,24 +154,20 @@ class SigmaModule:
 
     def gram(self, x, y):
         """The tuple of W-coordinates of q(x)(y)."""
-        x = [_element(self.field, e) for e in x]
-        y = [_element(self.field, e) for e in y]
         return tuple(dotform(self.field, x, b, y) for b in self.forms)
 
     def pairs_to_zero(self, x, y) -> bool:
-        z = self.field.zero
-        return all(c == z for c in self.gram(x, y))
+        return not any(self.gram(x, y))
 
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.forms)
 
 
 def dotform(field, x, b: Matrix, y):
-    """x^T b y for row tuples x, y."""
-    p = field.characteristic
-    terms = (xi * sum(map(mul, row, y)) for xi, row in zip(x, b.rows) if xi)
-    total = sum(terms, field.zero)
-    return total % p if p else total
+    """x^T b y for row tuples x, y of ints or field elements."""
+    x, y = Matrix(field, [x]), Matrix(field, [y])
+    total = sum(xi * sum(map(mul, row, y.num[0])) for xi, row in zip(x.num[0], b.num) if xi)
+    return field._value(total, x.den * b.den * y.den)
 
 
 def validate(q: SigmaModule) -> bool:
@@ -199,20 +196,19 @@ def orthogonal(q: SigmaModule, v: Subspace) -> Subspace:
     """The twisted orthogonal {x : q(x) vanishes on v}.
 
     Each basis vector u of v and each coordinate matrix B_k contribute
-    one linear condition x . (B_k u) = 0, on plain ints: over QQ the
-    forms all scaled by one common denominator and u by its own.
+    one linear condition x . (B_k u) = 0, on the int rows of B_k and of
+    the basis: a condition keeps its zeros on any scale.
     """
     _check_subspace(q, v)
     p = q.field.characteristic
-    images, _ = _pairing(_integer_forms(q, p), p)
-    basis, _ = _int_rows(q.field, v.basis.rows)
-    return _perp(q, [c for u in basis for c in images(u)])
+    images, _ = _pairing([b.num for b in q.forms], p)
+    return _perp(q, [c for u in v.basis.num for c in images(u)])
 
 
 def _perp(q: SigmaModule, images) -> Subspace:
     """V^perp from ``images``, the rows B_k u over a basis of V on plain
-    ints, as _pairing builds them from _integer_forms of q: their null
-    space.  The one solver of a twisted orthogonal; no rows give H."""
+    ints, as _pairing builds them from the int rows of the forms: their
+    null space.  The one solver of a twisted orthogonal; no rows give H."""
     return Subspace._from_echelon(q.field, q.dim_h, *_null_space(q.field, list(images), q.dim_h))
 
 
@@ -350,16 +346,13 @@ def _wrap(w: InvolutionSpace, sign: int, alpha, inner) -> list:
     the result is the assembled module in its adapted basis, and the
     limit of the canonical subgroup is checked against it in that same
     basis."""
-    m, mm, s = alpha[0].ncols, alpha[0].nrows, inner[0].nrows
-    zero = w.field.zero
+    m, k, s = alpha[0].ncols, alpha[0].nrows, inner[0].nrows
     forms = []
     for a, d, b in zip(alpha, twisted_transpose(w, sign, alpha), inner):
-        rows = (
-            tuple((zero,) * (m + s) + r for r in d.rows)
-            + tuple((zero,) * m + r + (zero,) * mm for r in b.rows)
-            + tuple(r + (zero,) * (s + mm) for r in a.rows)
-        )
-        forms.append(Matrix._from_rows(w.field, rows, m + s + mm))
+        den, (a, d, b) = _common((a, d, b))
+        rows = [(0,) * (m + s) + r for r in d] + [(0,) * m + r + (0,) * k for r in b]
+        rows += [r + (0,) * (s + k) for r in a]
+        forms.append(Matrix._from_rows(w.field, tuple(rows), m + s + k, den))
     return forms
 
 
@@ -472,8 +465,8 @@ def _one_form_isometry(q1: SigmaModule, q2: SigmaModule):
     from . import quadform
 
     field, n = q1.field, q1.dim_h
-    eps = q1.sign if q1.w.matrix.rows[0][0] == 1 else -q1.sign
-    forms = [quadform.normal_form(q.forms[0].rows, eps, field.p) for q in (q1, q2)]
+    eps = q1.sign if q1.w.matrix.num[0][0] == 1 else -q1.sign
+    forms = [quadform.normal_form(q.forms[0].num, eps, field.p) for q in (q1, q2)]
     if None in forms:
         return None
     (invariants1, basis1), (invariants2, basis2) = forms
@@ -506,13 +499,12 @@ def _congruence_invariants_match(q1: SigmaModule, q2: SigmaModule) -> bool:
     rank(c M) = rank(M) for c != 0, so one coefficient vector per
     projective point is enough: over F_p the vectors whose first nonzero
     entry is 1, over QQ the primitive ones whose first nonzero entry is
-    positive.  The ranks are taken on plain ints: over F_p of the
-    entries mod p, over QQ of each module's forms scaled by the lcm of
-    all their denominators, which keeps every rank.
+    positive.  The ranks are taken on plain ints: the int rows of each
+    module's forms over their common denominator, which keeps every
+    rank of a combination.
     """
-    field = q1.field
-    p = field.p if field.kind == "fp" else 0
-    forms1, forms2 = _integer_forms(q1, p), _integer_forms(q2, p)
+    p = q1.field.characteristic
+    (_, forms1), (_, forms2) = _common(q1.forms), _common(q2.forms)
     if rank_mod_p([r for a in forms1 for r in a], p) != rank_mod_p([r for b in forms2 for r in b], p):
         return False
     for coeffs in itertools.product(range(p) if p else range(-2, 3), repeat=q1.dim_w):
@@ -524,25 +516,6 @@ def _congruence_invariants_match(q1: SigmaModule, q2: SigmaModule) -> bool:
         ):
             return False
     return True
-
-
-def _integer_forms(q: SigmaModule, p: int) -> list:
-    """The forms of q on plain ints: their residues over F_p (p > 0), and
-    over QQ (p == 0) all scaled by the lcm of all their denominators."""
-    if p:
-        return [b.rows for b in q.forms]
-    d = _denominator_lcm(*q.forms)
-    return [_integer_rows(b, d) for b in q.forms]
-
-
-def _denominator_lcm(*mats) -> int:
-    """The lcm of the denominators of every entry of rational matrices."""
-    return math.lcm(*(x.denominator for m in mats for row in m.rows for x in row))
-
-
-def _integer_rows(b: Matrix, d: int) -> list:
-    """d * b on plain ints, for d a multiple of every denominator of b."""
-    return [[x.numerator * (d // x.denominator) for x in row] for row in b.rows]
 
 
 def _combination(forms, coeffs, p: int) -> list:
@@ -564,22 +537,20 @@ def _isometry_search(q1: SigmaModule, q2: SigmaModule, node_budget: int):
     """The first yield of ``linalg.isometries`` for f^T B2_k f = B1_k, as
     (witness or None, whether the search space was exhausted).
 
-    The forms go to ints scaled by D, the lcm of all their denominators
+    The forms go to ints over D, the common denominator of all of them
     (1 over F_p).  Over F_p the columns run over range(p)^n.  Over QQ
     they run over the box times 2, where a column c stands for c/2, so
     c_i^T (D B2_k) c_j is compared with 4 D B1_k[i][j].
     """
     field = q1.field
-    p = field.p if field.kind == "fp" else 0
-    d = _denominator_lcm(*q1.forms, *q2.forms)
-    mats = [_integer_rows(b, d) for b in q2.forms]
-    targets = [_integer_rows(b, d if p else 4 * d) for b in q1.forms]
+    p = field.characteristic
+    d = math.lcm(*(b.den for b in (*q1.forms, *q2.forms)))
+    mats = [_num_at(b, d) for b in q2.forms]
+    targets = [_num_at(b, d if p else 4 * d) for b in q1.forms]
     for cols in isometries(mats, targets, range(p) if p else _DOUBLED_BOX, p, node_budget):
         if cols is None:
             return None, False
-        if not p:
-            cols = [tuple(Fraction(x, 2) for x in c) for c in cols]
-        return Matrix._from_rows(field, tuple(cols), q1.dim_h).transpose(), True
+        return Matrix._from_rows(field, tuple(cols), q1.dim_h, 1 if p else 2).transpose(), True
     return None, True
 
 

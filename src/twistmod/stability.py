@@ -18,8 +18,8 @@ one box 0 .. p - 1 and yields every totally isotropic subspace.  Over
 the rationals the stream starts with the joint kernel when that is
 nonzero, then yields the lifts of the totally isotropic subspaces of
 the reductions mod a list of primes.  These are the integral reduced
-echelon bases, totally isotropic over ZZ under the forms scaled to DB_k
-(D the lcm of all their denominators), whose entries a prime's plain
+echelon bases, totally isotropic over ZZ under the int rows d_k B_k of
+the forms (d_k the denominator of B_k), whose entries a prime's plain
 box 0 .. p - 1 or balanced box p//2 + 1 - p .. p//2 holds, so the same
 search runs over ZZ on those two boxes, with no reduction mod p.  A
 prime that divides a denominator of the involution or of a form is
@@ -51,7 +51,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
@@ -80,8 +79,6 @@ from .sigmamod import (
     LinearPiece,
     SigmaModule,
     _check_search_size,
-    _denominator_lcm,
-    _integer_forms,
     _pairing,
     _perp,
     _reduce_by,
@@ -192,7 +189,7 @@ def enumerate_totally_isotropic(q: SigmaModule, bound: int = DEFAULT_ENUM_BOUND)
         raise FieldError("exhaustive enumeration needs a finite field")
     n = q.dim_h
     _check_dim(n, bound)
-    scan = _isotropic_scanner([b.rows for b in q.forms], q.field.p, n)
+    scan = _isotropic_scanner([b.num for b in q.forms], q.field.p, n)
     return tuple(Subspace._from_echelon(q.field, n, rows, pivots) for rows, pivots, _ in scan())
 
 
@@ -317,8 +314,9 @@ def _isotropic_scanner(forms, p: int, n: int, primes=()):
     ``rows`` is the reduced echelon basis of V, with pivot columns
     ``pivots``, and ``images`` the rows B_k u over it, built once per
     line: V^perp is their null space (sigmamod._perp), of dim n minus
-    their rank.  Bases grow row by row in _grow from the lines of
-    _lines, and a partial basis is dropped at its first nonzero pairing
+    their rank.  A line is a basis of dimension 1 by itself; longer
+    bases grow row by row in _grow from the lines of _lines, and a
+    partial basis is dropped at its first nonzero pairing
     u_i^T B_k u_j; V is totally isotropic exactly when all of them
     vanish, so no symmetry of the forms is assumed.  The order is that
     of a scan mod p: dimension, pivot columns, residues, and the plain
@@ -328,11 +326,13 @@ def _isotropic_scanner(forms, p: int, n: int, primes=()):
 
     A reader finds the lines of a (prime, pivot column) on demand and
     keeps the list once it has read them all, for every later scan; the
-    roots of each prefix are kept for every prime.
-    The first row of a pivot pattern reads its column only as far as the
+    roots of each prefix are kept for every prime.  With one box the
+    first row of a pivot pattern reads its column only as far as the
     scan goes, so a scan that stops early pays only for the lines it
-    reached.  A prime with more than MAX_LINES lines in F_prime^n raises
-    BoundExceededError before any work.
+    reached.  With two boxes a column is read in full when first asked
+    for, since each pattern's lifts are sorted before the first is
+    yielded anyway.  A prime with more than MAX_LINES lines in
+    F_prime^n raises BoundExceededError before any work.
     """
     primes = (p,) if p else tuple(primes)
     boxes = {}
@@ -361,7 +361,9 @@ def _isotropic_scanner(forms, p: int, n: int, primes=()):
 
     def lines(prime, pc):
         read = found.get((prime, pc))
-        return reader(prime, pc) if read is None else read
+        if read is not None:
+            return read
+        return list(reader(prime, pc)) if len(boxes[prime]) > 1 else reader(prime, pc)
 
     def first_lifts(bases, prime):
         # the bases whose entries a box of prime holds, and no box of an
@@ -396,10 +398,13 @@ def _isotropic_scanner(forms, p: int, n: int, primes=()):
                 ]
                 if not (first and all(later)):
                     continue
-                if d > 1:
+                if d == 1:
+                    # a line is a basis by itself
+                    bases = ([e] for e in first)
+                else:
                     rest = pivots[1:]
                     first = (e for e in first if not any(map(e[0].__getitem__, rest)))
-                bases = _grow(kills, [first] + later, [])
+                    bases = _grow(kills, [first] + later, [])
                 for basis in bases if p else first_lifts(bases, prime):
                     yield (
                         tuple(u for u, _ in basis),
@@ -455,7 +460,7 @@ def _scan(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: bool, 
     full scan would return that same equality and no destabilizer.
     """
     n = q.dim_h
-    forms = _integer_forms(q, q.field.characteristic)
+    forms = [b.num for b in q.forms]
     equality = None
     for found in _candidates(q, forms, enum_bound, primes, tried, by_prime):
         v, perp_dim, _ = found
@@ -471,7 +476,7 @@ def _scan(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: bool, 
 
 def _no_destabilizer(q: SigmaModule, forms) -> bool:
     """Whether some form B_k has rank dim H, read on ``forms``, the
-    integer forms of q (_integer_forms).
+    int rows of the forms of q.
 
     Then the rows B_k u over a basis of any V are independent
     constraints on V^perp, so dim V + dim V^perp <= dim H and no V
@@ -501,18 +506,18 @@ def joint_kernel(q: SigmaModule) -> Subspace:
 
 def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, by_prime: bool):
     """Yield (V, dim V^perp, images) for the totally isotropic V that the
-    subspace criterion is tested on, where ``forms`` are the integer
-    forms of q (_integer_forms) and ``images`` the rows B_k u that the
-    search built over the basis of V: V^perp is sigmamod._perp(q, images).
+    subspace criterion is tested on, where ``forms`` are the int rows of
+    the forms of q and ``images`` the rows B_k u that the search built
+    over the basis of V: V^perp is sigmamod._perp(q, images).
 
     Both fields run the one search, _isotropic_scanner.  Over F_p the
     stream is every totally isotropic subspace, in canonical order.
     Over QQ the nonzero joint kernel comes first, with images () for its
     orthogonal H; then the lifts that the search over ZZ finds at the
-    primes of ``primes``, under the forms DB_k, D the lcm of all their
-    denominators.  A prime dividing a denominator of the involution or
-    of a form is skipped, and a repeated prime counts in its first place
-    only.  The stream runs prime by prime, all dimensions each, when
+    primes of ``primes``, under the int rows of the forms, on which every
+    pairing keeps its zeros.  A prime dividing a denominator of the
+    involution or of a form is skipped, and a repeated prime counts in
+    its first place only.  The stream runs prime by prime, all dimensions each, when
     ``by_prime`` is set, and otherwise dimension by dimension, all
     primes each; each lift comes at the first step whose prime lifts it,
     and the order fixes which witness comes first.  A prime is appended
@@ -533,7 +538,8 @@ def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, by_
     if not kernel.is_zero():
         yield kernel, n, ()
     _check_dim(n, enum_bound)
-    denominators = _denominator_lcm(q.w.matrix, *q.forms)
+    # the denominator of a matrix is the lcm of those of its entries
+    denominators = math.lcm(q.w.matrix.den, *(b.den for b in q.forms))
     primes = [p for p in dict.fromkeys(primes) if denominators % p]
     # the scanner refuses a prime with too many lines before any search,
     # however early a scan may stop
@@ -545,12 +551,11 @@ def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, by_
     for p, dims in steps:
         tried.append(p)
         for rows, pivots, images in scan(dims, p):
-            if rows == kernel.basis.rows:
-                # the joint kernel came first
+            if rows == kernel.basis.num:
+                # the joint kernel came first: an integral reduced echelon
+                # basis is its own int rows, over 1
                 continue
-            v = Subspace._from_echelon(
-                q.field, n, tuple(tuple(map(Fraction, row)) for row in rows), pivots
-            )
+            v = Subspace._from_echelon(q.field, n, rows, pivots)
             perp = _perp(q, images)
             if perp.contains(v):
                 yield v, perp.dim, images
@@ -592,7 +597,7 @@ def _build_levels(q, enum_bound, primes):
         witness_rows = v.basis @ model_rows
         dual_rows = dual.basis @ model_rows
         levels.append(_Level(witness_rows, dual_rows, LinearPiece(alpha)))
-        reached = Subspace._span(field, n, reached.basis.rows + witness_rows.rows)
+        reached = Subspace._span(field, n, reached.basis.num + witness_rows.num)
         chain.append(reached)
         model_rows = reduction.model @ model_rows
         current = reduction.module
@@ -645,9 +650,8 @@ def graded(
     if core.dim_h > 0:
         blocks.append((core_rows, 0))
     blocks.extend((levels[i].dual_rows, i - k) for i in reversed(range(k)))
-    adapted = tuple(row for rows, _ in blocks for row in rows.rows)
     weights = [weight for rows, weight in blocks for _ in range(rows.nrows)]
-    adapted_rows = Matrix._from_rows(field, adapted, n)
+    adapted_rows = Matrix.from_blocks([[rows] for rows, _ in blocks])
     transform = adapted_rows.transpose()
 
     forms = list(core.forms)
@@ -659,7 +663,7 @@ def graded(
 
     # the block weights strictly decrease, and every block is nonzero
     canonical = OneParamSubgroup._from_pieces(
-        field, n, tuple((Subspace._span(field, n, rows.rows), weight) for rows, weight in blocks)
+        field, n, tuple((Subspace._span(field, n, rows.num), weight) for rows, weight in blocks)
     )
 
     # the limit of the canonical subgroup in the adapted basis: T^T B T,
@@ -686,11 +690,20 @@ def s_equivalent(
     enum_bound: int = DEFAULT_ENUM_BOUND,
     primes: tuple = DEFAULT_PRIMES,
 ) -> str:
-    """yes / no / unknown: are the graded modules isomorphic?"""
+    """yes / no / unknown: are the graded modules isomorphic?
+
+    Over QQ the core of a grading is whatever the heuristic could not
+    reduce, never certified stable, so S-equivalent modules can assemble
+    to modules that are not isomorphic: a "no" there stands only when
+    dim H differs, and is "unknown" otherwise.  Over F_p it stands.
+    """
     # both modules scan the same list, also when primes is an iterator
     primes = _checked(primes)
     g1, g2 = (graded(q, enum_bound, primes) for q in (q1, q2))
-    return is_isomorphic(g1.assembled, g2.assembled).status
+    status = is_isomorphic(g1.assembled, g2.assembled).status
+    if status == "no" and q1.field.kind == "rational" and q1.dim_h == q2.dim_h:
+        return "unknown"
+    return status
 
 
 def hilbert_mumford_sweep(
@@ -745,7 +758,7 @@ def hilbert_mumford_sweep(
         # the one subgroup of the zero space pairs nothing
         return MINUS_INFINITY
     subs, flags = _flags(p, n)
-    images, kills = _pairing([b.rows for b in q.forms], p)
+    images, kills = _pairing([b.num for b in q.forms], p)
 
     # number the echelon rows of all bases; meets[i] has bit j when row i
     # pairs nonzero with row j, so subspace a pairs nonzero with subspace

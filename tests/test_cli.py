@@ -222,6 +222,31 @@ def test_sequiv(tmp_path, capsys):
     assert code == 0 and out == '{"s_equivalent":"no"}\n'
 
 
+def test_sequiv_over_qq_answers_unknown_where_only_the_gradings_differ(tmp_path, capsys):
+    # a strictly semistable swap module and its act(g, .) for
+    # g = [[-1, -2, 2], [-2, -2, -2], [0, -2, 1]]: the moved copy's witness
+    # has denominators, so its grading keeps an uncertified core, and the
+    # assembled modules differ though the inputs are isomorphic
+    first = put(
+        tmp_path,
+        "first.json",
+        '{"field":"rational","sign":"-1","dim_h":3,'
+        '"w":{"dim":2,"involution":[["0","1"],["1","0"]]},'
+        '"forms":[[["0","-1","0"],["0","0","-1"],["-1","0","-1"]],'
+        '[["0","0","1"],["1","0","0"],["0","1","1"]]]}',
+    )
+    moved = put(
+        tmp_path,
+        "moved.json",
+        '{"field":"rational","sign":"-1","dim_h":3,'
+        '"w":{"dim":2,"involution":[["0","1"],["1","0"]]},'
+        '"forms":[[["3/25","7/50","-14/25"],["1/25","-3/25","-1/50"],["1/25","-3/25","12/25"]],'
+        '[["-3/25","-1/25","-1/25"],["-7/50","3/25","3/25"],["14/25","1/50","-12/25"]]]}',
+    )
+    code, out, _ = run(capsys, "sequiv", first, moved)
+    assert code == 0 and out == '{"s_equivalent":"unknown"}\n'
+
+
 def test_gr_and_sequiv_refuse_a_zero_module(tmp_path, capsys):
     # check calls the zero module stable, but it has no graded module
     path = put(

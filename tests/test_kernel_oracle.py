@@ -11,6 +11,13 @@ exact divisions of the fraction-free updates see large minors.  The
 complement of a subspace in an outer space, read off the trailing
 pivots of its coordinates in the outer basis, is checked against the
 stacked elimination of ``oracles.py``.
+
+A matrix holds int rows over one denominator.  Every result is checked
+in that canonical form (over QQ a positive denominator with gcd 1 with
+the entries, over F_p residues over 1), so that equal matrices compare
+and hash equal whatever path built them; the entrywise operations, the
+twisted transpose and the written form of each entry are checked
+against the Fraction arithmetic of ``oracles.py``.
 """
 
 import math
@@ -18,17 +25,23 @@ from fractions import Fraction
 
 import pytest
 
-from twistmod.errors import SingularMatrixError
+from twistmod.errors import BoundExceededError, SingularMatrixError
 from twistmod.linalg import GF, QQ, Matrix, Subspace, complement_in, rank_mod_p
+from twistmod.serialize import matrix_to_lists
+from twistmod.sigmamod import InvolutionSpace, twisted_transpose
 
 from oracles import (
+    add,
     generic_det,
     generic_inverse,
     generic_kernel,
     generic_mul,
     generic_rref,
     is_element,
+    mul,
+    neg,
     stacked_complement,
+    sub,
 )
 
 pytest.importorskip("hypothesis")
@@ -73,7 +86,16 @@ def square_matrices(draw):
 
 
 def canonical(m: Matrix) -> bool:
-    return all(is_element(m.field, e) for row in m.rows for e in row)
+    """Canonical entries, and the canonical int form: over F_p the rows
+    themselves over 1, over QQ a positive denominator with gcd 1 with
+    every entry, so 1 for the zero matrix."""
+    flat = [x for row in m.num for x in row]
+    if m.field.kind == "fp":
+        scaled = m.den == 1 and m.num == m.rows
+    else:
+        scaled = m.den > 0 and math.gcd(m.den, *flat) == 1
+        scaled = scaled and m.rows == tuple(tuple(Fraction(x, m.den) for x in r) for r in m.num)
+    return scaled and all(is_element(m.field, e) for row in m.rows for e in row)
 
 
 @given(matrices())
@@ -167,3 +189,116 @@ def test_complement_matches_the_stacked_elimination(pair):
     assert got == expected and got.pivots == expected.pivots
     assert got.dim == outer.dim - inner.dim
     assert canonical(got.basis)
+
+
+@st.composite
+def same_shape(draw):
+    field = draw(st.sampled_from(FIELDS))
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    scalar = draw(st.integers(-5, 5) | entries(field, draw(st.booleans())))
+    return draw(matrices(field, r, c)), draw(matrices(field, r, c)), scalar
+
+
+def entrywise(field, op, a, b):
+    return tuple(tuple(op(field, x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows))
+
+
+@given(same_shape())
+def test_entrywise_operations_match_the_fraction_reference(case):
+    a, b, c = case
+    field = a.field
+    c_elt = c % field.p if field.kind == "fp" else Fraction(c)
+    results = [
+        (a + b, entrywise(field, add, a, b)),
+        (a - b, entrywise(field, sub, a, b)),
+        (-a, tuple(tuple(neg(field, x) for x in row) for row in a.rows)),
+        (a.scale(c), tuple(tuple(mul(field, c_elt, x) for x in row) for row in a.rows)),
+        (a.transpose(), tuple(zip(*a.rows)) if a.rows else ((),) * a.ncols),
+    ]
+    for got, expected in results:
+        assert got.rows == expected and canonical(got)
+    assert a.transpose().transpose() == a and a - a == Matrix.zeros(field, a.nrows, a.ncols)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+
+
+# the involutions of W: trivial, the swap, the identity on a plane, and
+# over QQ one with denominators, [[3/5, 4/5], [4/5, -3/5]]
+def involutions(field):
+    out = [Matrix.identity(field, 1), Matrix(field, [[0, 1], [1, 0]]), Matrix.identity(field, 2)]
+    if field.kind == "rational":
+        out.append(Matrix(QQ, [[Fraction(3, 5), Fraction(4, 5)], [Fraction(4, 5), Fraction(-3, 5)]]))
+    return out
+
+
+@st.composite
+def twisted(draw):
+    field = draw(st.sampled_from(FIELDS))
+    s = draw(st.sampled_from(involutions(field)))
+    n = draw(st.integers(0, 3))
+    forms = [draw(matrices(field, n, n)) for _ in range(s.nrows)]
+    return InvolutionSpace(field, s), draw(st.sampled_from((1, -1))), forms
+
+
+@given(twisted())
+def test_twisted_transpose_matches_the_fraction_reference(case):
+    # the l-th result is sign * sum_k S[l][k] B_k^T, entry by entry
+    w, sign, forms = case
+    field, n = w.field, forms[0].nrows
+    got = twisted_transpose(w, sign, forms)
+    for row, result in zip(w.matrix.rows, got):
+        expected = [[field.zero] * n for _ in range(n)]
+        for c, b in zip(row, forms):
+            c = mul(field, c, sign % field.p if field.kind == "fp" else Fraction(sign))
+            for i in range(n):
+                for j in range(n):
+                    expected[i][j] = add(field, expected[i][j], mul(field, c, b.rows[j][i]))
+        assert result.rows == tuple(map(tuple, expected)) and canonical(result)
+
+
+@given(square_matrices())
+def test_equal_matrices_built_by_different_paths_compare_and_hash_equal(m):
+    identity = Matrix.identity(m.field, m.nrows)
+    if m.det() != 0:
+        product = m @ m.inverse()
+        assert product == identity and hash(product) == hash(identity)
+        assert product.num == identity.num and product.den == 1
+    zero = m - m
+    assert zero == Matrix.zeros(m.field, m.nrows, m.ncols) and zero.den == 1
+    rebuilt = Matrix(m.field, m.rows)
+    assert rebuilt == m and hash(rebuilt) == hash(m)
+
+
+def test_a_fraction_is_taken_in_lowest_terms():
+    half = Matrix(QQ, [[Fraction(1, 2)]])
+    for other in (
+        Matrix(QQ, [[Fraction(2, 4)]]),
+        Matrix(QQ, [[1]]).scale(Fraction(3, 6)),
+        Matrix(QQ, [[Fraction(3, 2)]]) - Matrix.identity(QQ, 1),
+        Matrix(QQ, [[2]]).inverse(),
+    ):
+        assert other == half and hash(other) == hash(half)
+        assert (other.num, other.den) == (((1,),), 2)
+    assert Matrix(QQ, [[Fraction(-6, 4), 0], [3, Fraction(1, 6)]]).den == 6
+
+
+@given(matrices(QQ))
+def test_rows_are_fractions_and_written_as_str_fraction_writes_them(m):
+    # the rows are rebuilt as Fractions; each written entry is
+    # str(Fraction(n, d)) of its entry, signs, integers and zeros included
+    assert all(type(x) is Fraction for row in m.rows for x in row)
+    assert matrix_to_lists(m) == [[str(x) for x in row] for row in m.rows]
+    if m.nrows:
+        assert all(type(x) is Fraction for x in m[0])
+        assert m == Matrix(QQ, m.rows)
+
+
+def test_written_entries_cover_signs_integers_and_zero():
+    entries = [[Fraction(-3, 4), 0, 5], [Fraction(6, 3), Fraction(-7), Fraction(0, 9)]]
+    written = matrix_to_lists(Matrix(QQ, entries))
+    assert written == [["-3/4", "0", "5"], ["2", "-7", "0"]]
+    assert written == [[str(Fraction(x)) for x in row] for row in entries]
+    # past the interpreter's digit limit the int formatter refuses, as QQ.format does
+    huge = Fraction(10**5000, 3)
+    for write in (lambda: matrix_to_lists(Matrix(QQ, [[huge]])), lambda: QQ.format(huge)):
+        with pytest.raises(BoundExceededError, match="too many digits"):
+            write()

@@ -2,6 +2,8 @@
 module that defines it."""
 
 import importlib
+import subprocess
+import sys
 
 import pytest
 
@@ -97,3 +99,60 @@ def test_records_check_their_values_at_construction():
         DualNumberMatrix(two, Matrix.identity(GF(3), 2))
     with pytest.raises(ShapeError):
         DualNumberMatrix(two, two)._replace(h=one)
+
+
+# the README fixture over QQ, and the same form over F_3
+RATIONAL_FIXTURE = (
+    '{"field":"rational","sign":"+1","dim_h":3,"w":{"dim":1,"involution":[["1"]]},'
+    '"forms":[[["0","0","1"],["0","1","1"],["1","1","1"]]]}'
+)
+F3_FIXTURE = RATIONAL_FIXTURE.replace('"rational"', '"fp:3"')
+
+NO_FRACTIONS = """
+import importlib, pkgutil, sys
+import twistmod
+from twistmod import cli
+
+def clean(what):
+    loaded = [m for m in ("fractions", "decimal") if m in sys.modules]
+    assert not loaded, (what, loaded)
+
+f3, rational = sys.argv[1:]
+for argv in (
+    ["check", f3],
+    ["enumerate", f3],
+    ["fiber", "--field", "fp:3", "--case", "plus", "-r", "2"],
+    ["check", rational],
+):
+    assert cli.main(argv) == 0, argv
+    clean(argv)
+for module in pkgutil.iter_modules(twistmod.__path__):
+    importlib.import_module(f"twistmod.{module.name}")
+clean("every module")
+# the boundary refuses a float without importing fractions to test for a Fraction
+from twistmod import QQ, FieldError, Matrix
+try:
+    Matrix(QQ, [[0.5]])
+except FieldError:
+    clean("a refused float")
+else:
+    raise AssertionError("a float entry was accepted")
+print("clean")
+"""
+
+
+def test_no_command_loads_fractions_unless_it_needs_a_fraction(tmp_path):
+    # fractions imports decimal, milliseconds of start-up per process; a
+    # QQ matrix is held on ints, so neither an F_p command nor a rational
+    # verdict loads them, and neither does importing every module
+    f3, rational = tmp_path / "f3.json", tmp_path / "rational.json"
+    f3.write_text(F3_FIXTURE, encoding="utf-8")
+    rational.write_text(RATIONAL_FIXTURE, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_FRACTIONS, str(f3), str(rational)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "clean"

@@ -27,11 +27,11 @@ from twistmod.errors import (
 )
 from twistmod.hilbert import MINUS_INFINITY, limit_at_zero, mu
 from twistmod.linalg import GF, QQ, Matrix, Subspace, rank_mod_p
+from twistmod.serialize import parse_module_file
 from twistmod.sigmamod import (
     TOTALLY_ISOTROPIC,
     InvolutionSpace,
     SigmaModule,
-    _integer_forms,
     _pairing,
     act,
     dotform,
@@ -75,8 +75,9 @@ def module_1form(field, rows, sign=1):
 
 
 def integer_forms(q):
-    # the forms the candidate stream and the witness scan of q run on
-    return _integer_forms(q, q.field.characteristic)
+    # the forms the candidate stream and the witness scan of q run on:
+    # the int rows of each, over its own denominator
+    return [b.num for b in q.forms]
 
 
 def random_module(rng, field, dim_h, w, sign):
@@ -532,7 +533,7 @@ def test_integer_gram_test_matches_the_exact_isotropy_class():
     # p in the list, every subspace it yields is totally isotropic over QQ,
     # and every plain or balanced lift of a totally isotropic subspace mod
     # p (from all_subspaces) that is totally isotropic over QQ is yielded.
-    # Denominators 2, 3 and 6 in one form catch a wrong lcm scaling, and
+    # Denominators 2, 3 and 6 in one form catch a wrong scaling, and
     # lines (whose only Gram entries are diagonal) catch a skipped i == j
     # pair.  The identity involution on a 2-dim W gives two unrelated
     # forms, so a root of the first form that the second does not share
@@ -555,7 +556,7 @@ def test_integer_gram_test_matches_the_exact_isotropy_class():
                     ]
                     q = symmetrize(QQ, n, w, sign, raw)
                     modules += 1
-                    forms = _integer_forms(q, 0)
+                    forms = integer_forms(q)
                     for p in (2, 3, 5, 7):
                         qp = reduce_by_hand(q, p)
                         if qp is None:
@@ -1062,6 +1063,72 @@ def test_s_equivalence_is_orbit_invariant():
     g = Matrix(f3, [[1, 2, 0], [0, 1, 1], [2, 0, 1]])
     assert g.rank() == 3
     assert s_equivalent(q, act(g, q)) == "yes"
+
+
+# a strictly semistable swap module over QQ, and its act(g, .) for g below
+SWAP_FIRST = (
+    '{"field":"rational","sign":"-1","dim_h":3,"w":{"dim":2,"involution":[["0","1"],["1","0"]]},'
+    '"forms":[[["0","-1","0"],["0","0","-1"],["-1","0","-1"]],[["0","0","1"],["1","0","0"],["0","1","1"]]]}'
+)
+SWAP_MOVED = (
+    '{"field":"rational","sign":"-1","dim_h":3,"w":{"dim":2,"involution":[["0","1"],["1","0"]]},'
+    '"forms":[[["3/25","7/50","-14/25"],["1/25","-3/25","-1/50"],["1/25","-3/25","12/25"]],'
+    '[["-3/25","-1/25","-1/25"],["-7/50","3/25","3/25"],["14/25","1/50","-12/25"]]]}'
+)
+SWAP_G = [[-1, -2, 2], [-2, -2, -2], [0, -2, 1]]
+
+
+def test_rational_s_equivalence_says_no_only_when_dim_h_differs():
+    # the moved copy's witness has denominators, so the scan misses it and
+    # graded keeps the whole module as an uncertified core: the assembled
+    # modules are not isomorphic, though the inputs are
+    q = parse_module_file(SWAP_FIRST).module
+    moved = parse_module_file(SWAP_MOVED).module
+    assert act(Matrix(QQ, SWAP_G), q) == moved
+    assert is_isomorphic(graded(q).assembled, graded(moved).assembled).status == "no"
+    assert s_equivalent(q, moved) == "unknown"
+    assert s_equivalent(moved, q) == "unknown"
+    # a hyperbolic plane differs in dim H, and that no stands
+    plane = sigmamod.hyperbolic_module(
+        sigmamod.LinearPiece((Matrix.identity(QQ, 1), Matrix.zeros(QQ, 1, 1))), q.w, q.sign
+    )
+    assert s_equivalent(q, plane) == "no" and s_equivalent(plane, moved) == "no"
+
+
+def test_rational_s_equivalence_never_says_no_to_a_moved_copy():
+    # QQ modules under both involutions, dims 2-3, with raw entries in
+    # {-1, 0, 1, 2}, against act(g, q) for g with entries in -2..2; the
+    # first example is the pair above, which answered no
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(2, 3))
+        w = draw(st.sampled_from((trivial_w(QQ), swap_w(QQ))))
+        sign = draw(st.sampled_from((1, -1)))
+
+        def square(values):
+            return draw(st.lists(st.lists(values, min_size=n, max_size=n), min_size=n, max_size=n))
+
+        raw = [Matrix(QQ, square(st.sampled_from((-1, 0, 1, 2)))) for _ in range(w.dim)]
+        g = Matrix(QQ, square(st.integers(-2, 2)))
+        hypothesis.assume(g.det() != 0)
+        return symmetrize(QQ, n, w, sign, raw), g
+
+    @hypothesis.settings(max_examples=60)
+    @hypothesis.example((parse_module_file(SWAP_FIRST).module, Matrix(QQ, SWAP_G)))
+    @hypothesis.given(cases())
+    def check(case):
+        q, g = case
+        try:
+            status = s_equivalent(q, act(g, q))
+        except StabilityError:
+            # an unstable module has no graded module
+            return
+        assert status != "no"
+
+    check()
 
 
 # -- bounded Hilbert-Mumford sweep -------------------------------------------
