@@ -173,11 +173,12 @@ def _cmd_fiber(args) -> dict:
 
 
 def _cmd_pfaffian(args) -> dict:
-    from .dualnum import pfaffian
+    from .dualnum import _pfaffian
 
     m = parse_matrix_file(_read(args.file))
     _check_field(args, m.field)
-    return {"pfaffian": m.field.format(pfaffian(m))}
+    # written from its int pair, so a QQ matrix loads no fractions
+    return {"pfaffian": m.field._format(*_pfaffian(m))}
 
 
 def _cmd_enumerate(args) -> dict:

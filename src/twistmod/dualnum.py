@@ -200,7 +200,7 @@ def _solutions(field, r: int, conditions):
         return Matrix._from_rows(field, tuple(tuple(flat[i * r : (i + 1) * r]) for i in range(r)), r)
 
     columns = [conditions(matrix([int(j == k) for j in range(n)])) for k in range(n)]
-    basis, _, _ = _null_space(field, list(zip(*columns)), n)
+    basis, _, _, _ = _null_space(field, list(zip(*columns)), n)
     return [
         matrix([sum(c * b[k] for c, b in zip(coeffs, basis)) % p for k in range(n)])
         for coeffs in itertools.product(range(p), repeat=len(basis))
@@ -398,10 +398,17 @@ def pfaffian(a: Matrix):
     matters in characteristic 2).  pf(a)^2 = det(a).  Over QQ it is the
     pfaffian of the int rows over the denominator to the n / 2.
     """
+    return a.field._value(*_pfaffian(a))
+
+
+def _pfaffian(a: Matrix):
+    """(n, d), d > 0, with pfaffian(a) = n / d, built without a
+    Fraction: the int pfaffian of the rows and the denominator to the
+    size / 2."""
     _check_alternating(a)
     if a.nrows % 2 != 0:
         raise ShapeError("the pfaffian needs an even size")
-    return a.field._value(_pf(a.field, a.num), a.den ** (a.nrows // 2))
+    return _pf(a.field, a.num), a.den ** (a.nrows // 2)
 
 
 def _pf(field, rows) -> int:

@@ -29,8 +29,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InternalCheckError, IsotropyError, ShapeError
-from .linalg import Matrix, Subspace, _complement, _ratio, rank_mod_p
-from .sigmamod import SigmaModule, _pairing, act, orthogonal, validate
+from .linalg import Matrix, Subspace, _complement, _ratio, _units, rank_mod_p
+from .sigmamod import SigmaModule, _orthogonal, _pairing, act, validate
 
 
 class MinusInfinityType:
@@ -301,18 +301,20 @@ def destabilizing_1ps(q: SigmaModule, v: Subspace) -> OneParamSubgroup:
     empty pieces are dropped.  m2 = n - d - dim(perp), so mu = 2 m2 turns
     negative exactly on witnesses of instability.
     """
-    return _destabilizing_by(q, v, orthogonal(q, v))
+    return _destabilizing_by(q, v, *_orthogonal(q, v))
 
 
-def _destabilizing_by(q: SigmaModule, v: Subspace, perp: Subspace) -> OneParamSubgroup:
-    # destabilizing_1ps for a caller that has computed perp, the orthogonal of v
+def _destabilizing_by(q: SigmaModule, v: Subspace, perp: Subspace, kept) -> OneParamSubgroup:
+    """destabilizing_1ps for a caller that has solved perp, the
+    orthogonal of v, with sigmamod._perp: the outer piece is read off
+    its ``kept`` columns, the unit rows that span _complement(perp)."""
     if v.is_zero() or not perp.contains(v):
         raise IsotropyError("destabilizing subgroup needs a totally isotropic subspace")
     n = q.dim_h
     d = v.dim
     # v lies in perp, and perp in H: neither containment is tested again
     middle = _complement(v, perp)
-    outer = _complement(perp)
+    outer = _units(q.field, n, kept)
     h1 = middle.dim
     m1 = 2 * n - 2 * d - h1
     m2 = n - 2 * d - h1

@@ -460,7 +460,7 @@ class Matrix:
 
     def kernel_basis(self) -> "Matrix":
         """Canonical basis of the right kernel {v : M v = 0}, as rows."""
-        rows, _, den = _null_space(self.field, list(self.num), self.ncols)
+        rows, _, den, _ = _null_space(self.field, list(self.num), self.ncols)
         return Matrix._from_rows(self.field, rows, self.ncols, den)
 
     def det(self):
@@ -538,8 +538,16 @@ def _gauss_jordan(rows, ncols: int, p: int):
 
 
 def _null_space(field, rows, ncols: int):
-    """(rows, pivots, den): the canonical basis of {v : M v = 0}, rows
-    over den, for M given as plain-int rows, each on any scale."""
+    """(rows, pivots, den, kept): the canonical basis of {v : M v = 0},
+    rows over den with pivot columns pivots, for M given as plain-int
+    rows, each on any scale, and ``kept`` the pivot columns of M's
+    elimination.
+
+    The basis vector of a free column f is e_f plus entries at pivot
+    columns of M before f, so f is its last nonzero entry; the free
+    columns are the trailing pivots of the null space, and the unit rows
+    e_j, j in ``kept``, span the complement that _complement reads off
+    the null space."""
     p = field.characteristic
     pivots, d = _gauss_jordan(rows, ncols, p)
     vectors = []
@@ -551,7 +559,7 @@ def _null_space(field, rows, ncols: int):
                 v[c] = -row[f] % p if p else -row[f]
             vectors.append(v)
     kernel_pivots, kd = _gauss_jordan(vectors, ncols, p)
-    return tuple(map(tuple, vectors)), tuple(kernel_pivots), kd
+    return tuple(map(tuple, vectors)), tuple(kernel_pivots), kd, tuple(pivots)
 
 
 class Subspace:
@@ -665,8 +673,8 @@ class Subspace:
 
     def perp(self) -> "Subspace":
         """Orthogonal complement under the standard dot product."""
-        kernel = _null_space(self.field, list(self.basis.num), self.ambient)
-        return Subspace._from_echelon(self.field, self.ambient, *kernel)
+        rows, pivots, den, _ = _null_space(self.field, list(self.basis.num), self.ambient)
+        return Subspace._from_echelon(self.field, self.ambient, rows, pivots, den)
 
     def apply(self, g: Matrix) -> "Subspace":
         """Image of this subspace under the invertible map ``v -> g v``."""
@@ -719,10 +727,16 @@ def _complement(inner: Subspace, outer: Subspace | None = None) -> Subspace:
     trailing, _ = _gauss_jordan(coords, m, field.characteristic)
     kept = sorted(set(range(m)).difference(m - 1 - c for c in trailing))
     if outer is None:
-        rows, den = tuple(tuple(int(i == j) for i in range(n)) for j in kept), 1
-    else:
-        rows, den = tuple(outer.basis.num[j] for j in kept), outer.basis.den
-    return Subspace._from_echelon(field, n, rows, tuple(pivots[j] for j in kept), den)
+        return _units(field, n, kept)
+    rows = tuple(outer.basis.num[j] for j in kept)
+    return Subspace._from_echelon(field, n, rows, tuple(pivots[j] for j in kept), outer.basis.den)
+
+
+def _units(field, n: int, columns) -> Subspace:
+    """The span of the unit rows e_j of F^n, j in the ascending
+    ``columns``: a reduced echelon basis as it stands."""
+    rows = tuple(tuple(int(i == j) for i in range(n)) for j in columns)
+    return Subspace._from_echelon(field, n, rows, tuple(columns))
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -775,6 +789,50 @@ def _forward(rows, p: int):
     return rank, sign * d, scale
 
 
+def _runs(forms) -> list:
+    """One (B, s, c) per n x n plain-int form B, n >= 1, for the runs
+    u + x e_last along the last coordinate: s is the row B[last] plus
+    the column B[.][last] and c the corner B[last][last], so that for u
+    ending in 0
+
+        (u + x e_last)^T B (u + x e_last) = a + x (b + x c),
+
+    with a = u^T B u and b = s . u, which _run_head gives per prefix u.
+    A form on F^0 has no run."""
+    return [(b, [x + row[-1] for x, row in zip(b[-1], b)], b[-1][-1]) for b in forms if b]
+
+
+def _run_head(form, s, u):
+    """(a, b) over the ints for the run (form, s, c) of _runs at the
+    prefix ``u``, which ends in 0: the form's value at u + x e_last is
+    a + x (b + x c)."""
+    return sum(x * sum(map(_times, row, u)) for x, row in zip(u, form) if x), sum(map(_times, s, u))
+
+
+def _gram_candidates(mats, values, p: int) -> list:
+    """(c, diagonal) for the nonzero c in ``values``^n, in product order,
+    diagonal the tuple of c^T M_k c over the n x n int matrices ``mats``,
+    mod p when p > 0.  They are read along the runs u + x e_last of the
+    product order: one a and b per form and prefix u, from _run_head,
+    and a + x (b + x c) for each x, with no n^2 product per candidate.
+    F^0 has no nonzero candidate."""
+    n = len(mats[0])
+    runs = _runs(mats)
+    candidates = []
+    for head in itertools.product(values, repeat=n - 1) if n else ():
+        u = head + (0,)
+        heads = [(*_run_head(form, s, u), c) for form, s, c in runs]
+        for x in values:
+            c = head + (x,)
+            if any(c):
+                if p:
+                    diagonal = tuple((a + x * (b + x * k)) % p for a, b, k in heads)
+                else:
+                    diagonal = tuple(a + x * (b + x * k) for a, b, k in heads)
+                candidates.append((c, diagonal))
+    return candidates
+
+
 def isometries(mats, targets, values, p: int, budget=None):
     """The columns of every invertible f with f^T M_k f = T_k for all k.
 
@@ -787,10 +845,11 @@ def isometries(mats, targets, values, p: int, budget=None):
     match T_k, and it is independent of them.  So the yields, tuples of
     n column tuples, come in lexicographic order too.
 
-    The diagonal values are computed once per candidate per call, M_k c
-    and c^T M_k the first time a diagonal matches past column 0.  Each
-    visited candidate costs one unit of ``budget`` (None: no bound), and
-    a walk cut by the budget yields None last.
+    The diagonal values are computed once per candidate per call, by
+    _gram_candidates; M_k c and c^T M_k the first time a diagonal
+    matches past column 0.  Each visited candidate costs one unit of
+    ``budget`` (None: no bound), and a walk cut by the budget yields
+    None last.
     """
     n = len(mats[0])
     columns = [list(zip(*m)) for m in mats]
@@ -800,11 +859,7 @@ def isometries(mats, targets, values, p: int, budget=None):
         s = sum(map(_times, u, v))
         return s % p if p else s
 
-    candidates = []
-    for c in itertools.product(values, repeat=n):
-        if any(c):
-            diagonal = tuple(pair(c, [sum(map(_times, row, c)) for row in m]) for m in mats)
-            candidates.append((c, diagonal))
+    candidates = _gram_candidates(mats, values, p)
     cache = {}
     chosen: list[tuple] = []
     left = math.inf if budget is None else budget

@@ -199,17 +199,26 @@ def orthogonal(q: SigmaModule, v: Subspace) -> Subspace:
     one linear condition x . (B_k u) = 0, on the int rows of B_k and of
     the basis: a condition keeps its zeros on any scale.
     """
+    return _orthogonal(q, v)[0]
+
+
+def _orthogonal(q: SigmaModule, v: Subspace):
+    """(orthogonal(q, v), kept), with kept as _perp gives it."""
     _check_subspace(q, v)
     p = q.field.characteristic
     images, _ = _pairing([b.num for b in q.forms], p)
     return _perp(q, [c for u in v.basis.num for c in images(u)])
 
 
-def _perp(q: SigmaModule, images) -> Subspace:
-    """V^perp from ``images``, the rows B_k u over a basis of V on plain
-    ints, as _pairing builds them from the int rows of the forms: their
-    null space.  The one solver of a twisted orthogonal; no rows give H."""
-    return Subspace._from_echelon(q.field, q.dim_h, *_null_space(q.field, list(images), q.dim_h))
+def _perp(q: SigmaModule, images):
+    """(V^perp, kept) from ``images``, the rows B_k u over a basis of V
+    on plain ints, as _pairing builds them from the int rows of the
+    forms: V^perp is their null space, and ``kept`` the pivot columns of
+    their one elimination, whose unit rows e_j span _complement(V^perp).
+    The one solver of a twisted orthogonal; no rows give H, and no kept
+    column."""
+    rows, pivots, den, kept = _null_space(q.field, list(images), q.dim_h)
+    return Subspace._from_echelon(q.field, q.dim_h, rows, pivots, den), kept
 
 
 def _pairing(forms, p: int):

@@ -23,10 +23,13 @@ the forms (d_k the denominator of B_k), whose entries a prime's plain
 box 0 .. p - 1 or balanced box p//2 + 1 - p .. p//2 holds, so the same
 search runs over ZZ on those two boxes, with no reduction mod p.  A
 prime that divides a denominator of the involution or of a form is
-skipped.  Each candidate is rechecked once, exactly: its orthogonal is
-solved over QQ and must contain it.  Every orthogonal here, a witness's
-too, is solved by sigmamod._perp from the rows B_k u that the search
-built over the basis.
+skipped.  Each candidate is rechecked once, exactly: every pairing
+u_i^T B_k u_j of its basis must vanish over ZZ, and dim V^perp is n
+minus the rank of the rows B_k u that the search built over the basis.
+V^perp itself is solved, by sigmamod._perp from those rows, only for
+the witness that a certificate or a filtration level uses; the pivot
+columns of that one elimination give the complement of V^perp, the
+level's pairing and its dual rows, read off rather than recomputed.
 
 A scan stops at its first equality witness when some form B_k is
 nonsingular: the rows B_k u over a basis of V are then independent
@@ -72,7 +75,8 @@ from .linalg import (
     GF,
     Matrix,
     Subspace,
-    _complement,
+    _run_head,
+    _runs,
     rank_mod_p,
 )
 from .sigmamod import (
@@ -226,21 +230,21 @@ def _grow(kills, rows, basis):
 def _run_roots(runs, u, p: int):
     """The t with Q_k(u + t e_last) = 0 for every form, mod p when p is
     a prime and over ZZ when p is 0, or None when every t is one.  ``u``
-    ends in 0 and ``runs`` holds one (B_k, s_k, c_k) per form, s_k the
-    row B_k[last] plus the column B_k[.][last] and c_k the corner
-    B_k[last][last], so that
+    ends in 0 and ``runs`` holds one (B_k, s_k, c_k) per form, as
+    linalg._runs builds them, so that
 
-        Q_k(u + t e_last) = u^T B_k u + t (s_k . u) + t^2 c_k.
+        Q_k(u + t e_last) = a_k + t (b_k + t c_k),
 
-    The first of these polynomials that is not zero gives the roots:
-    mod p by trying each t in range(p), which takes no division, so
-    characteristic 2 is no exception; over ZZ at most two, by an integer
-    square root of its discriminant or by one exact division.  The
-    others only filter them."""
+    a_k = u^T B_k u and b_k = s_k . u, from linalg._run_head form by
+    form, the one run helper that the Gram walk of linalg.isometries
+    also takes its diagonals from.  The first of these polynomials that
+    is not zero gives the roots: mod p by trying each t in range(p),
+    which takes no division, so characteristic 2 is no exception; over
+    ZZ at most two, by an integer square root of its discriminant or by
+    one exact division.  The others only filter them."""
     roots = None
     for form, s, c in runs:
-        a = sum(x * sum(map(mul, row, u)) for x, row in zip(u, form) if x)
-        b = sum(map(mul, s, u))
+        a, b = _run_head(form, s, u)
         if p:
             a, b, c = a % p, b % p, c % p
         if roots is not None:
@@ -273,7 +277,7 @@ def _lines(runs, p: int, n: int, pc: int, box, solved: dict):
     u with u^T B_k u = 0 for every one of the n x n plain-int forms, mod
     p when p is a prime (box is then range(p)) and over ZZ when p is 0.
 
-    ``runs`` holds one (B_k, s_k, c_k) per form, as _run_roots takes
+    ``runs`` holds one (B_k, s_k, c_k) per form, as linalg._runs builds
     them.  The rows run as prefixes u, last entry 0, each followed by its
     run u + t e_last over t in box, and _run_roots solves the run for its
     last entry; nothing is built over the box.  ``solved`` keeps the
@@ -341,9 +345,7 @@ def _isotropic_scanner(forms, p: int, n: int, primes=()):
         plain, balanced = range(prime), range(prime // 2 + 1 - prime, prime // 2 + 1)
         boxes[prime] = (plain,) if p or plain == balanced else (plain, balanced)
     images, kills = _pairing(forms, p)
-    last = n - 1
-    # a form on QQ^0 has no run
-    runs = [(b, [x + row[last] for x, row in zip(b[last], b)], b[last][last]) for b in forms if b]
+    runs = _runs(forms)
     solved: dict = {}
     # the lines of each (prime, column) that some reader has read to its end
     found: dict = {}
@@ -489,7 +491,7 @@ def _no_destabilizer(q: SigmaModule, forms) -> bool:
 
 def _certified(status: str, provenance: Provenance, q: SigmaModule, found) -> Verdict:
     v, _, images = found
-    lam = _destabilizing_by(q, v, _perp(q, images))
+    lam = _destabilizing_by(q, v, *_perp(q, images))
     value = mu(lam, q)
     if status == UNSTABLE and not value < 0:
         raise InternalCheckError("destabilizing weight is not negative")
@@ -522,8 +524,11 @@ def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, by_
     primes each; each lift comes at the first step whose prime lifts it,
     and the order fixes which witness comes first.  A prime is appended
     to ``tried`` whenever a step of it starts.  Each lift is rechecked
-    exactly over QQ: its orthogonal must contain it.  A prime with more
-    than MAX_LINES lines in F_p^n is refused before any work.
+    exactly over QQ, by its pairings u_i^T B_k u_j with the images, on
+    the int rows of the forms; its dim V^perp is n minus the rank of the
+    images, as over F_p, and V^perp is solved only where a witness is
+    used.  A prime with more than MAX_LINES lines in F_p^n is refused
+    before any work.
     """
     n = q.dim_h
     if q.field.kind == "fp":
@@ -534,7 +539,7 @@ def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, by_
             yield v, n - rank_mod_p(images, p), images
         return
     # the joint kernel: x . B_k e_i = 0 for every column B_k e_i
-    kernel = _perp(q, [c for b in forms for c in zip(*b)])
+    kernel, _ = _perp(q, [c for b in forms for c in zip(*b)])
     if not kernel.is_zero():
         yield kernel, n, ()
     _check_dim(n, enum_bound)
@@ -544,6 +549,7 @@ def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, by_
     # the scanner refuses a prime with too many lines before any search,
     # however early a scan may stop
     scan = _isotropic_scanner(forms, 0, n, primes)
+    _, kills = _pairing(forms, 0)
     if by_prime:
         steps = [(p, range(1, n + 1)) for p in primes]
     else:
@@ -555,10 +561,10 @@ def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, by_
                 # the joint kernel came first: an integral reduced echelon
                 # basis is its own int rows, over 1
                 continue
-            v = Subspace._from_echelon(q.field, n, rows, pivots)
-            perp = _perp(q, images)
-            if perp.contains(v):
-                yield v, perp.dim, images
+            # every pairing u_i^T B_k u_j, each image against each row
+            if all(kills(u, images) for u in rows):
+                v = Subspace._from_echelon(q.field, n, rows, pivots)
+                yield v, n - rank_mod_p(images, 0), images
 
 
 
@@ -571,6 +577,17 @@ class _Level(NamedTuple):
 
 
 def _build_levels(q, enum_bound, primes):
+    """(levels, chain, core, model rows) of the filtration of q.
+
+    Each level scans the current module once and reduces it by its
+    smallest equality witness V, whose orthogonal is solved from the
+    images the scan yielded with it, and rechecked by the reduction.
+    The dual of the level is the complement of V^perp that this
+    elimination gives, the unit rows e_j for j in its pivot columns
+    ``kept``, so the pairing alpha_k[i][j] is image j * dim W + k, the
+    row B_k u_j, at kept[i], over the denominator of B_k, and the dual's
+    rows in H are rows ``kept`` of the model rows: no product is taken.
+    """
     primes = _checked(primes)
     if not validate(q):
         raise StabilityError("module violates its symmetry relation")
@@ -590,13 +607,17 @@ def _build_levels(q, enum_bound, primes):
         if equality is None:
             break
         v, _, images = equality
-        reduction = _reduce_by(current, v, _perp(current, images))
-        dual = _complement(reduction.perp)
-        v_t = v.basis.transpose()
-        alpha = tuple(dual.basis @ b @ v_t for b in current.forms)
+        perp, kept = _perp(current, images)
+        reduction = _reduce_by(current, v, perp)
+        alpha = []
+        for k, b in enumerate(current.forms):
+            # images[k::dim W] are the rows B_k u_j, j = 0 .. dim V - 1
+            rows = tuple(tuple(r[c] for r in images[k :: current.dim_w]) for c in kept)
+            alpha.append(Matrix._from_rows(field, rows, v.dim, b.den))
         witness_rows = v.basis @ model_rows
-        dual_rows = dual.basis @ model_rows
-        levels.append(_Level(witness_rows, dual_rows, LinearPiece(alpha)))
+        dual_num = tuple(model_rows.num[c] for c in kept)
+        dual_rows = Matrix._from_rows(field, dual_num, n, model_rows.den)
+        levels.append(_Level(witness_rows, dual_rows, LinearPiece(tuple(alpha))))
         reached = Subspace._span(field, n, reached.basis.num + witness_rows.num)
         chain.append(reached)
         model_rows = reduction.model @ model_rows

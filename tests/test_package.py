@@ -107,6 +107,11 @@ RATIONAL_FIXTURE = (
     '"forms":[[["0","0","1"],["0","1","1"],["1","1","1"]]]}'
 )
 F3_FIXTURE = RATIONAL_FIXTURE.replace('"rational"', '"fp:3"')
+# an alternating QQ matrix with denominators, whose pfaffian is 3/28
+RATIONAL_MATRIX = (
+    '{"field":"rational","matrix":[["0","1/2","1/3","0"],["-1/2","0","0","3/4"],'
+    '["-1/3","0","0","5/7"],["0","-3/4","-5/7","0"]]}'
+)
 
 NO_FRACTIONS = """
 import importlib, pkgutil, sys
@@ -117,12 +122,13 @@ def clean(what):
     loaded = [m for m in ("fractions", "decimal") if m in sys.modules]
     assert not loaded, (what, loaded)
 
-f3, rational = sys.argv[1:]
+f3, rational, matrix = sys.argv[1:]
 for argv in (
     ["check", f3],
     ["enumerate", f3],
     ["fiber", "--field", "fp:3", "--case", "plus", "-r", "2"],
     ["check", rational],
+    ["pfaffian", matrix],
 ):
     assert cli.main(argv) == 0, argv
     clean(argv)
@@ -144,12 +150,15 @@ print("clean")
 def test_no_command_loads_fractions_unless_it_needs_a_fraction(tmp_path):
     # fractions imports decimal, milliseconds of start-up per process; a
     # QQ matrix is held on ints, so neither an F_p command nor a rational
-    # verdict loads them, and neither does importing every module
+    # verdict nor a rational pfaffian loads them, and neither does
+    # importing every module
     f3, rational = tmp_path / "f3.json", tmp_path / "rational.json"
+    matrix = tmp_path / "matrix.json"
     f3.write_text(F3_FIXTURE, encoding="utf-8")
     rational.write_text(RATIONAL_FIXTURE, encoding="utf-8")
+    matrix.write_text(RATIONAL_MATRIX, encoding="utf-8")
     proc = subprocess.run(
-        [sys.executable, "-c", NO_FRACTIONS, str(f3), str(rational)],
+        [sys.executable, "-c", NO_FRACTIONS, str(f3), str(rational), str(matrix)],
         capture_output=True,
         text=True,
         timeout=120,

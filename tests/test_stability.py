@@ -185,7 +185,7 @@ def test_pruned_search_matches_the_filtered_scan():
                 assert [v for v, _, _ in found] == expected
                 for v, perp_dim, images in found:
                     assert perp_dim == orthogonal(q, v).dim
-                    assert sigmamod._perp(q, images) == orthogonal(q, v)
+                    assert sigmamod._perp(q, images)[0] == orthogonal(q, v)
     assert not validate(modules[-1])
 
 
@@ -518,7 +518,7 @@ def test_rational_candidates_match_the_filtered_lifts():
                 assert perp_dim == orthogonal(q, v).dim
                 # every candidate, the joint kernel's () included, carries
                 # the images its orthogonal is solved from
-                assert sigmamod._perp(q, images) == orthogonal(q, v)
+                assert sigmamod._perp(q, images)[0] == orthogonal(q, v)
             if by_prime:
                 assert tried == reducible
                 skipped += len(reducible) < len(set(primes))
