@@ -5,16 +5,21 @@ returns exit code 0, whatever the mathematical outcome; exit code 1
 means the input was unusable and 2 means an internal consistency check
 failed.  Output bytes are deterministic for identical inputs.
 
-Each command imports only the layers it runs: ``pfaffian`` and
-``fiber`` never load the semistability engine, and ``check`` never
-loads the dual-number code.  Interpreter start-up still dominates the
-wall time of a small command.
+Each command is described once, in the COMMANDS table.  A well-formed
+command line is read straight off that table; argparse, built from the
+same table, is loaded only for help, for usage errors and for the
+spellings the table reader leaves to it, such as --opt=value.  Each
+command imports only the layers it runs: ``pfaffian`` and ``fiber``
+never load the semistability engine, and ``check`` never loads the
+dual-number code.  Interpreter start-up still dominates the wall time
+of a small command.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .errors import InternalCheckError, ParseError, UsageError
 from .linalg import Matrix, field_from_name, field_name
@@ -30,12 +35,8 @@ from .serialize import (
     verdict_to_dict,
 )
 
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad arguments, which is reserved
-    # here for internal check failures; surface a UsageError instead
-    def error(self, message):
-        raise ParseError(message)
+if TYPE_CHECKING:
+    import argparse
 
 
 def _read(path: str) -> str:
@@ -192,85 +193,144 @@ def _cmd_enumerate(args) -> dict:
     }
 
 
+# an option is (option strings, type, choices, required, help); its
+# value is stored under the first string, as argparse names it
+_FIELD = (
+    ("--field",),
+    None,
+    None,
+    False,
+    "field tag (rational or fp:<p>); on file commands this is a cross-check",
+)
+_ENUM_BOUND = (
+    ("--enum-bound",),
+    int,
+    None,
+    False,
+    "largest dim H the subspace enumerations will accept",
+)
+_PRIME_LIST = (
+    ("--prime-list",),
+    None,
+    None,
+    False,
+    "comma-separated primes for heuristic reductions over the rationals",
+)
+_SEARCH = (_FIELD, _ENUM_BOUND, _PRIME_LIST)
+
+# every command once, as name: (handler, help, positionals, options)
+COMMANDS = {
+    "check": (_cmd_check, "semistability verdict", ("file",), _SEARCH),
+    "weight": (_cmd_weight, "weight of the attached subgroup", ("file",), (_FIELD,)),
+    "limit": (_cmd_limit, "limit module under the attached subgroup", ("file",), (_FIELD,)),
+    "gr": (_cmd_gr, "graded module", ("file",), _SEARCH),
+    "sequiv": (_cmd_sequiv, "compare graded modules", ("file", "other"), _SEARCH),
+    "fiber": (
+        _cmd_fiber,
+        "enumerate a fixed-set fiber",
+        (),
+        (
+            _FIELD,
+            (("--case",), None, ("plus", "alternating", "unramified"), True, None),
+            (("--rank", "-r"), int, None, True, None),
+            (("--twist",), None, None, False, "matrix file for the alternating twist"),
+            (("--max-pairs",), int, None, False, None),
+        ),
+    ),
+    "pfaffian": (_cmd_pfaffian, "pfaffian of a matrix file", ("file",), (_FIELD,)),
+    "enumerate": (
+        _cmd_enumerate,
+        "list the totally isotropic subspaces",
+        ("file",),
+        (_FIELD, _ENUM_BOUND),
+    ),
+}
+
+
+def _dest(names) -> str:
+    return names[0].lstrip("-").replace("-", "_")
+
+
+def _parse(argv):
+    """The namespace that argparse builds for ``argv`` when that is
+    exactly well formed, else None, and build_parser() decides.
+
+    Well formed: a command of COMMANDS, then its positionals and its
+    options in any order, each option at most once, spelt in full and
+    followed by its value, every required option given and every value
+    passing its type and choices.  No token but an option string may
+    start with "-", so help, "--", abbreviations, --opt=value and
+    negative numbers all go to argparse, with every usage error.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, positionals, options = COMMANDS[argv[0]]
+    by_name = {name: option for option in options for name in option[0]}
+    values = {_dest(names): None for names, *_ in options}
+    seen = set()
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        option = by_name.get(token)
+        # a missing value reads as a dashed one
+        value = next(tokens, "-")
+        if option is None or value.startswith("-"):
+            return None
+        names, kind, choices, _, _ = option
+        dest = _dest(names)
+        if dest in seen:
+            return None
+        seen.add(dest)
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if len(given) != len(positionals):
+        return None
+    if any(required and _dest(names) not in seen for names, _, _, required, _ in options):
+        return None
+    values.update(zip(positionals, given), command=argv[0], handler=handler)
+    return SimpleNamespace(**values)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of COMMANDS, the one source of help text and
+    usage errors."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with status 2 on bad arguments, which is reserved
+        # here for internal check failures; surface a UsageError instead
+        def error(self, message):
+            raise ParseError(message)
+
     parser = _Parser(prog="twistmod", description=__doc__)
-
-    common = _Parser(add_help=False)
-    common.add_argument(
-        "--field",
-        help="field tag (rational or fp:<p>); on file commands this is a cross-check",
-    )
-
-    bound = _Parser(add_help=False)
-    bound.add_argument(
-        "--enum-bound",
-        type=int,
-        help="largest dim H the subspace enumerations will accept",
-    )
-    search = _Parser(add_help=False, parents=[bound])
-    search.add_argument(
-        "--prime-list",
-        help="comma-separated primes for heuristic reductions over the rationals",
-    )
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", parents=[common, search], help="semistability verdict")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser(
-        "weight", parents=[common], help="weight of the attached subgroup"
-    )
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_weight)
-
-    p = sub.add_parser(
-        "limit", parents=[common], help="limit module under the attached subgroup"
-    )
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_limit)
-
-    p = sub.add_parser("gr", parents=[common, search], help="graded module")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_gr)
-
-    p = sub.add_parser(
-        "sequiv", parents=[common, search], help="compare graded modules"
-    )
-    p.add_argument("file")
-    p.add_argument("other")
-    p.set_defaults(handler=_cmd_sequiv)
-
-    p = sub.add_parser(
-        "fiber", parents=[common], help="enumerate a fixed-set fiber"
-    )
-    p.add_argument("--case", required=True, choices=["plus", "alternating", "unramified"])
-    p.add_argument("--rank", "-r", type=int, required=True)
-    p.add_argument("--twist", help="matrix file for the alternating twist")
-    p.add_argument("--max-pairs", type=int)
-    p.set_defaults(handler=_cmd_fiber)
-
-    p = sub.add_parser("pfaffian", parents=[common], help="pfaffian of a matrix file")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_pfaffian)
-
-    p = sub.add_parser(
-        "enumerate",
-        parents=[common, bound],
-        help="list the totally isotropic subspaces",
-    )
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_enumerate)
-
+    for command, (handler, help_text, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for names, kind, choices, required, help_option in options:
+            p.add_argument(*names, type=kind, choices=choices, required=required, help=help_option)
+        for name in positionals:
+            p.add_argument(name)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "command", None) == "fiber" and args.field is None:
+        args = _parse(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
+        if args.command == "fiber" and args.field is None:
             raise UsageError("the fiber command needs --field")
         payload = args.handler(args)
     except InternalCheckError as exc:

@@ -178,10 +178,11 @@ def subgroup_from_dict(field, ambient: int, obj) -> OneParamSubgroup:
 
 
 def mu_to_json(value):
-    from .hilbert import MINUS_INFINITY
-
+    # a verdict without a certificate has no weight, and loads no hilbert
     if value is None:
         return None
+    from .hilbert import MINUS_INFINITY
+
     if value is MINUS_INFINITY:
         return "-infinity"
     return int(value)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import (
@@ -527,14 +527,15 @@ def _congruence_invariants_match(q1: SigmaModule, q2: SigmaModule) -> bool:
     return True
 
 
-def _combination(forms, coeffs, p: int) -> list:
-    """sum c_k B_k on plain ints, each entry reduced mod p when p > 0: an
-    entry that vanishes only mod p must not count toward the rank."""
-    n = len(forms[0])
-    combo = [
-        [sum(c * b[i][j] for c, b in zip(coeffs, forms) if c) for j in range(n)]
-        for i in range(n)
-    ]
+def _combination(forms, coeffs, p: int):
+    """sum c_k B_k on plain ints, built a row at a time from the forms
+    with c_k != 0, each entry reduced mod p when p > 0: an entry that
+    vanishes only mod p must not count toward the rank."""
+    combo = None
+    for c, b in zip(coeffs, forms):
+        if c:
+            rows = b if c == 1 else [[c * x for x in row] for row in b]
+            combo = rows if combo is None else [list(map(add, r, s)) for r, s in zip(combo, rows)]
     return [[x % p for x in row] for row in combo] if p else combo
 
 

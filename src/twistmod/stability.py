@@ -47,6 +47,10 @@ filtration.  Peeling the witnesses off leaves a stable core, and the
 witnesses together with their dual pairings reassemble into the graded
 module: the nested hyperbolic wrapping of the core.  Two semistable
 modules are S-equivalent when their graded modules are isomorphic.
+
+The subgroup layer, hilbert, is imported inside _certified, graded and
+hilbert_mumford_sweep, where a certificate, a grading or a sweep is
+built: an enumeration, or an F_p verdict of stable, never loads it.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ import functools
 import itertools
 import math
 from operator import mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     BoundExceededError,
@@ -63,13 +67,6 @@ from .errors import (
     InternalCheckError,
     ShapeError,
     StabilityError,
-)
-from .hilbert import (
-    MINUS_INFINITY,
-    OneParamSubgroup,
-    _destabilizing_by,
-    _limit_in_basis,
-    mu,
 )
 from .linalg import (
     GF,
@@ -91,6 +88,9 @@ from .sigmamod import (
     orthogonal,
     validate,
 )
+
+if TYPE_CHECKING:
+    from .hilbert import OneParamSubgroup
 
 STABLE = "stable"
 STRICTLY_SEMISTABLE = "strictly_semistable"
@@ -490,6 +490,8 @@ def _no_destabilizer(q: SigmaModule, forms) -> bool:
 
 
 def _certified(status: str, provenance: Provenance, q: SigmaModule, found) -> Verdict:
+    from .hilbert import _destabilizing_by, mu
+
     v, _, images = found
     lam = _destabilizing_by(q, v, *_perp(q, images))
     value = mu(lam, q)
@@ -657,6 +659,8 @@ def graded(
     with dim H = 0 is refused with ShapeError: its canonical subgroup
     would have no piece.
     """
+    from .hilbert import OneParamSubgroup, _limit_in_basis
+
     if q.dim_h == 0:
         raise ShapeError("a graded module needs dim H >= 1, not 0")
     levels, chain, core, core_rows = _build_levels(q, enum_bound, primes)
@@ -761,6 +765,8 @@ def hilbert_mumford_sweep(
     iff the module is unstable for small dims; q = 0 gives minus
     infinity.
     """
+    from .hilbert import MINUS_INFINITY
+
     if weight_bound < 0:
         raise ValueError(f"weight_bound must be nonnegative, not {weight_bound}")
     if q.field.kind != "fp":
@@ -781,15 +787,27 @@ def hilbert_mumford_sweep(
     subs, flags = _flags(p, n)
     images, kills = _pairing([b.num for b in q.forms], p)
 
-    # number the echelon rows of all bases; meets[i] has bit j when row i
-    # pairs nonzero with row j, so subspace a pairs nonzero with subspace
-    # b iff left[a] & right[b]
+    # number the echelon rows of all bases, the rows of the wide bases
+    # (dim >= 2) first; meets[i] has bit j when row i pairs nonzero with
+    # row j, so subspaces a and b pair nonzero iff left[a] & right[b] or
+    # left[b] & right[a].  Every step of a flag after the first is wide,
+    # so a flag pairs a line only with itself or with a wide step, and
+    # the row of a line outside the wide bases is tested against the
+    # wide rows and itself only: on F_p^2 three tests a line, not p + 1
     index: dict = {}
     for basis in subs:
-        for u in basis:
-            index.setdefault(u, len(index))
+        if len(basis) > 1:
+            for u in basis:
+                index.setdefault(u, len(index))
+    wide = len(index)
+    for basis in subs:
+        if len(basis) == 1:
+            index.setdefault(basis[0], len(index))
     imgs = [images(u) for u in index]
-    meets = [sum(1 << j for j, c in enumerate(imgs) if not kills(u, c)) for u in index]
+    meets = []
+    for i, u in enumerate(index):
+        tested = range(len(index)) if i < wide else (*range(wide), i)
+        meets.append(sum(1 << j for j in tested if not kills(u, imgs[j])))
     left, right = [], []
     for basis in subs:
         rows = [index[u] for u in basis]

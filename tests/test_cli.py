@@ -432,9 +432,11 @@ BASE_LAYERS = {
 ENGINE = {"twistmod.sigmamod", "twistmod.hilbert", "twistmod.stability"}
 
 
-# standard modules that no command should load: dataclasses pulls in
-# inspect, ast, dis and tokenize, milliseconds of start-up per process
-START_UP_EXCLUDED = ("dataclasses", "inspect")
+# standard modules that no well-formed command should load: dataclasses
+# pulls in inspect, ast, dis and tokenize, and argparse pulls in gettext,
+# whose lookups load locale, milliseconds of start-up per process each;
+# argparse is loaded only for help and usage errors
+START_UP_EXCLUDED = ("dataclasses", "inspect", "argparse", "gettext", "locale")
 
 
 def loaded_layers(code, *argv):
@@ -458,8 +460,15 @@ def test_importing_the_cli_loads_no_engine_layer():
     assert loaded_layers("import twistmod.cli") == BASE_LAYERS
 
 
+# x^2 + y^2 over F_3 has no isotropic line, since -1 is not a square mod 3
+ANISOTROPIC_F3 = (
+    '{"field":"fp:3","sign":"+1","dim_h":2,"w":{"dim":1,"involution":[["1"]]},'
+    '"forms":[[["1","0"],["0","1"]]]}'
+)
+
+
 @pytest.mark.parametrize(
-    "command, layers",
+    "case, layers",
     [
         ("pfaffian", {"twistmod.dualnum"}),
         ("fiber", {"twistmod.dualnum"}),
@@ -468,20 +477,199 @@ def test_importing_the_cli_loads_no_engine_layer():
         ("check", ENGINE),
         ("gr", ENGINE),
         ("sequiv", ENGINE),
-        ("enumerate", ENGINE),
+        # hilbert only where a certificate, a grading or a sweep is built
+        ("enumerate", {"twistmod.sigmamod", "twistmod.stability"}),
+        ("check-fp-stable", {"twistmod.sigmamod", "twistmod.stability"}),
     ],
 )
-def test_each_command_loads_only_its_layers(tmp_path, command, layers):
+def test_each_command_loads_only_its_layers(tmp_path, case, layers):
     fixture = put(tmp_path, "fixture.json", FIXTURE)
     matrix = '{"field":"rational","matrix":[["0","1"],["-1","0"]]}'
     argv = {
-        "pfaffian": [put(tmp_path, "j2.json", matrix)],
-        "fiber": ["--field", "fp:2", "--case", "plus", "-r", "2"],
-        "sequiv": [fixture, fixture],
-        "enumerate": [put(tmp_path, "hyp2.json", HYPERBOLIC.replace("rational", "fp:2"))],
-    }.get(command, [fixture])
+        "pfaffian": ["pfaffian", put(tmp_path, "j2.json", matrix)],
+        "fiber": ["fiber", "--field", "fp:2", "--case", "plus", "-r", "2"],
+        "sequiv": ["sequiv", fixture, fixture],
+        "enumerate": [
+            "enumerate",
+            put(tmp_path, "hyp2.json", HYPERBOLIC.replace("rational", "fp:2")),
+        ],
+        "check-fp-stable": ["check", put(tmp_path, "aniso3.json", ANISOTROPIC_F3)],
+    }.get(case, [case, fixture])
     code = "import sys, twistmod.cli; assert twistmod.cli.main(sys.argv[1:]) == 0"
-    assert loaded_layers(code, command, *argv) == BASE_LAYERS | layers
+    assert loaded_layers(code, *argv) == BASE_LAYERS | layers
+
+
+def test_a_stable_fp_check_certifies_nothing(tmp_path, capsys):
+    path = put(tmp_path, "aniso3.json", ANISOTROPIC_F3)
+    code, out, _ = run(capsys, "check", path)
+    assert code == 0
+    assert out == '{"status":"stable","provenance":{"kind":"exhaustive","primes":[]},"mu":null}\n'
+
+
+# -- the table parser against argparse --------------------------------------
+
+# values a command line may carry: paths, field tags, ints that int() reads
+# and ints it refuses, choices and near-choices, and dashed tokens
+VALUES = (
+    "a.json",
+    "b c.json",
+    "",
+    "fp:3",
+    "rational",
+    "2",
+    " 4",
+    "1_0",
+    "+3",
+    "\u0663",
+    "x",
+    "2.0",
+    "plus",
+    "alternating",
+    "unramified",
+    "Plus",
+    "check",
+    "-2",
+    "-x",
+    "-",
+)
+# dashed tokens that are not an option of any command as it is spelt
+DASHED = ("-h", "--help", "--", "--bogus", "-r2", "--fie", "--enum", "--ca", "--ra", "--max")
+
+
+def value_for(draw, st, option):
+    names, kind, choices, _, _ = option
+    if choices is not None:
+        return draw(st.sampled_from(choices))
+    if kind is int:
+        return str(draw(st.integers(0, 10**6)))
+    return draw(st.sampled_from([v for v in VALUES if not v.startswith("-")]))
+
+
+def well_formed_argv(st):
+    """Every command with its positionals and some of its options, every
+    required one included, in full spelling and in any order."""
+
+    @st.composite
+    def argv(draw):
+        command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+        _, _, positionals, options = cli.COMMANDS[command]
+        chunks = [[draw(st.sampled_from(("a.json", "b c.json", "", "check")))] for _ in positionals]
+        for option in options:
+            if option[3] or draw(st.booleans()):
+                chunks.append([draw(st.sampled_from(option[0])), value_for(draw, st, option)])
+        chunks = draw(st.permutations(chunks))
+        return [command] + [token for chunk in chunks for token in chunk]
+
+    return argv()
+
+
+def mutated_argv(st):
+    """A well-formed argv with one change that argparse may or may not
+    accept: an abbreviation, --opt=value, a repeated option, a negative
+    number or a dashed value, -h, --, an unknown command, a bad int or
+    choice, a dropped or an extra token."""
+
+    @st.composite
+    def argv(draw):
+        tokens = draw(well_formed_argv(st))
+        command = tokens[0]
+        names = [name for option in cli.COMMANDS[command][3] for name in option[0]]
+        flagged = [i for i, token in enumerate(tokens) if token in names]
+        on_an_option = ("abbreviate", "join", "repeat", "negative", "value")
+        how = draw(st.sampled_from(on_an_option + ("insert", "command", "drop", "extra")))
+        if how in on_an_option and not flagged:
+            how = "insert"
+        if how == "abbreviate":
+            i = draw(st.sampled_from(flagged))
+            name = tokens[i]
+            tokens[i] = name[: draw(st.integers(2, len(name)))]
+        elif how == "join":
+            i = draw(st.sampled_from(flagged))
+            tokens[i : i + 2] = [f"{tokens[i]}={tokens[i + 1]}"]
+        elif how == "repeat":
+            i = draw(st.sampled_from(flagged))
+            tokens += tokens[i : i + 2]
+        elif how == "negative":
+            i = draw(st.sampled_from(flagged))
+            tokens[i + 1] = draw(st.sampled_from(("-1", "-0", "-7", "-x")))
+        elif how == "value":
+            i = draw(st.sampled_from(flagged))
+            tokens[i + 1] = draw(st.sampled_from(VALUES))
+        elif how == "insert":
+            where = draw(st.integers(1, len(tokens)))
+            tokens.insert(where, draw(st.sampled_from(DASHED)))
+        elif how == "command":
+            tokens[0] = draw(st.sampled_from(("bogus", "chec", "", "-h", "--field", "CHECK")))
+        elif how == "drop":
+            del tokens[draw(st.integers(1, max(len(tokens) - 1, 1))) :]
+        else:
+            tokens.append(draw(st.sampled_from(VALUES + DASHED)))
+        return tokens
+
+    return argv()
+
+
+def test_the_table_parser_reads_every_well_formed_command_as_argparse_does():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    parser = cli.build_parser()
+
+    @hypothesis.settings(max_examples=300)
+    @hypothesis.given(well_formed_argv(st))
+    def check(argv):
+        args = cli._parse(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(parser.parse_args(argv))
+
+    check()
+
+
+def test_the_table_parser_leaves_to_argparse_or_agrees_with_it():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    parser = cli.build_parser()
+    soup = st.lists(st.sampled_from(VALUES + DASHED + tuple(cli.COMMANDS)), max_size=8)
+
+    @hypothesis.settings(max_examples=600)
+    @hypothesis.given(st.one_of(mutated_argv(st), soup))
+    def check(argv):
+        args = cli._parse(argv)
+        if args is not None:
+            # argparse accepts it too, with the same values
+            assert vars(args) == vars(parser.parse_args(argv)), argv
+
+    check()
+
+
+# one of each kind of command line that only argparse reads
+LEFT_TO_ARGPARSE = [
+    [],
+    ["-h"],
+    ["check", "-h"],
+    ["check", "a.json", "--help"],
+    ["bogus", "a.json"],
+    ["chec", "a.json"],
+    ["check", "a.json", "--bogus", "x"],
+    ["check", "a.json", "--fie", "fp:3"],
+    ["check", "a.json", "--field=fp:3"],
+    ["check", "a.json", "--field", "fp:3", "--field", "fp:3"],
+    ["fiber", "--field", "fp:3", "--case", "plus", "-r", "2", "--rank", "2"],
+    ["fiber", "--field", "fp:3", "--case", "plus", "-r", "-2"],
+    ["fiber", "--field", "fp:3", "--case", "plus", "-r2"],
+    ["check", "-a.json"],
+    ["check", "--", "a.json"],
+    ["fiber", "--field", "fp:3", "--case", "plus", "-r", "x"],
+    ["fiber", "--field", "fp:3", "--case", "minus", "-r", "2"],
+    ["fiber", "--field", "fp:3", "-r", "2"],
+    ["check"],
+    ["check", "a.json", "b.json"],
+    ["check", "a.json", "--field"],
+]
+
+
+@pytest.mark.parametrize("argv", LEFT_TO_ARGPARSE, ids=" ".join)
+def test_the_table_parser_leaves_help_errors_and_other_spellings_to_argparse(argv):
+    assert cli._parse(argv) is None
 
 
 def test_module_entry_point_matches_library(tmp_path):

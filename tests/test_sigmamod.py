@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from twistmod.errors import FieldError, IsotropyError, SingularMatrixError
-from twistmod.linalg import GF, QQ, Matrix, Subspace, isometries, rank_mod_p
+from twistmod.linalg import GF, QQ, Matrix, Subspace, _common, isometries, rank_mod_p
 from twistmod.sigmamod import (
     NOT_ISOTROPIC,
     SIGMA_ISOTROPIC,
@@ -21,6 +21,7 @@ from twistmod.sigmamod import (
     IsoResult,
     LinearPiece,
     SigmaModule,
+    _combination,
     _congruence_invariants_match,
     _isometry_search,
     act,
@@ -568,6 +569,38 @@ def test_invariants_reduce_a_combination_that_vanishes_only_mod_p():
         assert _congruence_invariants_match(q, q2)
         assert is_isomorphic(q, q2).status == "yes"
     assert misled > 0
+
+
+def entrywise_combination(forms, coeffs, p):
+    # the formula the row-wise combination replaced: one sum per entry
+    n = len(forms[0])
+    combo = [
+        [sum(c * b[i][j] for c, b in zip(coeffs, forms) if c) for j in range(n)]
+        for i in range(n)
+    ]
+    return [[x % p for x in row] for row in combo] if p else combo
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), GF(7), QQ], ids=["F2", "F3", "F5", "F7", "QQ"])
+def test_row_wise_combinations_match_the_entrywise_formula(field):
+    # every nonzero coefficient vector that _congruence_invariants_match
+    # could take, over the int rows of random modules under both
+    # involutions and signs: the same entries, so the same ranks
+    rng = random.Random(53 + (field.p if field.kind == "fp" else 0))
+    p = field.characteristic
+    box = range(p) if p else range(-2, 3)
+    for w in (trivial_w(field), swap_w(field)):
+        for sign in (1, -1):
+            for n in (1, 2, 3, 4):
+                for _ in range(3):
+                    _, forms = _common(random_module(rng, field, n, w, sign).forms)
+                    for coeffs in itertools.product(box, repeat=w.dim):
+                        if not any(coeffs):
+                            continue
+                        expected = entrywise_combination(forms, coeffs, p)
+                        combo = _combination(forms, coeffs, p)
+                        assert [list(row) for row in combo] == expected
+                        assert rank_mod_p(combo, p) == rank_mod_p(expected, p)
 
 
 @pytest.mark.parametrize("field", [GF(3), GF(5), QQ], ids=["F3", "F5", "QQ"])

@@ -9,6 +9,7 @@ Subspace machinery.
 import functools
 import itertools
 import math
+import operator
 import random
 import resource
 import subprocess
@@ -1313,6 +1314,77 @@ def test_sweep_matches_the_ordered_sweep():
                 assert sweep_outcome(hilbert_mumford_sweep, q, **bounds) == want
                 if small or bound <= 100:
                     assert sweep_outcome(ordered_sweep, q, **bounds) == want
+
+
+# The sweep's pairing as it stood before it kept only the row pairs that
+# a flag can ask about: every echelon row of every subspace against every
+# other, both ways.  Kept unchanged as the oracle.
+def row_table_sweep(q, weight_bound=3):
+    p, n = q.field.p, q.dim_h
+    subs, flags = _flags(p, n)
+    images, kills = _pairing([b.num for b in q.forms], p)
+    index: dict = {}
+    for basis in subs:
+        for u in basis:
+            index.setdefault(u, len(index))
+    imgs = [images(u) for u in index]
+    meets = [sum(1 << j for j, c in enumerate(imgs) if not kills(u, c)) for u in index]
+    left, right = [], []
+    for basis in subs:
+        rows = [index[u] for u in basis]
+        mask = 0
+        for i in rows:
+            mask |= meets[i]
+        left.append(mask)
+        right.append(sum(1 << i for i in rows))
+    best = None
+    for dims, flag in flags:
+        pairs = []
+        for j, b in enumerate(flag):
+            for i, a in enumerate(flag[: j + 1]):
+                if left[a] & right[b] or left[b] & right[a]:
+                    pairs.append((i, j))
+                    break
+        descending = range(weight_bound, -weight_bound - 1, -1)
+        for w in itertools.combinations(descending, len(dims)):
+            if sum(map(operator.mul, w, dims)):
+                continue
+            value = max((w[i] + w[j] for i, j in pairs), default=MINUS_INFINITY)
+            if best is None or value < best:
+                best = value
+    return best
+
+
+def small_fields():
+    """Every F_p^n, n >= 1, that the sweep accepts at its default bounds,
+    but for F_p^1 and F_p^2 only up to p = 13 and the largest, p = 443."""
+    for p in (2, 3, 5, 7, 11, 13, 443):
+        for n in range(1, 5):
+            if ordered_decompositions(p, n) <= 200_000 and (p < 443 or n == 2):
+                yield p, n
+
+
+def test_the_sweep_matches_the_full_row_table():
+    rng = random.Random(17)
+    fields = list(small_fields())
+    assert (2, 4) in fields and (7, 3) in fields and (443, 2) in fields
+    assert (3, 4) not in fields and (11, 3) not in fields
+    for p, n in fields:
+        field = GF(p)
+        cases = [module_1form(field, [[0] * n for _ in range(n)])]
+        for w in (trivial_w(field), swap_w(field)):
+            for sign in (1, -1) if p < 443 else (1,):
+                cases.append(random_module(rng, field, n, w, sign))
+        # forms that break the symmetry relation, which the sweep takes as
+        # they are, pair u with v and v with u differently: random ones, and
+        # each form with a single nonzero entry off the diagonal
+        for _ in range(3 if p < 443 else 1):
+            cases.append(module_1form(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)]))
+        for k, l in itertools.permutations(range(n), 2):
+            cases.append(module_1form(field, [[int((i, j) == (k, l)) for j in range(n)] for i in range(n)]))
+        for q in cases:
+            for bound in (1, 3) if p < 443 else (3,):
+                assert hilbert_mumford_sweep(q, bound) == row_table_sweep(q, bound), (p, n, bound)
 
 
 def test_searches_refuse_too_many_lines_before_any_work():
