@@ -133,13 +133,13 @@ def _cmd_sequiv(args) -> dict:
     return {"s_equivalent": s_equivalent(first.module, second.module, **search)}
 
 
-def _standard_twist(field, r: int, bound: dict) -> Matrix:
+def _standard_twist(field, r: int) -> Matrix:
     from .dualnum import _check_fiber
 
     if r % 2 != 0:
         raise UsageError("the alternating case needs an even rank")
     # refuse a huge rank before its r x r grid is built
-    _check_fiber(field, r, **bound)
+    _check_fiber(field, r)
     grid = [[0] * r for _ in range(r)]
     for i in range(0, r, 2):
         grid[i][i + 1] = 1
@@ -153,9 +153,8 @@ def _cmd_fiber(args) -> dict:
     if args.twist is not None and args.case != "alternating":
         raise UsageError("--twist is for the alternating case only")
     field = field_from_name(args.field)
-    bound = _given(max_pairs=args.max_pairs)
     if args.case == "unramified":
-        count = unramified_fixed_count(field, args.rank, **bound)
+        count = unramified_fixed_count(field, args.rank)
         return {
             "case": "unramified",
             "r": args.rank,
@@ -168,8 +167,8 @@ def _cmd_fiber(args) -> dict:
         if twist.field != field:
             raise UsageError("twist matrix is over the wrong field")
     elif args.case == "alternating":
-        twist = _standard_twist(field, args.rank, bound)
-    report = fiber_structure_check(field, args.rank, args.case, m=twist, **bound)
+        twist = _standard_twist(field, args.rank)
+    report = fiber_structure_check(field, args.rank, args.case, m=twist)
     return fiber_report_to_dict(report)
 
 
@@ -234,7 +233,6 @@ COMMANDS = {
             (("--case",), None, ("plus", "alternating", "unramified"), True, None),
             (("--rank", "-r"), int, None, True, None),
             (("--twist",), None, None, False, "matrix file for the alternating twist"),
-            (("--max-pairs",), int, None, False, None),
         ),
     ),
     "pfaffian": (_cmd_pfaffian, "pfaffian of a matrix file", ("file",), (_FIELD,)),
@@ -311,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         def error(self, message):
             raise ParseError(message)
 
-    parser = _Parser(prog="twistmod", description=__doc__)
+    parser = _Parser(prog="twistmod", description="Exact computations on twisted bilinear modules.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (handler, help_text, positionals, options) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)

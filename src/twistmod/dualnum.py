@@ -238,10 +238,11 @@ def _closed(elements, mul) -> bool:
     return True
 
 
+# the fiber engine refuses a size with more pairs (g, h) than this
 _MAX_PAIRS = 1_000_000
 
 
-def _check_fiber(field, r: int, max_pairs: int = _MAX_PAIRS) -> int:
+def _check_fiber(field, r: int) -> int:
     # the field order q; the bound counts the q^(2 r^2) pairs (g, h), not the work done
     if field.kind != "fp":
         raise FieldError("fiber enumeration needs a finite field")
@@ -250,20 +251,14 @@ def _check_fiber(field, r: int, max_pairs: int = _MAX_PAIRS) -> int:
     q = field.p
     n = 2 * r * r
     # q >= 2, so past the bound's bit length q^n exceeds it without being computed
-    if n > max_pairs.bit_length() or q**n > max_pairs:
+    if n > _MAX_PAIRS.bit_length() or q**n > _MAX_PAIRS:
         raise BoundExceededError(
-            f"fiber enumeration over F_{q} at size {r} exceeds {max_pairs} pairs"
+            f"fiber enumeration over F_{q} at size {r} exceeds {_MAX_PAIRS} pairs"
         )
     return q
 
 
-def fiber_structure_check(
-    field,
-    r: int,
-    case: str,
-    m: Matrix | None = None,
-    max_pairs: int = _MAX_PAIRS,
-) -> FiberReport:
+def fiber_structure_check(field, r: int, case: str, m: Matrix | None = None) -> FiberReport:
     """Find a branch-point fiber over F_q and verify its structure.
 
     The image, SO_r (plus case) or the symplectic group of m (alternating
@@ -277,12 +272,12 @@ def fiber_structure_check(
     projects onto the image, that the kernel over the identity is the
     expected additive space of matrices (solved from its own
     description), and that the counts match |image| * q^(dim kernel).
-    ``max_pairs`` refuses any size with more than that many pairs (g, h),
-    q^(2 r^2), whatever the work.
+    Any size with more than _MAX_PAIRS pairs (g, h), q^(2 r^2), is
+    refused, whatever the work.
     """
     if case not in ("plus", "alternating"):
         raise ValueError(f"unknown fiber case {case!r}")
-    p = _check_fiber(field, r, max_pairs)
+    p = _check_fiber(field, r)
     identity = Matrix.identity(field, r)
 
     if case == "plus":
@@ -373,15 +368,15 @@ def fiber_structure_check(
     )
 
 
-def unramified_fixed_count(field, r: int, max_pairs: int = _MAX_PAIRS) -> int:
+def unramified_fixed_count(field, r: int) -> int:
     """Count fixed pairs away from the branch locus.
 
     The answer is |SL_r(F_q)|.  A pair (g1, g2) can be fixed only when
     g2 = t(g1)^-1, so the predicate is applied to that one partner of
     each invertible g1, which keeps the count an oracle for the fact.
-    ``max_pairs`` refuses the same sizes as ``fiber_structure_check``.
+    It refuses the same sizes as ``fiber_structure_check``.
     """
-    q = _check_fiber(field, r, max_pairs)
+    q = _check_fiber(field, r)
     count = 0
     for entries in itertools.product(range(q), repeat=r * r):
         rows = [entries[i * r : (i + 1) * r] for i in range(r)]

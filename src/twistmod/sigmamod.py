@@ -406,12 +406,11 @@ class IsoResult(NamedTuple):
     witness: Matrix | None = None
 
 
-def is_isomorphic(
-    q1: SigmaModule,
-    q2: SigmaModule,
-    *,
-    node_budget: int = 500_000,
-) -> IsoResult:
+# the candidates that is_isomorphic's search may visit before it answers unknown
+_NODE_BUDGET = 500_000
+
+
+def is_isomorphic(q1: SigmaModule, q2: SigmaModule) -> IsoResult:
     """Decide whether two modules are isomorphic.
 
     A witness f satisfies  B1_k = f^T B2_k f  for all k, and every
@@ -431,12 +430,11 @@ def is_isomorphic(
     of ``dualnum``.  Over F_p these list p^dim_w
     combinations of the forms and p^dim_h - 1 candidate columns, and
     more than MAX_LINES of either raise BoundExceededError before that
-    work starts.  Each visited candidate costs one unit of
-    ``node_budget``.  Over F_p (p = 2, or dim W >= 2) the search is
-    exhaustive when it finishes, so it answers yes or no, but it answers
-    unknown when the budget runs out first.  Over the rationals it runs
-    over a bounded box of small rationals and can only answer yes or
-    unknown.
+    work starts.  The search visits at most _NODE_BUDGET candidates.
+    Over F_p (p = 2, or dim W >= 2) it is exhaustive when it finishes,
+    so it answers yes or no, but it answers unknown when the budget runs
+    out first.  Over the rationals it runs over a bounded box of small
+    rationals and can only answer yes or unknown.
     """
     _check_compatible(q1, q2)
     if q1.dim_h != q2.dim_h:
@@ -458,7 +456,7 @@ def is_isomorphic(
     if not _congruence_invariants_match(q1, q2):
         return IsoResult("no")
 
-    witness, exhausted = _isometry_search(q1, q2, node_budget)
+    witness, exhausted = _isometry_search(q1, q2, _NODE_BUDGET)
     if witness is not None:
         _check_witness(q1, q2, witness)
         return IsoResult("yes", witness)

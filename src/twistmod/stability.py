@@ -85,7 +85,6 @@ from .sigmamod import (
     _reduce_by,
     _wrap,
     is_isomorphic,
-    orthogonal,
     validate,
 )
 
@@ -437,7 +436,7 @@ def semistability_verdict(
     kind = "exhaustive" if q.field.kind == "fp" else "heuristic"
     tried: list = []
     # the heuristic's provenance lists every prime it scanned, so it scans in full
-    worse, equality = _scan(q, enum_bound, primes, tried, True, may_stop=kind == "exhaustive")
+    worse, equality = _scan(q, enum_bound, primes, tried, full=kind == "heuristic")
     provenance = Provenance(kind, tuple(tried))
     if worse is not None:
         return _certified(UNSTABLE, provenance, q, worse)
@@ -451,27 +450,29 @@ def _checked(primes) -> tuple:
     return tuple(GF(p).p for p in primes)
 
 
-def _scan(q: SigmaModule, enum_bound: int, primes, tried: list, by_prime: bool, may_stop: bool):
+def _scan(q: SigmaModule, enum_bound: int, primes, tried: list, full: bool):
     """(destabilizer, equality) over the candidate stream of q, each a
     (V, dim V^perp, images) record of _candidates or None.
 
     The scan stops at the first V with dim V + dim V^perp > dim H, the
     destabilizer; equality is the first V before it meeting equality.
-    Either is None when the scan saw none.  When ``may_stop`` is set and
-    _no_destabilizer holds, the scan also stops at the first equality: a
-    full scan would return that same equality and no destabilizer.
+    Either is None when the scan saw none.  A ``full`` scan runs the
+    stream prime by prime and reads it to the end.  Otherwise the stream
+    runs dimension by dimension, and when _no_destabilizer holds the scan
+    also stops at the first equality: reading on would return that same
+    equality and no destabilizer.
     """
     n = q.dim_h
     forms = [b.num for b in q.forms]
     equality = None
-    for found in _candidates(q, forms, enum_bound, primes, tried, by_prime):
+    for found in _candidates(q, forms, enum_bound, primes, tried, full):
         v, perp_dim, _ = found
         total = v.dim + perp_dim
         if total > n:
             return found, equality
         if total == n and equality is None:
             equality = found
-            if may_stop and _no_destabilizer(q, forms):
+            if not full and _no_destabilizer(q, forms):
                 break
     return None, equality
 
@@ -503,12 +504,13 @@ def _certified(status: str, provenance: Provenance, q: SigmaModule, found) -> Ve
 
 
 def joint_kernel(q: SigmaModule) -> Subspace:
-    """Vectors x with q(x) = 0; by the symmetry relation this also kills
-    every q(y)(x), so the kernel is totally isotropic with full orthogonal."""
-    return orthogonal(q, Subspace.full(q.field, q.dim_h))
+    """Vectors x with q(x) = 0, solved from x . B_k e_i = 0 for every
+    column B_k e_i; by the symmetry relation this also kills every
+    q(y)(x), so the kernel is totally isotropic with full orthogonal."""
+    return _perp(q, [c for b in q.forms for c in zip(*b.num)])[0]
 
 
-def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, by_prime: bool):
+def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, full: bool):
     """Yield (V, dim V^perp, images) for the totally isotropic V that the
     subspace criterion is tested on, where ``forms`` are the int rows of
     the forms of q and ``images`` the rows B_k u that the search built
@@ -521,10 +523,11 @@ def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, by_
     primes of ``primes``, under the int rows of the forms, on which every
     pairing keeps its zeros.  A prime dividing a denominator of the
     involution or of a form is skipped, and a repeated prime counts in
-    its first place only.  The stream runs prime by prime, all dimensions each, when
-    ``by_prime`` is set, and otherwise dimension by dimension, all
-    primes each; each lift comes at the first step whose prime lifts it,
-    and the order fixes which witness comes first.  A prime is appended
+    its first place only.  The stream runs prime by prime, all dimensions
+    each, when ``full`` is set, and otherwise dimension by dimension, all
+    primes each; over F_p the order is the same either way.  Each lift
+    comes at the first step whose prime lifts it, and the order fixes
+    which witness comes first.  A prime is appended
     to ``tried`` whenever a step of it starts.  Each lift is rechecked
     exactly over QQ, by its pairings u_i^T B_k u_j with the images, on
     the int rows of the forms; its dim V^perp is n minus the rank of the
@@ -540,8 +543,7 @@ def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, by_
             v = Subspace._from_echelon(q.field, n, rows, pivots)
             yield v, n - rank_mod_p(images, p), images
         return
-    # the joint kernel: x . B_k e_i = 0 for every column B_k e_i
-    kernel, _ = _perp(q, [c for b in forms for c in zip(*b)])
+    kernel = joint_kernel(q)
     if not kernel.is_zero():
         yield kernel, n, ()
     _check_dim(n, enum_bound)
@@ -552,7 +554,7 @@ def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, by_
     # however early a scan may stop
     scan = _isotropic_scanner(forms, 0, n, primes)
     _, kills = _pairing(forms, 0)
-    if by_prime:
+    if full:
         steps = [(p, range(1, n + 1)) for p in primes]
     else:
         steps = [(p, (d,)) for d in range(1, n + 1) for p in primes]
@@ -603,7 +605,7 @@ def _build_levels(q, enum_bound, primes):
     while True:
         # one scan, dimension ascending, per level: it doubles as the
         # level's semistability check, and v is its smallest equality witness
-        worse, equality = _scan(current, enum_bound, primes, [], by_prime=False, may_stop=True)
+        worse, equality = _scan(current, enum_bound, primes, [], full=False)
         if worse is not None:
             raise StabilityError("module is unstable")
         if equality is None:
@@ -731,11 +733,11 @@ def s_equivalent(
     return status
 
 
-def hilbert_mumford_sweep(
-    q: SigmaModule,
-    weight_bound: int = 3,
-    max_decompositions: int = 200_000,
-):
+# the sweep refuses an F_p^n with more ordered direct-sum decompositions
+_MAX_DECOMPOSITIONS = 200_000
+
+
+def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
     """Minimum weight over every subgroup with enumerated eigenspaces.
 
     A subgroup with eigenspaces H_1, ..., H_k of strictly decreasing
@@ -757,10 +759,14 @@ def hilbert_mumford_sweep(
 
     Work is refused before it starts, with BoundExceededError: the
     ordered direct-sum decompositions of F_p^n, each flag once per choice
-    of complements, count toward ``max_decompositions``, and that total
-    has a closed form; F_p^n may have at most MAX_LINES lines; and at
-    most MAX_LINES weight tuples P(2 weight_bound + 1, n - 1) may be
-    tried for one flag.  A negative ``weight_bound`` raises ValueError.
+    of complements, may number at most _MAX_DECOMPOSITIONS, and that
+    total has a closed form; F_p^n may have at most MAX_LINES lines; and
+    at most MAX_LINES weight tuples P(2 weight_bound + 1, n - 1) may be
+    tried for one flag.  The sweep scores flags, yet still counts
+    decompositions, because the count also bounds the containment pass
+    of _flags, which compares every pair of subspaces: at n = 2 the count
+    is p(p + 1) + 1, about the square of the p + 2 subspaces compared.
+    A negative ``weight_bound`` raises ValueError.
     Returns the minimum of mu over the swept subgroups, which is negative
     iff the module is unstable for small dims; q = 0 gives minus
     infinity.
@@ -773,8 +779,8 @@ def hilbert_mumford_sweep(
         raise FieldError("the bounded sweep enumerates subspaces over a finite field")
     p, n = q.field.p, q.dim_h
     _check_lines(p, n)
-    if _ordered_decompositions(p, n) > max_decompositions:
-        raise BoundExceededError(f"sweep exceeded {max_decompositions} decompositions")
+    if _ordered_decompositions(p, n) > _MAX_DECOMPOSITIONS:
+        raise BoundExceededError(f"sweep exceeded {_MAX_DECOMPOSITIONS} decompositions")
     # a flag of n lines tries every tuple of n - 1 distinct weights, the last solved for
     _check_search_size(
         math.perm(2 * weight_bound + 1, max(n - 1, 0)),

@@ -310,6 +310,30 @@ def test_fiber_refuses_a_huge_rank_on_one_line(capsys, case):
     assert err == "error: fiber enumeration over F_3 at size 100000 exceeds 1000000 pairs\n"
 
 
+@pytest.mark.parametrize("rank, pairs", [("2", "5"), ("3", "400000000")])
+def test_the_fiber_bound_cannot_be_set(capsys, rank, pairs):
+    # the pair bound is a constant: --max-pairs is a usage error, whether
+    # it would lower the bound or raise it past F_3 at rank 3
+    argv = ["fiber", "--field", "fp:3", "--case", "plus", "-r", rank, "--max-pairs", pairs]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--max-pairs" in err
+
+
+def test_help_is_written_for_users(capsys):
+    # the help text is argparse's usage and a one-line description, not
+    # the cli module's docstring
+    description = cli.build_parser().description
+    assert "\n" not in description
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.startswith("usage: twistmod")
+    assert description in " ".join(out.split())
+    assert "COMMANDS" not in out
+
+
 # options that a command once accepted and then ignored, as (argv, stderr part);
 # "{fixture}", "{fp7}" and "{matrix}" name a rational module, a module over
 # F_7 and a rational matrix file

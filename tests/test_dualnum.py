@@ -550,14 +550,17 @@ def report_id(key):
 
 
 @pytest.mark.parametrize("key", sorted(PINNED_REPORTS, key=repr), ids=report_id)
-def test_fiber_reports_are_pinned(key):
+def test_fiber_reports_are_pinned(key, monkeypatch):
+    from twistmod import dualnum
+
     case, q, r, twist = key
     field = GF(q)
     m = None
     if twist is not None:
         m = standard_j(field) if r else Matrix(field, [])
         m = -m if twist == "-j" else m
-    report = fiber_structure_check(field, r, case, m=m, max_pairs=q ** (2 * r * r))
+    monkeypatch.setattr(dualnum, "_MAX_PAIRS", q ** (2 * r * r))
+    report = fiber_structure_check(field, r, case, m=m)
     assert report == FiberReport(case, *PINNED_REPORTS[key])
 
 
@@ -601,12 +604,15 @@ def test_alternating_fiber_inverts_its_twist_once(monkeypatch):
     assert sum(m == j for m in inverted) == 3
 
 
-def test_fiber_over_f5_matches_closed_forms():
+def test_fiber_over_f5_matches_closed_forms(monkeypatch):
+    from twistmod import dualnum
+
     # the plus fiber also over F_3, F_7 and F_11; F_7 and F_11 have more
     # pairs (g, h) than the default bound, and than the exhaustive
     # reference can scan
     for q in (5, 3, 7, 11):
-        plus = fiber_structure_check(GF(q), 2, "plus", max_pairs=q**8)
+        monkeypatch.setattr(dualnum, "_MAX_PAIRS", q**8)
+        plus = fiber_structure_check(GF(q), 2, "plus")
         # |SO_2(F_q)| = q - 1 when -1 is a square mod q, q + 1 otherwise
         so2 = q - 1 if q % 4 == 1 else q + 1
         assert plus.image_count == so2

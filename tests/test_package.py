@@ -28,6 +28,26 @@ def test_every_public_name_resolves_to_its_home_module():
         assert namespace[name] is getattr(twistmod, name)
 
 
+def test_no_public_search_takes_a_size_budget():
+    # each search bound is one module constant, read at call time
+    import inspect
+
+    from twistmod import dualnum, sigmamod, stability
+
+    parameters = {
+        stability.hilbert_mumford_sweep: ["q", "weight_bound"],
+        sigmamod.is_isomorphic: ["q1", "q2"],
+        dualnum.fiber_structure_check: ["field", "r", "case", "m"],
+        dualnum.unramified_fixed_count: ["field", "r"],
+    }
+    for function, names in parameters.items():
+        assert list(inspect.signature(function).parameters) == names, function.__name__
+    assert stability._MAX_DECOMPOSITIONS == 200_000
+    assert sigmamod._NODE_BUDGET == 500_000
+    assert dualnum._MAX_PAIRS == 1_000_000
+    assert sigmamod.MAX_LINES == 100_000
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         twistmod.no_such_name

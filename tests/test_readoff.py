@@ -110,7 +110,7 @@ def reference_levels(q, primes):
     model_rows = Matrix.identity(field, n)
     current = q
     while True:
-        worse, equality = stability._scan(current, 4, primes, [], by_prime=False, may_stop=True)
+        worse, equality = stability._scan(current, 4, primes, [], full=False)
         if worse is not None:
             raise StabilityError("module is unstable")
         if equality is None:
@@ -195,7 +195,7 @@ def test_certificate_outer_pieces_are_the_complement_of_the_orthogonal():
             assert lam == OneParamSubgroup(pieces)
             assert lam.pieces == tuple(pieces)
             certificates += 1
-        stream = _candidates(q, [b.num for b in q.forms], 4, primes, [], by_prime=True)
+        stream = _candidates(q, [b.num for b in q.forms], 4, primes, [], full=True)
         for v, perp_dim, images in itertools.islice(stream, 12):
             perp, kept = sigmamod._perp(q, images)
             assert perp == orthogonal(q, v) and perp.contains(v)
@@ -251,5 +251,5 @@ def test_the_rational_recheck_drops_a_lift_that_is_not_totally_isotropic(monkeyp
         return scan
 
     monkeypatch.setattr(stability, "_isotropic_scanner", scanner)
-    found = list(_candidates(q, [b.num for b in q.forms], 4, (3,), [], by_prime=True))
+    found = list(_candidates(q, [b.num for b in q.forms], 4, (3,), [], full=True))
     assert [(v.basis.rows, perp_dim) for v, perp_dim, _ in found] == [(((1, 0),), 1)]

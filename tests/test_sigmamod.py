@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from twistmod import sigmamod
 from twistmod.errors import FieldError, IsotropyError, SingularMatrixError
 from twistmod.linalg import GF, QQ, Matrix, Subspace, _common, isometries, rank_mod_p
 from twistmod.sigmamod import (
@@ -326,7 +327,7 @@ def brute_force_iso_gl2(q1, q2):
     return None
 
 
-def test_isomorphism_worked_example_f3():
+def test_isomorphism_worked_example_f3(monkeypatch):
     # hyperbolic plane vs diag(2,1) over F_3: isomorphic
     q1 = module_1form(GF(3), [[0, 1], [1, 0]])
     q2 = module_1form(GF(3), [[2, 0], [0, 1]])
@@ -338,11 +339,12 @@ def test_isomorphism_worked_example_f3():
     q3 = module_1form(GF(3), [[1, 0], [0, 1]])
     assert is_isomorphic(q1, q3).status == "no"
     assert brute_force_iso_gl2(q1, q3) is None
-    # one path, invariants then search; a stale positional mode does
-    # not bind to the node budget
+    # one path, invariants then search; a stale positional mode binds to
+    # nothing
     with pytest.raises(TypeError):
         is_isomorphic(q1, q2, "auto")
-    assert is_isomorphic(q1, q2, node_budget=1_000).status == "yes"
+    monkeypatch.setattr(sigmamod, "_NODE_BUDGET", 1_000)
+    assert is_isomorphic(q1, q2).status == "yes"
 
 
 def test_isomorphism_matches_brute_force_on_random_pairs():
@@ -393,11 +395,13 @@ def test_isomorphism_over_q_is_a_semi_decision():
         is_isomorphic(q1, module_1form(QQ, [[0, -1], [1, 0]], sign=-1))
 
 
-def test_isomorphism_over_q_answers_unknown_when_the_search_runs_out():
+def test_isomorphism_over_q_answers_unknown_when_the_search_runs_out(monkeypatch):
     one, four, three = (module_1form(QQ, [[a]]) for a in (1, 4, 3))
     # the witness f = 1/2 (1 = f 4 f) is the fifth box candidate, after 1, -1, 2 and -2
-    assert is_isomorphic(one, four, node_budget=4) == IsoResult("unknown")
-    found = is_isomorphic(one, four, node_budget=5)
+    monkeypatch.setattr(sigmamod, "_NODE_BUDGET", 4)
+    assert is_isomorphic(one, four) == IsoResult("unknown")
+    monkeypatch.setattr(sigmamod, "_NODE_BUDGET", 5)
+    found = is_isomorphic(one, four)
     assert found.status == "yes" and found.witness == Matrix(QQ, [[Fraction(1, 2)]])
     # <1> and <3> are not isomorphic (3 is no rational square), but the
     # box search over QQ cannot refute; ROADMAP item 1, the quadratic-form

@@ -177,7 +177,7 @@ def test_pruned_search_matches_the_filtered_scan():
             raw = Matrix(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
             modules.append(SigmaModule(field, n, trivial_w(field), -1, [raw]))
             for q in modules:
-                found = list(_candidates(q, integer_forms(q), 4, (), [], by_prime=True))
+                found = list(_candidates(q, integer_forms(q), 4, (), [], full=True))
                 expected = [
                     v
                     for v in all_subspaces(field, n)
@@ -202,7 +202,7 @@ def test_survivors_are_built_in_canonical_form():
         for n in (1, 2, 3, 4):
             zero = SigmaModule(field, n, trivial_w(field), 1, [Matrix.zeros(field, n, n)])
             for q in (zero, random_module(rng, field, n, swap_w(field), -1)):
-                stream = [v for v, _, _ in _candidates(q, integer_forms(q), 4, (), [], by_prime=True)]
+                stream = [v for v, _, _ in _candidates(q, integer_forms(q), 4, (), [], full=True)]
                 assert stream == list(enumerate_totally_isotropic(q))
                 for v in stream + list(enumerate_totally_isotropic(q)):
                     public = Subspace(field, n, v.basis.rows)
@@ -404,6 +404,42 @@ def test_heuristic_kernel_instability():
     assert verdict.mu_value < 0
 
 
+def test_the_joint_kernel_is_the_orthogonal_of_h():
+    # joint_kernel solves x . B_k e_i = 0 column by column; the public
+    # orthogonal of H solves the same conditions from the basis of H.
+    # One sample in three zeros a row and a column of every form, so that
+    # the kernel holds a unit vector
+    rng = random.Random(41)
+
+    def sparse_module(field, n, w, sign, zero):
+        raw = [
+            Matrix(
+                field,
+                [
+                    [0 if zero in (i, j) else rng.choice((0, 0, 1, -1, 2)) for j in range(n)]
+                    for i in range(n)
+                ],
+            )
+            for _ in range(w.dim)
+        ]
+        return symmetrize(field, n, w, sign, raw)
+
+    nonzero = 0
+    for field in (GF(2), GF(3), GF(5), GF(7), QQ):
+        for n in (1, 2, 3, 4):
+            for w in (trivial_w(field), swap_w(field)):
+                for sign in (1, -1):
+                    for q in (
+                        random_module(rng, field, n, w, sign),
+                        sparse_module(field, n, w, sign, None),
+                        sparse_module(field, n, w, sign, rng.randrange(n)),
+                    ):
+                        kernel = joint_kernel(q)
+                        assert kernel == orthogonal(q, Subspace.full(field, n))
+                        nonzero += not kernel.is_zero()
+    assert nonzero > 80
+
+
 def test_heuristic_lifted_instability():
     # kernel-free but destabilized by span{e1,e2}, found through mod-2 lifting
     b0 = Matrix(QQ, [[0, 0, 1], [0, 0, 2], [3, 4, 5]])
@@ -465,10 +501,10 @@ def test_rational_candidates_match_the_filtered_lifts():
             ]
         return isotropic_mod[key]
 
-    def reference(q, primes, by_prime):
+    def reference(q, primes, full):
         n = q.dim_h
         primes = [p for p in dict.fromkeys(primes) if isotropic(q, p) is not None]
-        if by_prime:
+        if full:
             steps = [(p, range(1, n + 1)) for p in primes]
         else:
             steps = [(p, (d,)) for d in range(1, n + 1) for p in primes]
@@ -510,17 +546,17 @@ def test_rational_candidates_match_the_filtered_lifts():
 
     total = skipped = dim4 = 0
     for q, primes in cases:
-        for by_prime in (True, False):
+        for full in (True, False):
             tried = []
-            found = list(_candidates(q, integer_forms(q), 4, primes, tried, by_prime))
-            expected, reducible = reference(q, primes, by_prime)
+            found = list(_candidates(q, integer_forms(q), 4, primes, tried, full))
+            expected, reducible = reference(q, primes, full)
             assert [v for v, _, _ in found] == expected
             for v, perp_dim, images in found:
                 assert perp_dim == orthogonal(q, v).dim
                 # every candidate, the joint kernel's () included, carries
                 # the images its orthogonal is solved from
                 assert sigmamod._perp(q, images)[0] == orthogonal(q, v)
-            if by_prime:
+            if full:
                 assert tried == reducible
                 skipped += len(reducible) < len(set(primes))
             total += len(found)
@@ -817,20 +853,30 @@ def test_a_scan_stops_at_its_first_equality_only_when_no_v_can_destabilize():
     b0 = Matrix(QQ, [[0, 0, 1], [0, 0, 2], [3, 4, 5]])
     samples.append(SigmaModule(QQ, 3, swap_w(QQ), 1, [b0, b0.transpose()]))
 
+    primes = (2, 3, 5, 7)
+
+    def read_to_end(q, full):
+        # (destabilizer, equality) over the whole stream, as _scan defines them
+        equality = None
+        for found in _candidates(q, integer_forms(q), 4, primes, [], full):
+            total = found[0].dim + found[1]
+            if total > q.dim_h:
+                return found, equality
+            if total == q.dim_h and equality is None:
+                equality = found
+        return None, equality
+
     stopped = singular_unstable = 0
     for q in samples:
-        for by_prime in (True, False) if q.field.kind == "rational" else (True,):
-
-            def scan(may_stop):
-                return stability._scan(q, 4, (2, 3, 5, 7), [], by_prime, may_stop)
-
-            full = scan(False)
-            if stability._no_destabilizer(q, integer_forms(q)):
-                assert full[0] is None
-                assert scan(True) == full
-                stopped += full[1] is not None
-            elif full[0] is not None and joint_kernel(q).is_zero():
-                singular_unstable += 1
+        # a full scan, the rational verdict's, never stops at an equality
+        assert stability._scan(q, 4, primes, [], True) == read_to_end(q, True)
+        whole = read_to_end(q, False)
+        if stability._no_destabilizer(q, integer_forms(q)):
+            assert whole[0] is None
+            assert stability._scan(q, 4, primes, [], False) == whole
+            stopped += whole[1] is not None
+        elif whole[0] is not None and joint_kernel(q).is_zero():
+            singular_unstable += 1
     assert stopped > 100
     assert singular_unstable > 5
 
@@ -919,7 +965,7 @@ def test_a_rational_level_that_stops_at_2_solves_only_the_2_boxes(monkeypatch):
     solved = record_solved_prefixes(monkeypatch)
     q = module_1form(QQ, [[0, 0, 1], [0, 1, 1], [1, 1, 1]])
     tried = []
-    worse, equality = stability._scan(q, 4, stability.DEFAULT_PRIMES, tried, False, True)
+    worse, equality = stability._scan(q, 4, stability.DEFAULT_PRIMES, tried, False)
     assert worse is None and equality[0].basis.rows == ((1, 0, 0),)
     assert tried == [2]
     assert solved == [(1, 0, 0)]
@@ -1143,11 +1189,9 @@ def test_hilbert_mumford_sweep_fixtures():
     assert hilbert_mumford_sweep(module_1form(f3, [[0, 0], [0, 1]])) < 0
     with pytest.raises(FieldError):
         hilbert_mumford_sweep(module_1form(QQ, [[1, 0], [0, 1]]))
-    with pytest.raises(BoundExceededError):
-        hilbert_mumford_sweep(
-            module_1form(f3, [[0, 0, 1], [0, 1, 1], [1, 1, 1]]),
-            max_decompositions=100,
-        )
+    # F_3^4 has 1,908,091 ordered decompositions, past the sweep's bound
+    with pytest.raises(BoundExceededError, match="sweep exceeded 200000 decompositions"):
+        hilbert_mumford_sweep(module_1form(f3, [[int(i == j) for j in range(4)] for i in range(4)]))
 
 
 def test_a_negative_weight_bound_is_a_value_error_not_an_internal_one():
@@ -1285,7 +1329,7 @@ def ordered_decompositions(p, n):
     return total
 
 
-def test_sweep_matches_the_ordered_sweep():
+def test_sweep_matches_the_ordered_sweep(monkeypatch):
     rng = random.Random(2024)
     cases = []
     for p in (2, 3, 5):
@@ -1306,13 +1350,14 @@ def test_sweep_matches_the_ordered_sweep():
         for weight_bound in (0, 1, 2, 3) if total < 500 else (3,):
             expected = ordered_sweep(q, weight_bound=weight_bound)
             for bound in (1, 10, 100, total - 1, total):
-                bounds = {"max_decompositions": bound, "weight_bound": weight_bound}
+                monkeypatch.setattr(stability, "_MAX_DECOMPOSITIONS", bound)
                 # every ordering counts, so the sweep refuses exactly past the total
                 want = expected
                 if bound < total:
                     want = ("refused", f"sweep exceeded {bound} decompositions")
-                assert sweep_outcome(hilbert_mumford_sweep, q, **bounds) == want
+                assert sweep_outcome(hilbert_mumford_sweep, q, weight_bound=weight_bound) == want
                 if small or bound <= 100:
+                    bounds = {"max_decompositions": bound, "weight_bound": weight_bound}
                     assert sweep_outcome(ordered_sweep, q, **bounds) == want
 
 
@@ -1456,7 +1501,7 @@ def test_the_cache_state_changes_no_sweep():
     # a refused sweep lists no flags
     _flags.cache_clear()
     refused = [
-        (module_1form(GF(3), [[0, 0, 1], [0, 1, 1], [1, 1, 1]]), {"max_decompositions": 100}),
+        (module_1form(GF(3), [[int(i == j) for j in range(4)] for i in range(4)]), {}),
         (module_1form(GF(2**61 - 1), [[0, 1], [1, 0]]), {}),
         (module_1form(GF(2), [[0, 0], [0, 0]]), {"weight_bound": 50_000}),
     ]
