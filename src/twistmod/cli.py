@@ -22,7 +22,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import InternalCheckError, ParseError, UsageError
-from .linalg import Matrix, field_from_name, field_name
+from .linalg import field_from_name, field_name
 from .serialize import (
     fiber_report_to_dict,
     graded_to_dict,
@@ -133,20 +133,6 @@ def _cmd_sequiv(args) -> dict:
     return {"s_equivalent": s_equivalent(first.module, second.module, **search)}
 
 
-def _standard_twist(field, r: int) -> Matrix:
-    from .dualnum import _check_fiber
-
-    if r % 2 != 0:
-        raise UsageError("the alternating case needs an even rank")
-    # refuse a huge rank before its r x r grid is built
-    _check_fiber(field, r)
-    grid = [[0] * r for _ in range(r)]
-    for i in range(0, r, 2):
-        grid[i][i + 1] = 1
-        grid[i + 1][i] = -1
-    return Matrix(field, grid)
-
-
 def _cmd_fiber(args) -> dict:
     from .dualnum import fiber_structure_check, unramified_fixed_count
 
@@ -161,15 +147,9 @@ def _cmd_fiber(args) -> dict:
             "field": field_name(field),
             "fixed_count": count,
         }
-    twist = None
-    if args.twist is not None:
-        twist = parse_matrix_file(_read(args.twist))
-        if twist.field != field:
-            raise UsageError("twist matrix is over the wrong field")
-    elif args.case == "alternating":
-        twist = _standard_twist(field, args.rank)
-    report = fiber_structure_check(field, args.rank, args.case, m=twist)
-    return fiber_report_to_dict(report)
+    # the library checks the twist, and builds the standard one when none is given
+    twist = None if args.twist is None else parse_matrix_file(_read(args.twist))
+    return fiber_report_to_dict(fiber_structure_check(field, args.rank, args.case, m=twist))
 
 
 def _cmd_pfaffian(args) -> dict:

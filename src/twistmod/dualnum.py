@@ -25,9 +25,11 @@ cases.  Its image keeps the determinant-one yields of
 also runs, here with no budget.  For a fixed g the conditions on h are
 linear, so each image element gets one linear solve, and the fixed set,
 held once as ``DualNumberMatrix`` pairs, is the union of the solution
-spaces.  Every pair found is rechecked with the predicate of its case,
-written independently of the solver.  Group closure is checked through
-``dn_mul`` on a generating set rather than on all pairs.
+spaces.  ``_twist`` is the one source of the form M, and checks a given
+alternating M once.  Every pair found is rechecked with the twisted
+predicate at M, written independently of the solver; ``is_fixed_plus``
+is that predicate at M = I.  Group closure is checked through ``dn_mul``
+on a generating set rather than on all pairs.
 """
 
 from __future__ import annotations
@@ -108,15 +110,9 @@ def dn_det(a: DualNumberMatrix):
 
 
 def is_fixed_plus(a: DualNumberMatrix) -> bool:
-    """Fixed under plain transpose-inversion at a branch point."""
-    field = a.field
-    r = a.size
-    if a.g.transpose() @ a.g != Matrix.identity(field, r):
-        return False
-    gth = a.g.transpose() @ a.h
-    if gth != gth.transpose():
-        return False
-    return a.g.det() == 1 and gth.trace() == 0
+    """Fixed under plain transpose-inversion at a branch point: the
+    twisted condition of ``is_fixed_alternating`` at M = I."""
+    return _fixed_alternating(*_twist(a.field, a.size, "plus"), a)
 
 
 def is_fixed_unramified(g1: Matrix, g2: Matrix) -> bool:
@@ -143,16 +139,11 @@ def _check_alternating(m: Matrix):
 
 def is_fixed_alternating(m: Matrix, a: DualNumberMatrix) -> bool:
     """Fixed under transpose-inversion twisted by the alternating m."""
-    _check_alternating(m)
-    if m.nrows % 2 != 0:
-        raise ShapeError("alternating fixed sets need even size")
-    if m.shape != a.g.shape:
-        raise ShapeError("twist matrix size mismatch")
-    return _fixed_alternating(m, m.inverse(), a)
+    return _fixed_alternating(*_twist(a.field, a.size, "alternating", m), a)
 
 
 def _fixed_alternating(m: Matrix, minv: Matrix, a: DualNumberMatrix) -> bool:
-    # is_fixed_alternating for a checked twist m with its inverse minv
+    # the fixed-point conditions for a checked twist m with its inverse minv
     if a.g.transpose() @ m @ a.g != m:
         return False
     if a.g.det() != 1:
@@ -160,6 +151,41 @@ def _fixed_alternating(m: Matrix, minv: Matrix, a: DualNumberMatrix) -> bool:
     if a.h != a.g @ minv @ a.h.transpose() @ m @ a.g:
         return False
     return (a.g.inverse() @ a.h).trace() == 0
+
+
+def _twist(field, r: int, case: str, m: Matrix | None = None, bounded: bool = False):
+    """(M, M^-1) for the form M that twists transpose-inversion at rank r.
+
+    The plus case takes M = I and refuses a given m.  The alternating case
+    takes m, or the standard twist, [[0, 1], [-1, 0]] down the diagonal,
+    when m is None, and checks it here once: the rank is even, and m is
+    alternating, over the field, r x r and invertible.  A bounded call,
+    the fiber engine's, applies the size rule of ``_check_fiber`` after
+    the rank's parity and before anything r x r is built.
+    """
+    if case == "plus":
+        if m is not None:
+            raise UsageError("a twist is for the alternating case only")
+    elif r % 2 != 0:
+        raise ShapeError("the alternating case needs an even rank")
+    if bounded:
+        _check_fiber(field, r)
+    if case == "plus":
+        identity = Matrix.identity(field, r)
+        return identity, identity
+    if m is None:
+        grid = [[0] * r for _ in range(r)]
+        for i in range(0, r, 2):
+            grid[i][i + 1], grid[i + 1][i] = 1, -1
+        m = Matrix(field, grid)
+    _check_alternating(m)
+    if m.field != field:
+        raise FieldError("twist matrix lives over another field")
+    if m.shape != (r, r):
+        raise ShapeError("twist matrix size mismatch")
+    if m.det() == 0:
+        raise SingularMatrixError("twist matrix must be invertible")
+    return m, m.inverse()
 
 
 class FiberReport(NamedTuple):
@@ -261,47 +287,29 @@ def _check_fiber(field, r: int) -> int:
 def fiber_structure_check(field, r: int, case: str, m: Matrix | None = None) -> FiberReport:
     """Find a branch-point fiber over F_q and verify its structure.
 
-    The image, SO_r (plus case) or the symplectic group of m (alternating
-    case), keeps the determinant-one yields of ``linalg.isometries`` for
-    B1 = B2 = the form, I or m, with no budget.  For each image element g
-    the linear conditions on h are solved once, and every pair found is
-    rechecked with ``is_fixed_plus`` or ``is_fixed_alternating``.  Both
-    cases solve the twisted conditions, the plus case with m = I.  The
-    report checks that the fixed set is a group under dual-number
-    multiplication (closure on generators, and inverses), that it
-    projects onto the image, that the kernel over the identity is the
-    expected additive space of matrices (solved from its own
-    description), and that the counts match |image| * q^(dim kernel).
+    Both cases are transpose-inversion twisted by one form M, from
+    ``_twist``: M = I in the plus case, which refuses a given m, and in
+    the alternating case m, by default the standard twist.  The image,
+    SO_r or the symplectic group of M, keeps the determinant-one yields
+    of ``linalg.isometries`` for B1 = B2 = M, with no budget.  For each
+    image element g the linear conditions on h are solved once, and every
+    pair found is rechecked with the twisted predicate, written apart
+    from the solver.  The report checks that the fixed set is a group
+    under dual-number multiplication (closure on generators, and
+    inverses), that it projects onto the image, that the kernel over the
+    identity is the expected additive space of matrices (solved from its
+    own description), and that the counts match |image| * q^(dim kernel).
     Any size with more than _MAX_PAIRS pairs (g, h), q^(2 r^2), is
-    refused, whatever the work.
+    refused, whatever the work, before anything r x r is built.
     """
     if case not in ("plus", "alternating"):
         raise ValueError(f"unknown fiber case {case!r}")
-    p = _check_fiber(field, r)
+    form, minv = _twist(field, r, case, m, bounded=True)
+    p = field.p
     identity = Matrix.identity(field, r)
-
     if case == "plus":
-        # for orthogonal g, g^T h is symmetric exactly when h = g h^T g
-        form = minv = identity
-        fixed = is_fixed_plus
         expected_kernel_dim = r * (r + 1) // 2 - 1
     else:
-        if m is None:
-            raise UsageError("the alternating case needs its twist matrix")
-        _check_alternating(m)
-        if m.det() == 0:
-            raise SingularMatrixError("twist matrix must be invertible")
-        if r % 2 != 0:
-            raise ShapeError("alternating fixed sets need even size")
-        if m.field != field:
-            raise FieldError("twist matrix lives over another field")
-        if m.shape != (r, r):
-            raise ShapeError("twist matrix size mismatch")
-        form, minv = m, m.inverse()
-
-        def fixed(a):
-            return _fixed_alternating(m, minv, a)
-
         # the kernel is {h : m h skew, tr h = 0}; for q odd the skew m h
         # span r(r-1)/2 dimensions and the trace cuts one, while in
         # characteristic 2 skew means symmetric and no dimension is expected
@@ -326,7 +334,7 @@ def fiber_structure_check(field, r: int, case: str, m: Matrix | None = None) -> 
     image = [g for g in group if g.det() == 1]
     kernel_space = _solutions(field, r, kernel_conditions)
     fixed_set = [DualNumberMatrix(g, h) for g in image for h in _solutions(field, r, fixed_at(g))]
-    if not all(fixed(a) for a in fixed_set):
+    if not all(_fixed_alternating(form, minv, a) for a in fixed_set):
         raise InternalCheckError("a solved pair fails the fixed-point predicate")
     keys = set(fixed_set)
 

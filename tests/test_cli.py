@@ -302,6 +302,40 @@ def test_fiber_errors(capsys):
     assert code == 1 and "even" in err
 
 
+# the standard twist over F_3, as a matrix file
+J3 = '{"field":"fp:3","matrix":[["0","1"],["2","0"]]}'
+
+
+def test_the_standard_twist_file_prints_the_default_report(tmp_path, capsys):
+    argv = ["fiber", "--field", "fp:3", "--case", "alternating", "-r", "2"]
+    default = run(capsys, *argv)
+    assert default[0] == 0
+    assert run(capsys, *argv, "--twist", put(tmp_path, "j.json", J3)) == default
+
+
+# twists refused at rank 2 over F_3, as (case, matrix file, stderr part)
+BAD_TWISTS = {
+    "over-f5": ("alternating", J3.replace("fp:3", "fp:5").replace('"2"', '"4"'), "another field"),
+    "symmetric": ("alternating", J3.replace('"2"', '"1"'), "not alternating"),
+    "three-by-three": (
+        "alternating",
+        '{"field":"fp:3","matrix":[["0","1","0"],["2","0","0"],["0","0","0"]]}',
+        "size mismatch",
+    ),
+    "zero": ("alternating", '{"field":"fp:3","matrix":[["0","0"],["0","0"]]}', "invertible"),
+    "plus": ("plus", J3, "alternating case only"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TWISTS))
+def test_a_bad_twist_ends_in_one_line_exit_1(tmp_path, capsys, case):
+    kind, text, part = BAD_TWISTS[case]
+    twist = put(tmp_path, "m.json", text)
+    code, out, err = run(capsys, "fiber", "--field", "fp:3", "--case", kind, "-r", "2", "--twist", twist)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and part in err
+
+
 @pytest.mark.parametrize("case", ["plus", "unramified", "alternating"])
 def test_fiber_refuses_a_huge_rank_on_one_line(capsys, case):
     # refused from the exponent 2 r^2 alone, before the alternating twist is built
@@ -421,6 +455,15 @@ PROBES = {
     # 2^61 - 1 is prime, so the field is built and the fiber bound refuses it
     "tag-mersenne-61": ("fiber", "fp:2305843009213693951"),
     # each entry parses, but the Pfaffian 10^5000 has too many digits to print
+    "forms-object": (
+        "check",
+        HYPERBOLIC.replace('[[["0","1"],["1","0"]]]', '{"0":[["0","1"],["1","0"]]}'),
+    ),
+    "involution-shape": ("check", HYPERBOLIC.replace('[["1"]]', '[["1","0"],["0","1"]]')),
+    "module-field-number": ("check", HYPERBOLIC.replace('"rational"', "3")),
+    "matrix-field-number": ("pfaffian", '{"field":3,"matrix":[["0","1"],["-1","0"]]}'),
+    "matrix-missing": ("pfaffian", '{"field":"rational"}'),
+    "limit-without-lambda": ("limit", HYPERBOLIC),
     "pfaffian-5001-digits": (
         "pfaffian",
         '{"field":"rational","matrix":[["0","N","0","0"],["-N","0","0","0"],'

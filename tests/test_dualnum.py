@@ -347,20 +347,31 @@ def test_fiber_structure_errors():
         fiber_structure_check(QQ, 2, "plus")
     with pytest.raises(ValueError):
         fiber_structure_check(f3, 2, "minus")
-    with pytest.raises(UsageError):
-        fiber_structure_check(f3, 2, "alternating")
+    # a twist belongs to the alternating case only
+    with pytest.raises(UsageError, match="alternating case only"):
+        fiber_structure_check(f3, 2, "plus", m=standard_j(f3))
     with pytest.raises(ShapeError):
         fiber_structure_check(f3, 2, "alternating", m=mat(f3, [[0, 1], [1, 0]]))
     with pytest.raises(BoundExceededError):
         fiber_structure_check(f3, 3, "plus")
 
 
-def test_fiber_refuses_a_huge_rank_before_any_work():
-    # q^(2 r^2) at r = 100000 is never computed: the exponent alone is past the bound
+def test_fiber_refuses_a_huge_rank_before_any_work(monkeypatch):
+    # q^(2 r^2) at r = 100000 is never computed: the exponent alone is past
+    # the bound, and no matrix is built, the standard twist included
+    from twistmod import dualnum
+
+    class NoMatrix:
+        def __getattr__(self, name):
+            raise AssertionError("a matrix was built before the size rule")
+
     f3 = GF(3)
+    j = standard_j(f3)
+    monkeypatch.setattr(dualnum, "Matrix", NoMatrix())
     for run in (
         lambda: fiber_structure_check(f3, 100_000, "plus"),
-        lambda: fiber_structure_check(f3, 100_000, "alternating", m=standard_j(f3)),
+        lambda: fiber_structure_check(f3, 100_000, "alternating"),
+        lambda: fiber_structure_check(f3, 100_000, "alternating", m=j),
         lambda: unramified_fixed_count(f3, 100_000),
     ):
         with pytest.raises(BoundExceededError, match="exceeds 1000000 pairs"):
@@ -372,6 +383,43 @@ def test_fiber_refuses_a_negative_rank():
         fiber_structure_check(GF(3), -1, "plus")
     with pytest.raises(UsageError, match="nonnegative"):
         unramified_fixed_count(GF(3), -1)
+
+
+def test_the_alternating_twist_defaults_to_the_standard_block():
+    for q in (2, 3, 5):
+        field = GF(q)
+        assert fiber_structure_check(field, 2, "alternating") == fiber_structure_check(
+            field, 2, "alternating", m=standard_j(field)
+        )
+    f3 = GF(3)
+    assert fiber_structure_check(f3, 0, "alternating") == fiber_structure_check(
+        f3, 0, "alternating", m=Matrix(f3, [])
+    )
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ([[0, 1], [1, 0]], ShapeError),  # symmetric, not alternating
+        ([[0, 0], [0, 0]], SingularMatrixError),
+        ([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], ShapeError),  # not 2 x 2
+    ],
+)
+def test_one_twist_check_serves_the_fiber_and_the_predicate(rows, error):
+    # the fiber engine and is_fixed_alternating refuse a bad twist alike
+    f3 = GF(3)
+    m = mat(f3, rows)
+    with pytest.raises(error):
+        fiber_structure_check(f3, 2, "alternating", m=m)
+    with pytest.raises(error):
+        is_fixed_alternating(m, DualNumberMatrix.identity(f3, 2))
+
+
+def test_an_odd_alternating_rank_is_named_before_the_size_rule():
+    # rank 3 over F_3 is also past the pair bound, but its parity is the fault
+    for m in (None, standard_j(GF(3))):
+        with pytest.raises(ShapeError, match="even rank"):
+            fiber_structure_check(GF(3), 3, "alternating", m=m)
 
 
 def test_twist_entries_are_checked_at_the_boundary():

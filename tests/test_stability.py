@@ -372,6 +372,46 @@ def test_exhaustive_verdict_matches_raw_definition():
             assert semistability_verdict(q).status == raw_status(q)
 
 
+def census(q, n, sign):
+    """(semistable, stable) counts over every dim W = 1 module of F_q^n
+    whose form is symmetric (sign 1) or alternating (sign -1)."""
+    field = GF(q)
+    pairs = [(i, j) for i in range(n) for j in range(i, n) if sign == 1 or i < j]
+    semistable = stable = 0
+    for entries in itertools.product(range(q), repeat=len(pairs)):
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), x in zip(pairs, entries):
+            rows[i][j], rows[j][i] = x, sign * x
+        status = semistability_verdict(module_1form(field, rows, sign=sign)).status
+        semistable += status in (STABLE, STRICTLY_SEMISTABLE)
+        stable += status == STABLE
+    return semistable, stable
+
+
+def test_the_semistable_census_matches_closed_forms():
+    # with dim W = 1, semistable means nonsingular.  Nonsingular symmetric
+    # n x n matrices over F_q, q odd, number q^(m(m+1)) prod (q^(2i-1) - 1)
+    # with m = n // 2 and i up to (n + 1) // 2 (MacWilliams, Amer. Math.
+    # Monthly 76, 1969); the stable binary forms are the anisotropic ones,
+    # q(q - 1)^2 / 2; nonsingular alternating 2m x 2m matrices number
+    # q^(m(m-1)) prod_(i <= m) (q^(2i-1) - 1)
+    def symmetric(q, n):
+        m = n // 2
+        return q ** (m * (m + 1)) * math.prod(q ** (2 * i - 1) - 1 for i in range(1, (n + 3) // 2))
+
+    def alternating(q, n):
+        m = n // 2
+        return q ** (m * (m - 1)) * math.prod(q ** (2 * i - 1) - 1 for i in range(1, m + 1))
+
+    for q, n, expected in ((3, 1, 2), (3, 2, 18), (3, 3, 468), (5, 1, 4), (5, 2, 100)):
+        semistable, stable = census(q, n, 1)
+        assert semistable == symmetric(q, n) == expected
+        if n == 2:
+            assert stable == q * (q - 1) ** 2 // 2 == {3: 6, 5: 40}[q]
+    for q, n, expected in ((2, 2, 1), (2, 4, 28), (3, 2, 2), (3, 4, 468), (5, 2, 4)):
+        assert census(q, n, -1)[0] == alternating(q, n) == expected
+
+
 def test_unstable_certificates_verify():
     rng = random.Random(7)
     found = 0
