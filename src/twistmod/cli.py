@@ -209,7 +209,7 @@ COMMANDS = {
         "enumerate a fixed-set fiber",
         (),
         (
-            _FIELD,
+            (("--field",), None, None, True, "field tag fp:<p>"),
             (("--case",), None, ("plus", "alternating", "unramified"), True, None),
             (("--rank", "-r"), int, None, True, None),
             (("--twist",), None, None, False, "matrix file for the alternating twist"),
@@ -308,8 +308,6 @@ def main(argv=None) -> int:
         args = _parse(argv)
         if args is None:
             args = build_parser().parse_args(argv)
-        if args.command == "fiber" and args.field is None:
-            raise UsageError("the fiber command needs --field")
         payload = args.handler(args)
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)

@@ -25,7 +25,9 @@ cases.  Its image keeps the determinant-one yields of
 also runs, here with no budget.  For a fixed g the conditions on h are
 linear, so each image element gets one linear solve, and the fixed set,
 held once as ``DualNumberMatrix`` pairs, is the union of the solution
-spaces.  ``_twist`` is the one source of the form M, and checks a given
+spaces.  Before anything r x r is built, one gate, ``_check_fiber``,
+refuses the field, the sign, the parity and the size, in that order.
+``_twist`` is then the one source of the form M, and checks a given
 alternating M once.  Every pair found is rechecked with the twisted
 predicate at M, written independently of the solver; ``is_fixed_plus``
 is that predicate at M = I.  Group closure is checked through ``dn_mul``
@@ -153,26 +155,23 @@ def _fixed_alternating(m: Matrix, minv: Matrix, a: DualNumberMatrix) -> bool:
     return (a.g.inverse() @ a.h).trace() == 0
 
 
-def _twist(field, r: int, case: str, m: Matrix | None = None, bounded: bool = False):
-    """(M, M^-1) for the form M that twists transpose-inversion at rank r.
+def _even_rank(r: int, case: str):
+    if case == "alternating" and r % 2:
+        raise ShapeError("the alternating case needs an even rank")
 
-    The plus case takes M = I and refuses a given m.  The alternating case
-    takes m, or the standard twist, [[0, 1], [-1, 0]] down the diagonal,
-    when m is None, and checks it here once: the rank is even, and m is
-    alternating, over the field, r x r and invertible.  A bounded call,
-    the fiber engine's, applies the size rule of ``_check_fiber`` after
-    the rank's parity and before anything r x r is built.
-    """
+
+def _twist(field, r: int, case: str, m: Matrix | None = None):
+    """(M, M^-1) for the form M that twists transpose-inversion at rank r,
+    with what the predicates need: the plus case takes M = I and refuses a
+    given m; the alternating case needs an even rank and takes m, or the
+    standard twist [[0, 1], [-1, 0]] down the diagonal, checked here once
+    (the engine passes ``_check_fiber`` first): alternating, over the field, r x r, invertible."""
     if case == "plus":
         if m is not None:
             raise UsageError("a twist is for the alternating case only")
-    elif r % 2 != 0:
-        raise ShapeError("the alternating case needs an even rank")
-    if bounded:
-        _check_fiber(field, r)
-    if case == "plus":
         identity = Matrix.identity(field, r)
         return identity, identity
+    _even_rank(r, case)
     if m is None:
         grid = [[0] * r for _ in range(r)]
         for i in range(0, r, 2):
@@ -268,12 +267,13 @@ def _closed(elements, mul) -> bool:
 _MAX_PAIRS = 1_000_000
 
 
-def _check_fiber(field, r: int) -> int:
-    # the field order q; the bound counts the q^(2 r^2) pairs (g, h), not the work done
+def _check_fiber(field, r: int, case: str) -> int:
+    # the field order q, past the gate; the bound counts the q^(2 r^2) pairs (g, h), not the work
     if field.kind != "fp":
         raise FieldError("fiber enumeration needs a finite field")
     if r < 0:
         raise UsageError("the rank must be nonnegative")
+    _even_rank(r, case)
     q = field.p
     n = 2 * r * r
     # q >= 2, so past the bound's bit length q^n exceeds it without being computed
@@ -282,6 +282,17 @@ def _check_fiber(field, r: int) -> int:
             f"fiber enumeration over F_{q} at size {r} exceeds {_MAX_PAIRS} pairs"
         )
     return q
+
+
+def _expected_kernel_dim(case: str, r: int, p: int) -> int:
+    """dim {h : M h = h^T M, tr h = 0}: traceless symmetric h at M = I; for M
+    alternating M h is skew, r(r-1)/2 dimensions less one for the trace at q
+    odd, but r(r+1)/2 in characteristic 2, where skew is symmetric and, M^-1
+    being alternating, tr(M^-1 S) = 0 for all symmetric S.  At r = 0 the
+    trace condition is empty and cuts nothing."""
+    if case == "alternating" and p == 2:
+        return r * (r + 1) // 2
+    return max(r * (r + (1 if case == "plus" else -1)) // 2 - 1, 0)
 
 
 def fiber_structure_check(field, r: int, case: str, m: Matrix | None = None) -> FiberReport:
@@ -299,21 +310,14 @@ def fiber_structure_check(field, r: int, case: str, m: Matrix | None = None) -> 
     inverses), that it projects onto the image, that the kernel over the
     identity is the expected additive space of matrices (solved from its
     own description), and that the counts match |image| * q^(dim kernel).
-    Any size with more than _MAX_PAIRS pairs (g, h), q^(2 r^2), is
-    refused, whatever the work, before anything r x r is built.
+    ``_check_fiber`` runs first, so a field, rank or size it refuses is
+    refused before anything r x r is built.
     """
     if case not in ("plus", "alternating"):
         raise ValueError(f"unknown fiber case {case!r}")
-    form, minv = _twist(field, r, case, m, bounded=True)
-    p = field.p
+    p = _check_fiber(field, r, case)
+    form, minv = _twist(field, r, case, m)
     identity = Matrix.identity(field, r)
-    if case == "plus":
-        expected_kernel_dim = r * (r + 1) // 2 - 1
-    else:
-        # the kernel is {h : m h skew, tr h = 0}; for q odd the skew m h
-        # span r(r-1)/2 dimensions and the trace cuts one, while in
-        # characteristic 2 skew means symmetric and no dimension is expected
-        expected_kernel_dim = r * (r - 1) // 2 - 1 if p % 2 else None
 
     def fixed_at(g):
         left, right = g @ minv, form @ g
@@ -355,10 +359,8 @@ def fiber_structure_check(field, r: int, case: str, m: Matrix | None = None) -> 
     count_ok = (
         p**kernel_dim == len(kernel_found)
         and len(fixed_set) == len(image) * p**kernel_dim
+        and kernel_dim == _expected_kernel_dim(case, r, p)
     )
-    if expected_kernel_dim is not None:
-        # at r = 0 the trace condition is empty and cuts nothing
-        count_ok = count_ok and kernel_dim == max(expected_kernel_dim, 0)
 
     return FiberReport(
         case=case,
@@ -384,7 +386,7 @@ def unramified_fixed_count(field, r: int) -> int:
     each invertible g1, which keeps the count an oracle for the fact.
     It refuses the same sizes as ``fiber_structure_check``.
     """
-    q = _check_fiber(field, r)
+    q = _check_fiber(field, r, "unramified")
     count = 0
     for entries in itertools.product(range(q), repeat=r * r):
         rows = [entries[i * r : (i + 1) * r] for i in range(r)]

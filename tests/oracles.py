@@ -15,11 +15,17 @@ by entry.
 
 The orders of the orthogonal and symplectic groups over F_q come from
 their closed forms alone; they count the yields of ``linalg.isometries``.
+
+The orbit census lists every module over F_p^n for the swap or the
+trivial involution, as tuples of int row tuples, and groups them into
+GL_n orbits by the plain congruence action B_k -> g^T B_k g over every
+invertible g, on ints mod p with no package code.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from twistmod.errors import FieldError, ShapeError, SingularMatrixError
 from twistmod.linalg import Matrix, Subspace
@@ -290,3 +296,83 @@ def symplectic_group_order(n: int, q: int) -> int:
     1992), for any nondegenerate alternating form over F_q."""
     m = n // 2
     return q ** (m * m) * math.prod(q ** (2 * i) - 1 for i in range(1, m + 1))
+
+
+def _product(a, b, p: int):
+    """a b mod p for square int row tuples."""
+    columns = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in columns) for row in a)
+
+
+def _invertible(rows, p: int) -> bool:
+    """Whether int rows are invertible mod p, by forward elimination."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] % p), None)
+        if pivot is None:
+            return False
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        scale = pow(rows[c][c], p - 2, p)
+        for i in range(c + 1, n):
+            factor = rows[i][c] * scale
+            rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[c])]
+    return True
+
+
+def square_matrices(p: int, n: int):
+    """Every n x n matrix over F_p, as int row tuples, in product order."""
+    for entries in itertools.product(range(p), repeat=n * n):
+        yield tuple(entries[i * n : (i + 1) * n] for i in range(n))
+
+
+def general_linear_order(n: int, q: int) -> int:
+    """|GL_n(q)| = prod_{i<n} (q^n - q^i) (Taylor, 1992)."""
+    return math.prod(q**n - q**i for i in range(n))
+
+
+def census_modules(p: int, n: int, swap: bool, sign: int) -> list:
+    """Every module over F_p^n as its tuple of forms, in product order of
+    the first form.  The symmetry relation B_l = sign sum_k S[l][k] B_k^T
+    reads B_2 = sign B_1^T for the swap involution, so B_1 is free, and
+    B = sign B^T for the trivial one."""
+    modules = []
+    for b in square_matrices(p, n):
+        twisted = tuple(tuple(sign * x % p for x in column) for column in zip(*b))
+        if swap:
+            modules.append((b, twisted))
+        elif b == twisted:
+            modules.append((b,))
+    return modules
+
+
+class Orbit(NamedTuple):
+    """A GL_n orbit: its first module, every member, and the number of g
+    in GL_n that fix the first module."""
+
+    representative: tuple
+    members: frozenset
+    stabilizer: int
+
+
+def orbit_census(p: int, n: int, modules) -> list:
+    """The GL_n orbits of ``modules`` under B_k -> g^T B_k g, each walked
+    over all of GL_n from its first module in the given order."""
+    group = [(tuple(zip(*g)), g) for g in square_matrices(p, n) if _invertible(g, p)]
+    if len(group) != general_linear_order(n, p):
+        raise AssertionError("the invertible matrices miss the order of GL_n")
+    left = set(modules)
+    orbits = []
+    for module in modules:
+        if module not in left:
+            continue
+        members, stabilizer = set(), 0
+        for gt, g in group:
+            moved = tuple(_product(_product(gt, b, p), g, p) for b in module)
+            members.add(moved)
+            stabilizer += moved == module
+        if not members <= left:
+            raise AssertionError("an orbit meets a module outside the census or another orbit")
+        left -= members
+        orbits.append(Orbit(module, frozenset(members), stabilizer))
+    return orbits

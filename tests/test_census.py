@@ -1,0 +1,115 @@
+"""The orbit census: every small module, grouped into GL_n orbits by the
+plain congruence action of ``oracles.orbit_census``, checked against the
+engine.
+
+Over F_q the points of the moduli space are the S-classes of semistable
+modules, so one census tests the verdict, ``isometries``,
+``is_isomorphic``, ``graded`` and ``s_equivalent`` together:
+
+- the class equation: sum over the orbits of |GL_n| / |Aut| is the
+  number of modules, with |Aut| counted by ``linalg.isometries`` and
+  equal to the stabilizer the orbit walk counted;
+- the verdict, and the isotropy class of its witness, are the same on
+  every member of an orbit;
+- ``is_isomorphic`` answers yes between a representative and a moved
+  member, and no between two representatives, which is exact over F_p;
+- ``s_equivalent`` is symmetric and transitive on the semistable
+  representatives, and each stable orbit is its own S-class.
+
+The orbit counts were found by brute force (congruence classes:
+Waterhouse, Finite Fields Appl. 1, 1995).  ``census_f3.py`` runs the
+same check on the 19,683 swap modules over F_3^3, outside tier-1.
+"""
+
+import itertools
+from typing import NamedTuple
+
+import pytest
+
+from twistmod.linalg import GF, Matrix, isometries
+from twistmod.sigmamod import InvolutionSpace, SigmaModule, is_isomorphic, isotropy_class
+from twistmod.stability import STABLE, STRICTLY_SEMISTABLE, s_equivalent, semistability_verdict
+
+from oracles import census_modules, general_linear_order, orbit_census
+
+
+class Census(NamedTuple):
+    modules: int
+    orbits: int
+    semistable: int
+    s_classes: int
+
+
+def check_census(p: int, n: int, swap: bool, sign: int) -> Census:
+    field = GF(p)
+    involution = [[0, 1], [1, 0]] if swap else [[1]]
+    w = InvolutionSpace(field, Matrix(field, involution))
+
+    def module(forms):
+        return SigmaModule(field, n, w, sign, [Matrix(field, b) for b in forms])
+
+    def verdict(q):
+        v = semistability_verdict(q)
+        witness = None if v.certificate is None else isotropy_class(q, v.certificate[0])
+        return v.status, witness
+
+    modules = census_modules(p, n, swap, sign)
+    orbits = orbit_census(p, n, modules)
+    order = general_linear_order(n, p)
+    mass = 0
+    representatives = []
+    for orbit in orbits:
+        forms = [list(b) for b in orbit.representative]
+        aut = sum(1 for _ in isometries(forms, forms, range(p), p))
+        assert aut == orbit.stabilizer and aut * len(orbit.members) == order
+        mass += order // aut
+        q = module(orbit.representative)
+        status = verdict(q)
+        assert all(verdict(module(m)) == status for m in orbit.members)
+        assert is_isomorphic(q, module(max(orbit.members))).status == "yes"
+        representatives.append((q, status[0]))
+    assert mass == len(modules)
+
+    for (q1, _), (q2, _) in itertools.combinations(representatives, 2):
+        assert is_isomorphic(q1, q2).status == "no"
+
+    semistable = [(q, s) for q, s in representatives if s in (STABLE, STRICTLY_SEMISTABLE)]
+    k = range(len(semistable))
+    same = {(i, j): s_equivalent(semistable[i][0], semistable[j][0]) for i in k for j in k}
+    assert set(same.values()) <= {"yes", "no"}
+    classes = {frozenset(j for j in k if same[i, j] == "yes") for i in k}
+    for i in k:
+        assert same[i, i] == "yes"
+        assert all(same[i, j] == same[j, i] for j in k)
+        if semistable[i][1] == STABLE:
+            assert frozenset([i]) in classes
+    # transitive: the classes of the representatives partition them
+    assert sum(map(len, classes)) == len(semistable)
+    return Census(len(modules), len(orbits), len(semistable), len(classes))
+
+
+# (p, n, swap, sign) -> (modules, orbits, semistable orbits, S-classes)
+CENSUS = {
+    (2, 2, True, 1): (16, 6, 4, 3),
+    (3, 2, True, 1): (81, 10, 7, 5),
+    (2, 3, True, 1): (512, 12, 5, 3),
+    (2, 2, True, -1): (16, 6, 4, 3),
+    (3, 2, True, -1): (81, 10, 7, 5),
+    (2, 3, True, -1): (512, 12, 5, 3),
+    (2, 2, False, 1): (8, 4, 2, 1),
+    (3, 2, False, 1): (27, 5, 2, 2),
+    (2, 3, False, 1): (64, 5, 1, 1),
+    (2, 2, False, -1): (8, 4, 2, 1),
+    (3, 2, False, -1): (3, 2, 1, 1),
+    (2, 3, False, -1): (64, 5, 1, 1),
+}
+
+
+def census_id(key):
+    p, n, swap, sign = key
+    return f"F{p}^{n}-{'swap' if swap else 'trivial'}-{'plus' if sign == 1 else 'minus'}"
+
+
+@pytest.mark.parametrize("key", sorted(CENSUS), ids=census_id)
+def test_the_orbit_census_agrees_with_the_engine(key):
+    assert check_census(*key) == CENSUS[key]

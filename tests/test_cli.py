@@ -292,14 +292,29 @@ def test_fiber_golden(capsys):
 
 
 def test_fiber_errors(capsys):
+    # --field is required by the command table, so argparse names it
     code, _, err = run(capsys, "fiber", "--case", "plus", "-r", "2")
-    assert code == 1 and "--field" in err
+    assert code == 1 and err == "error: the following arguments are required: --field\n"
     code, _, err = run(capsys, "fiber", "--field", "fp:3", "--case", "plus", "-r", "3")
     assert code == 1 and "exceeds" in err
     code, _, err = run(
         capsys, "fiber", "--field", "fp:3", "--case", "alternating", "-r", "3"
     )
     assert code == 1 and "even" in err
+    # the sign is named before the parity, and the field before both
+    code, _, err = run(capsys, "fiber", "--field", "fp:3", "--case", "alternating", "-r", "-1")
+    assert code == 1 and err == "error: the rank must be nonnegative\n"
+    code, _, err = run(capsys, "fiber", "--field", "rational", "--case", "alternating", "-r", "-1")
+    assert code == 1 and err == "error: fiber enumeration needs a finite field\n"
+
+
+def test_fiber_help_shows_that_field_is_required(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["fiber", "--help"])
+    assert exit_.value.code == 0
+    usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+    assert " --field FIELD " in usage and "[--field" not in usage
+    assert cli._parse(["fiber", "--case", "plus", "-r", "2"]) is None
 
 
 # the standard twist over F_3, as a matrix file
@@ -454,16 +469,29 @@ PROBES = {
     "check-mersenne-61": ("check", HYPERBOLIC.replace("rational", "fp:2305843009213693951")),
     # 2^61 - 1 is prime, so the field is built and the fiber bound refuses it
     "tag-mersenne-61": ("fiber", "fp:2305843009213693951"),
-    # each entry parses, but the Pfaffian 10^5000 has too many digits to print
     "forms-object": (
         "check",
         HYPERBOLIC.replace('[[["0","1"],["1","0"]]]', '{"0":[["0","1"],["1","0"]]}'),
     ),
+    # a module file, its "w", its "lambda", a piece or a matrix file that
+    # is not a JSON object
+    "module-array": ("check", "[" + HYPERBOLIC + "]"),
+    "w-array": ("check", HYPERBOLIC.replace('{"dim":1,"involution":[["1"]]}', '[1,[["1"]]]')),
+    "lambda-array": (
+        "weight",
+        FIXTURE.replace('"lambda":{"pieces":', '"lambda":[').replace("}]}}", "}]]}"),
+    ),
+    "piece-array": (
+        "weight",
+        FIXTURE.replace('{"basis":[["0","0","1"]],"weight":-1}', '[[["0","0","1"]],-1]'),
+    ),
+    "matrix-array": ("pfaffian", '[[["0","1"],["-1","0"]]]'),
     "involution-shape": ("check", HYPERBOLIC.replace('[["1"]]', '[["1","0"],["0","1"]]')),
     "module-field-number": ("check", HYPERBOLIC.replace('"rational"', "3")),
     "matrix-field-number": ("pfaffian", '{"field":3,"matrix":[["0","1"],["-1","0"]]}'),
     "matrix-missing": ("pfaffian", '{"field":"rational"}'),
     "limit-without-lambda": ("limit", HYPERBOLIC),
+    # each entry parses, but the Pfaffian 10^5000 has too many digits to print
     "pfaffian-5001-digits": (
         "pfaffian",
         '{"field":"rational","matrix":[["0","N","0","0"],["-N","0","0","0"],'

@@ -331,6 +331,24 @@ def test_a_wrong_alternating_kernel_dimension_fails_the_count(monkeypatch):
     assert not report.count_ok and not report.ok
 
 
+@pytest.mark.parametrize("r, kernel_dim", [(0, 0), (2, 3)])
+def test_the_alternating_kernel_over_f2_has_dimension_r_r_plus_1_over_2(r, kernel_dim, monkeypatch):
+    # over F_2 the m h are symmetric, r(r+1)/2 dimensions, and m^-1 is
+    # alternating, so tr(m^-1 S) = 0 for every symmetric S and the trace
+    # condition cuts nothing
+    from twistmod import dualnum
+
+    f2 = GF(2)
+    report = fiber_structure_check(f2, r, "alternating")
+    assert report.kernel_dim == kernel_dim == r * (r + 1) // 2
+    assert report.count_ok and report.ok
+    # the expectation is checked: a wrong one fails the count and nothing else
+    monkeypatch.setattr(dualnum, "_expected_kernel_dim", lambda case, r, p: kernel_dim + 1)
+    wrong = fiber_structure_check(f2, r, "alternating")
+    assert wrong._replace(count_ok=True) == report
+    assert not wrong.count_ok and not wrong.ok
+
+
 @pytest.mark.parametrize("case", ["plus", "alternating"])
 def test_a_rank_zero_fiber_passes_its_checks(case):
     # at r = 0 the trace condition is empty, so the kernel has dim 0
@@ -356,14 +374,16 @@ def test_fiber_structure_errors():
         fiber_structure_check(f3, 3, "plus")
 
 
+class NoMatrix:
+    # stands in for dualnum.Matrix where the gate must refuse before any build
+    def __getattr__(self, name):
+        raise AssertionError("a matrix was built before the gate refused")
+
+
 def test_fiber_refuses_a_huge_rank_before_any_work(monkeypatch):
     # q^(2 r^2) at r = 100000 is never computed: the exponent alone is past
     # the bound, and no matrix is built, the standard twist included
     from twistmod import dualnum
-
-    class NoMatrix:
-        def __getattr__(self, name):
-            raise AssertionError("a matrix was built before the size rule")
 
     f3 = GF(3)
     j = standard_j(f3)
@@ -383,6 +403,38 @@ def test_fiber_refuses_a_negative_rank():
         fiber_structure_check(GF(3), -1, "plus")
     with pytest.raises(UsageError, match="nonnegative"):
         unramified_fixed_count(GF(3), -1)
+
+
+# the fiber layer's one gate, as (field, r, case) -> the error it raises
+# and a part of its message: the field, then the sign, then the parity,
+# then the size, each named before anything r x r is built
+GATE_ORDER = {
+    "qq-negative-odd": (QQ, -1, "alternating", FieldError, "finite field"),
+    "qq-odd": (QQ, 3, "alternating", FieldError, "finite field"),
+    "qq-huge": (QQ, 100_000, "plus", FieldError, "finite field"),
+    "qq-unramified": (QQ, -1, "unramified", FieldError, "finite field"),
+    "negative-odd": (GF(3), -1, "alternating", UsageError, "nonnegative"),
+    "negative-even": (GF(3), -2, "alternating", UsageError, "nonnegative"),
+    "negative-unramified": (GF(2), -1, "unramified", UsageError, "nonnegative"),
+    "odd-past-the-bound": (GF(3), 100_001, "alternating", ShapeError, "even rank"),
+    "odd-f2": (GF(2), 3, "alternating", ShapeError, "even rank"),
+    "odd-plus-past-the-bound": (GF(3), 3, "plus", BoundExceededError, "exceeds 1000000 pairs"),
+    "odd-unramified-past-the-bound": (GF(5), 3, "unramified", BoundExceededError, "over F_5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATE_ORDER))
+def test_the_fiber_gate_refuses_field_sign_parity_and_size_in_that_order(case, monkeypatch):
+    from twistmod import dualnum
+
+    field, r, kind, error, part = GATE_ORDER[case]
+    monkeypatch.setattr(dualnum, "Matrix", NoMatrix())
+    with pytest.raises(error, match=part) as caught:
+        if kind == "unramified":
+            unramified_fixed_count(field, r)
+        else:
+            fiber_structure_check(field, r, kind)
+    assert "\n" not in str(caught.value)
 
 
 def test_the_alternating_twist_defaults_to_the_standard_block():
