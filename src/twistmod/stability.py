@@ -79,6 +79,7 @@ from .linalg import (
 from .sigmamod import (
     LinearPiece,
     SigmaModule,
+    _check_compatible,
     _check_search_size,
     _pairing,
     _perp,
@@ -534,6 +535,10 @@ def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, ful
     images, as over F_p, and V^perp is solved only where a witness is
     used.  A prime with more than MAX_LINES lines in F_p^n is refused
     before any work.
+
+    The rational joint kernel comes before the dim bound and every line
+    check, so a module it destabilizes is unstable even where those size
+    rules refuse: at dim H > ``enum_bound``, or at a prime too large.
     """
     n = q.dim_h
     if q.field.kind == "fp":
@@ -723,9 +728,12 @@ def s_equivalent(
     reduce, never certified stable, so S-equivalent modules can assemble
     to modules that are not isomorphic: a "no" there stands only when
     dim H differs, and is "unknown" otherwise.  Over F_p it stands.
+    Modules over different fields, signs or W are refused before either
+    is graded.
     """
     # both modules scan the same list, also when primes is an iterator
     primes = _checked(primes)
+    _check_compatible(q1, q2)
     g1, g2 = (graded(q, enum_bound, primes) for q in (q1, q2))
     status = is_isomorphic(g1.assembled, g2.assembled).status
     if status == "no" and q1.field.kind == "rational" and q1.dim_h == q2.dim_h:
@@ -733,8 +741,8 @@ def s_equivalent(
     return status
 
 
-# the sweep refuses an F_p^n with more ordered direct-sum decompositions
-_MAX_DECOMPOSITIONS = 200_000
+# the sweep refuses an F_p^n with more ordered pairs of nonzero subspaces
+_MAX_SUBSPACE_PAIRS = 200_000
 
 
 def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
@@ -757,16 +765,12 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
     weight of a flag depends only on its step dims and on those pairs, so
     it is computed once per such pattern per call.
 
-    Work is refused before it starts, with BoundExceededError: the
-    ordered direct-sum decompositions of F_p^n, each flag once per choice
-    of complements, may number at most _MAX_DECOMPOSITIONS, and that
-    total has a closed form; F_p^n may have at most MAX_LINES lines; and
-    at most MAX_LINES weight tuples P(2 weight_bound + 1, n - 1) may be
-    tried for one flag.  The sweep scores flags, yet still counts
-    decompositions, because the count also bounds the containment pass
-    of _flags, which compares every pair of subspaces: at n = 2 the count
-    is p(p + 1) + 1, about the square of the p + 2 subspaces compared.
-    A negative ``weight_bound`` raises ValueError.
+    Work is refused before it starts, with BoundExceededError: F_p^n may
+    have at most MAX_LINES lines; the containment pass of _flags compares
+    every ordered pair of the S nonzero subspaces of F_p^n, and S^2 may
+    be at most _MAX_SUBSPACE_PAIRS; and at most MAX_LINES weight tuples
+    P(2 weight_bound + 1, n - 1) may be tried for one flag.  A negative
+    ``weight_bound`` raises ValueError.
     Returns the minimum of mu over the swept subgroups, which is negative
     iff the module is unstable for small dims; q = 0 gives minus
     infinity.
@@ -779,8 +783,7 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
         raise FieldError("the bounded sweep enumerates subspaces over a finite field")
     p, n = q.field.p, q.dim_h
     _check_lines(p, n)
-    if _ordered_decompositions(p, n) > _MAX_DECOMPOSITIONS:
-        raise BoundExceededError(f"sweep exceeded {_MAX_DECOMPOSITIONS} decompositions")
+    _check_search_size(_subspace_count(p, n) ** 2, f"F_{p}^{n}", "subspace pairs", _MAX_SUBSPACE_PAIRS)
     # a flag of n lines tries every tuple of n - 1 distinct weights, the last solved for
     _check_search_size(
         math.perm(2 * weight_bound + 1, max(n - 1, 0)),
@@ -868,8 +871,8 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
     return min(values)
 
 
-# the flags of the last four fields swept; F_2^4, the longest list under
-# the default bound, has 696
+# the flags of the last four fields swept; F_2^5, the longest list under
+# the default bound, has 27,808
 @functools.lru_cache(maxsize=4)
 def _flags(p: int, n: int):
     """(subs, flags): the nonzero subspaces of F_p^n, as the reduced
@@ -917,15 +920,10 @@ def _flags(p: int, n: int):
     return tuple(subs), tuple(flags)
 
 
-def _ordered_decompositions(p: int, n: int) -> int:
-    """Ordered direct-sum decompositions of F_p^n into nonzero pieces: a
-    first piece of dim d with a complement to decompose can be chosen in
-    |GL_n| / (|GL_d| |GL_(n-d)|) ways."""
-
-    def gl(m):
-        return math.prod(p**m - p**i for i in range(m))
-
-    counts = [1]
-    for m in range(1, n + 1):
-        counts.append(sum(gl(m) // (gl(d) * gl(m - d)) * counts[m - d] for d in range(1, m + 1)))
-    return counts[n]
+def _subspace_count(p: int, n: int) -> int:
+    """The nonzero subspaces of F_p^n: the Gaussian binomials [n, d]_p
+    for d = 1 .. n, each from the one before it, summed."""
+    binomials = [1]
+    for d in range(1, n + 1):
+        binomials.append(binomials[-1] * (p ** (n - d + 1) - 1) // (p**d - 1))
+    return sum(binomials) - 1

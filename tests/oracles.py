@@ -19,7 +19,9 @@ their closed forms alone; they count the yields of ``linalg.isometries``.
 The orbit census lists every module over F_p^n for the swap or the
 trivial involution, as tuples of int row tuples, and groups them into
 GL_n orbits by the plain congruence action B_k -> g^T B_k g over every
-invertible g, on ints mod p with no package code.
+invertible g, on ints mod p with no package code.  Burnside's lemma
+counts the same orbits a second way, from the fixed points of each g,
+without listing a module.
 """
 
 import itertools
@@ -304,20 +306,21 @@ def _product(a, b, p: int):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in columns) for row in a)
 
 
-def _invertible(rows, p: int) -> bool:
-    """Whether int rows are invertible mod p, by forward elimination."""
+def _rank(rows, p: int) -> int:
+    """The rank of int rows mod p, by forward elimination."""
     rows = [list(r) for r in rows]
-    n = len(rows)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] % p), None)
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c] % p), None)
         if pivot is None:
-            return False
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        scale = pow(rows[c][c], p - 2, p)
-        for i in range(c + 1, n):
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        scale = pow(rows[rank][c], p - 2, p)
+        for i in range(rank + 1, len(rows)):
             factor = rows[i][c] * scale
-            rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[c])]
-    return True
+            rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def square_matrices(p: int, n: int):
@@ -358,7 +361,7 @@ class Orbit(NamedTuple):
 def orbit_census(p: int, n: int, modules) -> list:
     """The GL_n orbits of ``modules`` under B_k -> g^T B_k g, each walked
     over all of GL_n from its first module in the given order."""
-    group = [(tuple(zip(*g)), g) for g in square_matrices(p, n) if _invertible(g, p)]
+    group = [(tuple(zip(*g)), g) for g in square_matrices(p, n) if _rank(g, p) == n]
     if len(group) != general_linear_order(n, p):
         raise AssertionError("the invertible matrices miss the order of GL_n")
     left = set(modules)
@@ -375,4 +378,27 @@ def orbit_census(p: int, n: int, modules) -> list:
             raise AssertionError("an orbit meets a module outside the census or another orbit")
         left -= members
         orbits.append(Orbit(module, frozenset(members), stabilizer))
+    return orbits
+
+
+def burnside_orbit_count(p: int, n: int, swap: bool, sign: int) -> int:
+    """The number of GL_n orbits of the modules of ``census_modules``, by
+    Burnside's lemma: the average over g in GL_n of p^(dim Fix(g)), with
+    Fix(g) the solutions of g^T B g = B on the module space.  That space
+    is every n x n matrix B, the first form, for the swap involution, and
+    the B with B = sign B^T for the trivial one.  Each Fix(g) is solved
+    by elimination mod p on the n^2 entries of B; no module is listed."""
+    cells = list(itertools.product(range(n), repeat=2))
+    # B[i][j] - sign B[j][i] = 0, for the trivial involution
+    relation = [[((k, l) == (i, j)) - sign * ((k, l) == (j, i)) for k, l in cells] for i, j in cells]
+    total = 0
+    for g in square_matrices(p, n):
+        if _rank(g, p) < n:
+            continue
+        # entry (i, j) of g^T B g - B, as a row over the entries B[k][l]
+        rows = [[g[k][i] * g[l][j] - ((k, l) == (i, j)) for k, l in cells] for i, j in cells]
+        total += p ** (n * n - _rank(rows if swap else rows + relation, p))
+    orbits, rest = divmod(total, general_linear_order(n, p))
+    if rest:
+        raise AssertionError("the fixed points do not average to a whole number of orbits")
     return orbits

@@ -17,8 +17,10 @@ modules, so one census tests the verdict, ``isometries``,
   representatives, and each stable orbit is its own S-class.
 
 The orbit counts were found by brute force (congruence classes:
-Waterhouse, Finite Fields Appl. 1, 1995).  ``census_f3.py`` runs the
-same check on the 19,683 swap modules over F_3^3, outside tier-1.
+Waterhouse, Finite Fields Appl. 1, 1995), and each is checked against
+Burnside's lemma, ``oracles.burnside_orbit_count``, which lists no
+module.  ``census_f3.py`` runs the same check on the 19,683 swap
+modules over F_3^3, outside tier-1.
 """
 
 import itertools
@@ -30,7 +32,7 @@ from twistmod.linalg import GF, Matrix, isometries
 from twistmod.sigmamod import InvolutionSpace, SigmaModule, is_isomorphic, isotropy_class
 from twistmod.stability import STABLE, STRICTLY_SEMISTABLE, s_equivalent, semistability_verdict
 
-from oracles import census_modules, general_linear_order, orbit_census
+from oracles import burnside_orbit_count, census_modules, general_linear_order, orbit_census
 
 
 class Census(NamedTuple):
@@ -55,6 +57,7 @@ def check_census(p: int, n: int, swap: bool, sign: int) -> Census:
 
     modules = census_modules(p, n, swap, sign)
     orbits = orbit_census(p, n, modules)
+    assert burnside_orbit_count(p, n, swap, sign) == len(orbits)
     order = general_linear_order(n, p)
     mass = 0
     representatives = []

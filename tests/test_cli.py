@@ -517,6 +517,118 @@ def test_bad_input_ends_in_one_line_exit_1(tmp_path, capsys, probe):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# -- mutated input files -------------------------------------------------------
+
+# valid small files that the fuzz below mutates: modules over QQ and F_p,
+# with a subgroup or a subspace attached, and matrix files
+FUZZ_MODULES = (
+    FIXTURE,
+    FIXTURE.replace("rational", "fp:3"),
+    HYPERBOLIC.replace('"forms"', '"subspace":[["1","0"]],"forms"'),
+    '{"field":"fp:5","sign":"+1","dim_h":2,"w":{"dim":2,"involution":[["0","1"],["1","0"]]},'
+    '"forms":[[["1","2"],["0","1"]],[["1","0"],["2","1"]]]}',
+)
+FUZZ_MATRICES = (
+    J3,
+    '{"field":"rational","matrix":[["0","1/2","0","0"],["-1/2","0","0","0"],'
+    '["0","0","0","3"],["0","0","-3","0"]]}',
+)
+# a JSON integer past int()'s digit limit, and 100,000 levels of nesting,
+# spliced into the text where these strings stand
+HUGE, DEEP = "@huge@", "@deep@"
+RETYPED = (0, 7, -1, True, None, 1.5, "x", "", [], {}, [[]], ["1"], {"a": 1}, HUGE, DEEP)
+BAD_LITERALS = (
+    "1/0", "0/0", "1/-2", "--1", "1e3", "0x10", "1.5", " 1", "1 ", "\u00b2", "\u00bd",
+    "1/2/3", "", "nan", "\u0663", "1" + "0" * 5000, "1/" + "3" * 5000, "1" + "0" * 400,
+)
+BAD_TAGS = (
+    "fp:4", "fp:1", "fp:0", "fp:", "fp:-3", "FP:3", "fp:03", "fp:3.0", "real", "fp:2", "fp:7",
+    "rational ", "fp:" + "9" * 30, "fp:2305843009213693951",
+)
+
+
+def fuzz_nodes(node, path=()):
+    """Every (path, node) of a JSON tree, the root first."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from fuzz_nodes(child, path + (key,))
+
+
+def fuzz_replace(tree, path, value):
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    if isinstance(tree, dict):
+        return {**tree, key: fuzz_replace(tree[key], rest, value)}
+    return [fuzz_replace(child, rest, value) if i == key else child for i, child in enumerate(tree)]
+
+
+def mutated_file(draw, st, text):
+    """``text`` after up to three mutations: a dropped key, a value of
+    another JSON type, a ragged matrix row, a bad entry literal, a bad
+    field tag, a huge numeral or deep nesting."""
+    tree = json.loads(text)
+    for _ in range(draw(st.integers(0, 3))):
+        nodes = list(fuzz_nodes(tree))
+        how = draw(st.sampled_from(("drop", "retype", "ragged", "literal", "tag")))
+        if how == "drop":
+            objects = [(p, n) for p, n in nodes if isinstance(n, dict) and n]
+            if objects:
+                at, node = draw(st.sampled_from(objects))
+                gone = draw(st.sampled_from(sorted(node)))
+                tree = fuzz_replace(tree, at, {k: v for k, v in node.items() if k != gone})
+                continue
+        elif how == "ragged":
+            # a row: an array inside an array
+            rows = [(p, n) for p, n in nodes if isinstance(n, list) and p and isinstance(p[-1], int)]
+            if rows:
+                at, row = draw(st.sampled_from(rows))
+                tree = fuzz_replace(tree, at, row[:-1] if draw(st.booleans()) else row + row[:1])
+                continue
+        elif how == "literal":
+            leaves = [p for p, n in nodes if isinstance(n, str) and p[-1:] != ("field",)]
+            if leaves:
+                tree = fuzz_replace(tree, draw(st.sampled_from(leaves)), draw(st.sampled_from(BAD_LITERALS)))
+                continue
+        elif how == "tag" and isinstance(tree, dict):
+            tree = {**tree, "field": draw(st.sampled_from(BAD_TAGS))}
+            continue
+        at = draw(st.sampled_from([p for p, _ in nodes]))
+        tree = fuzz_replace(tree, at, draw(st.sampled_from(RETYPED)))
+    text = json.dumps(tree)
+    return text.replace(f'"{HUGE}"', "1" + "0" * 5000).replace(f'"{DEEP}"', "[" * 100_000 + "]" * 100_000)
+
+
+def test_mutated_files_end_in_one_output_line_or_one_error_line(tmp_path, capsys):
+    # every file command, on small valid files with up to three faults;
+    # sequiv reads a mutated file against its valid base, either way round
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    commands = ("check", "enumerate", "gr", "weight", "limit", "sequiv", "pfaffian", "fiber")
+
+    @hypothesis.settings(max_examples=250, deadline=None)
+    @hypothesis.given(st.sampled_from(commands), st.data())
+    def check(command, data):
+        bases = FUZZ_MATRICES if command in ("pfaffian", "fiber") else FUZZ_MODULES
+        base = data.draw(st.sampled_from(bases))
+        path = put(tmp_path, "fuzz.json", mutated_file(data.draw, st, base))
+        if command == "fiber":
+            argv = ["fiber", "--field", "fp:3", "--case", "alternating", "-r", "2", "--twist", path]
+        elif command == "sequiv":
+            argv = ["sequiv", *data.draw(st.permutations([path, put(tmp_path, "base.json", base)]))]
+        else:
+            argv = [command, path]
+        code, out, err = run(capsys, *argv)
+        if code == 0:
+            assert out.endswith("\n") and out.count("\n") == 1 and err == "", argv
+        else:
+            assert code == 1 and out == "", (argv, err)
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+    check()
+
+
 BASE_LAYERS = {
     "twistmod",
     "twistmod.cli",

@@ -42,7 +42,7 @@ def test_no_public_search_takes_a_size_budget():
     }
     for function, names in parameters.items():
         assert list(inspect.signature(function).parameters) == names, function.__name__
-    assert stability._MAX_DECOMPOSITIONS == 200_000
+    assert stability._MAX_SUBSPACE_PAIRS == 200_000
     assert sigmamod._NODE_BUDGET == 500_000
     assert dualnum._MAX_PAIRS == 1_000_000
     assert sigmamod.MAX_LINES == 100_000

@@ -444,6 +444,32 @@ def test_heuristic_kernel_instability():
     assert verdict.mu_value < 0
 
 
+def test_a_rational_joint_kernel_settles_a_verdict_before_the_size_rules():
+    # over QQ a nonzero joint kernel is the first candidate, yielded before
+    # the dim bound and before any prime's line count, so it can answer a
+    # module that the size rules refuse; over F_p the rules come first
+    def diagonal(field, entries):
+        n = len(entries)
+        return module_1form(field, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+    dim_bound = r"^dim 5 exceeds the enumeration bound 4$"
+    assert semistability_verdict(diagonal(QQ, (1, 1, 0, 0, 0))).status == UNSTABLE
+    with pytest.raises(StabilityError, match=r"^module is unstable$"):
+        iso_filtration(diagonal(QQ, (1, 1, 0, 0, 0)))
+    for q in (diagonal(QQ, (1, 1, 1, 1, 1)), diagonal(GF(3), (1, 1, 0, 0, 0))):
+        with pytest.raises(BoundExceededError, match=dim_bound):
+            semistability_verdict(q)
+    with pytest.raises(BoundExceededError, match=dim_bound):
+        iso_filtration(diagonal(GF(3), (1, 1, 0, 0, 0)))
+
+    mersenne = 2**61 - 1
+    lines = "^F_2305843009213693951\\^2 has 2305843009213693952 candidate lines"
+    assert semistability_verdict(diagonal(QQ, (1, 0)), primes=(mersenne,)).status == UNSTABLE
+    for q in (diagonal(QQ, (1, 1)), diagonal(GF(mersenne), (1, 0))):
+        with pytest.raises(BoundExceededError, match=lines):
+            semistability_verdict(q, primes=(mersenne,))
+
+
 def test_the_joint_kernel_is_the_orthogonal_of_h():
     # joint_kernel solves x . B_k e_i = 0 column by column; the public
     # orthogonal of H solves the same conditions from the basis of H.
@@ -1144,6 +1170,28 @@ def test_s_equivalence_worked_examples():
         s_equivalent(module_1form(f3, [[0]]), module_1form(f3, [[1]]))
 
 
+def test_s_equivalence_refuses_incompatible_modules_before_any_level(monkeypatch):
+    # the field, the sign or W differ; the unstable F_5 line would have
+    # been refused by its own filtration first
+    f3 = GF(3)
+    plane = module_1form(f3, [[0, 1], [1, 0]])
+    others = [
+        module_1form(GF(5), [[0, 1], [1, 0]]),
+        module_1form(GF(5), [[0]]),
+        module_1form(f3, [[0, 1], [2, 0]], sign=-1),
+        random_module(random.Random(3), f3, 2, swap_w(f3), 1),
+    ]
+
+    def scan(*args):
+        raise AssertionError("a filtration level was built")
+
+    monkeypatch.setattr(stability, "_build_levels", scan)
+    for other in others:
+        for pair in ((plane, other), (other, plane)):
+            with pytest.raises(FieldError, match=r"^incompatible ambient data$"):
+                s_equivalent(*pair)
+
+
 def test_s_equivalence_is_orbit_invariant():
     f3 = GF(3)
     q = module_1form(f3, [[0, 0, 1], [0, 1, 1], [1, 1, 1]])
@@ -1229,9 +1277,13 @@ def test_hilbert_mumford_sweep_fixtures():
     assert hilbert_mumford_sweep(module_1form(f3, [[0, 0], [0, 1]])) < 0
     with pytest.raises(FieldError):
         hilbert_mumford_sweep(module_1form(QQ, [[1, 0], [0, 1]]))
-    # F_3^4 has 1,908,091 ordered decompositions, past the sweep's bound
-    with pytest.raises(BoundExceededError, match="sweep exceeded 200000 decompositions"):
-        hilbert_mumford_sweep(module_1form(f3, [[int(i == j) for j in range(4)] for i in range(4)]))
+    # F_5^4 has 1,119 nonzero subspaces and F_17^3 has 615, so the
+    # containment pass would compare more pairs than the sweep's bound
+    for p, n, pairs in ((5, 4, 1_252_161), (17, 3, 378_225)):
+        identity = module_1form(GF(p), [[int(i == j) for j in range(n)] for i in range(n)])
+        refusal = f"^F_{p}\\^{n} has {pairs} subspace pairs, over the search bound 200000$"
+        with pytest.raises(BoundExceededError, match=refusal):
+            hilbert_mumford_sweep(identity)
 
 
 def test_a_negative_weight_bound_is_a_value_error_not_an_internal_one():
@@ -1356,9 +1408,10 @@ def sweep_outcome(sweep, q, **bounds):
 
 
 def ordered_decompositions(p, n):
-    """The ordered direct-sum decompositions of F_p^n into nonzero pieces:
-    a first piece of dim d (a Gaussian binomial of choices), one of its
-    p^(d(n-d)) complements, and a decomposition of that complement."""
+    """The ordered direct-sum decompositions of F_p^n into nonzero pieces,
+    the work of ordered_sweep: a first piece of dim d (a Gaussian binomial
+    of choices), one of its p^(d(n-d)) complements, and a decomposition of
+    that complement."""
     if n == 0:
         return 1
     total = 0
@@ -1383,22 +1436,26 @@ def test_sweep_matches_the_ordered_sweep(monkeypatch):
     cases.append(SigmaModule(GF(3), 0, trivial_w(GF(3)), 1, [Matrix(GF(3), [])]))
     cases.append(random_module(rng, GF(2), 4, trivial_w(GF(2)), 1))
     for q in cases:
-        total = ordered_decompositions(q.field.p, q.dim_h)
+        p, n = q.field.p, q.dim_h
+        total = ordered_decompositions(p, n)
+        pairs = stability._subspace_count(p, n) ** 2
         # the reference is slow on the big cases, so only the cheap ones
-        # meet it at every bound; the rest hold the closed-form total
-        small = total < 2000
+        # meet it at every weight bound
         for weight_bound in (0, 1, 2, 3) if total < 500 else (3,):
             expected = ordered_sweep(q, weight_bound=weight_bound)
-            for bound in (1, 10, 100, total - 1, total):
-                monkeypatch.setattr(stability, "_MAX_DECOMPOSITIONS", bound)
-                # every ordering counts, so the sweep refuses exactly past the total
+            if total < 2000:
+                # the reference visits every ordering of every decomposition
+                bounds = {"max_decompositions": total - 1, "weight_bound": weight_bound}
+                refused = ("refused", f"sweep exceeded {total - 1} decompositions")
+                assert sweep_outcome(ordered_sweep, q, **bounds) == refused
+            # the sweep refuses exactly past the pairs of nonzero subspaces
+            for bound in (pairs - 1, pairs):
+                monkeypatch.setattr(stability, "_MAX_SUBSPACE_PAIRS", bound)
                 want = expected
-                if bound < total:
-                    want = ("refused", f"sweep exceeded {bound} decompositions")
+                if bound < pairs:
+                    refusal = f"F_{p}^{n} has {pairs} subspace pairs, over the search bound {bound}"
+                    want = ("refused", refusal)
                 assert sweep_outcome(hilbert_mumford_sweep, q, weight_bound=weight_bound) == want
-                if small or bound <= 100:
-                    bounds = {"max_decompositions": bound, "weight_bound": weight_bound}
-                    assert sweep_outcome(ordered_sweep, q, **bounds) == want
 
 
 # The sweep's pairing as it stood before it kept only the row pairs that
@@ -1441,35 +1498,65 @@ def row_table_sweep(q, weight_bound=3):
 
 
 def small_fields():
-    """Every F_p^n, n >= 1, that the sweep accepts at its default bounds,
-    but for F_p^1 and F_p^2 only up to p = 13 and the largest, p = 443."""
+    """Every F_p^n, 1 <= n <= 5, whose pairs of nonzero subspaces the
+    sweep accepts, but for F_p^1 and F_p^2 only up to p = 13 and the
+    largest, p = 443."""
     for p in (2, 3, 5, 7, 11, 13, 443):
-        for n in range(1, 5):
-            if ordered_decompositions(p, n) <= 200_000 and (p < 443 or n == 2):
+        for n in range(1, 6):
+            if stability._subspace_count(p, n) ** 2 <= 200_000 and (p < 443 or n == 2):
                 yield p, n
 
 
 def test_the_sweep_matches_the_full_row_table():
     rng = random.Random(17)
     fields = list(small_fields())
-    assert (2, 4) in fields and (7, 3) in fields and (443, 2) in fields
-    assert (3, 4) not in fields and (11, 3) not in fields
+    assert {(2, 5), (3, 4), (7, 3), (11, 3), (13, 3), (443, 2)} <= set(fields)
+    assert (5, 4) not in fields and (3, 5) not in fields
     for p, n in fields:
         field = GF(p)
+        # the row table tries every weight tuple of every flag, so the
+        # largest fields run fewer cases at one weight bound: F_443^2 and
+        # the fields with over 1,000 flags at 3, F_2^5 (27,808) at 1
+        flags = len(_flags(p, n)[1])
+        few = p == 443 or flags > 1000
         cases = [module_1form(field, [[0] * n for _ in range(n)])]
         for w in (trivial_w(field), swap_w(field)):
-            for sign in (1, -1) if p < 443 else (1,):
+            for sign in (1,) if few else (1, -1):
                 cases.append(random_module(rng, field, n, w, sign))
         # forms that break the symmetry relation, which the sweep takes as
         # they are, pair u with v and v with u differently: random ones, and
         # each form with a single nonzero entry off the diagonal
-        for _ in range(3 if p < 443 else 1):
+        for _ in range(1 if few else 3):
             cases.append(module_1form(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)]))
-        for k, l in itertools.permutations(range(n), 2):
+        off_diagonal = list(itertools.permutations(range(n), 2))
+        for k, l in off_diagonal[:2] if few else off_diagonal:
             cases.append(module_1form(field, [[int((i, j) == (k, l)) for j in range(n)] for i in range(n)]))
+        bounds = (1, 3) if not few else (1,) if flags > 10_000 else (3,)
         for q in cases:
-            for bound in (1, 3) if p < 443 else (3,):
+            for bound in bounds:
                 assert hilbert_mumford_sweep(q, bound) == row_table_sweep(q, bound), (p, n, bound)
+
+
+def test_the_subspace_count_matches_the_listed_subspaces():
+    for p, top in ((2, 5), (3, 4), (5, 3), (7, 2), (443, 1)):
+        for n in range(top + 1):
+            assert stability._subspace_count(p, n) == len(list(all_subspaces(GF(p), n))), (p, n)
+
+
+def test_the_sweep_agrees_with_the_verdict_on_the_fields_the_pair_rule_admits():
+    # each has at most 373^2 subspace pairs, and 1.9 to 17.7 million
+    # ordered direct-sum decompositions
+    rng = random.Random(33)
+    statuses = set()
+    for p, n in ((3, 4), (11, 3), (13, 3), (2, 5)):
+        field = GF(p)
+        for w in (trivial_w(field), swap_w(field)):
+            for sign in (1, -1):
+                q = random_module(rng, field, n, w, sign)
+                status = semistability_verdict(q, enum_bound=5).status
+                assert (hilbert_mumford_sweep(q) < 0) == (status == UNSTABLE), (p, n)
+                statuses.add(status)
+    assert UNSTABLE in statuses and STRICTLY_SEMISTABLE in statuses
 
 
 def test_searches_refuse_too_many_lines_before_any_work():
@@ -1541,7 +1628,7 @@ def test_the_cache_state_changes_no_sweep():
     # a refused sweep lists no flags
     _flags.cache_clear()
     refused = [
-        (module_1form(GF(3), [[int(i == j) for j in range(4)] for i in range(4)]), {}),
+        (module_1form(GF(5), [[int(i == j) for j in range(4)] for i in range(4)]), {}),
         (module_1form(GF(2**61 - 1), [[0, 1], [1, 0]]), {}),
         (module_1form(GF(2), [[0, 0], [0, 0]]), {"weight_bound": 50_000}),
     ]
