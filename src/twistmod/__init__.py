@@ -59,7 +59,6 @@ _EXPORTS = {
         "mu",
     ),
     "stability": (
-        "DEFAULT_ENUM_BOUND",
         "DEFAULT_PRIMES",
         "NO_DESTABILIZER_FOUND",
         "STABLE",

@@ -59,23 +59,18 @@ def _load_module(args, path: str):
     return mf
 
 
-def _given(**options) -> dict:
-    # options left unset on the command line take the library's defaults
-    return {key: value for key, value in options.items() if value is not None}
-
-
 def _search(args, *modules) -> dict:
-    primes = None
-    if args.prime_list is not None:
-        # the reductions mod a prime list run only over the rationals
-        if any(q.field.kind == "fp" for q in modules):
-            raise UsageError("--prime-list is for modules over the rationals")
-        # each entry follows the grammar, and passes the primality test, of fp:<p>
-        try:
-            primes = tuple(field_from_name(f"fp:{p}").p for p in args.prime_list.split(","))
-        except ParseError as exc:
-            raise UsageError(f"bad prime list {args.prime_list!r}: {exc}") from exc
-    return _given(enum_bound=args.enum_bound, primes=primes)
+    # without --prime-list the library's default primes are used
+    if args.prime_list is None:
+        return {}
+    # the reductions mod a prime list run only over the rationals
+    if any(q.field.kind == "fp" for q in modules):
+        raise UsageError("--prime-list is for modules over the rationals")
+    # each entry follows the grammar, and passes the primality test, of fp:<p>
+    try:
+        return {"primes": tuple(field_from_name(f"fp:{p}").p for p in args.prime_list.split(","))}
+    except ParseError as exc:
+        raise UsageError(f"bad prime list {args.prime_list!r}: {exc}") from exc
 
 
 def _cmd_check(args) -> dict:
@@ -165,7 +160,7 @@ def _cmd_enumerate(args) -> dict:
     from .stability import enumerate_totally_isotropic
 
     mf = _load_module(args, args.file)
-    subs = list(enumerate_totally_isotropic(mf.module, **_given(bound=args.enum_bound)))
+    subs = list(enumerate_totally_isotropic(mf.module))
     return {
         "count": len(subs),
         "subspaces": [subspace_to_lists(v) for v in subs],
@@ -181,13 +176,6 @@ _FIELD = (
     False,
     "field tag (rational or fp:<p>); on file commands this is a cross-check",
 )
-_ENUM_BOUND = (
-    ("--enum-bound",),
-    int,
-    None,
-    False,
-    "largest dim H the subspace enumerations will accept",
-)
 _PRIME_LIST = (
     ("--prime-list",),
     None,
@@ -195,7 +183,7 @@ _PRIME_LIST = (
     False,
     "comma-separated primes for heuristic reductions over the rationals",
 )
-_SEARCH = (_FIELD, _ENUM_BOUND, _PRIME_LIST)
+_SEARCH = (_FIELD, _PRIME_LIST)
 
 # every command once, as name: (handler, help, positionals, options)
 COMMANDS = {
@@ -216,12 +204,7 @@ COMMANDS = {
         ),
     ),
     "pfaffian": (_cmd_pfaffian, "pfaffian of a matrix file", ("file",), (_FIELD,)),
-    "enumerate": (
-        _cmd_enumerate,
-        "list the totally isotropic subspaces",
-        ("file",),
-        (_FIELD, _ENUM_BOUND),
-    ),
+    "enumerate": (_cmd_enumerate, "list the totally isotropic subspaces", ("file",), (_FIELD,)),
 }
 
 

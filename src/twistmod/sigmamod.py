@@ -427,10 +427,11 @@ def is_isomorphic(q1: SigmaModule, q2: SigmaModule) -> IsoResult:
     and of one combination sum c_k B_k per projective point) refute
     quickly, and then the witness is the first yield of
     ``linalg.isometries``, the Gram walk that also lists the fiber images
-    of ``dualnum``.  Over F_p these list p^dim_w
-    combinations of the forms and p^dim_h - 1 candidate columns, and
-    more than MAX_LINES of either raise BoundExceededError before that
-    work starts.  The search visits at most _NODE_BUDGET candidates.
+    of ``dualnum``.  These list p^dim_w combinations of the forms and
+    p^dim_h - 1 candidate columns over F_p, and 5^dim_w and 7^dim_h - 1
+    over QQ, and more than MAX_LINES of either raise BoundExceededError
+    before that work starts.  The search visits at most _NODE_BUDGET
+    candidates.
     Over F_p (p = 2, or dim W >= 2) it is exhaustive when it finishes,
     so it answers yes or no, but it answers unknown when the budget runs
     out first.  Over the rationals it runs over a bounded box of small
@@ -441,17 +442,24 @@ def is_isomorphic(q1: SigmaModule, q2: SigmaModule) -> IsoResult:
         return IsoResult("no")
     if q1 == q2:
         return IsoResult("yes", Matrix.identity(q1.field, q1.dim_h))
-    if q1.field.kind == "fp":
-        p = q1.field.p
-        # the one-form decision lists nothing, so it runs before the guards
-        if q1.dim_w == 1 and p % 2:
-            decided = _one_form_isometry(q1, q2)
-            if decided is not None:
-                return decided
-        # the invariants and the search materialise both lists: the
-        # combinations of the forms and the nonzero candidate columns
-        _check_search_size(p**q1.dim_w, f"F_{p}^{q1.dim_w}", "form combinations")
-        _check_search_size(p**q1.dim_h - 1, f"F_{p}^{q1.dim_h}", "candidate columns")
+    p = q1.field.characteristic
+    # the one-form decision lists nothing, so it runs before the guards
+    if q1.dim_w == 1 and p % 2:
+        decided = _one_form_isometry(q1, q2)
+        if decided is not None:
+            return decided
+    # the invariants and the search materialise both lists: the
+    # combinations of the forms, c_k over F_p or in -2..2 over QQ, and the
+    # nonzero candidate columns, over F_p or over the box of _DOUBLED_BOX
+    if p:
+        combinations, columns = p**q1.dim_w, p**q1.dim_h - 1
+        over_w, over_h = f"F_{p}^{q1.dim_w}", f"F_{p}^{q1.dim_h}"
+    else:
+        combinations, columns = 5**q1.dim_w, len(_DOUBLED_BOX) ** q1.dim_h - 1
+        over_w = f"Q^{q1.dim_w} at coefficients -2..2"
+        over_h = f"Q^{q1.dim_h} at entries 0, +-1/2, +-1, +-2"
+    _check_search_size(combinations, over_w, "form combinations")
+    _check_search_size(columns, over_h, "candidate columns")
 
     if not _congruence_invariants_match(q1, q2):
         return IsoResult("no")

@@ -40,6 +40,12 @@ pays only for what it reached.  The F_p verdict and every filtration
 level stop this way; the rational verdict scans in full, since its
 provenance lists every prime it scanned.
 
+The search is limited by its work, not by dim H: each candidate row it
+tests while growing a basis is charged to one budget of _SCAN_BUDGET
+rows per verdict, enumeration or filtration (all of its levels), and a
+scan past it raises BoundExceededError where it stands.  Only the line
+rule, MAX_LINES, refuses before any work.
+
 A strictly semistable module carries a filtration by successive minimal
 equality witnesses.  Each level is one scan of the stream, which also
 refuses an unstable module, so no separate verdict runs before the
@@ -97,8 +103,12 @@ STRICTLY_SEMISTABLE = "strictly_semistable"
 UNSTABLE = "unstable"
 NO_DESTABILIZER_FOUND = "no_destabilizer_found"
 
-DEFAULT_ENUM_BOUND = 4
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
+
+# the candidate rows that one verdict, enumeration or filtration may test;
+# the zero module on F_43^4, the largest scan the line bound admits at
+# dim H <= 4, tests 3,592,960
+_SCAN_BUDGET = 4_000_000
 
 
 class _ProvenanceFields(NamedTuple):
@@ -180,51 +190,26 @@ class GradedModule(NamedTuple):
         return len(self.pieces)
 
 
-def enumerate_totally_isotropic(q: SigmaModule, bound: int = DEFAULT_ENUM_BOUND):
+def enumerate_totally_isotropic(q: SigmaModule):
     """All nonzero totally isotropic subspaces, dimension ascending.
 
     Only meaningful over a prime field.  The search is pruned: it grows
     reduced echelon bases row by row and drops a partial basis as soon
     as one pairing is nonzero, so its cost follows the number of
     isotropic partial bases rather than the p^(d(n-d)) subspaces of
-    each dimension d.  ``bound`` caps dim H.
+    each dimension d.  A search that tests more than _SCAN_BUDGET
+    candidate rows raises BoundExceededError.
     """
     if q.field.kind != "fp":
         raise FieldError("exhaustive enumeration needs a finite field")
     n = q.dim_h
-    _check_dim(n, bound)
     scan = _isotropic_scanner([b.num for b in q.forms], q.field.p, n)
     return tuple(Subspace._from_echelon(q.field, n, rows, pivots) for rows, pivots, _ in scan())
-
-
-def _check_dim(n: int, bound: int):
-    if n > bound:
-        raise BoundExceededError(f"dim {n} exceeds the enumeration bound {bound}")
 
 
 def _check_lines(p: int, n: int):
     # a search may scan every line of F_p^n; F_13^4 has 2,380
     _check_search_size((p**n - 1) // (p - 1), f"F_{p}^{n}", "candidate lines")
-
-
-def _grow(kills, rows, basis):
-    """Yield ``basis``, a list of (u, images(u)) extended in place, once
-    for every way to take its r-th row from rows[r] with u_i^T B_k u_j
-    zero for every i != j: a partial basis is dropped as soon as one
-    pairing is nonzero.  The rows listed are isotropic lines, which
-    settles i == j."""
-    r = len(basis)
-    if r == len(rows):
-        yield basis
-        return
-    for u, imgs in rows[r]:
-        for w, bi in basis:
-            if not (kills(u, bi) and kills(w, imgs)):
-                break
-        else:
-            basis.append((u, imgs))
-            yield from _grow(kills, rows, basis)
-            basis.pop()
 
 
 def _run_roots(runs, u, p: int):
@@ -302,7 +287,7 @@ def _lines(runs, p: int, n: int, pc: int, box, solved: dict):
                 yield u[:last] + (t,)
 
 
-def _isotropic_scanner(forms, p: int, n: int, primes=()):
+def _isotropic_scanner(forms, p: int, n: int, primes=(), budget=None):
     """``scan(dims=None, prime=p)`` yields (rows, pivots, images) for the
     nonzero totally isotropic subspaces V with dim V in ``dims`` (default:
     all), under the n x n plain-int forms: the one candidate search.
@@ -319,7 +304,7 @@ def _isotropic_scanner(forms, p: int, n: int, primes=()):
     ``pivots``, and ``images`` the rows B_k u over it, built once per
     line: V^perp is their null space (sigmamod._perp), of dim n minus
     their rank.  A line is a basis of dimension 1 by itself; longer
-    bases grow row by row in _grow from the lines of _lines, and a
+    bases grow row by row in grow from the lines of _lines, and a
     partial basis is dropped at its first nonzero pairing
     u_i^T B_k u_j; V is totally isotropic exactly when all of them
     vanish, so no symmetry of the forms is assumed.  The order is that
@@ -337,7 +322,15 @@ def _isotropic_scanner(forms, p: int, n: int, primes=()):
     for, since each pattern's lifts are sorted before the first is
     yielded anyway.  A prime with more than MAX_LINES lines in
     F_prime^n raises BoundExceededError before any work.
+
+    ``budget``, a one-item list, holds the candidate rows that grow may
+    still test, one a pass of its row loop; a scan that runs it below
+    zero raises BoundExceededError.  The scanners of one call share one
+    budget, and a scanner given none starts its own at _SCAN_BUDGET.
     """
+    if budget is None:
+        budget = [_SCAN_BUDGET]
+    space = f"F_{p}^{n}" if p else f"Q^{n}"
     primes = (p,) if p else tuple(primes)
     boxes = {}
     for prime in primes:
@@ -349,6 +342,30 @@ def _isotropic_scanner(forms, p: int, n: int, primes=()):
     solved: dict = {}
     # the lines of each (prime, column) that some reader has read to its end
     found: dict = {}
+
+    def grow(rows, basis):
+        # yield basis, a list of (u, images(u)) extended in place, once for
+        # every way to take its r-th row from rows[r] with u_i^T B_k u_j
+        # zero for every i != j: a partial basis is dropped at its first
+        # nonzero pairing, and the rows are isotropic lines, which settles
+        # i == j
+        r = len(basis)
+        if r == len(rows):
+            yield basis
+            return
+        for u, imgs in rows[r]:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise BoundExceededError(
+                    f"the isotropic search of {space} exceeds {_SCAN_BUDGET} candidate rows at dim {len(rows)}"
+                )
+            for w, bi in basis:
+                if not (kills(u, bi) and kills(w, imgs)):
+                    break
+            else:
+                basis.append((u, imgs))
+                yield from grow(rows, basis)
+                basis.pop()
 
     def reader(prime, pc):
         read = []
@@ -391,7 +408,7 @@ def _isotropic_scanner(forms, p: int, n: int, primes=()):
         for d in range(1, n + 1) if dims is None else dims:
             for pivots in itertools.combinations(range(n), d):
                 # row r must vanish on the later pivot columns; the first
-                # row is filtered as _grow reads it, and a reader counts as
+                # row is filtered as grow reads it, and a reader counts as
                 # nonempty
                 first = lines(prime, pivots[0])
                 later = [
@@ -406,7 +423,7 @@ def _isotropic_scanner(forms, p: int, n: int, primes=()):
                 else:
                     rest = pivots[1:]
                     first = (e for e in first if not any(map(e[0].__getitem__, rest)))
-                    bases = _grow(kills, [first] + later, [])
+                    bases = grow([first] + later, [])
                 for basis in bases if p else first_lifts(bases, prime):
                     yield (
                         tuple(u for u, _ in basis),
@@ -420,16 +437,15 @@ def _isotropic_scanner(forms, p: int, n: int, primes=()):
 def semistability_verdict(
     q: SigmaModule,
     *,
-    enum_bound: int = DEFAULT_ENUM_BOUND,
     primes: tuple = DEFAULT_PRIMES,
 ) -> Verdict:
     """Decide the subspace criterion for q.
 
-    The field decides how: over F_p the verdict is exhaustive, complete
-    within the enumeration bound; over QQ it is heuristic, certifying
-    instability via the joint kernel and via witnesses lifted from
-    reductions mod ``primes``, and returning no_destabilizer_found when
-    nothing lifts.
+    The field decides how: over F_p the verdict is exhaustive; over QQ
+    it is heuristic, certifying instability via the joint kernel and via
+    witnesses lifted from reductions mod ``primes``, and returning
+    no_destabilizer_found when nothing lifts.  A search that tests more
+    than _SCAN_BUDGET candidate rows raises BoundExceededError.
     """
     primes = _checked(primes)
     if not validate(q):
@@ -437,7 +453,7 @@ def semistability_verdict(
     kind = "exhaustive" if q.field.kind == "fp" else "heuristic"
     tried: list = []
     # the heuristic's provenance lists every prime it scanned, so it scans in full
-    worse, equality = _scan(q, enum_bound, primes, tried, full=kind == "heuristic")
+    worse, equality = _scan(q, primes, tried, full=kind == "heuristic")
     provenance = Provenance(kind, tuple(tried))
     if worse is not None:
         return _certified(UNSTABLE, provenance, q, worse)
@@ -451,9 +467,10 @@ def _checked(primes) -> tuple:
     return tuple(GF(p).p for p in primes)
 
 
-def _scan(q: SigmaModule, enum_bound: int, primes, tried: list, full: bool):
+def _scan(q: SigmaModule, primes, tried: list, full: bool, budget=None):
     """(destabilizer, equality) over the candidate stream of q, each a
-    (V, dim V^perp, images) record of _candidates or None.
+    (V, dim V^perp, images) record of _candidates or None; ``budget`` is
+    the search's, as _isotropic_scanner takes it.
 
     The scan stops at the first V with dim V + dim V^perp > dim H, the
     destabilizer; equality is the first V before it meeting equality.
@@ -466,7 +483,7 @@ def _scan(q: SigmaModule, enum_bound: int, primes, tried: list, full: bool):
     n = q.dim_h
     forms = [b.num for b in q.forms]
     equality = None
-    for found in _candidates(q, forms, enum_bound, primes, tried, full):
+    for found in _candidates(q, forms, primes, tried, full, budget):
         v, perp_dim, _ = found
         total = v.dim + perp_dim
         if total > n:
@@ -511,7 +528,7 @@ def joint_kernel(q: SigmaModule) -> Subspace:
     return _perp(q, [c for b in q.forms for c in zip(*b.num)])[0]
 
 
-def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, full: bool):
+def _candidates(q: SigmaModule, forms, primes, tried: list, full: bool, budget=None):
     """Yield (V, dim V^perp, images) for the totally isotropic V that the
     subspace criterion is tested on, where ``forms`` are the int rows of
     the forms of q and ``images`` the rows B_k u that the search built
@@ -534,30 +551,27 @@ def _candidates(q: SigmaModule, forms, enum_bound: int, primes, tried: list, ful
     the int rows of the forms; its dim V^perp is n minus the rank of the
     images, as over F_p, and V^perp is solved only where a witness is
     used.  A prime with more than MAX_LINES lines in F_p^n is refused
-    before any work.
+    before any work, and ``budget`` goes to _isotropic_scanner.
 
-    The rational joint kernel comes before the dim bound and every line
-    check, so a module it destabilizes is unstable even where those size
-    rules refuse: at dim H > ``enum_bound``, or at a prime too large.
+    The rational joint kernel comes before every line check, so a module
+    it destabilizes is unstable even at a prime too large.
     """
     n = q.dim_h
     if q.field.kind == "fp":
-        _check_dim(n, enum_bound)
         p = q.field.p
-        for rows, pivots, images in _isotropic_scanner(forms, p, n)():
+        for rows, pivots, images in _isotropic_scanner(forms, p, n, budget=budget)():
             v = Subspace._from_echelon(q.field, n, rows, pivots)
             yield v, n - rank_mod_p(images, p), images
         return
     kernel = joint_kernel(q)
     if not kernel.is_zero():
         yield kernel, n, ()
-    _check_dim(n, enum_bound)
     # the denominator of a matrix is the lcm of those of its entries
     denominators = math.lcm(q.w.matrix.den, *(b.den for b in q.forms))
     primes = [p for p in dict.fromkeys(primes) if denominators % p]
     # the scanner refuses a prime with too many lines before any search,
     # however early a scan may stop
-    scan = _isotropic_scanner(forms, 0, n, primes)
+    scan = _isotropic_scanner(forms, 0, n, primes, budget)
     _, kills = _pairing(forms, 0)
     if full:
         steps = [(p, range(1, n + 1)) for p in primes]
@@ -585,10 +599,11 @@ class _Level(NamedTuple):
     piece: LinearPiece
 
 
-def _build_levels(q, enum_bound, primes):
+def _build_levels(q, primes):
     """(levels, chain, core, model rows) of the filtration of q.
 
-    Each level scans the current module once and reduces it by its
+    Each level scans the current module once, all levels on one budget of
+    _SCAN_BUDGET candidate rows, and reduces it by its
     smallest equality witness V, whose orthogonal is solved from the
     images the scan yielded with it, and rechecked by the reduction.
     The dual of the level is the complement of V^perp that this
@@ -607,10 +622,11 @@ def _build_levels(q, enum_bound, primes):
     reached = Subspace.zero(field, n)
     model_rows = Matrix.identity(field, n)
     current = q
+    budget = [_SCAN_BUDGET]
     while True:
         # one scan, dimension ascending, per level: it doubles as the
         # level's semistability check, and v is its smallest equality witness
-        worse, equality = _scan(current, enum_bound, primes, [], full=False)
+        worse, equality = _scan(current, primes, [], full=False, budget=budget)
         if worse is not None:
             raise StabilityError("module is unstable")
         if equality is None:
@@ -634,11 +650,7 @@ def _build_levels(q, enum_bound, primes):
     return levels, tuple(chain), current, model_rows
 
 
-def iso_filtration(
-    q: SigmaModule,
-    enum_bound: int = DEFAULT_ENUM_BOUND,
-    primes: tuple = DEFAULT_PRIMES,
-) -> Filtration:
+def iso_filtration(q: SigmaModule, *, primes: tuple = DEFAULT_PRIMES) -> Filtration:
     """Chain of successive minimal equality witnesses, lifted back to H.
 
     Each step meets the equality of the subspace criterion inside the
@@ -646,15 +658,11 @@ def iso_filtration(
     chain is empty.  Deterministic: witnesses are searched dimension
     ascending, then in canonical basis order.
     """
-    _, chain, _, _ = _build_levels(q, enum_bound, primes)
+    _, chain, _, _ = _build_levels(q, primes)
     return Filtration(chain)
 
 
-def graded(
-    q: SigmaModule,
-    enum_bound: int = DEFAULT_ENUM_BOUND,
-    primes: tuple = DEFAULT_PRIMES,
-) -> GradedModule:
+def graded(q: SigmaModule, *, primes: tuple = DEFAULT_PRIMES) -> GradedModule:
     """Graded module of a semistable q: hyperbolic pieces round a stable core.
 
     The assembled module is written in the adapted basis (witnesses
@@ -670,7 +678,7 @@ def graded(
 
     if q.dim_h == 0:
         raise ShapeError("a graded module needs dim H >= 1, not 0")
-    levels, chain, core, core_rows = _build_levels(q, enum_bound, primes)
+    levels, chain, core, core_rows = _build_levels(q, primes)
     field = q.field
     n = q.dim_h
 
@@ -719,7 +727,7 @@ def graded(
 def s_equivalent(
     q1: SigmaModule,
     q2: SigmaModule,
-    enum_bound: int = DEFAULT_ENUM_BOUND,
+    *,
     primes: tuple = DEFAULT_PRIMES,
 ) -> str:
     """yes / no / unknown: are the graded modules isomorphic?
@@ -734,7 +742,7 @@ def s_equivalent(
     # both modules scan the same list, also when primes is an iterator
     primes = _checked(primes)
     _check_compatible(q1, q2)
-    g1, g2 = (graded(q, enum_bound, primes) for q in (q1, q2))
+    g1, g2 = (graded(q, primes=primes) for q in (q1, q2))
     status = is_isomorphic(g1.assembled, g2.assembled).status
     if status == "no" and q1.field.kind == "rational" and q1.dim_h == q2.dim_h:
         return "unknown"

@@ -144,6 +144,33 @@ def test_sequiv_over_a_huge_field_is_refused_before_any_work(tmp_path):
     assert "over the search bound 100000" in child.stderr
 
 
+def test_sequiv_over_qq_is_refused_past_the_combination_rule(tmp_path, capsys):
+    # two stable rational modules under the trivial involution on a dim-8
+    # W grade to themselves; their isomorphism test would list 5^8
+    # combinations of the forms, so it is refused on one line
+    def module(a):
+        form = f'[["1","0"],["0","{a}"]]'
+        identity = [["1" if i == j else "0" for j in range(8)] for i in range(8)]
+        return (
+            '{"field":"rational","sign":"+1","dim_h":2,'
+            f'"w":{{"dim":8,"involution":{json.dumps(identity, separators=(",", ":"))}}},'
+            f'"forms":[{",".join([form] * 8)}]}}'
+        )
+
+    files = [put(tmp_path, f"w8_{a}.json", module(a)) for a in (1, 2)]
+    code, out, err = run(capsys, "sequiv", *files)
+    assert code == 1 and out == ""
+    assert err == "error: Q^8 at coefficients -2..2 has 390625 form combinations, over the search bound 100000\n"
+
+
+def test_the_enum_bound_option_is_gone(tmp_path, capsys):
+    path = put(tmp_path, "hyp3.json", HYPERBOLIC.replace("rational", "fp:3"))
+    for command in ("check", "gr", "enumerate"):
+        code, out, err = run(capsys, command, path, "--enum-bound", "4")
+        assert code == 1 and out == ""
+        assert err == "error: unrecognized arguments: --enum-bound 4\n"
+
+
 def test_check_input_errors(tmp_path, capsys):
     path = put(tmp_path, "malformed.json", "{broken")
     code, _, err = run(capsys, "check", path)

@@ -29,19 +29,30 @@ def test_every_public_name_resolves_to_its_home_module():
 
 
 def test_no_public_search_takes_a_size_budget():
-    # each search bound is one module constant, read at call time
+    # each search bound is one module constant, read at call time; the
+    # prime list of a stability entry point is keyword-only, so a stale
+    # positional size bound, as in graded(q, 5), is a TypeError
     import inspect
 
     from twistmod import dualnum, sigmamod, stability
 
     parameters = {
+        stability.enumerate_totally_isotropic: ["q"],
+        stability.semistability_verdict: ["q", "primes"],
+        stability.iso_filtration: ["q", "primes"],
+        stability.graded: ["q", "primes"],
+        stability.s_equivalent: ["q1", "q2", "primes"],
         stability.hilbert_mumford_sweep: ["q", "weight_bound"],
         sigmamod.is_isomorphic: ["q1", "q2"],
         dualnum.fiber_structure_check: ["field", "r", "case", "m"],
         dualnum.unramified_fixed_count: ["field", "r"],
     }
     for function, names in parameters.items():
-        assert list(inspect.signature(function).parameters) == names, function.__name__
+        signature = inspect.signature(function).parameters
+        assert list(signature) == names, function.__name__
+        if "primes" in signature:
+            assert signature["primes"].kind is inspect.Parameter.KEYWORD_ONLY, function.__name__
+    assert stability._SCAN_BUDGET == 4_000_000
     assert stability._MAX_SUBSPACE_PAIRS == 200_000
     assert sigmamod._NODE_BUDGET == 500_000
     assert dualnum._MAX_PAIRS == 1_000_000

@@ -110,7 +110,7 @@ def reference_levels(q, primes):
     model_rows = Matrix.identity(field, n)
     current = q
     while True:
-        worse, equality = stability._scan(current, 4, primes, [], full=False)
+        worse, equality = stability._scan(current, primes, [], full=False)
         if worse is not None:
             raise StabilityError("module is unstable")
         if equality is None:
@@ -137,7 +137,7 @@ def reference_levels(q, primes):
 
 def build(q, primes):
     try:
-        levels, chain, core, model_rows = _build_levels(q, 4, primes)
+        levels, chain, core, model_rows = _build_levels(q, primes)
     except StabilityError:
         return None
     flat = [(lv.witness_rows, lv.dual_rows, lv.piece.alpha) for lv in levels]
@@ -195,7 +195,7 @@ def test_certificate_outer_pieces_are_the_complement_of_the_orthogonal():
             assert lam == OneParamSubgroup(pieces)
             assert lam.pieces == tuple(pieces)
             certificates += 1
-        stream = _candidates(q, [b.num for b in q.forms], 4, primes, [], full=True)
+        stream = _candidates(q, [b.num for b in q.forms], primes, [], full=True)
         for v, perp_dim, images in itertools.islice(stream, 12):
             perp, kept = sigmamod._perp(q, images)
             assert perp == orthogonal(q, v) and perp.contains(v)
@@ -244,12 +244,12 @@ def test_the_rational_recheck_drops_a_lift_that_is_not_totally_isotropic(monkeyp
         (((1, 0),), (0,), [(0, 1)]),
     ]
 
-    def scanner(forms, p, n, primes=()):
+    def scanner(forms, p, n, primes=(), budget=None):
         def scan(dims=None, prime=p):
             yield from lifts
 
         return scan
 
     monkeypatch.setattr(stability, "_isotropic_scanner", scanner)
-    found = list(_candidates(q, [b.num for b in q.forms], 4, (3,), [], full=True))
+    found = list(_candidates(q, [b.num for b in q.forms], (3,), [], full=True))
     assert [(v.basis.rows, perp_dim) for v, perp_dim, _ in found] == [(((1, 0),), 1)]

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from twistmod import sigmamod
-from twistmod.errors import FieldError, IsotropyError, SingularMatrixError
+from twistmod.errors import BoundExceededError, FieldError, IsotropyError, SingularMatrixError
 from twistmod.linalg import GF, QQ, Matrix, Subspace, _common, isometries, rank_mod_p
 from twistmod.sigmamod import (
     NOT_ISOTROPIC,
@@ -407,6 +407,50 @@ def test_isomorphism_over_q_answers_unknown_when_the_search_runs_out(monkeypatch
     # box search over QQ cannot refute; ROADMAP item 1, the quadratic-form
     # layer for dim W = 1, will turn this answer into "no"
     assert is_isomorphic(one, three) == IsoResult("unknown")
+
+
+def diagonal_module(field, entries, dim_w=1):
+    # diag(entries) in every form, under the trivial involution on a dim_w W
+    n = len(entries)
+    b = Matrix(field, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    w = InvolutionSpace(field, Matrix.identity(field, dim_w))
+    return SigmaModule(field, n, w, 1, [b] * dim_w)
+
+
+def test_isomorphism_over_q_has_the_size_rules_of_fp(monkeypatch):
+    # over QQ the invariants list 5^dim W combinations (coefficients in
+    # -2..2) and the walk 7^dim H - 1 candidate columns (entries in
+    # _DOUBLED_BOX); past MAX_LINES either is refused before any
+    # combination or column is listed: dim W = 8 and dim H = 6
+    def listed(*args, **kwargs):
+        raise AssertionError("a search list was built")
+
+    refusals = [
+        (
+            diagonal_module(QQ, [1, 1], 8),
+            diagonal_module(QQ, [1, 2], 8),
+            "Q^8 at coefficients -2..2 has 390625 form combinations, over the search bound 100000",
+        ),
+        (
+            diagonal_module(QQ, [1] * 6),
+            diagonal_module(QQ, [3] + [1] * 5),
+            "Q^6 at entries 0, +-1/2, +-1, +-2 has 117648 candidate columns, over the search bound 100000",
+        ),
+    ]
+    with monkeypatch.context() as patched:
+        patched.setattr(sigmamod, "isometries", listed)
+        patched.setattr(sigmamod, "_congruence_invariants_match", listed)
+        for q1, q2, refusal in refusals:
+            with pytest.raises(BoundExceededError) as refused:
+                is_isomorphic(q1, q2)
+            assert str(refused.value) == refusal
+            # equal modules answer before the rules
+            assert is_isomorphic(q1, q1).status == "yes"
+    # one size below each rule still answers: at dim W = 7 the stacked
+    # ranks differ, and at dim H = 5 the box walk cannot refute <1,...,1>
+    # against <3,1,...,1>
+    assert is_isomorphic(diagonal_module(QQ, [1, 1], 7), diagonal_module(QQ, [1, 0], 7)).status == "no"
+    assert is_isomorphic(diagonal_module(QQ, [1] * 5), diagonal_module(QQ, [3] + [1] * 4)).status == "unknown"
 
 
 # The search as it ran on field elements, before it moved to plain ints:

@@ -11,6 +11,7 @@ import itertools
 import math
 import operator
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -157,8 +158,9 @@ def test_enumerate_totally_isotropic_fixtures():
     assert full.dim == 1
     with pytest.raises(FieldError):
         enumerate_totally_isotropic(module_1form(QQ, [[0, 1], [1, 0]]))
-    with pytest.raises(BoundExceededError):
-        enumerate_totally_isotropic(module_1form(f3, [[0] * 5 for _ in range(5)]))
+    # no dim cap: the zero module on F_3^5 lists every nonzero subspace
+    zero = enumerate_totally_isotropic(module_1form(f3, [[0] * 5 for _ in range(5)]))
+    assert len(zero) == stability._subspace_count(3, 5) == 2663
 
 
 def test_pruned_search_matches_the_filtered_scan():
@@ -177,7 +179,7 @@ def test_pruned_search_matches_the_filtered_scan():
             raw = Matrix(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
             modules.append(SigmaModule(field, n, trivial_w(field), -1, [raw]))
             for q in modules:
-                found = list(_candidates(q, integer_forms(q), 4, (), [], full=True))
+                found = list(_candidates(q, integer_forms(q), (), [], full=True))
                 expected = [
                     v
                     for v in all_subspaces(field, n)
@@ -202,7 +204,7 @@ def test_survivors_are_built_in_canonical_form():
         for n in (1, 2, 3, 4):
             zero = SigmaModule(field, n, trivial_w(field), 1, [Matrix.zeros(field, n, n)])
             for q in (zero, random_module(rng, field, n, swap_w(field), -1)):
-                stream = [v for v, _, _ in _candidates(q, integer_forms(q), 4, (), [], full=True)]
+                stream = [v for v, _, _ in _candidates(q, integer_forms(q), (), [], full=True)]
                 assert stream == list(enumerate_totally_isotropic(q))
                 for v in stream + list(enumerate_totally_isotropic(q)):
                     public = Subspace(field, n, v.basis.rows)
@@ -446,21 +448,29 @@ def test_heuristic_kernel_instability():
 
 def test_a_rational_joint_kernel_settles_a_verdict_before_the_size_rules():
     # over QQ a nonzero joint kernel is the first candidate, yielded before
-    # the dim bound and before any prime's line count, so it can answer a
-    # module that the size rules refuse; over F_p the rules come first
+    # any prime's line count, so it can answer a module that the line rule
+    # refuses; over F_p the rule comes first.  No rule reads dim H: the
+    # same modules at dim 5 answer over both fields
     def diagonal(field, entries):
         n = len(entries)
         return module_1form(field, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
-    dim_bound = r"^dim 5 exceeds the enumeration bound 4$"
-    assert semistability_verdict(diagonal(QQ, (1, 1, 0, 0, 0))).status == UNSTABLE
-    with pytest.raises(StabilityError, match=r"^module is unstable$"):
-        iso_filtration(diagonal(QQ, (1, 1, 0, 0, 0)))
-    for q in (diagonal(QQ, (1, 1, 1, 1, 1)), diagonal(GF(3), (1, 1, 0, 0, 0))):
-        with pytest.raises(BoundExceededError, match=dim_bound):
-            semistability_verdict(q)
-    with pytest.raises(BoundExceededError, match=dim_bound):
-        iso_filtration(diagonal(GF(3), (1, 1, 0, 0, 0)))
+    for field in (QQ, GF(3)):
+        verdict = semistability_verdict(diagonal(field, (1, 1, 0, 0, 0)))
+        assert verdict.status == UNSTABLE
+        if field is QQ:
+            # the dim-3 joint kernel comes first
+            assert verdict.certificate[0] == joint_kernel(diagonal(field, (1, 1, 0, 0, 0)))
+            assert verdict.mu_value == -6
+        else:
+            # the first line of the scan, e3, is killed by the form
+            assert verdict.certificate[0].basis.rows == ((0, 0, 1, 0, 0),)
+            assert verdict.mu_value == -2
+        with pytest.raises(StabilityError, match=r"^module is unstable$"):
+            iso_filtration(diagonal(field, (1, 1, 0, 0, 0)))
+    verdict = semistability_verdict(diagonal(QQ, (1, 1, 1, 1, 1)))
+    assert verdict.status == NO_DESTABILIZER_FOUND
+    assert verdict.provenance.primes == stability.DEFAULT_PRIMES
 
     mersenne = 2**61 - 1
     lines = "^F_2305843009213693951\\^2 has 2305843009213693952 candidate lines"
@@ -468,6 +478,133 @@ def test_a_rational_joint_kernel_settles_a_verdict_before_the_size_rules():
     for q in (diagonal(QQ, (1, 1)), diagonal(GF(mersenne), (1, 0))):
         with pytest.raises(BoundExceededError, match=lines):
             semistability_verdict(q, primes=(mersenne,))
+
+
+# -- the scan budget ---------------------------------------------------------
+
+# a swap module over F_3^5 whose filtration has two levels, on F_3^5 and
+# F_3^3, whose scans test 200 and 6 candidate rows; its verdict and its
+# enumeration test 200
+SWAP_TWO_LEVELS = (
+    [(2, 0, 1, 1, 2), (2, 0, 2, 2, 1), (1, 0, 1, 1, 2), (1, 2, 0, 0, 0), (2, 1, 0, 1, 1)],
+    [(2, 2, 1, 1, 2), (0, 0, 0, 2, 1), (1, 2, 1, 0, 0), (1, 2, 1, 0, 1), (2, 1, 2, 0, 1)],
+)
+
+
+# a strictly semistable swap module over QQ whose witness is a plane, a
+# balanced lift at 5
+SWAPPED_QQ = (
+    '{"field":"rational","sign":"+1","dim_h":4,"w":{"dim":2,"involution":[["0","1"],["1","0"]]},'
+    '"forms":[[["3","0","-1","2"],["3","2","3","-1"],["2","4","0","2"],["0","2","1","0"]],'
+    '[["3","3","2","0"],["0","2","4","2"],["-1","3","0","1"],["2","-1","2","0"]]]}'
+)
+
+
+def swap_two_levels():
+    f3 = GF(3)
+    return SigmaModule(f3, 5, swap_w(f3), 1, [Matrix(f3, rows) for rows in SWAP_TWO_LEVELS])
+
+
+def test_the_scan_budget_refuses_by_the_rows_tested(monkeypatch):
+    # each public call refuses on the first row past _SCAN_BUDGET, naming
+    # the space, the bound and the dim it reached, and answers when the
+    # budget holds every row it tests
+    symplectic = module_1form(GF(3), [[0, 0, 1, 0], [0, 0, 0, 1], [2, 0, 0, 0], [0, 2, 0, 0]], sign=-1)
+    swapped = parse_module_file(SWAPPED_QQ).module
+    q = swap_two_levels()
+    cases = [
+        (lambda: enumerate_totally_isotropic(symplectic), 212, "F_3^4", 4),
+        (lambda: enumerate_totally_isotropic(q), 200, "F_3^5", 3),
+        (lambda: semistability_verdict(q), 200, "F_3^5", 3),
+        (lambda: iso_filtration(q), 206, "F_3^3", 2),
+        (lambda: graded(q), 206, "F_3^3", 2),
+        (lambda: semistability_verdict(swapped), 60, "Q^4", 2),
+        (lambda: graded(swapped), 8, "Q^4", 2),
+    ]
+    assert len(enumerate_totally_isotropic(symplectic)) == 80
+    assert semistability_verdict(q).status == STRICTLY_SEMISTABLE
+    assert graded(q).length == 2
+    for call, rows, space, dim in cases:
+        monkeypatch.setattr(stability, "_SCAN_BUDGET", rows - 1)
+        refusal = f"the isotropic search of {space} exceeds {rows - 1} candidate rows at dim {dim}"
+        with pytest.raises(BoundExceededError, match=f"^{re.escape(refusal)}$"):
+            call()
+        monkeypatch.setattr(stability, "_SCAN_BUDGET", rows)
+        call()
+
+
+def test_the_levels_of_one_filtration_share_one_budget(monkeypatch):
+    # every level of one filtration draws on one budget: the two levels
+    # fit 200 and 6 rows apart, but not 206 - 1 together, and each level's
+    # search gets the same budget object
+    budgets = []
+    scanner = stability._isotropic_scanner
+
+    def recorded(forms, p, n, primes=(), budget=None):
+        budgets.append(budget)
+        return scanner(forms, p, n, primes, budget)
+
+    monkeypatch.setattr(stability, "_isotropic_scanner", recorded)
+    assert graded(swap_two_levels()).length == 2
+    assert len(budgets) == 3 and all(b is budgets[0] for b in budgets)
+    assert budgets[0] == [stability._SCAN_BUDGET - 206]
+    monkeypatch.setattr(stability, "_SCAN_BUDGET", 205)
+    with pytest.raises(BoundExceededError, match="^the isotropic search of F_3\\^3 exceeds 205"):
+        graded(swap_two_levels())
+    # two public calls draw on two budgets
+    assert semistability_verdict(swap_two_levels()).status == STRICTLY_SEMISTABLE
+    assert len(enumerate_totally_isotropic(swap_two_levels())) > 0
+
+
+def test_semistable_by_construction_swap_modules_answer_past_dim_4():
+    # a swap module with a nonsingular form is semistable, since the rows
+    # B_k u over a basis of V are independent constraints on V^perp; at
+    # F_5^5, F_3^6 and F_7^6, where a dim cap once refused them, the
+    # verdict and the filtration answer at both signs
+    rng = random.Random(7)
+    for p, n in ((5, 5), (3, 6), (7, 6)):
+        field = GF(p)
+        for sign in (1, -1):
+            q = random_module(rng, field, n, swap_w(field), sign)
+            while all(rank_mod_p(b.num, p) < n for b in q.forms):
+                q = random_module(rng, field, n, swap_w(field), sign)
+            status = semistability_verdict(q).status
+            assert status in (STABLE, STRICTLY_SEMISTABLE), (p, n, sign)
+            assert (iso_filtration(q).length > 0) == (status == STRICTLY_SEMISTABLE)
+
+
+def test_verdicts_past_dim_4_are_invariant_under_the_action():
+    # act(g, .) moves a witness V to g V, so the status, the isotropy class
+    # of the witness and dim V + dim V^perp cannot change
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        st.sampled_from((2, 3, 5)),
+        st.sampled_from((5, 6)),
+        st.booleans(),
+        st.sampled_from((1, -1)),
+        st.integers(0, 2**32),
+    )
+    def invariant(p, n, swap, sign, seed):
+        rng = random.Random(seed)
+        field = GF(p)
+        q = random_module(rng, field, n, swap_w(field) if swap else trivial_w(field), sign)
+        g = Matrix(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        hypothesis.assume(g.rank() == n)
+        moved = act(g, q)
+        before, after = semistability_verdict(q), semistability_verdict(moved)
+        assert before.status == after.status
+        if before.certificate is None:
+            assert after.certificate is None
+            return
+        v, w = before.certificate[0], after.certificate[0]
+        gv = Subspace(field, n, (v.basis @ g.transpose()).rows)
+        assert isotropy_class(q, v) == isotropy_class(moved, w) == isotropy_class(moved, gv)
+        assert gv.dim + orthogonal(moved, gv).dim == v.dim + orthogonal(q, v).dim
+
+    invariant()
 
 
 def test_the_joint_kernel_is_the_orthogonal_of_h():
@@ -614,7 +751,7 @@ def test_rational_candidates_match_the_filtered_lifts():
     for q, primes in cases:
         for full in (True, False):
             tried = []
-            found = list(_candidates(q, integer_forms(q), 4, primes, tried, full))
+            found = list(_candidates(q, integer_forms(q), primes, tried, full))
             expected, reducible = reference(q, primes, full)
             assert [v for v, _, _ in found] == expected
             for v, perp_dim, images in found:
@@ -766,9 +903,13 @@ def test_strategy_selection():
     assert exhaustive.status == STABLE
     assert exhaustive.provenance == Provenance("exhaustive")
     assert semistability_verdict(qq).provenance.kind == "heuristic"
-    # a stale positional mode does not bind to enum_bound
+    # a stale positional mode or size bound binds to nothing: the prime
+    # list is keyword-only
     with pytest.raises(TypeError):
         semistability_verdict(q3, "exhaustive")
+    for call in (lambda: iso_filtration(q3, 5), lambda: graded(q3, 5), lambda: s_equivalent(q3, q3, 5)):
+        with pytest.raises(TypeError):
+            call()
     with pytest.raises(StabilityError):
         semistability_verdict(module_1form(QQ, [[0, 1], [2, 0]]))
 
@@ -858,9 +999,9 @@ def test_graded_scans_each_level_once(monkeypatch):
     scan, verdict = stability._candidates, stability.semistability_verdict
     isotropic_scanner = stability._isotropic_scanner
 
-    def counted_search(forms, p, n, primes=()):
+    def counted_search(forms, p, n, primes=(), budget=None):
         searches.append((n, p))
-        search = isotropic_scanner(forms, p, n, primes)
+        search = isotropic_scanner(forms, p, n, primes, budget)
 
         def counted(dims=None, prime=p):
             steps.append((n, prime, tuple(dims)))
@@ -924,7 +1065,7 @@ def test_a_scan_stops_at_its_first_equality_only_when_no_v_can_destabilize():
     def read_to_end(q, full):
         # (destabilizer, equality) over the whole stream, as _scan defines them
         equality = None
-        for found in _candidates(q, integer_forms(q), 4, primes, [], full):
+        for found in _candidates(q, integer_forms(q), primes, [], full):
             total = found[0].dim + found[1]
             if total > q.dim_h:
                 return found, equality
@@ -935,11 +1076,11 @@ def test_a_scan_stops_at_its_first_equality_only_when_no_v_can_destabilize():
     stopped = singular_unstable = 0
     for q in samples:
         # a full scan, the rational verdict's, never stops at an equality
-        assert stability._scan(q, 4, primes, [], True) == read_to_end(q, True)
+        assert stability._scan(q, primes, [], True) == read_to_end(q, True)
         whole = read_to_end(q, False)
         if stability._no_destabilizer(q, integer_forms(q)):
             assert whole[0] is None
-            assert stability._scan(q, 4, primes, [], False) == whole
+            assert stability._scan(q, primes, [], False) == whole
             stopped += whole[1] is not None
         elif whole[0] is not None and joint_kernel(q).is_zero():
             singular_unstable += 1
@@ -1031,7 +1172,7 @@ def test_a_rational_level_that_stops_at_2_solves_only_the_2_boxes(monkeypatch):
     solved = record_solved_prefixes(monkeypatch)
     q = module_1form(QQ, [[0, 0, 1], [0, 1, 1], [1, 1, 1]])
     tried = []
-    worse, equality = stability._scan(q, 4, stability.DEFAULT_PRIMES, tried, False)
+    worse, equality = stability._scan(q, stability.DEFAULT_PRIMES, tried, False)
     assert worse is None and equality[0].basis.rows == ((1, 0, 0),)
     assert tried == [2]
     assert solved == [(1, 0, 0)]
@@ -1553,7 +1694,7 @@ def test_the_sweep_agrees_with_the_verdict_on_the_fields_the_pair_rule_admits():
         for w in (trivial_w(field), swap_w(field)):
             for sign in (1, -1):
                 q = random_module(rng, field, n, w, sign)
-                status = semistability_verdict(q, enum_bound=5).status
+                status = semistability_verdict(q).status
                 assert (hilbert_mumford_sweep(q) < 0) == (status == UNSTABLE), (p, n)
                 statuses.add(status)
     assert UNSTABLE in statuses and STRICTLY_SEMISTABLE in statuses
