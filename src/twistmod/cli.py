@@ -30,7 +30,6 @@ from .serialize import (
     mu_to_json,
     parse_matrix_file,
     parse_module_file,
-    subspace_to_lists,
     to_json,
     verdict_to_dict,
 )
@@ -157,14 +156,17 @@ def _cmd_pfaffian(args) -> dict:
 
 
 def _cmd_enumerate(args) -> dict:
-    from .stability import enumerate_totally_isotropic
+    from .stability import _isotropic_bases
 
     mf = _load_module(args, args.file)
-    subs = list(enumerate_totally_isotropic(mf.module))
-    return {
-        "count": len(subs),
-        "subspaces": [subspace_to_lists(v) for v in subs],
-    }
+    # the echelon rows that enumerate_totally_isotropic builds each
+    # Subspace from, written as its basis is: residues over 1, each
+    # named by one shared string
+    bases = _isotropic_bases(mf.module)
+    field = mf.module.field
+    names = [field._format(x, 1) for x in range(field.p)]
+    subs = [[[names[x] for x in row] for row in rows] for rows, _ in bases]
+    return {"count": len(subs), "subspaces": subs}
 
 
 # an option is (option strings, type, choices, required, help); its

@@ -805,7 +805,9 @@ def _runs(forms) -> list:
 def _run_head(form, s, u):
     """(a, b) over the ints for the run (form, s, c) of _runs at the
     prefix ``u``, which ends in 0: the form's value at u + x e_last is
-    a + x (b + x c)."""
+    a + x (b + x c).  Only the Gram walk's _gram_candidates reads runs
+    this way; the isotropic search of stability solves its own runs on
+    planes whose rows also give its lines' images."""
     return sum(x * sum(map(_times, row, u)) for x, row in zip(u, form) if x), sum(map(_times, s, u))
 
 

@@ -13,9 +13,13 @@ and one search feeds it over both fields, _isotropic_scanner: it grows
 reduced echelon bases row by row from the isotropic lines of each pivot
 column and drops a partial basis at its first nonzero pairing.  Along
 the last entry of a line each form is a quadratic, so the lines are
-solved for rather than listed.  Over F_p the search runs mod p on the
-one box 0 .. p - 1 and yields every totally isotropic subspace.  Over
-the rationals the stream starts with the joint kernel when that is
+solved for rather than listed, by one solver in both fields: each
+prefix u = w + x e_(last-1) lies on the plane of w, whose row B_k w is
+built once and gives both the quadratic's coefficients and the images
+B_k w + x B_k e_(last-1) + t B_k e_last of each line u + t e_last, with
+no second product.  Over F_p the search runs mod p on the one box
+0 .. p - 1 and yields every totally isotropic subspace.  Over the
+rationals the stream starts with the joint kernel when that is
 nonzero, then yields the lifts of the totally isotropic subspaces of
 the reductions mod a list of primes.  These are the integral reduced
 echelon bases, totally isotropic over ZZ under the int rows d_k B_k of
@@ -26,10 +30,13 @@ prime that divides a denominator of the involution or of a form is
 skipped.  Each candidate is rechecked once, exactly: every pairing
 u_i^T B_k u_j of its basis must vanish over ZZ, and dim V^perp is n
 minus the rank of the rows B_k u that the search built over the basis.
-V^perp itself is solved, by sigmamod._perp from those rows, only for
-the witness that a certificate or a filtration level uses; the pivot
-columns of that one elimination give the complement of V^perp, the
-level's pairing and its dual rows, read off rather than recomputed.
+A candidate travels as its echelon rows and pivots: the Subspace is
+built only for the witness a scan returns, and for each result of
+enumerate_totally_isotropic.  V^perp itself is solved, by
+sigmamod._perp from those rows, only for the witness that a certificate
+or a filtration level uses; the pivot columns of that one elimination
+give the complement of V^perp, the level's pairing and its dual rows,
+read off rather than recomputed.
 
 A scan stops at its first equality witness when some form B_k is
 nonsingular: the rows B_k u over a basis of V are then independent
@@ -78,8 +85,6 @@ from .linalg import (
     GF,
     Matrix,
     Subspace,
-    _run_head,
-    _runs,
     rank_mod_p,
 )
 from .sigmamod import (
@@ -200,11 +205,19 @@ def enumerate_totally_isotropic(q: SigmaModule):
     each dimension d.  A search that tests more than _SCAN_BUDGET
     candidate rows raises BoundExceededError.
     """
+    bases = _isotropic_bases(q)
+    return tuple(Subspace._from_echelon(q.field, q.dim_h, rows, pivots) for rows, pivots in bases)
+
+
+def _isotropic_bases(q: SigmaModule):
+    """(rows, pivots) for each subspace enumerate_totally_isotropic
+    lists, in its order: the int rows of its reduced echelon basis, over
+    1, and their pivot columns.  The field and the line rule are checked
+    here, before the stream is read."""
     if q.field.kind != "fp":
         raise FieldError("exhaustive enumeration needs a finite field")
-    n = q.dim_h
-    scan = _isotropic_scanner([b.num for b in q.forms], q.field.p, n)
-    return tuple(Subspace._from_echelon(q.field, n, rows, pivots) for rows, pivots, _ in scan())
+    scan = _isotropic_scanner([b.num for b in q.forms], q.field.p, q.dim_h)
+    return ((rows, pivots) for rows, pivots, _ in scan())
 
 
 def _check_lines(p: int, n: int):
@@ -212,29 +225,59 @@ def _check_lines(p: int, n: int):
     _check_search_size((p**n - 1) // (p - 1), f"F_{p}^{n}", "candidate lines")
 
 
-def _run_roots(runs, u, p: int):
+def _plane(columns, w, j: int):
+    """The forms on the plane w + x e_j + t e_last, one (entries, a,
+    beta, gamma, b, delta, c) per form, for a prefix ``w`` that is 0 at
+    j = last - 1 and at last, under the forms whose column tuples
+    ``columns`` holds: over the ints,
+
+        Q_k(w + x e_j + t e_last)
+            = a + x (beta + x gamma) + t (b + x delta) + t^2 c,
+
+    with a = w . B_k w, beta = (B_k w)_j + w . B_k e_j, gamma = B_k[j][j],
+    b = (B_k w)_last + w . B_k e_last, delta = B_k[last][j] + B_k[j][last]
+    and c = B_k[last][last].  ``entries`` zips the rows B_k w, B_k e_j
+    and B_k e_last, so B_k (w + x e_j + t e_last) is read off it.  The
+    row B_k w is summed from the columns of B_k at the nonzero entries of
+    w, and the rest is read off it and the columns, so no symmetry of the
+    forms is assumed."""
+    last = len(w) - 1
+    plane = []
+    for cols in columns:
+        row = [0] * len(w)
+        for i, x in enumerate(w):
+            if x:
+                row = [r + x * y for r, y in zip(row, cols[i])]
+        col, tail = cols[j], cols[last]
+        a, beta = sum(map(mul, w, row)), row[j] + sum(map(mul, w, col))
+        b, delta = row[last] + sum(map(mul, w, tail)), col[last] + tail[j]
+        plane.append((list(zip(row, col, tail)), a, beta, col[j], b, delta, tail[last]))
+    return plane
+
+
+def _solve_prefix(plane, u, p: int):
     """The t with Q_k(u + t e_last) = 0 for every form, mod p when p is
-    a prime and over ZZ when p is 0, or None when every t is one.  ``u``
-    ends in 0 and ``runs`` holds one (B_k, s_k, c_k) per form, as
-    linalg._runs builds them, so that
+    a prime and over ZZ when p is 0, or None when every t is one, for the
+    prefix ``u`` = w + x e_j on ``plane``, the _plane of w.  Along the
+    run each form is
 
         Q_k(u + t e_last) = a_k + t (b_k + t c_k),
 
-    a_k = u^T B_k u and b_k = s_k . u, from linalg._run_head form by
-    form, the one run helper that the Gram walk of linalg.isometries
-    also takes its diagonals from.  The first of these polynomials that
-    is not zero gives the roots: mod p by trying each t in range(p),
-    which takes no division, so characteristic 2 is no exception; over
-    ZZ at most two, by an integer square root of its discriminant or by
-    one exact division.  The others only filter them."""
+    a_k = a + x (beta + x gamma) and b_k = b + x delta.  The first of
+    these polynomials that is not zero gives the roots: mod p by trying
+    each t in range(p), which takes no division, so characteristic 2 is
+    no exception; over ZZ at most two, by an integer square root of its
+    discriminant or by one exact division.  The others only filter them.
+    """
+    x = u[-2]
     roots = None
-    for form, s, c in runs:
-        a, b = _run_head(form, s, u)
+    for _, a, beta, gamma, b, delta, c in plane:
+        a, b = a + x * (beta + x * gamma), b + x * delta
         if p:
             a, b, c = a % p, b % p, c % p
         if roots is not None:
             values = ((t, a + t * (b + t * c)) for t in roots)
-            roots = [t for t, x in values if not (x % p if p else x)]
+            roots = [t for t, v in values if not (v % p if p else v)]
         elif not (a or b or c):
             continue
         elif p:
@@ -256,35 +299,58 @@ def _run_roots(runs, u, p: int):
     return roots
 
 
-def _lines(runs, p: int, n: int, pc: int, box, solved: dict):
-    """Yield the isotropic lines of pivot column ``pc`` whose free
-    entries the range ``box`` holds, in product order: the echelon rows
-    u with u^T B_k u = 0 for every one of the n x n plain-int forms, mod
-    p when p is a prime (box is then range(p)) and over ZZ when p is 0.
+def _lines(columns, p: int, n: int, pc: int, box, solved: dict):
+    """Yield (u, images) for the isotropic lines u of pivot column ``pc``
+    whose free entries the range ``box`` holds, in product order: the
+    echelon rows u with u^T B_k u = 0 for every one of the n x n
+    plain-int forms, mod p when p is a prime (box is then range(p), and
+    the forms residues mod p) and over ZZ when p is 0, with their images,
+    the rows B_k u, reduced mod p over F_p.
 
-    ``runs`` holds one (B_k, s_k, c_k) per form, as linalg._runs builds
-    them.  The rows run as prefixes u, last entry 0, each followed by its
-    run u + t e_last over t in box, and _run_roots solves the run for its
-    last entry; nothing is built over the box.  ``solved`` keeps the
-    roots of each prefix, for every later box under the same forms and p.
+    ``columns`` holds the column tuples of each form.  The rows run as
+    prefixes, last entry 0, each followed by its run over t in box.  A
+    prefix is w + x e_j, j = last - 1, with x running innermost over box
+    (or the lead 1 when pc is j, and w is 0).  _plane builds the rows
+    B_k w once per w, and _solve_prefix solves each run for its last
+    entry from a few products of scalars.  Each line w + x e_j + t e_last
+    takes its images B_k w + x B_k e_j + t B_k e_last off the same plane,
+    with no product of its own; nothing is built over the box.
+    ``solved`` keeps the plane of each w and the roots of each of its
+    prefixes, for every later box under the same forms and p.
     """
     last = n - 1
-    head = (0,) * pc + (1,)
+    lead = (0,) * pc + (1,)
     if pc == last:
-        # no free entry: the one row e_last is isotropic iff every corner vanishes
-        if not any(c for _, _, c in runs):
-            yield head
+        # no free entry: the one row e_last is isotropic iff every corner
+        # vanishes, and its images are the last columns
+        tails = [cols[last] for cols in columns]
+        if not any(tail[last] for tail in tails):
+            yield lead, tails
         return
+    j = last - 1
     # product() of no box builds nothing, however long the box; a longer
     # product is of boxes that the line bound has kept short
-    for middle in itertools.product(*[box] * (last - pc - 1)):
-        u = head + middle + (0,)
-        if u not in solved:
-            solved[u] = _run_roots(runs, u, p)
-        roots = solved[u]
-        for t in box if roots is None else roots:
-            if t in box:
-                yield u[:last] + (t,)
+    if pc < j:
+        outers = itertools.product(*[box] * (j - pc - 1))
+        planes = ((lead + outer + (0, 0), box) for outer in outers)
+    else:
+        planes = [((0,) * n, (1,))]
+    for w, xs in planes:
+        if w not in solved:
+            solved[w] = _plane(columns, w, j), {}
+        plane, runs = solved[w]
+        head = w[:j]
+        for x in xs:
+            if x not in runs:
+                runs[x] = _solve_prefix(plane, head + (x, 0), p)
+            roots = runs[x]
+            for t in box if roots is None else roots:
+                if t in box:
+                    if p:
+                        images = [tuple([(r + x * y + t * z) % p for r, y, z in e[0]]) for e in plane]
+                    else:
+                        images = [tuple([r + x * y + t * z for r, y, z in e[0]]) for e in plane]
+                    yield head + (x, t), images
 
 
 def _isotropic_scanner(forms, p: int, n: int, primes=(), budget=None):
@@ -301,26 +367,28 @@ def _isotropic_scanner(forms, p: int, n: int, primes=(), budget=None):
     holds (one box at 2), each at the first prime whose box holds it.
 
     ``rows`` is the reduced echelon basis of V, with pivot columns
-    ``pivots``, and ``images`` the rows B_k u over it, built once per
-    line: V^perp is their null space (sigmamod._perp), of dim n minus
-    their rank.  A line is a basis of dimension 1 by itself; longer
-    bases grow row by row in grow from the lines of _lines, and a
-    partial basis is dropped at its first nonzero pairing
-    u_i^T B_k u_j; V is totally isotropic exactly when all of them
-    vanish, so no symmetry of the forms is assumed.  The order is that
-    of a scan mod p: dimension, pivot columns, residues, and the plain
-    lift before the balanced one.  The bases of one box grow in that
-    order.  Two boxes give two integer lifts of one residue, which pair
-    differently over ZZ, so each pivot pattern's lifts are sorted.
+    ``pivots``, and ``images`` the rows B_k u over it, which _lines gives
+    with each line from the plane of its prefix: V^perp is their null
+    space (sigmamod._perp), of dim n minus their rank.  The form columns
+    that _lines reads are built once per scanner.  A line is a basis of
+    dimension 1 by itself; longer bases grow row by row in grow from
+    the lines of _lines, and a partial basis is dropped at its first
+    nonzero pairing u_i^T B_k u_j; V is totally isotropic exactly when
+    all of them vanish, so no symmetry of the forms is assumed.  The
+    order is that of a scan mod p: dimension, pivot columns, residues,
+    and the plain lift before the balanced one.  The bases of one box
+    grow in that order.  Two boxes give two integer lifts of one
+    residue, which pair differently over ZZ, so each pivot pattern's
+    lifts are sorted.
 
     A reader finds the lines of a (prime, pivot column) on demand and
     keeps the list once it has read them all, for every later scan; the
-    roots of each prefix are kept for every prime.  With one box the
-    first row of a pivot pattern reads its column only as far as the
-    scan goes, so a scan that stops early pays only for the lines it
-    reached.  With two boxes a column is read in full when first asked
-    for, since each pattern's lifts are sorted before the first is
-    yielded anyway.  A prime with more than MAX_LINES lines in
+    plane of each prefix and its roots are kept for every prime.  With
+    one box the first row of a pivot pattern reads its column only as
+    far as the scan goes, so a scan that stops early pays only for the
+    lines it reached.  With two boxes a column is read in full when
+    first asked for, since each pattern's lifts are sorted before the
+    first is yielded anyway.  A prime with more than MAX_LINES lines in
     F_prime^n raises BoundExceededError before any work.
 
     ``budget``, a one-item list, holds the candidate rows that grow may
@@ -337,14 +405,15 @@ def _isotropic_scanner(forms, p: int, n: int, primes=(), budget=None):
         _check_lines(prime, n)
         plain, balanced = range(prime), range(prime // 2 + 1 - prime, prime // 2 + 1)
         boxes[prime] = (plain,) if p or plain == balanced else (plain, balanced)
-    images, kills = _pairing(forms, p)
-    runs = _runs(forms)
+    _, kills = _pairing(forms, p)
+    # the column tuples of each form, read by every plane the lines solve
+    columns = [list(zip(*b)) for b in forms]
     solved: dict = {}
     # the lines of each (prime, column) that some reader has read to its end
     found: dict = {}
 
     def grow(rows, basis):
-        # yield basis, a list of (u, images(u)) extended in place, once for
+        # yield basis, a list of lines (u, images) extended in place, once for
         # every way to take its r-th row from rows[r] with u_i^T B_k u_j
         # zero for every i != j: a partial basis is dropped at its first
         # nonzero pairing, and the rows are isotropic lines, which settles
@@ -370,10 +439,9 @@ def _isotropic_scanner(forms, p: int, n: int, primes=(), budget=None):
     def reader(prime, pc):
         read = []
         for i, box in enumerate(boxes[prime]):
-            for u in _lines(runs, p, n, pc, box, solved):
+            for line in _lines(columns, p, n, pc, box, solved):
                 # a balanced line with no negative entry is a plain one, listed already
-                if not i or min(u) < 0:
-                    line = u, images(u)
+                if not i or min(line[0]) < 0:
                     read.append(line)
                     yield line
         found[prime, pc] = read
@@ -469,8 +537,9 @@ def _checked(primes) -> tuple:
 
 def _scan(q: SigmaModule, primes, tried: list, full: bool, budget=None):
     """(destabilizer, equality) over the candidate stream of q, each a
-    (V, dim V^perp, images) record of _candidates or None; ``budget`` is
-    the search's, as _isotropic_scanner takes it.
+    (V, dim V^perp, images) record or None; ``budget`` is the search's,
+    as _isotropic_scanner takes it.  The candidates come from _candidates
+    as echelon rows, and V is built from them for these two alone.
 
     The scan stops at the first V with dim V + dim V^perp > dim H, the
     destabilizer; equality is the first V before it meeting equality.
@@ -484,15 +553,23 @@ def _scan(q: SigmaModule, primes, tried: list, full: bool, budget=None):
     forms = [b.num for b in q.forms]
     equality = None
     for found in _candidates(q, forms, primes, tried, full, budget):
-        v, perp_dim, _ = found
-        total = v.dim + perp_dim
+        total = len(found[0]) + found[3]
         if total > n:
-            return found, equality
+            return _built(q, found), _built(q, equality)
         if total == n and equality is None:
             equality = found
             if not full and _no_destabilizer(q, forms):
                 break
-    return None, equality
+    return None, _built(q, equality)
+
+
+def _built(q: SigmaModule, found):
+    # the (V, dim V^perp, images) record of a _candidates record, or None;
+    # its rows are a reduced echelon basis over den, so no elimination runs
+    if found is None:
+        return None
+    rows, pivots, den, perp_dim, images = found
+    return Subspace._from_echelon(q.field, q.dim_h, rows, pivots, den), perp_dim, images
 
 
 def _no_destabilizer(q: SigmaModule, forms) -> bool:
@@ -529,15 +606,19 @@ def joint_kernel(q: SigmaModule) -> Subspace:
 
 
 def _candidates(q: SigmaModule, forms, primes, tried: list, full: bool, budget=None):
-    """Yield (V, dim V^perp, images) for the totally isotropic V that the
-    subspace criterion is tested on, where ``forms`` are the int rows of
-    the forms of q and ``images`` the rows B_k u that the search built
-    over the basis of V: V^perp is sigmamod._perp(q, images).
+    """Yield (rows, pivots, den, dim V^perp, images) for the totally
+    isotropic V that the subspace criterion is tested on, where ``forms``
+    are the int rows of the forms of q: V is spanned by the reduced
+    echelon basis ``rows`` / ``den``, int rows with pivot columns
+    ``pivots``, and ``images`` are the rows B_k u that the search built
+    over that basis: V^perp is sigmamod._perp(q, images).  No Subspace is
+    built here; _scan builds one for the witness it returns.
 
     Both fields run the one search, _isotropic_scanner.  Over F_p the
     stream is every totally isotropic subspace, in canonical order.
-    Over QQ the nonzero joint kernel comes first, with images () for its
-    orthogonal H; then the lifts that the search over ZZ finds at the
+    Over QQ the nonzero joint kernel comes first, on its own
+    denominator, with images () for its orthogonal H; then the lifts,
+    over 1, that the search over ZZ finds at the
     primes of ``primes``, under the int rows of the forms, on which every
     pairing keeps its zeros.  A prime dividing a denominator of the
     involution or of a form is skipped, and a repeated prime counts in
@@ -560,12 +641,11 @@ def _candidates(q: SigmaModule, forms, primes, tried: list, full: bool, budget=N
     if q.field.kind == "fp":
         p = q.field.p
         for rows, pivots, images in _isotropic_scanner(forms, p, n, budget=budget)():
-            v = Subspace._from_echelon(q.field, n, rows, pivots)
-            yield v, n - rank_mod_p(images, p), images
+            yield rows, pivots, 1, n - rank_mod_p(images, p), images
         return
     kernel = joint_kernel(q)
     if not kernel.is_zero():
-        yield kernel, n, ()
+        yield kernel.basis.num, kernel.pivots, kernel.basis.den, n, ()
     # the denominator of a matrix is the lcm of those of its entries
     denominators = math.lcm(q.w.matrix.den, *(b.den for b in q.forms))
     primes = [p for p in dict.fromkeys(primes) if denominators % p]
@@ -586,8 +666,7 @@ def _candidates(q: SigmaModule, forms, primes, tried: list, full: bool, budget=N
                 continue
             # every pairing u_i^T B_k u_j, each image against each row
             if all(kills(u, images) for u in rows):
-                v = Subspace._from_echelon(q.field, n, rows, pivots)
-                yield v, n - rank_mod_p(images, 0), images
+                yield rows, pivots, 1, n - rank_mod_p(images, 0), images
 
 
 

@@ -455,11 +455,34 @@ def test_pfaffian_golden(tmp_path, capsys):
     assert code == 1 and "alternating" in err
 
 
-def test_enumerate_golden(tmp_path, capsys):
+def test_enumerate_golden(tmp_path, capsys, monkeypatch):
     path = put(tmp_path, "hyp2.json", HYPERBOLIC.replace("rational", "fp:2"))
     code, out, _ = run(capsys, "enumerate", path)
     assert code == 0
     assert out == '{"count":3,"subspaces":[[["1","0"]],[["1","1"]],[["0","1"]]]}\n'
+
+    # a swap module over F_5 with forms that are not symmetric: the command
+    # writes the library's 37 subspaces byte for byte, and builds no
+    # Subspace to do so
+    from twistmod.linalg import Subspace
+    from twistmod.serialize import parse_module_file, subspace_to_lists, to_json
+    from twistmod.stability import enumerate_totally_isotropic
+
+    text = (
+        '{"field":"fp:5","sign":"+1","dim_h":4,"w":{"dim":2,"involution":[["0","1"],["1","0"]]},'
+        '"forms":[[["4","4","1","1"],["0","2","3","2"],["1","0","3","4"],["4","3","3","2"]],'
+        '[["4","0","1","4"],["4","2","0","3"],["1","3","3","3"],["1","2","4","2"]]]}'
+    )
+    subs = enumerate_totally_isotropic(parse_module_file(text).module)
+    assert len(subs) == 37
+    expected = to_json({"count": 37, "subspaces": [subspace_to_lists(v) for v in subs]}) + "\n"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate built a Subspace")
+
+    monkeypatch.setattr(Subspace, "_from_echelon", refuse)
+    code, out, _ = run(capsys, "enumerate", put(tmp_path, "swap5.json", text))
+    assert code == 0 and out == expected
 
 
 def test_internal_check_maps_to_exit_2(tmp_path, capsys, monkeypatch):

@@ -196,7 +196,9 @@ def test_certificate_outer_pieces_are_the_complement_of_the_orthogonal():
             assert lam.pieces == tuple(pieces)
             certificates += 1
         stream = _candidates(q, [b.num for b in q.forms], primes, [], full=True)
-        for v, perp_dim, images in itertools.islice(stream, 12):
+        for found in itertools.islice(stream, 12):
+            # built as _scan builds the witness it returns
+            v, perp_dim, images = stability._built(q, found)
             perp, kept = sigmamod._perp(q, images)
             assert perp == orthogonal(q, v) and perp.contains(v)
             assert perp_dim == perp.dim
@@ -252,4 +254,4 @@ def test_the_rational_recheck_drops_a_lift_that_is_not_totally_isotropic(monkeyp
 
     monkeypatch.setattr(stability, "_isotropic_scanner", scanner)
     found = list(_candidates(q, [b.num for b in q.forms], (3,), [], full=True))
-    assert [(v.basis.rows, perp_dim) for v, perp_dim, _ in found] == [(((1, 0),), 1)]
+    assert [(rows, den, perp_dim) for rows, _, den, perp_dim, _ in found] == [(((1, 0),), 1, 1)]

@@ -82,6 +82,21 @@ def integer_forms(q):
     return [b.num for b in q.forms]
 
 
+def candidates(q, primes=(), tried=None, full=True):
+    # the candidate stream of q as (V, dim V^perp, images): each record's
+    # echelon rows over its denominator, built into V by the public
+    # constructor, whose pivots must be the record's
+    found = []
+    for rows, pivots, den, perp_dim, images in _candidates(
+        q, integer_forms(q), primes, [] if tried is None else tried, full
+    ):
+        entries = [[x if den == 1 else Fraction(x, den) for x in row] for row in rows]
+        v = Subspace(q.field, q.dim_h, entries)
+        assert v.pivots == pivots and v.basis.num == rows and v.basis.den == den
+        found.append((v, perp_dim, images))
+    return found
+
+
 def random_module(rng, field, dim_h, w, sign):
     def rand_entry():
         if field.kind == "fp":
@@ -179,7 +194,7 @@ def test_pruned_search_matches_the_filtered_scan():
             raw = Matrix(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
             modules.append(SigmaModule(field, n, trivial_w(field), -1, [raw]))
             for q in modules:
-                found = list(_candidates(q, integer_forms(q), (), [], full=True))
+                found = candidates(q)
                 expected = [
                     v
                     for v in all_subspaces(field, n)
@@ -204,7 +219,9 @@ def test_survivors_are_built_in_canonical_form():
         for n in (1, 2, 3, 4):
             zero = SigmaModule(field, n, trivial_w(field), 1, [Matrix.zeros(field, n, n)])
             for q in (zero, random_module(rng, field, n, swap_w(field), -1)):
-                stream = [v for v, _, _ in _candidates(q, integer_forms(q), (), [], full=True)]
+                # built as _scan builds the witness it returns
+                records = _candidates(q, integer_forms(q), (), [], full=True)
+                stream = [stability._built(q, found)[0] for found in records]
                 assert stream == list(enumerate_totally_isotropic(q))
                 for v in stream + list(enumerate_totally_isotropic(q)):
                     public = Subspace(field, n, v.basis.rows)
@@ -216,25 +233,24 @@ def test_survivors_are_built_in_canonical_form():
     assert total > 1000
 
 
-def runs_of(forms, n):
-    # one (B_k, row plus column of the last index, corner) per form, as
-    # stability._run_roots documents them
-    last = n - 1
-    return [(b, [b[last][j] + b[j][last] for j in range(n)], b[last][last]) for b in forms]
+def columns_of(forms):
+    # the column tuples of each form, as stability._lines reads them
+    return [list(zip(*b)) for b in forms]
 
 
 def test_line_table_matches_the_direct_product_order_table():
-    # the one line source, which solves each run's last coordinate,
-    # against a brute-force isotropy test of every row u in product order:
-    # over F_p on the box range(p), and over ZZ on a plain and a balanced
-    # box sharing one solved map, as the rational search runs them.
-    # Alternating forms and no forms at all keep every line, so every
-    # line is compared; random forms keep some of them, and a form whose
-    # only nonzero entry is the last diagonal corner keeps exactly the
-    # lines with last entry 0.  Over F_p the scanner's dim-1 scan serves
-    # the same lines with their images, the same after a scan that
-    # stopped partway (inside the first run of column 0, and half way)
-    # as from finished columns.
+    # the one line source, which solves each run's last coordinate and
+    # gives each line its images, against a brute-force isotropy test of
+    # every row u in product order and the row products B_k u of
+    # sigmamod._pairing: over F_p on the box range(p), and over ZZ on a
+    # plain and a balanced box sharing one solved map, as the rational
+    # search runs them.  Alternating forms and no forms at all keep every
+    # line, so every line is compared; random forms, which are not
+    # symmetric, keep some of them, and a form whose only nonzero entry is
+    # the last diagonal corner keeps exactly the lines with last entry 0.
+    # Over F_p the scanner's dim-1 scan serves the same lines with their
+    # images, the same after a scan that stopped partway (inside the
+    # first run of column 0, and half way) as from finished columns.
     rng = random.Random(17)
     compared = zz_lines = 0
     sizes = [(p, n) for p in (2, 3, 5, 7) for n in (1, 2, 3, 4)]
@@ -259,24 +275,23 @@ def test_line_table_matches_the_direct_product_order_table():
                 searches.append((signed, 0, [range(p), range(p // 2 + 1 - p, p // 2 + 1)]))
             for forms_here, modulus, boxes in searches:
                 images, kills = _pairing(forms_here, modulus)
-                runs, solved = runs_of(forms_here, n), {}
+                columns, solved = columns_of(forms_here), {}
                 for box in boxes:
                     for pc in range(n):
                         expected = [
-                            u
+                            (u, images(u))
                             for tail in itertools.product(box, repeat=n - 1 - pc)
                             for u in [(0,) * pc + (1,) + tail]
                             if kills(u, images(u))
                         ]
-                        got = list(stability._lines(runs, modulus, n, pc, box, solved))
+                        got = list(stability._lines(columns, modulus, n, pc, box, solved))
                         assert got == expected
                         compared += len(got)
                         zz_lines += len(got) if modulus == 0 and forms_here else 0
-            images, kills = _pairing(forms, p)
             lines = [
-                ((u,), (pc,), images(u))
+                ((u,), (pc,), imgs)
                 for pc in range(n)
-                for u in stability._lines(runs_of(forms, n), p, n, pc, range(p), {})
+                for u, imgs in stability._lines(columns_of(forms), p, n, pc, range(p), {})
             ]
             for stop in (1, len(lines) // 2):
                 scan = stability._isotropic_scanner(forms, p, n)
@@ -751,7 +766,7 @@ def test_rational_candidates_match_the_filtered_lifts():
     for q, primes in cases:
         for full in (True, False):
             tried = []
-            found = list(_candidates(q, integer_forms(q), primes, tried, full))
+            found = candidates(q, primes, tried, full)
             expected, reducible = reference(q, primes, full)
             assert [v for v, _, _ in found] == expected
             for v, perp_dim, images in found:
@@ -1065,7 +1080,7 @@ def test_a_scan_stops_at_its_first_equality_only_when_no_v_can_destabilize():
     def read_to_end(q, full):
         # (destabilizer, equality) over the whole stream, as _scan defines them
         equality = None
-        for found in _candidates(q, integer_forms(q), primes, [], full):
+        for found in candidates(q, primes, [], full):
             total = found[0].dim + found[1]
             if total > q.dim_h:
                 return found, equality
@@ -1127,15 +1142,15 @@ def test_witnesses_solve_their_orthogonal_from_the_scan_images(monkeypatch):
 
 
 def record_solved_prefixes(monkeypatch):
-    """The list of prefixes u that stability._run_roots is called with."""
+    """The list of prefixes u that stability._solve_prefix is called with."""
     solved = []
-    run_roots = stability._run_roots
+    solve_prefix = stability._solve_prefix
 
-    def recorded(runs, u, p):
+    def recorded(plane, u, p):
         solved.append(u)
-        return run_roots(runs, u, p)
+        return solve_prefix(plane, u, p)
 
-    monkeypatch.setattr(stability, "_run_roots", recorded)
+    monkeypatch.setattr(stability, "_solve_prefix", recorded)
     return solved
 
 
@@ -1147,9 +1162,9 @@ def test_the_fp_verdict_stops_inside_the_first_column(monkeypatch):
     finished, started = [], []
     lines = stability._lines
 
-    def recorded(runs, p, n, pc, box, solved):
+    def recorded(columns, p, n, pc, box, solved):
         started.append(pc)
-        yield from lines(runs, p, n, pc, box, solved)
+        yield from lines(columns, p, n, pc, box, solved)
         finished.append(pc)
 
     monkeypatch.setattr(stability, "_lines", recorded)
