@@ -30,6 +30,7 @@ from .serialize import (
     mu_to_json,
     parse_matrix_file,
     parse_module_file,
+    rows_to_lists,
     to_json,
     verdict_to_dict,
 )
@@ -160,12 +161,10 @@ def _cmd_enumerate(args) -> dict:
 
     mf = _load_module(args, args.file)
     # the echelon rows that enumerate_totally_isotropic builds each
-    # Subspace from, written as its basis is: residues over 1, each
-    # named by one shared string
-    bases = _isotropic_bases(mf.module)
-    field = mf.module.field
-    names = [field._format(x, 1) for x in range(field.p)]
-    subs = [[[names[x] for x in row] for row in rows] for rows, _ in bases]
+    # Subspace from are its basis' int rows over 1, so they are written
+    # as subspace_to_lists writes that basis, with one names dict for all
+    field, names = mf.module.field, {}
+    subs = [rows_to_lists(field, rows, names=names) for rows, _ in _isotropic_bases(mf.module)]
     return {"count": len(subs), "subspaces": subs}
 
 

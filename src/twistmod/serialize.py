@@ -32,9 +32,18 @@ def to_json(payload) -> str:
 # -- plain matrices ------------------------------------------------------------
 
 
+def rows_to_lists(field, rows, den: int = 1, names: dict | None = None) -> list:
+    """Int rows over ``den`` as lists of the field's literals.  A caller
+    that writes many rows over one ``den`` passes the same ``names`` dict
+    to each call, so that each value is named by one shared string; only
+    the values that occur are named."""
+    fmt = field._format
+    names = {} if names is None else names
+    return [[names.get(x) or names.setdefault(x, fmt(x, den)) for x in row] for row in rows]
+
+
 def matrix_to_lists(m: Matrix) -> list:
-    fmt, den = m.field._format, m.den
-    return [[fmt(x, den) for x in row] for row in m.num]
+    return rows_to_lists(m.field, m.num, m.den)
 
 
 def matrix_from_lists(field, data, what: str = "matrix") -> Matrix:

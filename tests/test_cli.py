@@ -144,6 +144,31 @@ def test_sequiv_over_a_huge_field_is_refused_before_any_work(tmp_path):
     assert "over the search bound 100000" in child.stderr
 
 
+def test_enumerate_over_a_huge_field_names_only_the_residues_it_writes(tmp_path):
+    # a dim-1 module over F_p, p = 2^61 - 1, has the one line e1, which
+    # the line rule admits at any p; the command runs in a child process
+    # with its address space capped, so a list sized by p (one name per
+    # residue, say) fails there at once instead of filling the memory
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    for form, out in (("0", '{"count":1,"subspaces":[[["1"]]]}\n'), ("1", '{"count":0,"subspaces":[]}\n')):
+        path = put(
+            tmp_path,
+            f"line{form}.json",
+            '{"field":"fp:2305843009213693951","sign":"+1","dim_h":1,'
+            f'"w":{{"dim":1,"involution":[["1"]]}},"forms":[[["{form}"]]]}}',
+        )
+        child = subprocess.run(
+            [sys.executable, "-m", "twistmod.cli", "enumerate", path],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=cap,
+        )
+        assert child.returncode == 0 and child.stdout == out, child.stderr
+
+
 def test_sequiv_over_qq_is_refused_past_the_combination_rule(tmp_path, capsys):
     # two stable rational modules under the trivial involution on a dim-8
     # W grade to themselves; their isomorphism test would list 5^8
