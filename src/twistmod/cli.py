@@ -17,6 +17,7 @@ of a small command.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -156,16 +157,29 @@ def _cmd_pfaffian(args) -> dict:
     return {"pfaffian": m.field._format(*_pfaffian(m))}
 
 
-def _cmd_enumerate(args) -> dict:
+def _cmd_enumerate(args):
     from .stability import _isotropic_bases
 
     mf = _load_module(args, args.file)
-    # the echelon rows that enumerate_totally_isotropic builds each
-    # Subspace from are its basis' int rows over 1, so they are written
-    # as subspace_to_lists writes that basis, with one names dict for all
-    field, names = mf.module.field, {}
-    subs = [rows_to_lists(field, rows, names=names) for rows, _ in _isotropic_bases(mf.module)]
-    return {"count": len(subs), "subspaces": subs}
+    q = mf.module
+    # the output starts with the count, so the stream is read twice and no
+    # list of results is held: this pass counts, and a search past its
+    # budget is refused here, before any byte is written
+    count = sum(1 for _ in _isotropic_bases(q))
+
+    def text():
+        # the second pass writes each subspace from its echelon rows, the
+        # int rows over 1 of the basis that enumerate_totally_isotropic
+        # builds, as subspace_to_lists writes them, with one names dict for
+        # all; a batch of them is one to_json list with its brackets cut off
+        bases, field, names, comma = _isotropic_bases(q), q.field, {}, ""
+        yield f'{{"count":{count},"subspaces":['
+        while batch := [rows_to_lists(field, rows, names=names) for rows, _ in itertools.islice(bases, 1000)]:
+            yield comma + to_json(batch)[1:-1]
+            comma = ","
+        yield "]}"
+
+    return text()
 
 
 # an option is (option strings, type, choices, required, help); its
@@ -299,7 +313,12 @@ def main(argv=None) -> int:
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(to_json(payload))
+    if isinstance(payload, dict):
+        print(to_json(payload))
+    else:
+        # enumerate's text, written piece by piece as its second pass runs
+        sys.stdout.writelines(payload)
+        print()
     return 0
 
 

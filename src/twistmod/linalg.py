@@ -24,6 +24,10 @@ built by the trusted ``Matrix._from_rows`` and ``Subspace._from_echelon``.
 Subspaces are kept in a canonical form (reduced row echelon basis), which
 makes equality of subspaces plain object equality and gives every
 enumeration in the package a stable, reproducible order.
+
+A quadratic run Q_k(u + t e_last) has one reader, _run, on the planes
+that _plane builds: the isotropic search of stability solves the runs
+for t, and the Gram walk of isometries reads its diagonals off them.
 """
 
 from __future__ import annotations
@@ -789,49 +793,75 @@ def _forward(rows, p: int):
     return rank, sign * d, scale
 
 
-def _runs(forms) -> list:
-    """One (B, s, c) per n x n plain-int form B, n >= 1, for the runs
-    u + x e_last along the last coordinate: s is the row B[last] plus
-    the column B[.][last] and c the corner B[last][last], so that for u
-    ending in 0
+def _plane(columns, w, j: int):
+    """The forms on the plane w + x e_j + t e_last, one (entries, a,
+    beta, gamma, b, delta, c) per form, for a prefix ``w`` that is 0 at
+    j and at last, under the forms whose column tuples ``columns`` holds:
+    over the ints,
 
-        (u + x e_last)^T B (u + x e_last) = a + x (b + x c),
+        Q_k(w + x e_j + t e_last)
+            = a + x (beta + x gamma) + t (b + x delta) + t^2 c,
 
-    with a = u^T B u and b = s . u, which _run_head gives per prefix u.
-    A form on F^0 has no run."""
-    return [(b, [x + row[-1] for x, row in zip(b[-1], b)], b[-1][-1]) for b in forms if b]
+    with a = w . B_k w, beta = (B_k w)_j + w . B_k e_j, gamma = B_k[j][j],
+    b = (B_k w)_last + w . B_k e_last, delta = B_k[last][j] + B_k[j][last]
+    and c = B_k[last][last].  ``entries`` zips the rows B_k w, B_k e_j
+    and B_k e_last.  The row B_k w is summed from the columns of B_k at
+    the nonzero entries of w, and the rest is read off it and the
+    columns, so no symmetry of the forms is assumed.  j is last - 1, or
+    last on F^1, which has no e_(last-1), and x is then held at 0."""
+    last = len(w) - 1
+    plane = []
+    for cols in columns:
+        row = [0] * len(w)
+        for i, x in enumerate(w):
+            if x:
+                row = [r + x * y for r, y in zip(row, cols[i])]
+        col, tail = cols[j], cols[last]
+        a, beta = sum(map(_times, w, row)), row[j] + sum(map(_times, w, col))
+        b, delta = row[last] + sum(map(_times, w, tail)), col[last] + tail[j]
+        plane.append((list(zip(row, col, tail)), a, beta, col[j], b, delta, tail[last]))
+    return plane
 
 
-def _run_head(form, s, u):
-    """(a, b) over the ints for the run (form, s, c) of _runs at the
-    prefix ``u``, which ends in 0: the form's value at u + x e_last is
-    a + x (b + x c).  Only the Gram walk's _gram_candidates reads runs
-    this way; the isotropic search of stability solves its own runs on
-    planes whose rows also give its lines' images."""
-    return sum(x * sum(map(_times, row, u)) for x, row in zip(u, form) if x), sum(map(_times, s, u))
+def _run(plane, x):
+    """The runs of the line u + t e_last of ``plane``, u = w + x e_j:
+    one (a_k, b_k, c_k, entries) per form, over the ints, with
+    Q_k(u + t e_last) = a_k + t (b_k + t c_k) and B_k (u + t e_last)
+    = r + x y + t z over the plane's ``entries`` (r, y, z), so a run with
+    no root builds no row.  A plane is read here alone."""
+    # a loop: a comprehension's own call would cost more than the run of one
+    # or two forms, and this runs once per prefix of every search
+    run = []
+    for entries, a, beta, gamma, b, delta, c in plane:
+        run.append((a + x * (beta + x * gamma), b + x * delta, c, entries))
+    return run
 
 
 def _gram_candidates(mats, values, p: int) -> list:
     """(c, diagonal) for the nonzero c in ``values``^n, in product order,
     diagonal the tuple of c^T M_k c over the n x n int matrices ``mats``,
-    mod p when p > 0.  They are read along the runs u + x e_last of the
-    product order: one a and b per form and prefix u, from _run_head,
-    and a + x (b + x c) for each x, with no n^2 product per candidate.
-    F^0 has no nonzero candidate."""
+    mod p when p > 0.  A candidate is a point w + x e_j + t e_last,
+    j = n - 2: one _plane per outer prefix w, one _run per x, and
+    a_k + t (b_k + t c_k) per t, with no product per candidate."""
     n = len(mats[0])
-    runs = _runs(mats)
+    columns = [list(zip(*m)) for m in mats]
+    # F^1 has no e_(n-2): its one plane, of w = 0, takes j = last with x
+    # held at 0, so its candidates are the points t e_last; F^0 has none
+    j, xs = (n - 2, values) if n > 1 else (0, (0,))
     candidates = []
-    for head in itertools.product(values, repeat=n - 1) if n else ():
-        u = head + (0,)
-        heads = [(*_run_head(form, s, u), c) for form, s, c in runs]
-        for x in values:
-            c = head + (x,)
-            if any(c):
-                if p:
-                    diagonal = tuple((a + x * (b + x * k)) % p for a, b, k in heads)
-                else:
-                    diagonal = tuple(a + x * (b + x * k) for a, b, k in heads)
-                candidates.append((c, diagonal))
+    for outer in itertools.product(values, repeat=n - 2) if n > 1 else [()] * n:
+        plane = _plane(columns, outer + (0,) * min(n, 2), j)
+        for x in xs:
+            runs = _run(plane, x)
+            head = (outer + (x,))[: n - 1]
+            for t in values:
+                c = head + (t,)
+                if any(c):
+                    if p:
+                        diagonal = tuple((a + t * (b + t * k)) % p for a, b, k, _ in runs)
+                    else:
+                        diagonal = tuple(a + t * (b + t * k) for a, b, k, _ in runs)
+                    candidates.append((c, diagonal))
     return candidates
 
 
@@ -848,10 +878,10 @@ def isometries(mats, targets, values, p: int, budget=None):
     n column tuples, come in lexicographic order too.
 
     The diagonal values are computed once per candidate per call, by
-    _gram_candidates; M_k c and c^T M_k the first time a diagonal
-    matches past column 0.  Each visited candidate costs one unit of
-    ``budget`` (None: no bound), and a walk cut by the budget yields
-    None last.
+    _gram_candidates off its planes; M_k c and c^T M_k the first time a
+    diagonal matches past column 0.  Each visited candidate costs one
+    unit of ``budget`` (None: no bound), and a walk cut by the budget
+    yields None last.
     """
     n = len(mats[0])
     columns = [list(zip(*m)) for m in mats]

@@ -14,8 +14,8 @@ reduced echelon bases row by row from the isotropic lines of each pivot
 column and drops a partial basis at its first nonzero pairing.  Along
 the last entry of a line each form is a quadratic, so the lines are
 solved for rather than listed, by one solver in both fields: each
-prefix u = w + x e_(last-1) lies on the plane of w, whose row B_k w is
-built once and gives both the quadratic's coefficients and the images
+prefix u = w + x e_(last-1) lies on the plane of w, and linalg._run
+reads off it both the quadratic's coefficients and the images
 B_k w + x B_k e_(last-1) + t B_k e_last of each line u + t e_last, with
 no second product.  Over F_p the search runs mod p on the one box
 0 .. p - 1 and yields every totally isotropic subspace.  Over the
@@ -85,6 +85,8 @@ from .linalg import (
     GF,
     Matrix,
     Subspace,
+    _plane,
+    _run,
     rank_mod_p,
 )
 from .sigmamod import (
@@ -225,54 +227,20 @@ def _check_lines(p: int, n: int):
     _check_search_size((p**n - 1) // (p - 1), f"F_{p}^{n}", "candidate lines")
 
 
-def _plane(columns, w, j: int):
-    """The forms on the plane w + x e_j + t e_last, one (entries, a,
-    beta, gamma, b, delta, c) per form, for a prefix ``w`` that is 0 at
-    j = last - 1 and at last, under the forms whose column tuples
-    ``columns`` holds: over the ints,
-
-        Q_k(w + x e_j + t e_last)
-            = a + x (beta + x gamma) + t (b + x delta) + t^2 c,
-
-    with a = w . B_k w, beta = (B_k w)_j + w . B_k e_j, gamma = B_k[j][j],
-    b = (B_k w)_last + w . B_k e_last, delta = B_k[last][j] + B_k[j][last]
-    and c = B_k[last][last].  ``entries`` zips the rows B_k w, B_k e_j
-    and B_k e_last, so B_k (w + x e_j + t e_last) is read off it.  The
-    row B_k w is summed from the columns of B_k at the nonzero entries of
-    w, and the rest is read off it and the columns, so no symmetry of the
-    forms is assumed."""
-    last = len(w) - 1
-    plane = []
-    for cols in columns:
-        row = [0] * len(w)
-        for i, x in enumerate(w):
-            if x:
-                row = [r + x * y for r, y in zip(row, cols[i])]
-        col, tail = cols[j], cols[last]
-        a, beta = sum(map(mul, w, row)), row[j] + sum(map(mul, w, col))
-        b, delta = row[last] + sum(map(mul, w, tail)), col[last] + tail[j]
-        plane.append((list(zip(row, col, tail)), a, beta, col[j], b, delta, tail[last]))
-    return plane
-
-
 def _solve_prefix(plane, u, p: int):
-    """The t with Q_k(u + t e_last) = 0 for every form, mod p when p is
-    a prime and over ZZ when p is 0, or None when every t is one, for the
-    prefix ``u`` = w + x e_j on ``plane``, the _plane of w.  Along the
-    run each form is
-
-        Q_k(u + t e_last) = a_k + t (b_k + t c_k),
-
-    a_k = a + x (beta + x gamma) and b_k = b + x delta.  The first of
-    these polynomials that is not zero gives the roots: mod p by trying
-    each t in range(p), which takes no division, so characteristic 2 is
-    no exception; over ZZ at most two, by an integer square root of its
-    discriminant or by one exact division.  The others only filter them.
+    """(roots, run) for the prefix ``u`` = w + x e_j on ``plane``, the
+    linalg._plane of w: run is the linalg._run of u, x = u[-2], and roots
+    the t with Q_k(u + t e_last) = a_k + t (b_k + t c_k) = 0 for every
+    form, mod p when p is a prime and over ZZ when p is 0, or None when
+    every t is one.  The first of these polynomials that is not zero
+    gives the roots: mod p by trying each t in range(p), which takes no
+    division, so characteristic 2 is no exception; over ZZ at most two,
+    by an integer square root of its discriminant or by one exact
+    division.  The others only filter them.
     """
-    x = u[-2]
+    run = _run(plane, u[-2])
     roots = None
-    for _, a, beta, gamma, b, delta, c in plane:
-        a, b = a + x * (beta + x * gamma), b + x * delta
+    for a, b, c, _ in run:
         if p:
             a, b, c = a % p, b % p, c % p
         if roots is not None:
@@ -285,18 +253,16 @@ def _solve_prefix(plane, u, p: int):
         elif c:
             disc = b * b - 4 * a * c
             root = math.isqrt(disc) if disc >= 0 else -1
-            if root * root != disc:
-                return []
             pairs = (divmod(-b - root, 2 * c), divmod(-b + root, 2 * c))
-            roots = sorted({t for t, rest in pairs if not rest})
+            roots = sorted({t for t, rest in pairs if not rest}) if root * root == disc else []
         elif b:
             t, rest = divmod(-a, b)
             roots = [] if rest else [t]
         else:
-            return []
+            roots = []
         if not roots:
-            return []
-    return roots
+            break
+    return roots, run
 
 
 def _lines(columns, p: int, n: int, pc: int, box, solved: dict):
@@ -310,13 +276,14 @@ def _lines(columns, p: int, n: int, pc: int, box, solved: dict):
     ``columns`` holds the column tuples of each form.  The rows run as
     prefixes, last entry 0, each followed by its run over t in box.  A
     prefix is w + x e_j, j = last - 1, with x running innermost over box
-    (or the lead 1 when pc is j, and w is 0).  _plane builds the rows
-    B_k w once per w, and _solve_prefix solves each run for its last
-    entry from a few products of scalars.  Each line w + x e_j + t e_last
-    takes its images B_k w + x B_k e_j + t B_k e_last off the same plane,
-    with no product of its own; nothing is built over the box.
-    ``solved`` keeps the plane of each w and the roots of each of its
-    prefixes, for every later box under the same forms and p.
+    (or the lead 1 when pc is j, and w is 0).  linalg._plane builds the
+    rows B_k w once per w, and _solve_prefix solves each run for its last
+    entry from a few products of scalars.  Each line u + t e_last takes
+    its images B_k w + x B_k e_j + t B_k e_last off the linalg._run of u
+    that was solved, with no product of its own; nothing is built over
+    the box.  ``solved`` keeps the plane of each w and the roots and run
+    of each of its prefixes, for every later box under the same forms
+    and p.
     """
     last = n - 1
     lead = (0,) * pc + (1,)
@@ -343,13 +310,13 @@ def _lines(columns, p: int, n: int, pc: int, box, solved: dict):
         for x in xs:
             if x not in runs:
                 runs[x] = _solve_prefix(plane, head + (x, 0), p)
-            roots = runs[x]
+            roots, run = runs[x]
             for t in box if roots is None else roots:
                 if t in box:
                     if p:
-                        images = [tuple([(r + x * y + t * z) % p for r, y, z in e[0]]) for e in plane]
+                        images = [tuple([(r + x * y + t * z) % p for r, y, z in e]) for _, _, _, e in run]
                     else:
-                        images = [tuple([r + x * y + t * z for r, y, z in e[0]]) for e in plane]
+                        images = [tuple([r + x * y + t * z for r, y, z in e]) for _, _, _, e in run]
                     yield head + (x, t), images
 
 
@@ -669,7 +636,6 @@ def _candidates(q: SigmaModule, forms, primes, tried: list, full: bool, budget=N
                 yield rows, pivots, 1, n - rank_mod_p(images, 0), images
 
 
-
 class _Level(NamedTuple):
     """One filtration step, with all bases written in H coordinates."""
 
@@ -856,14 +822,16 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
     have at most MAX_LINES lines; the containment pass of _flags compares
     every ordered pair of the S nonzero subspaces of F_p^n, and S^2 may
     be at most _MAX_SUBSPACE_PAIRS; and at most MAX_LINES weight tuples
-    P(2 weight_bound + 1, n - 1) may be tried for one flag.  A negative
-    ``weight_bound`` raises ValueError.
+    P(2 weight_bound + 1, n - 1) may be tried for one flag.  Before that,
+    a ``weight_bound`` that is a bool, no int or negative is a ValueError.
     Returns the minimum of mu over the swept subgroups, which is negative
     iff the module is unstable for small dims; q = 0 gives minus
     infinity.
     """
     from .hilbert import MINUS_INFINITY
 
+    if not isinstance(weight_bound, int) or isinstance(weight_bound, bool):
+        raise ValueError(f"weight_bound must be an int, not {weight_bound!r}")
     if weight_bound < 0:
         raise ValueError(f"weight_bound must be nonnegative, not {weight_bound}")
     if q.field.kind != "fp":

@@ -169,6 +169,39 @@ def test_enumerate_over_a_huge_field_names_only_the_residues_it_writes(tmp_path)
         assert child.returncode == 0 and child.stdout == out, child.stderr
 
 
+def test_an_enumeration_the_budget_refuses_holds_no_list_of_results(tmp_path):
+    # every row of the zero module over F_2^12 is isotropic, so each
+    # candidate row the search tests is a result; with the budget lowered
+    # to 400,000 rows inside the child, a command that kept its results
+    # until the refusal would need about 200 MB and end in a MemoryError
+    # under the 128 MiB cap, while a count that keeps nothing is refused
+    # on the one budget line, on exit 1, with nothing written
+    zero = [["0"] * 12 for _ in range(12)]
+    path = put(
+        tmp_path,
+        "zero12.json",
+        '{"field":"fp:2","sign":"+1","dim_h":12,"w":{"dim":1,"involution":[["1"]]},'
+        f'"forms":[{json.dumps(zero, separators=(",", ":"))}]}}',
+    )
+    code = (
+        "import sys; from twistmod import cli, stability; "
+        "stability._SCAN_BUDGET = 400_000; sys.exit(cli.main(['enumerate', sys.argv[1]]))"
+    )
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+    child = subprocess.run(
+        [sys.executable, "-c", code, path],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=cap,
+    )
+    assert child.returncode == 1 and child.stdout == "", child.stderr
+    assert child.stderr == "error: the isotropic search of F_2^12 exceeds 400000 candidate rows at dim 2\n"
+
+
 def test_sequiv_over_qq_is_refused_past_the_combination_rule(tmp_path, capsys):
     # two stable rational modules under the trivial involution on a dim-8
     # W grade to themselves; their isomorphism test would list 5^8

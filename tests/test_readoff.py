@@ -14,7 +14,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from twistmod import sigmamod, stability
+from twistmod import linalg, sigmamod, stability
 from twistmod.errors import StabilityError
 from twistmod.hilbert import OneParamSubgroup
 from twistmod.linalg import (
@@ -233,6 +233,33 @@ def test_run_diagonals_match_the_direct_products():
                     # no candidates, and the one basis of F^0
                     assert got == [] and list(isometries(mats, mats, values, p)) == [()]
     assert compared > 10_000
+
+
+def test_the_gram_walk_builds_one_plane_per_outer_prefix(monkeypatch):
+    # one _gram_candidates call builds |values|^(n-2) planes for n >= 2,
+    # one for F^1 and none for F^0, and reads one run per plane and x:
+    # no plane and no run is built per candidate
+    built = {"planes": 0, "runs": 0}
+    plane, run = linalg._plane, linalg._run
+
+    def counted(name, reader):
+        def wrapper(*args):
+            built[name] += 1
+            return reader(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_plane", counted("planes", plane))
+    monkeypatch.setattr(linalg, "_run", counted("runs", run))
+    for p, values in [(2, range(2)), (5, range(5)), (0, _DOUBLED_BOX)]:
+        for n in range(5):
+            for k in (1, 2):
+                built.update(planes=0, runs=0)
+                mats = [[[(i + 2 * j + k) % 3 for j in range(n)] for i in range(n)] for _ in range(k)]
+                got = _gram_candidates(mats, values, p)
+                assert len(got) == (len(values) ** n - 1 if 0 in values else len(values) ** n)
+                assert built["planes"] == (len(values) ** (n - 2) if n > 1 else n)
+                assert built["runs"] == (len(values) ** (n - 1) if n else 0)
 
 
 def test_the_rational_recheck_drops_a_lift_that_is_not_totally_isotropic(monkeypatch):

@@ -1449,6 +1449,14 @@ def test_a_negative_weight_bound_is_a_value_error_not_an_internal_one():
     with pytest.raises(ValueError, match="weight_bound"):
         hilbert_mumford_sweep(q, weight_bound=-1)
     assert hilbert_mumford_sweep(q, weight_bound=0) == 0
+    # a bound that is not an int is refused the same way, and so is True,
+    # which GF refuses for p too; before any work, so a QQ module, which
+    # the sweep refuses with FieldError, meets the ValueError first
+    rational = module_1form(QQ, [[1, 0], [0, 1]])
+    for bound in (2.0, "2", None, True):
+        for module in (q, rational):
+            with pytest.raises(ValueError, match=f"^weight_bound must be an int, not {re.escape(repr(bound))}$"):
+                hilbert_mumford_sweep(module, weight_bound=bound)
 
 
 def test_sweep_agrees_with_the_verdict_on_samples():
