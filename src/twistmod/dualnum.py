@@ -465,7 +465,8 @@ class TypeVector:
         taus = tuple(taus)
         if not taus or len(taus) % 2 != 0:
             raise ShapeError("type vectors have positive even length")
-        if any(t not in (1, -1) for t in taus):
+        # the ints 1 and -1 alone: True and 1.0 compare equal to 1
+        if any(type(t) is not int or t not in (1, -1) for t in taus):
             raise ShapeError("type entries are +1 or -1")
         if taus[0] == -1:
             taus = tuple(-t for t in taus)

@@ -92,7 +92,7 @@ class OneParamSubgroup:
                 raise ShapeError("pieces live in different spaces")
             if sub.is_zero():
                 raise ShapeError("pieces must be nonzero")
-            if not isinstance(weight, int):
+            if not isinstance(weight, int) or isinstance(weight, bool):
                 raise ShapeError("weights must be integers")
             merged[weight] = merged[weight].sum(sub) if weight in merged else sub
         ordered = tuple(
@@ -128,13 +128,10 @@ class OneParamSubgroup:
 
     @classmethod
     def from_diagonal_weights(cls, field, weights):
-        """Pieces spanned by standard basis vectors grouped by weight."""
+        """Pieces spanned by standard basis vectors, one per weight; the
+        constructor checks each weight and merges the equal ones."""
         n = len(weights)
-        groups: dict[int, list] = {}
-        for i, wt in enumerate(weights):
-            row = [int(j == i) for j in range(n)]
-            groups.setdefault(wt, []).append(row)
-        return cls([(Subspace(field, n, rows), wt) for wt, rows in groups.items()])
+        return cls([(Subspace(field, n, [[int(j == i) for j in range(n)]]), wt) for i, wt in enumerate(weights)])
 
     @property
     def weights(self):

@@ -61,6 +61,10 @@ witnesses together with their dual pairings reassemble into the graded
 module: the nested hyperbolic wrapping of the core.  Two semistable
 modules are S-equivalent when their graded modules are isomorphic.
 
+The weight sweep reads the same stream over F_p: it walks the chains of
+totally isotropic subspaces and scores their self-dual flags, knowing
+each V^perp by its dim alone.
+
 The subgroup layer, hilbert, is imported inside _certified, graded and
 hilbert_mumford_sweep, where a certificate, a grading or a sweep is
 built: an enumeration, or an F_p verdict of stable, never loads it.
@@ -68,7 +72,6 @@ built: an enumeration, or an F_p verdict of stable, never loads it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from operator import mul
@@ -112,9 +115,9 @@ NO_DESTABILIZER_FOUND = "no_destabilizer_found"
 
 DEFAULT_PRIMES = (2, 3, 5, 7, 11, 13)
 
-# the candidate rows that one verdict, enumeration or filtration may test;
-# the zero module on F_43^4, the largest scan the line bound admits at
-# dim H <= 4, tests 3,592,960
+# the candidate rows that one verdict, enumeration or filtration may test,
+# and a sweep, with the steps of its chain walk; the zero module on F_43^4,
+# the largest scan the line bound admits at dim H <= 4, tests 3,592,960
 _SCAN_BUDGET = 4_000_000
 
 
@@ -794,12 +797,8 @@ def s_equivalent(
     return status
 
 
-# the sweep refuses an F_p^n with more ordered pairs of nonzero subspaces
-_MAX_SUBSPACE_PAIRS = 200_000
-
-
 def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
-    """Minimum weight over every subgroup with enumerated eigenspaces.
+    """Minimum weight over the subgroups of the isotropic chain flags.
 
     A subgroup with eigenspaces H_1, ..., H_k of strictly decreasing
     integer weights a_1 > ... > a_k in [-weight_bound, weight_bound],
@@ -811,22 +810,47 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
     F_j (i <= j) pair nonzero, some pieces H_i' and H_j' with i' <= i
     and j' <= j pair nonzero, and a_i' + a_j' >= a_i + a_j.  So
     mu = max(a_i + a_j) over the i <= j where F_i and F_j pair nonzero,
-    where each j needs only the first such i, and the sweep scores every
-    flag of F_p^n instead of every direct-sum decomposition.  The flags
-    depend only on F_p^n, so _flags lists them once per F_p^n per
-    process; the module only decides which steps pair nonzero.  The best
-    weight of a flag depends only on its step dims and on those pairs, so
-    it is computed once per such pattern per call.
+    either way round, where each j needs only the first such i.
 
-    Work is refused before it starts, with BoundExceededError: F_p^n may
-    have at most MAX_LINES lines; the containment pass of _flags compares
-    every ordered pair of the S nonzero subspaces of F_p^n, and S^2 may
-    be at most _MAX_SUBSPACE_PAIRS; and at most MAX_LINES weight tuples
-    P(2 weight_bound + 1, n - 1) may be tried for one flag.  Before that,
-    a ``weight_bound`` that is a bool, no int or negative is a ValueError.
-    Returns the minimum of mu over the swept subgroups, which is negative
-    iff the module is unstable for small dims; q = 0 gives minus
-    infinity.
+    The sweep scores the one-step flag {H} and, for each chain
+    V_1 < ... < V_m of the totally isotropic subspaces that
+    _isotropic_scanner streams, the flag
+    V_1 < ... < V_m < V_m^perp < ... < V_1^perp < H, equal neighbours
+    dropped.  Here V^perp is the y with x^T B_k y = y^T B_k x = 0 for
+    every x in V and every form: the orthogonal of the pairing either way
+    round, the module's own when it satisfies its symmetry relation;
+    forms that break it are taken as they are.  That the minimum over
+    these flags is the minimum over every flag of F_p^n is measured, not
+    proved: Kempf's optimal destabilizing flags are self-dual (Ann. of
+    Math. 108, 1978), but these weights are bounded integers with no
+    norm.  Tier-1 compares the sweep with a sweep over every flag, kept
+    in its tests, on every F_p^n that sweep reaches and on forms that
+    break the symmetry relation.
+
+    Which steps of a chain flag pair is read off dims, for any forms: the
+    V_i pair zero with each other and with V_j^perp for j >= i; V_j^perp
+    pairs with V_i, i > j, iff V_i^perp is smaller; H pairs with V_1
+    unless V_1^perp is H; and V_m^perp pairs with itself unless it is
+    totally isotropic, that is, unless some V of the stream holds V_m
+    and has the dim of V_m^perp.  So each V needs only dim V^perp, n
+    minus the rank of the rows B_k x and B_k^T x over its basis.  The
+    best weight of a flag depends only on its step dims and on which
+    steps pair, so it is computed once per such pattern per call.  {H}
+    is scored first, so the zero module gives minus infinity with no
+    search, and the walk stops at a flag of weight -2 weight_bound,
+    below which none weighs.
+
+    Work is refused with BoundExceededError: F_p^n may have at most
+    MAX_LINES lines, and at most MAX_LINES weight tuples
+    P(2 weight_bound + 1, n - 1) may be tried for one flag, both before
+    any work; and the search and the walk share one budget of
+    _SCAN_BUDGET, charged one for each candidate row the search tests
+    and one for each walk step: a line of a V listed, a V tested for
+    holding another, a chain scored.  Before all that, a
+    ``weight_bound`` that is a bool, no int or negative is a ValueError.
+    Returns the minimum of mu over the swept subgroups, which is
+    negative iff the module is unstable for small dims; q = 0 gives
+    minus infinity.
     """
     from .hilbert import MINUS_INFINITY
 
@@ -838,48 +862,16 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
         raise FieldError("the bounded sweep enumerates subspaces over a finite field")
     p, n = q.field.p, q.dim_h
     _check_lines(p, n)
-    _check_search_size(_subspace_count(p, n) ** 2, f"F_{p}^{n}", "subspace pairs", _MAX_SUBSPACE_PAIRS)
     # a flag of n lines tries every tuple of n - 1 distinct weights, the last solved for
     _check_search_size(
         math.perm(2 * weight_bound + 1, max(n - 1, 0)),
         f"the sweep of F_{p}^{n} at weight bound {weight_bound}",
         "weight tuples",
     )
-    if n == 0:
-        # the one subgroup of the zero space pairs nothing
+    forms = [b.num for b in q.forms]
+    if not any(any(row) for b in forms for row in b):
+        # no step pairs: the zero module, and the zero space
         return MINUS_INFINITY
-    subs, flags = _flags(p, n)
-    images, kills = _pairing([b.num for b in q.forms], p)
-
-    # number the echelon rows of all bases, the rows of the wide bases
-    # (dim >= 2) first; meets[i] has bit j when row i pairs nonzero with
-    # row j, so subspaces a and b pair nonzero iff left[a] & right[b] or
-    # left[b] & right[a].  Every step of a flag after the first is wide,
-    # so a flag pairs a line only with itself or with a wide step, and
-    # the row of a line outside the wide bases is tested against the
-    # wide rows and itself only: on F_p^2 three tests a line, not p + 1
-    index: dict = {}
-    for basis in subs:
-        if len(basis) > 1:
-            for u in basis:
-                index.setdefault(u, len(index))
-    wide = len(index)
-    for basis in subs:
-        if len(basis) == 1:
-            index.setdefault(basis[0], len(index))
-    imgs = [images(u) for u in index]
-    meets = []
-    for i, u in enumerate(index):
-        tested = range(len(index)) if i < wide else (*range(wide), i)
-        meets.append(sum(1 << j for j in tested if not kills(u, imgs[j])))
-    left, right = [], []
-    for basis in subs:
-        rows = [index[u] for u in basis]
-        mask = 0
-        for i in rows:
-            mask |= meets[i]
-        left.append(mask)
-        right.append(sum(1 << i for i in rows))
 
     descending = range(weight_bound, -weight_bound - 1, -1)
     vectors: dict = {}
@@ -907,78 +899,83 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
             return MINUS_INFINITY
         return min(max(w[i] + w[j] for i, j in pairs) for w in vectors[dims])
 
-    for dims, flag in flags:
-        # a_i + a_j is symmetric, so a pair counts once, whichever way it
-        # pairs; the weights decrease, so step j needs only the first step
-        # that pairs nonzero with it
-        pairs = []
-        for j, b in enumerate(flag):
-            for i, a in enumerate(flag[: j + 1]):
-                if left[a] & right[b] or left[b] & right[a]:
-                    pairs.append((i, j))
-                    break
-        pairs = tuple(pairs)
-        if (dims, pairs) not in scores:
-            scores[dims, pairs] = score(dims, pairs)
-    values = [value for value in scores.values() if value is not None]
-    if not values:
-        raise InternalCheckError("sweep produced no subgroup")
-    return min(values)
+    # {H}: a nonzero form pairs H with itself
+    best = score((n,), ((0, 0),))
+    budget = [_SCAN_BUDGET]
 
+    def charge(steps):
+        budget[0] -= steps
+        if budget[0] < 0:
+            raise BoundExceededError(f"the chain walk of F_{p}^{n} exceeds {_SCAN_BUDGET} candidate rows and walk steps")
 
-# the flags of the last four fields swept; F_2^5, the longest list under
-# the default bound, has 27,808
-@functools.lru_cache(maxsize=4)
-def _flags(p: int, n: int):
-    """(subs, flags): the nonzero subspaces of F_p^n, as the reduced
-    echelon bases _isotropic_scanner lists given no forms, and every flag
-    0 < F_1 < ... < F_k = F_p^n, as (step dims, indices of F_1 ... F_k).
-
-    The lines are the first subspaces listed, and each subspace is held
-    as the bitmask of its lines, so F_a lies in F_b iff masks[a] has no
-    bit outside masks[b].  The subspaces are listed dimension ascending,
-    so a subspace that holds another comes after it.
-    """
-    subs = [rows for rows, _, _ in _isotropic_scanner([], p, n)()]
-    line = {rows[0]: i for i, rows in enumerate(subs) if len(rows) == 1}
-    # the lines of a subspace: its vectors with leading entry 1, each
-    # some row plus a combination of the rows after it
-    masks = []
-    for rows in subs:
-        mask = 0
+    # dim V^perp is n minus the rank of the rows B_k x and B_k^T x over
+    # the basis of V, each row x an isotropic line streamed before V
+    transposed, _ = _pairing([list(zip(*b)) for b in forms], p)
+    both: dict = {}
+    found, perps = [], []
+    for rows, _, imgs in _isotropic_scanner(forms, p, n, budget=budget)():
+        if len(rows) == 1:
+            both[rows[0]] = imgs + transposed(rows[0])
+        found.append(rows)
+        perps.append(n - rank_mod_p(list({c for x in rows for c in both[x]}), p))
+    dims = [len(rows) for rows in found]
+    # the lines of each V, as its vectors with leading entry 1: a row of
+    # its reduced echelon basis plus any combination of the rows after
+    # it.  V_a lies in V_b iff every row of V_a, a line itself, is a line
+    # of V_b; ``holders`` lists the V through each line
+    lines = []
+    holders: dict = {}
+    for b, rows in enumerate(found):
+        held = set()
         for i, head in enumerate(rows):
-            vectors = [head]
+            span = [head]
             for row in rows[i + 1 :]:
-                vectors = [
-                    tuple((x + t * y) % p for x, y in zip(v, row))
-                    for v in vectors
-                    for t in range(p)
-                ]
-            for v in vectors:
-                mask |= 1 << line[v]
-        masks.append(mask)
-    above = [
-        [b for b in range(a + 1, len(subs)) if not masks[a] & ~masks[b]]
-        for a in range(len(subs))
-    ]
-    flags = []
+                span = [tuple((x + t * y) % p for x, y in zip(v, row)) for v in span for t in range(p)]
+            held.update(span)
+        charge(len(held))
+        lines.append(held)
+        for line in held:
+            holders.setdefault(line, []).append(b)
+    above = []
+    for a, rows in enumerate(found):
+        charge(len(holders[rows[0]]))
+        above.append([b for b in holders[rows[0]] if dims[b] > dims[a] and lines[b].issuperset(rows)])
+    # V_a^perp is totally isotropic iff some V that holds V_a has its dim
+    closed = [any(dims[b] == perps[a] for b in above[a]) for a in range(len(found))]
 
-    def extend(dims, flag):
-        a = flag[-1]
-        if len(subs[a]) == n:
-            flags.append((dims, flag))
-        for b in above[a]:
-            extend(dims + (len(subs[b]) - len(subs[a]),), flag + (b,))
+    def walk(chain):
+        # score the flag of ``chain``, then of each chain that extends it;
+        # no flag weighs less than 2 a_k >= -2 weight_bound, so the walk
+        # stops once a flag does
+        nonlocal best
+        if best == -2 * weight_bound:
+            return
+        charge(1)
+        widths, pairs, reached = [], [], 0
+        for a in chain:
+            widths.append(dims[a] - reached)
+            reached = dims[a]
+        for j in reversed(range(len(chain))):
+            if perps[chain[j]] > reached:
+                # V_j^perp pairs first with V_(j+1); at the top of the chain
+                # with itself, unless it is totally isotropic
+                if j + 1 < len(chain):
+                    pairs.append((j + 1, len(widths)))
+                elif not closed[chain[j]]:
+                    pairs.append((len(widths), len(widths)))
+                widths.append(perps[chain[j]] - reached)
+                reached = perps[chain[j]]
+        if reached < n:
+            pairs.append((0, len(widths)))
+            widths.append(n - reached)
+        key = tuple(widths), tuple(pairs)
+        if key not in scores:
+            scores[key] = score(*key)
+        if scores[key] is not None and scores[key] < best:
+            best = scores[key]
+        for b in above[chain[-1]]:
+            walk(chain + [b])
 
-    for a, rows in enumerate(subs):
-        extend((len(rows),), (a,))
-    return tuple(subs), tuple(flags)
-
-
-def _subspace_count(p: int, n: int) -> int:
-    """The nonzero subspaces of F_p^n: the Gaussian binomials [n, d]_p
-    for d = 1 .. n, each from the one before it, summed."""
-    binomials = [1]
-    for d in range(1, n + 1):
-        binomials.append(binomials[-1] * (p ** (n - d + 1) - 1) // (p**d - 1))
-    return sum(binomials) - 1
+    for a in range(len(found)):
+        walk([a])
+    return best

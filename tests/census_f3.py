@@ -4,7 +4,9 @@ Too slow for tier-1, so pytest does not collect it; it runs the check of
 ``test_census.check_census`` and exits 0 when the census holds: 25 GL_3
 orbits, as many as Burnside's lemma counts (``check_census`` asserts
 it), whose class equation sums |GL_3(F_3)| = 11,232 over |Aut| to the
-19,683 modules, and 8 S-classes among the 14 semistable orbits.
+19,683 modules, and 8 S-classes among the 14 semistable orbits.  On
+each orbit ``check_census`` also compares the sweep with the flag sweep
+at weight bounds 0 to 3.
 
 Run it from the repository root, with the package importable:
 

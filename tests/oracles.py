@@ -16,6 +16,11 @@ by entry.
 The orders of the orthogonal and symplectic groups over F_q come from
 their closed forms alone; they count the yields of ``linalg.isometries``.
 
+The flag sweep scores every flag of F_p^n, listed from those
+subspaces, as ``stability.hilbert_mumford_sweep`` did before it walked
+the isotropic chains alone; the sweep is compared with it.  The nonzero
+subspaces of F_p^n are counted in closed form, by Gaussian binomials.
+
 The orbit census lists every module over F_p^n for the swap or the
 trivial involution, as tuples of int row tuples, and groups them into
 GL_n orbits by the plain congruence action B_k -> g^T B_k g over every
@@ -24,13 +29,16 @@ counts the same orbits a second way, from the fixed points of each g,
 without listing a module.
 """
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
 from twistmod.errors import FieldError, ShapeError, SingularMatrixError
-from twistmod.linalg import Matrix, Subspace
+from twistmod.hilbert import MINUS_INFINITY
+from twistmod.linalg import GF, Matrix, Subspace
 
 
 def is_element(field, a) -> bool:
@@ -208,6 +216,144 @@ def all_subspaces(field, ambient: int):
     """All nonzero subspaces of every dimension, in canonical order."""
     for dim in range(1, ambient + 1):
         yield from enumerate_subspaces(field, ambient, dim)
+
+
+def subspace_count(p: int, n: int) -> int:
+    """The nonzero subspaces of F_p^n: the Gaussian binomials [n, d]_p
+    for d = 1 .. n, each from the one before it, summed."""
+    binomials = [1]
+    for d in range(1, n + 1):
+        binomials.append(binomials[-1] * (p ** (n - d + 1) - 1) // (p**d - 1))
+    return sum(binomials) - 1
+
+
+# the flags of the last four fields listed; F_2^5 has 27,808
+@functools.lru_cache(maxsize=4)
+def flags(p: int, n: int):
+    """(subs, flags): the nonzero subspaces of F_p^n, as the int rows of
+    the reduced echelon bases that all_subspaces lists, and every flag
+    0 < F_1 < ... < F_k = F_p^n, as (step dims, indices of F_1 ... F_k).
+
+    The lines are the first subspaces listed, and each subspace is held
+    as the bitmask of its lines, so F_a lies in F_b iff masks[a] has no
+    bit outside masks[b].  The subspaces are listed dimension ascending,
+    so a subspace that holds another comes after it.
+    """
+    subs = [v.basis.rows for v in all_subspaces(GF(p), n)]
+    line = {rows[0]: i for i, rows in enumerate(subs) if len(rows) == 1}
+    # the lines of a subspace: its vectors with leading entry 1, each
+    # some row plus a combination of the rows after it
+    masks = []
+    for rows in subs:
+        mask = 0
+        for i, head in enumerate(rows):
+            vectors = [head]
+            for row in rows[i + 1 :]:
+                vectors = [tuple((x + t * y) % p for x, y in zip(v, row)) for v in vectors for t in range(p)]
+            for v in vectors:
+                mask |= 1 << line[v]
+        masks.append(mask)
+    above = [[b for b in range(a + 1, len(subs)) if not masks[a] & ~masks[b]] for a in range(len(subs))]
+    found = []
+
+    def extend(dims, flag):
+        a = flag[-1]
+        if len(subs[a]) == n:
+            found.append((dims, flag))
+        for b in above[a]:
+            extend(dims + (len(subs[b]) - len(subs[a]),), flag + (b,))
+
+    for a, rows in enumerate(subs):
+        extend((len(rows),), (a,))
+    return tuple(subs), tuple(found)
+
+
+def flag_sweep(q, weight_bound: int = 3):
+    """The minimum weight of q over every flag of F_p^n, with weights in
+    [-weight_bound, weight_bound], on plain ints mod p.
+
+    A flag's weight is max(a_i + a_j) over the i <= j where F_i and F_j
+    pair nonzero, either way round, each j with only the first such i,
+    so it depends only on the step dims and those pairs, and is scored
+    once per such pattern.  The echelon rows of all bases are numbered,
+    the rows of the wide bases (dim >= 2) first; meets[i] has bit j when
+    row i pairs nonzero with row j, so subspaces a and b pair nonzero iff
+    left[a] & right[b] or left[b] & right[a].  Every step of a flag after
+    the first is wide, so the row of a line outside the wide bases is
+    tested against the wide rows and itself only.  q = 0 gives minus
+    infinity.
+    """
+    p, n = q.field.p, q.dim_h
+    if n == 0:
+        return MINUS_INFINITY
+    forms = [b.num for b in q.forms]
+
+    def images(u):
+        return [tuple(sum(map(operator.mul, row, u)) % p for row in b) for b in forms]
+
+    def kills(u, imgs):
+        return all(sum(map(operator.mul, u, c)) % p == 0 for c in imgs)
+
+    subs, found = flags(p, n)
+    index: dict = {}
+    for basis in subs:
+        if len(basis) > 1:
+            for u in basis:
+                index.setdefault(u, len(index))
+    wide = len(index)
+    for basis in subs:
+        if len(basis) == 1:
+            index.setdefault(basis[0], len(index))
+    imgs = [images(u) for u in index]
+    meets = []
+    for i, u in enumerate(index):
+        tested = range(len(index)) if i < wide else (*range(wide), i)
+        meets.append(sum(1 << j for j in tested if not kills(u, imgs[j])))
+    left, right = [], []
+    for basis in subs:
+        rows = [index[u] for u in basis]
+        mask = 0
+        for i in rows:
+            mask |= meets[i]
+        left.append(mask)
+        right.append(sum(1 << i for i in rows))
+
+    descending = range(weight_bound, -weight_bound - 1, -1)
+    vectors: dict = {}
+    scores: dict = {}
+
+    def weight_vectors(dims):
+        # strictly decreasing weights summing (weighted by dims) to zero,
+        # the last solved for
+        if len(dims) == 1:
+            return [(0,)]
+        out = []
+        for head in itertools.combinations(descending, len(dims) - 1):
+            last, rest = divmod(-sum(map(operator.mul, dims, head)), dims[-1])
+            if rest == 0 and -weight_bound <= last < head[-1]:
+                out.append(head + (last,))
+        return out
+
+    def score(dims, pairs):
+        if dims not in vectors:
+            vectors[dims] = weight_vectors(dims)
+        if not vectors[dims]:
+            return None
+        if not pairs:
+            return MINUS_INFINITY
+        return min(max(w[i] + w[j] for i, j in pairs) for w in vectors[dims])
+
+    for dims, flag in found:
+        pairs = []
+        for j, b in enumerate(flag):
+            for i, a in enumerate(flag[: j + 1]):
+                if left[a] & right[b] or left[b] & right[a]:
+                    pairs.append((i, j))
+                    break
+        pairs = tuple(pairs)
+        if (dims, pairs) not in scores:
+            scores[dims, pairs] = score(dims, pairs)
+    return min(value for value in scores.values() if value is not None)
 
 
 def all_combinations_invariants_match(q1, q2) -> bool:

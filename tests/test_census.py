@@ -13,6 +13,10 @@ modules, so one census tests the verdict, ``isometries``,
   every member of an orbit;
 - ``is_isomorphic`` answers yes between a representative and a moved
   member, and no between two representatives, which is exact over F_p;
+- ``hilbert_mumford_sweep``, which walks the isotropic chains alone,
+  equals the flag sweep ``oracles.flag_sweep`` at weight bounds 0 to 3
+  on the representative and on the moved member, so the chain walk is
+  checked on every module of the census up to GL_n;
 - ``s_equivalent`` is symmetric and transitive on the semistable
   representatives, and each stable orbit is its own S-class.
 
@@ -30,9 +34,15 @@ import pytest
 
 from twistmod.linalg import GF, Matrix, isometries
 from twistmod.sigmamod import InvolutionSpace, SigmaModule, is_isomorphic, isotropy_class
-from twistmod.stability import STABLE, STRICTLY_SEMISTABLE, s_equivalent, semistability_verdict
+from twistmod.stability import (
+    STABLE,
+    STRICTLY_SEMISTABLE,
+    hilbert_mumford_sweep,
+    s_equivalent,
+    semistability_verdict,
+)
 
-from oracles import burnside_orbit_count, census_modules, general_linear_order, orbit_census
+from oracles import burnside_orbit_count, census_modules, flag_sweep, general_linear_order, orbit_census
 
 
 class Census(NamedTuple):
@@ -69,7 +79,11 @@ def check_census(p: int, n: int, swap: bool, sign: int) -> Census:
         q = module(orbit.representative)
         status = verdict(q)
         assert all(verdict(module(m)) == status for m in orbit.members)
-        assert is_isomorphic(q, module(max(orbit.members))).status == "yes"
+        moved = module(max(orbit.members))
+        assert is_isomorphic(q, moved).status == "yes"
+        for member in (q, moved):
+            for bound in range(4):
+                assert hilbert_mumford_sweep(member, bound) == flag_sweep(member, bound)
         representatives.append((q, status[0]))
     assert mass == len(modules)
 

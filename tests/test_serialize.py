@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from twistmod.errors import ParseError, UsageError
+from twistmod.errors import ParseError, ShapeError, UsageError
 from twistmod.hilbert import MINUS_INFINITY, OneParamSubgroup
 from twistmod.linalg import GF, QQ, Matrix, Subspace
 from twistmod.sigmamod import InvolutionSpace, SigmaModule, symmetrize
 from twistmod.stability import Provenance, Verdict, graded, semistability_verdict
-from twistmod.dualnum import fiber_structure_check
+from twistmod.dualnum import TypeVector, fiber_structure_check
 from twistmod.serialize import (
     ModuleFile,
     fiber_report_to_dict,
@@ -185,6 +185,29 @@ def test_subgroup_attachment_round_trip():
                 ]
             },
         )
+
+
+def test_a_bool_weight_is_refused_so_every_subgroup_round_trips():
+    # True is an int to Python, but subgroup_to_dict would write it as
+    # "weight":true, which subgroup_from_dict refuses; so the constructor
+    # refuses it first, also beside an equal int weight that it would merge
+    # with, and every subgroup it builds round-trips
+    lines = [Subspace(QQ, 2, [[1, 0]]), Subspace(QQ, 2, [[0, 1]])]
+    for pieces in ([(lines[0], True), (lines[1], -1)], [(lines[0], -1), (lines[1], True)]):
+        with pytest.raises(ShapeError, match="^weights must be integers$"):
+            OneParamSubgroup(pieces)
+    for weights in ((True, 0, -1), (1, True, -2), (False, 0)):
+        with pytest.raises(ShapeError, match="^weights must be integers$"):
+            OneParamSubgroup.from_diagonal_weights(QQ, weights)
+    for field, weights in ((QQ, (1, 1, -2)), (GF(5), (2, 0, 0, -2)), (QQ, (0,))):
+        lam = OneParamSubgroup.from_diagonal_weights(field, weights)
+        assert all(type(weight) is int for weight in lam.weights)
+        assert subgroup_from_dict(field, len(weights), json.loads(to_json(subgroup_to_dict(lam)))) == lam
+    # a type vector's entries are the ints +1 and -1, so True is refused
+    # there too, and so is 1.0
+    for taus in ((True, -1), (1, True), (1.0, -1)):
+        with pytest.raises(ShapeError, match="^type entries are \\+1 or -1$"):
+            TypeVector(taus)
 
 
 def test_verdict_golden_bytes():

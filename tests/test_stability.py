@@ -50,7 +50,6 @@ from twistmod.stability import (
     UNSTABLE,
     Provenance,
     _candidates,
-    _flags,
     enumerate_totally_isotropic,
     graded,
     hilbert_mumford_sweep,
@@ -60,7 +59,7 @@ from twistmod.stability import (
     semistability_verdict,
 )
 
-from oracles import all_subspaces, generic_rref
+from oracles import all_subspaces, flag_sweep, flags, generic_rref, subspace_count
 
 
 def trivial_w(field):
@@ -175,7 +174,7 @@ def test_enumerate_totally_isotropic_fixtures():
         enumerate_totally_isotropic(module_1form(QQ, [[0, 1], [1, 0]]))
     # no dim cap: the zero module on F_3^5 lists every nonzero subspace
     zero = enumerate_totally_isotropic(module_1form(f3, [[0] * 5 for _ in range(5)]))
-    assert len(zero) == stability._subspace_count(3, 5) == 2663
+    assert len(zero) == subspace_count(3, 5) == 2663
 
 
 def test_pruned_search_matches_the_filtered_scan():
@@ -1433,13 +1432,12 @@ def test_hilbert_mumford_sweep_fixtures():
     assert hilbert_mumford_sweep(module_1form(f3, [[0, 0], [0, 1]])) < 0
     with pytest.raises(FieldError):
         hilbert_mumford_sweep(module_1form(QQ, [[1, 0], [0, 1]]))
-    # F_5^4 has 1,119 nonzero subspaces and F_17^3 has 615, so the
-    # containment pass would compare more pairs than the sweep's bound
-    for p, n, pairs in ((5, 4, 1_252_161), (17, 3, 378_225)):
+    # F_5^4 and F_17^3 have 1,119 and 615 nonzero subspaces, but the walk
+    # sees only the isotropic ones, and a nondegenerate form is semistable
+    for p, n in ((5, 4), (17, 3)):
         identity = module_1form(GF(p), [[int(i == j) for j in range(n)] for i in range(n)])
-        refusal = f"^F_{p}\\^{n} has {pairs} subspace pairs, over the search bound 200000$"
-        with pytest.raises(BoundExceededError, match=refusal):
-            hilbert_mumford_sweep(identity)
+        assert hilbert_mumford_sweep(identity) == 0
+        assert semistability_verdict(identity).status != UNSTABLE
 
 
 def test_a_negative_weight_bound_is_a_value_error_not_an_internal_one():
@@ -1586,7 +1584,7 @@ def ordered_decompositions(p, n):
     return total
 
 
-def test_sweep_matches_the_ordered_sweep(monkeypatch):
+def test_sweep_matches_the_ordered_sweep():
     rng = random.Random(2024)
     cases = []
     for p in (2, 3, 5):
@@ -1602,7 +1600,6 @@ def test_sweep_matches_the_ordered_sweep(monkeypatch):
     for q in cases:
         p, n = q.field.p, q.dim_h
         total = ordered_decompositions(p, n)
-        pairs = stability._subspace_count(p, n) ** 2
         # the reference is slow on the big cases, so only the cheap ones
         # meet it at every weight bound
         for weight_bound in (0, 1, 2, 3) if total < 500 else (3,):
@@ -1612,22 +1609,16 @@ def test_sweep_matches_the_ordered_sweep(monkeypatch):
                 bounds = {"max_decompositions": total - 1, "weight_bound": weight_bound}
                 refused = ("refused", f"sweep exceeded {total - 1} decompositions")
                 assert sweep_outcome(ordered_sweep, q, **bounds) == refused
-            # the sweep refuses exactly past the pairs of nonzero subspaces
-            for bound in (pairs - 1, pairs):
-                monkeypatch.setattr(stability, "_MAX_SUBSPACE_PAIRS", bound)
-                want = expected
-                if bound < pairs:
-                    refusal = f"F_{p}^{n} has {pairs} subspace pairs, over the search bound {bound}"
-                    want = ("refused", refusal)
-                assert sweep_outcome(hilbert_mumford_sweep, q, weight_bound=weight_bound) == want
+            assert hilbert_mumford_sweep(q, weight_bound=weight_bound) == expected
 
 
-# The sweep's pairing as it stood before it kept only the row pairs that
-# a flag can ask about: every echelon row of every subspace against every
-# other, both ways.  Kept unchanged as the oracle.
+# The flag sweep as it stood before it kept only the row pairs that a
+# flag can ask about: every echelon row of every subspace against every
+# other, both ways, and every weight tuple of every flag, with no pattern
+# cache.  Kept unchanged as the oracle of the chain walk.
 def row_table_sweep(q, weight_bound=3):
     p, n = q.field.p, q.dim_h
-    subs, flags = _flags(p, n)
+    subs, listed = flags(p, n)
     images, kills = _pairing([b.num for b in q.forms], p)
     index: dict = {}
     for basis in subs:
@@ -1644,7 +1635,7 @@ def row_table_sweep(q, weight_bound=3):
         left.append(mask)
         right.append(sum(1 << i for i in rows))
     best = None
-    for dims, flag in flags:
+    for dims, flag in listed:
         pairs = []
         for j, b in enumerate(flag):
             for i, a in enumerate(flag[: j + 1]):
@@ -1662,12 +1653,12 @@ def row_table_sweep(q, weight_bound=3):
 
 
 def small_fields():
-    """Every F_p^n, 1 <= n <= 5, whose pairs of nonzero subspaces the
-    sweep accepts, but for F_p^1 and F_p^2 only up to p = 13 and the
-    largest, p = 443."""
+    """Every F_p^n, 1 <= n <= 5, with at most 200,000 ordered pairs of
+    nonzero subspaces, whose flags oracles.flags lists in seconds, but
+    for F_p^1 and F_p^2 only up to p = 13 and the largest, p = 443."""
     for p in (2, 3, 5, 7, 11, 13, 443):
         for n in range(1, 6):
-            if stability._subspace_count(p, n) ** 2 <= 200_000 and (p < 443 or n == 2):
+            if subspace_count(p, n) ** 2 <= 200_000 and (p < 443 or n == 2):
                 yield p, n
 
 
@@ -1681,8 +1672,8 @@ def test_the_sweep_matches_the_full_row_table():
         # the row table tries every weight tuple of every flag, so the
         # largest fields run fewer cases at one weight bound: F_443^2 and
         # the fields with over 1,000 flags at 3, F_2^5 (27,808) at 1
-        flags = len(_flags(p, n)[1])
-        few = p == 443 or flags > 1000
+        listed = len(flags(p, n)[1])
+        few = p == 443 or listed > 1000
         cases = [module_1form(field, [[0] * n for _ in range(n)])]
         for w in (trivial_w(field), swap_w(field)):
             for sign in (1,) if few else (1, -1):
@@ -1695,21 +1686,58 @@ def test_the_sweep_matches_the_full_row_table():
         off_diagonal = list(itertools.permutations(range(n), 2))
         for k, l in off_diagonal[:2] if few else off_diagonal:
             cases.append(module_1form(field, [[int((i, j) == (k, l)) for j in range(n)] for i in range(n)]))
-        bounds = (1, 3) if not few else (1,) if flags > 10_000 else (3,)
+        bounds = (1, 3) if not few else (1,) if listed > 10_000 else (3,)
         for q in cases:
             for bound in bounds:
                 assert hilbert_mumford_sweep(q, bound) == row_table_sweep(q, bound), (p, n, bound)
 
 
+def test_the_sweep_matches_the_flag_sweep_on_drawn_modules():
+    # the minimum over the chain flags is the minimum over every flag, as
+    # measured here on drawn modules: each involution of dim W <= 2 that
+    # the fields carry, both signs, dense or sparse forms, and a single
+    # form that breaks the symmetry relation, at weight bounds 0 to 5
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    involutions = {"trivial": [[1]], "swap": [[0, 1], [1, 0]], "diag": [[1, 0], [0, -1]], "raw": [[1]]}
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(
+        st.sampled_from(((2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2), (5, 3), (7, 2))),
+        st.sampled_from(sorted(involutions)),
+        st.sampled_from((1, -1)),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    def check(field_dim, kind, sign, sparse, seed):
+        (p, n), rng = field_dim, random.Random(seed)
+        # diag(1, -1) is the identity over F_2
+        hypothesis.assume(p > 2 or kind != "diag")
+        field = GF(p)
+        w = InvolutionSpace(field, Matrix(field, involutions[kind]))
+
+        def square():
+            return Matrix(field, [[rng.randrange(p) if rng.random() < (0.25 if sparse else 1) else 0 for _ in range(n)] for _ in range(n)])
+
+        if kind == "raw":
+            q = module_1form(field, square().rows)
+        else:
+            q = symmetrize(field, n, w, sign, [square() for _ in range(w.dim)])
+        for bound in range(6):
+            assert hilbert_mumford_sweep(q, bound) == flag_sweep(q, bound), bound
+
+    check()
+
+
 def test_the_subspace_count_matches_the_listed_subspaces():
     for p, top in ((2, 5), (3, 4), (5, 3), (7, 2), (443, 1)):
         for n in range(top + 1):
-            assert stability._subspace_count(p, n) == len(list(all_subspaces(GF(p), n))), (p, n)
+            assert subspace_count(p, n) == len(list(all_subspaces(GF(p), n))), (p, n)
 
 
-def test_the_sweep_agrees_with_the_verdict_on_the_fields_the_pair_rule_admits():
-    # each has at most 373^2 subspace pairs, and 1.9 to 17.7 million
-    # ordered direct-sum decompositions
+def test_the_sweep_agrees_with_the_verdict_on_the_largest_flag_sweep_fields():
+    # each has at most 373^2 subspace pairs, the most the flag sweep
+    # compared, and 1.9 to 17.7 million ordered direct-sum decompositions
     rng = random.Random(33)
     statuses = set()
     for p, n in ((3, 4), (11, 3), (13, 3), (2, 5)):
@@ -1721,6 +1749,53 @@ def test_the_sweep_agrees_with_the_verdict_on_the_fields_the_pair_rule_admits():
                 assert (hilbert_mumford_sweep(q) < 0) == (status == UNSTABLE), (p, n)
                 statuses.add(status)
     assert UNSTABLE in statuses and STRICTLY_SEMISTABLE in statuses
+
+
+def test_the_sweep_reaches_past_the_flag_sweep():
+    # F_5^5, F_7^5 and F_3^6 have 42,175 to 285,703 nonzero subspaces, too
+    # many for the flag sweep, but the walk sees only the isotropic ones.
+    # The forms of each swap module vanish on the first k coordinates, so
+    # e_1 .. e_k span a totally isotropic V with V^perp of dim at least k:
+    # k > n / 2 destabilizes.  Every module is moved by a random g, which
+    # changes no sweep
+    rng = random.Random(37)
+    statuses = set()
+    for p, n in ((5, 5), (7, 5), (3, 6)):
+        field = GF(p)
+        for sign in (1, -1):
+            for k in (0, n // 2, n // 2 + 1):
+                raw = [
+                    Matrix(field, [[0 if i < k and j < k else rng.randrange(p) for j in range(n)] for i in range(n)])
+                    for _ in range(2)
+                ]
+                q = symmetrize(field, n, swap_w(field), sign, raw)
+                g = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+                while rank_mod_p(g, p) < n:
+                    g = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+                status = semistability_verdict(q).status
+                swept = hilbert_mumford_sweep(q)
+                assert (swept < 0) == (status == UNSTABLE), (p, n, sign, k)
+                assert hilbert_mumford_sweep(act(Matrix(field, g), q)) == swept, (p, n, sign, k)
+                statuses.add(status)
+    assert statuses == {STABLE, STRICTLY_SEMISTABLE, UNSTABLE}
+
+
+def test_the_sweep_charges_its_walk_to_the_scan_budget(monkeypatch):
+    # the sweep of the symplectic F_3^4 tests the 212 candidate rows of its
+    # search, which finds its 40 lines and 40 planes, then takes 840 walk
+    # steps: 200 lines listed, 400 holders of a first row tested and 240
+    # chains scored.  It refuses on the first row or step past
+    # _SCAN_BUDGET, and answers when the budget holds them all
+    symplectic = module_1form(GF(3), [[0, 0, 1, 0], [0, 0, 0, 1], [2, 0, 0, 0], [0, 2, 0, 0]], sign=-1)
+    for rows, refusal in (
+        (212, "the isotropic search of F_3^4 exceeds 211 candidate rows at dim 4"),
+        (1052, "the chain walk of F_3^4 exceeds 1051 candidate rows and walk steps"),
+    ):
+        monkeypatch.setattr(stability, "_SCAN_BUDGET", rows - 1)
+        with pytest.raises(BoundExceededError, match=f"^{re.escape(refusal)}$"):
+            hilbert_mumford_sweep(symplectic)
+    monkeypatch.setattr(stability, "_SCAN_BUDGET", 1052)
+    assert hilbert_mumford_sweep(symplectic) == 0
 
 
 def test_searches_refuse_too_many_lines_before_any_work():
@@ -1757,9 +1832,9 @@ def test_flags_match_the_closed_form():
     for p, top in ((2, 4), (3, 3), (5, 3), (7, 3)):
         field = GF(p)
         for n in range(1, top + 1):
-            subs, flags = _flags(p, n)
+            subs, listed = flags(p, n)
             counts: dict = {}
-            for dims, flag in flags:
+            for dims, flag in listed:
                 assert len(dims) == len(flag)
                 below = []
                 for d, i in zip(dims, flag):
@@ -1768,11 +1843,11 @@ def test_flags_match_the_closed_form():
                     below = list(subs[i])
                 assert len(below) == n
                 counts[dims] = counts.get(dims, 0) + 1
-            assert len(set(flag for _, flag in flags)) == len(flags)
+            assert len(set(flag for _, flag in listed)) == len(listed)
             assert counts == {dims: gaussian_multinomial(p, dims) for dims in compositions(n)}
 
 
-def test_the_cache_state_changes_no_sweep():
+def test_the_cache_state_changes_no_sweep(monkeypatch):
     rng = random.Random(15)
     jobs = []
     for p, dim in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (2, 4)):
@@ -1786,29 +1861,30 @@ def test_the_cache_state_changes_no_sweep():
 
     forward = sweep(jobs)
     backward = sweep(jobs[::-1])[::-1]
-    _flags.cache_clear()
     assert forward == backward == sweep(jobs)
 
-    # a refused sweep lists no flags
-    _flags.cache_clear()
+    # a refused sweep starts no search
+    monkeypatch.setattr(stability, "_isotropic_scanner", unreached)
     refused = [
-        (module_1form(GF(5), [[int(i == j) for j in range(4)] for i in range(4)]), {}),
         (module_1form(GF(2**61 - 1), [[0, 1], [1, 0]]), {}),
         (module_1form(GF(2), [[0, 0], [0, 0]]), {"weight_bound": 50_000}),
     ]
     for q, bounds in refused:
         with pytest.raises(BoundExceededError):
             hilbert_mumford_sweep(q, **bounds)
-    assert _flags.cache_info().currsize == 0
 
 
-def test_a_huge_weight_bound_is_refused_before_any_work():
+def unreached(*args, **kwargs):
+    raise AssertionError("the sweep started a search")
+
+
+def test_a_huge_weight_bound_is_refused_before_any_work(monkeypatch):
     q = random_module(random.Random(7), GF(2), 4, trivial_w(GF(2)), 1)
-    _flags.cache_clear()
     # a flag of four lines would try P(2001, 3) tuples of three weights
-    with pytest.raises(BoundExceededError, match="has 7999998000 weight tuples"):
-        hilbert_mumford_sweep(q, weight_bound=1000)
-    assert _flags.cache_info().currsize == 0
+    with monkeypatch.context() as patched:
+        patched.setattr(stability, "_isotropic_scanner", unreached)
+        with pytest.raises(BoundExceededError, match="has 7999998000 weight tuples"):
+            hilbert_mumford_sweep(q, weight_bound=1000)
     # at dim 2 a flag tries 2w + 1 tuples, so the bound falls between
     # w = 49,999 and w = 50,000
     plane = module_1form(GF(3), [[0, 1], [1, 0]])
