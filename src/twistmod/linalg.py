@@ -25,9 +25,12 @@ Subspaces are kept in a canonical form (reduced row echelon basis), which
 makes equality of subspaces plain object equality and gives every
 enumeration in the package a stable, reproducible order.
 
-A quadratic run Q_k(u + t e_last) has one reader, _run, on the planes
-that _plane builds: the isotropic search of stability solves the runs
-for t, and the Gram walk of isometries reads its diagonals off them.
+The planes that _plane builds are read here alone, by two readers.
+_zeros solves a plane mod p in one pass, for the isotropic search of
+stability over F_p.  _run turns a plane and an x into the quadratic runs
+Q_k(u + t e_last), which that search solves for t over ZZ, one prefix
+at a time, and off which the Gram walk of isometries reads its
+diagonals.
 """
 
 from __future__ import annotations
@@ -263,7 +266,7 @@ def _common(mats):
 
 def _fill_matrix(m, field, num, den, ncols):
     # Matrix and Subspace are immutable: their slots are set once, here and
-    # below; a Matrix's through its slot descriptors, which costs less than
+    # below, through their slot descriptors, which cost less than
     # object.__setattr__ on the path every internal result takes
     _set_field(m, field)
     _set_num(m, num)
@@ -273,11 +276,10 @@ def _fill_matrix(m, field, num, den, ncols):
 
 
 def _fill_subspace(v, field, ambient, basis, pivots):
-    setattr_ = object.__setattr__
-    setattr_(v, "field", field)
-    setattr_(v, "ambient", ambient)
-    setattr_(v, "basis", basis)
-    setattr_(v, "pivots", pivots)
+    _set_space_field(v, field)
+    _set_ambient(v, ambient)
+    _set_basis(v, basis)
+    _set_pivots(v, pivots)
 
 
 class Matrix:
@@ -692,6 +694,11 @@ class Subspace:
             raise FieldError("subspaces live in different ambient spaces")
 
 
+_set_space_field, _set_ambient, _set_basis, _set_pivots = (
+    getattr(Subspace, name).__set__ for name in ("field", "ambient", "basis", "pivots")
+)
+
+
 def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
     """A deterministic complement of ``inner`` inside ``outer``.
 
@@ -828,13 +835,49 @@ def _run(plane, x):
     one (a_k, b_k, c_k, entries) per form, over the ints, with
     Q_k(u + t e_last) = a_k + t (b_k + t c_k) and B_k (u + t e_last)
     = r + x y + t z over the plane's ``entries`` (r, y, z), so a run with
-    no root builds no row.  A plane is read here alone."""
+    no root builds no row.  A plane is read here and in _zeros alone."""
     # a loop: a comprehension's own call would cost more than the run of one
     # or two forms, and this runs once per prefix of every search
     run = []
     for entries, a, beta, gamma, b, delta, c in plane:
         run.append((a + x * (beta + x * gamma), b + x * delta, c, entries))
     return run
+
+
+def _zeros(plane, w, xs, box, p: int) -> list:
+    """The isotropic points of ``plane``, the linalg._plane of ``w``,
+    j = last - 1, over ``xs`` x ``box`` mod the prime p: one (u, images)
+    per u = w + x e_j + t e_last where every Q_k vanishes mod p, in
+    product order, with images the rows B_k u mod p.  Forms whose six
+    coefficients all vanish mod p keep every point and are passed over;
+    the first other form is tried at every point, with no division, so
+    characteristic 2 is no exception, and the rest only filter its
+    zeros.  Over ZZ the runs are solved one prefix at a time, from _run,
+    so a huge box is never passed over."""
+    forms = [form for form in plane if any(v % p for v in form[1:])]
+    if forms:
+        _, a, beta, gamma, b, delta, c = forms[0]
+        points = [
+            (x, t)
+            for x in xs
+            for ax in [a + x * (beta + x * gamma)]
+            for bx in [b + x * delta]
+            for t in box
+            if not (ax + t * (bx + t * c)) % p
+        ]
+        for _, a, beta, gamma, b, delta, c in forms[1:]:
+            points = [
+                (x, t) for x, t in points if not (a + x * (beta + x * gamma) + t * (b + x * delta + t * c)) % p
+            ]
+    else:
+        points = [(x, t) for x in xs for t in box]
+    if not points:
+        return points
+    head, entries = w[:-2], [form[0] for form in plane]
+    return [
+        (head + (x, t), [tuple([(r + x * y + t * z) % p for r, y, z in e]) for e in entries])
+        for x, t in points
+    ]
 
 
 def _gram_candidates(mats, values, p: int) -> list:

@@ -11,16 +11,17 @@ semistable.
 One candidate stream serves both the verdict and each filtration step,
 and one search feeds it over both fields, _isotropic_scanner: it grows
 reduced echelon bases row by row from the isotropic lines of each pivot
-column and drops a partial basis at its first nonzero pairing.  Along
-the last entry of a line each form is a quadratic, so the lines are
-solved for rather than listed, by one solver in both fields: each
-prefix u = w + x e_(last-1) lies on the plane of w, and linalg._run
-reads off it both the quadratic's coefficients and the images
-B_k w + x B_k e_(last-1) + t B_k e_last of each line u + t e_last, with
-no second product.  Over F_p the search runs mod p on the one box
-0 .. p - 1 and yields every totally isotropic subspace.  Over the
-rationals the stream starts with the joint kernel when that is
-nonzero, then yields the lifts of the totally isotropic subspaces of
+column and drops a partial basis at its first nonzero pairing.  Each
+line w + x e_(last-1) + t e_last lies on the plane of its prefix w,
+linalg._plane, on which each form is a quadratic in x and t, so the
+lines are solved for rather than listed, and each takes its images
+B_k w + x B_k e_(last-1) + t B_k e_last off the plane with no product
+of its own.  Over F_p the search runs mod p on the one box 0 .. p - 1,
+solves each plane in one pass, linalg._zeros, and yields every totally
+isotropic subspace.  Over ZZ each prefix's run in t, linalg._run, is
+solved on its own, by an integer root, so a huge box costs no pass.
+Over the rationals the stream starts with the joint kernel when that
+is nonzero, then yields the lifts of the totally isotropic subspaces of
 the reductions mod a list of primes.  These are the integral reduced
 echelon bases, totally isotropic over ZZ under the int rows d_k B_k of
 the forms (d_k the denominator of B_k), whose entries a prime's plain
@@ -43,9 +44,10 @@ nonsingular: the rows B_k u over a basis of V are then independent
 constraints on V^perp, so dim V + dim V^perp <= dim H for every V and
 nothing later in the stream can destabilize.  The isotropic lines are
 found on demand, per prime and pivot column, so a scan that stops early
-pays only for what it reached.  The F_p verdict and every filtration
-level stop this way; the rational verdict scans in full, since its
-provenance lists every prime it scanned.
+pays only for what it reached, over F_p up to the end of its plane.
+The F_p verdict and every filtration level stop this way; the rational
+verdict scans in full, since its provenance lists every prime it
+scanned.
 
 The search is limited by its work, not by dim H: each candidate row it
 tests while growing a basis is charged to one budget of _SCAN_BUDGET
@@ -90,6 +92,7 @@ from .linalg import (
     Subspace,
     _plane,
     _run,
+    _zeros,
     rank_mod_p,
 )
 from .sigmamod import (
@@ -232,27 +235,22 @@ def _check_lines(p: int, n: int):
 
 def _solve_prefix(plane, u, p: int):
     """(roots, run) for the prefix ``u`` = w + x e_j on ``plane``, the
-    linalg._plane of w: run is the linalg._run of u, x = u[-2], and roots
-    the t with Q_k(u + t e_last) = a_k + t (b_k + t c_k) = 0 for every
-    form, mod p when p is a prime and over ZZ when p is 0, or None when
-    every t is one.  The first of these polynomials that is not zero
-    gives the roots: mod p by trying each t in range(p), which takes no
-    division, so characteristic 2 is no exception; over ZZ at most two,
-    by an integer square root of its discriminant or by one exact
-    division.  The others only filter them.
+    linalg._plane of w, over ZZ (the scanner's modulus ``p`` is 0; over
+    F_p, linalg._zeros solves a whole plane at once): run is the
+    linalg._run of u, x = u[-2], and roots the t with
+    Q_k(u + t e_last) = a_k + t (b_k + t c_k) = 0 for every form, or None
+    when every t is one.  The first of these polynomials that is not
+    zero gives at most two roots, by an integer square root of its
+    discriminant or by one exact division, so a huge box costs no pass;
+    the others only filter them.
     """
     run = _run(plane, u[-2])
     roots = None
     for a, b, c, _ in run:
-        if p:
-            a, b, c = a % p, b % p, c % p
         if roots is not None:
-            values = ((t, a + t * (b + t * c)) for t in roots)
-            roots = [t for t, v in values if not (v % p if p else v)]
+            roots = [t for t in roots if not a + t * (b + t * c)]
         elif not (a or b or c):
             continue
-        elif p:
-            roots = [t for t in range(p) if not (a + t * (b + t * c)) % p]
         elif c:
             disc = b * b - 4 * a * c
             root = math.isqrt(disc) if disc >= 0 else -1
@@ -276,17 +274,18 @@ def _lines(columns, p: int, n: int, pc: int, box, solved: dict):
     the forms residues mod p) and over ZZ when p is 0, with their images,
     the rows B_k u, reduced mod p over F_p.
 
-    ``columns`` holds the column tuples of each form.  The rows run as
-    prefixes, last entry 0, each followed by its run over t in box.  A
-    prefix is w + x e_j, j = last - 1, with x running innermost over box
-    (or the lead 1 when pc is j, and w is 0).  linalg._plane builds the
-    rows B_k w once per w, and _solve_prefix solves each run for its last
-    entry from a few products of scalars.  Each line u + t e_last takes
-    its images B_k w + x B_k e_j + t B_k e_last off the linalg._run of u
-    that was solved, with no product of its own; nothing is built over
-    the box.  ``solved`` keeps the plane of each w and the roots and run
-    of each of its prefixes, for every later box under the same forms
-    and p.
+    ``columns`` holds the column tuples of each form.  The rows lie on
+    planes w + x e_j + t e_last, j = last - 1, with x running over box (or
+    held at the lead 1 when pc is j, and w is 0) and t innermost, and
+    linalg._plane builds the rows B_k w once per w.  Over F_p each plane
+    is solved in one pass, linalg._zeros, which gives its lines with
+    their images mod p, and ``solved`` keeps them per w.  Over ZZ each
+    prefix w + x e_j is solved on its own: _solve_prefix finds the last
+    entries of its run from a few products of scalars, with no pass over
+    the box, and each line takes its images B_k w + x B_k e_j + t B_k e_last
+    off that linalg._run of the plane.  ``solved`` keeps the plane of
+    each w and the roots and run of each of its prefixes, for every later
+    box under the same forms.
     """
     last = n - 1
     lead = (0,) * pc + (1,)
@@ -305,6 +304,13 @@ def _lines(columns, p: int, n: int, pc: int, box, solved: dict):
         planes = ((lead + outer + (0, 0), box) for outer in outers)
     else:
         planes = [((0,) * n, (1,))]
+    if p:
+        for w, xs in planes:
+            lines = solved.get(w)
+            if lines is None:
+                lines = solved[w] = _zeros(_plane(columns, w, j), w, xs, box, p)
+            yield from lines
+        return
     for w, xs in planes:
         if w not in solved:
             solved[w] = _plane(columns, w, j), {}
@@ -316,11 +322,7 @@ def _lines(columns, p: int, n: int, pc: int, box, solved: dict):
             roots, run = runs[x]
             for t in box if roots is None else roots:
                 if t in box:
-                    if p:
-                        images = [tuple([(r + x * y + t * z) % p for r, y, z in e]) for _, _, _, e in run]
-                    else:
-                        images = [tuple([r + x * y + t * z for r, y, z in e]) for _, _, _, e in run]
-                    yield head + (x, t), images
+                    yield head + (x, t), [tuple([r + x * y + t * z for r, y, z in e]) for _, _, _, e in run]
 
 
 def _isotropic_scanner(forms, p: int, n: int, primes=(), budget=None):
@@ -353,7 +355,9 @@ def _isotropic_scanner(forms, p: int, n: int, primes=(), budget=None):
 
     A reader finds the lines of a (prime, pivot column) on demand and
     keeps the list once it has read them all, for every later scan; the
-    plane of each prefix and its roots are kept for every prime.  With
+    lines of each plane over F_p, and the plane of each prefix and its
+    roots over ZZ, are kept for every prime.  A dim-1 scan yields each
+    line with a copy of its images, so no caller changes a kept line.  With
     one box the first row of a pivot pattern reads its column only as
     far as the scan goes, so a scan that stops early pays only for the
     lines it reached.  With two boxes a column is read in full when
@@ -387,11 +391,9 @@ def _isotropic_scanner(forms, p: int, n: int, primes=(), budget=None):
         # every way to take its r-th row from rows[r] with u_i^T B_k u_j
         # zero for every i != j: a partial basis is dropped at its first
         # nonzero pairing, and the rows are isotropic lines, which settles
-        # i == j
+        # i == j; the last row yields without a call of its own
         r = len(basis)
-        if r == len(rows):
-            yield basis
-            return
+        last = r + 1 == len(rows)
         for u, imgs in rows[r]:
             budget[0] -= 1
             if budget[0] < 0:
@@ -403,7 +405,10 @@ def _isotropic_scanner(forms, p: int, n: int, primes=(), budget=None):
                     break
             else:
                 basis.append((u, imgs))
-                yield from grow(rows, basis)
+                if last:
+                    yield basis
+                else:
+                    yield from grow(rows, basis)
                 basis.pop()
 
     def reader(prime, pc):
@@ -455,8 +460,14 @@ def _isotropic_scanner(forms, p: int, n: int, primes=(), budget=None):
                 ]
                 if not (first and all(later)):
                     continue
+                if d == 1 and p:
+                    # a line is a basis by itself; its images are copied,
+                    # since a reader keeps the line for every later scan
+                    for u, imgs in first:
+                        yield (u,), pivots, imgs[:]
+                    continue
                 if d == 1:
-                    # a line is a basis by itself
+                    # over ZZ a line is lifted as a basis of one row
                     bases = ([e] for e in first)
                 else:
                     rest = pivots[1:]
@@ -936,17 +947,23 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
         lines.append(held)
         for line in held:
             holders.setdefault(line, []).append(b)
-    above = []
-    for a, rows in enumerate(found):
-        charge(len(holders[rows[0]]))
-        above.append([b for b in holders[rows[0]] if dims[b] > dims[a] and lines[b].issuperset(rows)])
-    # V_a^perp is totally isotropic iff some V that holds V_a has its dim
-    closed = [any(dims[b] == perps[a] for b in above[a]) for a in range(len(found))]
+    supersets: dict = {}
+
+    def above(a):
+        # (the V of larger dim that hold V_a, whether V_a^perp is totally
+        # isotropic), listed when the walk first needs them; V_a^perp is
+        # totally isotropic iff some V that holds V_a has its dim
+        if a not in supersets:
+            rows = found[a]
+            charge(len(holders[rows[0]]))
+            held = [b for b in holders[rows[0]] if dims[b] > dims[a] and lines[b].issuperset(rows)]
+            supersets[a] = held, any(dims[b] == perps[a] for b in held)
+        return supersets[a]
 
     def walk(chain):
         # score the flag of ``chain``, then of each chain that extends it;
         # no flag weighs less than 2 a_k >= -2 weight_bound, so the walk
-        # stops once a flag does
+        # stops once a flag does, before it lists another V's supersets
         nonlocal best
         if best == -2 * weight_bound:
             return
@@ -961,7 +978,7 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
                 # with itself, unless it is totally isotropic
                 if j + 1 < len(chain):
                     pairs.append((j + 1, len(widths)))
-                elif not closed[chain[j]]:
+                elif not above(chain[j])[1]:
                     pairs.append((len(widths), len(widths)))
                 widths.append(perps[chain[j]] - reached)
                 reached = perps[chain[j]]
@@ -973,8 +990,9 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
             scores[key] = score(*key)
         if scores[key] is not None and scores[key] < best:
             best = scores[key]
-        for b in above[chain[-1]]:
-            walk(chain + [b])
+        if best > -2 * weight_bound:
+            for b in above(chain[-1])[0]:
+                walk(chain + [b])
 
     for a in range(len(found)):
         walk([a])

@@ -1153,11 +1153,25 @@ def record_solved_prefixes(monkeypatch):
     return solved
 
 
+def record_solved_planes(monkeypatch):
+    """The list of prefixes w whose planes linalg._zeros solves for the
+    F_p search."""
+    planes = []
+    zeros = stability._zeros
+
+    def recorded(plane, w, xs, box, p):
+        planes.append(w)
+        return zeros(plane, w, xs, box, p)
+
+    monkeypatch.setattr(stability, "_zeros", recorded)
+    return planes
+
+
 def test_the_fp_verdict_stops_inside_the_first_column(monkeypatch):
     # a nonsingular dim-4 module over F_5 whose first line (1, 0, 0, 0) is
     # isotropic: the verdict stops at that equality, so pivot column 0,
-    # 125 candidate rows in 25 runs, is started and never read to its
-    # end, and only its first run is solved
+    # 125 candidate rows on 5 planes, is started and never read to its
+    # end, and only its first plane, of w = (1, 0, 0, 0), is solved
     finished, started = [], []
     lines = stability._lines
 
@@ -1167,14 +1181,43 @@ def test_the_fp_verdict_stops_inside_the_first_column(monkeypatch):
         finished.append(pc)
 
     monkeypatch.setattr(stability, "_lines", recorded)
-    solved = record_solved_prefixes(monkeypatch)
+    planes = record_solved_planes(monkeypatch)
     hyperbolic = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
     q = module_1form(GF(5), hyperbolic)
     verdict = semistability_verdict(q)
     assert verdict.status == STRICTLY_SEMISTABLE
     assert verdict.certificate[0].basis.rows == ((1, 0, 0, 0),)
     assert started == [0] and finished == []
-    assert solved == [(1, 0, 0, 0)]
+    assert planes == [(1, 0, 0, 0)]
+
+
+def test_an_fp_line_at_a_huge_prime_solves_one_plane(monkeypatch):
+    # <1, 1> over F_99991 (99,992 lines, inside the line bound): pivot
+    # column 0 is the one plane of w = 0 with x held at the lead 1, so its
+    # run 1 + t^2, which has no root since 99,991 is 3 mod 4, is solved in
+    # one pass over the box, and column 1 is the corner alone
+    planes = record_solved_planes(monkeypatch)
+    identity = [[1, 0], [0, 1]]
+    verdict = semistability_verdict(module_1form(GF(99_991), identity))
+    assert verdict.status == STABLE
+    assert planes == [(0, 0)]
+
+
+def test_a_line_yielded_by_a_scan_is_the_callers_to_change():
+    # the readers keep each column's lines for every later scan, so what a
+    # dim-1 scan yields must share nothing with them: a caller that
+    # clears the images of every line it was given changes no later scan
+    forms = [[[1, 2, 0], [2, 0, 1], [0, 1, 0]]]
+    expected = list(stability._isotropic_scanner(forms, 3, 3)((1,)))
+    assert expected
+    scan = stability._isotropic_scanner(forms, 3, 3)
+    for _ in range(2):
+        given = list(scan((1,)))
+        assert given == expected
+        for _, _, images in given:
+            images.clear()
+            images.append(None)
+    assert list(scan()) == list(stability._isotropic_scanner(forms, 3, 3)())
 
 
 def test_a_rational_level_that_stops_at_2_solves_only_the_2_boxes(monkeypatch):
@@ -1796,6 +1839,17 @@ def test_the_sweep_charges_its_walk_to_the_scan_budget(monkeypatch):
             hilbert_mumford_sweep(symplectic)
     monkeypatch.setattr(stability, "_SCAN_BUDGET", 1052)
     assert hilbert_mumford_sweep(symplectic) == 0
+    # a walk that stops at the floor -2 weight_bound lists the supersets of
+    # only the V it reached: <x_1^2> on F_3^4 (23 candidate rows, 27 V
+    # with 78 lines) weighs -6 at weight bound 3 after 21 holders tested
+    # and chains scored, where testing the holders of every V first took
+    # 165 steps
+    rank1 = module_1form(GF(3), [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    monkeypatch.setattr(stability, "_SCAN_BUDGET", 121)
+    with pytest.raises(BoundExceededError, match="^the chain walk of F_3\\^4 exceeds 121 "):
+        hilbert_mumford_sweep(rank1)
+    monkeypatch.setattr(stability, "_SCAN_BUDGET", 122)
+    assert hilbert_mumford_sweep(rank1) == -6
 
 
 def test_searches_refuse_too_many_lines_before_any_work():
