@@ -26,10 +26,11 @@ makes equality of subspaces plain object equality and gives every
 enumeration in the package a stable, reproducible order.
 
 The planes that _plane builds are read here alone, by two readers.
-_zeros solves a plane mod p in one pass, for the isotropic search of
-stability over F_p.  _run turns a plane and an x into the quadratic runs
-Q_k(u + t e_last), which that search solves for t over ZZ, one prefix
-at a time, and off which the Gram walk of isometries reads its
+_zeros is the one solver of the isotropic search of stability, in both
+of its fields: mod p it solves a plane in one pass, and over ZZ it
+solves each prefix by an integer root and keeps the roots, so no box
+is passed over.  _run turns a plane and an x into the quadratic runs
+Q_k(u + t e_last), off which the Gram walk of isometries reads its
 diagonals.
 """
 
@@ -801,23 +802,23 @@ def _forward(rows, p: int):
 
 
 def _plane(columns, w, j: int):
-    """The forms on the plane w + x e_j + t e_last, one (entries, a,
-    beta, gamma, b, delta, c) per form, for a prefix ``w`` that is 0 at
-    j and at last, under the forms whose column tuples ``columns`` holds:
-    over the ints,
+    """The forms on the plane w + x e_j + t e_last, as (entries, forms)
+    with one item per form in each, for a prefix ``w`` that is 0 at j and
+    at last, under the forms whose column tuples ``columns`` holds: over
+    the ints, forms holds (a, beta, gamma, b, delta, c) with
 
         Q_k(w + x e_j + t e_last)
             = a + x (beta + x gamma) + t (b + x delta) + t^2 c,
 
     with a = w . B_k w, beta = (B_k w)_j + w . B_k e_j, gamma = B_k[j][j],
     b = (B_k w)_last + w . B_k e_last, delta = B_k[last][j] + B_k[j][last]
-    and c = B_k[last][last].  ``entries`` zips the rows B_k w, B_k e_j
+    and c = B_k[last][last], and entries zips the rows B_k w, B_k e_j
     and B_k e_last.  The row B_k w is summed from the columns of B_k at
     the nonzero entries of w, and the rest is read off it and the
     columns, so no symmetry of the forms is assumed.  j is last - 1, or
     last on F^1, which has no e_(last-1), and x is then held at 0."""
     last = len(w) - 1
-    plane = []
+    entries, forms = [], []
     for cols in columns:
         row = [0] * len(w)
         for i, x in enumerate(w):
@@ -826,58 +827,100 @@ def _plane(columns, w, j: int):
         col, tail = cols[j], cols[last]
         a, beta = sum(map(_times, w, row)), row[j] + sum(map(_times, w, col))
         b, delta = row[last] + sum(map(_times, w, tail)), col[last] + tail[j]
-        plane.append((list(zip(row, col, tail)), a, beta, col[j], b, delta, tail[last]))
-    return plane
+        entries.append(list(zip(row, col, tail)))
+        forms.append((a, beta, col[j], b, delta, tail[last]))
+    return entries, forms
 
 
 def _run(plane, x):
     """The runs of the line u + t e_last of ``plane``, u = w + x e_j:
-    one (a_k, b_k, c_k, entries) per form, over the ints, with
-    Q_k(u + t e_last) = a_k + t (b_k + t c_k) and B_k (u + t e_last)
-    = r + x y + t z over the plane's ``entries`` (r, y, z), so a run with
-    no root builds no row.  A plane is read here and in _zeros alone."""
+    one (a_k, b_k, c_k) per form, over the ints, with
+    Q_k(u + t e_last) = a_k + t (b_k + t c_k).  A plane is read here and
+    in _zeros alone."""
     # a loop: a comprehension's own call would cost more than the run of one
-    # or two forms, and this runs once per prefix of every search
+    # or two forms
     run = []
-    for entries, a, beta, gamma, b, delta, c in plane:
-        run.append((a + x * (beta + x * gamma), b + x * delta, c, entries))
+    for a, beta, gamma, b, delta, c in plane[1]:
+        run.append((a + x * (beta + x * gamma), b + x * delta, c))
     return run
 
 
-def _zeros(plane, w, xs, box, p: int) -> list:
+def _zeros(plane, roots: dict, w, xs, box, p: int) -> list:
     """The isotropic points of ``plane``, the linalg._plane of ``w``,
-    j = last - 1, over ``xs`` x ``box`` mod the prime p: one (u, images)
-    per u = w + x e_j + t e_last where every Q_k vanishes mod p, in
-    product order, with images the rows B_k u mod p.  Forms whose six
-    coefficients all vanish mod p keep every point and are passed over;
-    the first other form is tried at every point, with no division, so
+    j = last - 1, over ``xs`` x ``box``: one (u, images) per
+    u = w + x e_j + t e_last where every Q_k vanishes, mod the prime p or
+    over ZZ when p is 0, in product order, with images the rows
+    B_k u = r + x y + t z over the plane's entries (r, y, z), mod p over
+    F_p.
+
+    Mod p the plane is solved in one pass: forms whose six coefficients
+    all vanish mod p keep every point and are passed over, the first
+    other form is tried at every point, with no division, so
     characteristic 2 is no exception, and the rest only filter its
-    zeros.  Over ZZ the runs are solved one prefix at a time, from _run,
-    so a huge box is never passed over."""
-    forms = [form for form in plane if any(v % p for v in form[1:])]
-    if forms:
-        _, a, beta, gamma, b, delta, c = forms[0]
-        points = [
-            (x, t)
-            for x in xs
-            for ax in [a + x * (beta + x * gamma)]
-            for bx in [b + x * delta]
-            for t in box
-            if not (ax + t * (bx + t * c)) % p
-        ]
-        for _, a, beta, gamma, b, delta, c in forms[1:]:
+    zeros.  Over ZZ each x is solved on its own: the first of its runs
+    a_k + t (b_k + t c_k) that is not zero gives at most two roots t, by
+    an integer square root of its discriminant or by one exact division,
+    and the others only filter them, so a huge box costs no pass.
+    ``roots`` keeps, per x, those roots (None when every t is one) and
+    the line of each t read so far, for every later box and prime."""
+    entries, forms = plane
+    if p:
+        forms = [form for form in forms if any(v % p for v in form)]
+        if forms:
+            a, beta, gamma, b, delta, c = forms[0]
             points = [
-                (x, t) for x, t in points if not (a + x * (beta + x * gamma) + t * (b + x * delta + t * c)) % p
+                (x, t)
+                for x in xs
+                for ax in [a + x * (beta + x * gamma)]
+                for bx in [b + x * delta]
+                for t in box
+                if not (ax + t * (bx + t * c)) % p
             ]
-    else:
-        points = [(x, t) for x in xs for t in box]
-    if not points:
-        return points
-    head, entries = w[:-2], [form[0] for form in plane]
-    return [
-        (head + (x, t), [tuple([(r + x * y + t * z) % p for r, y, z in e]) for e in entries])
-        for x, t in points
-    ]
+            for a, beta, gamma, b, delta, c in forms[1:]:
+                points = [
+                    (x, t) for x, t in points if not (a + x * (beta + x * gamma) + t * (b + x * delta + t * c)) % p
+                ]
+        else:
+            points = [(x, t) for x in xs for t in box]
+        if not points:
+            return points
+        head = w[:-2]
+        return [
+            (head + (x, t), [tuple([(r + x * y + t * z) % p for r, y, z in e]) for e in entries])
+            for x, t in points
+        ]
+    head, zeros = w[:-2], []
+    for x in xs:
+        if x not in roots:
+            ts = None
+            # the run of x, read off the plane as _run reads it, with no list
+            for a, beta, gamma, b, delta, c in forms:
+                a, b = a + x * (beta + x * gamma), b + x * delta
+                if ts is not None:
+                    ts = [t for t in ts if not a + t * (b + t * c)]
+                elif not (a or b or c):
+                    continue
+                elif c:
+                    disc = b * b - 4 * a * c
+                    root = math.isqrt(disc) if disc >= 0 else -1
+                    pairs = (divmod(-b - root, 2 * c), divmod(-b + root, 2 * c))
+                    ts = sorted({t for t, rest in pairs if not rest}) if root * root == disc else []
+                elif b:
+                    t, rest = divmod(-a, b)
+                    ts = [] if rest else [t]
+                else:
+                    ts = []
+                if not ts:
+                    break
+            roots[x] = ts, {}
+        ts, lines = roots[x]
+        for t in box if ts is None else ts:
+            if t in box:
+                line = lines.get(t)
+                if line is None:
+                    line = lines[t] = head + (x, t), [tuple([r + x * y + t * z for r, y, z in e]) for e in entries]
+                zeros.append(line)
+    return zeros
 
 
 def _gram_candidates(mats, values, p: int) -> list:
@@ -901,9 +944,9 @@ def _gram_candidates(mats, values, p: int) -> list:
                 c = head + (t,)
                 if any(c):
                     if p:
-                        diagonal = tuple((a + t * (b + t * k)) % p for a, b, k, _ in runs)
+                        diagonal = tuple((a + t * (b + t * k)) % p for a, b, k in runs)
                     else:
-                        diagonal = tuple(a + t * (b + t * k) for a, b, k, _ in runs)
+                        diagonal = tuple(a + t * (b + t * k) for a, b, k in runs)
                     candidates.append((c, diagonal))
     return candidates
 

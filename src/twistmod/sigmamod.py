@@ -499,13 +499,12 @@ def _one_form_isometry(q1: SigmaModule, q2: SigmaModule):
 MAX_LINES = 100_000
 
 
-def _check_search_size(count: int, space: str, what: str, bound: int | None = None):
-    # MAX_LINES unless another bound is given, read when the call starts
-    bound = MAX_LINES if bound is None else bound
-    if count > bound:
+def _check_search_size(count: int, space: str, what: str):
+    # MAX_LINES is read when the call starts, so a patched bound holds
+    if count > MAX_LINES:
         # int() refuses to print past 4300 digits, so name a huge count by its size
         shown = count if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
-        raise BoundExceededError(f"{space} has {shown} {what}, over the search bound {bound}")
+        raise BoundExceededError(f"{space} has {shown} {what}, over the search bound {MAX_LINES}")
 
 
 def _congruence_invariants_match(q1: SigmaModule, q2: SigmaModule) -> bool:

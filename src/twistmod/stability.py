@@ -16,10 +16,12 @@ line w + x e_(last-1) + t e_last lies on the plane of its prefix w,
 linalg._plane, on which each form is a quadratic in x and t, so the
 lines are solved for rather than listed, and each takes its images
 B_k w + x B_k e_(last-1) + t B_k e_last off the plane with no product
-of its own.  Over F_p the search runs mod p on the one box 0 .. p - 1,
-solves each plane in one pass, linalg._zeros, and yields every totally
-isotropic subspace.  Over ZZ each prefix's run in t, linalg._run, is
-solved on its own, by an integer root, so a huge box costs no pass.
+of its own.  One solver, linalg._zeros, finds them in both fields.
+Over F_p the search runs mod p on the one box 0 .. p - 1, solves each
+plane in one pass, and yields every totally isotropic subspace.  Over
+ZZ each prefix w + x e_(last-1) is solved on its own, by an integer
+root, so a huge box costs no pass, and its roots are kept for every
+later box and prime.
 Over the rationals the stream starts with the joint kernel when that
 is nonzero, then yields the lifts of the totally isotropic subspaces of
 the reductions mod a list of primes.  These are the integral reduced
@@ -44,7 +46,7 @@ nonsingular: the rows B_k u over a basis of V are then independent
 constraints on V^perp, so dim V + dim V^perp <= dim H for every V and
 nothing later in the stream can destabilize.  The isotropic lines are
 found on demand, per prime and pivot column, so a scan that stops early
-pays only for what it reached, over F_p up to the end of its plane.
+pays only for what it reached, up to the end of its plane.
 The F_p verdict and every filtration level stop this way; the rational
 verdict scans in full, since its provenance lists every prime it
 scanned.
@@ -91,7 +93,6 @@ from .linalg import (
     Matrix,
     Subspace,
     _plane,
-    _run,
     _zeros,
     rank_mod_p,
 )
@@ -233,39 +234,6 @@ def _check_lines(p: int, n: int):
     _check_search_size((p**n - 1) // (p - 1), f"F_{p}^{n}", "candidate lines")
 
 
-def _solve_prefix(plane, u, p: int):
-    """(roots, run) for the prefix ``u`` = w + x e_j on ``plane``, the
-    linalg._plane of w, over ZZ (the scanner's modulus ``p`` is 0; over
-    F_p, linalg._zeros solves a whole plane at once): run is the
-    linalg._run of u, x = u[-2], and roots the t with
-    Q_k(u + t e_last) = a_k + t (b_k + t c_k) = 0 for every form, or None
-    when every t is one.  The first of these polynomials that is not
-    zero gives at most two roots, by an integer square root of its
-    discriminant or by one exact division, so a huge box costs no pass;
-    the others only filter them.
-    """
-    run = _run(plane, u[-2])
-    roots = None
-    for a, b, c, _ in run:
-        if roots is not None:
-            roots = [t for t in roots if not a + t * (b + t * c)]
-        elif not (a or b or c):
-            continue
-        elif c:
-            disc = b * b - 4 * a * c
-            root = math.isqrt(disc) if disc >= 0 else -1
-            pairs = (divmod(-b - root, 2 * c), divmod(-b + root, 2 * c))
-            roots = sorted({t for t, rest in pairs if not rest}) if root * root == disc else []
-        elif b:
-            t, rest = divmod(-a, b)
-            roots = [] if rest else [t]
-        else:
-            roots = []
-        if not roots:
-            break
-    return roots, run
-
-
 def _lines(columns, p: int, n: int, pc: int, box, solved: dict):
     """Yield (u, images) for the isotropic lines u of pivot column ``pc``
     whose free entries the range ``box`` holds, in product order: the
@@ -277,15 +245,13 @@ def _lines(columns, p: int, n: int, pc: int, box, solved: dict):
     ``columns`` holds the column tuples of each form.  The rows lie on
     planes w + x e_j + t e_last, j = last - 1, with x running over box (or
     held at the lead 1 when pc is j, and w is 0) and t innermost, and
-    linalg._plane builds the rows B_k w once per w.  Over F_p each plane
-    is solved in one pass, linalg._zeros, which gives its lines with
-    their images mod p, and ``solved`` keeps them per w.  Over ZZ each
-    prefix w + x e_j is solved on its own: _solve_prefix finds the last
-    entries of its run from a few products of scalars, with no pass over
-    the box, and each line takes its images B_k w + x B_k e_j + t B_k e_last
-    off that linalg._run of the plane.  ``solved`` keeps the plane of
-    each w and the roots and run of each of its prefixes, for every later
-    box under the same forms.
+    linalg._plane builds the rows B_k w once per w.  linalg._zeros
+    solves each plane, in one pass over F_p and one prefix w + x e_j at
+    a time over ZZ, with no pass over the box, and gives its lines with
+    their images B_k w + x B_k e_j + t B_k e_last, read off the plane.
+    ``solved`` keeps the plane of each w with its roots dict, which over
+    ZZ holds the roots and lines of each prefix, for every later box
+    under the same forms.
     """
     last = n - 1
     lead = (0,) * pc + (1,)
@@ -304,25 +270,11 @@ def _lines(columns, p: int, n: int, pc: int, box, solved: dict):
         planes = ((lead + outer + (0, 0), box) for outer in outers)
     else:
         planes = [((0,) * n, (1,))]
-    if p:
-        for w, xs in planes:
-            lines = solved.get(w)
-            if lines is None:
-                lines = solved[w] = _zeros(_plane(columns, w, j), w, xs, box, p)
-            yield from lines
-        return
     for w, xs in planes:
         if w not in solved:
             solved[w] = _plane(columns, w, j), {}
-        plane, runs = solved[w]
-        head = w[:j]
-        for x in xs:
-            if x not in runs:
-                runs[x] = _solve_prefix(plane, head + (x, 0), p)
-            roots, run = runs[x]
-            for t in box if roots is None else roots:
-                if t in box:
-                    yield head + (x, t), [tuple([r + x * y + t * z for r, y, z in e]) for _, _, _, e in run]
+        plane, roots = solved[w]
+        yield from _zeros(plane, roots, w, xs, box, p)
 
 
 def _isotropic_scanner(forms, p: int, n: int, primes=(), budget=None):
@@ -355,12 +307,13 @@ def _isotropic_scanner(forms, p: int, n: int, primes=(), budget=None):
 
     A reader finds the lines of a (prime, pivot column) on demand and
     keeps the list once it has read them all, for every later scan; the
-    lines of each plane over F_p, and the plane of each prefix and its
-    roots over ZZ, are kept for every prime.  A dim-1 scan yields each
-    line with a copy of its images, so no caller changes a kept line.  With
-    one box the first row of a pivot pattern reads its column only as
-    far as the scan goes, so a scan that stops early pays only for the
-    lines it reached.  With two boxes a column is read in full when
+    plane of each prefix w is kept for every prime, and over ZZ the
+    roots and lines of each prefix w + x e_j too.  A dim-1 scan yields
+    each line with a copy of its images, so no caller changes a kept
+    line.  With one box the first row of a pivot pattern reads its
+    column plane by plane, only as far as the scan goes, so a scan that
+    stops early pays only up to the end of the plane it reached.  With
+    two boxes a column is read in full when
     first asked for, since each pattern's lifts are sorted before the
     first is yielded anyway.  A prime with more than MAX_LINES lines in
     F_prime^n raises BoundExceededError before any work.

@@ -1141,27 +1141,31 @@ def test_witnesses_solve_their_orthogonal_from_the_scan_images(monkeypatch):
 
 
 def record_solved_prefixes(monkeypatch):
-    """The list of prefixes u that stability._solve_prefix is called with."""
+    """The list of (prefix u, prime) for each prefix u = w + x e_j whose
+    roots linalg._zeros solves over ZZ, at the prime of the box it reads,
+    in order."""
     solved = []
-    solve_prefix = stability._solve_prefix
+    zeros = stability._zeros
 
-    def recorded(plane, u, p):
-        solved.append(u)
-        return solve_prefix(plane, u, p)
+    def recorded(plane, roots, w, xs, box, p):
+        known = set(roots)
+        found = zeros(plane, roots, w, xs, box, p)
+        solved.extend((w[:-2] + (x, 0), len(box)) for x in roots if x not in known)
+        return found
 
-    monkeypatch.setattr(stability, "_solve_prefix", recorded)
+    monkeypatch.setattr(stability, "_zeros", recorded)
     return solved
 
 
 def record_solved_planes(monkeypatch):
-    """The list of prefixes w whose planes linalg._zeros solves for the
-    F_p search."""
+    """The list of prefixes w whose planes linalg._zeros solves, one
+    entry a call."""
     planes = []
     zeros = stability._zeros
 
-    def recorded(plane, w, xs, box, p):
+    def recorded(plane, roots, w, xs, box, p):
         planes.append(w)
-        return zeros(plane, w, xs, box, p)
+        return zeros(plane, roots, w, xs, box, p)
 
     monkeypatch.setattr(stability, "_zeros", recorded)
     return planes
@@ -1222,34 +1226,39 @@ def test_a_line_yielded_by_a_scan_is_the_callers_to_change():
 
 def test_a_rational_level_that_stops_at_2_solves_only_the_2_boxes(monkeypatch):
     # the QQ analogue: the nonsingular fixture's first level stops at its
-    # first equality, the line (1, 0, 0), found mod 2 in the first run of
-    # pivot column 0; the search reads that column lazily, so it solves
-    # that run alone: no later prefix of the p = 2 box {0, 1}, and no
-    # prefix of a later prime's box
+    # first equality, the line (1, 0, 0), found mod 2 on the first plane
+    # of pivot column 0; the search reads that column lazily, so it
+    # solves that plane alone, up to its end: its two prefixes of the
+    # p = 2 box {0, 1}, and no plane of a later prime's box
+    planes = record_solved_planes(monkeypatch)
     solved = record_solved_prefixes(monkeypatch)
     q = module_1form(QQ, [[0, 0, 1], [0, 1, 1], [1, 1, 1]])
     tried = []
     worse, equality = stability._scan(q, stability.DEFAULT_PRIMES, tried, False)
     assert worse is None and equality[0].basis.rows == ((1, 0, 0),)
     assert tried == [2]
-    assert solved == [(1, 0, 0)]
+    assert planes == [(1, 0, 0)]
+    assert solved == [((1, 0, 0), 2), ((1, 1, 0), 2)]
 
 
 def test_a_rational_line_at_a_huge_prime_solves_one_run(monkeypatch):
     # the last entry of a run is solved over ZZ, so a prime far beyond the
     # entries costs no pass over range(p): <3> at 2^61 - 1 has one line,
     # e1, and no run at all; <1, 1> at 99,991 (99,992 lines, inside the
-    # line bound) solves its one run, 1 + t^2, once, with no root
+    # line bound) reads its one plane in both boxes and solves its one
+    # run, 1 + t^2, once, with no root
+    planes = record_solved_planes(monkeypatch)
     solved = record_solved_prefixes(monkeypatch)
     big = 2**61 - 1
     verdict = semistability_verdict(module_1form(QQ, [[3]]), primes=(big,))
     assert verdict.status == NO_DESTABILIZER_FOUND
     assert verdict.provenance == Provenance("heuristic", (big,))
-    assert solved == []
+    assert planes == solved == []
     verdict = semistability_verdict(module_1form(QQ, [[1, 0], [0, 1]]), primes=(99_991,))
     assert verdict.status == NO_DESTABILIZER_FOUND
     assert verdict.provenance == Provenance("heuristic", (99_991,))
-    assert solved == [(1, 0)]
+    assert planes == [(0, 0), (0, 0)]
+    assert solved == [((1, 0), 99_991)]
     # dim 2 at 2^61 - 1 is still refused before any work, with its message
     with pytest.raises(BoundExceededError) as refused:
         semistability_verdict(module_1form(QQ, [[1, 0], [0, 1]]), primes=(big,))
@@ -1257,7 +1266,34 @@ def test_a_rational_line_at_a_huge_prime_solves_one_run(monkeypatch):
         "F_2305843009213693951^2 has 2305843009213693952 candidate lines,"
         " over the search bound 100000"
     )
-    assert solved == [(1, 0)]
+    assert solved == [((1, 0), 99_991)]
+
+
+def test_a_rational_scanner_solves_each_prefix_once_over_every_box_and_prime(monkeypatch):
+    # the ZZ search keeps the roots of each prefix w + x e_j per plane: a
+    # full QQ verdict of the swap module under the default primes solves
+    # each prefix once, over both boxes and all six primes, and reads
+    # some of them again at a later prime
+    solved = record_solved_prefixes(monkeypatch)
+    read = []
+    zeros = stability._zeros
+
+    def recorded(plane, roots, w, xs, box, p):
+        read.extend((w[:-2] + (x, 0), len(box)) for x in xs if x in roots)
+        return zeros(plane, roots, w, xs, box, p)
+
+    monkeypatch.setattr(stability, "_zeros", recorded)
+    forms = [
+        [[3, 0, -1, 2], [3, 2, 3, -1], [2, 4, 0, 2], [0, 2, 1, 0]],
+        [[3, 3, 2, 0], [0, 2, 4, 2], [-1, 3, 0, 1], [2, -1, 2, 0]],
+    ]
+    q = SigmaModule(QQ, 4, swap_w(QQ), 1, [Matrix(QQ, b) for b in forms])
+    verdict = semistability_verdict(q)
+    assert verdict.status == STRICTLY_SEMISTABLE
+    assert verdict.provenance == Provenance("heuristic", stability.DEFAULT_PRIMES)
+    first = dict(solved)
+    assert len(first) == len(solved) > 0
+    assert any(prime > first[u] for u, prime in read)
 
 
 # -- graded modules ----------------------------------------------------------
