@@ -959,18 +959,20 @@ def isometries(mats, targets, values, p: int, budget=None):
     Souvignier, J. Symbolic Comput. 24, 1997) grows f column by column,
     each over the nonzero vectors of ``values``^n in lexicographic order
     (``values`` in its own order): a candidate c is kept when
-    c^T M_k c = T_k[i][i], then its pairings with the earlier columns
-    match T_k, and it is independent of them.  So the yields, tuples of
-    n column tuples, come in lexicographic order too.
+    c^T M_k c = T_k[i][i], then its pairings c_j^T M_k c with the earlier
+    columns match T_k[j][i], and it is independent of them.  So the
+    yields, tuples of n column tuples, come in lexicographic order too.
+    M and T must obey one invertible relation M_l = sum_k R[l][k] M_k^T
+    (R = sign S for two valid modules, +-1 for the fiber's M = +-M^T), by
+    which the entries (j, i) for every k fix the entries (i, j).
 
     The diagonal values are computed once per candidate per call, by
-    _gram_candidates off its planes; M_k c and c^T M_k the first time a
-    diagonal matches past column 0.  Each visited candidate costs one
-    unit of ``budget`` (None: no bound), and a walk cut by the budget
-    yields None last.
+    _gram_candidates off its planes; M_k c the first time a diagonal
+    matches past column 0.  Each visited candidate costs one unit of
+    ``budget`` (None: no bound), and a walk cut by the budget yields
+    None last.
     """
     n = len(mats[0])
-    columns = [list(zip(*m)) for m in mats]
     wanted = [tuple(t[i][i] for t in targets) for i in range(n)]
 
     def pair(u, v) -> int:
@@ -990,14 +992,10 @@ def isometries(mats, targets, values, p: int, budget=None):
         if i == 0:
             return True
         if c not in cache:
-            cache[c] = [
-                ([sum(map(_times, row, c)) for row in m], [sum(map(_times, col, c)) for col in cols])
-                for m, cols in zip(mats, columns)
-            ]
-        for (mc, cm), t in zip(cache[c], targets):
+            cache[c] = [[sum(map(_times, row, c)) for row in m] for m in mats]
+        for mc, t in zip(cache[c], targets):
             for j in range(i):
-                # pair (j, i) uses M c, pair (i, j) uses c^T M
-                if pair(chosen[j], mc) != t[j][i] or pair(cm, chosen[j]) != t[i][j]:
+                if pair(chosen[j], mc) != t[j][i]:
                     return False
         return True
 

@@ -27,12 +27,10 @@ def normal_form(rows, eps: int, p: int):
 
     The basis vectors are the columns of an invertible P with P^T B P the
     normal form, and the invariants determine that normal form: (rank,
-    delta) for a symmetric form, (rank,) for an alternating one.  None
-    when B is not eps-symmetric mod p.
+    delta) for a symmetric form, (rank,) for an alternating one.  B must
+    be eps-symmetric mod p, as ``sigmamod.is_isomorphic`` ensures.
     """
     n = len(rows)
-    if any((rows[i][j] - eps * rows[j][i]) % p for i in range(n) for j in range(i, n)):
-        return None
     gram = [list(r) for r in rows]
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
     if eps == 1:

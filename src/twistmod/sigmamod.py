@@ -25,6 +25,7 @@ from .errors import (
     IsotropyError,
     ShapeError,
     SingularMatrixError,
+    StabilityError,
 )
 from .linalg import (
     Matrix,
@@ -270,6 +271,7 @@ class IsotropicReduction(NamedTuple):
 
 def isotropic_reduction(q: SigmaModule, v: Subspace) -> IsotropicReduction:
     _check_subspace(q, v)
+    _check_valid(q)
     if v.is_zero():
         raise IsotropyError("cannot reduce by the zero subspace")
     return _reduce_by(q, v, orthogonal(q, v))
@@ -414,7 +416,8 @@ def is_isomorphic(q1: SigmaModule, q2: SigmaModule) -> IsoResult:
     """Decide whether two modules are isomorphic.
 
     A witness f satisfies  B1_k = f^T B2_k f  for all k, and every
-    witness is rechecked exactly.
+    witness is rechecked exactly.  Both decisions below rely on the
+    symmetry relation, so a module that breaks it is refused first.
 
     One form (dim W = 1) over F_p with p odd is decided first, by
     ``quadform.normal_form``: B = eps B^T with eps = sign * S, and two
@@ -438,6 +441,8 @@ def is_isomorphic(q1: SigmaModule, q2: SigmaModule) -> IsoResult:
     rationals and can only answer yes or unknown.
     """
     _check_compatible(q1, q2)
+    _check_valid(q1)
+    _check_valid(q2)
     if q1.dim_h != q2.dim_h:
         return IsoResult("no")
     if q1 == q2:
@@ -445,9 +450,7 @@ def is_isomorphic(q1: SigmaModule, q2: SigmaModule) -> IsoResult:
     p = q1.field.characteristic
     # the one-form decision lists nothing, so it runs before the guards
     if q1.dim_w == 1 and p % 2:
-        decided = _one_form_isometry(q1, q2)
-        if decided is not None:
-            return decided
+        return _one_form_isometry(q1, q2)
     # the invariants and the search materialise both lists: the
     # combinations of the forms, c_k over F_p or in -2..2 over QQ, and the
     # nonzero candidate columns, over F_p or over the box of _DOUBLED_BOX
@@ -475,15 +478,12 @@ def is_isomorphic(q1: SigmaModule, q2: SigmaModule) -> IsoResult:
 
 def _one_form_isometry(q1: SigmaModule, q2: SigmaModule):
     """is_isomorphic for one form over F_p, p odd, by congruence normal
-    forms; None when a form is not eps-symmetric (an invalid module), so
-    that the search answers for it."""
+    forms: each form is eps-symmetric, since the modules are valid."""
     from . import quadform
 
     field, n = q1.field, q1.dim_h
     eps = q1.sign if q1.w.matrix.num[0][0] == 1 else -q1.sign
-    forms = [quadform.normal_form(q.forms[0].num, eps, field.p) for q in (q1, q2)]
-    if None in forms:
-        return None
+    forms = (quadform.normal_form(q.forms[0].num, eps, field.p) for q in (q1, q2))
     (invariants1, basis1), (invariants2, basis2) = forms
     if invariants1 != invariants2:
         return IsoResult("no")
@@ -582,6 +582,12 @@ def _check_witness(q1: SigmaModule, q2: SigmaModule, f: Matrix):
 def _check_subspace(q: SigmaModule, v: Subspace):
     if v.field != q.field or v.ambient != q.dim_h:
         raise FieldError("subspace does not live in the module's space")
+
+
+def _check_valid(q: SigmaModule):
+    # the one gate of every search: each assumes the symmetry relation
+    if not validate(q):
+        raise StabilityError("module violates its symmetry relation")
 
 
 def _check_compatible(q1: SigmaModule, q2: SigmaModule):

@@ -101,6 +101,7 @@ from .sigmamod import (
     SigmaModule,
     _check_compatible,
     _check_search_size,
+    _check_valid,
     _pairing,
     _perp,
     _reduce_by,
@@ -221,10 +222,11 @@ def enumerate_totally_isotropic(q: SigmaModule):
 def _isotropic_bases(q: SigmaModule):
     """(rows, pivots) for each subspace enumerate_totally_isotropic
     lists, in its order: the int rows of its reduced echelon basis, over
-    1, and their pivot columns.  The field and the line rule are checked
-    here, before the stream is read."""
+    1, and their pivot columns.  The field, the symmetry relation and the
+    line rule are checked here, before the stream is read."""
     if q.field.kind != "fp":
         raise FieldError("exhaustive enumeration needs a finite field")
+    _check_valid(q)
     scan = _isotropic_scanner([b.num for b in q.forms], q.field.p, q.dim_h)
     return ((rows, pivots) for rows, pivots, _ in scan())
 
@@ -297,10 +299,10 @@ def _isotropic_scanner(forms, p: int, n: int, primes=(), budget=None):
     that _lines reads are built once per scanner.  A line is a basis of
     dimension 1 by itself; longer bases grow row by row in grow from
     the lines of _lines, and a partial basis is dropped at its first
-    nonzero pairing u_i^T B_k u_j; V is totally isotropic exactly when
-    all of them vanish, so no symmetry of the forms is assumed.  The
-    order is that of a scan mod p: dimension, pivot columns, residues,
-    and the plain lift before the balanced one.  The bases of one box
+    nonzero pairing u_i^T B_k u_j, i > j; by the symmetry relation of the
+    module, V is totally isotropic exactly when these vanish.  The order
+    is that of a scan mod p: dimension, pivot columns, residues, and the
+    plain lift before the balanced one.  The bases of one box
     grow in that order.  Two boxes give two integer lifts of one
     residue, which pair differently over ZZ, so each pivot pattern's
     lifts are sorted.
@@ -342,9 +344,10 @@ def _isotropic_scanner(forms, p: int, n: int, primes=(), budget=None):
     def grow(rows, basis):
         # yield basis, a list of lines (u, images) extended in place, once for
         # every way to take its r-th row from rows[r] with u_i^T B_k u_j
-        # zero for every i != j: a partial basis is dropped at its first
-        # nonzero pairing, and the rows are isotropic lines, which settles
-        # i == j; the last row yields without a call of its own
+        # zero for every i > j (and so i < j, by the symmetry relation): a
+        # partial basis is dropped at its first nonzero pairing, and the rows
+        # are isotropic lines, which settles i == j; the last row yields
+        # without a call of its own
         r = len(basis)
         last = r + 1 == len(rows)
         for u, imgs in rows[r]:
@@ -353,8 +356,8 @@ def _isotropic_scanner(forms, p: int, n: int, primes=(), budget=None):
                 raise BoundExceededError(
                     f"the isotropic search of {space} exceeds {_SCAN_BUDGET} candidate rows at dim {len(rows)}"
                 )
-            for w, bi in basis:
-                if not (kills(u, bi) and kills(w, imgs)):
+            for _, bi in basis:
+                if not kills(u, bi):
                     break
             else:
                 basis.append((u, imgs))
@@ -450,8 +453,7 @@ def semistability_verdict(
     than _SCAN_BUDGET candidate rows raises BoundExceededError.
     """
     primes = _checked(primes)
-    if not validate(q):
-        raise StabilityError("module violates its symmetry relation")
+    _check_valid(q)
     kind = "exhaustive" if q.field.kind == "fp" else "heuristic"
     tried: list = []
     # the heuristic's provenance lists every prime it scanned, so it scans in full
@@ -625,8 +627,7 @@ def _build_levels(q, primes):
     rows in H are rows ``kept`` of the model rows: no product is taken.
     """
     primes = _checked(primes)
-    if not validate(q):
-        raise StabilityError("module violates its symmetry relation")
+    _check_valid(q)
     field = q.field
     n = q.dim_h
     levels = []
@@ -774,33 +775,30 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
     F_j (i <= j) pair nonzero, some pieces H_i' and H_j' with i' <= i
     and j' <= j pair nonzero, and a_i' + a_j' >= a_i + a_j.  So
     mu = max(a_i + a_j) over the i <= j where F_i and F_j pair nonzero,
-    either way round, where each j needs only the first such i.
+    where each j needs only the first such i.
 
     The sweep scores the one-step flag {H} and, for each chain
     V_1 < ... < V_m of the totally isotropic subspaces that
     _isotropic_scanner streams, the flag
     V_1 < ... < V_m < V_m^perp < ... < V_1^perp < H, equal neighbours
-    dropped.  Here V^perp is the y with x^T B_k y = y^T B_k x = 0 for
-    every x in V and every form: the orthogonal of the pairing either way
-    round, the module's own when it satisfies its symmetry relation;
-    forms that break it are taken as they are.  That the minimum over
+    dropped, with V^perp the module's orthogonal; a module that breaks
+    its symmetry relation is refused.  That the minimum over
     these flags is the minimum over every flag of F_p^n is measured, not
     proved: Kempf's optimal destabilizing flags are self-dual (Ann. of
     Math. 108, 1978), but these weights are bounded integers with no
     norm.  Tier-1 compares the sweep with a sweep over every flag, kept
-    in its tests, on every F_p^n that sweep reaches and on forms that
-    break the symmetry relation.
+    in its tests, on every F_p^n that sweep reaches.
 
-    Which steps of a chain flag pair is read off dims, for any forms: the
+    Which steps of a chain flag pair is read off dims: the
     V_i pair zero with each other and with V_j^perp for j >= i; V_j^perp
     pairs with V_i, i > j, iff V_i^perp is smaller; H pairs with V_1
     unless V_1^perp is H; and V_m^perp pairs with itself unless it is
     totally isotropic, that is, unless some V of the stream holds V_m
     and has the dim of V_m^perp.  So each V needs only dim V^perp, n
-    minus the rank of the rows B_k x and B_k^T x over its basis.  The
-    best weight of a flag depends only on its step dims and on which
-    steps pair, so it is computed once per such pattern per call.  {H}
-    is scored first, so the zero module gives minus infinity with no
+    minus the rank of the rows B_k x over its basis, as a verdict reads
+    it.  The best weight of a flag depends only on its step dims and on
+    which steps pair, so it is computed once per such pattern per call.
+    {H} is scored first, so the zero module gives minus infinity with no
     search, and the walk stops at a flag of weight -2 weight_bound,
     below which none weighs.
 
@@ -824,6 +822,7 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
         raise ValueError(f"weight_bound must be nonnegative, not {weight_bound}")
     if q.field.kind != "fp":
         raise FieldError("the bounded sweep enumerates subspaces over a finite field")
+    _check_valid(q)
     p, n = q.field.p, q.dim_h
     _check_lines(p, n)
     # a flag of n lines tries every tuple of n - 1 distinct weights, the last solved for
@@ -872,16 +871,10 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
         if budget[0] < 0:
             raise BoundExceededError(f"the chain walk of F_{p}^{n} exceeds {_SCAN_BUDGET} candidate rows and walk steps")
 
-    # dim V^perp is n minus the rank of the rows B_k x and B_k^T x over
-    # the basis of V, each row x an isotropic line streamed before V
-    transposed, _ = _pairing([list(zip(*b)) for b in forms], p)
-    both: dict = {}
     found, perps = [], []
     for rows, _, imgs in _isotropic_scanner(forms, p, n, budget=budget)():
-        if len(rows) == 1:
-            both[rows[0]] = imgs + transposed(rows[0])
         found.append(rows)
-        perps.append(n - rank_mod_p(list({c for x in rows for c in both[x]}), p))
+        perps.append(n - rank_mod_p(imgs, p))
     dims = [len(rows) for rows in found]
     # the lines of each V, as its vectors with leading entry 1: a row of
     # its reduced echelon basis plus any combination of the rows after

@@ -19,7 +19,8 @@ their closed forms alone; they count the yields of ``linalg.isometries``.
 The flag sweep scores every flag of F_p^n, listed from those
 subspaces, as ``stability.hilbert_mumford_sweep`` did before it walked
 the isotropic chains alone; the sweep is compared with it.  The nonzero
-subspaces of F_p^n are counted in closed form, by Gaussian binomials.
+subspaces of F_p^n are counted in closed form, by Gaussian binomials,
+and so are the semistable and the stable single symmetric forms.
 
 The orbit census lists every module over F_p^n for the swap or the
 trivial involution, as tuples of int row tuples, and groups them into
@@ -225,6 +226,25 @@ def subspace_count(p: int, n: int) -> int:
     for d in range(1, n + 1):
         binomials.append(binomials[-1] * (p ** (n - d + 1) - 1) // (p**d - 1))
     return sum(binomials) - 1
+
+
+def nondegenerate_symmetric_count(q: int, n: int) -> int:
+    """N(n), the nonsingular symmetric n x n matrices over F_q, q odd:
+    q^(n(n+1)/2) prod_(i=1..ceil(n/2)) (1 - q^(1-2i)) (MacWilliams, Amer.
+    Math. Monthly 76, 1969).  With one form, the trivial involution and
+    sign +1 the semistable modules are exactly these."""
+    count = q ** (n * (n + 1) // 2) * math.prod(1 - Fraction(1, q ** (2 * i - 1)) for i in range(1, (n + 1) // 2 + 1))
+    if count.denominator != 1:
+        raise AssertionError("N(n) is not an integer")
+    return int(count)
+
+
+def anisotropic_symmetric_count(q: int, n: int) -> int:
+    """The nonsingular symmetric n x n matrices over F_q, q odd, with no
+    isotropic line, the stable single forms: q - 1 at n = 1, q (q - 1)^2 / 2
+    at n = 2 (b^2 - ac = d over the (q - 1) / 2 nonsquares d, with q (q - 1)
+    points each), and none at n >= 3 (Chevalley-Warning)."""
+    return {1: q - 1, 2: q * (q - 1) ** 2 // 2}.get(n, 0)
 
 
 # the flags of the last four fields listed; F_2^5 has 27,808

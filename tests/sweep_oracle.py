@@ -2,8 +2,8 @@
 
 Too slow for tier-1, so pytest does not collect it.  On seeded modules
 over F_2^5, F_3^4 and F_13^3, each with the trivial, the swap and the
-diag(1, -1) involution (the last not over F_2) at both signs, and one
-form that breaks the symmetry relation, all drawn dense and sparse (a
+diag(1, -1) involution (the last not over F_2) at both signs, and the
+swap pair (A, A^T) of one form A, all drawn dense and sparse (a
 quarter of the entries drawn, the rest zero, which makes more of them
 unstable), it compares
 ``hilbert_mumford_sweep``, which walks the isotropic chains, with
@@ -37,7 +37,8 @@ def modules(rng, p: int, n: int, sparse: bool):
         w = InvolutionSpace(field, Matrix(field, rows))
         for sign in (1, -1):
             yield symmetrize(field, n, w, sign, [square() for _ in range(w.dim)])
-    yield SigmaModule(field, n, InvolutionSpace.trivial(field), 1, [square()])
+    a, swap = square(), InvolutionSpace(field, Matrix(field, [[0, 1], [1, 0]]))
+    yield SigmaModule(field, n, swap, 1, [a, a.transpose()])
 
 
 def main() -> int:

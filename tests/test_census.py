@@ -28,6 +28,7 @@ modules over F_3^3, outside tier-1.
 """
 
 import itertools
+from collections import Counter
 from typing import NamedTuple
 
 import pytest
@@ -37,12 +38,21 @@ from twistmod.sigmamod import InvolutionSpace, SigmaModule, is_isomorphic, isotr
 from twistmod.stability import (
     STABLE,
     STRICTLY_SEMISTABLE,
+    UNSTABLE,
     hilbert_mumford_sweep,
     s_equivalent,
     semistability_verdict,
 )
 
-from oracles import burnside_orbit_count, census_modules, flag_sweep, general_linear_order, orbit_census
+from oracles import (
+    anisotropic_symmetric_count,
+    burnside_orbit_count,
+    census_modules,
+    flag_sweep,
+    general_linear_order,
+    nondegenerate_symmetric_count,
+    orbit_census,
+)
 
 
 class Census(NamedTuple):
@@ -130,3 +140,30 @@ def census_id(key):
 @pytest.mark.parametrize("key", sorted(CENSUS), ids=census_id)
 def test_the_orbit_census_agrees_with_the_engine(key):
     assert check_census(*key) == CENSUS[key]
+
+
+def one_form_counts(p: int, n: int) -> tuple:
+    """(stable, strictly semistable, unstable) verdicts over every
+    symmetric n x n form over F_p, each one form with the trivial
+    involution at sign +1."""
+    field = GF(p)
+    w = InvolutionSpace.trivial(field)
+    cells = [(i, j) for i in range(n) for j in range(i, n)]
+    counts = Counter()
+    for entries in itertools.product(range(p), repeat=len(cells)):
+        b = [[0] * n for _ in range(n)]
+        for (i, j), x in zip(cells, entries):
+            b[i][j] = b[j][i] = x
+        counts[semistability_verdict(SigmaModule(field, n, w, 1, [Matrix(field, b)])).status] += 1
+    return counts[STABLE], counts[STRICTLY_SEMISTABLE], counts[UNSTABLE]
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (5, 3)])
+def test_the_one_form_point_counts_match_their_closed_forms(p, n):
+    # semistable means nonsingular and stable means anisotropic, so both
+    # counts have closed forms, the only oracle here; census_f3_forms.py
+    # checks F_3^4 outside tier-1
+    stable, strict, unstable = one_form_counts(p, n)
+    assert stable == anisotropic_symmetric_count(p, n)
+    assert stable + strict == nondegenerate_symmetric_count(p, n)
+    assert stable + strict + unstable == p ** (n * (n + 1) // 2)

@@ -32,7 +32,7 @@ from twistmod.linalg import (
     _is_prime,
 )
 from twistmod.hilbert import OneParamSubgroup
-from twistmod.sigmamod import InvolutionSpace, SigmaModule
+from twistmod.sigmamod import InvolutionSpace, SigmaModule, symmetrize
 from twistmod.stability import _isotropic_scanner
 
 from oracles import (
@@ -609,21 +609,25 @@ def test_the_isometry_walk_over_the_integers_lists_signed_permutations(n):
 
 
 def test_the_isometry_walk_matches_brute_force_on_unsymmetric_forms():
-    # forms neither symmetric nor alternating need both pairings of each
-    # pair of columns; every matrix is tried, against moved and random targets
+    # the walk tests each pair of columns one way round, which the relation
+    # of a valid module settles for the other: swap pairs, whose forms need
+    # not be symmetric, and eps-symmetric single forms, each against moved
+    # and random valid targets; every matrix is tried
     rng = random.Random(5)
     for p, n, k in ((3, 2, 1), (2, 3, 1), (3, 2, 2), (2, 2, 2)):
         field = GF(p)
+        w = InvolutionSpace(field, Matrix(field, [[0, 1], [1, 0]] if k == 2 else [[1]]))
 
         def square():
             return Matrix(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
 
         for trial in range(4):
-            mats, g = [square() for _ in range(k)], square()
+            sign = 1 if trial < 2 else -1
+            mats, g = symmetrize(field, n, w, sign, [square() for _ in range(k)]).forms, square()
             if trial % 2 and g.det():
                 targets = [g.transpose() @ m @ g for m in mats]
             else:
-                targets = [square() for _ in range(k)]
+                targets = symmetrize(field, n, w, sign, [square() for _ in range(k)]).forms
             expected = []
             for entries in itertools.product(range(p), repeat=n * n):
                 f = Matrix(field, [entries[i * n : (i + 1) * n] for i in range(n)])

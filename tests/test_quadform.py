@@ -11,7 +11,7 @@ rechecked as f^T B2 f = B1 with det f != 0.
 import pytest
 
 from twistmod import sigmamod
-from twistmod.errors import BoundExceededError
+from twistmod.errors import BoundExceededError, StabilityError
 from twistmod.linalg import GF, Matrix
 from twistmod.quadform import normal_form
 from twistmod.sigmamod import (
@@ -107,9 +107,6 @@ def test_normal_form_invariants():
     # alternating forms: the rank alone
     assert normal_form([[0, 2, 0], [5, 0, 0], [0, 0, 0]], -1, f7)[0] == (2,)
     assert normal_form([[0, 0], [0, 0]], -1, f7)[0] == (0,)
-    # not eps-symmetric: no normal form
-    assert normal_form([[0, 1], [0, 0]], 1, f7) is None
-    assert normal_form([[1, 0], [0, 0]], -1, f7) is None
 
 
 @st.composite
@@ -175,17 +172,24 @@ def test_the_f7_pair_is_decided_without_the_search(monkeypatch):
         is_isomorphic(one_form(f2, [[1, 0], [0, 1]]), one_form(f2, [[0, 1], [1, 0]]))
 
 
-def test_an_invalid_one_form_module_falls_back_to_the_search():
-    # B is not symmetric, so the module breaks its symmetry relation and
-    # has no normal form; the search answers, and finds the moved copy
+def test_an_invalid_one_form_module_is_refused_before_any_decision(monkeypatch):
+    # B is not symmetric, so the module breaks its symmetry relation: it
+    # is refused, by is_isomorphic and by s_equivalent, before either the
+    # normal forms or the search run
+    def refuse(*args):
+        raise AssertionError("an invalid module must not be decided")
+
+    monkeypatch.setattr(sigmamod, "_isometry_search", refuse)
+    monkeypatch.setattr(sigmamod, "_one_form_isometry", refuse)
     f5 = GF(5)
     q = one_form(f5, [[0, 1], [0, 0]])
     moved = act(Matrix(f5, [[1, 2], [0, 3]]), q)
-    found = is_isomorphic(q, moved)
-    assert found.status == "yes"
-    assert_witness(q, moved, found.witness)
-    # a congruence keeps the symmetric form symmetric: no witness exists
-    assert is_isomorphic(q, one_form(f5, [[1, 0], [0, 0]])).status == "no"
+    symmetric = one_form(f5, [[1, 0], [0, 2]])
+    for q1, q2 in ((q, moved), (symmetric, q)):
+        with pytest.raises(StabilityError, match="module violates its symmetry relation"):
+            is_isomorphic(q1, q2)
+        with pytest.raises(StabilityError, match="module violates its symmetry relation"):
+            s_equivalent(q1, q2)
 
 
 def test_one_form_is_decided_before_the_search_size_guards():
@@ -200,8 +204,11 @@ def test_one_form_is_decided_before_the_search_size_guards():
     found = is_isomorphic(q, one_form(f11, squared))
     assert found.status == "yes"
     assert_witness(q, one_form(f11, squared), found.witness)
-    # a form that breaks the symmetry relation goes to the search, which
-    # is still refused before it starts
-    shift = one_form(f11, [[int(j == i + 1) for j in range(5)] for i in range(5)])
+    # two forms go to the search, which is still refused before it starts:
+    # a swap module (A, A^T), A the shift, against a moved copy
+    swap = InvolutionSpace(f11, Matrix(f11, [[0, 1], [1, 0]]))
+    shift = Matrix(f11, [[int(j == i + 1) for j in range(5)] for i in range(5)])
+    pair = SigmaModule(f11, 5, swap, 1, [shift, shift.transpose()])
+    moved = act(Matrix(f11, [[int(j in (i, i + 1)) for j in range(5)] for i in range(5)]), pair)
     with pytest.raises(BoundExceededError, match="161050 candidate columns"):
-        is_isomorphic(q, shift)
+        is_isomorphic(pair, moved)

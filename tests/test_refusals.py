@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from twistmod import sigmamod, stability
 from twistmod.dualnum import pfaffian
 from twistmod.errors import FieldError, IsotropyError, ShapeError, StabilityError, UsageError
-from twistmod.hilbert import OneParamSubgroup, mu
+from twistmod.hilbert import OneParamSubgroup, limit_at_zero, mu
 from twistmod.linalg import GF, Matrix, Subspace
 from twistmod.sigmamod import (
     InvolutionSpace,
@@ -16,10 +17,18 @@ from twistmod.sigmamod import (
     SigmaModule,
     act,
     hyperbolic_module,
+    is_isomorphic,
     isotropic_reduction,
     orthogonal,
 )
-from twistmod.stability import iso_filtration
+from twistmod.stability import (
+    enumerate_totally_isotropic,
+    graded,
+    hilbert_mumford_sweep,
+    iso_filtration,
+    s_equivalent,
+    semistability_verdict,
+)
 
 F3, F5 = GF(3), GF(5)
 I2, I3 = Matrix.identity(F3, 2), Matrix.identity(F3, 3)
@@ -123,3 +132,36 @@ def test_each_public_refusal_raises_its_usage_error_on_one_line(name):
     assert type(caught.value) is error
     message = str(caught.value)
     assert part in message and "\n" not in message
+
+
+# B[1][2] = 1 alone breaks the symmetry relation over F_5^3; e_0 pairs to
+# zero with everything, so the reduction by it and the limit of the
+# trivial subgroup would both be built before any check of their own
+INVALID = SigmaModule(F5, 3, InvolutionSpace.trivial(F5), 1, [Matrix(F5, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])])
+VALID = SigmaModule(F5, 3, InvolutionSpace.trivial(F5), 1, [Matrix.identity(F5, 3)])
+
+# every entry that assumes the symmetry relation, given INVALID
+GATED = {
+    "semistability_verdict": lambda: semistability_verdict(INVALID),
+    "iso_filtration": lambda: iso_filtration(INVALID),
+    "graded": lambda: graded(INVALID),
+    "s_equivalent": lambda: s_equivalent(INVALID, VALID),
+    "enumerate_totally_isotropic": lambda: enumerate_totally_isotropic(INVALID),
+    "hilbert_mumford_sweep": lambda: hilbert_mumford_sweep(INVALID),
+    "is_isomorphic-first": lambda: is_isomorphic(INVALID, VALID),
+    "is_isomorphic-second": lambda: is_isomorphic(VALID, INVALID),
+    "isotropic_reduction": lambda: isotropic_reduction(INVALID, Subspace(F5, 3, [[1, 0, 0]])),
+    "limit_at_zero": lambda: limit_at_zero(OneParamSubgroup.trivial(F5, 3), INVALID),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATED))
+def test_each_entry_refuses_a_module_that_breaks_its_relation_before_any_search(name, monkeypatch):
+    def search(*args, **kwargs):
+        raise AssertionError("a search started on an invalid module")
+
+    monkeypatch.setattr(stability, "_isotropic_scanner", search)
+    monkeypatch.setattr(sigmamod, "isometries", search)
+    with pytest.raises(StabilityError) as caught:
+        GATED[name]()
+    assert str(caught.value) == "module violates its symmetry relation"

@@ -75,6 +75,12 @@ def module_1form(field, rows, sign=1):
     return SigmaModule(field, b.nrows, trivial_w(field), sign, [b])
 
 
+def swap_pair(field, rows, sign=1):
+    # the valid swap module (A, sign A^T) of one form A, which need not be symmetric
+    a = Matrix(field, rows)
+    return SigmaModule(field, a.nrows, swap_w(field), sign, [a, a.transpose().scale(sign)])
+
+
 def integer_forms(q):
     # the forms the candidate stream and the witness scan of q run on:
     # the int rows of each, over its own denominator
@@ -191,7 +197,11 @@ def test_pruned_search_matches_the_filtered_scan():
                 for sign in (1, -1)
             ]
             raw = Matrix(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
-            modules.append(SigmaModule(field, n, trivial_w(field), -1, [raw]))
+            invalid = SigmaModule(field, n, trivial_w(field), -1, [raw])
+            if not validate(invalid):
+                # the search assumes the relation, so its entry refuses first
+                with pytest.raises(StabilityError, match="module violates its symmetry relation"):
+                    enumerate_totally_isotropic(invalid)
             for q in modules:
                 found = candidates(q)
                 expected = [
@@ -203,7 +213,6 @@ def test_pruned_search_matches_the_filtered_scan():
                 for v, perp_dim, images in found:
                     assert perp_dim == orthogonal(q, v).dim
                     assert sigmamod._perp(q, images)[0] == orthogonal(q, v)
-    assert not validate(modules[-1])
 
 
 def test_survivors_are_built_in_canonical_form():
@@ -1757,14 +1766,14 @@ def test_the_sweep_matches_the_full_row_table():
         for w in (trivial_w(field), swap_w(field)):
             for sign in (1,) if few else (1, -1):
                 cases.append(random_module(rng, field, n, w, sign))
-        # forms that break the symmetry relation, which the sweep takes as
-        # they are, pair u with v and v with u differently: random ones, and
-        # each form with a single nonzero entry off the diagonal
+        # swap pairs (A, A^T), whose forms pair u with v and v with u
+        # differently: random A, and each A with a single nonzero entry
+        # off the diagonal
         for _ in range(1 if few else 3):
-            cases.append(module_1form(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)]))
+            cases.append(swap_pair(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)]))
         off_diagonal = list(itertools.permutations(range(n), 2))
         for k, l in off_diagonal[:2] if few else off_diagonal:
-            cases.append(module_1form(field, [[int((i, j) == (k, l)) for j in range(n)] for i in range(n)]))
+            cases.append(swap_pair(field, [[int((i, j) == (k, l)) for j in range(n)] for i in range(n)]))
         bounds = (1, 3) if not few else (1,) if listed > 10_000 else (3,)
         for q in cases:
             for bound in bounds:
@@ -1774,11 +1783,11 @@ def test_the_sweep_matches_the_full_row_table():
 def test_the_sweep_matches_the_flag_sweep_on_drawn_modules():
     # the minimum over the chain flags is the minimum over every flag, as
     # measured here on drawn modules: each involution of dim W <= 2 that
-    # the fields carry, both signs, dense or sparse forms, and a single
-    # form that breaks the symmetry relation, at weight bounds 0 to 5
+    # the fields carry, both signs, dense or sparse forms, and the swap
+    # pair (A, sign A^T) of one drawn form A, at weight bounds 0 to 5
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    involutions = {"trivial": [[1]], "swap": [[0, 1], [1, 0]], "diag": [[1, 0], [0, -1]], "raw": [[1]]}
+    involutions = {"trivial": [[1]], "swap": [[0, 1], [1, 0]], "diag": [[1, 0], [0, -1]], "raw": [[0, 1], [1, 0]]}
 
     @hypothesis.settings(max_examples=80, deadline=None)
     @hypothesis.given(
@@ -1799,7 +1808,7 @@ def test_the_sweep_matches_the_flag_sweep_on_drawn_modules():
             return Matrix(field, [[rng.randrange(p) if rng.random() < (0.25 if sparse else 1) else 0 for _ in range(n)] for _ in range(n)])
 
         if kind == "raw":
-            q = module_1form(field, square().rows)
+            q = swap_pair(field, square().rows, sign)
         else:
             q = symmetrize(field, n, w, sign, [square() for _ in range(w.dim)])
         for bound in range(6):
