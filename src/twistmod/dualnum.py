@@ -26,12 +26,12 @@ also runs, here with no budget.  For a fixed g the conditions on h are
 linear, so each image element gets one linear solve, and the fixed set,
 held once as ``DualNumberMatrix`` pairs, is the union of the solution
 spaces.  Before anything r x r is built, one gate, ``_check_fiber``,
-refuses the field, the sign, the parity and the size, in that order.
-``_twist`` is then the one source of the form M, and checks a given
-alternating M once.  Every pair found is rechecked with the twisted
-predicate at M, written independently of the solver; ``is_fixed_plus``
-is that predicate at M = I.  Group closure is checked through ``dn_mul``
-on a generating set rather than on all pairs.
+refuses the field, a rank that is no nonnegative int, the parity and
+the size, in that order.  ``_twist`` is then the one source of the form
+M, and checks a given alternating M once.  Every pair found is rechecked
+with the twisted predicate at M, written independently of the solver;
+``is_fixed_plus`` is that predicate at M = I.  Group closure is checked
+through ``dn_mul`` on a generating set rather than on all pairs.
 """
 
 from __future__ import annotations
@@ -271,6 +271,8 @@ def _check_fiber(field, r: int, case: str) -> int:
     # the field order q, past the gate; the bound counts the q^(2 r^2) pairs (g, h), not the work
     if field.kind != "fp":
         raise FieldError("fiber enumeration needs a finite field")
+    if not isinstance(r, int) or isinstance(r, bool):
+        raise UsageError("the rank must be an int")
     if r < 0:
         raise UsageError("the rank must be nonnegative")
     _even_rank(r, case)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .errors import InternalCheckError, IsotropyError, ShapeError
 from .linalg import Matrix, Subspace, _complement, _ratio, _units, rank_mod_p
-from .sigmamod import SigmaModule, _check_valid, _orthogonal, _pairing, act, validate
+from .sigmamod import SigmaModule, _orthogonal, _pairing, act, validate
 
 
 class MinusInfinityType:
@@ -249,18 +249,17 @@ def limit_at_zero(lam: OneParamSubgroup, q: SigmaModule):
     Exists iff every nonzero block has nonnegative exponent (mu <= 0);
     the limit keeps exactly the exponent-zero blocks.  It is taken in
     the adapted basis of lam (``adapted_forms``) and written back in the
-    standard basis of H.  A module that breaks its symmetry relation is
-    refused first.
+    standard basis of H, where it is rechecked against the symmetry
+    relation.
     """
     _check_pairing(lam, q)
-    _check_valid(q)
     forms = adapted_forms(lam, q)
     weights = [wt for sub, wt in lam.pieces for _ in range(sub.dim)]
     adapted = _limit_in_basis(q.field, forms, weights)
     if adapted is None:
         return None
     # back from the adapted basis: B -> T^-T B T^-1
-    limit = act(lam.transform(), SigmaModule(q.field, q.dim_h, q.w, q.sign, adapted))
+    limit = act(lam.transform(), SigmaModule._from_forms(q.field, q.dim_h, q.w, q.sign, adapted))
     if not validate(limit):
         raise InternalCheckError("limit broke the symmetry relation")
     return limit

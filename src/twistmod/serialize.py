@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import FieldError, ParseError, ShapeError, UsageError
+from .errors import FieldError, ParseError, ShapeError, StabilityError, UsageError
 from .linalg import Matrix, Subspace, _over_lcm, field_from_name, field_name
 
 if TYPE_CHECKING:
@@ -97,7 +97,7 @@ def module_from_dict(obj) -> SigmaModule:
     before the involution square, which is reported before the symmetry
     relation.
     """
-    from .sigmamod import InvolutionSpace, SigmaModule, validate
+    from .sigmamod import InvolutionSpace, SigmaModule
 
     obj = _expect_dict(obj, "module")
     for key in ("field", "sign", "dim_h", "w", "forms"):
@@ -126,12 +126,11 @@ def module_from_dict(obj) -> SigmaModule:
         for k, entry in enumerate(obj["forms"])
     ]
     try:
-        q = SigmaModule(field, dim_h, w, sign, forms)
+        return SigmaModule(field, dim_h, w, sign, forms)
     except (ShapeError, FieldError) as exc:
         raise ParseError(str(exc)) from exc
-    if not validate(q):
-        raise ParseError("symmetry relation violated")
-    return q
+    except StabilityError as exc:
+        raise ParseError("symmetry relation violated") from exc
 
 
 # -- subspaces and one-parameter subgroups --------------------------------------

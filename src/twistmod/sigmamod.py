@@ -105,16 +105,18 @@ class SigmaModule:
     """A twisted module (H, q) in coordinates.
 
     ``forms[k]`` is the dim_h x dim_h matrix of the k-th W-coordinate of
-    q.  The constructor checks shapes only; whether the symmetry relation
-    holds is a separate question answered by :func:`validate`.
+    q.  The constructor checks shapes, then refuses forms that break the
+    symmetry relation with StabilityError, so no search checks it again.
     """
 
     __slots__ = ("field", "dim_h", "w", "sign", "forms")
 
     def __init__(self, field, dim_h: int, w: InvolutionSpace, sign: int, forms):
         forms = tuple(forms)
-        if sign not in (1, -1):
-            raise ShapeError("sign must be +1 or -1")
+        if not isinstance(dim_h, int) or isinstance(dim_h, bool):
+            raise ShapeError("dim_h must be an int")
+        if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
+            raise ShapeError("sign must be the int +1 or -1")
         if w.field != field:
             raise FieldError("value space over the wrong field")
         if len(forms) != w.dim:
@@ -124,11 +126,22 @@ class SigmaModule:
                 raise FieldError("coordinate matrix over the wrong field")
             if b.shape != (dim_h, dim_h):
                 raise ShapeError("coordinate matrix shape != dim_h")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dim_h", dim_h)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "forms", forms)
+        self._fill(field, dim_h, w, sign, forms)
+        if not validate(self):
+            raise StabilityError("module violates its symmetry relation")
+
+    @classmethod
+    def _from_forms(cls, field, dim_h: int, w: InvolutionSpace, sign: int, forms):
+        # trusted internal path: forms are dim_h x dim_h over field, one per
+        # W basis vector, built to keep the relation; a builder that takes
+        # field, dims, W or sign from its caller uses the constructor
+        q = object.__new__(cls)
+        q._fill(field, dim_h, w, sign, tuple(forms))
+        return q
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SigmaModule is immutable")
@@ -172,7 +185,8 @@ def dotform(field, x, b: Matrix, y):
 
 
 def validate(q: SigmaModule) -> bool:
-    """Check the defining symmetry relation of the module."""
+    """Check the defining symmetry relation of the module: the
+    constructor's check, and the recheck of an internal builder's result."""
     expected = twisted_transpose(q.w, q.sign, q.forms)
     return all(b == e for b, e in zip(q.forms, expected))
 
@@ -187,10 +201,10 @@ def symmetrize(field, dim_h: int, w: InvolutionSpace, sign: int, raw_forms) -> S
     raw = tuple(raw_forms)
     twisted = twisted_transpose(w, sign, raw)
     forms = [c + t for c, t in zip(raw, twisted)]
-    q = SigmaModule(field, dim_h, w, sign, forms)
-    if not validate(q):
-        raise InternalCheckError("symmetrization produced an invalid module")
-    return q
+    try:
+        return SigmaModule(field, dim_h, w, sign, forms)
+    except StabilityError:
+        raise InternalCheckError("symmetrization produced an invalid module") from None
 
 
 def orthogonal(q: SigmaModule, v: Subspace) -> Subspace:
@@ -271,7 +285,6 @@ class IsotropicReduction(NamedTuple):
 
 def isotropic_reduction(q: SigmaModule, v: Subspace) -> IsotropicReduction:
     _check_subspace(q, v)
-    _check_valid(q)
     if v.is_zero():
         raise IsotropyError("cannot reduce by the zero subspace")
     return _reduce_by(q, v, orthogonal(q, v))
@@ -284,7 +297,7 @@ def _reduce_by(q: SigmaModule, v: Subspace, perp: Subspace) -> IsotropicReductio
     model = _complement(v, perp).basis
     model_t = model.transpose()
     forms = [model @ b @ model_t for b in q.forms]
-    reduced = SigmaModule(q.field, model.nrows, q.w, q.sign, forms)
+    reduced = SigmaModule._from_forms(q.field, model.nrows, q.w, q.sign, forms)
     if not validate(reduced):
         raise InternalCheckError("reduction broke the symmetry relation")
     return IsotropicReduction(reduced, model, perp)
@@ -343,10 +356,10 @@ def hyperbolic_module(piece: LinearPiece, w: InvolutionSpace, sign: int) -> Sigm
         raise ShapeError("piece has the wrong number of coordinate matrices")
     field = w.field
     forms = _wrap(w, sign, piece.alpha, [Matrix.zeros(field, 0, 0)] * w.dim)
-    q = SigmaModule(field, piece.v_dim + piece.vee_dim, w, sign, forms)
-    if not validate(q):
-        raise InternalCheckError("hyperbolic construction broke the symmetry relation")
-    return q
+    try:
+        return SigmaModule(field, piece.v_dim + piece.vee_dim, w, sign, forms)
+    except StabilityError:
+        raise InternalCheckError("hyperbolic construction broke the symmetry relation") from None
 
 
 def _wrap(w: InvolutionSpace, sign: int, alpha, inner) -> list:
@@ -381,7 +394,7 @@ def direct_sum(q1: SigmaModule, q2: SigmaModule) -> SigmaModule:
                 ]
             )
         )
-    return SigmaModule(field, q1.dim_h + q2.dim_h, q1.w, q1.sign, forms)
+    return SigmaModule._from_forms(field, q1.dim_h + q2.dim_h, q1.w, q1.sign, forms)
 
 
 def act(g: Matrix, q: SigmaModule) -> SigmaModule:
@@ -398,7 +411,7 @@ def act(g: Matrix, q: SigmaModule) -> SigmaModule:
         raise SingularMatrixError("cannot act by a singular matrix") from None
     git = gi.transpose()
     forms = [git.mul(b).mul(gi) for b in q.forms]
-    return SigmaModule(q.field, q.dim_h, q.w, q.sign, forms)
+    return SigmaModule._from_forms(q.field, q.dim_h, q.w, q.sign, forms)
 
 
 class IsoResult(NamedTuple):
@@ -417,7 +430,7 @@ def is_isomorphic(q1: SigmaModule, q2: SigmaModule) -> IsoResult:
 
     A witness f satisfies  B1_k = f^T B2_k f  for all k, and every
     witness is rechecked exactly.  Both decisions below rely on the
-    symmetry relation, so a module that breaks it is refused first.
+    symmetry relation, which every module keeps by construction.
 
     One form (dim W = 1) over F_p with p odd is decided first, by
     ``quadform.normal_form``: B = eps B^T with eps = sign * S, and two
@@ -441,8 +454,6 @@ def is_isomorphic(q1: SigmaModule, q2: SigmaModule) -> IsoResult:
     rationals and can only answer yes or unknown.
     """
     _check_compatible(q1, q2)
-    _check_valid(q1)
-    _check_valid(q2)
     if q1.dim_h != q2.dim_h:
         return IsoResult("no")
     if q1 == q2:
@@ -582,12 +593,6 @@ def _check_witness(q1: SigmaModule, q2: SigmaModule, f: Matrix):
 def _check_subspace(q: SigmaModule, v: Subspace):
     if v.field != q.field or v.ambient != q.dim_h:
         raise FieldError("subspace does not live in the module's space")
-
-
-def _check_valid(q: SigmaModule):
-    # the one gate of every search: each assumes the symmetry relation
-    if not validate(q):
-        raise StabilityError("module violates its symmetry relation")
 
 
 def _check_compatible(q1: SigmaModule, q2: SigmaModule):

@@ -101,7 +101,6 @@ from .sigmamod import (
     SigmaModule,
     _check_compatible,
     _check_search_size,
-    _check_valid,
     _pairing,
     _perp,
     _reduce_by,
@@ -222,11 +221,10 @@ def enumerate_totally_isotropic(q: SigmaModule):
 def _isotropic_bases(q: SigmaModule):
     """(rows, pivots) for each subspace enumerate_totally_isotropic
     lists, in its order: the int rows of its reduced echelon basis, over
-    1, and their pivot columns.  The field, the symmetry relation and the
-    line rule are checked here, before the stream is read."""
+    1, and their pivot columns.  The field and the line rule are checked
+    here, before the stream is read."""
     if q.field.kind != "fp":
         raise FieldError("exhaustive enumeration needs a finite field")
-    _check_valid(q)
     scan = _isotropic_scanner([b.num for b in q.forms], q.field.p, q.dim_h)
     return ((rows, pivots) for rows, pivots, _ in scan())
 
@@ -453,7 +451,6 @@ def semistability_verdict(
     than _SCAN_BUDGET candidate rows raises BoundExceededError.
     """
     primes = _checked(primes)
-    _check_valid(q)
     kind = "exhaustive" if q.field.kind == "fp" else "heuristic"
     tried: list = []
     # the heuristic's provenance lists every prime it scanned, so it scans in full
@@ -627,7 +624,6 @@ def _build_levels(q, primes):
     rows in H are rows ``kept`` of the model rows: no product is taken.
     """
     primes = _checked(primes)
-    _check_valid(q)
     field = q.field
     n = q.dim_h
     levels = []
@@ -710,7 +706,7 @@ def graded(q: SigmaModule, *, primes: tuple = DEFAULT_PRIMES) -> GradedModule:
     forms = list(core.forms)
     for level in reversed(levels):
         forms = _wrap(q.w, q.sign, level.piece.alpha, forms)
-    assembled = SigmaModule(field, n, q.w, q.sign, forms)
+    assembled = SigmaModule._from_forms(field, n, q.w, q.sign, forms)
     if not validate(assembled):
         raise InternalCheckError("assembled graded module fails validation")
 
@@ -781,8 +777,7 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
     V_1 < ... < V_m of the totally isotropic subspaces that
     _isotropic_scanner streams, the flag
     V_1 < ... < V_m < V_m^perp < ... < V_1^perp < H, equal neighbours
-    dropped, with V^perp the module's orthogonal; a module that breaks
-    its symmetry relation is refused.  That the minimum over
+    dropped, with V^perp the module's orthogonal.  That the minimum over
     these flags is the minimum over every flag of F_p^n is measured, not
     proved: Kempf's optimal destabilizing flags are self-dual (Ann. of
     Math. 108, 1978), but these weights are bounded integers with no
@@ -822,7 +817,6 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
         raise ValueError(f"weight_bound must be nonnegative, not {weight_bound}")
     if q.field.kind != "fp":
         raise FieldError("the bounded sweep enumerates subspaces over a finite field")
-    _check_valid(q)
     p, n = q.field.p, q.dim_h
     _check_lines(p, n)
     # a flag of n lines tries every tuple of n - 1 distinct weights, the last solved for

@@ -1,7 +1,7 @@
 """End-to-end acceptance suite.
 
 Each test here pins one headline guarantee of the package at its stated
-scale: validation catches every single-entry corruption, the verdict
+scale: the constructor refuses every single-entry corruption, the verdict
 engine agrees with a bounded weight sweep, destabilizing subgroups hit
 their weight bound, graded limits match the assembled graded module
 exactly, the worked three-dimensional fixture behaves end to end, fiber
@@ -16,7 +16,10 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 from twistmod import cli
+from twistmod.errors import StabilityError
 from twistmod.hilbert import (
     MINUS_INFINITY,
     OneParamSubgroup,
@@ -97,7 +100,8 @@ def random_module(rng, field, dim_h, w, sign):
 
 def test_validation_catches_every_single_entry_perturbation():
     # 1000 modules per (field, sign) pair; an off-diagonal bump to one
-    # coordinate matrix must always break the symmetry relation
+    # coordinate matrix must always break the symmetry relation, so the
+    # constructor refuses it
     rng = random.Random(101)
     started = time.monotonic()
     for field in (QQ, GF(3), GF(5)):
@@ -117,8 +121,8 @@ def test_validation_catches_every_single_entry_perturbation():
                 rows = [list(r) for r in bumped[k].rows]
                 rows[i][j] += delta
                 bumped[k] = Matrix(field, rows)
-                corrupted = SigmaModule(field, n, w, sign, bumped)
-                assert not validate(corrupted)
+                with pytest.raises(StabilityError, match="^module violates its symmetry relation$"):
+                    SigmaModule(field, n, w, sign, bumped)
     assert time.monotonic() - started < 10.0
 
 

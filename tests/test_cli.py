@@ -605,7 +605,14 @@ PROBES = {
         '{"field":"rational","matrix":[["0","N","0","0"],["-N","0","0","0"],'
         '["0","0","0","N"],["0","0","-N","0"]]}'.replace("N", "1" + "0" * 2500),
     ),
+    # B = [[0, 1], [0, 0]] over F_5 is not symmetric: the module's constructor refuses it
+    "symmetry-broken": (
+        "check",
+        HYPERBOLIC.replace("rational", "fp:5").replace('[["0","1"],["1","0"]]', '[["0","1"],["0","0"]]'),
+    ),
 }
+# the probes whose one stderr line is pinned
+PINNED = {"symmetry-broken": "error: symmetry relation violated\n"}
 
 
 @pytest.mark.parametrize("probe", sorted(PROBES))
@@ -623,6 +630,8 @@ def test_bad_input_ends_in_one_line_exit_1(tmp_path, capsys, probe):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if probe in PINNED:
+        assert err == PINNED[probe]
 
 
 # -- mutated input files -------------------------------------------------------

@@ -6,10 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from twistmod import sigmamod, stability
-from twistmod.dualnum import pfaffian
+from twistmod.dualnum import fiber_structure_check, pfaffian, unramified_fixed_count
 from twistmod.errors import FieldError, IsotropyError, ShapeError, StabilityError, UsageError
-from twistmod.hilbert import OneParamSubgroup, limit_at_zero, mu
+from twistmod.hilbert import OneParamSubgroup, mu
 from twistmod.linalg import GF, Matrix, Subspace
 from twistmod.sigmamod import (
     InvolutionSpace,
@@ -17,18 +16,11 @@ from twistmod.sigmamod import (
     SigmaModule,
     act,
     hyperbolic_module,
-    is_isomorphic,
     isotropic_reduction,
     orthogonal,
+    symmetrize,
 )
-from twistmod.stability import (
-    enumerate_totally_isotropic,
-    graded,
-    hilbert_mumford_sweep,
-    iso_filtration,
-    s_equivalent,
-    semistability_verdict,
-)
+from twistmod.stability import iso_filtration
 
 F3, F5 = GF(3), GF(5)
 I2, I3 = Matrix.identity(F3, 2), Matrix.identity(F3, 3)
@@ -62,6 +54,14 @@ REFUSALS = {
         "wrong field",
     ),
     "module-sign-2": (lambda: SigmaModule(F3, 2, TRIVIAL, 2, [I2]), ShapeError, "sign"),
+    "module-sign-bool": (lambda: SigmaModule(F3, 2, TRIVIAL, True, [I2]), ShapeError, "sign"),
+    "module-sign-float": (lambda: SigmaModule(F3, 2, TRIVIAL, 1.0, [I2]), ShapeError, "sign"),
+    "module-dim-bool": (
+        lambda: SigmaModule(F3, True, TRIVIAL, 1, [Matrix.identity(F3, 1)]),
+        ShapeError,
+        "dim_h",
+    ),
+    "module-dim-float": (lambda: SigmaModule(F3, 2.0, TRIVIAL, 1, [I2]), ShapeError, "dim_h"),
     "module-w-field": (
         lambda: SigmaModule(F3, 2, InvolutionSpace.trivial(F5), 1, [I2]),
         FieldError,
@@ -108,11 +108,25 @@ REFUSALS = {
         ShapeError,
         "number of coordinate matrices",
     ),
+    "hyperbolic-sign": (
+        lambda: hyperbolic_module(LinearPiece((Matrix.identity(F3, 1),)), TRIVIAL, 2),
+        ShapeError,
+        "sign",
+    ),
+    "symmetrize-shape": (lambda: symmetrize(F3, 2, TRIVIAL, 1, [I3]), ShapeError, "shape != dim_h"),
     "act-shape": (lambda: act(I3, Q), ShapeError, "wrong shape"),
     "orthogonal-space": (
         lambda: orthogonal(Q, Subspace(F3, 3, [[1, 0, 0]])),
         FieldError,
         "module's space",
+    ),
+    # B[1][2] = 1 alone breaks the relation, so no entry can receive this module
+    "module-symmetry": (
+        lambda: SigmaModule(
+            F5, 3, InvolutionSpace.trivial(F5), 1, [Matrix(F5, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])]
+        ),
+        StabilityError,
+        "module violates its symmetry relation",
     ),
     "filtration-symmetry": (
         lambda: iso_filtration(SigmaModule(F3, 2, TRIVIAL, 1, [Matrix(F3, [[0, 1], [0, 0]])])),
@@ -121,6 +135,10 @@ REFUSALS = {
     ),
     "mu-space": (lambda: mu(LAMBDA3, Q), ShapeError, "different spaces"),
     "pfaffian-non-square": (lambda: pfaffian(WIDE), ShapeError, "square"),
+    "fiber-rank-bool": (lambda: fiber_structure_check(F3, True, "plus"), UsageError, "rank"),
+    "fiber-rank-float": (lambda: fiber_structure_check(F3, 2.0, "plus"), UsageError, "rank"),
+    "unramified-rank-bool": (lambda: unramified_fixed_count(F3, True), UsageError, "rank"),
+    "unramified-rank-float": (lambda: unramified_fixed_count(F3, 2.0), UsageError, "rank"),
 }
 
 
@@ -133,35 +151,3 @@ def test_each_public_refusal_raises_its_usage_error_on_one_line(name):
     message = str(caught.value)
     assert part in message and "\n" not in message
 
-
-# B[1][2] = 1 alone breaks the symmetry relation over F_5^3; e_0 pairs to
-# zero with everything, so the reduction by it and the limit of the
-# trivial subgroup would both be built before any check of their own
-INVALID = SigmaModule(F5, 3, InvolutionSpace.trivial(F5), 1, [Matrix(F5, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])])
-VALID = SigmaModule(F5, 3, InvolutionSpace.trivial(F5), 1, [Matrix.identity(F5, 3)])
-
-# every entry that assumes the symmetry relation, given INVALID
-GATED = {
-    "semistability_verdict": lambda: semistability_verdict(INVALID),
-    "iso_filtration": lambda: iso_filtration(INVALID),
-    "graded": lambda: graded(INVALID),
-    "s_equivalent": lambda: s_equivalent(INVALID, VALID),
-    "enumerate_totally_isotropic": lambda: enumerate_totally_isotropic(INVALID),
-    "hilbert_mumford_sweep": lambda: hilbert_mumford_sweep(INVALID),
-    "is_isomorphic-first": lambda: is_isomorphic(INVALID, VALID),
-    "is_isomorphic-second": lambda: is_isomorphic(VALID, INVALID),
-    "isotropic_reduction": lambda: isotropic_reduction(INVALID, Subspace(F5, 3, [[1, 0, 0]])),
-    "limit_at_zero": lambda: limit_at_zero(OneParamSubgroup.trivial(F5, 3), INVALID),
-}
-
-
-@pytest.mark.parametrize("name", sorted(GATED))
-def test_each_entry_refuses_a_module_that_breaks_its_relation_before_any_search(name, monkeypatch):
-    def search(*args, **kwargs):
-        raise AssertionError("a search started on an invalid module")
-
-    monkeypatch.setattr(stability, "_isotropic_scanner", search)
-    monkeypatch.setattr(sigmamod, "isometries", search)
-    with pytest.raises(StabilityError) as caught:
-        GATED[name]()
-    assert str(caught.value) == "module violates its symmetry relation"

@@ -12,7 +12,13 @@ from fractions import Fraction
 import pytest
 
 from twistmod import sigmamod
-from twistmod.errors import BoundExceededError, FieldError, IsotropyError, SingularMatrixError
+from twistmod.errors import (
+    BoundExceededError,
+    FieldError,
+    IsotropyError,
+    SingularMatrixError,
+    StabilityError,
+)
 from twistmod.linalg import GF, QQ, Matrix, Subspace, _common, isometries, rank_mod_p
 from twistmod.sigmamod import (
     NOT_ISOTROPIC,
@@ -53,6 +59,11 @@ def swap_w(field):
     return InvolutionSpace(field, Matrix(field, [[0, 1], [1, 0]]))
 
 
+def refused():
+    # the constructor's refusal of forms that break the symmetry relation
+    return pytest.raises(StabilityError, match="^module violates its symmetry relation$")
+
+
 def random_module(rng, field, dim_h, w, sign):
     def rand_entry():
         if field.kind == "fp":
@@ -81,7 +92,8 @@ def test_validate_worked_examples():
     # symmetric B with trivial W and sign +1
     assert validate(module_1form(QQ, [[0, 1], [1, 0]]))
     # B = [[0,1],[-1,0]] with sign +1 and trivial sigma is *not* valid
-    assert not validate(module_1form(QQ, [[0, 1], [-1, 0]]))
+    with refused():
+        module_1form(QQ, [[0, 1], [-1, 0]])
     # ... but is valid with sign -1
     assert validate(module_1form(QQ, [[0, 1], [-1, 0]], sign=-1))
     # swap involution on W pairs B_1 with B_2^T
@@ -89,7 +101,8 @@ def test_validate_worked_examples():
     b1 = Matrix(QQ, [[0, 1], [0, 0]])
     b2 = Matrix(QQ, [[0, 0], [1, 0]])
     assert validate(SigmaModule(QQ, 2, w, 1, [b1, b2]))
-    assert not validate(SigmaModule(QQ, 2, w, 1, [b1, b1]))
+    with refused():
+        SigmaModule(QQ, 2, w, 1, [b1, b1])
 
 
 def test_symmetrize_produces_valid_modules_and_single_perturbations_break():
@@ -111,7 +124,8 @@ def test_symmetrize_produces_valid_modules_and_single_perturbations_break():
                 rows[i][j] += field.one
                 forms = list(q.forms)
                 forms[k] = Matrix(field, rows)
-                assert not validate(SigmaModule(field, dim_h, w, sign, forms))
+                with refused():
+                    SigmaModule(field, dim_h, w, sign, forms)
 
 
 # -- orthogonal and isotropy ------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistmod import sigmamod, stability
+from twistmod import hilbert, sigmamod, stability
 from twistmod.errors import (
     BoundExceededError,
     FieldError,
@@ -41,6 +41,7 @@ from twistmod.sigmamod import (
     isotropy_class,
     orthogonal,
     symmetrize,
+    twisted_transpose,
     validate,
 )
 from twistmod.stability import (
@@ -197,11 +198,10 @@ def test_pruned_search_matches_the_filtered_scan():
                 for sign in (1, -1)
             ]
             raw = Matrix(field, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
-            invalid = SigmaModule(field, n, trivial_w(field), -1, [raw])
-            if not validate(invalid):
-                # the search assumes the relation, so its entry refuses first
-                with pytest.raises(StabilityError, match="module violates its symmetry relation"):
-                    enumerate_totally_isotropic(invalid)
+            if twisted_transpose(trivial_w(field), -1, (raw,)) != (raw,):
+                # the search assumes the relation, so no module that breaks it is built
+                with pytest.raises(StabilityError, match="^module violates its symmetry relation$"):
+                    SigmaModule(field, n, trivial_w(field), -1, [raw])
             for q in modules:
                 found = candidates(q)
                 expected = [
@@ -1051,6 +1051,32 @@ def test_graded_scans_each_level_once(monkeypatch):
     assert steps == [(3, 2, (1,))] + [(1, p, (1,)) for p in stability.DEFAULT_PRIMES]
 
 
+def test_a_module_is_validated_once_at_its_construction(monkeypatch):
+    # the constructor checks the symmetry relation, so a parsed module is
+    # validated once and no search checks it again; graded validates only
+    # what it builds: each level's reduction and the assembled module
+    calls = []
+
+    def counted(q):
+        calls.append(q.dim_h)
+        return validate(q)
+
+    for module in (sigmamod, stability, hilbert):
+        monkeypatch.setattr(module, "validate", counted)
+    parse_module_file(SWAPPED_QQ)
+    assert calls == [4]
+    q = swap_two_levels()
+    moved = act(Matrix(GF(3), [[int(j in (i, i + 1)) for j in range(5)] for i in range(5)]), q)
+    calls.clear()
+    semistability_verdict(q)
+    enumerate_totally_isotropic(q)
+    hilbert_mumford_sweep(q, 1)
+    assert is_isomorphic(q, moved).status == "yes"
+    assert calls == []
+    assert graded(q).length == 2
+    assert calls == [3, 1, 5]
+
+
 def test_a_scan_stops_at_its_first_equality_only_when_no_v_can_destabilize():
     # when some form is nonsingular the full scan finds no destabilizer,
     # and the scan that stops at its first equality returns the same
@@ -1116,8 +1142,6 @@ def test_witnesses_solve_their_orthogonal_from_the_scan_images(monkeypatch):
     # images the scan yielded with the witness, through sigmamod._perp:
     # no public orthogonal, isotropic_reduction or destabilizing_1ps runs,
     # in the F_p verdict nor in graded over F_p and over QQ
-    from twistmod import hilbert
-
     calls = []
     for module in (sigmamod, hilbert, stability):
         for name in ("orthogonal", "isotropic_reduction", "destabilizing_1ps"):
