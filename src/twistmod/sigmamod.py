@@ -83,6 +83,12 @@ class InvolutionSpace:
         return f"InvolutionSpace(dim {self.dim})"
 
 
+def _check_sign(sign):
+    # before any arithmetic with it: the constructor, symmetrize and hyperbolic_module
+    if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
+        raise ShapeError("sign must be the int +1 or -1")
+
+
 def twisted_transpose(w: InvolutionSpace, sign: int, mats):
     """Apply the sigma-twisted transpose to a tuple of coordinate matrices:
     sign * sum_k S[l][k] B_k^T over the int rows of S, over its den."""
@@ -115,8 +121,7 @@ class SigmaModule:
         forms = tuple(forms)
         if not isinstance(dim_h, int) or isinstance(dim_h, bool):
             raise ShapeError("dim_h must be an int")
-        if not isinstance(sign, int) or isinstance(sign, bool) or sign not in (1, -1):
-            raise ShapeError("sign must be the int +1 or -1")
+        _check_sign(sign)
         if w.field != field:
             raise FieldError("value space over the wrong field")
         if len(forms) != w.dim:
@@ -198,6 +203,7 @@ def symmetrize(field, dim_h: int, w: InvolutionSpace, sign: int, raw_forms) -> S
     relation because S is an involution; this is the standard way to
     sample valid modules.
     """
+    _check_sign(sign)
     raw = tuple(raw_forms)
     twisted = twisted_transpose(w, sign, raw)
     forms = [c + t for c, t in zip(raw, twisted)]
@@ -354,6 +360,7 @@ def hyperbolic_module(piece: LinearPiece, w: InvolutionSpace, sign: int) -> Sigm
         raise FieldError("piece and value space over different fields")
     if len(piece.alpha) != w.dim:
         raise ShapeError("piece has the wrong number of coordinate matrices")
+    _check_sign(sign)
     field = w.field
     forms = _wrap(w, sign, piece.alpha, [Matrix.zeros(field, 0, 0)] * w.dim)
     try:

@@ -793,17 +793,17 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
     minus the rank of the rows B_k x over its basis, as a verdict reads
     it.  The best weight of a flag depends only on its step dims and on
     which steps pair, so it is computed once per such pattern per call.
-    {H} is scored first, so the zero module gives minus infinity with no
-    search, and the walk stops at a flag of weight -2 weight_bound,
-    below which none weighs.
+    {H} weighs 0, its one weight, so the sweep starts at 0; the zero
+    module gives minus infinity with no search, and the walk stops at a
+    flag of weight -2 weight_bound, below which none weighs.
 
     Work is refused with BoundExceededError: F_p^n may have at most
-    MAX_LINES lines, and at most MAX_LINES weight tuples
-    P(2 weight_bound + 1, n - 1) may be tried for one flag, both before
-    any work; and the search and the walk share one budget of
-    _SCAN_BUDGET, charged one for each candidate row the search tests
-    and one for each walk step: a line of a V listed, a V tested for
-    holding another, a chain scored.  Before all that, a
+    MAX_LINES lines, and one flag may try at most MAX_LINES weight
+    tuples, C(2 weight_bound + 1, min(n - 1, weight_bound)) for at most
+    n steps, both before any work; and the search and the walk share
+    one budget of _SCAN_BUDGET, charged one for each candidate row the
+    search tests and one for each walk step: a line of a V listed, a V
+    tested for holding another, a chain scored.  Before all that, a
     ``weight_bound`` that is a bool, no int or negative is a ValueError.
     Returns the minimum of mu over the swept subgroups, which is
     negative iff the module is unstable for small dims; q = 0 gives
@@ -819,9 +819,10 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
         raise FieldError("the bounded sweep enumerates subspaces over a finite field")
     p, n = q.field.p, q.dim_h
     _check_lines(p, n)
-    # a flag of n lines tries every tuple of n - 1 distinct weights, the last solved for
+    # a flag of k <= n steps tries every set of k - 1 distinct weights, the
+    # last solved for; C(2 weight_bound + 1, k - 1) peaks at k - 1 = weight_bound
     _check_search_size(
-        math.perm(2 * weight_bound + 1, max(n - 1, 0)),
+        math.comb(2 * weight_bound + 1, min(max(n - 1, 0), weight_bound)),
         f"the sweep of F_{p}^{n} at weight bound {weight_bound}",
         "weight tuples",
     )
@@ -831,33 +832,23 @@ def hilbert_mumford_sweep(q: SigmaModule, weight_bound: int = 3):
         return MINUS_INFINITY
 
     descending = range(weight_bound, -weight_bound - 1, -1)
-    vectors: dict = {}
     scores: dict = {}
 
-    def weight_vectors(dims):
-        # strictly decreasing weights summing (weighted by dims) to zero;
-        # the last is solved for, so a single step has weight 0 and lists
-        # no span
-        if len(dims) == 1:
-            return [(0,)]
-        out = []
+    def score(dims, pairs):
+        # the least max(a_i + a_j) over ``pairs`` for strictly decreasing
+        # weights summing (weighted by dims) to zero, the last solved for;
+        # None when no such weights lie within the bound
+        values = []
         for head in itertools.combinations(descending, len(dims) - 1):
             last, rest = divmod(-sum(map(mul, dims, head)), dims[-1])
             if rest == 0 and -weight_bound <= last < head[-1]:
-                out.append(head + (last,))
-        return out
+                w = head + (last,)
+                values.append(max(w[i] + w[j] for i, j in pairs))
+        return min(values, default=None)
 
-    def score(dims, pairs):
-        if dims not in vectors:
-            vectors[dims] = weight_vectors(dims)
-        if not vectors[dims]:
-            return None
-        if not pairs:
-            return MINUS_INFINITY
-        return min(max(w[i] + w[j] for i, j in pairs) for w in vectors[dims])
-
-    # {H}: a nonzero form pairs H with itself
-    best = score((n,), ((0, 0),))
+    # {H}, the one flag of one step: its one weight is 0, and a nonzero
+    # form pairs H with itself
+    best = 0
     budget = [_SCAN_BUDGET]
 
     def charge(steps):

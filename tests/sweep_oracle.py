@@ -8,7 +8,9 @@ quarter of the entries drawn, the rest zero, which makes more of them
 unstable), it compares
 ``hilbert_mumford_sweep``, which walks the isotropic chains, with
 ``oracles.flag_sweep``, which scores every flag of F_p^n, at weight
-bounds 0 to 5, and exits 0 when every value agrees.
+bounds 0 to 5.  It exits 0 only when it compared exactly 228 values,
+73 of them negative, and none differ, so a change that drops a module or
+a bound from the comparison fails as a wrong value does.
 
 Run it from the repository root, with the package importable:
 
@@ -55,7 +57,7 @@ def main() -> int:
                         failed += 1
                         print(f"F_{p}^{n} at bound {bound}: sweep {swept}, flag sweep {expected}")
     print(f"sweep against the flag sweep: {checked} values, {negative} negative, {failed} differ")
-    return 1 if failed or not negative else 0
+    return 0 if (checked, negative, failed) == (228, 73, 0) else 1
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from twistmod.hilbert import (
 from twistmod.linalg import GF, QQ, Matrix, Subspace
 from twistmod.sigmamod import (
     InvolutionSpace,
-    SigmaModule,
     act,
     isotropy_class,
     orthogonal,
@@ -26,18 +25,10 @@ from twistmod.sigmamod import (
     TOTALLY_ISOTROPIC,
 )
 
+from builders import diag_lambda, module_1form
 from oracles import vectors_of
 
 WORKED_ROWS = [[0, 0, 1], [0, 1, 1], [1, 1, 1]]
-
-
-def module_1form(field, rows, sign=1):
-    b = Matrix(field, rows)
-    return SigmaModule(field, b.nrows, InvolutionSpace.trivial(field), sign, [b])
-
-
-def diag_lambda(field, weights):
-    return OneParamSubgroup.from_diagonal_weights(field, weights)
 
 
 # -- construction ------------------------------------------------------------

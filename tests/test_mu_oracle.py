@@ -14,19 +14,11 @@ from twistmod.hilbert import MINUS_INFINITY, OneParamSubgroup, block_exponents, 
 from twistmod.linalg import GF, QQ, Matrix, Subspace
 from twistmod.sigmamod import InvolutionSpace, SigmaModule, act, symmetrize
 
+from builders import diag_lambda, module_1form
 from oracles import adapted_block_table, mu_by_full_table
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
-
-
-def module_1form(field, rows, sign=1):
-    b = Matrix(field, rows)
-    return SigmaModule(field, b.nrows, InvolutionSpace.trivial(field), sign, [b])
-
-
-def diag_lambda(field, weights):
-    return OneParamSubgroup.from_diagonal_weights(field, weights)
 
 
 def _entry(draw, field):

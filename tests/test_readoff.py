@@ -28,7 +28,6 @@ from twistmod.linalg import (
     isometries,
 )
 from twistmod.sigmamod import (
-    InvolutionSpace,
     LinearPiece,
     SigmaModule,
     _DOUBLED_BOX,
@@ -41,16 +40,10 @@ from twistmod.sigmamod import (
 )
 from twistmod.stability import _build_levels, _candidates, semistability_verdict
 
+from builders import swap_w, trivial_w
+
 # the primes of the rational scans: few, so that a dim-4 scan stays cheap
 QQ_PRIMES = (2, 3, 5)
-
-
-def trivial_w(field):
-    return InvolutionSpace.trivial(field)
-
-
-def swap_w(field):
-    return InvolutionSpace(field, Matrix(field, [[0, 1], [1, 0]]))
 
 
 def entry(rng, field):

@@ -113,7 +113,13 @@ REFUSALS = {
         ShapeError,
         "sign",
     ),
+    "hyperbolic-sign-float": (
+        lambda: hyperbolic_module(LinearPiece((Matrix.identity(F3, 1),)), TRIVIAL, 1.5),
+        ShapeError,
+        "sign must be the int",
+    ),
     "symmetrize-shape": (lambda: symmetrize(F3, 2, TRIVIAL, 1, [I3]), ShapeError, "shape != dim_h"),
+    "symmetrize-sign-float": (lambda: symmetrize(F3, 2, TRIVIAL, 1.5, [I2]), ShapeError, "sign must be the int"),
     "act-shape": (lambda: act(I3, Q), ShapeError, "wrong shape"),
     "orthogonal-space": (
         lambda: orthogonal(Q, Subspace(F3, 3, [[1, 0, 0]])),

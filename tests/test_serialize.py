@@ -9,7 +9,7 @@ import pytest
 from twistmod.errors import ParseError, ShapeError, UsageError
 from twistmod.hilbert import MINUS_INFINITY, OneParamSubgroup
 from twistmod.linalg import GF, QQ, Matrix, Subspace
-from twistmod.sigmamod import InvolutionSpace, SigmaModule, symmetrize
+from twistmod.sigmamod import SigmaModule
 from twistmod.stability import Provenance, Verdict, graded, semistability_verdict
 from twistmod.dualnum import TypeVector, fiber_structure_check
 from twistmod.serialize import (
@@ -30,6 +30,8 @@ from twistmod.serialize import (
     verdict_to_dict,
 )
 
+from builders import random_module, swap_w, trivial_w
+
 HYPERBOLIC_JSON = (
     '{"field":"rational","sign":"+1","dim_h":2,'
     '"w":{"dim":1,"involution":[["1"]]},'
@@ -37,30 +39,9 @@ HYPERBOLIC_JSON = (
 )
 
 
-def trivial_w(field):
-    return InvolutionSpace.trivial(field)
-
-
-def swap_w(field):
-    return InvolutionSpace(field, Matrix(field, [[0, 1], [1, 0]]))
-
-
 def hyperbolic_module(field=QQ):
     b = Matrix(field, [[0, 1], [1, 0]])
     return SigmaModule(field, 2, trivial_w(field), 1, [b])
-
-
-def random_module(rng, field, dim_h, w, sign):
-    def rand_entry():
-        if field.kind == "fp":
-            return rng.randrange(field.p)
-        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-
-    raw = [
-        Matrix(field, [[rand_entry() for _ in range(dim_h)] for _ in range(dim_h)])
-        for _ in range(w.dim)
-    ]
-    return symmetrize(field, dim_h, w, sign, raw)
 
 
 def test_matrix_encoding_round_trip():

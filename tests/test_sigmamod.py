@@ -43,38 +43,13 @@ from twistmod.sigmamod import (
     validate,
 )
 
+from builders import module_1form, random_module, swap_w, trivial_w
 from oracles import all_combinations_invariants_match, dot, elements, vec_mat, vectors_of
-
-
-def trivial_w(field):
-    return InvolutionSpace.trivial(field)
-
-
-def module_1form(field, rows, sign=1):
-    b = Matrix(field, rows)
-    return SigmaModule(field, b.nrows, trivial_w(field), sign, [b])
-
-
-def swap_w(field):
-    return InvolutionSpace(field, Matrix(field, [[0, 1], [1, 0]]))
 
 
 def refused():
     # the constructor's refusal of forms that break the symmetry relation
     return pytest.raises(StabilityError, match="^module violates its symmetry relation$")
-
-
-def random_module(rng, field, dim_h, w, sign):
-    def rand_entry():
-        if field.kind == "fp":
-            return rng.randrange(field.p)
-        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-
-    raw = [
-        Matrix(field, [[rand_entry() for _ in range(dim_h)] for _ in range(dim_h)])
-        for _ in range(w.dim)
-    ]
-    return symmetrize(field, dim_h, w, sign, raw)
 
 
 # -- value space and validation --------------------------------------------

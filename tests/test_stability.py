@@ -9,7 +9,6 @@ Subspace machinery.
 import functools
 import itertools
 import math
-import operator
 import random
 import re
 import resource
@@ -60,20 +59,8 @@ from twistmod.stability import (
     semistability_verdict,
 )
 
+from builders import module_1form, random_module, swap_w, trivial_w
 from oracles import all_subspaces, flag_sweep, flags, generic_rref, subspace_count
-
-
-def trivial_w(field):
-    return InvolutionSpace.trivial(field)
-
-
-def swap_w(field):
-    return InvolutionSpace(field, Matrix(field, [[0, 1], [1, 0]]))
-
-
-def module_1form(field, rows, sign=1):
-    b = Matrix(field, rows)
-    return SigmaModule(field, b.nrows, trivial_w(field), sign, [b])
 
 
 def swap_pair(field, rows, sign=1):
@@ -101,19 +88,6 @@ def candidates(q, primes=(), tried=None, full=True):
         assert v.pivots == pivots and v.basis.num == rows and v.basis.den == den
         found.append((v, perp_dim, images))
     return found
-
-
-def random_module(rng, field, dim_h, w, sign):
-    def rand_entry():
-        if field.kind == "fp":
-            return rng.randrange(field.p)
-        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-
-    raw = [
-        Matrix(field, [[rand_entry() for _ in range(dim_h)] for _ in range(dim_h)])
-        for _ in range(w.dim)
-    ]
-    return symmetrize(field, dim_h, w, sign, raw)
 
 
 # -- raw restatement of the subspace criterion ------------------------------
@@ -1724,46 +1698,6 @@ def test_sweep_matches_the_ordered_sweep():
             assert hilbert_mumford_sweep(q, weight_bound=weight_bound) == expected
 
 
-# The flag sweep as it stood before it kept only the row pairs that a
-# flag can ask about: every echelon row of every subspace against every
-# other, both ways, and every weight tuple of every flag, with no pattern
-# cache.  Kept unchanged as the oracle of the chain walk.
-def row_table_sweep(q, weight_bound=3):
-    p, n = q.field.p, q.dim_h
-    subs, listed = flags(p, n)
-    images, kills = _pairing([b.num for b in q.forms], p)
-    index: dict = {}
-    for basis in subs:
-        for u in basis:
-            index.setdefault(u, len(index))
-    imgs = [images(u) for u in index]
-    meets = [sum(1 << j for j, c in enumerate(imgs) if not kills(u, c)) for u in index]
-    left, right = [], []
-    for basis in subs:
-        rows = [index[u] for u in basis]
-        mask = 0
-        for i in rows:
-            mask |= meets[i]
-        left.append(mask)
-        right.append(sum(1 << i for i in rows))
-    best = None
-    for dims, flag in listed:
-        pairs = []
-        for j, b in enumerate(flag):
-            for i, a in enumerate(flag[: j + 1]):
-                if left[a] & right[b] or left[b] & right[a]:
-                    pairs.append((i, j))
-                    break
-        descending = range(weight_bound, -weight_bound - 1, -1)
-        for w in itertools.combinations(descending, len(dims)):
-            if sum(map(operator.mul, w, dims)):
-                continue
-            value = max((w[i] + w[j] for i, j in pairs), default=MINUS_INFINITY)
-            if best is None or value < best:
-                best = value
-    return best
-
-
 def small_fields():
     """Every F_p^n, 1 <= n <= 5, with at most 200,000 ordered pairs of
     nonzero subspaces, whose flags oracles.flags lists in seconds, but
@@ -1781,9 +1715,9 @@ def test_the_sweep_matches_the_full_row_table():
     assert (5, 4) not in fields and (3, 5) not in fields
     for p, n in fields:
         field = GF(p)
-        # the row table tries every weight tuple of every flag, so the
-        # largest fields run fewer cases at one weight bound: F_443^2 and
-        # the fields with over 1,000 flags at 3, F_2^5 (27,808) at 1
+        # the flag sweep scores every flag, so the largest fields run
+        # fewer cases at one weight bound: F_443^2 and the fields with
+        # over 1,000 flags at 3, F_2^5 (27,808) at 1
         listed = len(flags(p, n)[1])
         few = p == 443 or listed > 1000
         cases = [module_1form(field, [[0] * n for _ in range(n)])]
@@ -1801,7 +1735,7 @@ def test_the_sweep_matches_the_full_row_table():
         bounds = (1, 3) if not few else (1,) if listed > 10_000 else (3,)
         for q in cases:
             for bound in bounds:
-                assert hilbert_mumford_sweep(q, bound) == row_table_sweep(q, bound), (p, n, bound)
+                assert hilbert_mumford_sweep(q, bound) == flag_sweep(q, bound), (p, n, bound)
 
 
 def test_the_sweep_matches_the_flag_sweep_on_drawn_modules():
@@ -2003,10 +1937,10 @@ def unreached(*args, **kwargs):
 
 def test_a_huge_weight_bound_is_refused_before_any_work(monkeypatch):
     q = random_module(random.Random(7), GF(2), 4, trivial_w(GF(2)), 1)
-    # a flag of four lines would try P(2001, 3) tuples of three weights
+    # a flag of four lines would try C(2001, 3) sets of three weights
     with monkeypatch.context() as patched:
         patched.setattr(stability, "_isotropic_scanner", unreached)
-        with pytest.raises(BoundExceededError, match="has 7999998000 weight tuples"):
+        with pytest.raises(BoundExceededError, match="has 1333333000 weight tuples"):
             hilbert_mumford_sweep(q, weight_bound=1000)
     # at dim 2 a flag tries 2w + 1 tuples, so the bound falls between
     # w = 49,999 and w = 50,000
@@ -2037,13 +1971,13 @@ def test_the_sweep_is_constant_on_orbits():
 
 
 def test_a_larger_weight_bound_never_raises_the_sweep():
-    # every subgroup swept at bound w is swept again at w + 1; 23 is the
-    # largest bound F_2^4 accepts, P(47, 3) = 97,290 weight tuples
+    # every subgroup swept at bound w is swept again at w + 1; 42 is the
+    # largest bound F_2^4 accepts, C(85, 3) = 98,770 weight tuples
     q = module_1form(GF(2), [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
-    swept = [hilbert_mumford_sweep(q, weight_bound=bound) for bound in range(24)]
+    swept = [hilbert_mumford_sweep(q, weight_bound=bound) for bound in range(43)]
     assert swept == sorted(swept, reverse=True)
     with pytest.raises(BoundExceededError, match="weight tuples"):
-        hilbert_mumford_sweep(q, weight_bound=24)
+        hilbert_mumford_sweep(q, weight_bound=43)
 
 
 def test_graded_refuses_dim_zero_before_any_work(monkeypatch):
