@@ -236,10 +236,10 @@ def field_name(field) -> str:
 
 
 def _ratio(field, a):
-    """(n, d), d > 0, for a scalar crossing the public boundary: an int
-    through from_int, a Fraction over QQ only, tested without importing
-    fractions, since none exists before it is; FieldError else."""
-    if isinstance(a, int):
+    """(n, d), d > 0, for a scalar crossing the public boundary: an int,
+    not a bool, through from_int, a Fraction over QQ only, tested without
+    importing fractions, since none exists before it is; FieldError else."""
+    if isinstance(a, int) and not isinstance(a, bool):
         return (a % field.characteristic if field.characteristic else int(a)), 1
     fractions = sys.modules.get("fractions")
     if not field.characteristic and fractions and isinstance(a, fractions.Fraction):

@@ -219,13 +219,21 @@ def all_subspaces(field, ambient: int):
         yield from enumerate_subspaces(field, ambient, dim)
 
 
+def gaussian_multinomial(p: int, dims) -> int:
+    """[n; d_1, ..., d_k]_p, n = sum(dims): the flags of F_p^n with those
+    step dims.  With two dims (d, n - d) it is the Gaussian binomial
+    [n, d]_p, the d-dim subspaces of F_p^n."""
+
+    def factorial(m):
+        return math.prod((p ** (i + 1) - 1) // (p - 1) for i in range(m))
+
+    return factorial(sum(dims)) // math.prod(factorial(d) for d in dims)
+
+
 def subspace_count(p: int, n: int) -> int:
     """The nonzero subspaces of F_p^n: the Gaussian binomials [n, d]_p
-    for d = 1 .. n, each from the one before it, summed."""
-    binomials = [1]
-    for d in range(1, n + 1):
-        binomials.append(binomials[-1] * (p ** (n - d + 1) - 1) // (p**d - 1))
-    return sum(binomials) - 1
+    for d = 1 .. n, summed."""
+    return sum(gaussian_multinomial(p, (d, n - d)) for d in range(1, n + 1))
 
 
 def nondegenerate_symmetric_count(q: int, n: int) -> int:

@@ -1,4 +1,9 @@
-"""Exit codes and golden byte-for-byte command outputs."""
+"""The command line in process: every row of ``cli_cases.CASES`` but the
+slow ones, each run twice, and the refusals, the command-table parser and
+the layer loading, which need a harness of their own.  What each command
+prints is stated once, in ``tests/cli_cases.py``; CI runs its every row
+through the installed console script.
+"""
 
 import argparse
 import json
@@ -13,35 +18,11 @@ import pytest
 from twistmod import cli
 from twistmod.errors import InternalCheckError
 
-HYPERBOLIC = (
-    '{"field":"rational","sign":"+1","dim_h":2,'
-    '"w":{"dim":1,"involution":[["1"]]},'
-    '"forms":[[["0","1"],["1","0"]]]}'
-)
+from cli_cases import CASES, FILES, command_line, mismatch, run as run_case, write_files
 
-# strictly semistable with a one-step filtration; carries its canonical subgroup
-FIXTURE = (
-    '{"field":"rational","sign":"+1","dim_h":3,'
-    '"w":{"dim":1,"involution":[["1"]]},'
-    '"forms":[[["0","0","1"],["0","1","1"],["1","1","1"]]],'
-    '"lambda":{"pieces":[{"basis":[["1","0","0"]],"weight":1},'
-    '{"basis":[["0","1","0"]],"weight":0},'
-    '{"basis":[["0","0","1"]],"weight":-1}]}}'
-)
-
-GR_GOLDEN = (
-    '{"filtration":[[["1","0","0"]]],'
-    '"lambda":{"pieces":[{"basis":[["1","0","0"]],"weight":1},'
-    '{"basis":[["0","1","0"]],"weight":0},'
-    '{"basis":[["0","0","1"]],"weight":-1}]},'
-    '"pieces":[[[["1"]]]],'
-    '"core":{"field":"rational","sign":"+1","dim_h":1,'
-    '"w":{"dim":1,"involution":[["1"]]},"forms":[[["1"]]]},'
-    '"assembled":{"field":"rational","sign":"+1","dim_h":3,'
-    '"w":{"dim":1,"involution":[["1"]]},'
-    '"forms":[[["0","0","1"],["0","1","0"],["1","0","0"]]]},'
-    '"transform":[["1","0","0"],["0","1","0"],["0","0","1"]]}'
-)
+HYPERBOLIC = FILES["hyperbolic"]
+FIXTURE = FILES["fixture"]
+J2 = FILES["j2"]
 
 
 def run(capsys, *argv):
@@ -56,20 +37,19 @@ def put(tmp_path, name, text):
     return str(path)
 
 
-def test_check_golden(tmp_path, capsys):
-    path = put(tmp_path, "hyperbolic.json", HYPERBOLIC)
-    code, out, _ = run(capsys, "check", path)
-    assert code == 0
-    assert out == (
-        '{"status":"strictly_semistable",'
-        '"certificate":{"V":[["1","0"]],'
-        '"lambda":{"pieces":[{"basis":[["1","0"]],"weight":2},'
-        '{"basis":[["0","1"]],"weight":-2}]}},'
-        '"provenance":{"kind":"heuristic","primes":[2,3,5,7,11,13]},'
-        '"mu":0}\n'
-    )
-    # byte-identical on a second run
-    assert run(capsys, "check", path)[1] == out
+@pytest.mark.parametrize("name", sorted(name for name, case in CASES.items() if not case.slow))
+def test_each_command_line_prints_its_row(tmp_path, capsys, name):
+    # twice, so the bytes are also the same on a second run; --help ends
+    # in argparse's SystemExit
+    case = CASES[name]
+    argv = command_line(case, write_files(tmp_path))
+    for _ in range(2):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
+        captured = capsys.readouterr()
+        assert mismatch(case, code, captured.out.encode(), captured.err.encode()) is None
 
 
 def test_check_strategy_and_prime_list(tmp_path, capsys):
@@ -221,14 +201,6 @@ def test_sequiv_over_qq_is_refused_past_the_combination_rule(tmp_path, capsys):
     assert err == "error: Q^8 at coefficients -2..2 has 390625 form combinations, over the search bound 100000\n"
 
 
-def test_the_enum_bound_option_is_gone(tmp_path, capsys):
-    path = put(tmp_path, "hyp3.json", HYPERBOLIC.replace("rational", "fp:3"))
-    for command in ("check", "gr", "enumerate"):
-        code, out, err = run(capsys, command, path, "--enum-bound", "4")
-        assert code == 1 and out == ""
-        assert err == "error: unrecognized arguments: --enum-bound 4\n"
-
-
 def test_check_input_errors(tmp_path, capsys):
     path = put(tmp_path, "malformed.json", "{broken")
     code, _, err = run(capsys, "check", path)
@@ -245,143 +217,16 @@ def test_check_input_errors(tmp_path, capsys):
     assert code == 1
     assert "involution not idempotent" in err
 
-    code, _, err = run(capsys, "bogus")
-    assert code == 1
-    assert "invalid choice" in err
-
     # no --seed flag: nothing in twistmod is randomized
     code, out, err = run(capsys, "check", put(tmp_path, "hyp.json", HYPERBOLIC), "--seed", "1")
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "--seed" in err
 
 
-def test_weight_and_limit(tmp_path, capsys):
-    path = put(tmp_path, "fixture.json", FIXTURE)
-    code, out, _ = run(capsys, "weight", path)
-    assert code == 0 and out == '{"mu":0}\n'
-
-    code, out, _ = run(capsys, "limit", path)
-    assert code == 0
-    assert out == (
-        '{"field":"rational","sign":"+1","dim_h":3,'
-        '"w":{"dim":1,"involution":[["1"]]},'
-        '"forms":[[["0","0","1"],["0","1","0"],["1","0","0"]]]}\n'
-    )
-
-    # a definite form sends every diagonal entry to a negative exponent
-    diverging = (
-        '{"field":"rational","sign":"+1","dim_h":2,'
-        '"w":{"dim":1,"involution":[["1"]]},'
-        '"forms":[[["1","0"],["0","1"]]],'
-        '"lambda":{"pieces":[{"basis":[["1","0"]],"weight":1},'
-        '{"basis":[["0","1"]],"weight":-1}]}}'
-    )
-    path = put(tmp_path, "diverging.json", diverging)
-    code, out, _ = run(capsys, "limit", path)
-    assert code == 0 and out == '{"diverges":true}\n'
-
-    path = put(tmp_path, "bare.json", HYPERBOLIC)
-    code, _, err = run(capsys, "weight", path)
-    assert code == 1 and "attachment" in err
-
-    # a subspace attachment stands in for lambda via its destabilizer
-    witness = HYPERBOLIC[:-1] + ',"subspace":[["1","0"]]}'
-    path = put(tmp_path, "witness.json", witness)
-    code, out, _ = run(capsys, "weight", path)
-    assert code == 0 and out == '{"mu":0}\n'
-
-
-def test_gr_golden(tmp_path, capsys):
-    path = put(tmp_path, "fixture.json", FIXTURE)
-    code, out, _ = run(capsys, "gr", path)
-    assert code == 0
-    assert out == GR_GOLDEN + "\n"
-
-
-def test_sequiv(tmp_path, capsys):
-    first = put(tmp_path, "fixture.json", FIXTURE)
-    second = put(tmp_path, "hyperbolic.json", HYPERBOLIC)
-    code, out, _ = run(capsys, "sequiv", first, first)
-    assert code == 0 and out == '{"s_equivalent":"yes"}\n'
-    code, out, _ = run(capsys, "sequiv", first, second)
-    assert code == 0 and out == '{"s_equivalent":"no"}\n'
-
-
-def test_sequiv_over_qq_answers_unknown_where_only_the_gradings_differ(tmp_path, capsys):
-    # a strictly semistable swap module and its act(g, .) for
-    # g = [[-1, -2, 2], [-2, -2, -2], [0, -2, 1]]: the moved copy's witness
-    # has denominators, so its grading keeps an uncertified core, and the
-    # assembled modules differ though the inputs are isomorphic
-    first = put(
-        tmp_path,
-        "first.json",
-        '{"field":"rational","sign":"-1","dim_h":3,'
-        '"w":{"dim":2,"involution":[["0","1"],["1","0"]]},'
-        '"forms":[[["0","-1","0"],["0","0","-1"],["-1","0","-1"]],'
-        '[["0","0","1"],["1","0","0"],["0","1","1"]]]}',
-    )
-    moved = put(
-        tmp_path,
-        "moved.json",
-        '{"field":"rational","sign":"-1","dim_h":3,'
-        '"w":{"dim":2,"involution":[["0","1"],["1","0"]]},'
-        '"forms":[[["3/25","7/50","-14/25"],["1/25","-3/25","-1/50"],["1/25","-3/25","12/25"]],'
-        '[["-3/25","-1/25","-1/25"],["-7/50","3/25","3/25"],["14/25","1/50","-12/25"]]]}',
-    )
-    code, out, _ = run(capsys, "sequiv", first, moved)
-    assert code == 0 and out == '{"s_equivalent":"unknown"}\n'
-
-
-def test_gr_and_sequiv_refuse_a_zero_module(tmp_path, capsys):
-    # check calls the zero module stable, but it has no graded module
-    path = put(
-        tmp_path,
-        "zero.json",
-        '{"field":"fp:3","sign":"+1","dim_h":0,'
-        '"w":{"dim":1,"involution":[["1"]]},"forms":[[]]}',
-    )
-    code, out, _ = run(capsys, "check", path)
-    assert code == 0 and out.startswith('{"status":"stable"')
-    for argv in (["gr", path], ["sequiv", path, path]):
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and out == ""
-        assert err == "error: a graded module needs dim H >= 1, not 0\n"
-
-
-def test_fiber_golden(capsys):
-    code, out, _ = run(capsys, "fiber", "--field", "fp:3", "--case", "plus", "-r", "2")
-    assert code == 0
-    assert out == (
-        '{"case":"plus","r":2,"field":"fp:3",'
-        '"fixed_count":36,"image_count":4,"kernel_count":9,"kernel_dim":2,'
-        '"checks":{"closure":true,"inverses":true,"projection":true,'
-        '"kernel":true,"counts":true},"ok":true}\n'
-    )
-
-    code, out, _ = run(
-        capsys, "fiber", "--field", "fp:3", "--case", "alternating", "-r", "2"
-    )
-    assert code == 0
-    assert out == (
-        '{"case":"alternating","r":2,"field":"fp:3",'
-        '"fixed_count":24,"image_count":24,"kernel_count":1,"kernel_dim":0,'
-        '"checks":{"closure":true,"inverses":true,"projection":true,'
-        '"kernel":true,"counts":true},"ok":true}\n'
-    )
-
-    code, out, _ = run(
-        capsys, "fiber", "--field", "fp:2", "--case", "unramified", "-r", "2"
-    )
-    assert code == 0
-    assert out == '{"case":"unramified","r":2,"field":"fp:2","fixed_count":6}\n'
-
-
 def test_fiber_errors(capsys):
     # --field is required by the command table, so argparse names it
     code, _, err = run(capsys, "fiber", "--case", "plus", "-r", "2")
     assert code == 1 and err == "error: the following arguments are required: --field\n"
-    code, _, err = run(capsys, "fiber", "--field", "fp:3", "--case", "plus", "-r", "3")
-    assert code == 1 and "exceeds" in err
     code, _, err = run(
         capsys, "fiber", "--field", "fp:3", "--case", "alternating", "-r", "3"
     )
@@ -402,20 +247,12 @@ def test_fiber_help_shows_that_field_is_required(capsys):
     assert cli._parse(["fiber", "--case", "plus", "-r", "2"]) is None
 
 
-# the standard twist over F_3, as a matrix file
-J3 = '{"field":"fp:3","matrix":[["0","1"],["2","0"]]}'
-
-
-def test_the_standard_twist_file_prints_the_default_report(tmp_path, capsys):
-    argv = ["fiber", "--field", "fp:3", "--case", "alternating", "-r", "2"]
-    default = run(capsys, *argv)
-    assert default[0] == 0
-    assert run(capsys, *argv, "--twist", put(tmp_path, "j.json", J3)) == default
+J3 = FILES["j3"]
 
 
 # twists refused at rank 2 over F_3, as (case, matrix file, stderr part)
 BAD_TWISTS = {
-    "over-f5": ("alternating", J3.replace("fp:3", "fp:5").replace('"2"', '"4"'), "another field"),
+    "over-f5": ("alternating", FILES["j5"], "another field"),
     "symmetric": ("alternating", J3.replace('"2"', '"1"'), "not alternating"),
     "three-by-three": (
         "alternating",
@@ -434,14 +271,6 @@ def test_a_bad_twist_ends_in_one_line_exit_1(tmp_path, capsys, case):
     code, out, err = run(capsys, "fiber", "--field", "fp:3", "--case", kind, "-r", "2", "--twist", twist)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and part in err
-
-
-@pytest.mark.parametrize("case", ["plus", "unramified", "alternating"])
-def test_fiber_refuses_a_huge_rank_on_one_line(capsys, case):
-    # refused from the exponent 2 r^2 alone, before the alternating twist is built
-    code, out, err = run(capsys, "fiber", "--field", "fp:3", "--case", case, "-r", "100000")
-    assert code == 1 and out == ""
-    assert err == "error: fiber enumeration over F_3 at size 100000 exceeds 1000000 pairs\n"
 
 
 @pytest.mark.parametrize("rank, pairs", [("2", "5"), ("3", "400000000")])
@@ -491,26 +320,12 @@ def test_options_a_command_would_ignore_are_refused(tmp_path, capsys, case):
     files = {
         "fixture": put(tmp_path, "fixture.json", FIXTURE),
         "fp7": put(tmp_path, "hyp7.json", HYPERBOLIC.replace("rational", "fp:7")),
-        "matrix": put(tmp_path, "j2.json", '{"field":"rational","matrix":[["0","1"],["-1","0"]]}'),
+        "matrix": put(tmp_path, "j2.json", J2),
     }
     argv, part = IGNORED_OPTIONS[case]
     code, out, err = run(capsys, *(arg.format(**files) for arg in argv))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and part in err
-
-
-def test_pfaffian_golden(tmp_path, capsys):
-    path = put(tmp_path, "j2.json", '{"field":"rational","matrix":[["0","1"],["-1","0"]]}')
-    code, out, _ = run(capsys, "pfaffian", path)
-    assert code == 0 and out == '{"pfaffian":"1"}\n'
-
-    path = put(tmp_path, "j2f2.json", '{"field":"fp:2","matrix":[["0","1"],["1","0"]]}')
-    code, out, _ = run(capsys, "pfaffian", path)
-    assert code == 0 and out == '{"pfaffian":"1"}\n'
-
-    path = put(tmp_path, "sym.json", '{"field":"rational","matrix":[["0","1"],["1","0"]]}')
-    code, _, err = run(capsys, "pfaffian", path)
-    assert code == 1 and "alternating" in err
 
 
 def test_enumerate_golden(tmp_path, capsys, monkeypatch):
@@ -605,14 +420,7 @@ PROBES = {
         '{"field":"rational","matrix":[["0","N","0","0"],["-N","0","0","0"],'
         '["0","0","0","N"],["0","0","-N","0"]]}'.replace("N", "1" + "0" * 2500),
     ),
-    # B = [[0, 1], [0, 0]] over F_5 is not symmetric: the module's constructor refuses it
-    "symmetry-broken": (
-        "check",
-        HYPERBOLIC.replace("rational", "fp:5").replace('[["0","1"],["1","0"]]', '[["0","1"],["0","0"]]'),
-    ),
 }
-# the probes whose one stderr line is pinned
-PINNED = {"symmetry-broken": "error: symmetry relation violated\n"}
 
 
 @pytest.mark.parametrize("probe", sorted(PROBES))
@@ -630,8 +438,6 @@ def test_bad_input_ends_in_one_line_exit_1(tmp_path, capsys, probe):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    if probe in PINNED:
-        assert err == PINNED[probe]
 
 
 # -- mutated input files -------------------------------------------------------
@@ -784,13 +590,6 @@ def test_importing_the_cli_loads_no_engine_layer():
     assert loaded_layers("import twistmod.cli") == BASE_LAYERS
 
 
-# x^2 + y^2 over F_3 has no isotropic line, since -1 is not a square mod 3
-ANISOTROPIC_F3 = (
-    '{"field":"fp:3","sign":"+1","dim_h":2,"w":{"dim":1,"involution":[["1"]]},'
-    '"forms":[[["1","0"],["0","1"]]]}'
-)
-
-
 @pytest.mark.parametrize(
     "case, layers",
     [
@@ -808,26 +607,18 @@ ANISOTROPIC_F3 = (
 )
 def test_each_command_loads_only_its_layers(tmp_path, case, layers):
     fixture = put(tmp_path, "fixture.json", FIXTURE)
-    matrix = '{"field":"rational","matrix":[["0","1"],["-1","0"]]}'
     argv = {
-        "pfaffian": ["pfaffian", put(tmp_path, "j2.json", matrix)],
+        "pfaffian": ["pfaffian", put(tmp_path, "j2.json", J2)],
         "fiber": ["fiber", "--field", "fp:2", "--case", "plus", "-r", "2"],
         "sequiv": ["sequiv", fixture, fixture],
         "enumerate": [
             "enumerate",
             put(tmp_path, "hyp2.json", HYPERBOLIC.replace("rational", "fp:2")),
         ],
-        "check-fp-stable": ["check", put(tmp_path, "aniso3.json", ANISOTROPIC_F3)],
+        "check-fp-stable": ["check", put(tmp_path, "aniso3.json", FILES["anisotropic_f3"])],
     }.get(case, [case, fixture])
     code = "import sys, twistmod.cli; assert twistmod.cli.main(sys.argv[1:]) == 0"
     assert loaded_layers(code, *argv) == BASE_LAYERS | layers
-
-
-def test_a_stable_fp_check_certifies_nothing(tmp_path, capsys):
-    path = put(tmp_path, "aniso3.json", ANISOTROPIC_F3)
-    code, out, _ = run(capsys, "check", path)
-    assert code == 0
-    assert out == '{"status":"stable","provenance":{"kind":"exhaustive","primes":[]},"mu":null}\n'
 
 
 # -- the table parser against argparse --------------------------------------
@@ -996,15 +787,10 @@ def test_the_table_parser_leaves_help_errors_and_other_spellings_to_argparse(arg
     assert cli._parse(argv) is None
 
 
-def test_module_entry_point_matches_library(tmp_path):
-    path = put(tmp_path, "hyperbolic.json", HYPERBOLIC)
-    proc = subprocess.run(
-        [sys.executable, "-m", "twistmod.cli", "check", path],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["status"] == "strictly_semistable"
+@pytest.mark.parametrize("name", ["check-hyperbolic", "gr-fixture"])
+def test_module_entry_point_matches_library(tmp_path, name):
+    # the same bytes through a fresh interpreter
+    assert run_case(CASES[name], [sys.executable, "-m", "twistmod.cli"], write_files(tmp_path)) is None
 
 
 def test_readme_synopsis_names_only_real_options():

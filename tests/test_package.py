@@ -9,6 +9,8 @@ import pytest
 
 import twistmod
 
+from cli_cases import FILES
+
 
 def test_every_public_name_resolves_to_its_home_module():
     assert len(set(twistmod.__all__)) == len(twistmod.__all__)
@@ -133,17 +135,11 @@ def test_records_check_their_values_at_construction():
         DualNumberMatrix(two, two)._replace(h=one)
 
 
-# the README fixture over QQ, and the same form over F_3
-RATIONAL_FIXTURE = (
-    '{"field":"rational","sign":"+1","dim_h":3,"w":{"dim":1,"involution":[["1"]]},'
-    '"forms":[[["0","0","1"],["0","1","1"],["1","1","1"]]]}'
-)
-F3_FIXTURE = RATIONAL_FIXTURE.replace('"rational"', '"fp:3"')
-# an alternating QQ matrix with denominators, whose pfaffian is 3/28
-RATIONAL_MATRIX = (
-    '{"field":"rational","matrix":[["0","1/2","1/3","0"],["-1/2","0","0","3/4"],'
-    '["-1/3","0","0","5/7"],["0","-3/4","-5/7","0"]]}'
-)
+# the README fixture's form over F_3 and over QQ, and an alternating QQ
+# matrix with denominators, whose pfaffian is 3/28
+F3_FIXTURE = FILES["levelled"]
+RATIONAL_FIXTURE = F3_FIXTURE.replace('"fp:3"', '"rational"')
+RATIONAL_MATRIX = FILES["fractional"]
 
 NO_FRACTIONS = """
 import importlib, pkgutil, sys

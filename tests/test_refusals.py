@@ -140,6 +140,10 @@ REFUSALS = {
         "symmetry relation",
     ),
     "mu-space": (lambda: mu(LAMBDA3, Q), ShapeError, "different spaces"),
+    # a bool is no int at any int boundary
+    "matrix-entry-bool": (lambda: Matrix(F3, [[True, False]]), FieldError, "True is not an int"),
+    "scale-bool": (lambda: I2.scale(True), FieldError, "True is not an int"),
+    "matrix-at-bool": (lambda: LAMBDA3.matrix_at(True), FieldError, "True is not an int"),
     "pfaffian-non-square": (lambda: pfaffian(WIDE), ShapeError, "square"),
     "fiber-rank-bool": (lambda: fiber_structure_check(F3, True, "plus"), UsageError, "rank"),
     "fiber-rank-float": (lambda: fiber_structure_check(F3, 2.0, "plus"), UsageError, "rank"),

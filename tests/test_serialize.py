@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from twistmod.errors import ParseError, ShapeError, UsageError
-from twistmod.hilbert import MINUS_INFINITY, OneParamSubgroup
+from twistmod.hilbert import OneParamSubgroup
 from twistmod.linalg import GF, QQ, Matrix, Subspace
 from twistmod.sigmamod import SigmaModule
 from twistmod.stability import Provenance, Verdict, graded, semistability_verdict
@@ -19,7 +19,6 @@ from twistmod.serialize import (
     matrix_from_lists,
     matrix_to_lists,
     module_file_to_dict,
-    module_from_dict,
     module_to_dict,
     parse_module_file,
     subgroup_from_dict,

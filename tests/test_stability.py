@@ -60,7 +60,7 @@ from twistmod.stability import (
 )
 
 from builders import module_1form, random_module, swap_w, trivial_w
-from oracles import all_subspaces, flag_sweep, flags, generic_rref, subspace_count
+from oracles import all_subspaces, flag_sweep, flags, gaussian_multinomial, generic_rref, subspace_count
 
 
 def swap_pair(field, rows, sign=1):
@@ -1664,9 +1664,7 @@ def ordered_decompositions(p, n):
         return 1
     total = 0
     for d in range(1, n + 1):
-        pieces = math.prod(p ** (n - i) - 1 for i in range(d))
-        pieces //= math.prod(p ** (i + 1) - 1 for i in range(d))
-        total += pieces * p ** (d * (n - d)) * ordered_decompositions(p, n - d)
+        total += gaussian_multinomial(p, (d, n - d)) * p ** (d * (n - d)) * ordered_decompositions(p, n - d)
     return total
 
 
@@ -1863,15 +1861,6 @@ def test_searches_refuse_too_many_lines_before_any_work():
             search(q)
     # a line is a line over any field
     assert enumerate_totally_isotropic(module_1form(big, [[0]]))[0].dim == 1
-
-
-def gaussian_multinomial(p, dims):
-    """[n; d_1, ..., d_k]_p: the flags of F_p^n with those step dims."""
-
-    def factorial(m):
-        return math.prod((p ** (i + 1) - 1) // (p - 1) for i in range(m))
-
-    return factorial(sum(dims)) // math.prod(factorial(d) for d in dims)
 
 
 def compositions(n):
